@@ -12,7 +12,6 @@ from .cohomlab import (
     f_omega,
     gram_matrix,
     h_plus,
-    harmonic_basis,
     intersection_dim,
     select_null_form,
     v_measure,
@@ -23,7 +22,6 @@ from .hermitian import (
     BumpSpec,
     DeformLog,
     HermitianTriple,
-    anti_invariant_field,
     anti_invariant_frame,
     deform_field,
     load_triple,
@@ -70,7 +68,6 @@ __all__ = [
     "ScenarioReport",
     "ThreeFormField",
     "TwoFormField",
-    "anti_invariant_field",
     "anti_invariant_frame",
     "bump_cutoff",
     "codiff_twoform",
@@ -84,7 +81,6 @@ __all__ = [
     "f_omega",
     "gram_matrix",
     "h_plus",
-    "harmonic_basis",
     "integrate",
     "intersection_dim",
     "l2_inner",

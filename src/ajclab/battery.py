@@ -25,7 +25,7 @@ def _random_structures(rng: np.random.Generator, cases: int) -> np.ndarray:
     ab /= np.maximum(np.linalg.norm(ab, axis=-1, keepdims=True), 1e-12)
     ab *= rng.uniform(0.0, 0.9, size=(cases, 1))
     alpha0 = ab[:, :1] * pl.OMEGA2 + ab[:, 1:] * pl.OMEGA3
-    return pl.deform_acs(np.broadcast_to(pl.J0, (cases, 4, 4)), alpha0)
+    return pl.deform_pair(np.broadcast_to(pl.J0, (cases, 4, 4)), alpha0)[0]
 
 
 def _random_anti_invariant(rng: np.random.Generator, J: np.ndarray, max_norm: float = 0.9) -> np.ndarray:
@@ -37,18 +37,28 @@ def _random_anti_invariant(rng: np.random.Generator, J: np.ndarray, max_norm: fl
 
 
 def run_deformation_battery(cases: int = 10_000, seed: int = 1) -> list[Check]:
-    """Random-case battery for the rational deformation formulas."""
+    """Random-case battery for the rational deformation formulas, in 4x4
+    form and in the self-dual coordinates y that structure fields store."""
     rng = np.random.default_rng(seed)
     J = _random_structures(rng, cases)
     alpha = _random_anti_invariant(rng, J)
     nsq = pl.wedge_norm_sq(alpha)
-    K = pl.k_endo(alpha)
+    K = pl.form_to_matrix(alpha)
     a = ((1.0 - nsq) / (1.0 + nsq))[..., None, None]
     b = (2.0 / (1.0 + nsq))[..., None, None]
     closed = a * J - b * K
     T = np.eye(4) + J @ K
     conjugated = np.linalg.solve(T, J @ T)
     F_new = a[..., 0] * pl.fundamental_form(J) + b[..., 0] * alpha
+    # the S^2 formulas against the cross-checked 4x4 deformation
+    y = pl.fundamental_form(J) @ pl.OMEGA_SD.T / 2.0
+    y_new = pl.deform_coords(y, alpha @ pl.OMEGA_SD.T / 2.0)
+    J_pair, F_pair = pl.deform_pair(J, alpha)
+    s2_dev = max(
+        float(np.max(np.abs(pl.acs_from_coords(y) - J))),
+        float(np.max(np.abs(pl.acs_from_coords(y_new) - J_pair))),
+        float(np.max(np.abs(y_new @ pl.OMEGA_SD - F_pair))),
+    )
 
     eye = np.eye(4)
     checks = [
@@ -86,6 +96,10 @@ def run_deformation_battery(cases: int = 10_000, seed: int = 1) -> list[Check]:
             "det(Id + J K) dominates (1 - |alpha|^2)^2",
             bool(np.all((m_arr := np.linalg.det(T) - (1.0 - nsq) ** 2) >= -ALG_TOL)),
             ALG_TOL, float(np.min(m_arr)),
+        ),
+        Check(
+            "S^2 coordinate formulas agree with deform_pair",
+            s2_dev <= ALG_TOL, ALG_TOL, s2_dev,
         ),
     ]
     return checks
@@ -160,27 +174,20 @@ def run_calculus_battery(grid_n: int = 16, count: int = 100, seed: int = 3,
         bandlimit = grid.n // 2 - 2
     rng = np.random.default_rng(seed)
 
-    def bandlimited(ncomp: int | None):
-        shape = grid.shape if ncomp is None else grid.shape + (ncomp,)
-        noise = rng.standard_normal(shape)
-        spec = np.fft.fftn(noise, axes=tf.GRID_AXES)
-        keep1d = np.abs(grid.freq_int()) <= bandlimit
-        for ax in tf.GRID_AXES:
-            s = [1] * noise.ndim
-            s[ax] = grid.n
-            spec = spec * keep1d.reshape(s)
-        vals = np.fft.ifftn(spec, axes=tf.GRID_AXES).real
-        return vals / max(1.0, float(np.max(np.abs(vals))))
+    def bandlimited(cls):
+        noise = cls(grid, rng.standard_normal(grid.shape + cls.NCOMP))
+        vals = tf.spectral_truncate(noise, bandlimit).values
+        return cls(grid, vals / max(1.0, float(np.max(np.abs(vals)))))
 
     dd_scalar = dd_oneform = 0.0
     adjoint_rel = 0.0
     integral_err = 0.0
     wedge_asym = 0.0
     for _ in range(count):
-        f = tf.ScalarField(grid, bandlimited(None))
-        theta = tf.OneFormField(grid, bandlimited(4))
-        phi = tf.TwoFormField(grid, bandlimited(6))
-        psi = tf.TwoFormField(grid, bandlimited(6))
+        f = bandlimited(tf.ScalarField)
+        theta = bandlimited(tf.OneFormField)
+        phi = bandlimited(tf.TwoFormField)
+        psi = bandlimited(tf.TwoFormField)
         dd_scalar = max(dd_scalar, tf.d_oneform(tf.d_scalar(f)).max_abs())
         dd_oneform = max(dd_oneform, tf.d_twoform(tf.d_oneform(theta)).max_abs())
         lhs = tf.l2_inner(tf.d_oneform(theta), phi)

@@ -9,10 +9,16 @@ anti-invariant plane sits inside the self-dual one), hence coclosed
 has constant coefficients on the flat torus (the Hodge Laplacian acts
 diagonally on Fourier modes of each component).  Conversely a constant
 self-dual form beta = sum_k beta_k omega_k is anti-invariant for J exactly
-when <beta, F(x)> = 0 at every point.  Writing f_k = <omega_k, F>, that
-condition reads sum_k beta_k f_k == 0, i.e. beta^T G beta = 0 for the
-Gram matrix G_kl = integral(f_k f_l); since G is positive semidefinite the
-anti-invariant constants are exactly its kernel.
+when <beta, F(x)> = 0 at every point.  With F = sum_k y_k omega_k
+(:mod:`.hermitian`) and <omega_k, omega_l> = 2 delta_kl, the functions
+f_k = <omega_k, F> are 2 y_k, so that condition reads beta . y(x) == 0,
+i.e. beta^T G beta = 0 for the Gram matrix
+
+    G_kl = integral(f_k f_l) = 4 mean(y_k y_l)
+
+(the integral is the node mean); since G is positive semidefinite the
+anti-invariant constants are exactly its kernel.  Constant self-dual forms
+are handled by their coordinates beta throughout.
 
 The second route discretizes the self-adjoint strongly elliptic operator
 psi -> P^-(d delta psi) on sections of the anti-invariant plane and counts
@@ -38,7 +44,7 @@ from .torusfield import (
     TwoFormField,
     codiff_twoform,
     d_oneform,
-    integrate,
+    d_twoform,
 )
 
 #: self-dual Betti number and total second Betti number of the 4-torus
@@ -47,21 +53,6 @@ B2 = 6
 
 #: principal-angle threshold for subspace comparisons (radians)
 ANGLE_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class HarmonicBasis:
-    """The three constant self-dual form fields on a grid; cup-orthogonal
-    with wedge square 2, and closed since they are constant."""
-
-    grid: GridSpec
-    forms: tuple[TwoFormField, TwoFormField, TwoFormField]
-
-
-def harmonic_basis(grid: GridSpec) -> HarmonicBasis:
-    return HarmonicBasis(
-        grid, tuple(TwoFormField.constant(grid, w) for w in pl.OMEGA_SD)
-    )
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,6 @@ class GramReport:
     eigenvectors: np.ndarray    # columns match eigenvalues
     h_minus: int
     null_coords: np.ndarray     # (h_minus, 3) canonical kernel basis rows
-    null_forms: tuple[TwoFormField, ...]
     threshold: float            # absolute null threshold actually used
     tol_null: float             # relative threshold parameter
 
@@ -93,32 +83,11 @@ class GramReport:
             "tol_null": self.tol_null,
         }
 
-    def save(self, path) -> Path:
-        """Write the report as JSON; kernel basis fields are serialized next
-        to it and referenced by relative path."""
-        from .fieldio import serialize_field
 
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = self.to_dict()
-        refs = []
-        for i, form in enumerate(self.null_forms):
-            name = f"{path.stem}.null{i}.field"
-            serialize_field(form, path.parent / name)
-            refs.append(name)
-        payload["null_form_files"] = refs
-        path.write_text(json.dumps(payload, indent=2))
-        return path
-
-
-def f_omega(triple: HermitianTriple, omega: TwoFormField, tol: float = 1e-8) -> ScalarField:
-    """The function <omega, F> on the torus; requires omega self-dual nodewise."""
-    if omega.grid != triple.grid:
-        raise ValueError("grid mismatch")
-    defect = float(np.max(np.abs(omega.values - pl.hodge_star(omega.values))))
-    if defect > tol * max(1.0, omega.max_abs()):
-        raise ValueError(f"form is not self-dual (defect {defect:.3e})")
-    return ScalarField(triple.grid, pl.form_inner(omega.values, triple.F.values))
+def f_omega(triple: HermitianTriple, w) -> ScalarField:
+    """The function <omega, F> = 2 w . y on the torus for the constant
+    self-dual form omega = sum_k w_k omega_k."""
+    return ScalarField(triple.grid, 2.0 * (triple.y @ np.asarray(w, float)))
 
 
 def _canonical_vector(v: np.ndarray) -> np.ndarray:
@@ -130,16 +99,15 @@ def _canonical_vector(v: np.ndarray) -> np.ndarray:
 
 
 def gram_matrix(triple: HermitianTriple, tol_null: float = 1e-7) -> GramReport:
-    """Assemble G_kl = integral(<omega_k, F> <omega_l, F>) and read off the
-    harmonic anti-invariant dimension as its numerical kernel.
+    """Assemble G = 4 mean(y y^T), i.e. G_kl = integral(<omega_k, F> <omega_l, F>),
+    and read off the harmonic anti-invariant dimension as its numerical kernel.
 
     The kernel basis rows are ordered deterministically: ascending
     eigenvalue, ties broken by lexicographic order of the sign-canonicalized
     coefficients.
     """
-    fvals = triple.F.values.reshape(-1, 6)
-    fs = fvals @ pl.OMEGA_SD.T  # (N, 3) nodal values of the three functions
-    G = fs.T @ fs / fs.shape[0]
+    ys = triple.y.reshape(-1, 3)
+    G = 4.0 * (ys.T @ ys) / ys.shape[0]
     G = (G + G.T) / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(G)
     threshold = tol_null * max(1.0, float(eigenvalues[-1]))
@@ -149,9 +117,6 @@ def gram_matrix(triple: HermitianTriple, tol_null: float = 1e-7) -> GramReport:
         key=lambda p: (p[0], tuple(np.round(p[1], 9))),
     )
     null_coords = np.array([v for _, v in pairs]).reshape(len(pairs), 3)
-    null_forms = tuple(
-        TwoFormField.constant(triple.grid, v @ pl.OMEGA_SD) for v in null_coords
-    )
     return GramReport(
         grid_n=triple.grid.n,
         matrix=G,
@@ -159,7 +124,6 @@ def gram_matrix(triple: HermitianTriple, tol_null: float = 1e-7) -> GramReport:
         eigenvectors=eigenvectors,
         h_minus=len(null_idx),
         null_coords=null_coords,
-        null_forms=null_forms,
         threshold=threshold,
         tol_null=tol_null,
     )
@@ -170,22 +134,22 @@ def h_plus(report: GramReport) -> int:
     return B2 - report.h_minus
 
 
-def select_null_form(report: GramReport) -> TwoFormField:
-    """First kernel direction of the Gram report as a constant form field,
-    normalized so its wedge integral over the unit-volume torus equals 1."""
+def select_null_form(report: GramReport) -> np.ndarray:
+    """Coordinates w of the first kernel direction of the Gram report,
+    normalized so the constant form sum_k w_k omega_k has wedge integral 1
+    over the unit-volume torus (|w|^2 = 1/2)."""
     if report.h_minus == 0:
         raise ValueError("the Gram kernel is empty")
-    coords = report.null_coords[0] / np.sqrt(2.0)
-    grid = report.null_forms[0].grid
-    return TwoFormField.constant(grid, coords @ pl.OMEGA_SD)
+    return report.null_coords[0] / np.sqrt(2.0)
 
 
-def v_measure(triple: HermitianTriple, omega: TwoFormField, eps: float) -> float:
-    """Volume fraction where <omega, F> is resolvably nonzero: the fraction
-    of nodes with |f| above eps * max(1, sup|f|)."""
+def v_measure(triple: HermitianTriple, w, eps: float) -> float:
+    """Volume fraction where <omega, F> is resolvably nonzero for the
+    constant form omega = sum_k w_k omega_k: the fraction of nodes with |f|
+    above eps * max(1, sup|f|)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    f = f_omega(triple, omega)
+    f = f_omega(triple, w)
     cut = eps * max(1.0, f.max_abs())
     return float(np.mean(np.abs(f.values) > cut))
 
@@ -240,9 +204,8 @@ def delta_j_estimate(
     basis = _span_basis(report.eigenvectors, report.h_minus)
     best = 1.0
     for c in _sphere_samples(l, samples):
-        coords = (c @ basis) / np.sqrt(2.0)  # wedge integral 1
-        omega = TwoFormField.constant(triple.grid, coords @ pl.OMEGA_SD)
-        best = min(best, v_measure(triple, omega, eps))
+        w = (c @ basis) / np.sqrt(2.0)  # wedge integral 1
+        best = min(best, v_measure(triple, w, eps))
     return best
 
 
@@ -332,8 +295,7 @@ def elliptic_kernel_dim(
             f"operator dimension {dim} exceeds the documented bound {max_dim}; "
             "use a smaller oracle grid"
         )
-    u1, u2 = anti_invariant_frame(triple)
-    frames = np.stack([u1.values, u2.values])  # (2, grid shape, 6)
+    frames = np.stack(anti_invariant_frame(triple)) @ pl.OMEGA_SD  # (2, grid shape, 6)
     J = triple.J.values
     N = grid.node_count
     M = np.empty((dim, dim))
@@ -401,28 +363,11 @@ def null_containment_angle(inner: GramReport, outer: GramReport) -> float:
 
 
 def null_forms_closed_residual(report: GramReport) -> float:
-    """Max nodal residual of d applied to the kernel basis fields."""
-    from .torusfield import d_twoform
-
-    worst = 0.0
-    for form in report.null_forms:
-        worst = max(worst, d_twoform(form).max_abs())
-    return worst
-
-
-def gram_h_minus(triple: HermitianTriple, tol_null: float = 1e-7) -> int:
-    """Convenience wrapper: the Gram kernel dimension."""
-    return gram_matrix(triple, tol_null=tol_null).h_minus
-
-
-def check_pure_and_full(report: GramReport) -> bool:
-    """The dimension bookkeeping h_plus + h_minus = b2 holds by construction;
-    exposed for report symmetry."""
-    return h_plus(report) + report.h_minus == B2
-
-
-def integrate_f_product(triple: HermitianTriple, omega1: TwoFormField, omega2: TwoFormField) -> float:
-    """integral(<omega1, F> <omega2, F>), one Gram entry for general inputs."""
-    f1 = f_omega(triple, omega1)
-    f2 = f_omega(triple, omega2)
-    return integrate(ScalarField(triple.grid, f1.values * f2.values))
+    """Max nodal residual of d applied to the kernel basis forms, as
+    constant fields on the report's grid."""
+    grid = GridSpec(report.grid_n)
+    return max(
+        (d_twoform(TwoFormField.constant(grid, v @ pl.OMEGA_SD)).max_abs()
+         for v in report.null_coords),
+        default=0.0,
+    )

@@ -1,16 +1,29 @@
 """Compatible almost-complex-structure fields on the torus and their
 deformations.
 
-A structure field pairs a nodewise endomorphism J (J^2 = -Id, orthogonal)
-with its cached fundamental 2-form field F.  Deformations stay inside the
-compatible family: given a nodewise anti-invariant 2-form field alpha with
-wedge norm < 1 everywhere, the deformed structure and its fundamental form
-are computed pointwise by the rational closed forms of :mod:`.pointlin`.
+On an oriented Euclidean 4-space a compatible structure J is a unit
+self-dual 2-form, its fundamental form F, so a structure field is a unit
+vector field y: T^4 -> S^2 of coordinates in the self-dual frame
+(OMEGA1, OMEGA2, OMEGA3).  :class:`HermitianTriple` stores y alone and
+derives F = sum_k y_k OMEGA_k and J = sum_k y_k J_k on access; both are
+linear in y.  |y| = 1 is the only invariant left.  It is checked when a
+triple is built, and the boundaries that take outside input check more:
+:func:`triple_from_form_field` that a form is self-dual, and
+:func:`load_triple` that the J file matches the structure of the F file.
+
+A self-dual form a @ OMEGA_SD is anti-invariant for y exactly when
+a . y = 0 (the anti-invariant plane is the tangent plane of S^2 at y), and
+its wedge norm is |a|.  Deforming by such an a with |a| < 1 is the inverse
+stereographic map
+
+    y' = ((1 - |a|^2) y + 2 a) / (1 + |a|^2),
+
+the rational closed form of :func:`.pointlin.deform_pair` in coordinates.
 
 The two-stage cut-off pipeline lives here as well: stage 1 deforms along a
 bump-truncated harmonic anti-invariant direction; stage 2 renormalizes
-``f1 * F + c2 * alpha`` back to wedge square 2 with
-``f1 = sqrt(1 - c2^2 |alpha|^2)`` and rebuilds the structure from the form.
+``y2 = f1 * y1 + c2 * a`` back to the sphere with
+``f1 = sqrt(1 - c2^2 |a|^2)``.
 """
 
 from __future__ import annotations
@@ -22,19 +35,19 @@ from pathlib import Path
 import numpy as np
 
 from . import pointlin as pl
-from .torusfield import EndoField, GridSpec, ScalarField, TwoFormField, bump_cutoff
+from .torusfield import (
+    EndoField,
+    GridSpec,
+    ScalarField,
+    TwoFormField,
+    bump_cutoff,
+    spectral_truncate,
+)
 
 #: nodewise invariant tolerance for structure fields
 FIELD_TOL = 1e-9
 #: deformation forms are rescaled so their sup wedge norm stays below this
 SUP_NORM_CAP = 0.95
-
-_CHUNK = 1 << 16
-
-
-def _node_chunks(total: int):
-    for start in range(0, total, _CHUNK):
-        yield slice(start, min(start + _CHUNK, total))
 
 
 def _worst_node(grid: GridSpec, nodewise: np.ndarray) -> tuple[int, ...]:
@@ -47,43 +60,42 @@ class AcsField(EndoField):
 
     def __init__(self, grid: GridSpec, values):
         super().__init__(grid, values)
-        flat = self.values.reshape(-1, 4, 4)
-        for sl in _node_chunks(flat.shape[0]):
-            sq, orth = pl.acs_defect(flat[sl])
-            if sq > FIELD_TOL or orth > FIELD_TOL:
-                raise ValueError(
-                    f"structure field violates J^2=-Id / orthogonality "
-                    f"(defects {sq:.3e}, {orth:.3e}, tol {FIELD_TOL:.1e})"
-                )
+        pl.require_acs(self.values, tol=FIELD_TOL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianTriple:
-    """A structure field and its cached fundamental form (metric is flat)."""
+    """A compatible structure field (the metric is flat), stored as its unit
+    vector field ``y`` of shape ``grid.shape + (3,)``; read-only."""
 
-    J: AcsField
-    F: TwoFormField
+    grid: GridSpec
+    y: np.ndarray
 
     def __post_init__(self):
-        if self.J.grid != self.F.grid:
-            raise ValueError("grid mismatch between J and F")
-        jflat = self.J.values.reshape(-1, 4, 4)
-        fflat = self.F.values.reshape(-1, 6)
-        for sl in _node_chunks(jflat.shape[0]):
-            dev = float(np.max(np.abs(fflat[sl] - pl.fundamental_form(jflat[sl], tol=FIELD_TOL))))
-            if dev > FIELD_TOL:
-                raise ValueError(f"cached form deviates from g(J., .) by {dev:.3e}")
-        sd = float(np.max(np.abs(fflat - pl.hodge_star(fflat))))
-        wedge = float(np.max(np.abs(pl.wedge_to_volume(fflat, fflat) - 2.0)))
-        if sd > FIELD_TOL or wedge > FIELD_TOL:
+        y = np.array(self.y, dtype=float)
+        expected = self.grid.shape + (3,)
+        if y.shape != expected:
+            raise ValueError(f"y must have shape {expected}, got {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y has non-finite values")
+        defect = np.abs(np.sum(y * y, axis=-1) - 1.0)
+        if float(defect.max()) > FIELD_TOL:
             raise ValueError(
-                f"fundamental form invariants violated (self-dual defect {sd:.3e}, "
-                f"wedge defect {wedge:.3e})"
+                f"y is not a unit vector at node {_worst_node(self.grid, defect)} "
+                f"(||y|^2 - 1| = {float(defect.max()):.3e}, tol {FIELD_TOL:.1e})"
             )
+        y.setflags(write=False)
+        object.__setattr__(self, "y", y)
 
     @property
-    def grid(self) -> GridSpec:
-        return self.J.grid
+    def F(self) -> TwoFormField:
+        """The fundamental form sum_k y_k OMEGA_k."""
+        return TwoFormField(self.grid, self.y @ pl.OMEGA_SD)
+
+    @property
+    def J(self) -> AcsField:
+        """The structure sum_k y_k J_k."""
+        return AcsField(self.grid, pl.acs_from_coords(self.y))
 
 
 @dataclass
@@ -119,129 +131,68 @@ class BumpSpec:
 
 
 def standard_acs(grid: GridSpec) -> HermitianTriple:
-    """The constant standard structure; its fundamental form is OMEGA1
-    everywhere and its harmonic anti-invariant plane is span(OMEGA2, OMEGA3)."""
-    J = AcsField(grid, np.broadcast_to(pl.J0, grid.shape + (4, 4)))
-    F = TwoFormField.constant(grid, pl.OMEGA1)
-    return HermitianTriple(J, F)
+    """The constant standard structure y = (1, 0, 0); its fundamental form
+    is OMEGA1 everywhere and its harmonic anti-invariant plane is
+    span(OMEGA2, OMEGA3)."""
+    return HermitianTriple(grid, np.broadcast_to([1.0, 0.0, 0.0], grid.shape + (3,)))
 
 
-def is_standard(triple: HermitianTriple, tol: float = FIELD_TOL) -> bool:
-    return float(np.max(np.abs(triple.F.values - pl.OMEGA1))) <= tol
+def anti_invariant_frame(triple: HermitianTriple) -> tuple[np.ndarray, np.ndarray]:
+    """Nodewise orthonormal frame (v1, v2) of the anti-invariant plane, in
+    self-dual coordinates: a tangent frame of S^2 at y.
 
-
-def anti_invariant_frame(triple: HermitianTriple) -> tuple[TwoFormField, TwoFormField]:
-    """Nodewise wedge-unit frame (u1, u2) of the anti-invariant plane.
-
-    The plane is the orthogonal complement of F inside the self-dual
-    coordinates; the complement is built by crossing the F-coordinate vector
-    with the coordinate axis of its smallest component (the pivot), so the
-    frame is well conditioned at every node but need not vary continuously.
+    The frame is built by crossing y with the coordinate axis of its
+    smallest component (the pivot), so it is well conditioned at every node
+    but need not vary continuously.  ``v @ OMEGA_SD`` are wedge-unit forms.
     """
-    F = triple.F.values.reshape(-1, 6)
-    y = F @ pl.OMEGA_SD.T / 2.0  # coordinates of F in the self-dual frame, |y| = 1
+    y = triple.y.reshape(-1, 3)
     pivot = np.argmin(np.abs(y), axis=-1)
-    e_p = np.eye(3)[pivot]
-    v1 = np.cross(y, e_p)
+    v1 = np.cross(y, np.eye(3)[pivot])
     v1 /= np.linalg.norm(v1, axis=-1, keepdims=True)
     v2 = np.cross(y, v1)
-    grid = triple.grid
-    u1 = (v1 @ pl.OMEGA_SD).reshape(grid.shape + (6,))
-    u2 = (v2 @ pl.OMEGA_SD).reshape(grid.shape + (6,))
-    return TwoFormField(grid, u1), TwoFormField(grid, u2)
+    shape = triple.grid.shape + (3,)
+    return v1.reshape(shape), v2.reshape(shape)
 
 
-def anti_invariant_field(
-    triple: HermitianTriple,
-    a: ScalarField,
-    b: ScalarField,
-    frame: tuple[TwoFormField, TwoFormField] | None = None,
-) -> TwoFormField:
-    """The anti-invariant field a*u1 + b*u2.
+def deform_field(triple: HermitianTriple, a: np.ndarray, tol: float = 1e-8) -> HermitianTriple:
+    """Deform a structure field by the anti-invariant form field a @ OMEGA_SD.
 
-    For the standard structure the global frame (OMEGA2, OMEGA3) is used, so
-    the pointwise wedge norm^2 is a^2 + b^2.  For any other structure a
-    nodewise frame must be supplied (see :func:`anti_invariant_frame`).
+    ``a`` has shape ``grid.shape + (3,)`` and must satisfy a . y = 0 and
+    |a| < 1 at every node; precondition failures report the worst offending
+    node.  Off the support of a the output equals the input exactly.
     """
     grid = triple.grid
-    if a.grid != grid or b.grid != grid:
-        raise ValueError("grid mismatch")
-    if frame is None:
-        if not is_standard(triple):
-            raise ValueError(
-                "no global frame available for a deformed structure; pass frame="
-            )
-        u1 = TwoFormField.constant(grid, pl.OMEGA2)
-        u2 = TwoFormField.constant(grid, pl.OMEGA3)
-    else:
-        u1, u2 = frame
-    return a * u1 + b * u2
-
-
-def project_anti_invariant(triple: HermitianTriple, phi: TwoFormField) -> TwoFormField:
-    """Nodewise anti-invariant part of an ambient 2-form field."""
-    if phi.grid != triple.grid:
-        raise ValueError("grid mismatch")
-    minus = pl.split_j(triple.J.values, phi.values, tol=FIELD_TOL).minus
-    return TwoFormField(triple.grid, minus)
-
-
-def deform_field(triple: HermitianTriple, alpha: TwoFormField, tol: float = 1e-8) -> HermitianTriple:
-    """Deform a structure field by a nodewise anti-invariant 2-form field.
-
-    Precondition failures report the worst offending node.  Off the support
-    of alpha the output equals the input exactly.
-    """
-    grid = triple.grid
-    if alpha.grid != grid:
-        raise ValueError("grid mismatch")
-    plus = pl.split_j(triple.J.values, alpha.values, tol=FIELD_TOL).plus
-    plus_max = np.max(np.abs(plus), axis=-1)
-    scale = max(1.0, alpha.max_abs())
-    if float(plus_max.max()) > tol * scale:
-        node = _worst_node(grid, plus_max)
+    a = np.asarray(a, float)
+    if a.shape != grid.shape + (3,):
+        raise ValueError(f"deformation field must have shape {grid.shape + (3,)}, got {a.shape}")
+    nsq = np.sum(a * a, axis=-1)
+    along = np.abs(np.sum(a * triple.y, axis=-1))
+    if float(along.max()) > tol * max(1.0, float(np.sqrt(nsq.max()))):
         raise ValueError(
-            f"deformation form is not anti-invariant at node {node} "
-            f"(invariant part {float(plus_max.max()):.3e})"
+            f"deformation form is not anti-invariant at node {_worst_node(grid, along)} "
+            f"(invariant part {float(along.max()):.3e})"
         )
-    nsq = pl.wedge_norm_sq(alpha.values, tol=tol)
     if float(nsq.max()) >= 1.0:
-        node = _worst_node(grid, nsq)
         raise ValueError(
-            f"deformation form has wedge norm^2 {float(nsq.max()):.6f} >= 1 at node {node}"
+            f"deformation form has wedge norm^2 {float(nsq.max()):.6f} >= 1 "
+            f"at node {_worst_node(grid, nsq)}"
         )
-    jflat = triple.J.values.reshape(-1, 4, 4)
-    aflat = alpha.values.reshape(-1, 6)
-    out_j = np.empty_like(jflat)
-    out_f = np.empty_like(aflat)
-    for sl in _node_chunks(jflat.shape[0]):
-        out_j[sl], out_f[sl] = pl.deform_pair(jflat[sl], aflat[sl], tol=tol)
-    return HermitianTriple(
-        AcsField(grid, out_j.reshape(grid.shape + (4, 4))),
-        TwoFormField(grid, out_f.reshape(grid.shape + (6,))),
-    )
+    return HermitianTriple(grid, pl.deform_coords(triple.y, a))
 
 
 def triple_from_form_field(F: TwoFormField, tol: float = 1e-8) -> HermitianTriple:
-    """Rebuild the compatible structure from a self-dual wedge-normalized
-    fundamental-form field (nodewise inverse of the form cache)."""
-    grid = F.grid
-    fflat = F.values.reshape(-1, 6)
-    out = np.empty(fflat.shape[:1] + (4, 4))
-    for sl in _node_chunks(fflat.shape[0]):
-        out[sl] = pl.acs_from_sd_form(fflat[sl], tol=tol)
-    return HermitianTriple(AcsField(grid, out.reshape(grid.shape + (4, 4))), F)
+    """The structure field whose fundamental form is ``F``.
 
-
-def _bandlimited_noise(rng: np.random.Generator, grid: GridSpec, bandlimit: int) -> np.ndarray:
-    noise = rng.standard_normal(grid.shape)
-    spec = np.fft.fftn(noise)
-    keep1d = np.abs(grid.freq_int()) <= bandlimit
-    for ax in range(4):
-        shape = [1, 1, 1, 1]
-        shape[ax] = grid.n
-        spec = spec * keep1d.reshape(shape)
-    return np.fft.ifftn(spec).real
+    ``F`` must be self-dual within ``tol`` (relative to max(1, sup|F|)) and
+    wedge-normalized, so that y = F @ OMEGA_SD^T / 2 is a unit vector.
+    """
+    defect = np.max(np.abs(F.values - pl.hodge_star(F.values)), axis=-1)
+    if float(defect.max()) > tol * max(1.0, F.max_abs()):
+        raise ValueError(
+            f"form is not self-dual at node {_worst_node(F.grid, defect)} "
+            f"(defect {float(defect.max()):.3e})"
+        )
+    return HermitianTriple(F.grid, F.values @ pl.OMEGA_SD.T / 2.0)
 
 
 def random_compatible_acs(
@@ -259,24 +210,23 @@ def random_compatible_acs(
     if not 1 <= bandlimit < grid.n // 2:
         raise ValueError(f"bandlimit must lie in [1, n/2), got {bandlimit}")
     rng = np.random.default_rng(seed)
-    a = _bandlimited_noise(rng, grid, bandlimit)
-    b = _bandlimited_noise(rng, grid, bandlimit)
+    a, b = (
+        spectral_truncate(ScalarField(grid, rng.standard_normal(grid.shape)), bandlimit).values
+        for _ in range(2)
+    )
     sup = float(np.sqrt(np.max(a**2 + b**2)))
     scale = min(amplitude, SUP_NORM_CAP) / max(sup, 1e-300)
-    base = standard_acs(grid)
-    alpha = anti_invariant_field(
-        base, ScalarField(grid, a * scale), ScalarField(grid, b * scale)
-    )
-    return deform_field(base, alpha)
+    coeffs = np.stack([np.zeros(grid.shape), a * scale, b * scale], axis=-1)
+    return deform_field(standard_acs(grid), coeffs)
 
 
-def _capped(form: TwoFormField) -> tuple[TwoFormField, float]:
-    """Rescale a deformation form so its sup wedge norm is at most SUP_NORM_CAP."""
-    sup = float(np.sqrt(np.max(pl.wedge_norm_sq(form.values))))
+def _capped(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rescale a deformation field so its sup norm is at most SUP_NORM_CAP."""
+    sup = float(np.sqrt(np.max(np.sum(a * a, axis=-1))))
     if sup > SUP_NORM_CAP:
         factor = SUP_NORM_CAP / sup
-        return factor * form, factor
-    return form, 1.0
+        return factor * a, factor
+    return a, 1.0
 
 
 def one_bump_deform(
@@ -302,9 +252,9 @@ def one_bump_deform(
     report = cohomlab.gram_matrix(triple, tol_null=tol_null)
     if report.h_minus < 1:
         raise ValueError("stage 1 needs at least one harmonic anti-invariant direction")
-    alpha1 = cohomlab.select_null_form(report)
+    w = cohomlab.select_null_form(report)
     c1 = bump.build(triple.grid)
-    form, factor = _capped(c1 * alpha1)
+    a, factor = _capped(c1.values[..., None] * w)
     support_volume = float(np.mean(c1.values > 0.0))
     delta = None
     if report.h_minus < 3:
@@ -314,7 +264,7 @@ def one_bump_deform(
                 f"bump support volume {support_volume:.6f} is not below the "
                 f"delta estimate {delta:.6f}"
             )
-    deformed = deform_field(triple, form)
+    deformed = deform_field(triple, a)
     report_after = cohomlab.gram_matrix(deformed, tol_null=tol_null)
     log.append(
         {
@@ -322,7 +272,7 @@ def one_bump_deform(
             "bump": bump.to_dict(),
             "delta_estimate": delta,
             "support_volume": support_volume,
-            "sup_norm": float(np.sqrt(np.max(pl.wedge_norm_sq(form.values)))),
+            "sup_norm": float(np.sqrt(np.max(np.sum(a * a, axis=-1)))),
             "rescale_factor": factor,
             "null_direction": [float(v) for v in report.null_coords[0]],
             "h_before": report.h_minus,
@@ -343,13 +293,12 @@ def two_stage_deform(
 ) -> tuple[HermitianTriple, HermitianTriple, DeformLog]:
     """Both stages of the cut-off construction; returns (stage1, stage2, log).
 
-    Stage 2 takes the surviving null direction alpha of the stage-1
-    structure, checks the bump support volume against the stage-1 delta
-    estimate, and renormalizes f1 F + c2 alpha with
-    f1 = sqrt(1 - c2^2 |alpha|^2), which keeps the wedge square exactly 2
-    because alpha is pointwise wedge-orthogonal to F.  The structure rebuilt
-    from that form is cross-checked against the rational deformation route
-    with beta = c2 alpha / (1 + f1).
+    Stage 2 takes the surviving null direction a of the stage-1 structure,
+    checks the bump support volume against the stage-1 delta estimate, and
+    renormalizes y2 = f1 y1 + c2 a with f1 = sqrt(1 - c2^2 |a|^2), which
+    keeps |y2| = 1 because a is orthogonal to y1 at every node.  The result
+    is cross-checked against the rational deformation route with
+    beta = c2 a / (1 + f1).
     """
     from . import cohomlab
 
@@ -361,7 +310,7 @@ def two_stage_deform(
     if report1.h_minus == 0:
         log.append({"stage": "cutoff-2", "skipped": "stage 1 already exhausted the kernel"})
         return stage1, stage1, log
-    alpha = cohomlab.select_null_form(report1)
+    w = cohomlab.select_null_form(report1)
     grid = triple.grid
     c2 = bump2.build(grid)
     delta1 = cohomlab.delta_j_estimate(stage1, delta_samples, eps, tol_null=tol_null)
@@ -371,25 +320,23 @@ def two_stage_deform(
             f"stage-2 bump support volume {support_volume:.6f} is not below "
             f"the delta estimate {delta1:.6f}"
         )
-    nsq_alpha = pl.wedge_norm_sq(alpha.values)
-    prod_sq = c2.values**2 * nsq_alpha
+    prod_sq = c2.values**2 * float(w @ w)
     if float(prod_sq.max()) >= 1.0:
         node = _worst_node(grid, prod_sq)
         raise ValueError(
-            f"stage-2 normalization fails: |c2 alpha| >= 1 at node {node}"
+            f"stage-2 normalization fails: |c2 a| >= 1 at node {node}"
         )
     f1 = np.sqrt(1.0 - prod_sq)
-    F2 = TwoFormField(grid, f1[..., None] * stage1.F.values + c2.values[..., None] * alpha.values)
-    stage2 = triple_from_form_field(F2)
+    y2 = f1[..., None] * stage1.y + c2.values[..., None] * w
+    stage2 = HermitianTriple(grid, y2)
     # independent route: the same structure as a rational deformation of stage 1
-    beta = TwoFormField(grid, (c2.values / (1.0 + f1))[..., None] * alpha.values)
-    alt = deform_field(stage1, beta)
-    route_dev = float(np.max(np.abs(alt.J.values - stage2.J.values)))
+    alt = deform_field(stage1, (c2.values / (1.0 + f1))[..., None] * w)
+    route_dev = float(np.max(np.abs(alt.y - stage2.y)))
     if route_dev > 1e-9:
         raise pl.ConsistencyError(
             f"normalization and rational deformation routes disagree by {route_dev:.3e}"
         )
-    wedge_resid = float(np.max(np.abs(pl.wedge_to_volume(F2.values, F2.values) - 2.0)))
+    wedge_resid = float(np.max(np.abs(2.0 * np.sum(y2 * y2, axis=-1) - 2.0)))
     report2 = cohomlab.gram_matrix(stage2, tol_null=tol_null)
     log.append(
         {
@@ -412,7 +359,8 @@ def two_stage_deform(
 def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | None = None,
                 log: DeformLog | None = None) -> Path:
     """Write J (endo kind) and F (twoform kind) field files plus a JSON
-    sidecar with construction parameters and the deformation log."""
+    sidecar with construction parameters and the deformation log.  Both
+    field files are derived from y when saving."""
     import json
 
     from .fieldio import serialize_field
@@ -436,13 +384,28 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
 
 
 def load_triple(sidecar_path) -> HermitianTriple:
+    """Read a triple written by :func:`save_triple`.
+
+    y is rebuilt from the F file, which must be self-dual and
+    wedge-normalized; the J file must match the structure derived from y
+    within FIELD_TOL at every node.
+    """
     import json
 
-    from .fieldio import deserialize_field
+    from .fieldio import FieldFormatError, deserialize_field
 
     sidecar_path = Path(sidecar_path)
     meta = json.loads(sidecar_path.read_text())
     grid = GridSpec(int(meta["grid_n"]))
     j_field = deserialize_field(sidecar_path.parent / meta["files"]["J"], expect_grid=grid)
     f_field = deserialize_field(sidecar_path.parent / meta["files"]["F"], expect_grid=grid)
-    return HermitianTriple(AcsField(grid, j_field.values), f_field)
+    if not isinstance(j_field, EndoField) or not isinstance(f_field, TwoFormField):
+        raise FieldFormatError(f"{sidecar_path}: expected an endo J file and a twoform F file")
+    triple = triple_from_form_field(f_field)
+    dev = np.max(np.abs(j_field.values - pl.acs_from_coords(triple.y)), axis=(-2, -1))
+    if float(dev.max()) > FIELD_TOL:
+        raise ValueError(
+            f"J file differs from the structure of the F file by {float(dev.max()):.3e} "
+            f"at node {_worst_node(grid, dev)}"
+        )
+    return triple

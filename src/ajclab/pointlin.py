@@ -14,6 +14,11 @@ Every function broadcasts over leading axes: 2-forms are arrays of shape
 ``(..., 6)``, tangent-space endomorphisms ``(..., 4, 4)``, so the same code
 serves a single point and a whole grid of points.
 
+A compatible structure is also a point y of the unit sphere S^2: its
+fundamental form is ``y @ OMEGA_SD``.  :func:`acs_from_coords` and
+:func:`deform_coords` are the structure and the deformation formula in
+these coordinates; the 4x4 algebra is their independent oracle.
+
 Two norm conventions coexist.  ``form_inner`` is the Riemannian inner
 product of the orthonormal ``e_ij`` basis (so ``<F, F> = 2`` for a
 fundamental form).  ``wedge_norm_sq`` is the wedge-square normalization
@@ -194,9 +199,26 @@ def acs_from_sd_form(F, tol: float = 1e-8):
     return J
 
 
-def k_endo(alpha):
-    """The endomorphism K with g(X, K Y) = alpha(X, Y); skew-adjoint."""
-    return form_to_matrix(alpha)
+def acs_from_coords(y):
+    """The structure sum_k y_k J_k, where J_k is the compatible structure
+    with fundamental form OMEGA_k.
+
+    For a unit vector y (the caller's to check) this is the structure
+    :func:`acs_from_sd_form` returns for ``y @ OMEGA_SD``; it is linear in y.
+    """
+    return np.swapaxes(form_to_matrix(np.asarray(y, float) @ OMEGA_SD), -1, -2)
+
+
+def deform_coords(y, a):
+    """:func:`deform_pair` in self-dual coordinates.
+
+    A structure with fundamental form y @ OMEGA_SD, deformed by the
+    anti-invariant form a @ OMEGA_SD (a . y = 0 and |a| < 1, the caller's to
+    check), has fundamental form y' @ OMEGA_SD with the inverse
+    stereographic image y' = ((1 - |a|^2) y + 2 a) / (1 + |a|^2).
+    """
+    nsq = np.sum(a * a, axis=-1, keepdims=True)
+    return ((1.0 - nsq) * y + 2.0 * a) / (1.0 + nsq)
 
 
 def wedge_norm_sq(alpha, tol: float = 1e-8, check_self_dual: bool = True):
@@ -229,7 +251,8 @@ def deform_pair(J, alpha, tol: float = 1e-8):
     Computes J_alpha twice, by conjugating J with Id + J K_alpha and by the
     closed form ((1-n)/(1+n)) J - (2/(1+n)) K_alpha with n = |alpha|^2, and
     cross-asserts the two to AGREEMENT_TOL; likewise F_alpha against
-    fundamental_form(J_alpha).
+    fundamental_form(J_alpha).  K_alpha = form_to_matrix(alpha) is the
+    skew endomorphism with g(X, K_alpha Y) = alpha(X, Y).
     """
     J = np.asarray(J, float)
     alpha = np.asarray(alpha, float)
@@ -259,21 +282,6 @@ def deform_pair(J, alpha, tol: float = 1e-8):
             f"closed-form fundamental form deviates from the deformed structure by {dev_f:.3e}"
         )
     return closed, F_new
-
-
-def deform_acs(J, alpha, tol: float = 1e-8):
-    """Deform a compatible structure by an anti-invariant 2-form alpha.
-
-    Requires ``|alpha|^2 < 1`` pointwise (wedge norm); the result is again
-    compatible and is internally cross-checked against two formulas.
-    """
-    return deform_pair(J, alpha, tol)[0]
-
-
-def f_deformed(J, alpha, tol: float = 1e-8):
-    """Fundamental form of the deformed structure, by the closed form
-    ((1-n)/(1+n)) F + (2/(1+n)) alpha; self-dual with wedge square 2."""
-    return deform_pair(J, alpha, tol)[1]
 
 
 def j_act_anti(J, alpha, tol: float = 1e-8):

@@ -44,9 +44,9 @@ def scenario_baseline(cfg: LabConfig) -> ScenarioReport:
     report.check("Gram matrix is diag(4, 0, 0)", dev <= 1e-10, 1e-10, dev)
     closed = cohomlab.null_forms_closed_residual(gram)
     report.check("kernel forms are closed", closed <= 1e-12, 1e-12, closed)
+    J = triple.J.values
     anti = max(
-        float(np.max(np.abs(pl.split_j(triple.J.values, form.values).plus)))
-        for form in gram.null_forms
+        float(np.max(np.abs(pl.split_j(J, v @ pl.OMEGA_SD).plus))) for v in gram.null_coords
     )
     report.check("kernel forms are anti-invariant", anti <= 1e-10, 1e-10, anti)
     rot = float(np.max(np.abs(pl.j_act_anti(pl.J0, pl.OMEGA2) - pl.OMEGA3)))
@@ -204,16 +204,13 @@ def scenario_path(cfg: LabConfig) -> ScenarioReport:
     with report.timed("path"):
         base = hm.standard_acs(grid)
         base_gram = cohomlab.gram_matrix(base, tol_null=cfg.tol_null)
-        alpha1 = cohomlab.select_null_form(base_gram)
-        form = cfg.bump1.build(grid) * alpha1
-        sup = float(np.sqrt(np.max(pl.wedge_norm_sq(form.values))))
-        if sup > hm.SUP_NORM_CAP:
-            form = (hm.SUP_NORM_CAP / sup) * form
+        w = cohomlab.select_null_form(base_gram)
+        a, _ = hm._capped(cfg.bump1.build(grid).values[..., None] * w)
         ts = np.linspace(0.0, 0.95, cfg.path_steps)
         hs = []
         for t in ts:
-            triple = hm.deform_field(base, float(t) * form)
-            hs.append(cohomlab.gram_h_minus(triple, tol_null=cfg.tol_null))
+            triple = hm.deform_field(base, float(t) * a)
+            hs.append(cohomlab.gram_matrix(triple, tol_null=cfg.tol_null).h_minus)
     report.h_values = {f"t_{t:.2f}": h for t, h in zip(ts, hs)}
     report.summaries["t_grid"] = [float(t) for t in ts]
     report.summaries["h_path"] = hs

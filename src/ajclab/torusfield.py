@@ -266,14 +266,9 @@ def bump_cutoff(grid: GridSpec, center, radius: float, height: float) -> ScalarF
     return ScalarField(grid, vals)
 
 
-def ball_volume(radius: float) -> float:
-    """Euclidean volume of a 4-ball, pi^2 r^4 / 2."""
-    return np.pi**2 * radius**4 / 2.0
-
-
 def spectral_truncate(field, max_mode: int):
-    """Zero all Fourier modes with any axis frequency above ``max_mode``
-    (2/3-rule style dealiasing helper; not applied by default anywhere)."""
+    """Zero all Fourier modes with any axis frequency above ``max_mode``;
+    the low-pass filter behind every random bandlimited field."""
     grid = field.grid
     if not 0 <= max_mode < grid.n // 2:
         raise ValueError("max_mode must lie in [0, n/2)")

@@ -1,7 +1,5 @@
 """Gram method, volume estimates, the elliptic oracle, and subspace relations."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -20,11 +18,16 @@ def constant_triple(grid, coords):
     return hm.triple_from_form_field(F)
 
 
+E1, E2, E3 = np.eye(3)
+
+
 class TestHarmonicBasis:
+    """The constant forms omega_k that coordinates w refer to."""
+
     def test_cup_orthonormal_and_closed(self):
-        basis = cohomlab.harmonic_basis(G8)
-        for i, wi in enumerate(basis.forms):
-            for j, wj in enumerate(basis.forms):
+        forms = [tf.TwoFormField.constant(G8, w) for w in pl.OMEGA_SD]
+        for i, wi in enumerate(forms):
+            for j, wj in enumerate(forms):
                 expect = 2.0 if i == j else 0.0
                 assert tf.wedge_integral(wi, wj) == pytest.approx(expect, abs=1e-14)
             assert tf.d_twoform(wi).max_abs() == 0.0
@@ -33,20 +36,18 @@ class TestHarmonicBasis:
 class TestFOmega:
     def test_standard_values(self):
         triple = hm.standard_acs(G8)
-        w1, w2, _ = cohomlab.harmonic_basis(G8).forms
-        np.testing.assert_allclose(cohomlab.f_omega(triple, w1).values, 2.0)
-        np.testing.assert_allclose(cohomlab.f_omega(triple, w2).values, 0.0)
+        np.testing.assert_allclose(cohomlab.f_omega(triple, E1).values, 2.0)
+        np.testing.assert_allclose(cohomlab.f_omega(triple, E2).values, 0.0)
 
     def test_deformed_constant(self):
         triple = constant_triple(G8, [0.6, 0.8, 0.0])
-        w2 = cohomlab.harmonic_basis(G8).forms[1]
-        np.testing.assert_allclose(cohomlab.f_omega(triple, w2).values, 1.6, atol=1e-12)
+        np.testing.assert_allclose(cohomlab.f_omega(triple, E2).values, 1.6, atol=1e-12)
 
-    def test_rejects_non_self_dual(self):
-        triple = hm.standard_acs(G8)
-        bad = tf.TwoFormField.constant(G8, np.array([1.0, 0, 0, 0, 0, 0]))
-        with pytest.raises(ValueError, match="self-dual"):
-            cohomlab.f_omega(triple, bad)
+    def test_matches_form_inner_product(self):
+        triple = hm.random_compatible_acs(G8, seed=9, amplitude=0.5, bandlimit=2)
+        w = np.array([0.3, -0.5, 0.8])
+        expected = pl.form_inner(w @ pl.OMEGA_SD, triple.F.values)
+        np.testing.assert_allclose(cohomlab.f_omega(triple, w).values, expected, atol=1e-14)
 
 
 class TestGram:
@@ -80,25 +81,20 @@ class TestGram:
 
     def test_h_plus_table(self):
         report = cohomlab.gram_matrix(hm.standard_acs(G8))
-        assert cohomlab.h_plus(report) == 6 - report.h_minus
-        assert cohomlab.check_pure_and_full(report)
+        assert cohomlab.h_plus(report) == 6 - report.h_minus == 4
 
-    def test_save_report(self, tmp_path):
-        report = cohomlab.gram_matrix(hm.standard_acs(tf.GridSpec(4)))
-        path = report.save(tmp_path / "gram.json")
-        payload = json.loads(path.read_text())
-        assert payload["h_minus"] == 2
-        assert len(payload["null_form_files"]) == 2
-        from ajclab.fieldio import deserialize_field
-
-        field = deserialize_field(tmp_path / payload["null_form_files"][0])
-        assert field.grid.n == 4
+    def test_matches_f_function_integrals(self):
+        triple = hm.random_compatible_acs(G8, seed=9, amplitude=0.5, bandlimit=2)
+        fs = [cohomlab.f_omega(triple, w) for w in np.eye(3)]
+        expected = [[tf.integrate(tf.ScalarField(G8, fk.values * fl.values)) for fl in fs]
+                    for fk in fs]
+        np.testing.assert_allclose(cohomlab.gram_matrix(triple).matrix, expected, atol=1e-14)
 
 
 class TestSelectNullForm:
     def test_wedge_normalized(self):
         report = cohomlab.gram_matrix(hm.standard_acs(G8))
-        alpha = cohomlab.select_null_form(report)
+        alpha = tf.TwoFormField.constant(G8, cohomlab.select_null_form(report) @ pl.OMEGA_SD)
         assert tf.wedge_integral(alpha, alpha) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_kernel_rejected(self):
@@ -109,28 +105,23 @@ class TestSelectNullForm:
 
 class TestVMeasure:
     def test_never_vanishing(self):
-        triple = hm.standard_acs(G8)
-        w1 = cohomlab.harmonic_basis(G8).forms[0]
-        assert cohomlab.v_measure(triple, w1, 1e-6) == 1.0
+        assert cohomlab.v_measure(hm.standard_acs(G8), E1, 1e-6) == 1.0
 
     def test_identically_zero(self):
-        triple = hm.standard_acs(G8)
-        w2 = cohomlab.harmonic_basis(G8).forms[1]
-        assert cohomlab.v_measure(triple, w2, 1e-6) == 0.0
+        assert cohomlab.v_measure(hm.standard_acs(G8), E2, 1e-6) == 0.0
 
     def test_bump_localized_and_monotone(self):
         base = hm.standard_acs(tf.GridSpec(16))
         stage1, _ = hm.one_bump_deform(base, hm.BumpSpec((0.5,) * 4, 0.15, 0.5))
         report = cohomlab.gram_matrix(stage1)
         killed = report.eigenvectors[:, np.argsort(report.eigenvalues)[1]]
-        omega = tf.TwoFormField.constant(tf.GridSpec(16), killed @ pl.OMEGA_SD)
-        vals = [cohomlab.v_measure(stage1, omega, e) for e in (1e-8, 1e-4, 1e-1)]
+        vals = [cohomlab.v_measure(stage1, killed, e) for e in (1e-8, 1e-4, 1e-1)]
         assert 0.0 < vals[0] <= 1.0
         assert vals[0] >= vals[1] >= vals[2]
 
     def test_eps_validation(self):
         with pytest.raises(ValueError, match="eps"):
-            cohomlab.v_measure(hm.standard_acs(G8), cohomlab.harmonic_basis(G8).forms[0], 0.0)
+            cohomlab.v_measure(hm.standard_acs(G8), E1, 0.0)
 
 
 class TestDeltaEstimate:
@@ -164,13 +155,13 @@ class TestEllipticOracle:
         base = hm.standard_acs(G6)
         stage1, _ = hm.one_bump_deform(base, BUMP1)
         report = cohomlab.elliptic_kernel_dim(stage1, G6)
-        assert report.kernel_dim == cohomlab.gram_h_minus(stage1)
+        assert report.kernel_dim == cohomlab.gram_matrix(stage1).h_minus
         assert report.kernel_dim <= 1
 
     def test_random_matches_gram(self):
         triple = hm.random_compatible_acs(G6, seed=2, amplitude=0.3, bandlimit=2)
         report = cohomlab.elliptic_kernel_dim(triple, G6)
-        assert report.kernel_dim == cohomlab.gram_h_minus(triple) == 0
+        assert report.kernel_dim == cohomlab.gram_matrix(triple).h_minus == 0
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError, match="oracle"):

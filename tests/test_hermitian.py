@@ -1,13 +1,27 @@
 """Structure fields, deformations, and the two-stage cut-off pipeline."""
 
+import json
+
 import numpy as np
 import pytest
 
-from ajclab import cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
+from ajclab import cohomlab, fieldio, hermitian as hm, pointlin as pl, torusfield as tf
 
 G8 = tf.GridSpec(8)
 BUMP1 = hm.BumpSpec((0.5, 0.5, 0.5, 0.5), 0.3, 0.5)
 BUMP2 = hm.BumpSpec((0.25, 0.25, 0.25, 0.25), 0.25, 0.5)
+
+
+def deform_pair_nodewise(J, alpha):
+    """pl.deform_pair, with its conjugation cross-check, at every node of a field."""
+    shape = J.shape[:-2]
+    J_out, F_out = pl.deform_pair(J.reshape(-1, 4, 4), alpha.reshape(-1, 6))
+    return J_out.reshape(shape + (4, 4)), F_out.reshape(shape + (6,))
+
+
+def constant(a):
+    """A constant field of self-dual coordinates on G8."""
+    return np.broadcast_to(np.asarray(a, float), G8.shape + (3,))
 
 
 class TestStandard:
@@ -18,7 +32,7 @@ class TestStandard:
         assert float(np.max(np.abs(sq + np.eye(4)))) <= 1e-14
 
     def test_gram_kernel_dimension(self):
-        assert cohomlab.gram_h_minus(hm.standard_acs(G8)) == 2
+        assert cohomlab.gram_matrix(hm.standard_acs(G8)).h_minus == 2
 
     def test_invalid_field_rejected(self):
         vals = np.broadcast_to(np.eye(4), G8.shape + (4, 4))
@@ -26,69 +40,68 @@ class TestStandard:
             hm.AcsField(G8, vals)
 
     def test_triple_cache_validated(self):
-        J = hm.AcsField(G8, np.broadcast_to(pl.J0, G8.shape + (4, 4)))
-        with pytest.raises(ValueError, match="deviates"):
-            hm.HermitianTriple(J, tf.TwoFormField.constant(G8, pl.OMEGA2))
+        y = np.array(constant([1.0, 0.0, 0.0]))
+        y[1, 2, 3, 4] = [1.0, 1e-4, 0.0]
+        with pytest.raises(ValueError, match=r"unit vector at node \(1, 2, 3, 4\)"):
+            hm.HermitianTriple(G8, y)
+        with pytest.raises(ValueError, match="shape"):
+            hm.HermitianTriple(G8, y[..., :2])
+        y[0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            hm.HermitianTriple(G8, y)
+        triple = hm.standard_acs(G8)
+        with pytest.raises(ValueError, match="read-only"):
+            triple.y[0, 0, 0, 0, 0] = 0.0
 
 
 class TestAntiInvariantField:
+    """A tangent vector a of S^2 at y is the anti-invariant form a @ OMEGA_SD."""
+
     def test_constant_coefficients(self):
-        triple = hm.standard_acs(G8)
-        alpha = hm.anti_invariant_field(
-            triple, tf.ScalarField.constant(G8, 1.0), tf.ScalarField.constant(G8, 0.0)
-        )
-        np.testing.assert_allclose(alpha.values - pl.OMEGA2, 0.0)
+        for a, form in (([0, 1, 0], pl.OMEGA2), ([0, 0, 1], pl.OMEGA3)):
+            np.testing.assert_array_equal(np.asarray(a, float) @ pl.OMEGA_SD, form)
+            np.testing.assert_allclose(pl.split_j(pl.J0, form).minus, form, atol=1e-14)
 
     def test_pointwise_norm(self):
-        triple = hm.standard_acs(G8)
-        alpha = hm.anti_invariant_field(
-            triple, tf.ScalarField.constant(G8, 0.3), tf.ScalarField.constant(G8, 0.4)
-        )
-        np.testing.assert_allclose(pl.wedge_norm_sq(alpha.values), 0.25, atol=1e-14)
+        alpha = np.array([0.0, 0.3, 0.4]) @ pl.OMEGA_SD
+        assert pl.wedge_norm_sq(alpha) == pytest.approx(0.25, abs=1e-14)
 
     def test_anti_invariance_at_all_nodes(self):
         triple = hm.standard_acs(G8)
         rng = np.random.default_rng(0)
-        alpha = hm.anti_invariant_field(
-            triple,
-            tf.ScalarField(G8, rng.standard_normal(G8.shape)),
-            tf.ScalarField(G8, rng.standard_normal(G8.shape)),
-        )
-        plus = pl.split_j(triple.J.values, alpha.values).plus
+        a = np.zeros(G8.shape + (3,))
+        a[..., 1:] = rng.standard_normal(G8.shape + (2,))
+        plus = pl.split_j(triple.J.values, a @ pl.OMEGA_SD).plus
         assert float(np.max(np.abs(plus))) <= 1e-12
 
     def test_deformed_structure_needs_frame(self):
         deformed = hm.random_compatible_acs(G8, seed=3, amplitude=0.3, bandlimit=2)
-        a = tf.ScalarField.constant(G8, 0.1)
-        b = tf.ScalarField.constant(G8, 0.0)
-        with pytest.raises(ValueError, match="frame"):
-            hm.anti_invariant_field(deformed, a, b)
-        frame = hm.anti_invariant_frame(deformed)
-        alpha = hm.anti_invariant_field(deformed, a, b, frame=frame)
-        plus = pl.split_j(deformed.J.values, alpha.values).plus
+        with pytest.raises(ValueError, match="anti-invariant"):
+            hm.deform_field(deformed, constant([0.0, 0.1, 0.0]))
+        v1, _ = hm.anti_invariant_frame(deformed)
+        a = 0.1 * v1
+        plus = pl.split_j(deformed.J.values, a @ pl.OMEGA_SD).plus
         assert float(np.max(np.abs(plus))) <= 1e-10
+        hm.deform_field(deformed, a)
 
     def test_frame_is_wedge_unit_and_orthogonal(self):
         deformed = hm.random_compatible_acs(G8, seed=4, amplitude=0.4, bandlimit=2)
-        u1, u2 = hm.anti_invariant_frame(deformed)
-        np.testing.assert_allclose(pl.wedge_norm_sq(u1.values), 1.0, atol=1e-12)
-        np.testing.assert_allclose(pl.wedge_norm_sq(u2.values), 1.0, atol=1e-12)
-        np.testing.assert_allclose(pl.form_inner(u1.values, u2.values), 0.0, atol=1e-12)
-        np.testing.assert_allclose(
-            pl.form_inner(u1.values, deformed.F.values), 0.0, atol=1e-12
-        )
+        u1, u2 = (v @ pl.OMEGA_SD for v in hm.anti_invariant_frame(deformed))
+        np.testing.assert_allclose(pl.wedge_norm_sq(u1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(pl.wedge_norm_sq(u2), 1.0, atol=1e-12)
+        np.testing.assert_allclose(pl.form_inner(u1, u2), 0.0, atol=1e-12)
+        np.testing.assert_allclose(pl.form_inner(u1, deformed.F.values), 0.0, atol=1e-12)
 
 
 class TestDeformField:
     def test_zero_is_identity(self):
         triple = hm.standard_acs(G8)
-        out = hm.deform_field(triple, tf.TwoFormField(G8, np.zeros(G8.shape + (6,))))
+        out = hm.deform_field(triple, np.zeros(G8.shape + (3,)))
         np.testing.assert_allclose(out.J.values, triple.J.values)
 
     def test_constant_deformation_value(self):
         triple = hm.standard_acs(G8)
-        alpha = tf.TwoFormField.constant(G8, 0.5 * pl.OMEGA2)
-        out = hm.deform_field(triple, alpha)
+        out = hm.deform_field(triple, constant([0.0, 0.5, 0.0]))
         np.testing.assert_allclose(
             out.F.values, np.broadcast_to(0.6 * pl.OMEGA1 + 0.8 * pl.OMEGA2, G8.shape + (6,)),
             atol=1e-12,
@@ -97,8 +110,7 @@ class TestDeformField:
     def test_identity_off_support(self):
         triple = hm.standard_acs(G8)
         c1 = tf.bump_cutoff(G8, (0.5,) * 4, 0.2, 0.5)
-        alpha = c1 * tf.TwoFormField.constant(G8, pl.OMEGA2)
-        out = hm.deform_field(triple, alpha)
+        out = hm.deform_field(triple, c1.values[..., None] * np.array([0.0, 1.0, 0.0]))
         outside = c1.values == 0.0
         assert np.array_equal(out.J.values[outside], triple.J.values[outside])
         assert np.array_equal(out.F.values[outside], triple.F.values[outside])
@@ -106,14 +118,13 @@ class TestDeformField:
     def test_norm_violation_reports_node(self):
         triple = hm.standard_acs(G8)
         c1 = tf.bump_cutoff(G8, (0.5,) * 4, 0.2, 1.0)
-        alpha = c1 * tf.TwoFormField.constant(G8, 1.2 * pl.OMEGA2)
         with pytest.raises(ValueError, match=r"node \(4, 4, 4, 4\)"):
-            hm.deform_field(triple, alpha)
+            hm.deform_field(triple, c1.values[..., None] * np.array([0.0, 1.2, 0.0]))
 
     def test_non_anti_invariant_rejected(self):
         triple = hm.standard_acs(G8)
         with pytest.raises(ValueError, match="anti-invariant"):
-            hm.deform_field(triple, tf.TwoFormField.constant(G8, 0.5 * pl.OMEGA1))
+            hm.deform_field(triple, constant([0.5, 0.0, 0.0]))
 
 
 class TestRandomCompatible:
@@ -160,8 +171,8 @@ class TestTwoStage:
     def test_pipeline_kills_kernel(self):
         base = hm.standard_acs(G8)
         stage1, stage2, log = hm.two_stage_deform(base, BUMP1, BUMP2)
-        h1 = cohomlab.gram_h_minus(stage1)
-        h2 = cohomlab.gram_h_minus(stage2)
+        h1 = cohomlab.gram_matrix(stage1).h_minus
+        h2 = cohomlab.gram_matrix(stage2).h_minus
         assert h1 <= 1
         assert h2 == 0
         stages = [rec["stage"] for rec in log.to_list()]
@@ -188,6 +199,36 @@ class TestTwoStage:
             hm.two_stage_deform(base, BUMP1, huge)
 
 
+class TestDeformPairAgreement:
+    """The derived J and F of constructed fields against the 4x4 algebra."""
+
+    @staticmethod
+    def assert_agrees(triple, J, alpha):
+        J_pair, F_pair = deform_pair_nodewise(J, alpha)
+        assert float(np.max(np.abs(J_pair - triple.J.values))) <= pl.AGREEMENT_TOL
+        assert float(np.max(np.abs(F_pair - triple.F.values))) <= pl.AGREEMENT_TOL
+
+    def test_random_structure(self):
+        triple = hm.random_compatible_acs(G8, seed=1, amplitude=0.3, bandlimit=2)
+        y = triple.y
+        # the anti-invariant a with which the standard structure deforms to y
+        a = np.concatenate([np.zeros(G8.shape + (1,)), y[..., 1:]], axis=-1) / (1.0 + y[..., :1])
+        J0 = np.broadcast_to(pl.J0, G8.shape + (4, 4))
+        self.assert_agrees(triple, J0, a @ pl.OMEGA_SD)
+
+    def test_two_stage_construction(self):
+        base = hm.standard_acs(G8)
+        stage1, stage2, _ = hm.two_stage_deform(base, BUMP1, BUMP2)
+        w1 = cohomlab.select_null_form(cohomlab.gram_matrix(base))
+        a1, _ = hm._capped(BUMP1.build(G8).values[..., None] * w1)
+        self.assert_agrees(stage1, base.J.values, a1 @ pl.OMEGA_SD)
+        w2 = cohomlab.select_null_form(cohomlab.gram_matrix(stage1))
+        c2 = BUMP2.build(G8).values
+        f1 = np.sqrt(1.0 - c2**2 * float(w2 @ w2))
+        beta = (c2 / (1.0 + f1))[..., None] * w2
+        self.assert_agrees(stage2, stage1.J.values, beta @ pl.OMEGA_SD)
+
+
 class TestTripleIO:
     def test_save_load_round_trip(self, tmp_path):
         triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
@@ -197,3 +238,54 @@ class TestTripleIO:
         back = hm.load_triple(sidecar)
         assert np.array_equal(back.J.values, triple.J.values)
         assert np.array_equal(back.F.values, triple.F.values)
+
+
+class TestLoadBoundary:
+    @pytest.fixture
+    def sidecar(self, tmp_path):
+        triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
+        return hm.save_triple(triple, tmp_path, "sample")
+
+    @staticmethod
+    def tamper(sidecar, part, change):
+        path = sidecar.parent / f"sample.{part}.field"
+        field = fieldio.deserialize_field(path)
+        fieldio.serialize_field(type(field)(field.grid, change(field.values)), path)
+
+    def test_rejects_scaled_form(self, sidecar):
+        self.tamper(sidecar, "F", lambda F: 1.01 * F)
+        with pytest.raises(ValueError, match="unit vector"):
+            hm.load_triple(sidecar)
+
+    def test_rejects_anti_self_dual_part(self, sidecar):
+        self.tamper(sidecar, "F", lambda F: F + 1e-3 * pl.OMEGA_ASD[1])
+        with pytest.raises(ValueError, match="not self-dual"):
+            hm.load_triple(sidecar)
+
+    def test_rejects_structure_changed_at_one_node(self, sidecar):
+        def flip(J):
+            # -J is a compatible structure too, so only the match with F can catch it
+            J = np.array(J)
+            J[2, 3, 4, 5] *= -1.0
+            return J
+
+        self.tamper(sidecar, "J", flip)
+        with pytest.raises(ValueError, match=r"J file differs .* at node \(2, 3, 4, 5\)"):
+            hm.load_triple(sidecar)
+
+    def test_accepts_files_written_node_by_node(self, tmp_path):
+        rng = np.random.default_rng(0)
+        a = np.zeros(G8.shape + (3,))
+        a[..., 1:] = rng.uniform(-0.6, 0.6, G8.shape + (2,))
+        J0 = np.broadcast_to(pl.J0, G8.shape + (4, 4))
+        J, F = deform_pair_nodewise(J0, a @ pl.OMEGA_SD)
+        fieldio.serialize_field(tf.EndoField(G8, J), tmp_path / "old.J.field")
+        fieldio.serialize_field(tf.TwoFormField(G8, F), tmp_path / "old.F.field")
+        sidecar = tmp_path / "old.json"
+        sidecar.write_text(json.dumps({
+            "format": 1, "grid_n": G8.n, "files": {"J": "old.J.field", "F": "old.F.field"},
+            "params": {}, "deform_log": [],
+        }))
+        back = hm.load_triple(sidecar)
+        assert float(np.max(np.abs(back.J.values - J))) <= hm.FIELD_TOL
+        assert float(np.max(np.abs(back.F.values - F))) <= hm.FIELD_TOL

@@ -62,7 +62,11 @@ def random_acs(rng, size=()):
     scale = rng.uniform(0.0, 0.9, size=size + (1,)) / np.maximum(norm, 1e-12)
     ab = ab * scale
     alpha = ab[..., :1] * pl.OMEGA2 + ab[..., 1:] * pl.OMEGA3
-    return pl.deform_acs(np.broadcast_to(pl.J0, size + (4, 4)), alpha)
+    return deform_acs(np.broadcast_to(pl.J0, size + (4, 4)), alpha)
+
+
+def deform_acs(J, alpha):
+    return pl.deform_pair(J, alpha)[0]
 
 
 def random_anti_invariant(rng, J, max_norm=0.9):
@@ -221,7 +225,7 @@ class TestAcsFromSdForm:
         t = 0.5
         F = (1 - t**2) / (1 + t**2) * pl.OMEGA1 + 2 * t / (1 + t**2) * pl.OMEGA2
         J_direct = pl.acs_from_sd_form(F)
-        J_deform = pl.deform_acs(pl.J0, t * pl.OMEGA2)
+        J_deform = deform_acs(pl.J0, t * pl.OMEGA2)
         np.testing.assert_allclose(J_direct, J_deform, atol=1e-12)
 
     def test_rejects_bad_input(self):
@@ -232,8 +236,10 @@ class TestAcsFromSdForm:
 
 
 class TestKEndo:
+    """K_alpha = form_to_matrix(alpha), the endomorphism with g(X, K Y) = alpha(X, Y)."""
+
     def test_omega2_action(self):
-        K = pl.k_endo(pl.OMEGA2)
+        K = pl.form_to_matrix(pl.OMEGA2)
         basis = np.eye(4)
         np.testing.assert_allclose(K @ basis[2], basis[0])   # K e3 = e1
         np.testing.assert_allclose(K @ basis[0], -basis[2])  # K e1 = -e3
@@ -243,17 +249,40 @@ class TestKEndo:
     def test_defining_identity(self):
         rng = np.random.default_rng(5)
         alpha = rng.standard_normal(6)
-        K = pl.k_endo(alpha)
-        A = pl.form_to_matrix(alpha)
-        for i in range(4):
-            for j in range(4):
-                assert np.eye(4)[i] @ K @ np.eye(4)[j] == pytest.approx(A[i, j])
+        K = pl.form_to_matrix(alpha)
+        for i, j in pl.PAIRS:
+            assert np.eye(4)[i] @ K @ np.eye(4)[j] == alpha[pl.PAIRS.index((i, j))]
+            assert np.eye(4)[j] @ K @ np.eye(4)[i] == -alpha[pl.PAIRS.index((i, j))]
 
     def test_zero_and_skew(self):
-        np.testing.assert_allclose(pl.k_endo(np.zeros(6)), 0.0)
+        np.testing.assert_allclose(pl.form_to_matrix(np.zeros(6)), 0.0)
         rng = np.random.default_rng(6)
-        K = pl.k_endo(rng.standard_normal(6))
+        K = pl.form_to_matrix(rng.standard_normal(6))
         np.testing.assert_allclose(K + K.T, 0.0)
+
+
+class TestSelfDualCoords:
+    """The structure and its deformation in the coordinates y of its fundamental form."""
+
+    def test_frame_structures(self):
+        for y, form in zip(np.eye(3), pl.OMEGA_SD):
+            np.testing.assert_array_equal(pl.acs_from_coords(y), pl.acs_from_sd_form(form))
+        np.testing.assert_array_equal(pl.acs_from_coords([1.0, 0.0, 0.0]), pl.J0)
+
+    def test_half_omega2_case(self):
+        y = pl.deform_coords(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0]))
+        np.testing.assert_allclose(y, [0.6, 0.8, 0.0], atol=1e-15)
+
+    def test_matches_deform_pair(self):
+        rng = np.random.default_rng(10)
+        J = random_acs(rng, (64,))
+        alpha = random_anti_invariant(rng, J)
+        y = pl.fundamental_form(J) @ pl.OMEGA_SD.T / 2.0
+        y_new = pl.deform_coords(y, alpha @ pl.OMEGA_SD.T / 2.0)
+        J_pair, F_pair = pl.deform_pair(J, alpha)
+        np.testing.assert_allclose(pl.acs_from_coords(y), J, atol=1e-12)
+        np.testing.assert_allclose(pl.acs_from_coords(y_new), J_pair, atol=1e-12)
+        np.testing.assert_allclose(y_new @ pl.OMEGA_SD, F_pair, atol=1e-12)
 
 
 class TestWedgeNormSq:
@@ -273,19 +302,21 @@ class TestWedgeNormSq:
 
 
 class TestDeformAcs:
+    """The structure half of deform_pair."""
+
     def test_zero_deformation(self):
-        np.testing.assert_allclose(pl.deform_acs(pl.J0, np.zeros(6)), pl.J0)
+        np.testing.assert_allclose(deform_acs(pl.J0, np.zeros(6)), pl.J0)
 
     def test_half_omega2_case(self):
         # closed form with |alpha|^2 = 0.25: (0.6) J0 - (1.6) K_{0.5 omega2}
-        J = pl.deform_acs(pl.J0, 0.5 * pl.OMEGA2)
-        expected = 0.6 * pl.J0 - 1.6 * pl.k_endo(0.5 * pl.OMEGA2)
+        J = deform_acs(pl.J0, 0.5 * pl.OMEGA2)
+        expected = 0.6 * pl.J0 - 1.6 * pl.form_to_matrix(0.5 * pl.OMEGA2)
         np.testing.assert_allclose(J, expected, atol=1e-12)
         np.testing.assert_allclose(J @ J, -np.eye(4), atol=1e-12)
 
     def test_near_unit_norm_stays_valid(self):
         t = 1.0 - 1e-6
-        J = pl.deform_acs(pl.J0, t * pl.OMEGA2)
+        J = deform_acs(pl.J0, t * pl.OMEGA2)
         np.testing.assert_allclose(J @ J, -np.eye(4), atol=1e-9)
         F = pl.fundamental_form(J, tol=1e-8)
         # the fundamental form approaches the omega2 direction
@@ -293,26 +324,28 @@ class TestDeformAcs:
 
     def test_rejects_large_norm(self):
         with pytest.raises(ValueError, match=">= 1"):
-            pl.deform_acs(pl.J0, 1.5 * pl.OMEGA2)
+            deform_acs(pl.J0, 1.5 * pl.OMEGA2)
 
     def test_rejects_invariant_direction(self):
         with pytest.raises(ValueError, match="anti-invariant"):
-            pl.deform_acs(pl.J0, 0.5 * pl.OMEGA1)
+            deform_acs(pl.J0, 0.5 * pl.OMEGA1)
 
 
 class TestFDeformed:
+    """The fundamental-form half of deform_pair."""
+
     def test_zero(self):
-        np.testing.assert_allclose(pl.f_deformed(pl.J0, np.zeros(6)), pl.OMEGA1)
+        np.testing.assert_allclose(pl.deform_pair(pl.J0, np.zeros(6))[1], pl.OMEGA1)
 
     def test_half_omega2_value(self):
-        F = pl.f_deformed(pl.J0, 0.5 * pl.OMEGA2)
+        F = pl.deform_pair(pl.J0, 0.5 * pl.OMEGA2)[1]
         np.testing.assert_allclose(F, 0.6 * pl.OMEGA1 + 0.8 * pl.OMEGA2, atol=1e-14)
 
     def test_unit_wedge_norm(self):
         rng = np.random.default_rng(7)
         J = random_acs(rng, (64,))
         alpha = random_anti_invariant(rng, J)
-        F = pl.f_deformed(J, alpha)
+        F = pl.deform_pair(J, alpha)[1]
         np.testing.assert_allclose(pl.wedge_norm_sq(F), 1.0, atol=1e-12)
 
 
@@ -352,7 +385,7 @@ class TestDeformationProperties:
     @settings(max_examples=60, deadline=None)
     @given(a=coeff, b=coeff, phi=st.lists(st.floats(-5, 5), min_size=6, max_size=6))
     def test_splittings_reconstruct_and_behave(self, a, b, phi):
-        J = pl.deform_acs(pl.J0, a * pl.OMEGA2 + b * pl.OMEGA3)
+        J = deform_acs(pl.J0, a * pl.OMEGA2 + b * pl.OMEGA3)
         phi = np.array(phi)
         sj = pl.split_j(J, phi)
         sd = pl.split_sd(phi)
@@ -365,7 +398,7 @@ class TestDeformationProperties:
     @settings(max_examples=60, deadline=None)
     @given(a=coeff, b=coeff, phi=st.lists(st.floats(-5, 5), min_size=6, max_size=6))
     def test_plane_relations(self, a, b, phi):
-        J = pl.deform_acs(pl.J0, a * pl.OMEGA2 + b * pl.OMEGA3)
+        J = deform_acs(pl.J0, a * pl.OMEGA2 + b * pl.OMEGA3)
         F = pl.fundamental_form(J)
         phi = np.array(phi)
         scale = max(1.0, np.max(np.abs(phi)))
@@ -381,7 +414,7 @@ class TestDeformationProperties:
     @settings(max_examples=60, deadline=None)
     @given(a=coeff, b=coeff, c=coeff, d=coeff)
     def test_anti_invariant_forms_are_never_anti_self_dual(self, a, b, c, d):
-        J = pl.deform_acs(pl.J0, a * pl.OMEGA2 + b * pl.OMEGA3)
+        J = deform_acs(pl.J0, a * pl.OMEGA2 + b * pl.OMEGA3)
         alpha = pl.split_j(J, c * pl.OMEGA2 + d * pl.OMEGA3).minus
         np.testing.assert_allclose(pl.split_sd(alpha).minus, 0.0, atol=1e-10)
 
@@ -390,6 +423,6 @@ class TestDeformationProperties:
         J = random_acs(rng, (256,))
         alpha = random_anti_invariant(rng, J, max_norm=0.97)
         nsq = pl.wedge_norm_sq(alpha)
-        T = np.eye(4) + J @ pl.k_endo(alpha)
+        T = np.eye(4) + J @ pl.form_to_matrix(alpha)
         det = np.linalg.det(T)
         assert np.all(det >= (1.0 - nsq) ** 2 - 1e-10)
