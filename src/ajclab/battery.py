@@ -49,9 +49,10 @@ def run_deformation_battery(cases: int = 10_000, seed: int = 1) -> list[Check]:
     closed = a * J - b * K
     T = np.eye(4) + J @ K
     conjugated = np.linalg.solve(T, J @ T)
-    F_new = a[..., 0] * pl.fundamental_form(J) + b[..., 0] * alpha
+    F = pl.fundamental_form(J)
+    F_new = a[..., 0] * F + b[..., 0] * alpha
     # the S^2 formulas against the cross-checked 4x4 deformation
-    y = pl.fundamental_form(J) @ pl.OMEGA_SD.T / 2.0
+    y = F @ pl.OMEGA_SD.T / 2.0
     y_new = pl.deform_coords(y, alpha @ pl.OMEGA_SD.T / 2.0)
     J_pair, F_pair = pl.deform_pair(J, alpha)
     s2_dev = max(

@@ -66,7 +66,8 @@ class AcsField(EndoField):
 @dataclass(frozen=True, eq=False)
 class HermitianTriple:
     """A compatible structure field (the metric is flat), stored as its unit
-    vector field ``y`` of shape ``grid.shape + (3,)``; read-only."""
+    vector field ``y`` of shape ``grid.shape + (3,)``, read-only; J and F
+    are derived on access."""
 
     grid: GridSpec
     y: np.ndarray
