@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Usage: ``ajclab <scenario> [flags]`` with scenario one of baseline,
-one-bump, two-stage, random-sweep, path, resolution, battery, or all.
+one-bump, two-stage, oracle, random-sweep, path, resolution, battery, or
+all.
 Values are resolved as defaults < --config JSON file < explicit flags.
 Every run writes ``<scenario>.report.json`` under the output directory
 (reports are written even when checks fail); random-sweep also writes
@@ -122,10 +123,15 @@ def main(argv: list[str] | None = None) -> int:
         report = run_scenario(name, cfg, out_dir)
         status = "PASS" if report.passed else "FAIL"
         n_ok = sum(c.passed for c in report.checks)
+        n_run = sum(not c.skipped for c in report.checks)
+        n_skip = len(report.checks) - n_run
         total_ms = sum(report.timings_ms.values())
-        print(f"{name}: {status} ({n_ok}/{len(report.checks)} checks, {total_ms:.0f} ms)")
+        skipped = f", {n_skip} skipped" if n_skip else ""
+        print(f"{name}: {status} ({n_ok}/{n_run} checks{skipped}, {total_ms:.0f} ms)")
         for check in report.checks:
-            if not check.passed:
+            if check.skipped:
+                print(f"  SKIP {check.name}: {check.detail}")
+            elif not check.passed:
                 print(f"  FAIL {check.name}: measured={check.measured} "
                       f"tol={check.tolerance} {check.detail}")
         all_passed = all_passed and report.passed

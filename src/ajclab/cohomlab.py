@@ -38,14 +38,7 @@ import scipy.linalg
 
 from . import pointlin as pl
 from .hermitian import HermitianTriple, anti_invariant_frame
-from .torusfield import (
-    GridSpec,
-    ScalarField,
-    TwoFormField,
-    codiff_twoform,
-    d_oneform,
-    d_twoform,
-)
+from .torusfield import GridSpec, ScalarField, TwoFormField, d_codiff_values, d_twoform
 
 #: self-dual Betti number and total second Betti number of the 4-torus
 B_PLUS = 3
@@ -53,6 +46,10 @@ B2 = 6
 
 #: principal-angle threshold for subspace comparisons (radians)
 ANGLE_TOL = 1e-3
+
+#: basis rows per batched operator application in the elliptic oracle; the
+#: working set of one block grows linearly with it
+_ORACLE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -261,6 +258,29 @@ def _real_fourier_basis(grid: GridSpec, kmax: int) -> np.ndarray:
     return np.array(rows)
 
 
+def _elliptic_matrix(triple: HermitianTriple, grid: GridSpec) -> np.ndarray:
+    """The unsymmetrized matrix of psi -> P^-(d delta psi) in the basis
+    B[m] (x) frame_i of :func:`elliptic_kernel_dim`: entry
+    (j R + r, i R + m) is the node mean of B[r] <P^-(d delta psi), frame_j> / 2
+    for psi = B[m] frame_i."""
+    B = _real_fourier_basis(grid, grid.n // 2 - 1)
+    R, N = B.shape
+    frames = np.stack(anti_invariant_frame(triple)) @ pl.OMEGA_SD  # (2, grid shape, 6)
+    # row c of minus[x] is P^-(e_c) at node x, so <P^- phi, frame_j> / 2 = phi . weights[x, :, j]
+    minus = pl.split_j(triple.J.values[..., None, :, :], np.eye(6), tol=1e-8).minus
+    weights = np.einsum("xcd,jxd->xcj", minus.reshape(N, 6, 6), frames.reshape(2, N, 6)) / 2.0
+    M = np.empty((2, R, 2, R))
+    for i in range(2):
+        for lo in range(0, R, _ORACLE_BLOCK):
+            rows = B[lo : lo + _ORACLE_BLOCK]
+            psi = rows.reshape((-1,) + grid.shape + (1,)) * frames[i]
+            out = d_codiff_values(psi, grid).reshape(len(rows), N, 6)
+            q = np.matmul(out.transpose(1, 0, 2), weights)  # (N, block, 2)
+            proj = (B @ q.reshape(N, -1)).reshape(R, len(rows), 2) / N
+            M[:, :, i, lo : lo + len(rows)] = proj.transpose(2, 0, 1)
+    return M.reshape(2 * R, 2 * R)
+
+
 def elliptic_kernel_dim(
     triple: HermitianTriple,
     oracle_grid: GridSpec,
@@ -274,11 +294,24 @@ def elliptic_kernel_dim(
     the trigonometric modes below the Nyquist band (Nyquist modes are
     invisible to the antisymmetric spectral derivative and would fake kernel
     vectors).  The dense symmetric matrix has dimension
-    ``2 * (n - 1)^4``, which must stay at or below ``max_dim``: memory grows
-    as its square (n = 6 gives 1250, n = 8 gives 4802).
+    ``2 * (n - 1)^4``, which must stay at or below ``max_dim`` (n = 6 gives
+    1250, n = 8 gives 4802).
 
-    ``kernel_dim`` counts singular values at or below ``tau`` times the
-    largest one.
+    The matrix is assembled in blocks of basis sections: for each frame,
+    a block of basis rows times that frame goes through one batched
+    d delta (:func:`.torusfield.d_codiff_values`, one real FFT pair for
+    the block), and one product with the basis projects the result onto
+    both frames.  P^- is not applied per column: it is folded, with the
+    frame pairing, into per-node weights built once per call from the
+    4x4 involution of :func:`.pointlin.split_j`, which keeps its J^2 = -Id
+    check.  Memory goes to the dense matrix (8 (2R)^2 bytes, 12.5 MB at
+    n = 6, 184 MB at n = 8, growing as its square), the basis (8 R n^4
+    bytes) and the per-node weights; one block's fields and spectra add a
+    working set linear in the block size and independent of R.
+
+    The assembled matrix must be symmetric to 1e-8 relative to its largest
+    entry, or :class:`.pointlin.ConsistencyError` is raised; ``kernel_dim``
+    counts singular values at or below ``tau`` times the largest one.
     """
     if triple.grid != oracle_grid:
         raise ValueError(
@@ -286,30 +319,14 @@ def elliptic_kernel_dim(
             f"(got n={triple.grid.n}, oracle n={oracle_grid.n})"
         )
     grid = oracle_grid
-    kmax = grid.n // 2 - 1
-    B = _real_fourier_basis(grid, kmax)
-    R = B.shape[0]
+    R = (grid.n - 1) ** 4
     dim = 2 * R
     if dim > max_dim:
         raise ValueError(
             f"operator dimension {dim} exceeds the documented bound {max_dim}; "
             "use a smaller oracle grid"
         )
-    frames = np.stack(anti_invariant_frame(triple)) @ pl.OMEGA_SD  # (2, grid shape, 6)
-    J = triple.J.values
-    N = grid.node_count
-    M = np.empty((dim, dim))
-    for i in range(2):
-        for m in range(R):
-            scalar = B[m].reshape(grid.shape)
-            psi = TwoFormField(grid, scalar[..., None] * frames[i])
-            out = d_oneform(codiff_twoform(psi))
-            minus = pl.split_j(J, out.values, tol=1e-8).minus
-            col = np.empty(dim)
-            for j in range(2):
-                q = np.sum(minus * frames[j], axis=-1).reshape(-1) / 2.0
-                col[j * R : (j + 1) * R] = B @ q / N
-            M[:, i * R + m] = col
+    M = _elliptic_matrix(triple, grid)
     sym_defect = float(np.max(np.abs(M - M.T)))
     if sym_defect > 1e-8 * max(1.0, float(np.max(np.abs(M)))):
         raise pl.ConsistencyError(

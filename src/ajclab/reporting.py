@@ -11,13 +11,15 @@ from pathlib import Path
 
 @dataclass
 class Check:
-    """One asserted quantity: what was required, what was measured."""
+    """One asserted quantity: what was required, what was measured.  A
+    skipped check was not run; its detail says why."""
 
     name: str
     passed: bool
     tolerance: float | None = None
     measured: float | None = None
     detail: str = ""
+    skipped: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -26,6 +28,7 @@ class Check:
             "tolerance": self.tolerance,
             "measured": self.measured,
             "detail": self.detail,
+            "skipped": self.skipped,
         }
 
 
@@ -43,12 +46,15 @@ class ScenarioReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.passed or c.skipped for c in self.checks)
 
     def check(self, name: str, passed: bool, tolerance: float | None = None,
               measured: float | None = None, detail: str = "") -> bool:
         self.checks.append(Check(name, bool(passed), tolerance, measured, detail))
         return bool(passed)
+
+    def skip(self, name: str, detail: str) -> None:
+        self.checks.append(Check(name, False, detail=detail, skipped=True))
 
     @contextmanager
     def timed(self, key: str):

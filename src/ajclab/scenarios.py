@@ -154,6 +154,49 @@ def scenario_two_stage(cfg: LabConfig) -> ScenarioReport:
     return report
 
 
+def scenario_oracle(cfg: LabConfig) -> ScenarioReport:
+    """The second route end to end: at ``cfg.oracle_n`` the elliptic
+    oracle's kernel dimension must equal the Gram h_minus on the standard
+    structure, stage 1 and one random structure, and on stage 2 when the
+    construction admits it at that grid.  A refused stage 2 is recorded as
+    a skipped check with the refusal."""
+    report = ScenarioReport("oracle", cfg.to_dict())
+    grid = tf.GridSpec(cfg.oracle_n)
+    with report.timed("build"):
+        base = hm.standard_acs(grid)
+        stage1, _ = hm.one_bump_deform(
+            base, cfg.bump1, tol_null=cfg.tol_null, eps=cfg.eps_nodal,
+            delta_samples=DELTA_SAMPLES,
+        )
+        structures = {
+            "standard": base,
+            "stage1": stage1,
+            "random": hm.random_compatible_acs(grid, cfg.seed, cfg.amplitude, cfg.bandlimit),
+        }
+        try:
+            _, structures["stage2"], _ = hm.two_stage_deform(
+                base, cfg.bump1, cfg.bump2, tol_null=cfg.tol_null,
+                eps=cfg.eps_nodal, delta_samples=DELTA_SAMPLES,
+            )
+        except ValueError as exc:
+            report.skip("stage2: elliptic kernel dimension equals Gram h_minus",
+                        f"stage 2 refused at n={grid.n}: {exc}")
+    elliptic_reports = {}
+    for label, triple in structures.items():
+        with report.timed(label):
+            gram = cohomlab.gram_matrix(triple, tol_null=cfg.tol_null)
+            elliptic = cohomlab.elliptic_kernel_dim(triple, grid)
+        report.h_values[label] = gram.h_minus
+        elliptic_reports[label] = elliptic.to_dict()
+        report.check(
+            f"{label}: elliptic kernel dimension equals Gram h_minus",
+            elliptic.kernel_dim == gram.h_minus, measured=float(elliptic.kernel_dim),
+            detail=f"elliptic {elliptic.kernel_dim}, Gram {gram.h_minus}",
+        )
+    report.summaries["elliptic"] = elliptic_reports
+    return report
+
+
 def scenario_random_sweep(cfg: LabConfig) -> ScenarioReport:
     """Random compatible structures: the kernel is expected to vanish for
     every seed; any seed with a surviving kernel fails the assertion but is
@@ -270,6 +313,7 @@ SCENARIOS = {
     "baseline": scenario_baseline,
     "one-bump": scenario_one_bump,
     "two-stage": scenario_two_stage,
+    "oracle": scenario_oracle,
     "random-sweep": scenario_random_sweep,
     "path": scenario_path,
     "resolution": scenario_resolution,

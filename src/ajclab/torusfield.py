@@ -2,14 +2,31 @@
 
 The domain is [0, 1)^4 with the flat metric (total volume 1), sampled on a
 uniform grid of ``n`` nodes per axis at coordinates i/n.  Nodal values are
-the primary representation; differentiation goes through the discrete
-Fourier transform and is exact for fields bandlimited below n/2.  The
-Nyquist mode of each axis is dropped by the derivative multiplier so that
-differentiation is a real antisymmetric operator.
+the primary representation.  Every differential operator is a Fourier
+multiplier applied between one real FFT pair per field: ``numpy.fft.rfftn``
+over the four grid axes, a multiply, ``numpy.fft.irfftn``.  For the wave
+vector 2 pi k the multipliers are
 
-Component layouts (components on the last axis, in the pointlin bases):
-scalar (n,n,n,n); 1-form (n,n,n,n,4); 2-form (n,n,n,n,6); 3-form
-(n,n,n,n,4) in the order (e123, e124, e134, e234); endomorphism
+    d f      ->  2 pi i k f                       (scalars)
+    d theta  ->  2 pi i k ^ theta                 (1- and 2-forms)
+    delta    ->  -star (2 pi i k ^) star          (2-forms)
+
+with both stars the pointwise tables of :mod:`.pointlin`, so that delta is
+the exact adjoint of d under the L2 pairing.  The spectrum of a real field
+is stored as the real half spectrum: full axes of n frequencies on the
+first three grid axes and n/2 + 1 frequencies on the last.  Each axis has
+one Nyquist bin, index n/2 of a full axis and the last entry of the half
+axis; its multiplier is zeroed on every axis, so differentiation is a real
+antisymmetric operator and is exact for fields bandlimited below n/2.
+
+Inside the transforms the components of a field sit on a leading axis,
+ahead of the four grid axes, so any further leading batch axes broadcast
+through the same multipliers (:func:`d_codiff_values` applies d delta to a
+whole stack of 2-forms at once).
+
+Component layouts of nodal values (components on the last axis, in the
+pointlin bases): scalar (n,n,n,n); 1-form (n,n,n,n,4); 2-form (n,n,n,n,6);
+3-form (n,n,n,n,4) in the order (e123, e124, e134, e234); endomorphism
 (n,n,n,n,4,4).
 """
 
@@ -22,11 +39,15 @@ import numpy as np
 from . import pointlin as pl
 
 GRID_AXES = (0, 1, 2, 3)
+#: the four grid axes of a spectrum, behind its component and batch axes
+_SPEC_AXES = (-4, -3, -2, -1)
 
 # Hodge star from 3-forms to 1-forms in the fixed component orders:
 # e123 -> dx4, e124 -> -dx3, e134 -> dx2, e234 -> -dx1.
 _STAR3_SRC = (3, 2, 1, 0)
 _STAR3_SIGN = (-1.0, 1.0, -1.0, 1.0)
+# position of each index pair in the 2-form component order
+_PAIR_INDEX = {p: c for c, p in enumerate(pl.PAIRS)}
 
 
 @dataclass(frozen=True)
@@ -55,15 +76,19 @@ class GridSpec:
         x = self.axis_coords()
         return [x.reshape([-1 if a == ax else 1 for a in GRID_AXES]) for ax in GRID_AXES]
 
-    def freq_int(self) -> np.ndarray:
-        """Integer Fourier frequencies in FFT order."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.n)
+    def wavenumbers(self) -> list[np.ndarray]:
+        """Integer frequencies of the real half spectrum, one broadcastable
+        array per grid axis; the last axis is the half axis 0..n/2."""
+        full = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        half = np.fft.rfftfreq(self.n, d=1.0 / self.n)
+        return [
+            k.reshape([-1 if a == ax else 1 for a in GRID_AXES])
+            for ax, k in zip(GRID_AXES, (full, full, full, half))
+        ]
 
-    def deriv_multiplier(self) -> np.ndarray:
-        """Spectral derivative factor 2*pi*i*k with the Nyquist mode zeroed."""
-        m = 2j * np.pi * self.freq_int()
-        m[self.n // 2] = 0.0
-        return m
+    def deriv_multipliers(self) -> list[np.ndarray]:
+        """Derivative factors 2*pi*i*k per axis with every Nyquist bin zeroed."""
+        return [np.where(np.abs(k) == self.n // 2, 0.0, 2j * np.pi * k) for k in self.wavenumbers()]
 
 
 class _FieldBase:
@@ -160,55 +185,91 @@ class EndoField(_FieldBase):
     KIND = "endo"
 
 
-def _partials(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """All four spectral partial derivatives, stacked on a new last axis."""
-    spec = np.fft.fftn(values, axes=GRID_AXES)
-    mult = grid.deriv_multiplier()
-    outs = []
-    for ax in GRID_AXES:
-        shape = [1] * values.ndim
-        shape[ax] = grid.n
-        outs.append(np.fft.ifftn(spec * mult.reshape(shape), axes=GRID_AXES).real)
-    return np.stack(outs, axis=-1)
+def _spectrum(values: np.ndarray, ncomp: int) -> np.ndarray:
+    """Half spectrum of nodal values whose last ``ncomp`` axes are
+    components; the components move ahead of the four grid axes."""
+    comps = list(range(-ncomp, 0))
+    return np.fft.rfftn(np.moveaxis(values, comps, [c - 4 for c in comps]), axes=_SPEC_AXES)
+
+
+def _nodal(spec: np.ndarray, grid: GridSpec, ncomp: int) -> np.ndarray:
+    """Inverse of :func:`_spectrum`: nodal values, components last."""
+    comps = list(range(-ncomp, 0))
+    out = np.fft.irfftn(spec, s=grid.shape, axes=_SPEC_AXES)
+    return np.moveaxis(out, [c - 4 for c in comps], comps)
+
+
+def _comp(spec: np.ndarray, c: int) -> np.ndarray:
+    return spec[..., c, :, :, :, :]
+
+
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    return np.stack(parts, axis=-5)
+
+
+def _star(spec: np.ndarray, src, sign) -> np.ndarray:
+    """A star table (component ``c`` of the output is ``sign[c]`` times
+    component ``src[c]`` of the input) on the component axis."""
+    return spec[..., list(src), :, :, :, :] * np.reshape(sign, (-1, 1, 1, 1, 1))
+
+
+def _d0_hat(f: np.ndarray, ik: list[np.ndarray]) -> np.ndarray:
+    return _stack([m * f for m in ik])
+
+
+def _d1_hat(theta: np.ndarray, ik: list[np.ndarray]) -> np.ndarray:
+    """(d theta)_ij = di theta_j - dj theta_i."""
+    return _stack([ik[i] * _comp(theta, j) - ik[j] * _comp(theta, i) for (i, j) in pl.PAIRS])
+
+
+def _d2_hat(phi: np.ndarray, ik: list[np.ndarray]) -> np.ndarray:
+    """(d phi)_ijk = di phi_jk - dj phi_ik + dk phi_ij."""
+    p = _PAIR_INDEX
+    return _stack([
+        ik[i] * _comp(phi, p[(j, k)]) - ik[j] * _comp(phi, p[(i, k)]) + ik[k] * _comp(phi, p[(i, j)])
+        for (i, j, k) in pl.TRIPLES
+    ])
+
+
+def _codiff_hat(phi: np.ndarray, ik: list[np.ndarray]) -> np.ndarray:
+    """delta = -star d star on 2-forms."""
+    starred = _star(phi, pl._WEDGE_PARTNER, pl._WEDGE_SIGN)
+    return -_star(_d2_hat(starred, ik), _STAR3_SRC, _STAR3_SIGN)
+
+
+def _apply(field, op, out_cls):
+    grid = field.grid
+    spec = op(_spectrum(field.values, len(field.NCOMP)), grid.deriv_multipliers())
+    return out_cls(grid, _nodal(spec, grid, len(out_cls.NCOMP)))
 
 
 def d_scalar(f: ScalarField) -> OneFormField:
     """Exterior differential of a scalar field (spectral gradient)."""
-    return OneFormField(f.grid, _partials(f.values, f.grid))
+    return _apply(f, _d0_hat, OneFormField)
 
 
 def d_oneform(theta: OneFormField) -> TwoFormField:
     """Exterior differential of a 1-form: (d theta)_ij = di theta_j - dj theta_i."""
-    jac = _partials(theta.values, theta.grid)  # [..., component j, axis a]
-    comps = [jac[..., j, i] - jac[..., i, j] for (i, j) in pl.PAIRS]
-    return TwoFormField(theta.grid, np.stack(comps, axis=-1))
+    return _apply(theta, _d1_hat, TwoFormField)
 
 
 def d_twoform(phi: TwoFormField) -> ThreeFormField:
     """Exterior differential of a 2-form in the fixed 3-form component order."""
-    parts = _partials(phi.values, phi.grid)  # [..., pair c, axis a]
-    pidx = {p: c for c, p in enumerate(pl.PAIRS)}
-    comps = []
-    for (i, j, k) in pl.TRIPLES:
-        comps.append(
-            parts[..., pidx[(j, k)], i]
-            - parts[..., pidx[(i, k)], j]
-            + parts[..., pidx[(i, j)], k]
-        )
-    return ThreeFormField(phi.grid, np.stack(comps, axis=-1))
-
-
-def _star3(omega: ThreeFormField) -> OneFormField:
-    comps = [sign * omega.values[..., src] for src, sign in zip(_STAR3_SRC, _STAR3_SIGN)]
-    return OneFormField(omega.grid, np.stack(comps, axis=-1))
+    return _apply(phi, _d2_hat, ThreeFormField)
 
 
 def codiff_twoform(phi: TwoFormField) -> OneFormField:
     """Codifferential on 2-forms: -star d star, with both stars pointwise
     tables on the flat unit-volume torus.  The sign is the one that makes
     the operator the exact adjoint of d under the L2 pairing."""
-    starred = TwoFormField(phi.grid, pl.hodge_star(phi.values))
-    return -_star3(d_twoform(starred))
+    return _apply(phi, _codiff_hat, OneFormField)
+
+
+def d_codiff_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """d(delta phi) for 2-form nodal values of shape ``(..., n, n, n, n, 6)``;
+    any leading batch axes share one transform pair."""
+    ik = grid.deriv_multipliers()
+    return _nodal(_d1_hat(_codiff_hat(_spectrum(values, 1), ik), ik), grid, 1)
 
 
 def integrate(f: ScalarField) -> float:
@@ -272,10 +333,8 @@ def spectral_truncate(field, max_mode: int):
     grid = field.grid
     if not 0 <= max_mode < grid.n // 2:
         raise ValueError("max_mode must lie in [0, n/2)")
-    spec = np.fft.fftn(field.values, axes=GRID_AXES)
-    keep1d = np.abs(grid.freq_int()) <= max_mode
-    for ax in GRID_AXES:
-        shape = [1] * field.values.ndim
-        shape[ax] = grid.n
-        spec = spec * keep1d.reshape(shape)
-    return type(field)(grid, np.fft.ifftn(spec, axes=GRID_AXES).real)
+    keep = np.ones(1, dtype=bool)
+    for k in grid.wavenumbers():
+        keep = keep & (np.abs(k) <= max_mode)
+    ncomp = len(field.NCOMP)
+    return type(field)(grid, _nodal(_spectrum(field.values, ncomp) * keep, grid, ncomp))

@@ -1,4 +1,9 @@
-"""The package's public surface."""
+"""The package's public surface and its import cost."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import ajclab
 
@@ -12,3 +17,15 @@ def test_star_import():
     namespace = {}
     exec("from ajclab import *", namespace)
     assert set(ajclab.__all__) <= set(namespace)
+
+
+def test_import_does_not_load_scipy_fft():
+    # importing scipy.fft adds about 0.1 s to every fresh process
+    src = Path(ajclab.__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", "import ajclab, sys; print('scipy.fft' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -5,6 +5,7 @@ import pytest
 
 from ajclab import cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
 
+G4 = tf.GridSpec(4)
 G6 = tf.GridSpec(6)
 G8 = tf.GridSpec(8)
 
@@ -170,6 +171,67 @@ class TestEllipticOracle:
     def test_memory_bound(self):
         with pytest.raises(ValueError, match="bound"):
             cohomlab.elliptic_kernel_dim(hm.standard_acs(G8), G8, max_dim=100)
+
+
+def column_elliptic_matrix(triple, grid):
+    """The oracle matrix assembled one column at a time: d delta through
+    the field functions, then the 4x4 involution's P^-, then the pairing
+    with the frames."""
+    B = cohomlab._real_fourier_basis(grid, grid.n // 2 - 1)
+    R, N = B.shape
+    frames = np.stack(hm.anti_invariant_frame(triple)) @ pl.OMEGA_SD
+    J = triple.J.values
+    M = np.empty((2 * R, 2 * R))
+    for i in range(2):
+        for m in range(R):
+            psi = tf.TwoFormField(grid, B[m].reshape(grid.shape)[..., None] * frames[i])
+            out = tf.d_oneform(tf.codiff_twoform(psi))
+            minus = pl.split_j(J, out.values, tol=1e-8).minus
+            for j in range(2):
+                q = np.sum(minus * frames[j], axis=-1).reshape(-1) / 2.0
+                M[j * R : (j + 1) * R, i * R + m] = B @ q / N
+    return M
+
+
+def oracle_structures_n4():
+    base = hm.standard_acs(G4)
+    stage1, _ = hm.one_bump_deform(base, BUMP1)
+    return {
+        "standard": base,
+        "stage1": stage1,
+        "random": hm.random_compatible_acs(G4, seed=3, amplitude=0.3, bandlimit=1),
+    }
+
+
+class TestEllipticAssembly:
+    """The block-batched assembly against the column-by-column one."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return {k: (t, column_elliptic_matrix(t, G4)) for k, t in oracle_structures_n4().items()}
+
+    # R = 81 at n = 4: blocks of 8 leave a last block of 1, blocks of 13 one of 3
+    @pytest.mark.parametrize("block", [1, 8, 13, 200])
+    @pytest.mark.parametrize("kind", ["standard", "stage1", "random"])
+    def test_matches_column_assembly(self, cases, kind, block, monkeypatch):
+        monkeypatch.setattr(cohomlab, "_ORACLE_BLOCK", block)
+        triple, expect = cases[kind]
+        got = cohomlab._elliptic_matrix(triple, G4)
+        assert got.shape == expect.shape == (162, 162)
+        scale = float(np.max(np.abs(expect)))
+        assert float(np.max(np.abs(got - expect))) <= 1e-12 * scale
+
+    def test_stage1_is_deformed(self, cases):
+        assert cohomlab.gram_matrix(cases["stage1"][0]).h_minus == 1
+
+    def test_non_adjoint_operator_rejected(self, monkeypatch):
+        def skewed(values, grid):
+            # a first-order shift: its adjoint is the opposite shift
+            return tf.d_codiff_values(values, grid) + 10.0 * np.roll(values, 1, axis=-2)
+
+        monkeypatch.setattr(cohomlab, "d_codiff_values", skewed)
+        with pytest.raises(pl.ConsistencyError, match="not symmetric"):
+            cohomlab.elliptic_kernel_dim(hm.standard_acs(G4), G4)
 
 
 class TestIntersection:

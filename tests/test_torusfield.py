@@ -10,6 +10,43 @@ G8 = tf.GridSpec(8)
 G16 = tf.GridSpec(16)
 
 
+def reference_partials(values, grid):
+    """All four spectral partial derivatives, stacked on a new last axis:
+    one full complex FFT over the grid axes, then per axis a 2 pi i k
+    multiplier with the Nyquist mode zeroed and an inverse complex FFT.
+    An independent reference for the real half-spectrum multipliers."""
+    spec = np.fft.fftn(values, axes=tf.GRID_AXES)
+    mult = 2j * np.pi * np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    mult[grid.n // 2] = 0.0
+    outs = []
+    for ax in tf.GRID_AXES:
+        shape = [1] * values.ndim
+        shape[ax] = grid.n
+        outs.append(np.fft.ifftn(spec * mult.reshape(shape), axes=tf.GRID_AXES).real)
+    return np.stack(outs, axis=-1)
+
+
+def reference_differentials(f, theta, phi):
+    """d f, d theta, d phi and delta phi from :func:`reference_partials` and
+    the coordinate formulas, delta phi by (delta phi)_j = -sum_i di phi_ij."""
+    grid = f.grid
+    df = reference_partials(f.values, grid)
+    jac = reference_partials(theta.values, grid)  # [..., component j, axis i]
+    dtheta = np.stack([jac[..., j, i] - jac[..., i, j] for (i, j) in pl.PAIRS], axis=-1)
+    parts = reference_partials(phi.values, grid)  # [..., pair c, axis a]
+    pidx = {p: c for c, p in enumerate(pl.PAIRS)}
+    dphi = np.stack(
+        [
+            parts[..., pidx[(j, k)], i] - parts[..., pidx[(i, k)], j] + parts[..., pidx[(i, j)], k]
+            for (i, j, k) in pl.TRIPLES
+        ],
+        axis=-1,
+    )
+    Aparts = reference_partials(pl.form_to_matrix(phi.values), grid)  # [..., i, j, axis]
+    delta = -np.einsum("...iji->...j", Aparts)
+    return df, dtheta, dphi, delta
+
+
 def random_bandlimited_scalar(rng, grid, kmax):
     noise = tf.ScalarField(grid, rng.standard_normal(grid.shape))
     f = tf.spectral_truncate(noise, kmax)
@@ -117,13 +154,10 @@ class TestCodifferential:
         # (delta phi)_j = -sum_i di phi_ij, the flat-space coordinate formula
         rng = np.random.default_rng(1)
         phi = random_bandlimited(rng, G8, 3, tf.TwoFormField)
-        parts = tf._partials(phi.values, G8)
-        A = pl.form_to_matrix(phi.values)
-        Aparts = tf._partials(A, G8)  # [..., i, j, axis]
+        Aparts = reference_partials(pl.form_to_matrix(phi.values), G8)  # [..., i, j, axis]
         expect = -np.einsum("...iji->...j", Aparts)
         got = tf.codiff_twoform(phi)
         np.testing.assert_allclose(got.values, expect, atol=1e-11)
-        del parts
 
     def test_single_mode_value(self):
         xs = G16.coords()
@@ -147,6 +181,64 @@ class TestCodifferential:
             lhs = tf.l2_inner(tf.d_oneform(theta), phi)
             rhs = tf.l2_inner(theta, tf.codiff_twoform(phi))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+class TestHalfSpectrumMultipliers:
+    """The rfftn multipliers against per-axis complex-FFT partials."""
+
+    @pytest.mark.parametrize("grid", [G8, G16], ids=["n8", "n16"])
+    def test_match_complex_fft_partials(self, grid):
+        rng = np.random.default_rng(grid.n)
+        kmax = grid.n // 2 - 1
+        f = random_bandlimited(rng, grid, kmax, tf.ScalarField)
+        theta = random_bandlimited(rng, grid, kmax, tf.OneFormField)
+        phi = random_bandlimited(rng, grid, kmax, tf.TwoFormField)
+        df, dtheta, dphi, delta = reference_differentials(f, theta, phi)
+        np.testing.assert_allclose(tf.d_scalar(f).values, df, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tf.d_oneform(theta).values, dtheta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tf.d_twoform(phi).values, dphi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tf.codiff_twoform(phi).values, delta, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("grid", [G8, G16], ids=["n8", "n16"])
+    @pytest.mark.parametrize("axis", tf.GRID_AXES)
+    def test_nyquist_mode_differentiates_to_zero(self, grid, axis):
+        # cos(pi n x_a) is the Nyquist mode of axis a; axis 3 is the half axis
+        xs = [c + np.zeros(grid.shape) for c in grid.coords()]
+        nyquist = np.cos(np.pi * grid.n * xs[axis])
+        f = tf.ScalarField(grid, nyquist)
+        assert tf.d_scalar(f).max_abs() <= 1e-12
+        theta = tf.OneFormField(grid, np.stack([nyquist] * 4, axis=-1))
+        assert tf.d_oneform(theta).max_abs() <= 1e-12
+        phi = tf.TwoFormField(grid, np.stack([nyquist] * 6, axis=-1))
+        assert tf.d_twoform(phi).max_abs() <= 1e-12
+        assert tf.codiff_twoform(phi).max_abs() <= 1e-12
+        # the inverse real FFT drops the anti-Hermitian part that one odd
+        # multiplier leaves on a Nyquist bin, so only a product of two
+        # multipliers, as in the fused d delta, shows an unzeroed bin
+        assert np.max(np.abs(tf.d_codiff_values(phi.values, grid))) <= 1e-12
+        other = xs[(axis + 1) % 4]
+        g = nyquist * (1.0 + np.sin(2 * np.pi * other))
+        f = tf.ScalarField(grid, g)
+        theta = tf.OneFormField(grid, np.stack([g * (c + 1) for c in range(4)], axis=-1))
+        phi = tf.TwoFormField(grid, np.stack([g * (c + 1) for c in range(6)], axis=-1))
+        df, dtheta, dphi, delta = reference_differentials(f, theta, phi)
+        assert np.max(np.abs(tf.d_scalar(f).values[..., axis])) <= 1e-12
+        np.testing.assert_allclose(tf.d_scalar(f).values, df, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tf.d_oneform(theta).values, dtheta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tf.d_twoform(phi).values, dphi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tf.codiff_twoform(phi).values, delta, rtol=0, atol=1e-12)
+        expect = tf.d_oneform(tf.OneFormField(grid, delta)).values
+        np.testing.assert_allclose(tf.d_codiff_values(phi.values, grid), expect, rtol=0, atol=1e-11)
+
+    def test_batched_d_codiff_matches_field_route(self):
+        rng = np.random.default_rng(7)
+        phis = [random_bandlimited(rng, G8, 3, tf.TwoFormField) for _ in range(3)]
+        batch = np.stack([p.values for p in phis]).reshape((3, 1) + G8.shape + (6,))
+        got = tf.d_codiff_values(batch, G8)
+        assert got.shape == batch.shape
+        for k, p in enumerate(phis):
+            expect = tf.d_oneform(tf.codiff_twoform(p)).values
+            np.testing.assert_allclose(got[k, 0], expect, rtol=0, atol=1e-11)
 
 
 class TestIntegrals:
