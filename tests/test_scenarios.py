@@ -1,8 +1,11 @@
-"""The oracle scenario: the elliptic route against Gram, end to end."""
+"""Scenarios end to end: the oracle route against Gram, and every fast
+scenario and pointwise battery at the default config."""
 
 import json
 
-from ajclab import cli, scenarios
+import pytest
+
+from ajclab import battery, cli, scenarios
 from ajclab.config import LabConfig
 from ajclab.reporting import ScenarioReport
 
@@ -47,3 +50,74 @@ def test_cli_runs_stage2_where_the_construction_admits_it(tmp_path, capsys):
     assert data["passed"]
     assert data["h_values"] == {"standard": 2, "stage1": 1, "random": 0, "stage2": 1}
     assert STAGE2_CHECK in [c["name"] for c in data["checks"] if not c["skipped"]]
+
+
+STAGE1_CHECKS = [
+    "stage-1 kernel dimension at most 1",
+    "stage-1 kernel contained in the standard kernel",
+    "kernel intersection dimension at most 1",
+]
+STAGE1_LOG_KEYS = [
+    "stage", "bump", "delta_estimate", "support_volume", "sup_norm", "rescale_factor",
+    "null_direction", "h_before", "h_after", "runtime_ms",
+]
+STAGE2_LOG_KEYS = [
+    "stage", "bump", "delta_estimate", "support_volume", "sup_norm", "null_direction",
+    "wedge_square_residual", "route_disagreement", "h_before", "h_after", "runtime_ms",
+]
+DEFAULT_RUNS = {
+    "baseline": (
+        [
+            "h_minus equals 2",
+            "h_plus equals 4",
+            "Gram matrix is diag(4, 0, 0)",
+            "kernel forms are closed",
+            "kernel forms are anti-invariant",
+            "structure action rotates omega2 to omega3",
+            "structure action squares to -Id on the kernel",
+        ],
+        {"standard": 2},
+        None,
+    ),
+    "one-bump": (STAGE1_CHECKS, {"standard": 2, "stage1": 1}, [STAGE1_LOG_KEYS]),
+    "two-stage": (
+        STAGE1_CHECKS + [
+            "stage-2 kernel is trivial",
+            "smallest Gram eigenvalue clears 10x the null tolerance",
+            "renormalized form has wedge square 2 at every node",
+            "normalization route matches the rational deformation route",
+        ],
+        {"standard": 2, "stage1": 1, "stage2": 0},
+        [STAGE1_LOG_KEYS, STAGE2_LOG_KEYS],
+    ),
+    "path": (
+        ["kernel dimension starts at 2", "kernel dimension never exceeds its start value"],
+        None,
+        None,
+    ),
+    "random-sweep": (
+        ["every seed has a trivial kernel"],
+        {f"seed_{s}": 0 for s in range(1, 51)},
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DEFAULT_RUNS))
+def test_default_config_scenarios(name):
+    checks, h_values, log_keys = DEFAULT_RUNS[name]
+    report = scenarios.SCENARIOS[name](LabConfig())
+    assert report.passed
+    assert [c.name for c in report.checks] == checks
+    if h_values is not None:
+        assert report.h_values == h_values
+    if name == "path":
+        assert report.summaries["h_path"] == [2] + [1] * 19
+    logged = report.summaries.get("deform_log")
+    assert (None if logged is None else [list(r) for r in logged]) == log_keys
+
+
+@pytest.mark.parametrize("run", [battery.run_deformation_battery, battery.run_splitting_battery])
+def test_pointwise_batteries_pass_at_default_size(run):
+    checks = run()
+    assert checks and all(c.passed for c in checks), [c.name for c in checks if not c.passed]
