@@ -4,6 +4,8 @@ Usage: ``ajclab <scenario> [flags]`` with scenario one of baseline,
 one-bump, two-stage, oracle, random-sweep, path, resolution, battery, or
 all.
 Values are resolved as defaults < --config JSON file < explicit flags.
+The numeric flags ``--grid-n`` ... ``--path-steps`` mirror the int and
+float fields of :class:`~ajclab.config.LabConfig`, in field order.
 Every run writes ``<scenario>.report.json`` under the output directory
 (reports are written even when checks fail); random-sweep also writes
 ``sweep.csv`` and the bump scenarios dump their structure fields.
@@ -16,14 +18,17 @@ import argparse
 import csv
 import sys
 import traceback
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import LabConfig
-from .hermitian import BumpSpec, save_triple
+from .hermitian import save_triple
 from .reporting import ScenarioReport
 from .scenarios import SCENARIOS
 
 _SCENARIO_ORDER = list(SCENARIOS)
+#: the LabConfig fields that each get a flag of their own type
+_NUMERIC_FIELDS = [f for f in fields(LabConfig) if type(f.default) in (int, float)]
 
 
 def _parse_center(text: str) -> tuple[float, float, float, float]:
@@ -41,15 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("scenario", choices=_SCENARIO_ORDER + ["all"])
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--output", type=Path, help="output directory (overrides config)")
-    parser.add_argument("--grid-n", type=int, dest="grid_n")
-    parser.add_argument("--oracle-n", type=int, dest="oracle_n")
-    parser.add_argument("--tol-null", type=float, dest="tol_null")
-    parser.add_argument("--eps-nodal", type=float, dest="eps_nodal")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--amplitude", type=float)
-    parser.add_argument("--bandlimit", type=int)
-    parser.add_argument("--sweep-count", type=int, dest="sweep_count")
-    parser.add_argument("--path-steps", type=int, dest="path_steps")
+    for f in _NUMERIC_FIELDS:
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), dest=f.name)
     for tag in ("bump1", "bump2"):
         parser.add_argument(f"--{tag}-center", type=_parse_center, dest=f"{tag}_center")
         parser.add_argument(f"--{tag}-radius", type=float, dest=f"{tag}_radius")
@@ -60,29 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace) -> LabConfig:
     cfg = LabConfig.from_file(args.config) if args.config else LabConfig()
     cfg = cfg.override(
-        grid_n=args.grid_n,
-        oracle_n=args.oracle_n,
-        tol_null=args.tol_null,
-        eps_nodal=args.eps_nodal,
-        seed=args.seed,
-        amplitude=args.amplitude,
-        bandlimit=args.bandlimit,
-        sweep_count=args.sweep_count,
-        path_steps=args.path_steps,
+        **{f.name: getattr(args, f.name) for f in _NUMERIC_FIELDS},
         output_dir=str(args.output) if args.output else None,
     )
     for tag in ("bump1", "bump2"):
-        bump: BumpSpec = getattr(cfg, tag)
-        center = getattr(args, f"{tag}_center")
-        radius = getattr(args, f"{tag}_radius")
-        height = getattr(args, f"{tag}_height")
-        if center is not None or radius is not None or height is not None:
-            bump = BumpSpec(
-                center if center is not None else bump.center,
-                radius if radius is not None else bump.radius,
-                height if height is not None else bump.height,
-            )
-            cfg = cfg.override(**{tag: bump})
+        given = {key: getattr(args, f"{tag}_{key}") for key in ("center", "radius", "height")}
+        bump = replace(getattr(cfg, tag), **{k: v for k, v in given.items() if v is not None})
+        cfg = cfg.override(**{tag: bump})
     return cfg
 
 

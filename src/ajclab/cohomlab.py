@@ -29,9 +29,7 @@ structure.  It is kept at coarse resolution as an independent oracle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -40,8 +38,7 @@ from . import pointlin as pl
 from .hermitian import HermitianTriple, anti_invariant_frame
 from .torusfield import GridSpec, ScalarField, TwoFormField, d_codiff_values, d_twoform
 
-#: self-dual Betti number and total second Betti number of the 4-torus
-B_PLUS = 3
+#: second Betti number of the 4-torus
 B2 = 6
 
 #: principal-angle threshold for subspace comparisons (radians)
@@ -231,12 +228,6 @@ class EllipticReport:
             "symmetry_defect": self.symmetry_defect,
         }
 
-    def save(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2))
-        return path
-
 
 def _real_fourier_basis(grid: GridSpec, kmax: int) -> np.ndarray:
     """Rows are nodal values of an orthonormal real trigonometric basis
@@ -353,15 +344,11 @@ def _null_matrix(report: GramReport) -> np.ndarray:
     return report.null_coords.T  # (3, h)
 
 
-def intersection_dim(
-    J1: HermitianTriple, J2: HermitianTriple, tol_null: float = 1e-7
-) -> int:
+def intersection_dim(r1: GramReport, r2: GramReport) -> int:
     """Dimension of the intersection of the two harmonic anti-invariant
     spaces, counted as principal angles below ANGLE_TOL."""
-    if J1.grid != J2.grid:
-        raise ValueError("grid mismatch")
-    r1 = gram_matrix(J1, tol_null=tol_null)
-    r2 = gram_matrix(J2, tol_null=tol_null)
+    if r1.grid_n != r2.grid_n:
+        raise ValueError(f"grid mismatch: n={r1.grid_n} and n={r2.grid_n}")
     if r1.h_minus == 0 or r2.h_minus == 0:
         return 0
     angles = scipy.linalg.subspace_angles(_null_matrix(r1), _null_matrix(r2))

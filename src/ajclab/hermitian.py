@@ -23,7 +23,9 @@ the rational closed form of :func:`.pointlin.deform_pair` in coordinates.
 The two-stage cut-off pipeline lives here as well: stage 1 deforms along a
 bump-truncated harmonic anti-invariant direction; stage 2 renormalizes
 ``y2 = f1 * y1 + c2 * a`` back to the sphere with
-``f1 = sqrt(1 - c2^2 |a|^2)``.
+``f1 = sqrt(1 - c2^2 |a|^2)``.  Each stage is gated on its bump support
+volume staying below the delta estimate of its input structure, sampled at
+``DELTA_SAMPLES`` sphere points.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from .torusfield import (
 FIELD_TOL = 1e-9
 #: deformation forms are rescaled so their sup wedge norm stays below this
 SUP_NORM_CAP = 0.95
+#: sphere sample count of the delta estimate that gates each cut-off stage
+DELTA_SAMPLES = 64
 
 
 def _worst_node(grid: GridSpec, nodewise: np.ndarray) -> tuple[int, ...]:
@@ -230,56 +234,72 @@ def _capped(a: np.ndarray) -> tuple[np.ndarray, float]:
     return a, 1.0
 
 
+def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, what: str,
+                  eps: float, tol_null: float, t0: float):
+    """The steps both cut-off stages share on ``triple``, whose Gram report
+    is ``report``: returns the first null direction w, the bump values and
+    ``record(report_after, **entries)``, which builds the stage's log record
+    with its own entries between the shared ones.  Raises unless the bump
+    support volume (``what``) is below the delta estimate of ``triple``; as
+    trace G = 4 keeps h_minus <= 2, that estimate always exists.
+    """
+    from . import cohomlab
+
+    w = cohomlab.select_null_form(report)
+    values = bump.build(triple.grid).values
+    support_volume = float(np.mean(values > 0.0))
+    delta = cohomlab.delta_j_estimate(triple, DELTA_SAMPLES, eps, tol_null=tol_null)
+    if not support_volume < delta:
+        raise ValueError(
+            f"{what} {support_volume:.6f} is not below the delta estimate {delta:.6f}"
+        )
+
+    def record(report_after, **entries) -> dict:
+        return {
+            "stage": stage,
+            "bump": bump.to_dict(),
+            "delta_estimate": delta,
+            "support_volume": support_volume,
+            **entries,
+            "h_before": report.h_minus,
+            "h_after": report_after.h_minus,
+            "runtime_ms": 1000.0 * (time.perf_counter() - t0),
+        }
+
+    return w, values, record
+
+
 def one_bump_deform(
     triple: HermitianTriple,
     bump: BumpSpec,
     tol_null: float = 1e-7,
     eps: float = 1e-6,
-    delta_samples: int = 64,
-    log: DeformLog | None = None,
 ) -> tuple[HermitianTriple, DeformLog]:
     """Stage 1 of the cut-off construction.
 
     Picks the most null harmonic anti-invariant direction of the input,
-    truncates it by the bump, and deforms.  When the anti-invariant space is
-    a proper subspace of the self-dual one, the bump support volume must
-    stay below the nodal-volume estimate delta of the input structure.
+    truncates it by the bump, and deforms, once the bump support volume is
+    below the nodal-volume estimate delta of the input structure.
     """
     from . import cohomlab
 
-    if log is None:
-        log = DeformLog()
     t0 = time.perf_counter()
     report = cohomlab.gram_matrix(triple, tol_null=tol_null)
     if report.h_minus < 1:
         raise ValueError("stage 1 needs at least one harmonic anti-invariant direction")
-    w = cohomlab.select_null_form(report)
-    c1 = bump.build(triple.grid)
-    a, factor = _capped(c1.values[..., None] * w)
-    support_volume = float(np.mean(c1.values > 0.0))
-    delta = None
-    if report.h_minus < 3:
-        delta = cohomlab.delta_j_estimate(triple, delta_samples, eps, tol_null=tol_null)
-        if not support_volume < delta:
-            raise ValueError(
-                f"bump support volume {support_volume:.6f} is not below the "
-                f"delta estimate {delta:.6f}"
-            )
+    w, c1, record = _cutoff_stage(
+        triple, report, bump, "cutoff-1", "bump support volume", eps, tol_null, t0
+    )
+    a, factor = _capped(c1[..., None] * w)
     deformed = deform_field(triple, a)
-    report_after = cohomlab.gram_matrix(deformed, tol_null=tol_null)
+    log = DeformLog()
     log.append(
-        {
-            "stage": "cutoff-1",
-            "bump": bump.to_dict(),
-            "delta_estimate": delta,
-            "support_volume": support_volume,
-            "sup_norm": float(np.sqrt(np.max(np.sum(a * a, axis=-1)))),
-            "rescale_factor": factor,
-            "null_direction": [float(v) for v in report.null_coords[0]],
-            "h_before": report.h_minus,
-            "h_after": report_after.h_minus,
-            "runtime_ms": 1000.0 * (time.perf_counter() - t0),
-        }
+        record(
+            cohomlab.gram_matrix(deformed, tol_null=tol_null),
+            sup_norm=float(np.sqrt(np.max(np.sum(a * a, axis=-1)))),
+            rescale_factor=factor,
+            null_direction=[float(v) for v in report.null_coords[0]],
+        )
     )
     return deformed, log
 
@@ -290,7 +310,6 @@ def two_stage_deform(
     bump2: BumpSpec,
     tol_null: float = 1e-7,
     eps: float = 1e-6,
-    delta_samples: int = 64,
 ) -> tuple[HermitianTriple, HermitianTriple, DeformLog]:
     """Both stages of the cut-off construction; returns (stage1, stage2, log).
 
@@ -303,56 +322,40 @@ def two_stage_deform(
     """
     from . import cohomlab
 
-    stage1, log = one_bump_deform(
-        triple, bump1, tol_null=tol_null, eps=eps, delta_samples=delta_samples
-    )
+    stage1, log = one_bump_deform(triple, bump1, tol_null=tol_null, eps=eps)
     t0 = time.perf_counter()
     report1 = cohomlab.gram_matrix(stage1, tol_null=tol_null)
     if report1.h_minus == 0:
         log.append({"stage": "cutoff-2", "skipped": "stage 1 already exhausted the kernel"})
         return stage1, stage1, log
-    w = cohomlab.select_null_form(report1)
+    w, c2, record = _cutoff_stage(
+        stage1, report1, bump2, "cutoff-2", "stage-2 bump support volume", eps, tol_null, t0
+    )
     grid = triple.grid
-    c2 = bump2.build(grid)
-    delta1 = cohomlab.delta_j_estimate(stage1, delta_samples, eps, tol_null=tol_null)
-    support_volume = float(np.mean(c2.values > 0.0))
-    if not support_volume < delta1:
-        raise ValueError(
-            f"stage-2 bump support volume {support_volume:.6f} is not below "
-            f"the delta estimate {delta1:.6f}"
-        )
-    prod_sq = c2.values**2 * float(w @ w)
+    prod_sq = c2**2 * float(w @ w)
     if float(prod_sq.max()) >= 1.0:
         node = _worst_node(grid, prod_sq)
         raise ValueError(
             f"stage-2 normalization fails: |c2 a| >= 1 at node {node}"
         )
     f1 = np.sqrt(1.0 - prod_sq)
-    y2 = f1[..., None] * stage1.y + c2.values[..., None] * w
+    y2 = f1[..., None] * stage1.y + c2[..., None] * w
     stage2 = HermitianTriple(grid, y2)
     # independent route: the same structure as a rational deformation of stage 1
-    alt = deform_field(stage1, (c2.values / (1.0 + f1))[..., None] * w)
+    alt = deform_field(stage1, (c2 / (1.0 + f1))[..., None] * w)
     route_dev = float(np.max(np.abs(alt.y - stage2.y)))
     if route_dev > 1e-9:
         raise pl.ConsistencyError(
             f"normalization and rational deformation routes disagree by {route_dev:.3e}"
         )
-    wedge_resid = float(np.max(np.abs(2.0 * np.sum(y2 * y2, axis=-1) - 2.0)))
-    report2 = cohomlab.gram_matrix(stage2, tol_null=tol_null)
     log.append(
-        {
-            "stage": "cutoff-2",
-            "bump": bump2.to_dict(),
-            "delta_estimate": delta1,
-            "support_volume": support_volume,
-            "sup_norm": float(np.sqrt(np.max(prod_sq))),
-            "null_direction": [float(v) for v in report1.null_coords[0]],
-            "wedge_square_residual": wedge_resid,
-            "route_disagreement": route_dev,
-            "h_before": report1.h_minus,
-            "h_after": report2.h_minus,
-            "runtime_ms": 1000.0 * (time.perf_counter() - t0),
-        }
+        record(
+            cohomlab.gram_matrix(stage2, tol_null=tol_null),
+            sup_norm=float(np.sqrt(np.max(prod_sq))),
+            null_direction=[float(v) for v in report1.null_coords[0]],
+            wedge_square_residual=float(np.max(np.abs(2.0 * np.sum(y2 * y2, axis=-1) - 2.0))),
+            route_disagreement=route_dev,
+        )
     )
     return stage1, stage2, log
 

@@ -149,13 +149,13 @@ def acs_defect(J) -> tuple[float, float]:
     return _amax(J @ J + eye), _amax(np.swapaxes(J, -1, -2) @ J - eye)
 
 
-def require_acs(J, tol: float = ACS_TOL, what: str = "J") -> None:
+def require_acs(J, tol: float = ACS_TOL) -> None:
     """Reject endomorphisms that are not metric-compatible square roots of -Id."""
     sq, orth = acs_defect(J)
     if sq > tol:
-        raise ValueError(f"{what}^2 differs from -Id by {sq:.3e} (tol {tol:.1e})")
+        raise ValueError(f"J^2 differs from -Id by {sq:.3e} (tol {tol:.1e})")
     if orth > tol:
-        raise ValueError(f"{what} is not orthogonal (defect {orth:.3e}, tol {tol:.1e})")
+        raise ValueError(f"J is not orthogonal (defect {orth:.3e}, tol {tol:.1e})")
 
 
 def split_j(J, phi, tol: float = ACS_TOL) -> FormSplit:

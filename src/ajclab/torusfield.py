@@ -92,7 +92,7 @@ class GridSpec:
 
 
 class _FieldBase:
-    """Common plumbing for nodal fields: validation, immutability, arithmetic."""
+    """Common plumbing for nodal fields: validation and immutability."""
 
     NCOMP: tuple[int, ...] = ()
     KIND = ""
@@ -110,40 +110,6 @@ class _FieldBase:
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-
-    def __add__(self, other):
-        self._require_same(other)
-        return type(self)(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        self._require_same(other)
-        return type(self)(self.grid, self.values - other.values)
-
-    def __neg__(self):
-        return type(self)(self.grid, -self.values)
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            if other.grid != self.grid:
-                raise ValueError("grid mismatch")
-            extra = (1,) * len(self.NCOMP)
-            return type(self)(self.grid, self.values * other.values.reshape(other.values.shape + extra))
-        if np.isscalar(other):
-            return type(self)(self.grid, self.values * float(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def component(self, c: int) -> "ScalarField":
-        if not self.NCOMP:
-            raise ValueError("scalar fields have no components")
-        return ScalarField(self.grid, self.values[..., c])
-
-    def _require_same(self, other) -> None:
-        if type(other) is not type(self):
-            raise TypeError(f"expected {type(self).__name__}")
-        if other.grid != self.grid:
-            raise ValueError("grid mismatch")
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))

@@ -1,0 +1,67 @@
+"""Command-line flags and config resolution: defaults < --config file < flags."""
+
+import json
+
+import pytest
+
+from ajclab import cli
+from ajclab.config import DEFAULT_BUMP1, DEFAULT_BUMP2, LabConfig
+from ajclab.hermitian import BumpSpec
+
+FLAGS = [
+    "--help", "--config", "--output", "--grid-n", "--oracle-n", "--tol-null", "--eps-nodal",
+    "--seed", "--amplitude", "--bandlimit", "--sweep-count", "--path-steps",
+    "--bump1-center", "--bump1-radius", "--bump1-height",
+    "--bump2-center", "--bump2-radius", "--bump2-height",
+]
+
+
+def resolve(*argv):
+    return cli.resolve_config(cli.build_parser().parse_args(["baseline", *argv]))
+
+
+def test_flag_names():
+    parser = cli.build_parser()
+    names = [s for action in parser._actions for s in action.option_strings if s != "-h"]
+    assert names == FLAGS
+
+
+def test_no_flags_give_the_defaults():
+    assert resolve() == LabConfig()
+
+
+def test_flags_override_the_file_which_overrides_the_defaults(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid_n": 8, "seed": 5, "tol_null": 1e-6, "output_dir": "file"}))
+    cfg = resolve("--config", str(path), "--seed", "9", "--amplitude", "0.2", "--output", "flag")
+    assert cfg == LabConfig(grid_n=8, seed=9, tol_null=1e-6, amplitude=0.2, output_dir="flag")
+    assert type(cfg.seed) is int and type(cfg.amplitude) is float
+
+
+def test_file_bump_is_overridden_per_entry_by_flags(tmp_path):
+    path = tmp_path / "cfg.json"
+    bump = {"center": [0.25] * 4, "radius": 0.2, "height": 0.4}
+    path.write_text(json.dumps({"bump2": bump}))
+    cfg = resolve("--config", str(path), "--bump2-height", "0.3")
+    assert cfg.bump2 == BumpSpec((0.25,) * 4, 0.2, 0.3)
+    assert cfg.bump1 == DEFAULT_BUMP1
+
+
+def test_unknown_config_key_is_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid_n": 8, "grid_size": 8}))
+    with pytest.raises(ValueError, match=r"unknown config keys: \['grid_size'\]"):
+        resolve("--config", str(path))
+
+
+def test_partial_bump_radius_keeps_center_and_height():
+    cfg = resolve("--bump1-radius", "0.2")
+    assert cfg.bump1 == BumpSpec(DEFAULT_BUMP1.center, 0.2, DEFAULT_BUMP1.height)
+    assert cfg.bump2 == DEFAULT_BUMP2
+
+
+def test_bump_center_needs_four_coordinates(capsys):
+    assert resolve("--bump2-center", "0.1,0.2,0.3,0.4").bump2.center == (0.1, 0.2, 0.3, 0.4)
+    with pytest.raises(SystemExit):
+        resolve("--bump2-center", "0.1,0.2")
+    assert "center needs 4 comma-separated coordinates" in capsys.readouterr().err

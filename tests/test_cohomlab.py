@@ -236,19 +236,26 @@ class TestEllipticAssembly:
 
 class TestIntersection:
     def test_same_structure(self):
-        base = hm.standard_acs(G8)
-        assert cohomlab.intersection_dim(base, base) == 2
+        report = cohomlab.gram_matrix(hm.standard_acs(G8))
+        assert cohomlab.intersection_dim(report, report) == 2
 
     def test_one_bump_bound(self):
         base = hm.standard_acs(G8)
         stage1, _ = hm.one_bump_deform(base, BUMP1)
-        assert cohomlab.intersection_dim(base, stage1) <= 1
+        reports = [cohomlab.gram_matrix(t) for t in (base, stage1)]
+        assert cohomlab.intersection_dim(*reports) <= 1
 
     def test_transverse_constant_forms(self):
-        base = hm.standard_acs(G8)
-        other = constant_triple(G8, [0.0, 1.0, 0.0])
+        base = cohomlab.gram_matrix(hm.standard_acs(G8))
+        other = cohomlab.gram_matrix(constant_triple(G8, [0.0, 1.0, 0.0]))
         # kernels span (omega2, omega3) and (omega1, omega3): intersection omega3
         assert cohomlab.intersection_dim(base, other) == 1
+
+    def test_reports_from_different_grids_are_rejected(self):
+        coarse = cohomlab.gram_matrix(hm.standard_acs(G4))
+        fine = cohomlab.gram_matrix(hm.standard_acs(G8))
+        with pytest.raises(ValueError, match="grid mismatch"):
+            cohomlab.intersection_dim(coarse, fine)
 
     def test_containment_angle(self):
         base_report = cohomlab.gram_matrix(hm.standard_acs(G8))

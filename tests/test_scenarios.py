@@ -29,6 +29,7 @@ def test_default_config_agrees_and_records_the_stage2_refusal():
     report = scenarios.scenario_oracle(LabConfig())
     assert report.passed
     assert report.h_values == {"standard": 2, "stage1": 1, "random": 0}
+    assert report.summaries["random_bandlimit"] == 2
     skipped = [c for c in report.checks if c.skipped]
     assert [c.name for c in skipped] == [STAGE2_CHECK]
     assert "stage-2 bump support volume" in skipped[0].detail
@@ -50,6 +51,16 @@ def test_cli_runs_stage2_where_the_construction_admits_it(tmp_path, capsys):
     assert data["passed"]
     assert data["h_values"] == {"standard": 2, "stage1": 1, "random": 0, "stage2": 1}
     assert STAGE2_CHECK in [c["name"] for c in data["checks"] if not c["skipped"]]
+
+
+def test_cli_oracle_caps_the_random_bandlimit_below_nyquist(tmp_path, capsys):
+    # the default bandlimit 2 does not fit below the Nyquist band of n = 4
+    status = cli.main(["oracle", "--output", str(tmp_path), "--oracle-n", "4"])
+    assert status == 0
+    assert "oracle: PASS (4/4 checks" in capsys.readouterr().out
+    data = json.loads((tmp_path / "oracle.report.json").read_text())
+    assert data["h_values"] == {"standard": 2, "stage1": 1, "random": 0, "stage2": 1}
+    assert data["summaries"]["random_bandlimit"] == 1
 
 
 STAGE1_CHECKS = [

@@ -86,14 +86,6 @@ class TestFieldsBasics:
         with pytest.raises(ValueError):
             f.values[0, 0, 0, 0] = 2.0
 
-    def test_arithmetic(self):
-        f = tf.ScalarField.constant(G8, 2.0)
-        w = tf.TwoFormField.constant(G8, pl.OMEGA2)
-        out = f * w + 0.5 * w
-        np.testing.assert_allclose(out.values[0, 0, 0, 0], 2.5 * pl.OMEGA2)
-        with pytest.raises(ValueError, match="grid"):
-            w + tf.TwoFormField.constant(G16, pl.OMEGA2)
-
 
 class TestDifferentials:
     def test_single_mode_gradient(self):
