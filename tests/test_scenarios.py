@@ -3,6 +3,7 @@ scenario and pointwise battery at the default config."""
 
 import json
 
+import numpy as np
 import pytest
 
 from ajclab import battery, cli, scenarios
@@ -103,7 +104,7 @@ DEFAULT_RUNS = {
     ),
     "path": (
         ["kernel dimension starts at 2", "kernel dimension never exceeds its start value"],
-        None,
+        {f"t_{t:.2f}": 2 if t == 0 else 1 for t in np.linspace(0.0, 0.95, 20)},
         None,
     ),
     "random-sweep": (
@@ -120,10 +121,7 @@ def test_default_config_scenarios(name):
     report = scenarios.SCENARIOS[name](LabConfig())
     assert report.passed
     assert [c.name for c in report.checks] == checks
-    if h_values is not None:
-        assert report.h_values == h_values
-    if name == "path":
-        assert report.summaries["h_path"] == [2] + [1] * 19
+    assert report.h_values == h_values
     logged = report.summaries.get("deform_log")
     assert (None if logged is None else [list(r) for r in logged]) == log_keys
 
