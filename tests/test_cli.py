@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from ajclab import cli
+from ajclab import cli, cohomlab, fieldio, hermitian as hm
 from ajclab.config import DEFAULT_BUMP1, DEFAULT_BUMP2, LabConfig
 from ajclab.hermitian import BumpSpec
 
@@ -65,3 +66,23 @@ def test_bump_center_needs_four_coordinates(capsys):
     with pytest.raises(SystemExit):
         resolve("--bump2-center", "0.1,0.2")
     assert "center needs 4 comma-separated coordinates" in capsys.readouterr().err
+
+
+def test_two_stage_field_files_load_back(tmp_path, capsys):
+    assert cli.main(["two-stage", "--output", str(tmp_path)]) == 0
+    assert "two-stage: PASS" in capsys.readouterr().out
+    report = json.loads((tmp_path / "two-stage.report.json").read_text())
+    sidecars = sorted((tmp_path / "fields").glob("*.json"))
+    assert [p.name for p in sidecars] == ["two-stage.stage1.json", "two-stage.stage2.json"]
+    for sidecar in sidecars:
+        stem = sidecar.name.split(".")[1]
+        triple = hm.load_triple(sidecar)
+        gram = cohomlab.gram_matrix(triple, tol_null=LabConfig().tol_null)
+        assert gram.h_minus == report["h_values"][stem]
+        if stem == "stage2":
+            assert np.array_equal(gram.matrix, report["summaries"]["stage2_gram"]["matrix"])
+        for part in ("J", "F"):
+            generic = tmp_path / f"generic.{part}"
+            fieldio.serialize_field(getattr(triple, part), generic)
+            written = sidecar.with_name(f"two-stage.{stem}.{part}.field").read_bytes()
+            assert written == generic.read_bytes()

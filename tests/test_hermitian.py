@@ -229,6 +229,19 @@ class TestDeformPairAgreement:
         self.assert_agrees(stage2, stage1.J.values, beta @ pl.OMEGA_SD)
 
 
+@pytest.fixture(scope="module")
+def io_triples():
+    """The structures whose files are pinned to the generic field route."""
+    base = hm.standard_acs(G8)
+    stage1, stage2, _ = hm.two_stage_deform(base, BUMP1, BUMP2)
+    return {
+        "standard": base,
+        "random": hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2),
+        "stage1": stage1,
+        "stage2": stage2,
+    }
+
+
 class TestTripleIO:
     def test_save_load_round_trip(self, tmp_path):
         triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
@@ -238,6 +251,32 @@ class TestTripleIO:
         back = hm.load_triple(sidecar)
         assert np.array_equal(back.J.values, triple.J.values)
         assert np.array_equal(back.F.values, triple.F.values)
+
+    @pytest.mark.parametrize("label", ["standard", "random", "stage1", "stage2"])
+    def test_files_match_the_generic_field_route(self, io_triples, label, tmp_path):
+        # the standard structure carries signed zeros in J
+        triple = io_triples[label]
+        sidecar = hm.save_triple(triple, tmp_path, label)
+        fieldio.serialize_field(triple.J, tmp_path / "generic.J")
+        fieldio.serialize_field(triple.F, tmp_path / "generic.F")
+        for part in ("J", "F"):
+            written = (tmp_path / f"{label}.{part}.field").read_bytes()
+            assert written == (tmp_path / f"generic.{part}").read_bytes()
+        back = hm.load_triple(sidecar)
+        assert back.y.tobytes() == triple.y.tobytes()
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [(lambda y: 1.01 * y, "J\\^2"), (lambda y: np.where(y > 0.9, np.nan, y), "non-finite")],
+        ids=["scaled", "nan"],
+    )
+    def test_save_rejects_an_invalid_structure(self, change, match, tmp_path):
+        triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
+        # bypass the validation at construction, as a caller mutating y would
+        object.__setattr__(triple, "y", change(triple.y))
+        with pytest.raises(ValueError, match=match):
+            hm.save_triple(triple, tmp_path, "bad")
+        assert not (tmp_path / "bad.J.field").exists()
 
 
 class TestLoadBoundary:
@@ -251,6 +290,16 @@ class TestLoadBoundary:
         path = sidecar.parent / f"sample.{part}.field"
         field = fieldio.deserialize_field(path)
         fieldio.serialize_field(type(field)(field.grid, change(field.values)), path)
+
+    @staticmethod
+    def tamper_payload(sidecar, part, change):
+        """Edit the raw (component, node) payload, bypassing field validation."""
+        path = sidecar.parent / f"sample.{part}.field"
+        raw = path.read_bytes()
+        body = raw.find(b"\n") + 1
+        payload = np.frombuffer(raw, dtype="<f8", offset=body).reshape(-1, G8.node_count).copy()
+        change(payload)
+        path.write_bytes(raw[:body] + payload.tobytes())
 
     def test_rejects_scaled_form(self, sidecar):
         self.tamper(sidecar, "F", lambda F: 1.01 * F)
@@ -271,6 +320,37 @@ class TestLoadBoundary:
 
         self.tamper(sidecar, "J", flip)
         with pytest.raises(ValueError, match=r"J file differs .* at node \(2, 3, 4, 5\)"):
+            hm.load_triple(sidecar)
+
+    def test_rejects_nan_in_the_j_file(self, sidecar):
+        def poison(payload):
+            payload[5, 1234] = np.nan
+
+        self.tamper_payload(sidecar, "J", poison)
+        with pytest.raises(ValueError, match="non-finite"):
+            hm.load_triple(sidecar)
+
+    def test_rejects_a_diagonal_entry_changed_at_one_node(self, sidecar):
+        def nudge(J):
+            J = np.array(J)
+            J[3, 1, 4, 1, 2, 2] += 1e-8
+            return J
+
+        self.tamper(sidecar, "J", nudge)
+        with pytest.raises(ValueError, match=r"J file differs .* at node \(3, 1, 4, 1\)"):
+            hm.load_triple(sidecar)
+
+    def test_rejects_a_form_file_in_the_j_slot(self, sidecar):
+        (sidecar.parent / "sample.J.field").write_bytes(
+            (sidecar.parent / "sample.F.field").read_bytes()
+        )
+        with pytest.raises(fieldio.FieldFormatError, match="expected an endo J file"):
+            hm.load_triple(sidecar)
+
+    def test_rejects_a_truncated_j_file(self, sidecar):
+        path = sidecar.parent / "sample.J.field"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(fieldio.FieldFormatError, match="payload"):
             hm.load_triple(sidecar)
 
     def test_accepts_files_written_node_by_node(self, tmp_path):
