@@ -189,17 +189,32 @@ def delta_j_estimate(
 ) -> float:
     """Estimated infimum of :func:`v_measure` over the cup-normalized sphere
     in the span of the non-null Gram directions (deterministic sampling)."""
+    return _delta_j_estimate(triple, gram_matrix(triple, tol_null=tol_null), samples, eps)
+
+
+def _delta_j_estimate(triple: HermitianTriple, report: GramReport, samples: int,
+                      eps: float) -> float:
+    """:func:`delta_j_estimate` for a structure whose Gram report the caller
+    holds.  Each sampled direction takes one pass over the nodes: the
+    :func:`f_omega` values (bit for bit), their finiteness check, and the
+    :func:`v_measure` count on their absolute values, taken in place."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    report = gram_matrix(triple, tol_null=tol_null)
     l = 3 - report.h_minus
     if l == 0:
         raise ValueError("every harmonic self-dual direction is anti-invariant; the sphere is empty")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     basis = _span_basis(report.eigenvectors, report.h_minus)
     best = 1.0
     for c in _sphere_samples(l, samples):
         w = (c @ basis) / np.sqrt(2.0)  # wedge integral 1
-        best = min(best, v_measure(triple, w, eps))
+        f = 2.0 * (triple.y @ w)
+        if not np.all(np.isfinite(f)):
+            raise ValueError("f_omega has non-finite values")
+        np.abs(f, out=f)
+        cut = eps * max(1.0, float(f.max()))
+        best = min(best, np.count_nonzero(f > cut) / f.size)
     return best
 
 

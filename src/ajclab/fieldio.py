@@ -6,6 +6,13 @@ by the node values as 64-bit IEEE-754 little-endian floats,
 components-major (component index slowest) with x4 the fastest axis.
 Endomorphism components are the 16 matrix entries in row-major order.
 The file must end exactly after the payload.
+
+Both directions go through one core that sees the payload as it lies in
+the file, an ``(ncomp, N)`` array of N = n^4 nodes: :func:`_write_payload`
+and :func:`_read_payload`.  :func:`serialize_field` and
+:func:`deserialize_field` wrap it for nodal fields; callers that derive
+their components row by row (:func:`.hermitian.save_triple`,
+:func:`.hermitian.load_triple`) use it directly.
 """
 
 from __future__ import annotations
@@ -38,21 +45,24 @@ class FieldFormatError(ValueError):
     """Raised for malformed or mismatching field files."""
 
 
-def serialize_field(field, path) -> None:
-    """Write a field to ``path`` in the documented binary format."""
-    path = Path(path)
-    n = field.grid.n
-    ncomp = int(np.prod(field.NCOMP)) if field.NCOMP else 1
-    # components-major: move the flattened component axis to the front
-    payload = field.values.reshape(field.grid.shape + (ncomp,))
-    payload = np.moveaxis(payload, -1, 0)
+def _ncomp(cls) -> int:
+    return int(np.prod(cls.NCOMP)) if cls.NCOMP else 1
+
+
+def _write_payload(path, kind: str, n: int, payload: np.ndarray) -> None:
+    """Write the header and an ``(ncomp, N)`` component-major payload; a
+    contiguous little-endian payload goes to the file through the buffer
+    protocol, without an intermediate bytes copy."""
+    payload = np.ascontiguousarray(payload, dtype="<f8")
     with open(path, "wb") as fh:
-        fh.write(f"{MAGIC} {field.KIND} {n}\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+        fh.write(f"{MAGIC} {kind} {n}\n".encode("ascii"))
+        fh.write(payload)
 
 
-def deserialize_field(path, expect_grid: GridSpec | None = None):
-    """Read a field file back; optionally enforce the expected grid."""
+def _read_payload(path, expect_grid: GridSpec | None = None):
+    """Read a field file as ``(kind, grid, payload)`` with the ``(ncomp, N)``
+    component-major payload a read-only view of the file's bytes; checks the
+    header, the grid and the payload size, not the values."""
     path = Path(path)
     raw = path.read_bytes()
     nl = raw.find(b"\n")
@@ -81,13 +91,26 @@ def deserialize_field(path, expect_grid: GridSpec | None = None):
         raise FieldFormatError(f"{path}: {exc}") from exc
     if expect_grid is not None and grid != expect_grid:
         raise FieldFormatError(f"{path}: grid n={n}, expected n={expect_grid.n}")
-    ncomp = int(np.prod(cls.NCOMP)) if cls.NCOMP else 1
-    body = raw[nl + 1 :]
+    ncomp = _ncomp(cls)
     expected_bytes = 8 * ncomp * grid.node_count
-    if len(body) != expected_bytes:
+    body_bytes = len(raw) - (nl + 1)
+    if body_bytes != expected_bytes:
         raise FieldFormatError(
-            f"{path}: payload has {len(body)} bytes, expected {expected_bytes}"
+            f"{path}: payload has {body_bytes} bytes, expected {expected_bytes}"
         )
-    flat = np.frombuffer(body, dtype="<f8").reshape((ncomp,) + grid.shape)
-    values = np.moveaxis(flat, 0, -1).reshape(grid.shape + cls.NCOMP)
-    return cls(grid, values)
+    payload = np.frombuffer(raw, dtype="<f8", offset=nl + 1).reshape(ncomp, grid.node_count)
+    return kind, grid, payload
+
+
+def serialize_field(field, path) -> None:
+    """Write a field to ``path`` in the documented binary format."""
+    grid = field.grid
+    rows = field.values.reshape(grid.node_count, _ncomp(field))
+    _write_payload(path, field.KIND, grid.n, rows.T)
+
+
+def deserialize_field(path, expect_grid: GridSpec | None = None):
+    """Read a field file back; optionally enforce the expected grid."""
+    kind, grid, payload = _read_payload(path, expect_grid)
+    cls = _KIND_TO_CLS[kind]
+    return cls(grid, payload.T.reshape(grid.shape + cls.NCOMP))

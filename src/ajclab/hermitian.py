@@ -52,6 +52,9 @@ FIELD_TOL = 1e-9
 SUP_NORM_CAP = 0.95
 #: sphere sample count of the delta estimate that gates each cut-off stage
 DELTA_SAMPLES = 64
+#: nodes per chunk of the J^2 = -Id and J^T J = Id check in save_triple;
+#: one chunk's 4x4 products stay cache-sized
+_ACS_CHUNK = 4096
 
 
 def _worst_node(grid: GridSpec, nodewise: np.ndarray) -> tuple[int, ...]:
@@ -235,7 +238,7 @@ def _capped(a: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, what: str,
-                  eps: float, tol_null: float, t0: float):
+                  eps: float, t0: float):
     """The steps both cut-off stages share on ``triple``, whose Gram report
     is ``report``: returns the first null direction w, the bump values and
     ``record(report_after, **entries)``, which builds the stage's log record
@@ -248,7 +251,7 @@ def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, w
     w = cohomlab.select_null_form(report)
     values = bump.build(triple.grid).values
     support_volume = float(np.mean(values > 0.0))
-    delta = cohomlab.delta_j_estimate(triple, DELTA_SAMPLES, eps, tol_null=tol_null)
+    delta = cohomlab._delta_j_estimate(triple, report, DELTA_SAMPLES, eps)
     if not support_volume < delta:
         raise ValueError(
             f"{what} {support_volume:.6f} is not below the delta estimate {delta:.6f}"
@@ -269,6 +272,32 @@ def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, w
     return w, values, record
 
 
+def _first_stage(triple: HermitianTriple, bump: BumpSpec, tol_null: float, eps: float):
+    """:func:`one_bump_deform`, also returning the Gram report of its result."""
+    from . import cohomlab
+
+    t0 = time.perf_counter()
+    report = cohomlab.gram_matrix(triple, tol_null=tol_null)
+    if report.h_minus < 1:
+        raise ValueError("stage 1 needs at least one harmonic anti-invariant direction")
+    w, c1, record = _cutoff_stage(
+        triple, report, bump, "cutoff-1", "bump support volume", eps, t0
+    )
+    a, factor = _capped(c1[..., None] * w)
+    deformed = deform_field(triple, a)
+    report_after = cohomlab.gram_matrix(deformed, tol_null=tol_null)
+    log = DeformLog()
+    log.append(
+        record(
+            report_after,
+            sup_norm=float(np.sqrt(np.max(np.sum(a * a, axis=-1)))),
+            rescale_factor=factor,
+            null_direction=[float(v) for v in report.null_coords[0]],
+        )
+    )
+    return deformed, log, report_after
+
+
 def one_bump_deform(
     triple: HermitianTriple,
     bump: BumpSpec,
@@ -281,57 +310,25 @@ def one_bump_deform(
     truncates it by the bump, and deforms, once the bump support volume is
     below the nodal-volume estimate delta of the input structure.
     """
-    from . import cohomlab
-
-    t0 = time.perf_counter()
-    report = cohomlab.gram_matrix(triple, tol_null=tol_null)
-    if report.h_minus < 1:
-        raise ValueError("stage 1 needs at least one harmonic anti-invariant direction")
-    w, c1, record = _cutoff_stage(
-        triple, report, bump, "cutoff-1", "bump support volume", eps, tol_null, t0
-    )
-    a, factor = _capped(c1[..., None] * w)
-    deformed = deform_field(triple, a)
-    log = DeformLog()
-    log.append(
-        record(
-            cohomlab.gram_matrix(deformed, tol_null=tol_null),
-            sup_norm=float(np.sqrt(np.max(np.sum(a * a, axis=-1)))),
-            rescale_factor=factor,
-            null_direction=[float(v) for v in report.null_coords[0]],
-        )
-    )
+    deformed, log, _ = _first_stage(triple, bump, tol_null, eps)
     return deformed, log
 
 
-def two_stage_deform(
-    triple: HermitianTriple,
-    bump1: BumpSpec,
-    bump2: BumpSpec,
-    tol_null: float = 1e-7,
-    eps: float = 1e-6,
-) -> tuple[HermitianTriple, HermitianTriple, DeformLog]:
-    """Both stages of the cut-off construction; returns (stage1, stage2, log).
-
-    Stage 2 takes the surviving null direction a of the stage-1 structure,
-    checks the bump support volume against the stage-1 delta estimate, and
-    renormalizes y2 = f1 y1 + c2 a with f1 = sqrt(1 - c2^2 |a|^2), which
-    keeps |y2| = 1 because a is orthogonal to y1 at every node.  The result
-    is cross-checked against the rational deformation route with
-    beta = c2 a / (1 + f1).
-    """
+def _second_stage(stage1: HermitianTriple, report1, bump: BumpSpec, log: DeformLog,
+                  tol_null: float, eps: float) -> HermitianTriple:
+    """Stage 2 of the cut-off construction on ``stage1``, whose Gram report
+    is ``report1``; appends its record to ``log`` and returns the stage-2
+    structure (``stage1`` itself when its kernel is already exhausted)."""
     from . import cohomlab
 
-    stage1, log = one_bump_deform(triple, bump1, tol_null=tol_null, eps=eps)
     t0 = time.perf_counter()
-    report1 = cohomlab.gram_matrix(stage1, tol_null=tol_null)
     if report1.h_minus == 0:
         log.append({"stage": "cutoff-2", "skipped": "stage 1 already exhausted the kernel"})
-        return stage1, stage1, log
+        return stage1
     w, c2, record = _cutoff_stage(
-        stage1, report1, bump2, "cutoff-2", "stage-2 bump support volume", eps, tol_null, t0
+        stage1, report1, bump, "cutoff-2", "stage-2 bump support volume", eps, t0
     )
-    grid = triple.grid
+    grid = stage1.grid
     prod_sq = c2**2 * float(w @ w)
     if float(prod_sq.max()) >= 1.0:
         node = _worst_node(grid, prod_sq)
@@ -357,24 +354,85 @@ def two_stage_deform(
             route_disagreement=route_dev,
         )
     )
-    return stage1, stage2, log
+    return stage2
+
+
+def two_stage_deform(
+    triple: HermitianTriple,
+    bump1: BumpSpec,
+    bump2: BumpSpec,
+    tol_null: float = 1e-7,
+    eps: float = 1e-6,
+) -> tuple[HermitianTriple, HermitianTriple, DeformLog]:
+    """Both stages of the cut-off construction; returns (stage1, stage2, log).
+
+    Stage 2 takes the surviving null direction a of the stage-1 structure,
+    checks the bump support volume against the stage-1 delta estimate, and
+    renormalizes y2 = f1 y1 + c2 a with f1 = sqrt(1 - c2^2 |a|^2), which
+    keeps |y2| = 1 because a is orthogonal to y1 at every node.  The result
+    is cross-checked against the rational deformation route with
+    beta = c2 a / (1 + f1).  The Gram matrix of each of the three
+    structures is computed once.
+    """
+    stage1, log, report1 = _first_stage(triple, bump1, tol_null, eps)
+    return stage1, _second_stage(stage1, report1, bump2, log, tol_null, eps), log
+
+
+def _j_rows(F_rows: np.ndarray):
+    """The 16 row-major entries of J = sum_k y_k J_k as rows of node values,
+    from the ``(6, N)`` rows of its fundamental form: J[j, i] = F_c and
+    J[i, j] = -F_c for (i, j) = PAIRS[c], +0.0 on the diagonal.  These are
+    the values of :func:`.pointlin.acs_from_coords` to the bit, signed
+    zeros included."""
+    zero = np.zeros(F_rows.shape[1])
+    for r in range(4):
+        for s in range(4):
+            if r == s:
+                yield zero
+            elif r > s:
+                yield F_rows[pl.PAIRS.index((s, r))]
+            else:
+                yield np.negative(F_rows[pl.PAIRS.index((r, s))])
+
+
+def _form_rows(triple: HermitianTriple) -> np.ndarray:
+    """The fundamental form of ``triple`` as ``(6, N)`` component rows."""
+    F = triple.y @ pl.OMEGA_SD
+    return np.ascontiguousarray(F.reshape(-1, 6).T)
 
 
 def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | None = None,
                 log: DeformLog | None = None) -> Path:
     """Write J (endo kind) and F (twoform kind) field files plus a JSON
-    sidecar with construction parameters and the deformation log.  Both
-    field files are derived from y when saving."""
+    sidecar with construction parameters and the deformation log.
+
+    Both payloads are derived from y in the file's component-major layout,
+    J's 16 rows from F's 6, with no 4x4 field built.  Before any file is
+    opened, F is checked finite and J finite with J^2 = -Id and J^T J = Id
+    within FIELD_TOL (:func:`.pointlin.require_acs`, over node chunks of
+    ``_ACS_CHUNK``); the files are byte-identical to
+    :func:`.fieldio.serialize_field` of ``triple.J`` and ``triple.F``."""
     import json
 
-    from .fieldio import serialize_field
+    from .fieldio import _write_payload
 
+    F = _form_rows(triple)
+    if not np.all(np.isfinite(F)):
+        raise ValueError("F has non-finite values")
+    J = np.empty((16, F.shape[1]))
+    for row, values in zip(J, _j_rows(F)):
+        row[...] = values
+    for lo in range(0, J.shape[1], _ACS_CHUNK):
+        chunk = J[:, lo : lo + _ACS_CHUNK]
+        if not np.all(np.isfinite(chunk)):
+            raise ValueError("J has non-finite values")
+        pl.require_acs(chunk.T.reshape(-1, 4, 4), tol=FIELD_TOL)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     j_name = f"{stem}.J.field"
     f_name = f"{stem}.F.field"
-    serialize_field(triple.J, directory / j_name)
-    serialize_field(triple.F, directory / f_name)
+    _write_payload(directory / j_name, EndoField.KIND, triple.grid.n, J)
+    _write_payload(directory / f_name, TwoFormField.KIND, triple.grid.n, F)
     sidecar = {
         "format": 1,
         "grid_n": triple.grid.n,
@@ -390,23 +448,33 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
 def load_triple(sidecar_path) -> HermitianTriple:
     """Read a triple written by :func:`save_triple`.
 
-    y is rebuilt from the F file, which must be self-dual and
-    wedge-normalized; the J file must match the structure derived from y
-    within FIELD_TOL at every node.
+    Both files must pass the format checks of :mod:`.fieldio` (header,
+    kind, grid, payload size) and hold finite values.  y is rebuilt from
+    the F file by :func:`triple_from_form_field`, which checks that the
+    form is self-dual and that |y| = 1.  The J file is read as its payload
+    rows and must match the rows derived from y within FIELD_TOL at every
+    node; a failed check names the worst node.
     """
     import json
 
-    from .fieldio import FieldFormatError, deserialize_field
+    from .fieldio import FieldFormatError, _read_payload, deserialize_field
 
     sidecar_path = Path(sidecar_path)
     meta = json.loads(sidecar_path.read_text())
     grid = GridSpec(int(meta["grid_n"]))
-    j_field = deserialize_field(sidecar_path.parent / meta["files"]["J"], expect_grid=grid)
+    j_path = sidecar_path.parent / meta["files"]["J"]
+    j_kind, _, j_rows = _read_payload(j_path, expect_grid=grid)
+    if not np.all(np.isfinite(j_rows)):
+        raise ValueError(f"{j_path}: J file has non-finite values")
     f_field = deserialize_field(sidecar_path.parent / meta["files"]["F"], expect_grid=grid)
-    if not isinstance(j_field, EndoField) or not isinstance(f_field, TwoFormField):
+    if j_kind != EndoField.KIND or not isinstance(f_field, TwoFormField):
         raise FieldFormatError(f"{sidecar_path}: expected an endo J file and a twoform F file")
     triple = triple_from_form_field(f_field)
-    dev = np.max(np.abs(j_field.values - pl.acs_from_coords(triple.y)), axis=(-2, -1))
+    dev = np.zeros(grid.node_count)
+    diff = np.empty_like(dev)
+    for stored, derived in zip(j_rows, _j_rows(_form_rows(triple))):
+        np.abs(np.subtract(stored, derived, out=diff), out=diff)
+        np.maximum(dev, diff, out=dev)
     if float(dev.max()) > FIELD_TOL:
         raise ValueError(
             f"J file differs from the structure of the F file by {float(dev.max()):.3e} "

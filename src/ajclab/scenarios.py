@@ -154,7 +154,7 @@ def scenario_oracle(cfg: LabConfig) -> ScenarioReport:
     report.summaries["random_bandlimit"] = bandlimit
     with report.timed("build"):
         base = hm.standard_acs(grid)
-        stage1, _ = hm.one_bump_deform(
+        stage1, log = hm.one_bump_deform(
             base, cfg.bump1, tol_null=cfg.tol_null, eps=cfg.eps_nodal
         )
         structures = {
@@ -163,8 +163,9 @@ def scenario_oracle(cfg: LabConfig) -> ScenarioReport:
             "random": hm.random_compatible_acs(grid, cfg.seed, cfg.amplitude, bandlimit),
         }
         try:
-            _, structures["stage2"], _ = hm.two_stage_deform(
-                base, cfg.bump1, cfg.bump2, tol_null=cfg.tol_null, eps=cfg.eps_nodal
+            structures["stage2"] = hm._second_stage(
+                stage1, cohomlab.gram_matrix(stage1, tol_null=cfg.tol_null), cfg.bump2, log,
+                cfg.tol_null, cfg.eps_nodal,
             )
         except ValueError as exc:
             report.skip("stage2: elliptic kernel dimension equals Gram h_minus",

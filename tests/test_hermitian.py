@@ -179,6 +179,33 @@ class TestTwoStage:
         assert stages == ["cutoff-1", "cutoff-2"]
         assert log.to_list()[1]["wedge_square_residual"] <= 1e-9
 
+    def test_gram_matrix_once_per_structure(self, monkeypatch):
+        calls = []
+        gram_matrix = cohomlab.gram_matrix
+
+        def counted(triple, **kwargs):
+            calls.append(triple)
+            return gram_matrix(triple, **kwargs)
+
+        base = hm.standard_acs(G8)
+        monkeypatch.setattr(cohomlab, "gram_matrix", counted)
+        stage1, stage2, log = hm.two_stage_deform(base, BUMP1, BUMP2)
+        assert [id(t) for t in calls] == [id(base), id(stage1), id(stage2)]
+        monkeypatch.undo()
+
+        # the log is the one the public routes give
+        def untimed(record):
+            return {k: v for k, v in record.items() if k != "runtime_ms"}
+
+        record1, record2 = log.to_list()
+        assert untimed(record1) == untimed(hm.one_bump_deform(base, BUMP1)[1].to_list()[0])
+        for record, triple in ((record1, base), (record2, stage1)):
+            assert record["delta_estimate"] == cohomlab.delta_j_estimate(
+                triple, hm.DELTA_SAMPLES, 1e-6
+            )
+            assert record["h_before"] == cohomlab.gram_matrix(triple).h_minus
+        assert record2["h_after"] == cohomlab.gram_matrix(stage2).h_minus
+
     def test_stage1_unchanged_off_support(self):
         base = hm.standard_acs(G8)
         stage1, _ = hm.one_bump_deform(base, BUMP1)

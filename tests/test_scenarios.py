@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ajclab import battery, cli, scenarios
+from ajclab import battery, cli, hermitian as hm, scenarios
 from ajclab.config import LabConfig
 from ajclab.reporting import ScenarioReport
 
@@ -26,8 +26,17 @@ def test_skipped_check_does_not_fail_a_report():
     assert not report.passed
 
 
-def test_default_config_agrees_and_records_the_stage2_refusal():
+def test_default_config_agrees_and_records_the_stage2_refusal(monkeypatch):
+    calls = []
+    one_bump_deform = hm.one_bump_deform
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return one_bump_deform(*args, **kwargs)
+
+    monkeypatch.setattr(hm, "one_bump_deform", counted)
     report = scenarios.scenario_oracle(LabConfig())
+    assert len(calls) == 1  # stage 2 is built on the one stage-1 structure
     assert report.passed
     assert report.h_values == {"standard": 2, "stage1": 1, "random": 0}
     assert report.summaries["random_bandlimit"] == 2
