@@ -140,12 +140,17 @@ def select_null_form(report: GramReport) -> np.ndarray:
 def v_measure(triple: HermitianTriple, w, eps: float) -> float:
     """Volume fraction where <omega, F> is resolvably nonzero for the
     constant form omega = sum_k w_k omega_k: the fraction of nodes with |f|
-    above eps * max(1, sup|f|)."""
+    above eps * max(1, sup|f|).  One pass over the nodes: the
+    :func:`f_omega` values (bit for bit), their finiteness check, and the
+    count on their absolute values, taken in place."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    f = f_omega(triple, w)
-    cut = eps * max(1.0, f.max_abs())
-    return float(np.mean(np.abs(f.values) > cut))
+    f = 2.0 * (triple.y @ np.asarray(w, float))
+    if not np.all(np.isfinite(f)):
+        raise ValueError("f_omega has non-finite values")
+    np.abs(f, out=f)
+    cut = eps * max(1.0, float(f.max()))
+    return np.count_nonzero(f > cut) / f.size
 
 
 def _sphere_samples(dim: int, samples: int) -> np.ndarray:
@@ -195,26 +200,17 @@ def delta_j_estimate(
 def _delta_j_estimate(triple: HermitianTriple, report: GramReport, samples: int,
                       eps: float) -> float:
     """:func:`delta_j_estimate` for a structure whose Gram report the caller
-    holds.  Each sampled direction takes one pass over the nodes: the
-    :func:`f_omega` values (bit for bit), their finiteness check, and the
-    :func:`v_measure` count on their absolute values, taken in place."""
+    holds."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     l = 3 - report.h_minus
     if l == 0:
         raise ValueError("every harmonic self-dual direction is anti-invariant; the sphere is empty")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     basis = _span_basis(report.eigenvectors, report.h_minus)
     best = 1.0
     for c in _sphere_samples(l, samples):
         w = (c @ basis) / np.sqrt(2.0)  # wedge integral 1
-        f = 2.0 * (triple.y @ w)
-        if not np.all(np.isfinite(f)):
-            raise ValueError("f_omega has non-finite values")
-        np.abs(f, out=f)
-        cut = eps * max(1.0, float(f.max()))
-        best = min(best, np.count_nonzero(f > cut) / f.size)
+        best = min(best, v_measure(triple, w, eps))
     return best
 
 

@@ -52,8 +52,8 @@ FIELD_TOL = 1e-9
 SUP_NORM_CAP = 0.95
 #: sphere sample count of the delta estimate that gates each cut-off stage
 DELTA_SAMPLES = 64
-#: nodes per chunk of the J^2 = -Id and J^T J = Id check in save_triple;
-#: one chunk's 4x4 products stay cache-sized
+#: nodes per chunk of the J built and checked by save_triple and compared
+#: by load_triple; one chunk's 4x4 products stay cache-sized
 _ACS_CHUNK = 4096
 
 
@@ -378,55 +378,32 @@ def two_stage_deform(
     return stage1, _second_stage(stage1, report1, bump2, log, tol_null, eps), log
 
 
-def _j_rows(F_rows: np.ndarray):
-    """The 16 row-major entries of J = sum_k y_k J_k as rows of node values,
-    from the ``(6, N)`` rows of its fundamental form: J[j, i] = F_c and
-    J[i, j] = -F_c for (i, j) = PAIRS[c], +0.0 on the diagonal.  These are
-    the values of :func:`.pointlin.acs_from_coords` to the bit, signed
-    zeros included."""
-    zero = np.zeros(F_rows.shape[1])
-    for r in range(4):
-        for s in range(4):
-            if r == s:
-                yield zero
-            elif r > s:
-                yield F_rows[pl.PAIRS.index((s, r))]
-            else:
-                yield np.negative(F_rows[pl.PAIRS.index((r, s))])
-
-
-def _form_rows(triple: HermitianTriple) -> np.ndarray:
-    """The fundamental form of ``triple`` as ``(6, N)`` component rows."""
-    F = triple.y @ pl.OMEGA_SD
-    return np.ascontiguousarray(F.reshape(-1, 6).T)
-
-
 def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | None = None,
                 log: DeformLog | None = None) -> Path:
     """Write J (endo kind) and F (twoform kind) field files plus a JSON
     sidecar with construction parameters and the deformation log.
 
-    Both payloads are derived from y in the file's component-major layout,
-    J's 16 rows from F's 6, with no 4x4 field built.  Before any file is
-    opened, F is checked finite and J finite with J^2 = -Id and J^T J = Id
-    within FIELD_TOL (:func:`.pointlin.require_acs`, over node chunks of
-    ``_ACS_CHUNK``); the files are byte-identical to
-    :func:`.fieldio.serialize_field` of ``triple.J`` and ``triple.F``."""
+    Both payloads are written in the file's component-major layout, with
+    no J field of the whole grid built.  Before any file is opened, F is
+    checked finite (J's entries are F's, negated or zero), and J is built
+    by :func:`.pointlin.acs_from_coords` over node chunks of
+    ``_ACS_CHUNK`` and checked there for J^2 = -Id and J^T J = Id within
+    FIELD_TOL (:func:`.pointlin.require_acs`); the files are
+    byte-identical to :func:`.fieldio.serialize_field` of ``triple.J`` and
+    ``triple.F``."""
     import json
 
     from .fieldio import _write_payload
 
-    F = _form_rows(triple)
+    F = np.ascontiguousarray((triple.y @ pl.OMEGA_SD).reshape(-1, 6).T)
     if not np.all(np.isfinite(F)):
         raise ValueError("F has non-finite values")
-    J = np.empty((16, F.shape[1]))
-    for row, values in zip(J, _j_rows(F)):
-        row[...] = values
-    for lo in range(0, J.shape[1], _ACS_CHUNK):
-        chunk = J[:, lo : lo + _ACS_CHUNK]
-        if not np.all(np.isfinite(chunk)):
-            raise ValueError("J has non-finite values")
-        pl.require_acs(chunk.T.reshape(-1, 4, 4), tol=FIELD_TOL)
+    ys = triple.y.reshape(-1, 3)
+    J = np.empty((16, ys.shape[0]))
+    for lo in range(0, ys.shape[0], _ACS_CHUNK):
+        chunk = pl.acs_from_coords(ys[lo : lo + _ACS_CHUNK])
+        pl.require_acs(chunk, tol=FIELD_TOL)
+        J[:, lo : lo + _ACS_CHUNK] = chunk.reshape(-1, 16).T
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     j_name = f"{stem}.J.field"
@@ -452,8 +429,9 @@ def load_triple(sidecar_path) -> HermitianTriple:
     kind, grid, payload size) and hold finite values.  y is rebuilt from
     the F file by :func:`triple_from_form_field`, which checks that the
     form is self-dual and that |y| = 1.  The J file is read as its payload
-    rows and must match the rows derived from y within FIELD_TOL at every
-    node; a failed check names the worst node.
+    rows and must match :func:`.pointlin.acs_from_coords` of y, taken over
+    node chunks of ``_ACS_CHUNK``, within FIELD_TOL at every node; a failed
+    check names the worst node.
     """
     import json
 
@@ -470,11 +448,12 @@ def load_triple(sidecar_path) -> HermitianTriple:
     if j_kind != EndoField.KIND or not isinstance(f_field, TwoFormField):
         raise FieldFormatError(f"{sidecar_path}: expected an endo J file and a twoform F file")
     triple = triple_from_form_field(f_field)
-    dev = np.zeros(grid.node_count)
-    diff = np.empty_like(dev)
-    for stored, derived in zip(j_rows, _j_rows(_form_rows(triple))):
-        np.abs(np.subtract(stored, derived, out=diff), out=diff)
-        np.maximum(dev, diff, out=dev)
+    ys = triple.y.reshape(-1, 3)
+    dev = np.empty(grid.node_count)
+    for lo in range(0, grid.node_count, _ACS_CHUNK):
+        derived = pl.acs_from_coords(ys[lo : lo + _ACS_CHUNK]).reshape(-1, 16)
+        diff = np.abs(j_rows[:, lo : lo + _ACS_CHUNK].T - derived)
+        dev[lo : lo + _ACS_CHUNK] = diff.max(axis=1)
     if float(dev.max()) > FIELD_TOL:
         raise ValueError(
             f"J file differs from the structure of the F file by {float(dev.max()):.3e} "

@@ -79,9 +79,7 @@ def scenario_one_bump(cfg: LabConfig) -> ScenarioReport:
         base = hm.standard_acs(grid)
         base_gram = cohomlab.gram_matrix(base, tol_null=cfg.tol_null)
     with report.timed("stage1"):
-        stage1, log = hm.one_bump_deform(
-            base, cfg.bump1, tol_null=cfg.tol_null, eps=cfg.eps_nodal
-        )
+        stage1, log, report1 = hm._first_stage(base, cfg.bump1, cfg.tol_null, cfg.eps_nodal)
         stage1_gram = cohomlab.gram_matrix(stage1, tol_null=cfg.tol_null)
     report.h_values["standard"] = base_gram.h_minus
     report.h_values["stage1"] = stage1_gram.h_minus
@@ -154,9 +152,7 @@ def scenario_oracle(cfg: LabConfig) -> ScenarioReport:
     report.summaries["random_bandlimit"] = bandlimit
     with report.timed("build"):
         base = hm.standard_acs(grid)
-        stage1, log = hm.one_bump_deform(
-            base, cfg.bump1, tol_null=cfg.tol_null, eps=cfg.eps_nodal
-        )
+        stage1, log, report1 = hm._first_stage(base, cfg.bump1, cfg.tol_null, cfg.eps_nodal)
         structures = {
             "standard": base,
             "stage1": stage1,
@@ -164,8 +160,7 @@ def scenario_oracle(cfg: LabConfig) -> ScenarioReport:
         }
         try:
             structures["stage2"] = hm._second_stage(
-                stage1, cohomlab.gram_matrix(stage1, tol_null=cfg.tol_null), cfg.bump2, log,
-                cfg.tol_null, cfg.eps_nodal,
+                stage1, report1, cfg.bump2, log, cfg.tol_null, cfg.eps_nodal
             )
         except ValueError as exc:
             report.skip("stage2: elliptic kernel dimension equals Gram h_minus",

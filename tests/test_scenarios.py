@@ -28,13 +28,13 @@ def test_skipped_check_does_not_fail_a_report():
 
 def test_default_config_agrees_and_records_the_stage2_refusal(monkeypatch):
     calls = []
-    one_bump_deform = hm.one_bump_deform
+    first_stage = hm._first_stage
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return one_bump_deform(*args, **kwargs)
+        return first_stage(*args, **kwargs)
 
-    monkeypatch.setattr(hm, "one_bump_deform", counted)
+    monkeypatch.setattr(hm, "_first_stage", counted)
     report = scenarios.scenario_oracle(LabConfig())
     assert len(calls) == 1  # stage 2 is built on the one stage-1 structure
     assert report.passed
