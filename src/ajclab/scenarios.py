@@ -79,7 +79,9 @@ def scenario_one_bump(cfg: LabConfig) -> ScenarioReport:
         base = hm.standard_acs(grid)
         base_gram = cohomlab.gram_matrix(base, tol_null=cfg.tol_null)
     with report.timed("stage1"):
-        stage1, log, report1 = hm._first_stage(base, cfg.bump1, cfg.tol_null, cfg.eps_nodal)
+        stage1, log = hm.one_bump_deform(
+            base, cfg.bump1, tol_null=cfg.tol_null, eps=cfg.eps_nodal
+        )
         stage1_gram = cohomlab.gram_matrix(stage1, tol_null=cfg.tol_null)
     report.h_values["standard"] = base_gram.h_minus
     report.h_values["stage1"] = stage1_gram.h_minus
