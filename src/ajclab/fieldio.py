@@ -11,7 +11,7 @@ Both directions go through one core that sees the payload as it lies in
 the file, an ``(ncomp, N)`` array of N = n^4 nodes: :func:`_write_payload`
 and :func:`_read_payload`.  :func:`serialize_field` and
 :func:`deserialize_field` wrap it for nodal fields; callers that derive
-their components row by row (:func:`.hermitian.save_triple`,
+their components in that layout (:func:`.hermitian.save_triple`,
 :func:`.hermitian.load_triple`) use it directly.
 """
 
