@@ -173,6 +173,34 @@ class TestEllipticOracle:
             cohomlab.elliptic_kernel_dim(hm.standard_acs(G8), G8, max_dim=100)
 
 
+class TestFramePairing:
+    """The oracle pairs d delta psi with the frames directly: they are
+    anti-invariant and P^- is an orthogonal projection, so
+    <P^- phi, frame_j> = <phi, frame_j> at every node."""
+
+    @pytest.fixture(scope="class")
+    def structures(self):
+        stage1, stage2, _ = hm.two_stage_deform(hm.standard_acs(G8), BUMP1, BUMP2)
+        return {
+            "random": hm.random_compatible_acs(G8, seed=5, amplitude=0.5, bandlimit=2),
+            "stage1": stage1,
+            "stage2": stage2,
+        }
+
+    @pytest.mark.parametrize("kind", ["random", "stage1", "stage2"])
+    def test_projection_drops_out_of_the_frame_pairing(self, structures, kind):
+        triple = structures[kind]
+        phi = np.random.default_rng(4).standard_normal(G8.shape + (6,))
+        minus = pl.split_j(triple.J.values, phi).minus
+        for v in hm.anti_invariant_frame(triple):
+            frame = v @ pl.OMEGA_SD
+            dev = np.abs(pl.form_inner(minus, frame) - pl.form_inner(phi, frame))
+            assert float(dev.max()) <= 1e-13
+
+    def test_stage2_is_built(self, structures):
+        assert cohomlab.gram_matrix(structures["stage2"]).h_minus == 0
+
+
 def column_elliptic_matrix(triple, grid):
     """The oracle matrix assembled one column at a time: d delta through
     the field functions, then the 4x4 involution's P^-, then the pairing

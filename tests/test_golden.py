@@ -1,5 +1,5 @@
-"""The design gate: Gram matrices and h-values stay those recorded in
-tests/data/golden_gram.json.
+"""The design gate: Gram matrices, h-values and the elliptic oracle's
+spectrum summaries stay those recorded in tests/data/golden_gram.json.
 
 Regenerate the file (only when a change is meant to alter these numbers):
 
@@ -17,6 +17,10 @@ from ajclab.config import LabConfig
 
 GOLDEN = Path(__file__).with_name("data") / "golden_gram.json"
 GRAM_TOL = 1e-12
+#: oracle singular values are pinned to this fraction of the largest one,
+#: absolute: kernel eigenvalues are rounding noise (1e-28 to 1e-13) far
+#: below the kernel threshold tau * s_max (about 3e-4 at n = 6)
+ORACLE_TOL = 1e-10
 
 #: the bumps of the two-stage tests in test_hermitian
 BUMP1 = hm.BumpSpec((0.5, 0.5, 0.5, 0.5), 0.3, 0.5)
@@ -39,6 +43,25 @@ def structures():
             yield f"n{n}/random/{seed}", triple
 
 
+def oracle_structures():
+    """(key, triple) pairs at n = 6 whose oracle spectra are pinned: the
+    structures of the oracle tests in test_cohomlab."""
+    g6 = tf.GridSpec(6)
+    base = hm.standard_acs(g6)
+    yield "standard", base
+    yield "stage1", hm.one_bump_deform(base, BUMP1)[0]
+    yield "random/2", hm.random_compatible_acs(g6, seed=2, amplitude=0.3, bandlimit=2)
+
+
+def oracle_summary(triple) -> dict:
+    report = cohomlab.elliptic_kernel_dim(triple, triple.grid)
+    return {
+        "kernel_dim": report.kernel_dim,
+        "smallest_singular_values": report.smallest_singular_values.tolist(),
+        "largest_singular_value": report.largest_singular_value,
+    }
+
+
 def path_h_values() -> dict:
     return scenarios.scenario_path(LabConfig(grid_n=8)).h_values
 
@@ -48,7 +71,8 @@ def record() -> dict:
     for key, triple in structures():
         report = cohomlab.gram_matrix(triple)
         grams[key] = {"matrix": report.matrix.tolist(), "h_minus": report.h_minus}
-    return {"gram": grams, "path_n8": path_h_values()}
+    oracle = {key: oracle_summary(triple) for key, triple in oracle_structures()}
+    return {"gram": grams, "path_n8": path_h_values(), "oracle_n6": oracle}
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +94,20 @@ def test_gram_matrices_and_h_values(golden):
 
 def test_path_h_sequence(golden):
     assert path_h_values() == golden["path_n8"]
+
+
+def test_oracle_spectra(golden):
+    keys = []
+    for key, triple in oracle_structures():
+        keys.append(key)
+        got, expected = oracle_summary(triple), golden["oracle_n6"][key]
+        assert got["kernel_dim"] == expected["kernel_dim"], key
+        s_max = expected["largest_singular_value"]
+        values = np.append(got["smallest_singular_values"], got["largest_singular_value"])
+        pinned = np.append(expected["smallest_singular_values"], s_max)
+        dev = float(np.max(np.abs(values - pinned)))
+        assert dev <= ORACLE_TOL * s_max, f"{key}: singular values deviate by {dev:.3e}"
+    assert sorted(keys) == sorted(golden["oracle_n6"])
 
 
 if __name__ == "__main__":
