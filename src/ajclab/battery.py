@@ -190,8 +190,9 @@ def run_calculus_battery(grid_n: int = 16, count: int = 100, seed: int = 3,
         phi = bandlimited(tf.TwoFormField)
         psi = bandlimited(tf.TwoFormField)
         dd_scalar = max(dd_scalar, tf.d_oneform(tf.d_scalar(f)).max_abs())
-        dd_oneform = max(dd_oneform, tf.d_twoform(tf.d_oneform(theta)).max_abs())
-        lhs = tf.l2_inner(tf.d_oneform(theta), phi)
+        d_theta = tf.d_oneform(theta)
+        dd_oneform = max(dd_oneform, tf.d_twoform(d_theta).max_abs())
+        lhs = tf.l2_inner(d_theta, phi)
         rhs = tf.l2_inner(theta, tf.codiff_twoform(phi))
         adjoint_rel = max(adjoint_rel, abs(lhs - rhs) / max(1e-30, abs(lhs), abs(rhs)))
         shifted = tf.ScalarField(grid, f.values - np.mean(f.values) + 0.5)

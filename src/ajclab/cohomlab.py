@@ -25,6 +25,14 @@ psi -> P^-(d delta psi) on sections of the anti-invariant plane and counts
 near-zero singular values; its kernel consists of the harmonic
 anti-invariant forms, so it must agree with the Gram rank on every
 structure.  It is kept at coarse resolution as an independent oracle.
+Both its input and its output pairing live in the self-dual plane: a
+section is sum_k c_k omega_k, and the nodewise anti-invariant frames v_j
+(:func:`.hermitian.anti_invariant_frame`) see an output phi only through
+its self-dual coordinates s_k = <phi, omega_k>, because P^- is the
+orthogonal projection onto the plane the frames span, so
+<P^- phi, v_j @ OMEGA_SD> = <phi, v_j @ OMEGA_SD> = v_j . s.  d delta
+therefore enters only as a 3x3 multiplier per Fourier mode, read off from
+:func:`.torusfield.d_codiff_values`, and no 4x4 J is built.
 """
 
 from __future__ import annotations
@@ -36,7 +44,14 @@ import scipy.linalg
 
 from . import pointlin as pl
 from .hermitian import HermitianTriple, anti_invariant_frame
-from .torusfield import GridSpec, ScalarField, TwoFormField, d_codiff_values, d_twoform
+from .torusfield import (
+    _SPEC_AXES,
+    GridSpec,
+    ScalarField,
+    TwoFormField,
+    d_codiff_values,
+    d_twoform,
+)
 
 #: second Betti number of the 4-torus
 B2 = 6
@@ -44,9 +59,9 @@ B2 = 6
 #: principal-angle threshold for subspace comparisons (radians)
 ANGLE_TOL = 1e-3
 
-#: basis rows per batched operator application in the elliptic oracle; the
-#: working set of one block grows linearly with it
-_ORACLE_BLOCK = 8
+#: basis rows per block of the elliptic oracle's assembly; the working set
+#: of one block grows linearly with it and does not depend on R
+_ORACLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -240,46 +255,102 @@ class EllipticReport:
         }
 
 
-def _real_fourier_basis(grid: GridSpec, kmax: int) -> np.ndarray:
-    """Rows are nodal values of an orthonormal real trigonometric basis
-    (orthonormal under the node-mean inner product) spanning all modes with
-    every axis frequency at most kmax in magnitude."""
-    n = grid.n
-    coords = np.stack([c + np.zeros(grid.shape) for c in grid.coords()], axis=-1)
-    X = coords.reshape(-1, 4).T  # (4, N)
+def _basis_modes(kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one enumeration of the oracle's real trigonometric basis, as
+    integer modes m (R, 4) and complex coefficients c (R,): row r has nodal
+    values 2 Re(c[r] exp(2 pi i m[r] . x)).  Row 0 is the constant 1
+    (m = 0, c = 1/2); then, for one representative m of each +-m pair with
+    every axis frequency at most kmax in magnitude (the first nonzero
+    entry positive), sqrt(2) cos(2 pi m . x) (c = sqrt(2)/2) and
+    sqrt(2) sin(2 pi m . x) (c = -i sqrt(2)/2)."""
     ks = np.arange(-kmax, kmax + 1)
-    modes = np.stack(np.meshgrid(ks, ks, ks, ks, indexing="ij"), axis=-1).reshape(-1, 4)
-    rows = [np.ones(X.shape[1])]
-    for k in modes:
+    grid_modes = np.stack(np.meshgrid(ks, ks, ks, ks, indexing="ij"), axis=-1).reshape(-1, 4)
+    half = np.sqrt(2.0) / 2.0
+    modes, coefs = [np.zeros(4, int)], [0.5]
+    for k in grid_modes:
         nz = k[k != 0]
         if len(nz) == 0 or nz[0] < 0:
             continue  # keep one representative of each +-k pair, plus skip 0
-        phase = 2.0 * np.pi * (k @ X)
-        rows.append(np.sqrt(2.0) * np.cos(phase))
-        rows.append(np.sqrt(2.0) * np.sin(phase))
-    return np.array(rows)
+        modes += [k, k]
+        coefs += [half, -1j * half]
+    return np.array(modes), np.array(coefs, dtype=complex)
+
+
+def _real_fourier_basis(grid: GridSpec, kmax: int) -> np.ndarray:
+    """Rows are nodal values of an orthonormal real trigonometric basis
+    (orthonormal under the node-mean inner product) spanning all modes with
+    every axis frequency at most kmax in magnitude, in the order of
+    :func:`_basis_modes`."""
+    coords = np.stack([c + np.zeros(grid.shape) for c in grid.coords()], axis=-1)
+    X = coords.reshape(-1, 4).T  # (4, N)
+    modes, coefs = _basis_modes(kmax)
+    rows = np.empty((len(modes), X.shape[1]))
+    for r, (m, c) in enumerate(zip(modes, coefs)):
+        rows[r] = 2.0 * abs(c) * np.cos(2.0 * np.pi * (m @ X) + np.angle(c))
+    return rows
+
+
+def _shifted_bins(shifts: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Flat indices into a full spectrum of the grid (n^4 bins, C order)
+    of kappa - shift, mod n, for every half-spectrum bin kappa and every
+    row of ``shifts`` (b, 4); shape (b, n, n, n, n/2 + 1)."""
+    n = grid.n
+    flat = np.zeros((len(shifts), 1, 1, 1, 1), dtype=np.intp)
+    for axis, size in enumerate((n, n, n, n // 2 + 1)):
+        kappa = np.arange(size).reshape([-1 if a == axis else 1 for a in range(4)])
+        flat = flat * n + (kappa - shifts[:, axis].reshape(-1, 1, 1, 1, 1)) % n
+    return flat
+
+
+def _section_spectra(spectrum: np.ndarray, modes: np.ndarray, coefs: np.ndarray,
+                     grid: GridSpec) -> np.ndarray:
+    """Half spectra of the sections B[r] a for the basis rows (modes,
+    coefs) of :func:`_basis_modes`, gathered from the full spectrum
+    (3, n, n, n, n) of the coefficient field a; shape (3, b, n, n, n,
+    n/2 + 1).  On the grid's cyclic DFT, multiplying by exp(2 pi i m . x)
+    shifts a spectrum by m, so row r has spectrum
+    c[r] a^(kappa - m[r]) + conj(c[r]) a^(kappa + m[r])."""
+    flat = spectrum.reshape(len(spectrum), -1)
+    c = coefs.reshape(-1, 1, 1, 1, 1)
+    return c * flat[:, _shifted_bins(modes, grid)] + c.conj() * flat[:, _shifted_bins(-modes, grid)]
+
+
+def _self_dual_symbol(grid: GridSpec) -> np.ndarray:
+    """The half-spectrum multiplier S (3, 3, n, n, n, n/2 + 1) of d delta
+    between self-dual coordinates: S[l, k](kappa) = OMEGA_l . D(kappa)
+    OMEGA_k for the 6x6 symbol D of d delta, read off as the spectra of
+    :func:`.torusfield.d_codiff_values` applied to the impulses OMEGA_k at
+    node 0 (whose spectrum is 1 at every bin)."""
+    impulses = np.zeros((3,) + grid.shape + (6,))
+    impulses[:, 0, 0, 0, 0] = pl.OMEGA_SD
+    response = d_codiff_values(impulses, grid) @ pl.OMEGA_SD.T  # (k, grid, l)
+    return np.fft.rfftn(np.moveaxis(response, -1, 0), axes=_SPEC_AXES)
 
 
 def _elliptic_matrix(triple: HermitianTriple, grid: GridSpec) -> np.ndarray:
     """The unsymmetrized matrix of psi -> P^-(d delta psi) in the basis
     B[m] (x) frame_i of :func:`elliptic_kernel_dim`: entry
     (j R + r, i R + m) is the node mean of B[r] <P^-(d delta psi), frame_j> / 2
-    for psi = B[m] frame_i."""
+    for psi = B[m] frame_i, computed as B[r] (s . v_j) / 2 for the
+    self-dual coordinates s = S (B[m] v_i) of d delta psi."""
+    modes, coefs = _basis_modes(grid.n // 2 - 1)
     B = _real_fourier_basis(grid, grid.n // 2 - 1)
     R, N = B.shape
-    frames = np.stack(anti_invariant_frame(triple)) @ pl.OMEGA_SD  # (2, grid shape, 6)
-    # row c of minus[x] is P^-(e_c) at node x, so <P^- phi, frame_j> / 2 = phi . weights[x, :, j]
-    minus = pl.split_j(triple.J.values[..., None, :, :], np.eye(6), tol=1e-8).minus
-    weights = np.einsum("xcd,jxd->xcj", minus.reshape(N, 6, 6), frames.reshape(2, N, 6)) / 2.0
+    frames = np.moveaxis(np.stack(anti_invariant_frame(triple)), -1, 1)  # (2, 3, grid)
+    spectra = np.fft.fftn(frames, axes=_SPEC_AXES)
+    halves = frames.reshape(2, 3, N) / 2.0
+    S = _self_dual_symbol(grid)
     M = np.empty((2, R, 2, R))
     for i in range(2):
         for lo in range(0, R, _ORACLE_BLOCK):
-            rows = B[lo : lo + _ORACLE_BLOCK]
-            psi = rows.reshape((-1,) + grid.shape + (1,)) * frames[i]
-            out = d_codiff_values(psi, grid).reshape(len(rows), N, 6)
-            q = np.matmul(out.transpose(1, 0, 2), weights)  # (N, block, 2)
-            proj = (B @ q.reshape(N, -1)).reshape(R, len(rows), 2) / N
-            M[:, :, i, lo : lo + len(rows)] = proj.transpose(2, 0, 1)
+            rows = slice(lo, lo + _ORACLE_BLOCK)
+            c_hat = _section_spectra(spectra[i], modes[rows], coefs[rows], grid)
+            s_hat = np.stack([S[l, 0] * c_hat[0] + S[l, 1] * c_hat[1] + S[l, 2] * c_hat[2]
+                              for l in range(3)])
+            s = np.fft.irfftn(s_hat, s=grid.shape, axes=_SPEC_AXES).reshape(3, -1, N)
+            q = np.einsum("kbx,jkx->jbx", s, halves)  # (2, block, N)
+            proj = (q.reshape(-1, N) @ B.T).reshape(2, -1, R) / N
+            M[:, :, i, rows] = proj.transpose(0, 2, 1)
     return M.reshape(2 * R, 2 * R)
 
 
@@ -299,17 +370,27 @@ def elliptic_kernel_dim(
     ``2 * (n - 1)^4``, which must stay at or below ``max_dim`` (n = 6 gives
     1250, n = 8 gives 4802).
 
-    The matrix is assembled in blocks of basis sections: for each frame,
-    a block of basis rows times that frame goes through one batched
-    d delta (:func:`.torusfield.d_codiff_values`, one real FFT pair for
-    the block), and one product with the basis projects the result onto
-    both frames.  P^- is not applied per column: it is folded, with the
-    frame pairing, into per-node weights built once per call from the
-    4x4 involution of :func:`.pointlin.split_j`, which keeps its J^2 = -Id
-    check.  Memory goes to the dense matrix (8 (2R)^2 bytes, 12.5 MB at
-    n = 6, 184 MB at n = 8, growing as its square), the basis (8 R n^4
-    bytes) and the per-node weights; one block's fields and spectra add a
-    working set linear in the block size and independent of R.
+    The assembly is exact, not approximate, in three steps.  The column of
+    psi = B[m] v_i @ OMEGA_SD pairs d delta psi with v_j @ OMEGA_SD / 2;
+    the frames are anti-invariant and P^- is an orthogonal projection, so
+    P^- drops out and only the self-dual coordinates s of d delta psi
+    count.  psi has self-dual coordinates c = B[m] v_i, and d delta is
+    translation invariant, so s = S c with a 3x3 multiplier S per
+    half-spectrum bin (:func:`_self_dual_symbol`, built once per call from
+    the impulse responses of :func:`.torusfield.d_codiff_values`).  The
+    spectrum of c is a gather from the full spectrum of v_i, one ``fftn``
+    per frame per call: on the cyclic DFT of the grid, B[m] shifts it by
+    +-m (:func:`_section_spectra`).  A block of ``_ORACLE_BLOCK`` columns
+    then costs one product with S, one 3-component inverse transform per
+    column (one ``irfftn`` for the block), the pairing with v_j / 2 and
+    one product with the basis B.
+
+    Memory goes to the dense matrix (8 (2R)^2 bytes: 12.5 MB at n = 6,
+    184 MB at n = 8, growing as its square) and the basis (8 R n^4 bytes:
+    6.5 MB at n = 6, 79 MB at n = 8).  A block's gathered spectra and
+    nodal coordinates add a working set linear in the block size and
+    independent of R: about 9 MB at n = 6 and 27 MB at n = 8 for blocks
+    of 32, traced.
 
     The assembled matrix must be symmetric to 1e-8 relative to its largest
     entry, or :class:`.pointlin.ConsistencyError` is raised; ``kernel_dim``

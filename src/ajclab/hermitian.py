@@ -52,8 +52,9 @@ FIELD_TOL = 1e-9
 SUP_NORM_CAP = 0.95
 #: sphere sample count of the delta estimate that gates each cut-off stage
 DELTA_SAMPLES = 64
-#: nodes per chunk of the J built and checked by save_triple and compared
-#: by load_triple; one chunk's 4x4 products stay cache-sized
+#: nodes per chunk of the J checked by AcsField, built and checked by
+#: save_triple and compared by load_triple; one chunk's 4x4 products stay
+#: cache-sized
 _ACS_CHUNK = 4096
 
 
@@ -63,11 +64,14 @@ def _worst_node(grid: GridSpec, nodewise: np.ndarray) -> tuple[int, ...]:
 
 class AcsField(EndoField):
     """Endomorphism field that is a compatible almost complex structure at
-    every node, within FIELD_TOL."""
+    every node, within FIELD_TOL; checked over node chunks of
+    ``_ACS_CHUNK``, so the check adds no full-size temporary."""
 
     def __init__(self, grid: GridSpec, values):
         super().__init__(grid, values)
-        pl.require_acs(self.values, tol=FIELD_TOL)
+        nodes = self.values.reshape(-1, 4, 4)
+        for lo in range(0, len(nodes), _ACS_CHUNK):
+            pl.require_acs(nodes[lo : lo + _ACS_CHUNK], tol=FIELD_TOL)
 
 
 @dataclass(frozen=True, eq=False)

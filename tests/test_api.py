@@ -20,12 +20,19 @@ def test_star_import():
 
 
 def test_import_does_not_load_scipy_fft():
-    # importing scipy.fft adds about 0.1 s to every fresh process
+    # importing scipy.fft adds about 0.1 s to every fresh process; the
+    # elliptic oracle's transforms are numpy.fft's too
     src = Path(ajclab.__file__).resolve().parents[1]
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import ajclab, sys; print('scipy.fft' in sys.modules); "
+        "g = ajclab.GridSpec(4); "
+        "print(ajclab.elliptic_kernel_dim(ajclab.standard_acs(g), g).kernel_dim); "
+        "print('scipy.fft' in sys.modules)"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", "import ajclab, sys; print('scipy.fft' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False", "2", "False"]

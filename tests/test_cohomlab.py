@@ -173,6 +173,44 @@ class TestEllipticOracle:
             cohomlab.elliptic_kernel_dim(hm.standard_acs(G8), G8, max_dim=100)
 
 
+class TestSectionSpectra:
+    """The oracle gathers the spectrum of each section B[r] a from the full
+    spectrum of a instead of transforming it."""
+
+    def test_basis_rows_follow_the_mode_table(self):
+        modes, coefs = cohomlab._basis_modes(2)
+        B = cohomlab._real_fourier_basis(G6, 2)
+        assert B.shape == (len(modes), G6.node_count) == (5**4, 6**4)
+        X = np.stack([c + np.zeros(G6.shape) for c in G6.coords()], axis=-1).reshape(-1, 4)
+        np.testing.assert_array_equal(B[0], 1.0)
+        phase = 2.0 * np.pi * (X @ modes[1])
+        np.testing.assert_array_equal(modes[1], modes[2])
+        np.testing.assert_allclose(B[1], np.sqrt(2.0) * np.cos(phase), atol=1e-14)
+        np.testing.assert_allclose(B[2], np.sqrt(2.0) * np.sin(phase), atol=1e-14)
+        np.testing.assert_allclose(B @ B.T / G6.node_count, np.eye(len(B)), atol=1e-12)
+
+    # R = 81 at n = 4 and 625 at n = 6: blocks of 32 leave a last block of 17
+    @pytest.mark.parametrize("grid", [G4, G6], ids=["n4", "n6"])
+    def test_gather_matches_the_transform_of_every_section(self, grid):
+        triple = hm.random_compatible_acs(grid, seed=3, amplitude=0.3, bandlimit=1)
+        modes, coefs = cohomlab._basis_modes(grid.n // 2 - 1)
+        B = cohomlab._real_fourier_basis(grid, grid.n // 2 - 1)
+        block = 32
+        assert len(B) % block == 17
+        axes = (-4, -3, -2, -1)
+        for v in hm.anti_invariant_frame(triple):
+            a = np.moveaxis(v, -1, 0)  # (3, grid)
+            spectrum = np.fft.fftn(a, axes=axes)
+            for lo in range(0, len(B), block):
+                rows = slice(lo, lo + block)
+                got = cohomlab._section_spectra(spectrum, modes[rows], coefs[rows], grid)
+                sections = a[:, None] * B[rows].reshape((-1,) + grid.shape)
+                expect = np.fft.rfftn(sections, axes=axes)
+                assert got.shape == expect.shape
+                scale = float(np.max(np.abs(expect)))
+                assert float(np.max(np.abs(got - expect))) <= 1e-13 * scale
+
+
 class TestFramePairing:
     """The oracle pairs d delta psi with the frames directly: they are
     anti-invariant and P^- is an orthogonal projection, so

@@ -39,6 +39,20 @@ class TestStandard:
         with pytest.raises(ValueError, match="J\\^2"):
             hm.AcsField(G8, vals)
 
+    @pytest.mark.parametrize("bad, message", [
+        (1.01 * pl.J0, "J\\^2"),
+        # squares to -Id but stretches e1 and shrinks e2
+        (np.array([[0, -2, 0, 0], [0.5, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]), "not orthogonal"),
+    ])
+    def test_bad_node_in_last_chunk_rejected(self, bad, message):
+        grid = tf.GridSpec(10)  # 10^4 nodes: chunks of 4096, 4096 and 1808
+        assert grid.node_count % hm._ACS_CHUNK != 0
+        vals = np.array(np.broadcast_to(pl.J0, grid.shape + (4, 4)))
+        hm.AcsField(grid, vals)
+        vals[9, 9, 9, 9] = bad
+        with pytest.raises(ValueError, match=message):
+            hm.AcsField(grid, vals)
+
     def test_triple_cache_validated(self):
         y = np.array(constant([1.0, 0.0, 0.0]))
         y[1, 2, 3, 4] = [1.0, 1e-4, 0.0]
