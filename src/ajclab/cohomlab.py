@@ -331,8 +331,9 @@ def _elliptic_matrix(triple: HermitianTriple, grid: GridSpec) -> np.ndarray:
     """The unsymmetrized matrix of psi -> P^-(d delta psi) in the basis
     B[m] (x) frame_i of :func:`elliptic_kernel_dim`: entry
     (j R + r, i R + m) is the node mean of B[r] <P^-(d delta psi), frame_j> / 2
-    for psi = B[m] frame_i, computed as B[r] (s . v_j) / 2 for the
-    self-dual coordinates s = S (B[m] v_i) of d delta psi."""
+    for psi = B[m] frame_i with frame_i = v_i @ OMEGA_SD, computed as
+    B[r] (s . v_j) / 2 for the self-dual coordinates s = S (B[m] v_i) of
+    d delta psi."""
     modes, coefs = _basis_modes(grid.n // 2 - 1)
     B = _real_fourier_basis(grid, grid.n // 2 - 1)
     R, N = B.shape
