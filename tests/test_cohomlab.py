@@ -168,9 +168,15 @@ class TestEllipticOracle:
         with pytest.raises(ValueError, match="oracle"):
             cohomlab.elliptic_kernel_dim(hm.standard_acs(G8), G6)
 
-    def test_memory_bound(self):
-        with pytest.raises(ValueError, match="bound"):
-            cohomlab.elliptic_kernel_dim(hm.standard_acs(G8), G8, max_dim=100)
+    def test_memory_bound(self, monkeypatch):
+        # n = 10 gives dimension 2 * 9^4 = 13122, above the bound of 5000
+        def no_assembly(triple, grid):
+            raise AssertionError("assembled a matrix above the bound")
+
+        monkeypatch.setattr(cohomlab, "_elliptic_matrix", no_assembly)
+        G10 = tf.GridSpec(10)
+        with pytest.raises(ValueError, match="dimension 13122 exceeds the documented bound 5000"):
+            cohomlab.elliptic_kernel_dim(hm.standard_acs(G10), G10)
 
 
 class TestSectionSpectra:
@@ -252,7 +258,7 @@ def column_elliptic_matrix(triple, grid):
         for m in range(R):
             psi = tf.TwoFormField(grid, B[m].reshape(grid.shape)[..., None] * frames[i])
             out = tf.d_oneform(tf.codiff_twoform(psi))
-            minus = pl.split_j(J, out.values, tol=1e-8).minus
+            minus = pl.split_j(J, out.values).minus
             for j in range(2):
                 q = np.sum(minus * frames[j], axis=-1).reshape(-1) / 2.0
                 M[j * R : (j + 1) * R, i * R + m] = B @ q / N

@@ -140,6 +140,13 @@ class TestDeformField:
         with pytest.raises(ValueError, match="anti-invariant"):
             hm.deform_field(triple, constant([0.5, 0.0, 0.0]))
 
+    def test_anti_invariance_threshold_is_1e_8(self):
+        # |a| = 0.99 keeps the output's |y|^2 - 1 (about 4 (a . y) (1 - |a|^2)) below 1e-9
+        triple = hm.standard_acs(G8)
+        hm.deform_field(triple, constant([0.5e-8, 0.99, 0.0]))
+        with pytest.raises(ValueError, match="anti-invariant"):
+            hm.deform_field(triple, constant([2e-8, 0.99, 0.0]))
+
 
 class TestRandomCompatible:
     def test_deterministic(self):
@@ -179,6 +186,16 @@ class TestTripleFromForm:
         np.testing.assert_allclose(
             pl.fundamental_form(triple.J.values), F.values, atol=1e-12
         )
+
+    def test_self_duality_threshold_is_1e_8(self):
+        # an anti-self-dual part d/2 (e12 - e34) is a self-duality defect d
+        for defect, accepted in ((0.5e-8, True), (2e-8, False)):
+            F = tf.TwoFormField.constant(G8, pl.OMEGA1 + defect / 2.0 * pl.OMEGA_ASD[0])
+            if accepted:
+                assert np.array_equal(hm.triple_from_form_field(F).y, hm.standard_acs(G8).y)
+            else:
+                with pytest.raises(ValueError, match="not self-dual"):
+                    hm.triple_from_form_field(F)
 
 
 class TestTwoStage:

@@ -189,6 +189,12 @@ class TestSplitJ:
         with pytest.raises(ValueError, match="-Id"):
             pl.split_j(np.eye(4), pl.OMEGA1)
 
+    def test_structure_threshold_is_1e_9(self):
+        # ((1 + s) J0)^2 = -(1 + s)^2 Id differs from -Id by about 2 s
+        pl.split_j((1.0 + 0.25e-9) * pl.J0, pl.OMEGA2)
+        with pytest.raises(ValueError, match="-Id"):
+            pl.split_j((1.0 + 1e-9) * pl.J0, pl.OMEGA2)
+
 
 class TestFundamentalForm:
     def test_standard(self):
@@ -318,7 +324,7 @@ class TestDeformAcs:
         t = 1.0 - 1e-6
         J = deform_acs(pl.J0, t * pl.OMEGA2)
         np.testing.assert_allclose(J @ J, -np.eye(4), atol=1e-9)
-        F = pl.fundamental_form(J, tol=1e-8)
+        F = pl.fundamental_form(J)
         # the fundamental form approaches the omega2 direction
         assert abs(F @ pl.OMEGA2) > abs(F @ pl.OMEGA1)
 
