@@ -59,6 +59,12 @@ B2 = 6
 #: principal-angle threshold for subspace comparisons (radians)
 ANGLE_TOL = 1e-3
 
+#: the elliptic oracle's kernel threshold, relative to the largest singular
+#: value
+ORACLE_TAU = 1e-6
+#: largest dimension of the elliptic oracle's dense matrix
+ORACLE_MAX_DIM = 5000
+
 #: basis rows per block of the elliptic oracle's assembly; the working set
 #: of one block grows linearly with it and does not depend on R
 _ORACLE_BLOCK = 32
@@ -204,12 +210,11 @@ def _span_basis(eigenvectors: np.ndarray, null_count: int) -> np.ndarray:
     return np.array(basis)
 
 
-def delta_j_estimate(
-    triple: HermitianTriple, samples: int, eps: float, tol_null: float = 1e-7
-) -> float:
+def delta_j_estimate(triple: HermitianTriple, samples: int, eps: float) -> float:
     """Estimated infimum of :func:`v_measure` over the cup-normalized sphere
-    in the span of the non-null Gram directions (deterministic sampling)."""
-    return _delta_j_estimate(triple, gram_matrix(triple, tol_null=tol_null), samples, eps)
+    in the span of the non-null Gram directions of :func:`gram_matrix` at
+    its default ``tol_null`` (deterministic sampling)."""
+    return _delta_j_estimate(triple, gram_matrix(triple), samples, eps)
 
 
 def _delta_j_estimate(triple: HermitianTriple, report: GramReport, samples: int,
@@ -355,12 +360,7 @@ def _elliptic_matrix(triple: HermitianTriple, grid: GridSpec) -> np.ndarray:
     return M.reshape(2 * R, 2 * R)
 
 
-def elliptic_kernel_dim(
-    triple: HermitianTriple,
-    oracle_grid: GridSpec,
-    tau: float = 1e-6,
-    max_dim: int = 5000,
-) -> EllipticReport:
+def elliptic_kernel_dim(triple: HermitianTriple, oracle_grid: GridSpec) -> EllipticReport:
     """Kernel dimension of the discretized operator psi -> P^-(d delta psi).
 
     Sections of the anti-invariant plane are written in the nodewise pivoted
@@ -368,8 +368,8 @@ def elliptic_kernel_dim(
     the trigonometric modes below the Nyquist band (Nyquist modes are
     invisible to the antisymmetric spectral derivative and would fake kernel
     vectors).  The dense symmetric matrix has dimension
-    ``2 * (n - 1)^4``, which must stay at or below ``max_dim`` (n = 6 gives
-    1250, n = 8 gives 4802).
+    ``2 * (n - 1)^4``, which must stay at or below ORACLE_MAX_DIM (n = 6
+    gives 1250, n = 8 gives 4802).
 
     The assembly is exact, not approximate, in three steps.  The column of
     psi = B[m] v_i @ OMEGA_SD pairs d delta psi with v_j @ OMEGA_SD / 2;
@@ -395,7 +395,8 @@ def elliptic_kernel_dim(
 
     The assembled matrix must be symmetric to 1e-8 relative to its largest
     entry, or :class:`.pointlin.ConsistencyError` is raised; ``kernel_dim``
-    counts singular values at or below ``tau`` times the largest one.
+    counts singular values at or below ORACLE_TAU times the largest one,
+    and the report records that tau.
     """
     if triple.grid != oracle_grid:
         raise ValueError(
@@ -405,9 +406,9 @@ def elliptic_kernel_dim(
     grid = oracle_grid
     R = (grid.n - 1) ** 4
     dim = 2 * R
-    if dim > max_dim:
+    if dim > ORACLE_MAX_DIM:
         raise ValueError(
-            f"operator dimension {dim} exceeds the documented bound {max_dim}; "
+            f"operator dimension {dim} exceeds the documented bound {ORACLE_MAX_DIM}; "
             "use a smaller oracle grid"
         )
     M = _elliptic_matrix(triple, grid)
@@ -420,7 +421,7 @@ def elliptic_kernel_dim(
     M = (M + M.T) / 2.0
     singular = np.sort(np.abs(np.linalg.eigvalsh(M)))
     s_max = float(singular[-1])
-    kernel_dim = int(np.sum(singular <= tau * s_max))
+    kernel_dim = int(np.sum(singular <= ORACLE_TAU * s_max))
     return EllipticReport(
         grid_n=grid.n,
         retained_modes=R,
@@ -428,13 +429,9 @@ def elliptic_kernel_dim(
         smallest_singular_values=singular[:8],
         largest_singular_value=s_max,
         kernel_dim=kernel_dim,
-        tau=tau,
+        tau=ORACLE_TAU,
         symmetry_defect=sym_defect,
     )
-
-
-def _null_matrix(report: GramReport) -> np.ndarray:
-    return report.null_coords.T  # (3, h)
 
 
 def intersection_dim(r1: GramReport, r2: GramReport) -> int:
@@ -444,7 +441,7 @@ def intersection_dim(r1: GramReport, r2: GramReport) -> int:
         raise ValueError(f"grid mismatch: n={r1.grid_n} and n={r2.grid_n}")
     if r1.h_minus == 0 or r2.h_minus == 0:
         return 0
-    angles = scipy.linalg.subspace_angles(_null_matrix(r1), _null_matrix(r2))
+    angles = scipy.linalg.subspace_angles(r1.null_coords.T, r2.null_coords.T)
     return int(np.sum(angles < ANGLE_TOL))
 
 
@@ -455,7 +452,7 @@ def null_containment_angle(inner: GramReport, outer: GramReport) -> float:
         return 0.0
     if inner.h_minus > outer.h_minus:
         return float(np.pi / 2.0)
-    angles = scipy.linalg.subspace_angles(_null_matrix(inner), _null_matrix(outer))
+    angles = scipy.linalg.subspace_angles(inner.null_coords.T, outer.null_coords.T)
     return float(np.max(angles))
 
 

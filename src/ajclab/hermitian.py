@@ -46,12 +46,13 @@ from .torusfield import (
     spectral_truncate,
 )
 
-#: nodewise invariant tolerance for structure fields
-FIELD_TOL = 1e-9
 #: deformation forms are rescaled so their sup wedge norm stays below this
 SUP_NORM_CAP = 0.95
 #: sphere sample count of the delta estimate that gates each cut-off stage
 DELTA_SAMPLES = 64
+#: bound on the disagreement of stage 2's normalization and rational
+#: deformation routes
+ROUTE_TOL = 1e-9
 #: nodes per chunk of the J checked by AcsField, built and checked by
 #: save_triple and compared by load_triple; one chunk's 4x4 products stay
 #: cache-sized
@@ -64,14 +65,14 @@ def _worst_node(grid: GridSpec, nodewise: np.ndarray) -> tuple[int, ...]:
 
 class AcsField(EndoField):
     """Endomorphism field that is a compatible almost complex structure at
-    every node, within FIELD_TOL; checked over node chunks of
+    every node, within ACS_TOL; checked over node chunks of
     ``_ACS_CHUNK``, so the check adds no full-size temporary."""
 
     def __init__(self, grid: GridSpec, values):
         super().__init__(grid, values)
         nodes = self.values.reshape(-1, 4, 4)
         for lo in range(0, len(nodes), _ACS_CHUNK):
-            pl.require_acs(nodes[lo : lo + _ACS_CHUNK], tol=FIELD_TOL)
+            pl.require_acs(nodes[lo : lo + _ACS_CHUNK])
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +92,10 @@ class HermitianTriple:
         if not np.all(np.isfinite(y)):
             raise ValueError("y has non-finite values")
         defect = np.abs(np.sum(y * y, axis=-1) - 1.0)
-        if float(defect.max()) > FIELD_TOL:
+        if float(defect.max()) > pl.ACS_TOL:
             raise ValueError(
                 f"y is not a unit vector at node {_worst_node(self.grid, defect)} "
-                f"(||y|^2 - 1| = {float(defect.max()):.3e}, tol {FIELD_TOL:.1e})"
+                f"(||y|^2 - 1| = {float(defect.max()):.3e}, tol {pl.ACS_TOL:.1e})"
             )
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -166,12 +167,13 @@ def anti_invariant_frame(triple: HermitianTriple) -> tuple[np.ndarray, np.ndarra
     return v1.reshape(shape), v2.reshape(shape)
 
 
-def deform_field(triple: HermitianTriple, a: np.ndarray, tol: float = 1e-8) -> HermitianTriple:
+def deform_field(triple: HermitianTriple, a: np.ndarray) -> HermitianTriple:
     """Deform a structure field by the anti-invariant form field a @ OMEGA_SD.
 
-    ``a`` has shape ``grid.shape + (3,)`` and must satisfy a . y = 0 and
-    |a| < 1 at every node; precondition failures report the worst offending
-    node.  Off the support of a the output equals the input exactly.
+    ``a`` has shape ``grid.shape + (3,)`` and must satisfy a . y = 0 (within
+    FORM_TOL relative to max(1, sup|a|)) and |a| < 1 at every node;
+    precondition failures report the worst offending node.  Off the support
+    of a the output equals the input exactly.
     """
     grid = triple.grid
     a = np.asarray(a, float)
@@ -179,7 +181,7 @@ def deform_field(triple: HermitianTriple, a: np.ndarray, tol: float = 1e-8) -> H
         raise ValueError(f"deformation field must have shape {grid.shape + (3,)}, got {a.shape}")
     nsq = np.sum(a * a, axis=-1)
     along = np.abs(np.sum(a * triple.y, axis=-1))
-    if float(along.max()) > tol * max(1.0, float(np.sqrt(nsq.max()))):
+    if float(along.max()) > pl.FORM_TOL * max(1.0, float(np.sqrt(nsq.max()))):
         raise ValueError(
             f"deformation form is not anti-invariant at node {_worst_node(grid, along)} "
             f"(invariant part {float(along.max()):.3e})"
@@ -192,14 +194,14 @@ def deform_field(triple: HermitianTriple, a: np.ndarray, tol: float = 1e-8) -> H
     return HermitianTriple(grid, pl.deform_coords(triple.y, a))
 
 
-def triple_from_form_field(F: TwoFormField, tol: float = 1e-8) -> HermitianTriple:
+def triple_from_form_field(F: TwoFormField) -> HermitianTriple:
     """The structure field whose fundamental form is ``F``.
 
-    ``F`` must be self-dual within ``tol`` (relative to max(1, sup|F|)) and
+    ``F`` must be self-dual within FORM_TOL (relative to max(1, sup|F|)) and
     wedge-normalized, so that y = F @ OMEGA_SD^T / 2 is a unit vector.
     """
     defect = np.max(np.abs(F.values - pl.hodge_star(F.values)), axis=-1)
-    if float(defect.max()) > tol * max(1.0, F.max_abs()):
+    if float(defect.max()) > pl.FORM_TOL * max(1.0, F.max_abs()):
         raise ValueError(
             f"form is not self-dual at node {_worst_node(F.grid, defect)} "
             f"(defect {float(defect.max()):.3e})"
@@ -345,7 +347,7 @@ def _second_stage(stage1: HermitianTriple, report1, bump: BumpSpec, log: DeformL
     # independent route: the same structure as a rational deformation of stage 1
     alt = deform_field(stage1, (c2 / (1.0 + f1))[..., None] * w)
     route_dev = float(np.max(np.abs(alt.y - stage2.y)))
-    if route_dev > 1e-9:
+    if route_dev > ROUTE_TOL:
         raise pl.ConsistencyError(
             f"normalization and rational deformation routes disagree by {route_dev:.3e}"
         )
@@ -392,7 +394,7 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
     checked finite (J's entries are F's, negated or zero), and J is built
     by :func:`.pointlin.acs_from_coords` over node chunks of
     ``_ACS_CHUNK`` and checked there for J^2 = -Id and J^T J = Id within
-    FIELD_TOL (:func:`.pointlin.require_acs`); the files are
+    ACS_TOL (:func:`.pointlin.require_acs`); the files are
     byte-identical to :func:`.fieldio.serialize_field` of ``triple.J`` and
     ``triple.F``."""
     import json
@@ -406,7 +408,7 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
     J = np.empty((16, ys.shape[0]))
     for lo in range(0, ys.shape[0], _ACS_CHUNK):
         chunk = pl.acs_from_coords(ys[lo : lo + _ACS_CHUNK])
-        pl.require_acs(chunk, tol=FIELD_TOL)
+        pl.require_acs(chunk)
         J[:, lo : lo + _ACS_CHUNK] = chunk.reshape(-1, 16).T
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -434,7 +436,7 @@ def load_triple(sidecar_path) -> HermitianTriple:
     the F file by :func:`triple_from_form_field`, which checks that the
     form is self-dual and that |y| = 1.  The J file is read as its payload
     rows and must match :func:`.pointlin.acs_from_coords` of y, taken over
-    node chunks of ``_ACS_CHUNK``, within FIELD_TOL at every node; a failed
+    node chunks of ``_ACS_CHUNK``, within ACS_TOL at every node; a failed
     check names the worst node.
     """
     import json
@@ -458,7 +460,7 @@ def load_triple(sidecar_path) -> HermitianTriple:
         derived = pl.acs_from_coords(ys[lo : lo + _ACS_CHUNK]).reshape(-1, 16)
         diff = np.abs(j_rows[:, lo : lo + _ACS_CHUNK].T - derived)
         dev[lo : lo + _ACS_CHUNK] = diff.max(axis=1)
-    if float(dev.max()) > FIELD_TOL:
+    if float(dev.max()) > pl.ACS_TOL:
         raise ValueError(
             f"J file differs from the structure of the F file by {float(dev.max()):.3e} "
             f"at node {_worst_node(grid, dev)}"

@@ -69,8 +69,13 @@ J0 = np.array(
 
 #: tolerance for the cross-assertion between independent formulas
 AGREEMENT_TOL = 1e-10
-#: tolerance for the structure-field invariants J^2 = -Id, J^T J = Id
+#: tolerance for the structure invariants J^2 = -Id, J^T J = Id, and for
+#: |y|^2 = 1 of a structure field's self-dual coordinates
 ACS_TOL = 1e-9
+#: tolerance for the pointwise preconditions on 2-forms: self-duality,
+#: wedge normalization and anti-invariance, relative to max(1, sup|form|)
+#: for self-duality and anti-invariance
+FORM_TOL = 1e-8
 
 
 class ConsistencyError(RuntimeError):
@@ -124,13 +129,10 @@ def form_to_matrix(phi):
     return out
 
 
-def matrix_to_form(mat, tol: float | None = 1e-8):
-    """Inverse of :func:`form_to_matrix`; rejects non-antisymmetric input."""
+def matrix_to_form(mat):
+    """Inverse of :func:`form_to_matrix`: the components above the diagonal
+    (antisymmetry is the caller's to ensure)."""
     mat = np.asarray(mat, float)
-    if tol is not None:
-        defect = _amax(mat + np.swapaxes(mat, -1, -2))
-        if defect > tol * max(1.0, _amax(mat)):
-            raise ValueError(f"matrix is not antisymmetric (defect {defect:.3e})")
     comps = [mat[..., i, j] for (i, j) in PAIRS]
     return np.stack(comps, axis=-1)
 
@@ -139,7 +141,7 @@ def pull_back(J, phi):
     """The 2-form psi(X, Y) = phi(JX, JY), i.e. J^T A_phi J in matrix form."""
     J = np.asarray(J, float)
     A = form_to_matrix(phi)
-    return matrix_to_form(np.swapaxes(J, -1, -2) @ A @ J, tol=None)
+    return matrix_to_form(np.swapaxes(J, -1, -2) @ A @ J)
 
 
 def acs_defect(J) -> tuple[float, float]:
@@ -158,44 +160,42 @@ def require_acs(J, tol: float = ACS_TOL) -> None:
         raise ValueError(f"J is not orthogonal (defect {orth:.3e}, tol {tol:.1e})")
 
 
-def split_j(J, phi, tol: float = ACS_TOL) -> FormSplit:
+def split_j(J, phi) -> FormSplit:
     """Split into the invariant (plus) and anti-invariant (minus) parts of
-    the involution phi -> phi(J., J.).  Requires J^2 = -Id within ``tol``."""
+    the involution phi -> phi(J., J.).  Requires J^2 = -Id within ACS_TOL."""
     J = np.asarray(J, float)
     sq = _amax(J @ J + np.eye(4))
-    if sq > tol:
-        raise ValueError(f"J^2 differs from -Id by {sq:.3e} (tol {tol:.1e})")
+    if sq > ACS_TOL:
+        raise ValueError(f"J^2 differs from -Id by {sq:.3e} (tol {ACS_TOL:.1e})")
     pb = pull_back(J, phi)
     phi = np.asarray(phi, float)
     return FormSplit((phi + pb) / 2.0, (phi - pb) / 2.0)
 
 
-def fundamental_form(J, tol: float = ACS_TOL):
-    """F(X, Y) = g(JX, Y) for a compatible structure; F is self-dual with
-    wedge square 2."""
+def fundamental_form(J):
+    """F(X, Y) = g(JX, Y) for a compatible structure (within ACS_TOL); F is
+    self-dual with wedge square 2."""
     J = np.asarray(J, float)
-    require_acs(J, tol=tol)
-    return matrix_to_form(np.swapaxes(J, -1, -2), tol=None)
+    require_acs(J)
+    return matrix_to_form(np.swapaxes(J, -1, -2))
 
 
-def acs_from_sd_form(F, tol: float = 1e-8):
+def acs_from_sd_form(F):
     """The unique compatible structure whose fundamental form is ``F``.
 
     ``F`` must be self-dual with wedge square 2 (wedge norm 1) within
-    ``tol``; this inverts :func:`fundamental_form`.
+    FORM_TOL, and the structure is checked within 10 FORM_TOL; this inverts
+    :func:`fundamental_form`.
     """
     F = np.asarray(F, float)
-    scale = max(1.0, _amax(F))
-    sd_defect = _amax(F - hodge_star(F))
-    if sd_defect > tol * scale:
-        raise ValueError(f"form is not self-dual (defect {sd_defect:.3e})")
-    norm_defect = _amax(wedge_to_volume(F, F) / 2.0 - 1.0)
-    if norm_defect > tol:
+    norm_sq = wedge_norm_sq(F)
+    norm_defect = _amax(norm_sq - 1.0)
+    if norm_defect > FORM_TOL:
         raise ValueError(
             f"form is not wedge-normalized: |alpha|^2 deviates from 1 by {norm_defect:.3e}"
         )
     J = np.swapaxes(form_to_matrix(F), -1, -2)
-    require_acs(J, tol=max(ACS_TOL, 10.0 * tol))
+    require_acs(J, tol=10.0 * FORM_TOL)
     return J
 
 
@@ -221,31 +221,30 @@ def deform_coords(y, a):
     return ((1.0 - nsq) * y + 2.0 * a) / (1.0 + nsq)
 
 
-def wedge_norm_sq(alpha, tol: float = 1e-8, check_self_dual: bool = True):
+def wedge_norm_sq(alpha):
     """Pointwise wedge-square norm: alpha ^ alpha = 2 |alpha|^2 dmu.
 
     Defined (and nonnegative) for self-dual forms, where it equals half the
-    Riemannian norm; rejects non-self-dual input, for which the wedge square
-    can be negative.
+    Riemannian norm; rejects input that is not self-dual within FORM_TOL,
+    for which the wedge square can be negative.
     """
     alpha = np.asarray(alpha, float)
-    if check_self_dual:
-        defect = _amax(alpha - hodge_star(alpha))
-        if defect > tol * max(1.0, _amax(alpha)):
-            raise ValueError(f"form is not self-dual (defect {defect:.3e})")
+    defect = _amax(alpha - hodge_star(alpha))
+    if defect > FORM_TOL * max(1.0, _amax(alpha)):
+        raise ValueError(f"form is not self-dual (defect {defect:.3e})")
     return wedge_to_volume(alpha, alpha) / 2.0
 
 
-def _require_anti_invariant(J, alpha, tol: float) -> None:
+def _require_anti_invariant(J, alpha) -> None:
     plus = split_j(J, alpha).plus
     defect = _amax(plus)
-    if defect > tol * max(1.0, _amax(alpha)):
+    if defect > FORM_TOL * max(1.0, _amax(alpha)):
         raise ValueError(
-            f"form is not anti-invariant (invariant part {defect:.3e}, tol {tol:.1e})"
+            f"form is not anti-invariant (invariant part {defect:.3e}, tol {FORM_TOL:.1e})"
         )
 
 
-def deform_pair(J, alpha, tol: float = 1e-8):
+def deform_pair(J, alpha):
     """Deform a compatible structure and return (J_alpha, F_alpha) together.
 
     Computes J_alpha twice, by conjugating J with Id + J K_alpha and by the
@@ -256,9 +255,9 @@ def deform_pair(J, alpha, tol: float = 1e-8):
     """
     J = np.asarray(J, float)
     alpha = np.asarray(alpha, float)
-    require_acs(J, tol=ACS_TOL)
-    _require_anti_invariant(J, alpha, tol)
-    nsq = wedge_norm_sq(alpha, tol=tol)
+    require_acs(J)
+    _require_anti_invariant(J, alpha)
+    nsq = wedge_norm_sq(alpha)
     worst = float(np.max(nsq))
     if worst >= 1.0:
         raise ValueError(
@@ -284,16 +283,16 @@ def deform_pair(J, alpha, tol: float = 1e-8):
     return closed, F_new
 
 
-def j_act_anti(J, alpha, tol: float = 1e-8):
+def j_act_anti(J, alpha):
     """The action (J alpha)(., .) = -alpha(J., .) on anti-invariant forms.
 
     The output is again anti-invariant and applying the action twice gives
     ``-alpha``: the anti-invariant plane carries a complex structure.
     """
     J = np.asarray(J, float)
-    _require_anti_invariant(J, alpha, tol)
+    _require_anti_invariant(J, alpha)
     M = -np.swapaxes(J, -1, -2) @ form_to_matrix(alpha)
     defect = _amax(M + np.swapaxes(M, -1, -2))
-    if defect > tol * max(1.0, _amax(alpha)):
+    if defect > FORM_TOL * max(1.0, _amax(alpha)):
         raise ValueError(f"action did not produce a 2-form (defect {defect:.3e})")
-    return matrix_to_form(M, tol=None)
+    return matrix_to_form(M)

@@ -42,7 +42,7 @@ def scenario_baseline(cfg: LabConfig) -> ScenarioReport:
     report.check("Gram matrix is diag(4, 0, 0)", dev <= 1e-10, 1e-10, dev)
     closed = cohomlab.null_forms_closed_residual(gram)
     report.check("kernel forms are closed", closed <= 1e-12, 1e-12, closed)
-    J = triple.J.values
+    J = pl.acs_from_coords(triple.y)
     anti = max(
         float(np.max(np.abs(pl.split_j(J, v @ pl.OMEGA_SD).plus))) for v in gram.null_coords
     )
@@ -134,7 +134,7 @@ def scenario_two_stage(cfg: LabConfig) -> ScenarioReport:
     route_dev = max((r.get("route_disagreement", 0.0) for r in stage2_records), default=0.0)
     report.check(
         "normalization route matches the rational deformation route",
-        route_dev <= 1e-9, 1e-9, route_dev,
+        route_dev <= hm.ROUTE_TOL, hm.ROUTE_TOL, route_dev,
     )
     report.artifacts["triples"] = {"stage1": (stage1, log), "stage2": (stage2, log)}
     return report

@@ -68,12 +68,9 @@ class GridSpec:
     def node_count(self) -> int:
         return self.n**4
 
-    def axis_coords(self) -> np.ndarray:
-        return np.arange(self.n) / self.n
-
     def coords(self) -> list[np.ndarray]:
         """Broadcastable coordinate arrays, one per axis."""
-        x = self.axis_coords()
+        x = np.arange(self.n) / self.n
         return [x.reshape([-1 if a == ax else 1 for a in GRID_AXES]) for ax in GRID_AXES]
 
     def wavenumbers(self) -> list[np.ndarray]:

@@ -425,5 +425,5 @@ class TestLoadBoundary:
             "params": {}, "deform_log": [],
         }))
         back = hm.load_triple(sidecar)
-        assert float(np.max(np.abs(back.J.values - J))) <= hm.FIELD_TOL
-        assert float(np.max(np.abs(back.F.values - F))) <= hm.FIELD_TOL
+        assert float(np.max(np.abs(back.J.values - J))) <= pl.ACS_TOL
+        assert float(np.max(np.abs(back.F.values - F))) <= pl.ACS_TOL
