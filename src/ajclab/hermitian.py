@@ -65,7 +65,7 @@ def _worst_node(grid: GridSpec, nodewise: np.ndarray) -> tuple[int, ...]:
 
 class AcsField(EndoField):
     """Endomorphism field that is a compatible almost complex structure at
-    every node, within ACS_TOL; checked over node chunks of
+    every node, within pl.ACS_TOL; checked over node chunks of
     ``_ACS_CHUNK``, so the check adds no full-size temporary."""
 
     def __init__(self, grid: GridSpec, values):
@@ -171,7 +171,7 @@ def deform_field(triple: HermitianTriple, a: np.ndarray) -> HermitianTriple:
     """Deform a structure field by the anti-invariant form field a @ OMEGA_SD.
 
     ``a`` has shape ``grid.shape + (3,)`` and must satisfy a . y = 0 (within
-    FORM_TOL relative to max(1, sup|a|)) and |a| < 1 at every node;
+    pl.FORM_TOL relative to max(1, sup|a|)) and |a| < 1 at every node;
     precondition failures report the worst offending node.  Off the support
     of a the output equals the input exactly.
     """
@@ -197,7 +197,7 @@ def deform_field(triple: HermitianTriple, a: np.ndarray) -> HermitianTriple:
 def triple_from_form_field(F: TwoFormField) -> HermitianTriple:
     """The structure field whose fundamental form is ``F``.
 
-    ``F`` must be self-dual within FORM_TOL (relative to max(1, sup|F|)) and
+    ``F`` must be self-dual within pl.FORM_TOL (relative to max(1, sup|F|)) and
     wedge-normalized, so that y = F @ OMEGA_SD^T / 2 is a unit vector.
     """
     defect = np.max(np.abs(F.values - pl.hodge_star(F.values)), axis=-1)
@@ -394,7 +394,7 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
     checked finite (J's entries are F's, negated or zero), and J is built
     by :func:`.pointlin.acs_from_coords` over node chunks of
     ``_ACS_CHUNK`` and checked there for J^2 = -Id and J^T J = Id within
-    ACS_TOL (:func:`.pointlin.require_acs`); the files are
+    pl.ACS_TOL (:func:`.pointlin.require_acs`); the files are
     byte-identical to :func:`.fieldio.serialize_field` of ``triple.J`` and
     ``triple.F``."""
     import json
@@ -436,7 +436,7 @@ def load_triple(sidecar_path) -> HermitianTriple:
     the F file by :func:`triple_from_form_field`, which checks that the
     form is self-dual and that |y| = 1.  The J file is read as its payload
     rows and must match :func:`.pointlin.acs_from_coords` of y, taken over
-    node chunks of ``_ACS_CHUNK``, within ACS_TOL at every node; a failed
+    node chunks of ``_ACS_CHUNK``, within pl.ACS_TOL at every node; a failed
     check names the worst node.
     """
     import json

@@ -72,9 +72,8 @@ AGREEMENT_TOL = 1e-10
 #: tolerance for the structure invariants J^2 = -Id, J^T J = Id, and for
 #: |y|^2 = 1 of a structure field's self-dual coordinates
 ACS_TOL = 1e-9
-#: tolerance for the pointwise preconditions on 2-forms: self-duality,
-#: wedge normalization and anti-invariance, relative to max(1, sup|form|)
-#: for self-duality and anti-invariance
+#: tolerance for the pointwise preconditions on 2-forms: self-duality and
+#: anti-invariance (relative to max(1, sup|form|)), and wedge normalization
 FORM_TOL = 1e-8
 
 
@@ -188,8 +187,7 @@ def acs_from_sd_form(F):
     :func:`fundamental_form`.
     """
     F = np.asarray(F, float)
-    norm_sq = wedge_norm_sq(F)
-    norm_defect = _amax(norm_sq - 1.0)
+    norm_defect = _amax(wedge_norm_sq(F) - 1.0)
     if norm_defect > FORM_TOL:
         raise ValueError(
             f"form is not wedge-normalized: |alpha|^2 deviates from 1 by {norm_defect:.3e}"

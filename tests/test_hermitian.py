@@ -189,13 +189,12 @@ class TestTripleFromForm:
 
     def test_self_duality_threshold_is_1e_8(self):
         # an anti-self-dual part d/2 (e12 - e34) is a self-duality defect d
-        for defect, accepted in ((0.5e-8, True), (2e-8, False)):
-            F = tf.TwoFormField.constant(G8, pl.OMEGA1 + defect / 2.0 * pl.OMEGA_ASD[0])
-            if accepted:
-                assert np.array_equal(hm.triple_from_form_field(F).y, hm.standard_acs(G8).y)
-            else:
-                with pytest.raises(ValueError, match="not self-dual"):
-                    hm.triple_from_form_field(F)
+        def form(defect):
+            return tf.TwoFormField.constant(G8, pl.OMEGA1 + defect / 2.0 * pl.OMEGA_ASD[0])
+
+        assert np.array_equal(hm.triple_from_form_field(form(0.5e-8)).y, hm.standard_acs(G8).y)
+        with pytest.raises(ValueError, match="not self-dual"):
+            hm.triple_from_form_field(form(2e-8))
 
 
 class TestTwoStage:
