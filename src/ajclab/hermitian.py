@@ -53,9 +53,8 @@ DELTA_SAMPLES = 64
 #: bound on the disagreement of stage 2's normalization and rational
 #: deformation routes
 ROUTE_TOL = 1e-9
-#: nodes per chunk of the J checked by AcsField, built and checked by
-#: save_triple and compared by load_triple; one chunk's 4x4 products stay
-#: cache-sized
+#: nodes per chunk of the J checked by AcsField; one chunk's 4x4 products
+#: stay cache-sized
 _ACS_CHUNK = 4096
 
 
@@ -172,8 +171,10 @@ def deform_field(triple: HermitianTriple, a: np.ndarray) -> HermitianTriple:
 
     ``a`` has shape ``grid.shape + (3,)`` and must satisfy a . y = 0 (within
     pl.FORM_TOL relative to max(1, sup|a|)) and |a| < 1 at every node;
-    precondition failures report the worst offending node.  Off the support
-    of a the output equals the input exactly.
+    precondition failures report the worst offending node, as does an
+    invariant part inside that tolerance that still moves the output off
+    |y| = 1 by more than pl.ACS_TOL.  Off the support of a the output equals
+    the input exactly.
     """
     grid = triple.grid
     a = np.asarray(a, float)
@@ -181,17 +182,28 @@ def deform_field(triple: HermitianTriple, a: np.ndarray) -> HermitianTriple:
         raise ValueError(f"deformation field must have shape {grid.shape + (3,)}, got {a.shape}")
     nsq = np.sum(a * a, axis=-1)
     along = np.abs(np.sum(a * triple.y, axis=-1))
-    if float(along.max()) > pl.FORM_TOL * max(1.0, float(np.sqrt(nsq.max()))):
+    invariant = float(along.max())
+    if invariant > pl.FORM_TOL * max(1.0, float(np.sqrt(nsq.max()))):
         raise ValueError(
             f"deformation form is not anti-invariant at node {_worst_node(grid, along)} "
-            f"(invariant part {float(along.max()):.3e})"
+            f"(invariant part {invariant:.3e})"
         )
     if float(nsq.max()) >= 1.0:
         raise ValueError(
             f"deformation form has wedge norm^2 {float(nsq.max()):.6f} >= 1 "
             f"at node {_worst_node(grid, nsq)}"
         )
-    return HermitianTriple(grid, pl.deform_coords(triple.y, a))
+    try:
+        return HermitianTriple(grid, pl.deform_coords(triple.y, a))
+    except ValueError as exc:
+        # |y'|^2 - 1 is about 4 (a . y)(1 - |a|^2) / (1 + |a|^2)^2, so an
+        # invariant part inside FORM_TOL can still break |y'| = 1 (ACS_TOL)
+        if not invariant > 0.0:
+            raise
+        raise ValueError(
+            f"deformation form's invariant part {invariant:.3e} at node "
+            f"{_worst_node(grid, along)} moves the deformed structure off the sphere: {exc}"
+        ) from exc
 
 
 def triple_from_form_field(F: TwoFormField) -> HermitianTriple:
@@ -200,12 +212,19 @@ def triple_from_form_field(F: TwoFormField) -> HermitianTriple:
     ``F`` must be self-dual within pl.FORM_TOL (relative to max(1, sup|F|)) and
     wedge-normalized, so that y = F @ OMEGA_SD^T / 2 is a unit vector.
     """
-    defect = np.max(np.abs(F.values - pl.hodge_star(F.values)), axis=-1)
+    # F - star F is (F0 - F5, F1 + F4, F2 - F3) and its negation, component by component
+    v = F.values
+    defect = np.maximum(
+        np.maximum(np.abs(v[..., 0] - v[..., 5]), np.abs(v[..., 1] + v[..., 4])),
+        np.abs(v[..., 2] - v[..., 3]),
+    )
     if float(defect.max()) > pl.FORM_TOL * max(1.0, F.max_abs()):
         raise ValueError(
             f"form is not self-dual at node {_worst_node(F.grid, defect)} "
             f"(defect {float(defect.max()):.3e})"
         )
+    # freed first, so y's arrays reuse its heap block instead of growing the heap
+    del defect
     return HermitianTriple(F.grid, F.values @ pl.OMEGA_SD.T / 2.0)
 
 
@@ -389,14 +408,13 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
     """Write J (endo kind) and F (twoform kind) field files plus a JSON
     sidecar with construction parameters and the deformation log.
 
-    Both payloads are written in the file's component-major layout, with
-    no J field of the whole grid built.  Before any file is opened, F is
-    checked finite (J's entries are F's, negated or zero), and J is built
-    by :func:`.pointlin.acs_from_coords` over node chunks of
-    ``_ACS_CHUNK`` and checked there for J^2 = -Id and J^T J = Id within
-    pl.ACS_TOL (:func:`.pointlin.require_acs`); the files are
-    byte-identical to :func:`.fieldio.serialize_field` of ``triple.J`` and
-    ``triple.F``."""
+    Both payloads are built in the file's component-major layout, with no
+    4x4 J formed: J's rows are F's rows, copied, negated or +0 as
+    ``pl.J_ENTRIES`` places them.  Before any file is opened, F is checked
+    finite and J for J^2 = -Id and J^T J = Id within pl.ACS_TOL, through
+    y: for J = sum_k y_k J_k, J^2 + Id = (1 - |y|^2) Id = Id - J^T J.  The
+    files are byte-identical to :func:`.fieldio.serialize_field` of
+    ``triple.J`` and ``triple.F``."""
     import json
 
     from .fieldio import _write_payload
@@ -405,11 +423,12 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
     if not np.all(np.isfinite(F)):
         raise ValueError("F has non-finite values")
     ys = triple.y.reshape(-1, 3)
-    J = np.empty((16, ys.shape[0]))
-    for lo in range(0, ys.shape[0], _ACS_CHUNK):
-        chunk = pl.acs_from_coords(ys[lo : lo + _ACS_CHUNK])
-        pl.require_acs(chunk)
-        J[:, lo : lo + _ACS_CHUNK] = chunk.reshape(-1, 16).T
+    sq = float(np.max(np.abs(np.einsum("ij,ij->i", ys, ys) - 1.0)))
+    if sq > pl.ACS_TOL:
+        raise ValueError(f"J^2 differs from -Id by {sq:.3e} (tol {pl.ACS_TOL:.1e})")
+    J = np.zeros((16, ys.shape[0]))
+    for entry, comp, sign in pl.J_ENTRIES:
+        np.multiply(F[comp], sign, out=J[entry])
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     j_name = f"{stem}.J.field"
@@ -435,9 +454,9 @@ def load_triple(sidecar_path) -> HermitianTriple:
     kind, grid, payload size) and hold finite values.  y is rebuilt from
     the F file by :func:`triple_from_form_field`, which checks that the
     form is self-dual and that |y| = 1.  The J file is read as its payload
-    rows and must match :func:`.pointlin.acs_from_coords` of y, taken over
-    node chunks of ``_ACS_CHUNK``, within pl.ACS_TOL at every node; a failed
-    check names the worst node.
+    rows, and each must match ``pl.J_ENTRIES`` applied to the rows of
+    y @ OMEGA_SD (its diagonal rows must be 0) within pl.ACS_TOL at every
+    node; a failed check names the worst node.
     """
     import json
 
@@ -454,12 +473,14 @@ def load_triple(sidecar_path) -> HermitianTriple:
     if j_kind != EndoField.KIND or not isinstance(f_field, TwoFormField):
         raise FieldFormatError(f"{sidecar_path}: expected an endo J file and a twoform F file")
     triple = triple_from_form_field(f_field)
-    ys = triple.y.reshape(-1, 3)
-    dev = np.empty(grid.node_count)
-    for lo in range(0, grid.node_count, _ACS_CHUNK):
-        derived = pl.acs_from_coords(ys[lo : lo + _ACS_CHUNK]).reshape(-1, 16)
-        diff = np.abs(j_rows[:, lo : lo + _ACS_CHUNK].T - derived)
-        dev[lo : lo + _ACS_CHUNK] = diff.max(axis=1)
+    F = pl.OMEGA_SD.T @ triple.y.reshape(-1, 3).T
+    # per node, the largest |file entry - derived entry|; rows 0, 5, 10 and 15
+    # are the diagonal, derived as +0
+    dev = np.max(np.abs(j_rows[::5]), axis=0)
+    diff = np.empty(grid.node_count)
+    for entry, comp, sign in pl.J_ENTRIES:
+        np.subtract(j_rows[entry], np.multiply(F[comp], sign, out=diff), out=diff)
+        np.maximum(dev, np.abs(diff, out=diff), out=dev)
     if float(dev.max()) > pl.ACS_TOL:
         raise ValueError(
             f"J file differs from the structure of the F file by {float(dev.max()):.3e} "

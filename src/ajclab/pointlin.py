@@ -67,6 +67,14 @@ J0 = np.array(
     ]
 )
 
+#: the placement rule of J = sum_k y_k J_k, whose entries are those of its
+#: fundamental form F = y @ OMEGA_SD: (row-major entry of J, component of F,
+#: sign) with J[j, i] = F_ij and J[i, j] = -F_ij for each pair i < j; the four
+#: diagonal entries (0, 5, 10 and 15) are +0
+J_ENTRIES = tuple((4 * j + i, c, 1.0) for c, (i, j) in enumerate(PAIRS)) + tuple(
+    (4 * i + j, c, -1.0) for c, (i, j) in enumerate(PAIRS)
+)
+
 #: tolerance for the cross-assertion between independent formulas
 AGREEMENT_TOL = 1e-10
 #: tolerance for the structure invariants J^2 = -Id, J^T J = Id, and for
@@ -202,9 +210,14 @@ def acs_from_coords(y):
     with fundamental form OMEGA_k.
 
     For a unit vector y (the caller's to check) this is the structure
-    :func:`acs_from_sd_form` returns for ``y @ OMEGA_SD``; it is linear in y.
+    :func:`acs_from_sd_form` returns for ``y @ OMEGA_SD``; it is linear in y
+    and placed by ``J_ENTRIES``.
     """
-    return np.swapaxes(form_to_matrix(np.asarray(y, float) @ OMEGA_SD), -1, -2)
+    F = np.asarray(y, float) @ OMEGA_SD
+    J = np.zeros(F.shape[:-1] + (16,))
+    for entry, comp, sign in J_ENTRIES:
+        np.multiply(F[..., comp], sign, out=J[..., entry])
+    return J.reshape(F.shape[:-1] + (4, 4))
 
 
 def deform_coords(y, a):

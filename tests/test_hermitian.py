@@ -1,6 +1,7 @@
 """Structure fields, deformations, and the two-stage cut-off pipeline."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,12 @@ class TestDeformField:
         with pytest.raises(ValueError, match="anti-invariant"):
             hm.deform_field(triple, constant([0.5, 0.0, 0.0]))
 
+    def test_invariant_part_that_breaks_the_unit_norm_is_named(self):
+        # inside FORM_TOL, but |y'|^2 - 1 = 9.6e-9 exceeds ACS_TOL
+        triple = hm.standard_acs(G8)
+        with pytest.raises(ValueError, match=r"invariant part 5\.000e-09 at node \(0, 0, 0, 0\)"):
+            hm.deform_field(triple, constant([0.5e-8, 0.5, 0.0]))
+
     def test_anti_invariance_threshold_is_1e_8(self):
         # |a| = 0.99 keeps the output's |y|^2 - 1 (about 4 (a . y) (1 - |a|^2)) below 1e-9
         triple = hm.standard_acs(G8)
@@ -195,6 +202,13 @@ class TestTripleFromForm:
         assert np.array_equal(hm.triple_from_form_field(form(0.5e-8)).y, hm.standard_acs(G8).y)
         with pytest.raises(ValueError, match="not self-dual"):
             hm.triple_from_form_field(form(2e-8))
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_each_anti_self_dual_direction_is_a_defect(self, k):
+        values = np.array(np.broadcast_to(pl.OMEGA1, G8.shape + (6,)))
+        values[1, 2, 3, 4] += 1e-7 * pl.OMEGA_ASD[k]
+        with pytest.raises(ValueError, match=r"not self-dual at node \(1, 2, 3, 4\) \(defect 2\.000e-07\)"):
+            hm.triple_from_form_field(tf.TwoFormField(G8, values))
 
 
 class TestTwoStage:
@@ -299,6 +313,22 @@ def io_triples():
     }
 
 
+class TestJPlacement:
+    @pytest.mark.parametrize("label", ["standard", "random", "stage2"])
+    def test_table_reproduces_acs_from_coords(self, io_triples, label):
+        # bytes, so the standard structure's signed zeros count
+        y = io_triples[label].y
+        J = pl.acs_from_coords(y)
+        F = (y @ pl.OMEGA_SD).reshape(-1, 6).T
+        rows = np.zeros((16, F.shape[1]))
+        for entry, comp, sign in pl.J_ENTRIES:
+            rows[entry] = sign * F[comp]
+        assert np.ascontiguousarray(rows.T).tobytes() == J.tobytes()
+        # and the rule read off form_to_matrix, independently of the table
+        by_matrix = np.swapaxes(pl.form_to_matrix(y @ pl.OMEGA_SD), -1, -2)
+        assert np.ascontiguousarray(by_matrix).tobytes() == J.tobytes()
+
+
 class TestTripleIO:
     def test_save_load_round_trip(self, tmp_path):
         triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
@@ -334,6 +364,33 @@ class TestTripleIO:
         with pytest.raises(ValueError, match=match):
             hm.save_triple(triple, tmp_path, "bad")
         assert not (tmp_path / "bad.J.field").exists()
+
+    def test_save_structure_threshold_is_1e_9(self, tmp_path):
+        # |y|^2 - 1 = d is a J^2 + Id defect d
+        def scaled(defect):
+            triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
+            object.__setattr__(triple, "y", np.sqrt(1.0 + defect) * triple.y)
+            return triple
+
+        hm.save_triple(scaled(0.5e-9), tmp_path, "inside")
+        assert (tmp_path / "inside.J.field").exists()
+        with pytest.raises(ValueError, match="J\\^2 differs from -Id"):
+            hm.save_triple(scaled(2e-9), tmp_path, "outside")
+        assert not (tmp_path / "outside.J.field").exists()
+
+    def test_round_trip_builds_no_4x4_structure(self, io_triples, tmp_path, monkeypatch):
+        triple = io_triples["stage2"]
+        fieldio.serialize_field(triple.J, tmp_path / "generic.J")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a 4x4 J was built on the file path")
+
+        for name in ("acs_from_coords", "require_acs", "acs_defect"):
+            monkeypatch.setattr(pl, name, forbidden)
+        back = hm.load_triple(hm.save_triple(triple, tmp_path, "stage2"))
+        assert back.y.tobytes() == triple.y.tobytes()
+        written = (tmp_path / "stage2.J.field").read_bytes()
+        assert written == (tmp_path / "generic.J").read_bytes()
 
 
 class TestLoadBoundary:
@@ -396,6 +453,18 @@ class TestLoadBoundary:
         self.tamper(sidecar, "J", nudge)
         with pytest.raises(ValueError, match=r"J file differs .* at node \(3, 1, 4, 1\)"):
             hm.load_triple(sidecar)
+
+    def test_rejects_any_entry_changed_at_one_node(self, sidecar):
+        original = (sidecar.parent / "sample.J.field").read_bytes()
+        for entry in range(16):
+            def nudge(payload):
+                payload[entry, 1000 + entry] += 2e-9
+
+            self.tamper_payload(sidecar, "J", nudge)
+            node = tuple(int(i) for i in np.unravel_index(1000 + entry, G8.shape))
+            with pytest.raises(ValueError, match=rf"by 2\.000e-09 at node {re.escape(str(node))}"):
+                hm.load_triple(sidecar)
+            (sidecar.parent / "sample.J.field").write_bytes(original)
 
     def test_rejects_a_form_file_in_the_j_slot(self, sidecar):
         (sidecar.parent / "sample.J.field").write_bytes(

@@ -275,6 +275,23 @@ class TestSelfDualCoords:
             np.testing.assert_array_equal(pl.acs_from_coords(y), pl.acs_from_sd_form(form))
         np.testing.assert_array_equal(pl.acs_from_coords([1.0, 0.0, 0.0]), pl.J0)
 
+    def test_frame_structures_are_quaternionic(self):
+        # exact: J_k J_l + J_l J_k = -2 delta_kl Id and J_k^T = -J_k
+        Js = [pl.acs_from_coords(y) for y in np.eye(3)]
+        for k, l in itertools.product(range(3), repeat=2):
+            anti = Js[k] @ Js[l] + Js[l] @ Js[k]
+            assert np.array_equal(anti, -2.0 * (k == l) * np.eye(4))
+        for J in Js:
+            assert np.array_equal(J.T, -J)
+
+    def test_unit_defect_of_y_is_the_structure_defect(self):
+        # hence J^2 + Id = (1 - |y|^2) Id = Id - J^T J for any y, unit or not
+        y = np.random.default_rng(11).uniform(-1.0, 1.0, (64, 3))
+        J = pl.acs_from_coords(y)
+        gap = (1.0 - np.sum(y * y, axis=-1))[:, None, None] * np.eye(4)
+        np.testing.assert_allclose(J @ J + np.eye(4), gap, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(np.eye(4) - np.swapaxes(J, -1, -2) @ J, gap, rtol=0.0, atol=1e-15)
+
     def test_half_omega2_case(self):
         y = pl.deform_coords(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0]))
         np.testing.assert_allclose(y, [0.6, 0.8, 0.0], atol=1e-15)
