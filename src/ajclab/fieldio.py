@@ -10,11 +10,10 @@ The file must end exactly after the payload.
 Both directions go through one core that sees the payload as it lies in
 the file, an ``(ncomp, N)`` array of N = n^4 nodes: :func:`_write_payload`
 and :func:`_read_payload`.  :func:`serialize_field` and
-:func:`deserialize_field` wrap it for nodal fields.  The structure files
-use it directly, as J's payload rows are F's rows placed by
-``pointlin.J_ENTRIES``: :func:`.hermitian.save_triple` writes both
-payloads with :func:`_write_payload`, and :func:`.hermitian.load_triple`
-compares the J payload from :func:`_read_payload` with those rows.
+:func:`deserialize_field` wrap it for nodal fields.  A structure is stored
+as its fundamental form alone: :func:`.hermitian.save_triple` writes F's
+payload rows with :func:`_write_payload`, and :func:`.hermitian.load_triple`
+reads them with :func:`deserialize_field`.
 """
 
 from __future__ import annotations

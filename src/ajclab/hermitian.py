@@ -9,7 +9,7 @@ derives F = sum_k y_k OMEGA_k and J = sum_k y_k J_k on access; both are
 linear in y.  |y| = 1 is the only invariant left.  It is checked when a
 triple is built, and the boundaries that take outside input check more:
 :func:`triple_from_form_field` that a form is self-dual, and
-:func:`load_triple` that the J file matches the structure of the F file.
+:func:`load_triple` the sidecar and the F file it names.
 
 A self-dual form a @ OMEGA_SD is anti-invariant for y exactly when
 a . y = 0 (the anti-invariant plane is the tangent plane of S^2 at y), and
@@ -405,40 +405,32 @@ def two_stage_deform(
 
 def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | None = None,
                 log: DeformLog | None = None) -> Path:
-    """Write J (endo kind) and F (twoform kind) field files plus a JSON
-    sidecar with construction parameters and the deformation log.
+    """Write the F field file (twoform kind) and a JSON sidecar (format 2)
+    with construction parameters and the deformation log.
 
-    Both payloads are built in the file's component-major layout, with no
-    4x4 J formed: J's rows are F's rows, copied, negated or +0 as
-    ``pl.J_ENTRIES`` places them.  Before any file is opened, F is checked
-    finite and J for J^2 = -Id and J^T J = Id within pl.ACS_TOL, through
-    y: for J = sum_k y_k J_k, J^2 + Id = (1 - |y|^2) Id = Id - J^T J.  The
-    files are byte-identical to :func:`.fieldio.serialize_field` of
-    ``triple.J`` and ``triple.F``."""
+    F = y @ OMEGA_SD determines the structure, so no J file is written.
+    Before any file is opened, F is checked finite and J for J^2 = -Id and
+    J^T J = Id within pl.ACS_TOL, through y: for J = sum_k y_k J_k,
+    J^2 + Id = (1 - |y|^2) Id = Id - J^T J.  The F file is byte-identical
+    to :func:`.fieldio.serialize_field` of ``triple.F``."""
     import json
 
     from .fieldio import _write_payload
 
-    F = np.ascontiguousarray((triple.y @ pl.OMEGA_SD).reshape(-1, 6).T)
+    F = (triple.y @ pl.OMEGA_SD).reshape(-1, 6).T
     if not np.all(np.isfinite(F)):
         raise ValueError("F has non-finite values")
-    ys = triple.y.reshape(-1, 3)
-    sq = float(np.max(np.abs(np.einsum("ij,ij->i", ys, ys) - 1.0)))
+    sq = float(np.max(np.abs(np.einsum("...k,...k", triple.y, triple.y) - 1.0)))
     if sq > pl.ACS_TOL:
         raise ValueError(f"J^2 differs from -Id by {sq:.3e} (tol {pl.ACS_TOL:.1e})")
-    J = np.zeros((16, ys.shape[0]))
-    for entry, comp, sign in pl.J_ENTRIES:
-        np.multiply(F[comp], sign, out=J[entry])
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    j_name = f"{stem}.J.field"
     f_name = f"{stem}.F.field"
-    _write_payload(directory / j_name, EndoField.KIND, triple.grid.n, J)
     _write_payload(directory / f_name, TwoFormField.KIND, triple.grid.n, F)
     sidecar = {
-        "format": 1,
+        "format": 2,
         "grid_n": triple.grid.n,
-        "files": {"J": j_name, "F": f_name},
+        "files": {"F": f_name},
         "params": params or {},
         "deform_log": log.to_list() if log is not None else [],
     }
@@ -448,42 +440,38 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
 
 
 def load_triple(sidecar_path) -> HermitianTriple:
-    """Read a triple written by :func:`save_triple`.
+    """Read a triple written by :func:`save_triple`, from the F file its
+    sidecar names; a format-1 sidecar's J file is not read.
 
-    Both files must pass the format checks of :mod:`.fieldio` (header,
-    kind, grid, payload size) and hold finite values.  y is rebuilt from
-    the F file by :func:`triple_from_form_field`, which checks that the
-    form is self-dual and that |y| = 1.  The J file is read as its payload
-    rows, and each must match ``pl.J_ENTRIES`` applied to the rows of
-    y @ OMEGA_SD (its diagonal rows must be 0) within pl.ACS_TOL at every
-    node; a failed check names the worst node.
+    The sidecar must be a JSON object of format 1 or 2, with an integer
+    ``grid_n`` and a plain file name in ``files["F"]``; otherwise
+    :class:`.fieldio.FieldFormatError` names it.  The F file must pass the
+    format checks of :mod:`.fieldio` (header, kind, grid, payload size),
+    hold finite values and be of twoform kind.  y is rebuilt by
+    :func:`triple_from_form_field`, which checks that the form is self-dual
+    and that |y| = 1, naming the worst node.
     """
     import json
 
-    from .fieldio import FieldFormatError, _read_payload, deserialize_field
+    from .fieldio import FieldFormatError, deserialize_field
 
     sidecar_path = Path(sidecar_path)
-    meta = json.loads(sidecar_path.read_text())
-    grid = GridSpec(int(meta["grid_n"]))
-    j_path = sidecar_path.parent / meta["files"]["J"]
-    j_kind, _, j_rows = _read_payload(j_path, expect_grid=grid)
-    if not np.all(np.isfinite(j_rows)):
-        raise ValueError(f"{j_path}: J file has non-finite values")
-    f_field = deserialize_field(sidecar_path.parent / meta["files"]["F"], expect_grid=grid)
-    if j_kind != EndoField.KIND or not isinstance(f_field, TwoFormField):
-        raise FieldFormatError(f"{sidecar_path}: expected an endo J file and a twoform F file")
-    triple = triple_from_form_field(f_field)
-    F = pl.OMEGA_SD.T @ triple.y.reshape(-1, 3).T
-    # per node, the largest |file entry - derived entry|; rows 0, 5, 10 and 15
-    # are the diagonal, derived as +0
-    dev = np.max(np.abs(j_rows[::5]), axis=0)
-    diff = np.empty(grid.node_count)
-    for entry, comp, sign in pl.J_ENTRIES:
-        np.subtract(j_rows[entry], np.multiply(F[comp], sign, out=diff), out=diff)
-        np.maximum(dev, np.abs(diff, out=diff), out=dev)
-    if float(dev.max()) > pl.ACS_TOL:
-        raise ValueError(
-            f"J file differs from the structure of the F file by {float(dev.max()):.3e} "
-            f"at node {_worst_node(grid, dev)}"
-        )
-    return triple
+    try:
+        meta = json.loads(sidecar_path.read_text())
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
+        fmt, n, files = meta.get("format"), meta.get("grid_n"), meta.get("files")
+        if type(fmt) is not int or fmt not in (1, 2):
+            raise ValueError(f"format {fmt!r} is not 1 or 2")
+        if type(n) is not int:
+            raise ValueError(f"needs an integer grid_n, got {n!r}")
+        grid = GridSpec(n)
+        name = files.get("F") if isinstance(files, dict) else None
+        if not isinstance(name, str) or Path(name).parts != (name,) or name == "..":
+            raise ValueError(f"needs a plain file name in files.F, got {name!r}")
+    except ValueError as exc:
+        raise FieldFormatError(f"{sidecar_path}: malformed sidecar: {exc}") from exc
+    f_field = deserialize_field(sidecar_path.parent / name, expect_grid=grid)
+    if not isinstance(f_field, TwoFormField):
+        raise FieldFormatError(f"{sidecar_path.parent / name}: expected a twoform F file")
+    return triple_from_form_field(f_field)

@@ -81,8 +81,12 @@ def test_two_stage_field_files_load_back(tmp_path, capsys):
         assert gram.h_minus == report["h_values"][stem]
         if stem == "stage2":
             assert np.array_equal(gram.matrix, report["summaries"]["stage2_gram"]["matrix"])
-        for part in ("J", "F"):
-            generic = tmp_path / f"generic.{part}"
-            fieldio.serialize_field(getattr(triple, part), generic)
-            written = sidecar.with_name(f"two-stage.{stem}.{part}.field").read_bytes()
-            assert written == generic.read_bytes()
+        meta = json.loads(sidecar.read_text())
+        assert meta["format"] == 2
+        assert meta["files"] == {"F": f"two-stage.{stem}.F.field"}
+        fieldio.serialize_field(triple.F, tmp_path / "generic.F")
+        written = sidecar.with_name(f"two-stage.{stem}.F.field").read_bytes()
+        assert written == (tmp_path / "generic.F").read_bytes()
+    assert sorted(p.name for p in (tmp_path / "fields").iterdir()) == [
+        f"two-stage.{stem}.{suffix}" for stem in ("stage1", "stage2") for suffix in ("F.field", "json")
+    ]

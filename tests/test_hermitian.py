@@ -341,14 +341,15 @@ class TestTripleIO:
 
     @pytest.mark.parametrize("label", ["standard", "random", "stage1", "stage2"])
     def test_files_match_the_generic_field_route(self, io_triples, label, tmp_path):
-        # the standard structure carries signed zeros in J
+        # the standard structure carries signed zeros in F
         triple = io_triples[label]
-        sidecar = hm.save_triple(triple, tmp_path, label)
-        fieldio.serialize_field(triple.J, tmp_path / "generic.J")
+        sidecar = hm.save_triple(triple, tmp_path / "out", label)
+        assert sorted(p.name for p in sidecar.parent.iterdir()) == [
+            f"{label}.F.field", f"{label}.json"
+        ]
         fieldio.serialize_field(triple.F, tmp_path / "generic.F")
-        for part in ("J", "F"):
-            written = (tmp_path / f"{label}.{part}.field").read_bytes()
-            assert written == (tmp_path / f"generic.{part}").read_bytes()
+        written = (tmp_path / "out" / f"{label}.F.field").read_bytes()
+        assert written == (tmp_path / "generic.F").read_bytes()
         back = hm.load_triple(sidecar)
         assert back.y.tobytes() == triple.y.tobytes()
 
@@ -363,7 +364,8 @@ class TestTripleIO:
         object.__setattr__(triple, "y", change(triple.y))
         with pytest.raises(ValueError, match=match):
             hm.save_triple(triple, tmp_path, "bad")
-        assert not (tmp_path / "bad.J.field").exists()
+        assert not (tmp_path / "bad.F.field").exists()
+        assert not (tmp_path / "bad.json").exists()
 
     def test_save_structure_threshold_is_1e_9(self, tmp_path):
         # |y|^2 - 1 = d is a J^2 + Id defect d
@@ -373,14 +375,16 @@ class TestTripleIO:
             return triple
 
         hm.save_triple(scaled(0.5e-9), tmp_path, "inside")
-        assert (tmp_path / "inside.J.field").exists()
+        assert (tmp_path / "inside.F.field").exists()
+        assert (tmp_path / "inside.json").exists()
         with pytest.raises(ValueError, match="J\\^2 differs from -Id"):
             hm.save_triple(scaled(2e-9), tmp_path, "outside")
-        assert not (tmp_path / "outside.J.field").exists()
+        assert not (tmp_path / "outside.F.field").exists()
+        assert not (tmp_path / "outside.json").exists()
 
     def test_round_trip_builds_no_4x4_structure(self, io_triples, tmp_path, monkeypatch):
         triple = io_triples["stage2"]
-        fieldio.serialize_field(triple.J, tmp_path / "generic.J")
+        fieldio.serialize_field(triple.F, tmp_path / "generic.F")
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a 4x4 J was built on the file path")
@@ -389,8 +393,8 @@ class TestTripleIO:
             monkeypatch.setattr(pl, name, forbidden)
         back = hm.load_triple(hm.save_triple(triple, tmp_path, "stage2"))
         assert back.y.tobytes() == triple.y.tobytes()
-        written = (tmp_path / "stage2.J.field").read_bytes()
-        assert written == (tmp_path / "generic.J").read_bytes()
+        written = (tmp_path / "stage2.F.field").read_bytes()
+        assert written == (tmp_path / "generic.F").read_bytes()
 
 
 class TestLoadBoundary:
@@ -400,15 +404,16 @@ class TestLoadBoundary:
         return hm.save_triple(triple, tmp_path, "sample")
 
     @staticmethod
-    def tamper(sidecar, part, change):
-        path = sidecar.parent / f"sample.{part}.field"
+    def tamper(sidecar, change):
+        path = sidecar.parent / "sample.F.field"
         field = fieldio.deserialize_field(path)
         fieldio.serialize_field(type(field)(field.grid, change(field.values)), path)
 
     @staticmethod
-    def tamper_payload(sidecar, part, change):
-        """Edit the raw (component, node) payload, bypassing field validation."""
-        path = sidecar.parent / f"sample.{part}.field"
+    def tamper_payload(sidecar, change):
+        """Edit the F file's raw (component, node) payload, bypassing field
+        validation."""
+        path = sidecar.parent / "sample.F.field"
         raw = path.read_bytes()
         body = raw.find(b"\n") + 1
         payload = np.frombuffer(raw, dtype="<f8", offset=body).reshape(-1, G8.node_count).copy()
@@ -416,70 +421,89 @@ class TestLoadBoundary:
         path.write_bytes(raw[:body] + payload.tobytes())
 
     def test_rejects_scaled_form(self, sidecar):
-        self.tamper(sidecar, "F", lambda F: 1.01 * F)
+        self.tamper(sidecar, lambda F: 1.01 * F)
         with pytest.raises(ValueError, match="unit vector"):
             hm.load_triple(sidecar)
 
     def test_rejects_anti_self_dual_part(self, sidecar):
-        self.tamper(sidecar, "F", lambda F: F + 1e-3 * pl.OMEGA_ASD[1])
+        self.tamper(sidecar, lambda F: F + 1e-3 * pl.OMEGA_ASD[1])
         with pytest.raises(ValueError, match="not self-dual"):
             hm.load_triple(sidecar)
 
-    def test_rejects_structure_changed_at_one_node(self, sidecar):
-        def flip(J):
-            # -J is a compatible structure too, so only the match with F can catch it
-            J = np.array(J)
-            J[2, 3, 4, 5] *= -1.0
-            return J
-
-        self.tamper(sidecar, "J", flip)
-        with pytest.raises(ValueError, match=r"J file differs .* at node \(2, 3, 4, 5\)"):
-            hm.load_triple(sidecar)
-
-    def test_rejects_nan_in_the_j_file(self, sidecar):
+    def test_rejects_nan_in_the_f_file(self, sidecar):
         def poison(payload):
             payload[5, 1234] = np.nan
 
-        self.tamper_payload(sidecar, "J", poison)
+        self.tamper_payload(sidecar, poison)
         with pytest.raises(ValueError, match="non-finite"):
             hm.load_triple(sidecar)
 
-    def test_rejects_a_diagonal_entry_changed_at_one_node(self, sidecar):
-        def nudge(J):
-            J = np.array(J)
-            J[3, 1, 4, 1, 2, 2] += 1e-8
-            return J
-
-        self.tamper(sidecar, "J", nudge)
-        with pytest.raises(ValueError, match=r"J file differs .* at node \(3, 1, 4, 1\)"):
-            hm.load_triple(sidecar)
-
-    def test_rejects_any_entry_changed_at_one_node(self, sidecar):
-        original = (sidecar.parent / "sample.J.field").read_bytes()
-        for entry in range(16):
+    def test_rejects_any_form_row_changed_at_one_node(self, sidecar):
+        # each row of F = y @ OMEGA_SD has a star partner, so a lone change is anti-self-dual
+        original = (sidecar.parent / "sample.F.field").read_bytes()
+        for row in range(6):
             def nudge(payload):
-                payload[entry, 1000 + entry] += 2e-9
+                payload[row, 1000 + row] += 2e-8
 
-            self.tamper_payload(sidecar, "J", nudge)
-            node = tuple(int(i) for i in np.unravel_index(1000 + entry, G8.shape))
-            with pytest.raises(ValueError, match=rf"by 2\.000e-09 at node {re.escape(str(node))}"):
+            self.tamper_payload(sidecar, nudge)
+            node = tuple(int(i) for i in np.unravel_index(1000 + row, G8.shape))
+            with pytest.raises(ValueError, match=rf"not self-dual at node {re.escape(str(node))}"):
                 hm.load_triple(sidecar)
-            (sidecar.parent / "sample.J.field").write_bytes(original)
+            (sidecar.parent / "sample.F.field").write_bytes(original)
 
-    def test_rejects_a_form_file_in_the_j_slot(self, sidecar):
-        (sidecar.parent / "sample.J.field").write_bytes(
-            (sidecar.parent / "sample.F.field").read_bytes()
-        )
-        with pytest.raises(fieldio.FieldFormatError, match="expected an endo J file"):
+    def test_rejects_an_endo_file_in_the_f_slot(self, sidecar):
+        triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
+        fieldio.serialize_field(triple.J, sidecar.parent / "sample.F.field")
+        with pytest.raises(fieldio.FieldFormatError, match="expected a twoform F file"):
             hm.load_triple(sidecar)
 
-    def test_rejects_a_truncated_j_file(self, sidecar):
-        path = sidecar.parent / "sample.J.field"
+    def test_rejects_a_truncated_f_file(self, sidecar):
+        path = sidecar.parent / "sample.F.field"
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(fieldio.FieldFormatError, match="payload"):
             hm.load_triple(sidecar)
 
+    @staticmethod
+    def assert_malformed(sidecar, text, match):
+        sidecar.write_text(text)
+        with pytest.raises(fieldio.FieldFormatError, match=re.escape(str(sidecar))) as info:
+            hm.load_triple(sidecar)
+        assert match in str(info.value)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda meta: "{not json", "malformed sidecar: Expecting property name"),
+            (lambda meta: [meta], "not a JSON object"),
+            (lambda meta: {k: v for k, v in meta.items() if k != "grid_n"},
+             "integer grid_n, got None"),
+            (lambda meta: {k: v for k, v in meta.items() if k != "files"}, "files.F, got None"),
+            (lambda meta: {**meta, "files": {"J": "sample.J.field"}}, "files.F, got None"),
+            (lambda meta: {**meta, "files": {"F": ".."}}, "files.F, got '..'"),
+            (lambda meta: {**meta, "grid_n": "8"}, "integer grid_n, got '8'"),
+            (lambda meta: {**meta, "grid_n": 7}, "grid size must be even"),
+            (lambda meta: {**meta, "format": 3}, "format 3 is not 1 or 2"),
+        ],
+        ids=["not-json", "not-object", "no-grid-n", "no-files", "no-f-file",
+             "parent-directory", "string-grid-n", "odd-grid-n", "format-3"],
+    )
+    def test_rejects_a_malformed_sidecar(self, sidecar, edit, match):
+        meta = edit(json.loads(sidecar.read_text()))
+        self.assert_malformed(sidecar, meta if isinstance(meta, str) else json.dumps(meta), match)
+
+    @pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "in-a-directory"])
+    def test_rejects_an_f_file_outside_the_sidecar_directory(self, sidecar, absolute):
+        # a valid F file, so only the name can be refused
+        other = sidecar.parent / "elsewhere"
+        other.mkdir()
+        (other / "sample.F.field").write_bytes((sidecar.parent / "sample.F.field").read_bytes())
+        name = str(other / "sample.F.field") if absolute else "elsewhere/sample.F.field"
+        meta = json.loads(sidecar.read_text())
+        meta["files"]["F"] = name
+        self.assert_malformed(sidecar, json.dumps(meta), f"files.F, got {name!r}")
+
     def test_accepts_files_written_node_by_node(self, tmp_path):
+        # a format-1 sidecar also names a J file, which is not read
         rng = np.random.default_rng(0)
         a = np.zeros(G8.shape + (3,))
         a[..., 1:] = rng.uniform(-0.6, 0.6, G8.shape + (2,))
@@ -495,3 +519,7 @@ class TestLoadBoundary:
         back = hm.load_triple(sidecar)
         assert float(np.max(np.abs(back.J.values - J))) <= pl.ACS_TOL
         assert float(np.max(np.abs(back.F.values - F))) <= pl.ACS_TOL
+        (tmp_path / "old.J.field").write_bytes(b"garbage")
+        assert hm.load_triple(sidecar).y.tobytes() == back.y.tobytes()
+        (tmp_path / "old.J.field").unlink()
+        assert hm.load_triple(sidecar).y.tobytes() == back.y.tobytes()

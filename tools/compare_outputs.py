@@ -1,0 +1,100 @@
+"""Compare two ``ajclab all`` output directories, ignoring what timing moves.
+
+- JSON files are compared with every ``timings_ms``, ``runtime_ms`` and
+  ``output_dir`` key dropped at any depth; key order counts, and a
+  difference is named by its path in the document (``$.files.F``).
+- ``*.field`` files, and any other file, are compared by bytes.
+- ``sweep.csv`` is compared without its ``runtime_ms`` column.
+- Files present on one side only are listed.
+
+Prints one line per difference and exits 1 if there is any, 0 otherwise.
+
+Usage: ``python3 tools/compare_outputs.py A B``
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import sys
+from pathlib import Path
+
+IGNORED_KEYS = {"timings_ms", "runtime_ms", "output_dir"}
+IGNORED_COLUMNS = {"sweep.csv": "runtime_ms"}
+
+
+def _short(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _json_diffs(a, b, where: str = "$"):
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys_a = [k for k in a if k not in IGNORED_KEYS]
+        keys_b = [k for k in b if k not in IGNORED_KEYS]
+        for k in keys_a:
+            if k not in b:
+                yield f"{where}.{k}: only in A"
+        for k in keys_b:
+            if k not in a:
+                yield f"{where}.{k}: only in B"
+        common_a = [k for k in keys_a if k in b]
+        if common_a != [k for k in keys_b if k in a]:
+            yield f"{where}: key order differs"
+        for k in common_a:
+            yield from _json_diffs(a[k], b[k], f"{where}.{k}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _json_diffs(x, y, f"{where}[{i}]")
+    elif json.dumps(a) != json.dumps(b):
+        # through json.dumps, so 1 and 1.0 differ and NaN equals NaN
+        yield f"{where}: {_short(a)} != {_short(b)}"
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    rows = list(csv.reader(path.read_text().splitlines()))
+    dropped = IGNORED_COLUMNS.get(path.name)
+    if not rows or dropped not in rows[0]:
+        return rows
+    col = rows[0].index(dropped)
+    return [row[:col] + row[col + 1:] for row in rows]
+
+
+def file_diffs(a: Path, b: Path):
+    """The differences between two files of the same relative name."""
+    if a.suffix == ".json":
+        yield from _json_diffs(json.loads(a.read_text()), json.loads(b.read_text()))
+    elif a.name in IGNORED_COLUMNS:
+        rows_a, rows_b = _csv_rows(a), _csv_rows(b)
+        if len(rows_a) != len(rows_b):
+            yield f"{len(rows_a)} rows != {len(rows_b)} rows"
+        for i, (x, y) in enumerate(zip(rows_a, rows_b)):
+            if x != y:
+                yield f"row {i}: {x} != {y}"
+    elif a.read_bytes() != b.read_bytes():
+        yield "bytes differ"
+
+
+def compare_dirs(a: Path, b: Path) -> list[str]:
+    """One line per difference between output directories ``a`` and ``b``."""
+    names_a = {p.relative_to(a).as_posix() for p in a.rglob("*") if p.is_file()}
+    names_b = {p.relative_to(b).as_posix() for p in b.rglob("*") if p.is_file()}
+    lines = [f"only in A: {name}" for name in sorted(names_a - names_b)]
+    lines += [f"only in B: {name}" for name in sorted(names_b - names_a)]
+    for name in sorted(names_a & names_b):
+        lines += [f"{name}: {diff}" for diff in file_diffs(a / name, b / name)]
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    lines = compare_dirs(Path(argv[0]), Path(argv[1]))
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
