@@ -1,7 +1,11 @@
 """Gram method, volume estimates, the elliptic oracle, and subspace relations."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ajclab import cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
 
@@ -90,6 +94,53 @@ class TestGram:
         expected = [[tf.integrate(tf.ScalarField(G8, fk.values * fl.values)) for fl in fs]
                     for fk in fs]
         np.testing.assert_allclose(cohomlab.gram_matrix(triple).matrix, expected, atol=1e-14)
+
+
+class TestKernelBasis:
+    """The kernel rows depend on the kernel alone, in a fixed axis order."""
+
+    DIAGONAL = np.ones(3) / np.sqrt(3.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(theta=st.floats(0.0, 2.0 * np.pi), reflect=st.booleans())
+    def test_rotated_kernel_eigenvectors_give_the_same_rows(self, theta, reflect):
+        # y = (1, 1, 1)/sqrt(3) has a 2-dimensional kernel, in which LAPACK
+        # may return any orthonormal pair
+        triple = constant_triple(G4, self.DIAGONAL)
+        expected = cohomlab.gram_matrix(triple)
+        assert expected.h_minus == 2
+        c, s = np.cos(theta), np.sin(theta)
+        turn = np.array([[c, -s], [s, c]]) @ np.diag([1.0, -1.0 if reflect else 1.0])
+        eigh = np.linalg.eigh
+
+        def rotated(G):
+            eigenvalues, eigenvectors = eigh(G)
+            eigenvectors = eigenvectors.copy()
+            eigenvectors[:, :2] = eigenvectors[:, :2] @ turn
+            return eigenvalues, eigenvectors
+
+        with mock.patch.object(np.linalg, "eigh", rotated):
+            report = cohomlab.gram_matrix(triple)
+        np.testing.assert_allclose(report.null_coords, expected.null_coords, rtol=0, atol=1e-15)
+
+    def test_standard_rows_are_omega3_then_omega2(self):
+        rows = cohomlab.gram_matrix(hm.standard_acs(G8)).null_coords
+        np.testing.assert_array_equal(rows, [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        assert not np.signbit(rows).any()
+
+    def test_stage1_row_is_omega2(self):
+        stage1, _ = hm.one_bump_deform(hm.standard_acs(G8), BUMP1)
+        rows = cohomlab.gram_matrix(stage1).null_coords
+        np.testing.assert_array_equal(rows, [[0.0, 1.0, 0.0]])
+        assert not np.signbit(rows).any()
+
+    @pytest.mark.parametrize("coords", [DIAGONAL, [0.6, 0.8, 0.0], [0.0, 0.28, 0.96]])
+    def test_rows_are_orthonormal(self, coords):
+        report = cohomlab.gram_matrix(constant_triple(G4, coords))
+        rows = report.null_coords
+        assert rows.shape == (report.h_minus, 3) == (2, 3)
+        np.testing.assert_allclose(rows @ rows.T, np.eye(2), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rows @ np.asarray(coords), 0.0, rtol=0, atol=1e-14)
 
 
 class TestSelectNullForm:
@@ -334,3 +385,24 @@ class TestIntersection:
         stage1, _ = hm.one_bump_deform(hm.standard_acs(G8), BUMP1)
         inner = cohomlab.gram_matrix(stage1)
         assert cohomlab.null_containment_angle(inner, base_report) < 1e-3
+
+    def test_empty_kernels(self):
+        base = cohomlab.gram_matrix(hm.standard_acs(G8))
+        generic = cohomlab.gram_matrix(hm.random_compatible_acs(G8, seed=9, amplitude=0.5,
+                                                                bandlimit=2))
+        assert generic.h_minus == 0
+        assert cohomlab.intersection_dim(base, generic) == 0
+        assert cohomlab.intersection_dim(generic, base) == 0
+        assert cohomlab.intersection_dim(generic, generic) == 0
+        assert cohomlab.null_containment_angle(generic, base) == 0.0
+        assert cohomlab.null_containment_angle(generic, generic) == 0.0
+        # a sine within an ulp of 1 moves its arcsine by up to 1.5e-8
+        assert cohomlab.null_containment_angle(base, generic) == pytest.approx(np.pi / 2, abs=1e-7)
+
+    def test_smaller_outer_kernel(self):
+        base = cohomlab.gram_matrix(hm.standard_acs(G8))
+        stage1, _ = hm.one_bump_deform(hm.standard_acs(G8), BUMP1)
+        inner = cohomlab.gram_matrix(stage1)
+        assert inner.h_minus == 1
+        assert cohomlab.null_containment_angle(base, inner) == pytest.approx(np.pi / 2, abs=1e-7)
+        assert cohomlab.intersection_dim(base, inner) == cohomlab.intersection_dim(inner, base) == 1

@@ -1,11 +1,17 @@
 """Field-file serialization round trips and failure modes."""
 
+import re
+
 import numpy as np
 import pytest
 
 from ajclab import fieldio, torusfield as tf
 
 G = tf.GridSpec(4)
+
+
+def scalar_constant(grid, value):
+    return tf.ScalarField(grid, np.full(grid.shape, float(value)))
 
 
 def _random_field(cls, rng):
@@ -28,7 +34,7 @@ def test_round_trip_bit_identical(cls, tmp_path):
 
 
 def test_header_layout(tmp_path):
-    field = tf.ScalarField.constant(G, 1.5)
+    field = scalar_constant(G, 1.5)
     path = tmp_path / "f.bin"
     fieldio.serialize_field(field, path)
     raw = path.read_bytes()
@@ -48,7 +54,7 @@ def test_component_major_x4_fastest(tmp_path):
 
 
 def test_truncated_file_rejected(tmp_path):
-    field = tf.ScalarField.constant(G, 1.0)
+    field = scalar_constant(G, 1.0)
     path = tmp_path / "f.bin"
     fieldio.serialize_field(field, path)
     raw = path.read_bytes()
@@ -58,7 +64,7 @@ def test_truncated_file_rejected(tmp_path):
 
 
 def test_trailing_garbage_rejected(tmp_path):
-    field = tf.ScalarField.constant(G, 1.0)
+    field = scalar_constant(G, 1.0)
     path = tmp_path / "f.bin"
     fieldio.serialize_field(field, path)
     path.write_bytes(path.read_bytes() + b"xx")
@@ -66,8 +72,18 @@ def test_trailing_garbage_rejected(tmp_path):
         fieldio.deserialize_field(path)
 
 
+def test_non_finite_value_rejected_with_the_path(tmp_path):
+    path = tmp_path / "f.bin"
+    fieldio.serialize_field(scalar_constant(G, 1.0), path)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = np.array([np.inf], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(fieldio.FieldFormatError, match=rf"^{re.escape(str(path))}: .*non-finite"):
+        fieldio.deserialize_field(path)
+
+
 def test_bad_magic_rejected(tmp_path):
-    field = tf.ScalarField.constant(G, 1.0)
+    field = scalar_constant(G, 1.0)
     path = tmp_path / "f.bin"
     fieldio.serialize_field(field, path)
     raw = path.read_bytes()
@@ -84,7 +100,7 @@ def test_unknown_kind_rejected(tmp_path):
 
 
 def test_grid_mismatch_rejected(tmp_path):
-    field = tf.ScalarField.constant(G, 1.0)
+    field = scalar_constant(G, 1.0)
     path = tmp_path / "f.bin"
     fieldio.serialize_field(field, path)
     with pytest.raises(fieldio.FieldFormatError, match="expected n=6"):

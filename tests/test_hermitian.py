@@ -11,6 +11,8 @@ from ajclab import cohomlab, fieldio, hermitian as hm, pointlin as pl, torusfiel
 G8 = tf.GridSpec(8)
 BUMP1 = hm.BumpSpec((0.5, 0.5, 0.5, 0.5), 0.3, 0.5)
 BUMP2 = hm.BumpSpec((0.25, 0.25, 0.25, 0.25), 0.25, 0.5)
+#: rows are the anti-self-dual mirror frame of pl.OMEGA_SD
+OMEGA_ASD = pl.OMEGA_SD * np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
 
 def deform_pair_nodewise(J, alpha):
@@ -197,7 +199,7 @@ class TestTripleFromForm:
     def test_self_duality_threshold_is_1e_8(self):
         # an anti-self-dual part d/2 (e12 - e34) is a self-duality defect d
         def form(defect):
-            return tf.TwoFormField.constant(G8, pl.OMEGA1 + defect / 2.0 * pl.OMEGA_ASD[0])
+            return tf.TwoFormField.constant(G8, pl.OMEGA1 + defect / 2.0 * OMEGA_ASD[0])
 
         assert np.array_equal(hm.triple_from_form_field(form(0.5e-8)).y, hm.standard_acs(G8).y)
         with pytest.raises(ValueError, match="not self-dual"):
@@ -206,7 +208,7 @@ class TestTripleFromForm:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_each_anti_self_dual_direction_is_a_defect(self, k):
         values = np.array(np.broadcast_to(pl.OMEGA1, G8.shape + (6,)))
-        values[1, 2, 3, 4] += 1e-7 * pl.OMEGA_ASD[k]
+        values[1, 2, 3, 4] += 1e-7 * OMEGA_ASD[k]
         with pytest.raises(ValueError, match=r"not self-dual at node \(1, 2, 3, 4\) \(defect 2\.000e-07\)"):
             hm.triple_from_form_field(tf.TwoFormField(G8, values))
 
@@ -426,7 +428,7 @@ class TestLoadBoundary:
             hm.load_triple(sidecar)
 
     def test_rejects_anti_self_dual_part(self, sidecar):
-        self.tamper(sidecar, lambda F: F + 1e-3 * pl.OMEGA_ASD[1])
+        self.tamper(sidecar, lambda F: F + 1e-3 * OMEGA_ASD[1])
         with pytest.raises(ValueError, match="not self-dual"):
             hm.load_triple(sidecar)
 
@@ -435,7 +437,8 @@ class TestLoadBoundary:
             payload[5, 1234] = np.nan
 
         self.tamper_payload(sidecar, poison)
-        with pytest.raises(ValueError, match="non-finite"):
+        path = sidecar.parent / "sample.F.field"
+        with pytest.raises(fieldio.FieldFormatError, match=rf"^{re.escape(str(path))}: .*non-finite"):
             hm.load_triple(sidecar)
 
     def test_rejects_any_form_row_changed_at_one_node(self, sidecar):
