@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import pointlin as pl
 from .hermitian import HermitianTriple, anti_invariant_frame
@@ -79,7 +78,9 @@ class GramReport:
     eigenvalues: np.ndarray     # ascending
     eigenvectors: np.ndarray    # columns match eigenvalues
     h_minus: int
-    null_coords: np.ndarray     # (h_minus, 3) canonical kernel basis rows
+    # (h_minus, 3): the kernel projector's columns 3, 2, 1, orthonormalized;
+    # descending, as row 0 is the cut-off direction (see gram_matrix)
+    null_coords: np.ndarray
     threshold: float            # absolute null threshold actually used
     tol_null: float             # relative threshold parameter
 
@@ -105,40 +106,48 @@ def f_omega(triple: HermitianTriple, w) -> ScalarField:
     return ScalarField(triple.grid, 2.0 * (triple.y @ np.asarray(w, float)))
 
 
-def _canonical_vector(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, float)
-    for x in v:
-        if abs(x) > 1e-12:
-            return v if x > 0 else -v
-    return v
+def _projector_rows(P: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the range of the 3x3 orthogonal projector
+    P, a function of that range alone: the columns P e_k for k = 2, 1, 0,
+    each Gram-Schmidt orthogonalized against the rows kept so far and kept
+    when its norm exceeds 1e-9."""
+    rows: list[np.ndarray] = []
+    for k in (2, 1, 0):
+        w = P[:, k].copy()
+        for q in rows:
+            w -= (q @ w) * q
+        norm = np.linalg.norm(w)
+        if norm > 1e-9:
+            rows.append(w / norm)
+    return np.array(rows).reshape(-1, 3)
 
 
 def gram_matrix(triple: HermitianTriple, tol_null: float = 1e-7) -> GramReport:
     """Assemble G = 4 mean(y y^T), i.e. G_kl = integral(<omega_k, F> <omega_l, F>),
     and read off the harmonic anti-invariant dimension as its numerical kernel.
 
-    The kernel basis rows are ordered deterministically: ascending
-    eigenvalue, ties broken by lexicographic order of the sign-canonicalized
-    coefficients.
+    The kernel rows are :func:`_projector_rows` of the kernel projector
+    V V^T of the null eigenvectors V: its columns for omega3, omega2, omega1
+    in turn, orthonormalized, each kept above norm 1e-9.  So they depend on
+    the kernel alone, not on the eigenvectors LAPACK picks inside it.  The
+    order is descending because row 0 is the cut-off direction
+    (:func:`select_null_form`): the standard kernel's rows are (omega3,
+    omega2), so stage 1 deforms along omega3 and keeps +omega2 for stage 2.
     """
     ys = triple.y.reshape(-1, 3)
     G = 4.0 * (ys.T @ ys) / ys.shape[0]
     G = (G + G.T) / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(G)
     threshold = tol_null * max(1.0, float(eigenvalues[-1]))
-    null_idx = [i for i in range(3) if eigenvalues[i] <= threshold]
-    pairs = sorted(
-        ((float(eigenvalues[i]), _canonical_vector(eigenvectors[:, i])) for i in null_idx),
-        key=lambda p: (p[0], tuple(np.round(p[1], 9))),
-    )
-    null_coords = np.array([v for _, v in pairs]).reshape(len(pairs), 3)
+    h = int(np.sum(eigenvalues <= threshold))
+    V = eigenvectors[:, :h]
     return GramReport(
         grid_n=triple.grid.n,
         matrix=G,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        h_minus=len(null_idx),
-        null_coords=null_coords,
+        h_minus=h,
+        null_coords=_projector_rows(V @ V.T),
         threshold=threshold,
         tol_null=tol_null,
     )
@@ -188,28 +197,6 @@ def _sphere_samples(dim: int, samples: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
-def _span_basis(eigenvectors: np.ndarray, null_count: int) -> np.ndarray:
-    """Coordinate-aligned orthonormal basis of the non-null span.
-
-    Projects the coordinate axes into the span in index order and
-    orthonormalizes, so axis-aligned directions are sampled exactly when
-    they lie in the span; deterministic.
-    """
-    V = eigenvectors[:, null_count:]
-    P = V @ V.T
-    basis: list[np.ndarray] = []
-    for k in range(3):
-        w = P[:, k].copy()
-        for q in basis:
-            w -= (q @ w) * q
-        norm = np.linalg.norm(w)
-        if norm > 1e-9:
-            basis.append(w / norm)
-        if len(basis) == V.shape[1]:
-            break
-    return np.array(basis)
-
-
 def delta_j_estimate(triple: HermitianTriple, samples: int, eps: float) -> float:
     """Estimated infimum of :func:`v_measure` over the cup-normalized sphere
     in the span of the non-null Gram directions of :func:`gram_matrix` at
@@ -226,7 +213,8 @@ def _delta_j_estimate(triple: HermitianTriple, report: GramReport, samples: int,
     l = 3 - report.h_minus
     if l == 0:
         raise ValueError("every harmonic self-dual direction is anti-invariant; the sphere is empty")
-    basis = _span_basis(report.eigenvectors, report.h_minus)
+    V = report.eigenvectors[:, report.h_minus:]
+    basis = _projector_rows(V @ V.T)
     best = 1.0
     for c in _sphere_samples(l, samples):
         w = (c @ basis) / np.sqrt(2.0)  # wedge integral 1
@@ -434,26 +422,28 @@ def elliptic_kernel_dim(triple: HermitianTriple, oracle_grid: GridSpec) -> Ellip
     )
 
 
+def _principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Principal angles from the span of the orthonormal rows a into that of
+    the orthonormal rows b, one per row of a: the arcsines of the singular
+    values of a's residual off b's span.  A row of a beyond b's dimension
+    gives pi/2, up to the rounding of a sine near 1 (about 1e-8 in the
+    angle)."""
+    sines = np.linalg.svd(a - (a @ b.T) @ b, compute_uv=False)
+    return np.arcsin(np.minimum(sines, 1.0))
+
+
 def intersection_dim(r1: GramReport, r2: GramReport) -> int:
     """Dimension of the intersection of the two harmonic anti-invariant
     spaces, counted as principal angles below ANGLE_TOL."""
     if r1.grid_n != r2.grid_n:
         raise ValueError(f"grid mismatch: n={r1.grid_n} and n={r2.grid_n}")
-    if r1.h_minus == 0 or r2.h_minus == 0:
-        return 0
-    angles = scipy.linalg.subspace_angles(r1.null_coords.T, r2.null_coords.T)
-    return int(np.sum(angles < ANGLE_TOL))
+    return int(np.sum(_principal_angles(r1.null_coords, r2.null_coords) < ANGLE_TOL))
 
 
 def null_containment_angle(inner: GramReport, outer: GramReport) -> float:
     """Largest principal angle from the inner kernel into the outer kernel;
     0 when the inner kernel is trivial, pi/2 when containment is impossible."""
-    if inner.h_minus == 0:
-        return 0.0
-    if inner.h_minus > outer.h_minus:
-        return float(np.pi / 2.0)
-    angles = scipy.linalg.subspace_angles(inner.null_coords.T, outer.null_coords.T)
-    return float(np.max(angles))
+    return float(np.max(_principal_angles(inner.null_coords, outer.null_coords), initial=0.0))
 
 
 def null_forms_closed_residual(report: GramReport) -> float:

@@ -60,7 +60,7 @@ def _write_payload(path, kind: str, n: int, payload: np.ndarray) -> None:
         fh.write(payload)
 
 
-def _read_payload(path, expect_grid: GridSpec | None = None):
+def _read_payload(path, expect_grid: GridSpec | None):
     """Read a field file as ``(kind, grid, payload)`` with the ``(ncomp, N)``
     component-major payload a read-only view of the file's bytes; checks the
     header, the grid and the payload size, not the values."""
@@ -111,7 +111,12 @@ def serialize_field(field, path) -> None:
 
 
 def deserialize_field(path, expect_grid: GridSpec | None = None):
-    """Read a field file back; optionally enforce the expected grid."""
+    """Read a field file back; optionally enforce the expected grid.  A value
+    the field rejects (a non-finite one) raises :class:`FieldFormatError`
+    naming the file."""
     kind, grid, payload = _read_payload(path, expect_grid)
     cls = _KIND_TO_CLS[kind]
-    return cls(grid, payload.T.reshape(grid.shape + cls.NCOMP))
+    try:
+        return cls(grid, payload.T.reshape(grid.shape + cls.NCOMP))
+    except ValueError as exc:
+        raise FieldFormatError(f"{path}: {exc}") from exc

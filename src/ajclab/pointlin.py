@@ -48,14 +48,6 @@ OMEGA2 = np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0])
 OMEGA3 = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
 #: rows are the self-dual frame (OMEGA1, OMEGA2, OMEGA3)
 OMEGA_SD = np.stack([OMEGA1, OMEGA2, OMEGA3])
-#: rows are the anti-self-dual mirror frame
-OMEGA_ASD = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0, 0.0, -1.0],
-        [0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0, -1.0, 0.0, 0.0],
-    ]
-)
 
 #: the standard compatible structure: e1 -> e2, e2 -> -e1, e3 -> e4, e4 -> -e3
 J0 = np.array(

@@ -116,10 +116,6 @@ class ScalarField(_FieldBase):
     NCOMP = ()
     KIND = "scalar"
 
-    @staticmethod
-    def constant(grid: GridSpec, value: float) -> "ScalarField":
-        return ScalarField(grid, np.full(grid.shape, float(value)))
-
 
 class OneFormField(_FieldBase):
     NCOMP = (4,)
