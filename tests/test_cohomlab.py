@@ -134,7 +134,8 @@ class TestKernelBasis:
         np.testing.assert_array_equal(rows, [[0.0, 1.0, 0.0]])
         assert not np.signbit(rows).any()
 
-    @pytest.mark.parametrize("coords", [DIAGONAL, [0.6, 0.8, 0.0], [0.0, 0.28, 0.96]])
+    @pytest.mark.parametrize("coords", [DIAGONAL, [0.6, 0.8, 0.0], [0.0, 0.28, 0.96]],
+                             ids=["diagonal", "e1-e2", "e2-e3"])
     def test_rows_are_orthonormal(self, coords):
         report = cohomlab.gram_matrix(constant_triple(G4, coords))
         rows = report.null_coords
