@@ -34,7 +34,6 @@ from .hermitian import (
 )
 from .reporting import Check, ScenarioReport
 from .torusfield import (
-    EndoField,
     GridSpec,
     OneFormField,
     ScalarField,
@@ -58,7 +57,6 @@ __all__ = [
     "Check",
     "DeformLog",
     "EllipticReport",
-    "EndoField",
     "GramReport",
     "GridSpec",
     "HermitianTriple",

@@ -55,53 +55,38 @@ def run_deformation_battery(cases: int = 10_000, seed: int = 1) -> list[Check]:
     # bit for bit as closed and F_new
     y = F @ pl.OMEGA_SD.T / 2.0
     y_new = pl.deform_coords(y, alpha @ pl.OMEGA_SD.T / 2.0)
-    s2_dev = max(
-        float(np.max(np.abs(pl.acs_from_coords(y) - J))),
-        float(np.max(np.abs(pl.acs_from_coords(y_new) - closed))),
-        float(np.max(np.abs(y_new @ pl.OMEGA_SD - F_new))),
-    )
+    s2_residual = np.concatenate([
+        (pl.acs_from_coords(y) - J).reshape(cases, 16),
+        (pl.acs_from_coords(y_new) - closed).reshape(cases, 16),
+        y_new @ pl.OMEGA_SD - F_new,
+    ], axis=1)
 
     eye = np.eye(4)
     checks = [
-        Check(
+        Check.within(
             "conjugation and closed-form deformations agree",
-            (m := float(np.max(np.abs(closed - conjugated)))) <= AGREEMENT_TOL,
-            AGREEMENT_TOL, m,
+            closed - conjugated, AGREEMENT_TOL,
         ),
-        Check(
-            "deformed structure squares to -Id",
-            (m := float(np.max(np.abs(closed @ closed + eye)))) <= AGREEMENT_TOL,
-            AGREEMENT_TOL, m,
-        ),
-        Check(
+        Check.within("deformed structure squares to -Id", closed @ closed + eye, AGREEMENT_TOL),
+        Check.within(
             "deformed structure is orthogonal",
-            (m := float(np.max(np.abs(np.swapaxes(closed, -1, -2) @ closed - eye)))) <= AGREEMENT_TOL,
-            AGREEMENT_TOL, m,
+            np.swapaxes(closed, -1, -2) @ closed - eye, AGREEMENT_TOL,
         ),
-        Check(
+        Check.within(
             "deformed fundamental form has wedge norm 1",
-            (m := float(np.max(np.abs(pl.wedge_norm_sq(F_new) - 1.0)))) <= NORM_TOL,
-            NORM_TOL, m,
+            pl.wedge_norm_sq(F_new) - 1.0, NORM_TOL,
         ),
-        Check(
+        Check.within(
             "closed-form F matches the deformed structure",
-            (m := float(np.max(np.abs(F_new - pl.fundamental_form(closed))))) <= AGREEMENT_TOL,
-            AGREEMENT_TOL, m,
+            F_new - pl.fundamental_form(closed), AGREEMENT_TOL,
         ),
-        Check(
-            "K is skew-adjoint",
-            (m := float(np.max(np.abs(K + np.swapaxes(K, -1, -2))))) <= AGREEMENT_TOL,
-            AGREEMENT_TOL, m,
-        ),
+        Check.within("K is skew-adjoint", K + np.swapaxes(K, -1, -2), AGREEMENT_TOL),
         Check(
             "det(Id + J K) dominates (1 - |alpha|^2)^2",
             bool(np.all((m_arr := np.linalg.det(T) - (1.0 - nsq) ** 2) >= -AGREEMENT_TOL)),
             AGREEMENT_TOL, float(np.min(m_arr)),
         ),
-        Check(
-            "S^2 coordinate formulas agree with deform_pair",
-            s2_dev <= AGREEMENT_TOL, AGREEMENT_TOL, s2_dev,
-        ),
+        Check.within("S^2 coordinate formulas agree with deform_pair", s2_residual, AGREEMENT_TOL),
     ]
     return checks
 
@@ -123,45 +108,37 @@ def run_splitting_battery(cases: int = 10_000, seed: int = 2) -> list[Check]:
     proj = (pl.form_inner(plus_sd, F) / 2.0)[..., None] * F
 
     checks = [
-        Check(
+        Check.within(
             "star splitting reconstructs the input",
-            (m := float(np.max(np.abs(sd.plus + sd.minus - phi)))) <= AGREEMENT_TOL,
-            AGREEMENT_TOL, m,
+            sd.plus + sd.minus - phi, AGREEMENT_TOL,
         ),
-        Check(
+        Check.within(
             "involution splitting reconstructs the input",
-            (m := float(np.max(np.abs(sj.plus + sj.minus - phi)))) <= AGREEMENT_TOL,
-            AGREEMENT_TOL, m,
+            sj.plus + sj.minus - phi, AGREEMENT_TOL,
         ),
-        Check(
+        Check.within(
             "pull-back fixes the invariant part",
-            (m := float(np.max(np.abs(pl.pull_back(J, sj.plus) - sj.plus)))) <= AGREEMENT_TOL,
-            AGREEMENT_TOL, m,
+            pl.pull_back(J, sj.plus) - sj.plus, AGREEMENT_TOL,
         ),
-        Check(
+        Check.within(
             "pull-back negates the anti-invariant part",
-            (m := float(np.max(np.abs(pl.pull_back(J, sj.minus) + sj.minus)))) <= AGREEMENT_TOL,
-            AGREEMENT_TOL, m,
+            pl.pull_back(J, sj.minus) + sj.minus, AGREEMENT_TOL,
         ),
-        Check(
+        Check.within(
             "self-dual part of the invariant component is a multiple of F",
-            (m := float(np.max(np.abs(plus_sd - proj)))) <= AGREEMENT_TOL,
-            AGREEMENT_TOL, m,
+            plus_sd - proj, AGREEMENT_TOL,
         ),
-        Check(
+        Check.within(
             "anti-invariant parts are self-dual",
-            (m := float(np.max(np.abs(sj.minus - pl.hodge_star(sj.minus))))) <= AGREEMENT_TOL,
-            AGREEMENT_TOL, m,
+            sj.minus - pl.hodge_star(sj.minus), AGREEMENT_TOL,
         ),
-        Check(
+        Check.within(
             "anti-invariant parts are orthogonal to F",
-            (m := float(np.max(np.abs(pl.form_inner(sj.minus, F))))) <= AGREEMENT_TOL,
-            AGREEMENT_TOL, m,
+            pl.form_inner(sj.minus, F), AGREEMENT_TOL,
         ),
-        Check(
+        Check.within(
             "anti-invariant forms have no anti-self-dual part",
-            (m := float(np.max(np.abs(pl.split_sd(alpha).minus)))) <= AGREEMENT_TOL,
-            AGREEMENT_TOL, m,
+            pl.split_sd(alpha).minus, AGREEMENT_TOL,
         ),
     ]
     return checks
@@ -200,15 +177,9 @@ def run_calculus_battery(grid_n: int = 16, count: int = 100, seed: int = 3) -> l
         )
 
     return [
-        Check("d(d scalar) vanishes", dd_scalar <= DDZERO_TOL, DDZERO_TOL, dd_scalar),
-        Check("d(d one-form) vanishes", dd_oneform <= DDZERO_TOL, DDZERO_TOL, dd_oneform),
-        Check(
-            "d and delta are adjoint under the L2 pairing",
-            adjoint_rel <= ADJOINT_TOL, ADJOINT_TOL, adjoint_rel,
-        ),
-        Check(
-            "node-mean quadrature is exact on bandlimited fields",
-            integral_err <= 1e-14, 1e-14, integral_err,
-        ),
-        Check("wedge pairing is symmetric", wedge_asym <= 1e-14, 1e-14, wedge_asym),
+        Check.within("d(d scalar) vanishes", dd_scalar, DDZERO_TOL),
+        Check.within("d(d one-form) vanishes", dd_oneform, DDZERO_TOL),
+        Check.within("d and delta are adjoint under the L2 pairing", adjoint_rel, ADJOINT_TOL),
+        Check.within("node-mean quadrature is exact on bandlimited fields", integral_err, 1e-14),
+        Check.within("wedge pairing is symmetric", wedge_asym, 1e-14),
     ]

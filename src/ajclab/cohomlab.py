@@ -87,18 +87,6 @@ class GramReport:
     def lambda_min(self) -> float:
         return float(self.eigenvalues[0])
 
-    def to_dict(self) -> dict:
-        return {
-            "grid_n": self.grid_n,
-            "matrix": self.matrix.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "eigenvectors": self.eigenvectors.tolist(),
-            "h_minus": self.h_minus,
-            "null_coords": self.null_coords.tolist(),
-            "threshold": self.threshold,
-            "tol_null": self.tol_null,
-        }
-
 
 def f_omega(triple: HermitianTriple, w) -> ScalarField:
     """The function <omega, F> = 2 w . y on the torus for the constant
@@ -183,43 +171,37 @@ def v_measure(triple: HermitianTriple, w, eps: float) -> float:
     return np.count_nonzero(f > cut) / f.size
 
 
-def _sphere_samples(dim: int, samples: int) -> np.ndarray:
-    """Deterministic low-discrepancy point sets on S^{dim-1}."""
+#: sphere sample count of :func:`delta_j_estimate` on a span of dimension 2 or 3
+DELTA_SAMPLES = 64
+
+
+def _sphere_samples(dim: int) -> np.ndarray:
+    """Deterministic low-discrepancy point sets on S^{dim-1}: both points of
+    S^0, else DELTA_SAMPLES points."""
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     if dim == 2:
-        theta = 2.0 * np.pi * np.arange(samples) / samples
+        theta = 2.0 * np.pi * np.arange(DELTA_SAMPLES) / DELTA_SAMPLES
         return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    i = np.arange(samples)
-    z = 1.0 - (2.0 * i + 1.0) / samples
+    i = np.arange(DELTA_SAMPLES)
+    z = 1.0 - (2.0 * i + 1.0) / DELTA_SAMPLES
     phi = i * np.pi * (3.0 - np.sqrt(5.0))
     r = np.sqrt(np.maximum(0.0, 1.0 - z**2))
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
-def delta_j_estimate(triple: HermitianTriple, samples: int, eps: float) -> float:
+def delta_j_estimate(triple: HermitianTriple, report: GramReport, eps: float) -> float:
     """Estimated infimum of :func:`v_measure` over the cup-normalized sphere
-    in the span of the non-null Gram directions of :func:`gram_matrix` at
-    its default ``tol_null`` (deterministic sampling)."""
-    return _delta_j_estimate(triple, gram_matrix(triple), samples, eps)
-
-
-def _delta_j_estimate(triple: HermitianTriple, report: GramReport, samples: int,
-                      eps: float) -> float:
-    """:func:`delta_j_estimate` for a structure whose Gram report the caller
-    holds."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    in the span of the non-null Gram directions of ``report``, the Gram
+    report of ``triple``: the minimum over the :func:`_sphere_samples` of
+    that span, whose basis is :func:`_projector_rows` of its projector."""
     l = 3 - report.h_minus
     if l == 0:
         raise ValueError("every harmonic self-dual direction is anti-invariant; the sphere is empty")
     V = report.eigenvectors[:, report.h_minus:]
     basis = _projector_rows(V @ V.T)
-    best = 1.0
-    for c in _sphere_samples(l, samples):
-        w = (c @ basis) / np.sqrt(2.0)  # wedge integral 1
-        best = min(best, v_measure(triple, w, eps))
-    return best
+    # each sample c @ basis / sqrt(2) has wedge integral 1
+    return min(v_measure(triple, c @ basis / np.sqrt(2.0), eps) for c in _sphere_samples(l))
 
 
 @dataclass(frozen=True)
@@ -234,18 +216,6 @@ class EllipticReport:
     kernel_dim: int
     tau: float
     symmetry_defect: float
-
-    def to_dict(self) -> dict:
-        return {
-            "grid_n": self.grid_n,
-            "retained_modes": self.retained_modes,
-            "matrix_dim": self.matrix_dim,
-            "smallest_singular_values": self.smallest_singular_values.tolist(),
-            "largest_singular_value": self.largest_singular_value,
-            "kernel_dim": self.kernel_dim,
-            "tau": self.tau,
-            "symmetry_defect": self.symmetry_defect,
-        }
 
 
 def _basis_modes(kmax: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .hermitian import BumpSpec
+from .reporting import to_json
 
 DEFAULT_BUMP1 = BumpSpec((0.5, 0.5, 0.5, 0.5), 0.15, 0.5)
 DEFAULT_BUMP2 = BumpSpec((1 / 3, 1 / 3, 1 / 3, 1 / 3), 0.12, 0.5)
@@ -31,11 +32,7 @@ class LabConfig:
     output_dir: str = "out"
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = value.to_dict() if isinstance(value, BumpSpec) else value
-        return out
+        return to_json(self)
 
     @staticmethod
     def from_dict(data: dict) -> "LabConfig":

@@ -1,11 +1,10 @@
 """Binary field-file serialization.
 
 Layout: one ASCII header line ``AJC1 <kind> <n>\\n`` with
-kind in {scalar, oneform, twoform, threeform, endo}, followed immediately
-by the node values as 64-bit IEEE-754 little-endian floats,
-components-major (component index slowest) with x4 the fastest axis.
-Endomorphism components are the 16 matrix entries in row-major order.
-The file must end exactly after the payload.
+kind in {scalar, oneform, twoform, threeform}, followed immediately by the
+node values as 64-bit IEEE-754 little-endian floats, components-major
+(component index slowest) with x4 the fastest axis.  The file must end
+exactly after the payload.
 
 Both directions go through one core that sees the payload as it lies in
 the file, an ``(ncomp, N)`` array of N = n^4 nodes: :func:`_write_payload`
@@ -23,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .torusfield import (
-    EndoField,
     GridSpec,
     OneFormField,
     ScalarField,
@@ -38,7 +36,6 @@ _KIND_TO_CLS = {
     "oneform": OneFormField,
     "twoform": TwoFormField,
     "threeform": ThreeFormField,
-    "endo": EndoField,
 }
 
 
@@ -104,7 +101,11 @@ def _read_payload(path, expect_grid: GridSpec | None):
 
 
 def serialize_field(field, path) -> None:
-    """Write a field to ``path`` in the documented binary format."""
+    """Write a field to ``path`` in the documented binary format; a field of
+    no kind :func:`deserialize_field` reads back raises
+    :class:`FieldFormatError`, before the file is opened."""
+    if _KIND_TO_CLS.get(field.KIND) is not type(field):
+        raise FieldFormatError(f"{type(field).__name__} has no field-file kind")
     grid = field.grid
     rows = field.values.reshape(grid.node_count, _ncomp(field))
     _write_payload(path, field.KIND, grid.n, rows.T)

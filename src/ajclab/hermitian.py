@@ -24,8 +24,8 @@ The two-stage cut-off pipeline lives here as well: stage 1 deforms along a
 bump-truncated harmonic anti-invariant direction; stage 2 renormalizes
 ``y2 = f1 * y1 + c2 * a`` back to the sphere with
 ``f1 = sqrt(1 - c2^2 |a|^2)``.  Each stage is gated on its bump support
-volume staying below the delta estimate of its input structure, sampled at
-``DELTA_SAMPLES`` sphere points.
+volume staying below :func:`.cohomlab.delta_j_estimate` of its input
+structure.
 """
 
 from __future__ import annotations
@@ -37,19 +37,18 @@ from pathlib import Path
 import numpy as np
 
 from . import pointlin as pl
+from .reporting import to_json
 from .torusfield import (
-    EndoField,
     GridSpec,
     ScalarField,
     TwoFormField,
+    _FieldBase,
     bump_cutoff,
     spectral_truncate,
 )
 
 #: deformation forms are rescaled so their sup wedge norm stays below this
 SUP_NORM_CAP = 0.95
-#: sphere sample count of the delta estimate that gates each cut-off stage
-DELTA_SAMPLES = 64
 #: bound on the disagreement of stage 2's normalization and rational
 #: deformation routes
 ROUTE_TOL = 1e-9
@@ -62,10 +61,13 @@ def _worst_node(grid: GridSpec, nodewise: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(nodewise)), grid.shape))
 
 
-class AcsField(EndoField):
-    """Endomorphism field that is a compatible almost complex structure at
-    every node, within pl.ACS_TOL; checked over node chunks of
-    ``_ACS_CHUNK``, so the check adds no full-size temporary."""
+class AcsField(_FieldBase):
+    """Field of tangent-space endomorphisms (stored row-major) that is a
+    compatible almost complex structure at every node, within pl.ACS_TOL;
+    checked over node chunks of ``_ACS_CHUNK``, so the check adds no
+    full-size temporary.  No field file holds one."""
+
+    NCOMP = (4, 4)
 
     def __init__(self, grid: GridSpec, values):
         super().__init__(grid, values)
@@ -134,11 +136,14 @@ class BumpSpec:
     def build(self, grid: GridSpec) -> ScalarField:
         return bump_cutoff(grid, self.center, self.radius, self.height)
 
-    def to_dict(self) -> dict:
-        return {"center": list(self.center), "radius": self.radius, "height": self.height}
-
     @staticmethod
     def from_dict(d: dict) -> "BumpSpec":
+        """The bump of a JSON entry with exactly the keys center, radius and
+        height; a missing or unknown key raises ValueError naming it."""
+        keys = {"center", "radius", "height"}
+        if set(d) != keys:
+            raise ValueError(f"bump entry has missing keys {sorted(keys - set(d))} "
+                             f"and unknown keys {sorted(set(d) - keys)}")
         return BumpSpec(tuple(float(c) for c in d["center"]), float(d["radius"]), float(d["height"]))
 
 
@@ -276,7 +281,7 @@ def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, w
     w = cohomlab.select_null_form(report)
     values = bump.build(triple.grid).values
     support_volume = float(np.mean(values > 0.0))
-    delta = cohomlab._delta_j_estimate(triple, report, DELTA_SAMPLES, eps)
+    delta = cohomlab.delta_j_estimate(triple, report, eps)
     if not support_volume < delta:
         raise ValueError(
             f"{what} {support_volume:.6f} is not below the delta estimate {delta:.6f}"
@@ -285,7 +290,7 @@ def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, w
     def record(report_after, **entries) -> dict:
         return {
             "stage": stage,
-            "bump": bump.to_dict(),
+            "bump": to_json(bump),
             "delta_estimate": delta,
             "support_volume": support_volume,
             **entries,
@@ -297,8 +302,19 @@ def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, w
     return w, values, record
 
 
-def _first_stage(triple: HermitianTriple, bump: BumpSpec, tol_null: float, eps: float):
-    """:func:`one_bump_deform`, also returning the Gram report of its result."""
+def one_bump_deform(
+    triple: HermitianTriple,
+    bump: BumpSpec,
+    tol_null: float = 1e-7,
+    eps: float = 1e-6,
+) -> tuple[HermitianTriple, DeformLog, "cohomlab.GramReport"]:
+    """Stage 1 of the cut-off construction; returns (stage1, log, the Gram
+    report of stage1).
+
+    Picks the most null harmonic anti-invariant direction of the input,
+    truncates it by the bump, and deforms, once the bump support volume is
+    below :func:`.cohomlab.delta_j_estimate` of the input structure.
+    """
     from . import cohomlab
 
     t0 = time.perf_counter()
@@ -321,22 +337,6 @@ def _first_stage(triple: HermitianTriple, bump: BumpSpec, tol_null: float, eps: 
         )
     )
     return deformed, log, report_after
-
-
-def one_bump_deform(
-    triple: HermitianTriple,
-    bump: BumpSpec,
-    tol_null: float = 1e-7,
-    eps: float = 1e-6,
-) -> tuple[HermitianTriple, DeformLog]:
-    """Stage 1 of the cut-off construction.
-
-    Picks the most null harmonic anti-invariant direction of the input,
-    truncates it by the bump, and deforms, once the bump support volume is
-    below the nodal-volume estimate delta of the input structure.
-    """
-    deformed, log, _ = _first_stage(triple, bump, tol_null, eps)
-    return deformed, log
 
 
 def _second_stage(stage1: HermitianTriple, report1, bump: BumpSpec, log: DeformLog,
@@ -399,7 +399,7 @@ def two_stage_deform(
     beta = c2 a / (1 + f1).  The Gram matrix of each of the three
     structures is computed once.
     """
-    stage1, log, report1 = _first_stage(triple, bump1, tol_null, eps)
+    stage1, log, report1 = one_bump_deform(triple, bump1, tol_null, eps)
     return stage1, _second_stage(stage1, report1, bump2, log, tol_null, eps), log
 
 

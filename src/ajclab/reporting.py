@@ -5,8 +5,23 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
+
+
+def to_json(record):
+    """The JSON form of a report record: a dataclass as its fields in
+    declaration order, an array or numpy scalar through ``tolist()``, a
+    tuple as a list; any other value as it is."""
+    if is_dataclass(record):
+        return {f.name: to_json(getattr(record, f.name)) for f in fields(record)}
+    if isinstance(record, (np.ndarray, np.generic)):
+        return record.tolist()
+    if isinstance(record, tuple):
+        return [to_json(v) for v in record]
+    return record
 
 
 @dataclass
@@ -21,15 +36,11 @@ class Check:
     detail: str = ""
     skipped: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "tolerance": self.tolerance,
-            "measured": self.measured,
-            "detail": self.detail,
-            "skipped": self.skipped,
-        }
+    @staticmethod
+    def within(name: str, residual, tolerance: float) -> "Check":
+        """The check max|residual| <= tolerance, measuring max|residual|."""
+        measured = float(np.max(np.abs(residual)))
+        return Check(name, measured <= tolerance, tolerance, measured)
 
 
 @dataclass
@@ -53,6 +64,9 @@ class ScenarioReport:
         self.checks.append(Check(name, bool(passed), tolerance, measured, detail))
         return bool(passed)
 
+    def within(self, name: str, residual, tolerance: float) -> None:
+        self.checks.append(Check.within(name, residual, tolerance))
+
     def skip(self, name: str, detail: str) -> None:
         self.checks.append(Check(name, False, detail=detail, skipped=True))
 
@@ -71,7 +85,7 @@ class ScenarioReport:
             "config": self.config,
             "h_values": self.h_values,
             "summaries": self.summaries,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [to_json(c) for c in self.checks],
             "timings_ms": self.timings_ms,
         }
 

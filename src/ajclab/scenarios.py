@@ -18,7 +18,7 @@ from . import hermitian as hm
 from . import pointlin as pl
 from . import torusfield as tf
 from .config import LabConfig
-from .reporting import ScenarioReport
+from .reporting import ScenarioReport, to_json
 
 #: grids of the resolution study
 RESOLUTION_GRID_SIZES = (8, 16, 24, 32)
@@ -33,24 +33,22 @@ def scenario_baseline(cfg: LabConfig) -> ScenarioReport:
     with report.timed("gram"):
         gram = cohomlab.gram_matrix(triple, tol_null=cfg.tol_null)
     report.h_values["standard"] = gram.h_minus
-    report.summaries["gram"] = gram.to_dict()
+    report.summaries["gram"] = to_json(gram)
     report.check("h_minus equals 2", gram.h_minus == 2, measured=float(gram.h_minus))
     report.check(
         "h_plus equals 4", cohomlab.h_plus(gram) == 4, measured=float(cohomlab.h_plus(gram))
     )
-    dev = float(np.max(np.abs(gram.matrix - np.diag([4.0, 0.0, 0.0]))))
-    report.check("Gram matrix is diag(4, 0, 0)", dev <= 1e-10, 1e-10, dev)
-    closed = cohomlab.null_forms_closed_residual(gram)
-    report.check("kernel forms are closed", closed <= 1e-12, 1e-12, closed)
+    report.within("Gram matrix is diag(4, 0, 0)", gram.matrix - np.diag([4.0, 0.0, 0.0]), 1e-10)
+    report.within("kernel forms are closed", cohomlab.null_forms_closed_residual(gram), 1e-12)
     J = pl.acs_from_coords(triple.y)
-    anti = max(
-        float(np.max(np.abs(pl.split_j(J, v @ pl.OMEGA_SD).plus))) for v in gram.null_coords
+    report.within(
+        "kernel forms are anti-invariant",
+        [pl.split_j(J, v @ pl.OMEGA_SD).plus for v in gram.null_coords], 1e-10,
     )
-    report.check("kernel forms are anti-invariant", anti <= 1e-10, 1e-10, anti)
-    rot = float(np.max(np.abs(pl.j_act_anti(pl.J0, pl.OMEGA2) - pl.OMEGA3)))
-    report.check("structure action rotates omega2 to omega3", rot <= 1e-12, 1e-12, rot)
-    rot2 = float(np.max(np.abs(pl.j_act_anti(pl.J0, pl.j_act_anti(pl.J0, pl.OMEGA2)) + pl.OMEGA2)))
-    report.check("structure action squares to -Id on the kernel", rot2 <= 1e-12, 1e-12, rot2)
+    report.within("structure action rotates omega2 to omega3",
+                  pl.j_act_anti(pl.J0, pl.OMEGA2) - pl.OMEGA3, 1e-12)
+    report.within("structure action squares to -Id on the kernel",
+                  pl.j_act_anti(pl.J0, pl.j_act_anti(pl.J0, pl.OMEGA2)) + pl.OMEGA2, 1e-12)
     return report
 
 
@@ -79,15 +77,14 @@ def scenario_one_bump(cfg: LabConfig) -> ScenarioReport:
         base = hm.standard_acs(grid)
         base_gram = cohomlab.gram_matrix(base, tol_null=cfg.tol_null)
     with report.timed("stage1"):
-        stage1, log = hm.one_bump_deform(
+        stage1, log, stage1_gram = hm.one_bump_deform(
             base, cfg.bump1, tol_null=cfg.tol_null, eps=cfg.eps_nodal
         )
-        stage1_gram = cohomlab.gram_matrix(stage1, tol_null=cfg.tol_null)
     report.h_values["standard"] = base_gram.h_minus
     report.h_values["stage1"] = stage1_gram.h_minus
     report.summaries["deform_log"] = log.to_list()
     _check_stage1(report, base_gram, stage1_gram)
-    report.summaries["stage1_gram"] = stage1_gram.to_dict()
+    report.summaries["stage1_gram"] = to_json(stage1_gram)
     report.artifacts["triples"] = {"stage1": (stage1, log)}
     return report
 
@@ -112,7 +109,7 @@ def scenario_two_stage(cfg: LabConfig) -> ScenarioReport:
         "stage2": stage2_gram.h_minus,
     }
     report.summaries["deform_log"] = log.to_list()
-    report.summaries["stage2_gram"] = stage2_gram.to_dict()
+    report.summaries["stage2_gram"] = to_json(stage2_gram)
     _check_stage1(report, base_gram, stage1_gram)
     report.check(
         "stage-2 kernel is trivial", stage2_gram.h_minus == 0,
@@ -123,18 +120,13 @@ def scenario_two_stage(cfg: LabConfig) -> ScenarioReport:
         "smallest Gram eigenvalue clears 10x the null tolerance",
         lam > 10.0 * cfg.tol_null, 10.0 * cfg.tol_null, lam,
     )
-    wedge_resid = float(
-        np.max(np.abs(pl.wedge_to_volume(stage2.F.values, stage2.F.values) - 2.0))
-    )
-    report.check(
+    report.within(
         "renormalized form has wedge square 2 at every node",
-        wedge_resid <= 1e-9, 1e-9, wedge_resid,
+        pl.wedge_to_volume(stage2.F.values, stage2.F.values) - 2.0, 1e-9,
     )
-    stage2_records = [r for r in log.to_list() if r["stage"] == "cutoff-2"]
-    route_dev = max((r.get("route_disagreement", 0.0) for r in stage2_records), default=0.0)
-    report.check(
+    report.within(
         "normalization route matches the rational deformation route",
-        route_dev <= hm.ROUTE_TOL, hm.ROUTE_TOL, route_dev,
+        [r.get("route_disagreement", 0.0) for r in log.to_list()], hm.ROUTE_TOL,
     )
     report.artifacts["triples"] = {"stage1": (stage1, log), "stage2": (stage2, log)}
     return report
@@ -154,7 +146,7 @@ def scenario_oracle(cfg: LabConfig) -> ScenarioReport:
     report.summaries["random_bandlimit"] = bandlimit
     with report.timed("build"):
         base = hm.standard_acs(grid)
-        stage1, log, report1 = hm._first_stage(base, cfg.bump1, cfg.tol_null, cfg.eps_nodal)
+        stage1, log, report1 = hm.one_bump_deform(base, cfg.bump1, cfg.tol_null, cfg.eps_nodal)
         structures = {
             "standard": base,
             "stage1": stage1,
@@ -173,7 +165,7 @@ def scenario_oracle(cfg: LabConfig) -> ScenarioReport:
             gram = cohomlab.gram_matrix(triple, tol_null=cfg.tol_null)
             elliptic = cohomlab.elliptic_kernel_dim(triple, grid)
         report.h_values[label] = gram.h_minus
-        elliptic_reports[label] = elliptic.to_dict()
+        elliptic_reports[label] = to_json(elliptic)
         report.check(
             f"{label}: elliptic kernel dimension equals Gram h_minus",
             elliptic.kernel_dim == gram.h_minus, measured=float(elliptic.kernel_dim),

@@ -137,13 +137,6 @@ class ThreeFormField(_FieldBase):
     KIND = "threeform"
 
 
-class EndoField(_FieldBase):
-    """Field of tangent-space endomorphisms (stored row-major)."""
-
-    NCOMP = (4, 4)
-    KIND = "endo"
-
-
 def _spectrum(values: np.ndarray, ncomp: int) -> np.ndarray:
     """Half spectrum of nodal values whose last ``ncomp`` axes are
     components; the components move ahead of the four grid axes."""

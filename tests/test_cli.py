@@ -55,6 +55,22 @@ def test_unknown_config_key_is_rejected(tmp_path):
         resolve("--config", str(path))
 
 
+@pytest.mark.parametrize(
+    "bump, match",
+    [
+        ({"center": [0.5] * 4}, r"missing keys \['height', 'radius'\] and unknown keys \[\]"),
+        ({"center": [0.5] * 4, "radius": 0.1, "hieght": 0.3},
+         r"missing keys \['height'\] and unknown keys \['hieght'\]"),
+    ],
+    ids=["missing", "misspelt"],
+)
+def test_config_bump_entry_keys_are_checked(tmp_path, bump, match):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"bump1": bump}))
+    with pytest.raises(ValueError, match=match):
+        resolve("--config", str(path))
+
+
 def test_partial_bump_radius_keeps_center_and_height():
     cfg = resolve("--bump1-radius", "0.2")
     assert cfg.bump1 == BumpSpec(DEFAULT_BUMP1.center, 0.2, DEFAULT_BUMP1.height)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from ajclab import fieldio, torusfield as tf
+from ajclab import fieldio, hermitian as hm, torusfield as tf
 
 G = tf.GridSpec(4)
 
@@ -20,7 +20,7 @@ def _random_field(cls, rng):
 
 @pytest.mark.parametrize(
     "cls",
-    [tf.ScalarField, tf.OneFormField, tf.TwoFormField, tf.ThreeFormField, tf.EndoField],
+    [tf.ScalarField, tf.OneFormField, tf.TwoFormField, tf.ThreeFormField],
 )
 def test_round_trip_bit_identical(cls, tmp_path):
     rng = np.random.default_rng(0)
@@ -31,6 +31,13 @@ def test_round_trip_bit_identical(cls, tmp_path):
     assert type(back) is cls
     assert back.grid == G
     assert np.array_equal(back.values, field.values)
+
+
+def test_field_of_no_file_kind_is_not_written(tmp_path):
+    J = hm.standard_acs(G).J
+    with pytest.raises(fieldio.FieldFormatError, match="AcsField has no field-file kind"):
+        fieldio.serialize_field(J, tmp_path / "J.field")
+    assert not (tmp_path / "J.field").exists()
 
 
 def test_header_layout(tmp_path):

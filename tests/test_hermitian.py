@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ajclab import cohomlab, fieldio, hermitian as hm, pointlin as pl, torusfield as tf
+from ajclab.reporting import to_json
 
 G8 = tf.GridSpec(8)
 BUMP1 = hm.BumpSpec((0.5, 0.5, 0.5, 0.5), 0.3, 0.5)
@@ -20,6 +21,12 @@ def deform_pair_nodewise(J, alpha):
     shape = J.shape[:-2]
     J_out, F_out = pl.deform_pair(J.reshape(-1, 4, 4), alpha.reshape(-1, 6))
     return J_out.reshape(shape + (4, 4)), F_out.reshape(shape + (6,))
+
+
+def write_endo_file(path, J):
+    """A file of the retired endo kind: the 16 row-major entries of a 4x4
+    field as payload rows."""
+    fieldio._write_payload(path, "endo", J.shape[0], J.reshape(-1, 16).T)
 
 
 def constant(a):
@@ -247,14 +254,30 @@ class TestTwoStage:
         assert untimed(record1) == untimed(hm.one_bump_deform(base, BUMP1)[1].to_list()[0])
         for record, triple in ((record1, base), (record2, stage1)):
             assert record["delta_estimate"] == cohomlab.delta_j_estimate(
-                triple, hm.DELTA_SAMPLES, 1e-6
+                triple, cohomlab.gram_matrix(triple), 1e-6
             )
             assert record["h_before"] == cohomlab.gram_matrix(triple).h_minus
         assert record2["h_after"] == cohomlab.gram_matrix(stage2).h_minus
 
+    def test_steps_are_looked_up_as_module_attributes(self, monkeypatch):
+        # a wrapper set on hm.one_bump_deform or cohomlab.delta_j_estimate sees every call
+        calls = []
+        for module, name in ((hm, "one_bump_deform"), (cohomlab, "delta_j_estimate")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        hm.two_stage_deform(hm.standard_acs(G8), BUMP1, BUMP2)
+        assert calls == ["one_bump_deform", "delta_j_estimate", "delta_j_estimate"]
+
+    def test_one_bump_returns_the_gram_report_of_its_result(self):
+        stage1, _, report = hm.one_bump_deform(hm.standard_acs(G8), BUMP1)
+        assert to_json(report) == to_json(cohomlab.gram_matrix(stage1))
+
     def test_stage1_unchanged_off_support(self):
         base = hm.standard_acs(G8)
-        stage1, _ = hm.one_bump_deform(base, BUMP1)
+        stage1, _, _ = hm.one_bump_deform(base, BUMP1)
         c1 = BUMP1.build(G8)
         outside = c1.values == 0.0
         assert np.array_equal(stage1.J.values[outside], base.J.values[outside])
@@ -266,7 +289,7 @@ class TestTwoStage:
 
     def test_gate_rejects_oversized_support(self):
         base = hm.standard_acs(G8)
-        stage1, _ = hm.one_bump_deform(base, BUMP1)
+        stage1, _, _ = hm.one_bump_deform(base, BUMP1)
         huge = hm.BumpSpec((0.25,) * 4, 0.45, 0.5)
         with pytest.raises(ValueError, match="delta"):
             hm.two_stage_deform(base, BUMP1, huge)
@@ -456,8 +479,8 @@ class TestLoadBoundary:
 
     def test_rejects_an_endo_file_in_the_f_slot(self, sidecar):
         triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
-        fieldio.serialize_field(triple.J, sidecar.parent / "sample.F.field")
-        with pytest.raises(fieldio.FieldFormatError, match="expected a twoform F file"):
+        write_endo_file(sidecar.parent / "sample.F.field", triple.J.values)
+        with pytest.raises(fieldio.FieldFormatError, match="unknown field kind 'endo'"):
             hm.load_triple(sidecar)
 
     def test_rejects_a_truncated_f_file(self, sidecar):
@@ -512,7 +535,7 @@ class TestLoadBoundary:
         a[..., 1:] = rng.uniform(-0.6, 0.6, G8.shape + (2,))
         J0 = np.broadcast_to(pl.J0, G8.shape + (4, 4))
         J, F = deform_pair_nodewise(J0, a @ pl.OMEGA_SD)
-        fieldio.serialize_field(tf.EndoField(G8, J), tmp_path / "old.J.field")
+        write_endo_file(tmp_path / "old.J.field", J)
         fieldio.serialize_field(tf.TwoFormField(G8, F), tmp_path / "old.F.field")
         sidecar = tmp_path / "old.json"
         sidecar.write_text(json.dumps({

@@ -8,7 +8,7 @@ import pytest
 
 from ajclab import battery, cli, hermitian as hm, scenarios
 from ajclab.config import LabConfig
-from ajclab.reporting import ScenarioReport
+from ajclab.reporting import Check, ScenarioReport
 
 STAGE2_CHECK = "stage2: elliptic kernel dimension equals Gram h_minus"
 
@@ -26,15 +26,26 @@ def test_skipped_check_does_not_fail_a_report():
     assert not report.passed
 
 
+def test_within_passes_at_its_tolerance_and_measures_max_abs():
+    check = Check.within("at the bound", np.array([1e-10, -1e-9]), 1e-9)
+    assert check == Check("at the bound", True, 1e-9, 1e-9)
+    check = Check.within("negative", np.array([[-3e-9, 2e-9]]), 1e-9)
+    assert check == Check("negative", False, 1e-9, 3e-9)
+    assert type(check.passed) is bool and type(check.measured) is float
+    report = ScenarioReport("x", {})
+    report.within("scalar", -2.0, 2.0)
+    assert report.checks == [Check("scalar", True, 2.0, 2.0)]
+
+
 def test_default_config_agrees_and_records_the_stage2_refusal(monkeypatch):
     calls = []
-    first_stage = hm._first_stage
+    one_bump_deform = hm.one_bump_deform
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return first_stage(*args, **kwargs)
+        return one_bump_deform(*args, **kwargs)
 
-    monkeypatch.setattr(hm, "_first_stage", counted)
+    monkeypatch.setattr(hm, "one_bump_deform", counted)
     report = scenarios.scenario_oracle(LabConfig())
     assert len(calls) == 1  # stage 2 is built on the one stage-1 structure
     assert report.passed
