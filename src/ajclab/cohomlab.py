@@ -30,9 +30,16 @@ section is sum_k c_k omega_k, and the nodewise anti-invariant frames v_j
 (:func:`.hermitian.anti_invariant_frame`) see an output phi only through
 its self-dual coordinates s_k = <phi, omega_k>, because P^- is the
 orthogonal projection onto the plane the frames span, so
-<P^- phi, v_j @ OMEGA_SD> = <phi, v_j @ OMEGA_SD> = v_j . s.  d delta
-therefore enters only as a 3x3 multiplier per Fourier mode, read off from
-:func:`.torusfield.d_codiff_values`, and no 4x4 J is built.
+<P^- phi, v_j @ OMEGA_SD> = <phi, v_j @ OMEGA_SD> = v_j . s.  On a
+self-dual psi, delta d psi = star d delta psi (delta = -star d star and
+star psi = psi), so the Hodge Laplacian Delta psi = d delta psi + star d
+delta psi is twice the self-dual part: P^+ d delta P^+ = Delta / 2.  On the
+flat torus Delta acts on each coordinate a_k of psi = sum_k a_k omega_k
+alone, and |omega_k|^2 = 2, so s = Delta a componentwise.  d delta
+therefore enters only as one scalar convolution kernel, the impulse
+response of the spectral Laplacian, read off from
+:func:`.torusfield.d_codiff_values` and checked there to be scalar; no 4x4
+J is built.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ import numpy as np
 from . import pointlin as pl
 from .hermitian import HermitianTriple, anti_invariant_frame
 from .torusfield import (
-    _SPEC_AXES,
     GridSpec,
     ScalarField,
     TwoFormField,
@@ -63,10 +69,6 @@ ANGLE_TOL = 1e-3
 ORACLE_TAU = 1e-6
 #: largest dimension of the elliptic oracle's dense matrix
 ORACLE_MAX_DIM = 5000
-
-#: basis rows per block of the elliptic oracle's assembly; the working set
-#: of one block grows linearly with it and does not depend on R
-_ORACLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -218,104 +220,88 @@ class EllipticReport:
     symmetry_defect: float
 
 
-def _basis_modes(kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one enumeration of the oracle's real trigonometric basis, as
-    integer modes m (R, 4) and complex coefficients c (R,): row r has nodal
-    values 2 Re(c[r] exp(2 pi i m[r] . x)).  Row 0 is the constant 1
-    (m = 0, c = 1/2); then, for one representative m of each +-m pair with
-    every axis frequency at most kmax in magnitude (the first nonzero
-    entry positive), sqrt(2) cos(2 pi m . x) (c = sqrt(2)/2) and
-    sqrt(2) sin(2 pi m . x) (c = -i sqrt(2)/2)."""
-    ks = np.arange(-kmax, kmax + 1)
-    grid_modes = np.stack(np.meshgrid(ks, ks, ks, ks, indexing="ij"), axis=-1).reshape(-1, 4)
-    half = np.sqrt(2.0) / 2.0
-    modes, coefs = [np.zeros(4, int)], [0.5]
-    for k in grid_modes:
-        nz = k[k != 0]
-        if len(nz) == 0 or nz[0] < 0:
-            continue  # keep one representative of each +-k pair, plus skip 0
-        modes += [k, k]
-        coefs += [half, -1j * half]
-    return np.array(modes), np.array(coefs, dtype=complex)
+def _line_basis(n: int) -> np.ndarray:
+    """Columns of an orthonormal (under the Euclidean sum) real trigonometric
+    basis of functions on n nodes of the circle, shape (n, n - 1): the
+    constant, then sqrt(2) cos and sqrt(2) sin of 2 pi k x for k = 1 ...
+    n/2 - 1, all divided by sqrt(n).  The Nyquist mode is left out."""
+    x = np.arange(n) / n
+    columns = [np.ones(n)]
+    for k in range(1, n // 2):
+        columns += [np.sqrt(2.0) * np.cos(2.0 * np.pi * k * x),
+                    np.sqrt(2.0) * np.sin(2.0 * np.pi * k * x)]
+    return np.stack(columns, axis=-1) / np.sqrt(n)
 
 
-def _real_fourier_basis(grid: GridSpec, kmax: int) -> np.ndarray:
-    """Rows are nodal values of an orthonormal real trigonometric basis
-    (orthonormal under the node-mean inner product) spanning all modes with
-    every axis frequency at most kmax in magnitude, in the order of
-    :func:`_basis_modes`."""
-    coords = np.stack([c + np.zeros(grid.shape) for c in grid.coords()], axis=-1)
-    X = coords.reshape(-1, 4).T  # (4, N)
-    modes, coefs = _basis_modes(kmax)
-    rows = np.empty((len(modes), X.shape[1]))
-    for r, (m, c) in enumerate(zip(modes, coefs)):
-        rows[r] = 2.0 * abs(c) * np.cos(2.0 * np.pi * (m @ X) + np.angle(c))
-    return rows
-
-
-def _shifted_bins(shifts: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Flat indices into a full spectrum of the grid (n^4 bins, C order)
-    of kappa - shift, mod n, for every half-spectrum bin kappa and every
-    row of ``shifts`` (b, 4); shape (b, n, n, n, n/2 + 1)."""
-    n = grid.n
-    flat = np.zeros((len(shifts), 1, 1, 1, 1), dtype=np.intp)
-    for axis, size in enumerate((n, n, n, n // 2 + 1)):
-        kappa = np.arange(size).reshape([-1 if a == axis else 1 for a in range(4)])
-        flat = flat * n + (kappa - shifts[:, axis].reshape(-1, 1, 1, 1, 1)) % n
-    return flat
-
-
-def _section_spectra(spectrum: np.ndarray, modes: np.ndarray, coefs: np.ndarray,
-                     grid: GridSpec) -> np.ndarray:
-    """Half spectra of the sections B[r] a for the basis rows (modes,
-    coefs) of :func:`_basis_modes`, gathered from the full spectrum
-    (3, n, n, n, n) of the coefficient field a; shape (3, b, n, n, n,
-    n/2 + 1).  On the grid's cyclic DFT, multiplying by exp(2 pi i m . x)
-    shifts a spectrum by m, so row r has spectrum
-    c[r] a^(kappa - m[r]) + conj(c[r]) a^(kappa + m[r])."""
-    flat = spectrum.reshape(len(spectrum), -1)
-    c = coefs.reshape(-1, 1, 1, 1, 1)
-    return c * flat[:, _shifted_bins(modes, grid)] + c.conj() * flat[:, _shifted_bins(-modes, grid)]
-
-
-def _self_dual_symbol(grid: GridSpec) -> np.ndarray:
-    """The half-spectrum multiplier S (3, 3, n, n, n, n/2 + 1) of d delta
-    between self-dual coordinates: S[l, k](kappa) = OMEGA_l . D(kappa)
-    OMEGA_k for the 6x6 symbol D of d delta, read off as the spectra of
-    :func:`.torusfield.d_codiff_values` applied to the impulses OMEGA_k at
-    node 0 (whose spectrum is 1 at every bin)."""
+def _scalar_kernel(grid: GridSpec) -> np.ndarray:
+    """Half the nodal kernel c of d delta between self-dual coordinates,
+    shape grid.shape: the self-dual coordinates of d delta psi are
+    s_l(x) = sum_x' c(x - x') a_l(x') for psi = sum_k a_k omega_k.  Read off
+    as the response of :func:`.torusfield.d_codiff_values` to the impulses
+    omega_k at node 0, which must be delta_lk c to pl.AGREEMENT_TOL relative
+    to max|c|, or :class:`.pointlin.ConsistencyError` is raised."""
     impulses = np.zeros((3,) + grid.shape + (6,))
     impulses[:, 0, 0, 0, 0] = pl.OMEGA_SD
     response = d_codiff_values(impulses, grid) @ pl.OMEGA_SD.T  # (k, grid, l)
-    return np.fft.rfftn(np.moveaxis(response, -1, 0), axes=_SPEC_AXES)
+    c = response[0, ..., 0]
+    mixing = float(np.max(np.abs(response - np.eye(3)[:, None, None, None, None] * c[..., None])))
+    if mixing > pl.AGREEMENT_TOL * float(np.max(np.abs(c))):
+        raise pl.ConsistencyError(
+            f"d delta is not scalar on self-dual coordinates (mixing {mixing:.3e})"
+        )
+    return c / 2.0
 
 
 def _elliptic_matrix(triple: HermitianTriple, grid: GridSpec) -> np.ndarray:
     """The unsymmetrized matrix of psi -> P^-(d delta psi) in the basis
-    B[m] (x) frame_i of :func:`elliptic_kernel_dim`: entry
-    (j R + r, i R + m) is the node mean of B[r] <P^-(d delta psi), frame_j> / 2
-    for psi = B[m] frame_i with frame_i = v_i @ OMEGA_SD, computed as
-    B[r] (s . v_j) / 2 for the self-dual coordinates s = S (B[m] v_i) of
-    d delta psi."""
-    modes, coefs = _basis_modes(grid.n // 2 - 1)
-    B = _real_fourier_basis(grid, grid.n // 2 - 1)
-    R, N = B.shape
-    frames = np.moveaxis(np.stack(anti_invariant_frame(triple)), -1, 1)  # (2, 3, grid)
-    spectra = np.fft.fftn(frames, axes=_SPEC_AXES)
-    halves = frames.reshape(2, 3, N) / 2.0
-    S = _self_dual_symbol(grid)
-    M = np.empty((2, R, 2, R))
-    for i in range(2):
-        for lo in range(0, R, _ORACLE_BLOCK):
-            rows = slice(lo, lo + _ORACLE_BLOCK)
-            c_hat = _section_spectra(spectra[i], modes[rows], coefs[rows], grid)
-            s_hat = np.stack([S[l, 0] * c_hat[0] + S[l, 1] * c_hat[1] + S[l, 2] * c_hat[2]
-                              for l in range(3)])
-            s = np.fft.irfftn(s_hat, s=grid.shape, axes=_SPEC_AXES).reshape(3, -1, N)
-            q = np.einsum("kbx,jkx->jbx", s, halves)  # (2, block, N)
-            proj = (q.reshape(-1, N) @ B.T).reshape(2, -1, R) / N
-            M[:, :, i, rows] = proj.transpose(0, 2, 1)
+    E[:, r] frame_i of :func:`elliptic_kernel_dim`, with E = e (x) e (x) e
+    (x) e for e = :func:`_line_basis` and frame_i = v_i @ OMEGA_SD: block
+    (j, i) is E^T K_ji E for K_ji(x, x') = c(x - x') v_j(x) . v_i(x') / 2,
+    with c / 2 from :func:`_scalar_kernel`.  K_ji is built one slice x_0 of
+    the first grid axis at a time and contracted with e (x) e twice on the
+    right and with e (x) e (x) e on the left; the slices' results U[x_0] are
+    then contracted with e over x_0, one output row of e at a time."""
+    n, m = grid.n, grid.n - 1
+    R = m**4
+    e = _line_basis(n)
+    ee = np.kron(e, e)
+    eee = np.kron(ee, e)
+    c = _scalar_kernel(grid).reshape(n, n**3)
+    nodes = np.indices((n, n, n)).reshape(3, -1)
+    inner = np.ravel_multi_index((nodes[:, :, None] - nodes[:, None]) % n, (n, n, n))
+    # D[t, x, x''] = c((-t) mod n, x - x''), so that slice x_0 of c(x - x')
+    # is the view D[n - x_0 : 2n - x_0] over the first axis of x'
+    D = c[-np.arange(2 * n) % n][:, inner]
+    frames = np.stack(anti_invariant_frame(triple)).reshape(2, n, n**3, 3)
+    M = np.empty((2, m, m**3, 2, R))
+    U = np.empty((n, m**3, R))
+    for j in range(2):
+        for i in range(2):
+            for x0 in range(n):
+                K = (frames[j, x0] @ frames[i].reshape(-1, 3).T).reshape(n**3, n, n**3)
+                K *= D[n - x0 : 2 * n - x0].transpose(1, 0, 2)
+                K = K.reshape(-1, n**2) @ ee  # each step frees the previous one
+                K = np.matmul(ee.T, K.reshape(-1, n**2, m**2))
+                np.matmul(eee.T, K.reshape(n**3, R), out=U[x0])
+            for r0 in range(m):
+                M[j, r0, :, i] = (e[:, r0] @ U.reshape(n, -1)).reshape(m**3, R)
     return M.reshape(2 * R, 2 * R)
+
+
+def _symmetrize(M: np.ndarray, rows: int) -> float:
+    """Replace the square matrix M in place by (M + M^T) / 2, one block of
+    ``rows`` rows and the matching columns at a time, and return the
+    symmetry defect max|M - M^T| of the input.  The pair (a, b), (b, a) is
+    handled in the block of min(a, b), so each block's temporaries hold at
+    most ``rows`` rows of M."""
+    defect = 0.0
+    for lo in range(0, len(M), rows):
+        upper, lower = M[lo : lo + rows, lo:], M[lo:, lo : lo + rows].T
+        defect = max(defect, float(np.max(np.abs(upper - lower))))
+        mean = (upper + lower) / 2.0
+        M[lo : lo + rows, lo:] = mean
+        M[lo:, lo : lo + rows] = mean.T
+    return defect
 
 
 def elliptic_kernel_dim(triple: HermitianTriple, oracle_grid: GridSpec) -> EllipticReport:
@@ -329,27 +315,30 @@ def elliptic_kernel_dim(triple: HermitianTriple, oracle_grid: GridSpec) -> Ellip
     ``2 * (n - 1)^4``, which must stay at or below ORACLE_MAX_DIM (n = 6
     gives 1250, n = 8 gives 4802).
 
-    The assembly is exact, not approximate, in three steps.  The column of
-    psi = B[m] v_i @ OMEGA_SD pairs d delta psi with v_j @ OMEGA_SD / 2;
-    the frames are anti-invariant and P^- is an orthogonal projection, so
-    P^- drops out and only the self-dual coordinates s of d delta psi
-    count.  psi has self-dual coordinates c = B[m] v_i, and d delta is
-    translation invariant, so s = S c with a 3x3 multiplier S per
-    half-spectrum bin (:func:`_self_dual_symbol`, built once per call from
-    the impulse responses of :func:`.torusfield.d_codiff_values`).  The
-    spectrum of c is a gather from the full spectrum of v_i, one ``fftn``
-    per frame per call: on the cyclic DFT of the grid, B[m] shifts it by
-    +-m (:func:`_section_spectra`).  A block of ``_ORACLE_BLOCK`` columns
-    then costs one product with S, one 3-component inverse transform per
-    column (one ``irfftn`` for the block), the pairing with v_j / 2 and
-    one product with the basis B.
+    The assembly is exact, not approximate.  The basis functions are
+    psi = E[:, r] v_i @ OMEGA_SD for the separable orthonormal basis
+    E = e (x) e (x) e (x) e of :func:`_line_basis`, which spans these modes.
+    Their pairing with v_j @ OMEGA_SD / 2 sees only the self-dual
+    coordinates s of d delta psi: the frames are anti-invariant and P^- is
+    an orthogonal projection, so P^- drops out.  On self-dual forms d
+    delta acts on each coordinate alone through one scalar kernel c
+    (:func:`_scalar_kernel`, read off from one call of
+    :func:`.torusfield.d_codiff_values` and checked to be scalar), so block
+    (j, i) of the matrix is E^T K_ji E with K_ji(x, x') =
+    c(x - x') v_j(x) . v_i(x') / 2.  :func:`_elliptic_matrix` builds K_ji
+    one slice of the first grid axis at a time and contracts it with the
+    Kronecker factors of E as plain matrix products: no basis matrix and no
+    per-column transform.
 
     Memory goes to the dense matrix (8 (2R)^2 bytes: 12.5 MB at n = 6,
-    184 MB at n = 8, growing as its square) and the basis (8 R n^4 bytes:
-    6.5 MB at n = 6, 79 MB at n = 8).  A block's gathered spectra and
-    nodal coordinates add a working set linear in the block size and
-    independent of R: about 9 MB at n = 6 and 27 MB at n = 8 for blocks
-    of 32, traced.
+    184 MB at n = 8, growing as its square).  The assembly adds the slice
+    results U of one block (j, i) (8 n (n - 1)^7 bytes: 3.8 MB at n = 6,
+    53 MB at n = 8), the shifted kernel (16 n^7 bytes: 4.5 MB and 34 MB) and one
+    slice of K_ji with its contractions (about 5 MB and 40 MB); the traced
+    peak of the assembly is 25 MB at n = 6 and 304 MB at n = 8.  The
+    symmetry check and the symmetrization work on (n - 1)^3 rows at a time
+    (:func:`_symmetrize`), so the only further full-size copy is the one
+    ``eigvalsh`` makes.
 
     The assembled matrix must be symmetric to 1e-8 relative to its largest
     entry, or :class:`.pointlin.ConsistencyError` is raised; ``kernel_dim``
@@ -370,13 +359,13 @@ def elliptic_kernel_dim(triple: HermitianTriple, oracle_grid: GridSpec) -> Ellip
             "use a smaller oracle grid"
         )
     M = _elliptic_matrix(triple, grid)
-    sym_defect = float(np.max(np.abs(M - M.T)))
-    if sym_defect > 1e-8 * max(1.0, float(np.max(np.abs(M)))):
+    scale = max(1.0, float(M.max()), -float(M.min()))
+    sym_defect = _symmetrize(M, (grid.n - 1) ** 3)
+    if sym_defect > 1e-8 * scale:
         raise pl.ConsistencyError(
             f"discretized operator is not symmetric (defect {sym_defect:.3e}); "
             "the operator must be self-adjoint up to discretization error"
         )
-    M = (M + M.T) / 2.0
     singular = np.sort(np.abs(np.linalg.eigvalsh(M)))
     s_max = float(singular[-1])
     kernel_dim = int(np.sum(singular <= ORACLE_TAU * s_max))

@@ -242,13 +242,47 @@ class TestEllipticOracle:
             cohomlab.elliptic_kernel_dim(hm.standard_acs(G10), G10)
 
 
-class TestSectionSpectra:
-    """The oracle gathers the spectrum of each section B[r] a from the full
-    spectrum of a instead of transforming it."""
+def mode_basis(grid):
+    """Rows are nodal values of the oracle's former real trigonometric
+    basis, orthonormal under the node mean: row 0 is the constant 1; then,
+    for one representative m of each +-m pair with every axis frequency
+    below n/2 in magnitude (the first nonzero entry positive),
+    sqrt(2) cos(2 pi m . x) and sqrt(2) sin(2 pi m . x).  Returns the
+    rows and the mode of each row."""
+    kmax = grid.n // 2 - 1
+    ks = np.arange(-kmax, kmax + 1)
+    grid_modes = np.stack(np.meshgrid(ks, ks, ks, ks, indexing="ij"), axis=-1).reshape(-1, 4)
+    X = np.stack([c + np.zeros(grid.shape) for c in grid.coords()], axis=-1).reshape(-1, 4)
+    modes, rows = [np.zeros(4, int)], [np.ones(len(X))]
+    for k in grid_modes:
+        nz = k[k != 0]
+        if len(nz) == 0 or nz[0] < 0:
+            continue  # keep one representative of each +-k pair, plus skip 0
+        phase = 2.0 * np.pi * (X @ k)
+        modes += [k, k]
+        rows += [np.sqrt(2.0) * np.cos(phase), np.sqrt(2.0) * np.sin(phase)]
+    return np.array(rows), np.array(modes)
 
-    def test_basis_rows_follow_the_mode_table(self):
-        modes, coefs = cohomlab._basis_modes(2)
-        B = cohomlab._real_fourier_basis(G6, 2)
+
+def separable_change_of_basis(grid):
+    """Q = B_e (e (x) e (x) e (x) e) for the Euclidean-normalized mode basis
+    B_e = B / sqrt(N) and e = cohomlab._line_basis(n), contracted one grid
+    axis at a time; an orthogonal (R, R) matrix when both bases span the
+    same modes."""
+    B, _ = mode_basis(grid)
+    X = (B / np.sqrt(grid.node_count)).reshape((len(B),) + grid.shape)
+    e = cohomlab._line_basis(grid.n)
+    for _ in range(4):
+        X = np.tensordot(X, e, axes=([1], [0]))
+    return X.reshape(len(B), -1)
+
+
+class TestSeparableBasis:
+    """The oracle's basis e (x) e (x) e (x) e spans the modes of the former
+    mode basis, so its matrix is orthogonally similar to the former one."""
+
+    def test_mode_basis_rows_follow_the_mode_table(self):
+        B, modes = mode_basis(G6)
         assert B.shape == (len(modes), G6.node_count) == (5**4, 6**4)
         X = np.stack([c + np.zeros(G6.shape) for c in G6.coords()], axis=-1).reshape(-1, 4)
         np.testing.assert_array_equal(B[0], 1.0)
@@ -258,26 +292,58 @@ class TestSectionSpectra:
         np.testing.assert_allclose(B[2], np.sqrt(2.0) * np.sin(phase), atol=1e-14)
         np.testing.assert_allclose(B @ B.T / G6.node_count, np.eye(len(B)), atol=1e-12)
 
-    # R = 81 at n = 4 and 625 at n = 6: blocks of 32 leave a last block of 17
-    @pytest.mark.parametrize("grid", [G4, G6], ids=["n4", "n6"])
-    def test_gather_matches_the_transform_of_every_section(self, grid):
-        triple = hm.random_compatible_acs(grid, seed=3, amplitude=0.3, bandlimit=1)
-        modes, coefs = cohomlab._basis_modes(grid.n // 2 - 1)
-        B = cohomlab._real_fourier_basis(grid, grid.n // 2 - 1)
-        block = 32
-        assert len(B) % block == 17
-        axes = (-4, -3, -2, -1)
-        for v in hm.anti_invariant_frame(triple):
-            a = np.moveaxis(v, -1, 0)  # (3, grid)
-            spectrum = np.fft.fftn(a, axes=axes)
-            for lo in range(0, len(B), block):
-                rows = slice(lo, lo + block)
-                got = cohomlab._section_spectra(spectrum, modes[rows], coefs[rows], grid)
-                sections = a[:, None] * B[rows].reshape((-1,) + grid.shape)
-                expect = np.fft.rfftn(sections, axes=axes)
-                assert got.shape == expect.shape
-                scale = float(np.max(np.abs(expect)))
-                assert float(np.max(np.abs(got - expect))) <= 1e-13 * scale
+    @pytest.mark.parametrize("grid", [G4, G6, G8], ids=["n4", "n6", "n8"])
+    def test_line_basis_is_orthonormal_and_spans_the_modes(self, grid):
+        e = cohomlab._line_basis(grid.n)
+        assert e.shape == (grid.n, grid.n - 1)
+        np.testing.assert_allclose(e.T @ e, np.eye(grid.n - 1), rtol=0, atol=1e-14)
+        Q = separable_change_of_basis(grid)
+        assert Q.shape == ((grid.n - 1) ** 4,) * 2
+        assert float(np.max(np.abs(Q @ Q.T - np.eye(len(Q))))) <= 1e-13
+
+
+class TestScalarKernel:
+    """On self-dual forms P^+ d delta P^+ = Delta / 2, so d delta reaches the
+    oracle as one scalar kernel."""
+
+    def test_kernel_is_half_the_laplacian_impulse_response(self):
+        symbol = sum(-(m**2) for m in G6.deriv_multipliers())  # |2 pi k|^2, Nyquist zeroed
+        expect = np.fft.irfftn(symbol, s=G6.shape, axes=tf.GRID_AXES) / 2.0
+        got = cohomlab._scalar_kernel(G6)
+        assert float(np.max(np.abs(got - expect))) <= 1e-12 * float(np.max(np.abs(expect)))
+
+    def test_mixing_operator_rejected(self, monkeypatch):
+        def mixing(values, grid):
+            # adds the omega1 coordinate of a form to its omega2 coordinate
+            return tf.d_codiff_values(values, grid) + values @ np.outer(pl.OMEGA1, pl.OMEGA2) / 2.0
+
+        monkeypatch.setattr(cohomlab, "d_codiff_values", mixing)
+        with pytest.raises(pl.ConsistencyError, match="not scalar"):
+            cohomlab.elliptic_kernel_dim(hm.standard_acs(G4), G4)
+
+    def test_one_inverse_transform_per_call(self, monkeypatch):
+        calls = []
+        irfftn = np.fft.irfftn
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return irfftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfftn", counted)
+        report = cohomlab.elliptic_kernel_dim(hm.standard_acs(G6), G6)
+        assert report.kernel_dim == 2
+        assert len(calls) == 1
+
+
+class TestSymmetrize:
+    # 10 rows in blocks of 3 leave a last block of 1
+    @pytest.mark.parametrize("rows", [1, 3, 10])
+    def test_matches_the_full_size_symmetrization(self, rows):
+        A = np.random.default_rng(7).standard_normal((10, 10))
+        M = A.copy()
+        defect = cohomlab._symmetrize(M, rows)
+        np.testing.assert_array_equal(M, (A + A.T) / 2.0)
+        assert defect == float(np.max(np.abs(A - A.T)))
 
 
 class TestFramePairing:
@@ -309,10 +375,10 @@ class TestFramePairing:
 
 
 def column_elliptic_matrix(triple, grid):
-    """The oracle matrix assembled one column at a time: d delta through
-    the field functions, then the 4x4 involution's P^-, then the pairing
-    with the frames."""
-    B = cohomlab._real_fourier_basis(grid, grid.n // 2 - 1)
+    """The oracle matrix assembled one column at a time in the mode basis
+    B of :func:`mode_basis`: d delta through the field functions, then the
+    4x4 involution's P^-, then the pairing with the frames."""
+    B, _ = mode_basis(grid)
     R, N = B.shape
     frames = np.stack(hm.anti_invariant_frame(triple)) @ pl.OMEGA_SD
     J = triple.J.values
@@ -339,17 +405,17 @@ def oracle_structures_n4():
 
 
 class TestEllipticAssembly:
-    """The block-batched assembly against the column-by-column one."""
+    """The separable assembly against the column-by-column one, carried to
+    the separable basis by Q_2 = I_2 (x) Q."""
 
     @pytest.fixture(scope="class")
     def cases(self):
-        return {k: (t, column_elliptic_matrix(t, G4)) for k, t in oracle_structures_n4().items()}
+        Q2 = np.kron(np.eye(2), separable_change_of_basis(G4))
+        return {k: (t, Q2.T @ column_elliptic_matrix(t, G4) @ Q2)
+                for k, t in oracle_structures_n4().items()}
 
-    # R = 81 at n = 4: blocks of 8 leave a last block of 1, blocks of 13 one of 3
-    @pytest.mark.parametrize("block", [1, 8, 13, 200])
     @pytest.mark.parametrize("kind", ["standard", "stage1", "random"])
-    def test_matches_column_assembly(self, cases, kind, block, monkeypatch):
-        monkeypatch.setattr(cohomlab, "_ORACLE_BLOCK", block)
+    def test_matches_column_assembly(self, cases, kind):
         triple, expect = cases[kind]
         got = cohomlab._elliptic_matrix(triple, G4)
         assert got.shape == expect.shape == (162, 162)
