@@ -15,16 +15,18 @@ NORM_TOL = 1e-12
 #: bounds for the spectral calculus identities
 DDZERO_TOL = 1e-12
 ADJOINT_TOL = 1e-10
+#: random cases of each pointwise battery
+CASES = 10_000
 
 
-def _random_structures(rng: np.random.Generator, cases: int) -> np.ndarray:
-    """Compatible structures obtained by deforming the standard one with a
-    random constant anti-invariant form of wedge norm below 0.9."""
-    ab = rng.uniform(-1.0, 1.0, size=(cases, 2))
+def _random_structures(rng: np.random.Generator) -> np.ndarray:
+    """CASES compatible structures obtained by deforming the standard one
+    with a random constant anti-invariant form of wedge norm below 0.9."""
+    ab = rng.uniform(-1.0, 1.0, size=(CASES, 2))
     ab /= np.maximum(np.linalg.norm(ab, axis=-1, keepdims=True), 1e-12)
-    ab *= rng.uniform(0.0, 0.9, size=(cases, 1))
+    ab *= rng.uniform(0.0, 0.9, size=(CASES, 1))
     alpha0 = ab[:, :1] * pl.OMEGA2 + ab[:, 1:] * pl.OMEGA3
-    return pl.deform_pair(np.broadcast_to(pl.J0, (cases, 4, 4)), alpha0)[0]
+    return pl.deform_pair(np.broadcast_to(pl.J0, (CASES, 4, 4)), alpha0)[0]
 
 
 def _random_anti_invariant(rng: np.random.Generator, J: np.ndarray) -> np.ndarray:
@@ -36,11 +38,11 @@ def _random_anti_invariant(rng: np.random.Generator, J: np.ndarray) -> np.ndarra
     return alpha * np.sqrt(target / np.maximum(nsq, 1e-30))[..., None]
 
 
-def run_deformation_battery(cases: int = 10_000, seed: int = 1) -> list[Check]:
+def run_deformation_battery(seed: int) -> list[Check]:
     """Random-case battery for the rational deformation formulas, in 4x4
     form and in the self-dual coordinates y that structure fields store."""
     rng = np.random.default_rng(seed)
-    J = _random_structures(rng, cases)
+    J = _random_structures(rng)
     alpha = _random_anti_invariant(rng, J)
     nsq = pl.wedge_norm_sq(alpha)
     K = pl.form_to_matrix(alpha)
@@ -56,13 +58,13 @@ def run_deformation_battery(cases: int = 10_000, seed: int = 1) -> list[Check]:
     y = F @ pl.OMEGA_SD.T / 2.0
     y_new = pl.deform_coords(y, alpha @ pl.OMEGA_SD.T / 2.0)
     s2_residual = np.concatenate([
-        (pl.acs_from_coords(y) - J).reshape(cases, 16),
-        (pl.acs_from_coords(y_new) - closed).reshape(cases, 16),
+        (pl.acs_from_coords(y) - J).reshape(CASES, 16),
+        (pl.acs_from_coords(y_new) - closed).reshape(CASES, 16),
         y_new @ pl.OMEGA_SD - F_new,
     ], axis=1)
 
     eye = np.eye(4)
-    checks = [
+    return [
         Check.within(
             "conjugation and closed-form deformations agree",
             closed - conjugated, AGREEMENT_TOL,
@@ -88,16 +90,15 @@ def run_deformation_battery(cases: int = 10_000, seed: int = 1) -> list[Check]:
         ),
         Check.within("S^2 coordinate formulas agree with deform_pair", s2_residual, AGREEMENT_TOL),
     ]
-    return checks
 
 
-def run_splitting_battery(cases: int = 10_000, seed: int = 2) -> list[Check]:
+def run_splitting_battery(seed: int) -> list[Check]:
     """Random-case battery for the splitting relations between the star and
     involution decompositions."""
     rng = np.random.default_rng(seed)
-    J = _random_structures(rng, cases)
+    J = _random_structures(rng)
     F = pl.fundamental_form(J)
-    phi = rng.uniform(-1.0, 1.0, size=(cases, 6))
+    phi = rng.uniform(-1.0, 1.0, size=(CASES, 6))
     sj = pl.split_j(J, phi)
     sd = pl.split_sd(phi)
     alpha = _random_anti_invariant(rng, J)
@@ -107,7 +108,7 @@ def run_splitting_battery(cases: int = 10_000, seed: int = 2) -> list[Check]:
     plus_sd = pl.split_sd(sj.plus).plus
     proj = (pl.form_inner(plus_sd, F) / 2.0)[..., None] * F
 
-    checks = [
+    return [
         Check.within(
             "star splitting reconstructs the input",
             sd.plus + sd.minus - phi, AGREEMENT_TOL,
@@ -141,10 +142,9 @@ def run_splitting_battery(cases: int = 10_000, seed: int = 2) -> list[Check]:
             pl.split_sd(alpha).minus, AGREEMENT_TOL,
         ),
     ]
-    return checks
 
 
-def run_calculus_battery(grid_n: int = 16, count: int = 100, seed: int = 3) -> list[Check]:
+def run_calculus_battery(grid_n: int, count: int, seed: int) -> list[Check]:
     """Spectral calculus identities on random fields bandlimited to n/2 - 2."""
     grid = tf.GridSpec(grid_n)
     bandlimit = grid.n // 2 - 2

@@ -42,7 +42,7 @@ class LabConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
         for key in ("bump1", "bump2"):
-            if key in kwargs and isinstance(kwargs[key], dict):
+            if key in kwargs:
                 kwargs[key] = BumpSpec.from_dict(kwargs[key])
         return LabConfig(**kwargs)
 

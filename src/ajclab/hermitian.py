@@ -20,12 +20,15 @@ stereographic map
 
 the rational closed form of :func:`.pointlin.deform_pair` in coordinates.
 
-The two-stage cut-off pipeline lives here as well: stage 1 deforms along a
-bump-truncated harmonic anti-invariant direction; stage 2 renormalizes
+The two-stage cut-off pipeline lives here as well: stage 1
+(:func:`one_bump_deform`) deforms along a bump-truncated harmonic
+anti-invariant direction; stage 2 (:func:`second_bump_deform`) renormalizes
 ``y2 = f1 * y1 + c2 * a`` back to the sphere with
 ``f1 = sqrt(1 - c2^2 |a|^2)``.  Each stage is gated on its bump support
 volume staying below :func:`.cohomlab.delta_j_estimate` of its input
-structure.
+structure, and returns the Gram reports it computed: stage 1 those of its
+input and its result, stage 2 that of its result, at the ``tol_null`` of
+the stage-1 report it takes.
 """
 
 from __future__ import annotations
@@ -138,9 +141,12 @@ class BumpSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "BumpSpec":
-        """The bump of a JSON entry with exactly the keys center, radius and
-        height; a missing or unknown key raises ValueError naming it."""
+        """The bump of a JSON entry: an object with exactly the keys center,
+        radius and height.  Any other entry, or a missing or unknown key,
+        raises ValueError naming it."""
         keys = {"center", "radius", "height"}
+        if not isinstance(d, dict):
+            raise ValueError(f"bump entry {d!r} is not an object with keys {sorted(keys)}")
         if set(d) != keys:
             raise ValueError(f"bump entry has missing keys {sorted(keys - set(d))} "
                              f"and unknown keys {sorted(set(d) - keys)}")
@@ -268,11 +274,10 @@ def _capped(a: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, what: str,
-                  eps: float, t0: float):
+                  eps: float):
     """The steps both cut-off stages share on ``triple``, whose Gram report
     is ``report``: returns the first null direction w, the bump values and
-    ``record(report_after, **entries)``, which builds the stage's log record
-    with its own entries between the shared ones.  Raises unless the bump
+    the leading entries of the stage's log record.  Raises unless the bump
     support volume (``what``) is below the delta estimate of ``triple``; as
     trace G = 4 keeps h_minus <= 2, that estimate always exists.
     """
@@ -286,20 +291,9 @@ def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, w
         raise ValueError(
             f"{what} {support_volume:.6f} is not below the delta estimate {delta:.6f}"
         )
-
-    def record(report_after, **entries) -> dict:
-        return {
-            "stage": stage,
-            "bump": to_json(bump),
-            "delta_estimate": delta,
-            "support_volume": support_volume,
-            **entries,
-            "h_before": report.h_minus,
-            "h_after": report_after.h_minus,
-            "runtime_ms": 1000.0 * (time.perf_counter() - t0),
-        }
-
-    return w, values, record
+    head = {"stage": stage, "bump": to_json(bump), "delta_estimate": delta,
+            "support_volume": support_volume}
+    return w, values, head
 
 
 def one_bump_deform(
@@ -307,9 +301,9 @@ def one_bump_deform(
     bump: BumpSpec,
     tol_null: float = 1e-7,
     eps: float = 1e-6,
-) -> tuple[HermitianTriple, DeformLog, "cohomlab.GramReport"]:
-    """Stage 1 of the cut-off construction; returns (stage1, log, the Gram
-    report of stage1).
+) -> tuple[HermitianTriple, DeformLog, tuple["cohomlab.GramReport", "cohomlab.GramReport"]]:
+    """Stage 1 of the cut-off construction; returns (stage1, log,
+    (report0, report1)), the Gram reports of the input and of stage1.
 
     Picks the most null harmonic anti-invariant direction of the input,
     truncates it by the bump, and deforms, once the bump support volume is
@@ -318,40 +312,48 @@ def one_bump_deform(
     from . import cohomlab
 
     t0 = time.perf_counter()
-    report = cohomlab.gram_matrix(triple, tol_null=tol_null)
-    if report.h_minus < 1:
+    report0 = cohomlab.gram_matrix(triple, tol_null=tol_null)
+    if report0.h_minus < 1:
         raise ValueError("stage 1 needs at least one harmonic anti-invariant direction")
-    w, c1, record = _cutoff_stage(
-        triple, report, bump, "cutoff-1", "bump support volume", eps, t0
-    )
+    w, c1, head = _cutoff_stage(triple, report0, bump, "cutoff-1", "bump support volume", eps)
     a, factor = _capped(c1[..., None] * w)
-    deformed = deform_field(triple, a)
-    report_after = cohomlab.gram_matrix(deformed, tol_null=tol_null)
+    stage1 = deform_field(triple, a)
+    report1 = cohomlab.gram_matrix(stage1, tol_null=tol_null)
     log = DeformLog()
-    log.append(
-        record(
-            report_after,
-            sup_norm=float(np.sqrt(np.max(np.sum(a * a, axis=-1)))),
-            rescale_factor=factor,
-            null_direction=[float(v) for v in report.null_coords[0]],
-        )
-    )
-    return deformed, log, report_after
+    log.append({
+        **head,
+        "sup_norm": float(np.sqrt(np.max(np.sum(a * a, axis=-1)))),
+        "rescale_factor": factor,
+        "null_direction": report0.null_coords[0].tolist(),
+        "h_before": report0.h_minus,
+        "h_after": report1.h_minus,
+        "runtime_ms": 1000.0 * (time.perf_counter() - t0),
+    })
+    return stage1, log, (report0, report1)
 
 
-def _second_stage(stage1: HermitianTriple, report1, bump: BumpSpec, log: DeformLog,
-                  tol_null: float, eps: float) -> HermitianTriple:
+def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: DeformLog,
+                       eps: float) -> tuple[HermitianTriple, "cohomlab.GramReport"]:
     """Stage 2 of the cut-off construction on ``stage1``, whose Gram report
-    is ``report1``; appends its record to ``log`` and returns the stage-2
-    structure (``stage1`` itself when its kernel is already exhausted)."""
+    is ``report1``; appends its record to ``log`` and returns (stage2, its
+    Gram report at ``report1.tol_null``), or (stage1, report1) when that
+    kernel is already exhausted.
+
+    Takes the surviving null direction a of stage1, checks the bump support
+    volume against the stage-1 delta estimate, and renormalizes
+    y2 = f1 y1 + c2 a with f1 = sqrt(1 - c2^2 |a|^2), which keeps |y2| = 1
+    because a is orthogonal to y1 at every node.  The result is
+    cross-checked against the rational deformation route with
+    beta = c2 a / (1 + f1).
+    """
     from . import cohomlab
 
     t0 = time.perf_counter()
     if report1.h_minus == 0:
         log.append({"stage": "cutoff-2", "skipped": "stage 1 already exhausted the kernel"})
-        return stage1
-    w, c2, record = _cutoff_stage(
-        stage1, report1, bump, "cutoff-2", "stage-2 bump support volume", eps, t0
+        return stage1, report1
+    w, c2, head = _cutoff_stage(
+        stage1, report1, bump, "cutoff-2", "stage-2 bump support volume", eps
     )
     grid = stage1.grid
     prod_sq = c2**2 * float(w @ w)
@@ -370,16 +372,18 @@ def _second_stage(stage1: HermitianTriple, report1, bump: BumpSpec, log: DeformL
         raise pl.ConsistencyError(
             f"normalization and rational deformation routes disagree by {route_dev:.3e}"
         )
-    log.append(
-        record(
-            cohomlab.gram_matrix(stage2, tol_null=tol_null),
-            sup_norm=float(np.sqrt(np.max(prod_sq))),
-            null_direction=[float(v) for v in report1.null_coords[0]],
-            wedge_square_residual=float(np.max(np.abs(2.0 * np.sum(y2 * y2, axis=-1) - 2.0))),
-            route_disagreement=route_dev,
-        )
-    )
-    return stage2
+    report2 = cohomlab.gram_matrix(stage2, tol_null=report1.tol_null)
+    log.append({
+        **head,
+        "sup_norm": float(np.sqrt(np.max(prod_sq))),
+        "null_direction": report1.null_coords[0].tolist(),
+        "wedge_square_residual": float(np.max(np.abs(2.0 * np.sum(y2 * y2, axis=-1) - 2.0))),
+        "route_disagreement": route_dev,
+        "h_before": report1.h_minus,
+        "h_after": report2.h_minus,
+        "runtime_ms": 1000.0 * (time.perf_counter() - t0),
+    })
+    return stage2, report2
 
 
 def two_stage_deform(
@@ -390,17 +394,9 @@ def two_stage_deform(
     eps: float = 1e-6,
 ) -> tuple[HermitianTriple, HermitianTriple, DeformLog]:
     """Both stages of the cut-off construction; returns (stage1, stage2, log).
-
-    Stage 2 takes the surviving null direction a of the stage-1 structure,
-    checks the bump support volume against the stage-1 delta estimate, and
-    renormalizes y2 = f1 y1 + c2 a with f1 = sqrt(1 - c2^2 |a|^2), which
-    keeps |y2| = 1 because a is orthogonal to y1 at every node.  The result
-    is cross-checked against the rational deformation route with
-    beta = c2 a / (1 + f1).  The Gram matrix of each of the three
-    structures is computed once.
-    """
-    stage1, log, report1 = one_bump_deform(triple, bump1, tol_null, eps)
-    return stage1, _second_stage(stage1, report1, bump2, log, tol_null, eps), log
+    Callers that need the Gram reports call the two stages themselves."""
+    stage1, log, (_, report1) = one_bump_deform(triple, bump1, tol_null, eps)
+    return stage1, second_bump_deform(stage1, report1, bump2, log, eps)[0], log
 
 
 def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | None = None,

@@ -61,8 +61,9 @@ def test_unknown_config_key_is_rejected(tmp_path):
         ({"center": [0.5] * 4}, r"missing keys \['height', 'radius'\] and unknown keys \[\]"),
         ({"center": [0.5] * 4, "radius": 0.1, "hieght": 0.3},
          r"missing keys \['height'\] and unknown keys \['hieght'\]"),
+        ([0.5] * 4, r"bump entry \[0\.5, 0\.5, 0\.5, 0\.5\] is not an object"),
     ],
-    ids=["missing", "misspelt"],
+    ids=["missing", "misspelt", "not-an-object"],
 )
 def test_config_bump_entry_keys_are_checked(tmp_path, bump, match):
     path = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 """Structure fields, deformations, and the two-stage cut-off pipeline."""
 
+import dataclasses
 import json
 import re
 
@@ -272,8 +273,28 @@ class TestTwoStage:
         assert calls == ["one_bump_deform", "delta_j_estimate", "delta_j_estimate"]
 
     def test_one_bump_returns_the_gram_report_of_its_result(self):
-        stage1, _, report = hm.one_bump_deform(hm.standard_acs(G8), BUMP1)
-        assert to_json(report) == to_json(cohomlab.gram_matrix(stage1))
+        base = hm.standard_acs(G8)
+        stage1, _, (report0, report1) = hm.one_bump_deform(base, BUMP1)
+        assert to_json(report0) == to_json(cohomlab.gram_matrix(base))
+        assert to_json(report1) == to_json(cohomlab.gram_matrix(stage1))
+
+    def test_second_stage_reports_at_the_tol_null_of_its_input(self):
+        base = hm.standard_acs(G8)
+        stage1, log, (_, report1) = hm.one_bump_deform(base, BUMP1, tol_null=1e-6)
+        stage2, report2 = hm.second_bump_deform(stage1, report1, BUMP2, log, 1e-6)
+        assert report2.tol_null == 1e-6
+        assert to_json(report2) == to_json(cohomlab.gram_matrix(stage2, tol_null=1e-6))
+        assert log.to_list()[1]["h_after"] == report2.h_minus == 0
+
+    def test_second_stage_on_an_exhausted_kernel_returns_its_input(self):
+        stage1, _, (_, report1) = hm.one_bump_deform(hm.standard_acs(G8), BUMP1)
+        exhausted = dataclasses.replace(report1, h_minus=0, null_coords=np.zeros((0, 3)))
+        log = hm.DeformLog()
+        stage2, report2 = hm.second_bump_deform(stage1, exhausted, BUMP2, log, 1e-6)
+        assert stage2 is stage1 and report2 is exhausted
+        assert log.to_list() == [
+            {"stage": "cutoff-2", "skipped": "stage 1 already exhausted the kernel"}
+        ]
 
     def test_stage1_unchanged_off_support(self):
         base = hm.standard_acs(G8)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ajclab import battery, cli, hermitian as hm, scenarios
+from ajclab import battery, cli, cohomlab, hermitian as hm, scenarios
 from ajclab.config import LabConfig
 from ajclab.reporting import Check, ScenarioReport
 
@@ -84,6 +84,29 @@ def test_cli_oracle_caps_the_random_bandlimit_below_nyquist(tmp_path, capsys):
     assert data["summaries"]["random_bandlimit"] == 1
 
 
+@pytest.mark.parametrize(
+    "name, oracle_n, calls",
+    [("one-bump", 6, 2), ("two-stage", 6, 3), ("oracle", 6, 3), ("oracle", 4, 4),
+     ("resolution", 6, 12)],
+    ids=["one-bump", "two-stage", "oracle-n6", "oracle-n4", "resolution"],
+)
+def test_gram_matrix_once_per_structure(monkeypatch, name, oracle_n, calls):
+    # the scenarios take the Gram reports the cut-off stages return; only a
+    # structure no stage decides (oracle's random one) gets a call of its own
+    triples = []
+    gram_matrix = cohomlab.gram_matrix
+
+    def counted(triple, **kwargs):
+        triples.append(triple)
+        return gram_matrix(triple, **kwargs)
+
+    monkeypatch.setattr(cohomlab, "gram_matrix", counted)
+    report = scenarios.SCENARIOS[name](LabConfig(oracle_n=oracle_n))
+    assert report.passed
+    assert len(triples) == calls
+    assert len({id(t) for t in triples}) == calls
+
+
 STAGE1_CHECKS = [
     "stage-1 kernel dimension at most 1",
     "stage-1 kernel contained in the standard kernel",
@@ -146,7 +169,10 @@ def test_default_config_scenarios(name):
     assert (None if logged is None else [list(r) for r in logged]) == log_keys
 
 
-@pytest.mark.parametrize("run", [battery.run_deformation_battery, battery.run_splitting_battery])
-def test_pointwise_batteries_pass_at_default_size(run):
-    checks = run()
+@pytest.mark.parametrize(
+    "run, seed", [(battery.run_deformation_battery, 1), (battery.run_splitting_battery, 2)],
+    ids=["run_deformation_battery", "run_splitting_battery"],
+)
+def test_pointwise_batteries_pass_at_default_size(run, seed):
+    checks = run(seed)
     assert checks and all(c.passed for c in checks), [c.name for c in checks if not c.passed]
