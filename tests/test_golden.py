@@ -1,5 +1,6 @@
-"""The design gate: Gram matrices, h-values and the elliptic oracle's
-spectrum summaries stay those recorded in tests/data/golden_gram.json.
+"""The design gate: Gram matrices, h-values, the elliptic oracle's
+spectrum summaries and the cut-off stages' log values stay those recorded
+in tests/data/golden_gram.json.
 
 Regenerate the file (only when a change is meant to alter these numbers):
 
@@ -26,6 +27,9 @@ ORACLE_TOL = 1e-10
 BUMP1 = hm.BumpSpec((0.5, 0.5, 0.5, 0.5), 0.3, 0.5)
 BUMP2 = hm.BumpSpec((0.25, 0.25, 0.25, 0.25), 0.25, 0.5)
 RANDOM_SEEDS = (1, 2, 3, 4, 5)
+#: the deform-log values of each stage pinned exactly; a stage pins those it logs
+LOG_KEYS = ("delta_estimate", "support_volume", "sup_norm", "rescale_factor",
+            "route_disagreement", "wedge_square_residual")
 
 
 def structures():
@@ -62,6 +66,21 @@ def oracle_summary(triple) -> dict:
     }
 
 
+def constructions():
+    """(key, stage-1 bump, stage-2 bump, grid) of the two-stage constructions
+    whose log values are pinned: the golden one at n = 8 and the default
+    config's at n = 16."""
+    cfg = LabConfig()
+    yield "n8/golden", BUMP1, BUMP2, tf.GridSpec(8)
+    yield "n16/default", cfg.bump1, cfg.bump2, tf.GridSpec(cfg.grid_n)
+
+
+def log_values(bump1, bump2, grid) -> list[dict]:
+    cfg = LabConfig()
+    _, _, log = hm.two_stage_deform(hm.standard_acs(grid), bump1, bump2, cfg.tol_null, cfg.eps_nodal)
+    return [{k: record[k] for k in LOG_KEYS if k in record} for record in log.to_list()]
+
+
 def path_h_values() -> dict:
     return scenarios.scenario_path(LabConfig(grid_n=8)).h_values
 
@@ -72,7 +91,8 @@ def record() -> dict:
         report = cohomlab.gram_matrix(triple)
         grams[key] = {"matrix": report.matrix.tolist(), "h_minus": report.h_minus}
     oracle = {key: oracle_summary(triple) for key, triple in oracle_structures()}
-    return {"gram": grams, "path_n8": path_h_values(), "oracle_n6": oracle}
+    logs = {key: log_values(*spec) for key, *spec in constructions()}
+    return {"gram": grams, "path_n8": path_h_values(), "oracle_n6": oracle, "deform_logs": logs}
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +128,12 @@ def test_oracle_spectra(golden):
         dev = float(np.max(np.abs(values - pinned)))
         assert dev <= ORACLE_TOL * s_max, f"{key}: singular values deviate by {dev:.3e}"
     assert sorted(keys) == sorted(golden["oracle_n6"])
+
+
+@pytest.mark.parametrize("key", [spec[0] for spec in constructions()])
+def test_deform_log_values(golden, key):
+    _, bump1, bump2, grid = next(spec for spec in constructions() if spec[0] == key)
+    assert log_values(bump1, bump2, grid) == golden["deform_logs"][key]
 
 
 if __name__ == "__main__":

@@ -316,6 +316,63 @@ class TestTwoStage:
             hm.two_stage_deform(base, BUMP1, huge)
 
 
+class TestSupportPath:
+    """The cut-off stages change only the nodes of their bump's support."""
+
+    #: no node of G8 lies within 0.05 of (0.5625,)*4, which is 0.125 from the nearest
+    EMPTY = hm.BumpSpec((0.5625,) * 4, 0.05, 0.5)
+    #: bumps that wrap around the torus in every direction they reach
+    WRAP1 = hm.BumpSpec((0.0, 0.0, 0.97, 0.02), 0.3, 0.5)
+    WRAP2 = hm.BumpSpec((0.97, 0.02, 0.0, 0.99), 0.25, 0.5)
+
+    @staticmethod
+    def reference_stages(base, bump1, bump2):
+        """The stage formulas on the whole grid: y1 = deform_coords(y, a1) with
+        a1 the capped bump-truncated null direction, and y2 = f1 y1 + c2 w2
+        with its rational cross-check route."""
+        w1 = cohomlab.select_null_form(cohomlab.gram_matrix(base))
+        a1, _ = hm._capped(bump1.build(base.grid).values[..., None] * w1)
+        y1 = pl.deform_coords(base.y, a1)
+        w2 = cohomlab.select_null_form(cohomlab.gram_matrix(hm.HermitianTriple(base.grid, y1)))
+        c2 = bump2.build(base.grid).values
+        f1 = np.sqrt(1.0 - c2**2 * float(w2 @ w2))
+        y2 = f1[..., None] * y1 + c2[..., None] * w2
+        alt = pl.deform_coords(y1, (c2 / (1.0 + f1))[..., None] * w2)
+        return y1, y2, float(np.max(np.abs(alt - y2)))
+
+    def test_empty_support_leaves_the_structure_unchanged(self):
+        assert not np.any(self.EMPTY.build(G8).values)
+        base = hm.standard_acs(G8)
+        stage1, log, (report0, report1) = hm.one_bump_deform(base, self.EMPTY)
+        assert stage1.y.tobytes() == base.y.tobytes()
+        record = log.to_list()[0]
+        assert record["sup_norm"] == 0.0 and record["support_volume"] == 0.0
+        assert record["rescale_factor"] == 1.0
+        assert record["h_after"] == record["h_before"] == report1.h_minus == report0.h_minus == 2
+
+        stage1, log, (_, report1) = hm.one_bump_deform(base, BUMP1)
+        stage2, report2 = hm.second_bump_deform(stage1, report1, self.EMPTY, log, 1e-6)
+        assert stage2.y.tobytes() == stage1.y.tobytes()
+        record = log.to_list()[1]
+        assert record["sup_norm"] == 0.0 and record["route_disagreement"] == 0.0
+        assert record["h_after"] == record["h_before"] == report2.h_minus == report1.h_minus
+
+    def test_wrapping_bumps_match_the_whole_grid_formulas(self):
+        base = hm.standard_acs(G8)
+        for bump in (self.WRAP1, self.WRAP2):
+            support = np.argwhere(bump.build(G8).values > 0.0)
+            assert support.min() == 0 and support.max() == G8.n - 1
+        stage1, stage2, log = hm.two_stage_deform(base, self.WRAP1, self.WRAP2)
+        y1, y2, route = self.reference_stages(base, self.WRAP1, self.WRAP2)
+        assert stage1.y.tobytes() == y1.tobytes()
+        assert stage2.y.tobytes() == y2.tobytes()
+        record1, record2 = log.to_list()
+        assert record2["route_disagreement"] == route
+        residual = float(np.max(np.abs(2.0 * np.sum(y2 * y2, axis=-1) - 2.0)))
+        assert record2["wedge_square_residual"] == residual
+        assert record1["h_after"] >= 1 and record2["h_after"] < record1["h_after"]
+
+
 class TestDeformPairAgreement:
     """The derived J and F of constructed fields against the 4x4 algebra."""
 
