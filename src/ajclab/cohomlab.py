@@ -160,16 +160,19 @@ def select_null_form(report: GramReport) -> np.ndarray:
 def v_measure(triple: HermitianTriple, w, eps: float) -> float:
     """Volume fraction where <omega, F> is resolvably nonzero for the
     constant form omega = sum_k w_k omega_k: the fraction of nodes with |f|
-    above eps * max(1, sup|f|).  One pass over the nodes: the
-    :func:`f_omega` values (bit for bit), their finiteness check, and the
-    count on their absolute values, taken in place."""
+    above eps * max(1, sup|f|).  The :func:`f_omega` values (bit for bit)
+    are scaled and made absolute in place; their max, which a NaN or an
+    infinity makes non-finite, is both the finiteness check and the cut's
+    scale."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    f = 2.0 * (triple.y @ np.asarray(w, float))
-    if not np.all(np.isfinite(f)):
-        raise ValueError("f_omega has non-finite values")
+    f = triple.y @ np.asarray(w, float)
+    f *= 2.0
     np.abs(f, out=f)
-    cut = eps * max(1.0, float(f.max()))
+    sup = float(f.max())
+    if not np.isfinite(sup):
+        raise ValueError("f_omega has non-finite values")
+    cut = eps * max(1.0, sup)
     return np.count_nonzero(f > cut) / f.size
 
 

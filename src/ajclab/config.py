@@ -41,9 +41,16 @@ class LabConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
-        for key in ("bump1", "bump2"):
-            if key in kwargs:
-                kwargs[key] = BumpSpec.from_dict(kwargs[key])
+        for f in fields(LabConfig):
+            if f.name not in kwargs:
+                continue
+            value, kind = kwargs[f.name], type(f.default)
+            if kind is BumpSpec:
+                kwargs[f.name] = BumpSpec.from_dict(value)
+            elif kind is float and type(value) is int:
+                kwargs[f.name] = float(value)
+            elif type(value) is not kind:
+                raise ValueError(f"config key {f.name!r} must be of type {kind.__name__}, got {value!r}")
         return LabConfig(**kwargs)
 
     @staticmethod

@@ -29,6 +29,15 @@ volume staying below :func:`.cohomlab.delta_j_estimate` of its input
 structure, and returns the Gram reports it computed: stage 1 those of its
 input and its result, stage 2 that of its result, at the ``tol_null`` of
 the stage-1 report it takes.
+
+Where the checks run: :func:`_deform` holds the deformation checks (a . y
+= 0, |a| < 1 and |y'| = 1) once, on (..., 3) arrays of y and a.
+:func:`deform_field` passes it whole grids as views.  The cut-off stages
+pass it the rows of their bump support and scatter the result into a copy
+of y: off the support the bump is zero, so the deformation form is zero
+and leaves y bit for bit, and nothing there can fail a check.  Each new
+structure is still validated on the whole grid when its
+:class:`HermitianTriple` is built.
 """
 
 from __future__ import annotations
@@ -60,8 +69,27 @@ ROUTE_TOL = 1e-9
 _ACS_CHUNK = 4096
 
 
-def _worst_node(grid: GridSpec, nodewise: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.unravel_index(int(np.argmax(nodewise)), grid.shape))
+def _worst_node(grid: GridSpec, nodewise: np.ndarray, rows) -> tuple[int, ...]:
+    """The grid index of the largest entry of ``nodewise``, whose entries sit
+    at the flat node indices ``rows``, or at every node when ``rows`` is None."""
+    i = int(np.argmax(nodewise))
+    return tuple(int(k) for k in np.unravel_index(i if rows is None else int(rows[i]), grid.shape))
+
+
+def _require_unit(grid: GridSpec, y: np.ndarray, rows) -> None:
+    """Raise unless the rows ``y`` of a structure field (at ``rows``, as in
+    :func:`_worst_node`) are finite unit vectors within pl.ACS_TOL.  A
+    non-finite y makes the max defect non-finite, so finiteness is looked
+    at only when the defect check fails."""
+    defect = np.abs(np.sum(y * y, axis=-1) - 1.0)
+    worst = float(np.max(defect, initial=0.0))
+    if not worst <= pl.ACS_TOL:
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y has non-finite values")
+        raise ValueError(
+            f"y is not a unit vector at node {_worst_node(grid, defect, rows)} "
+            f"(||y|^2 - 1| = {worst:.3e}, tol {pl.ACS_TOL:.1e})"
+        )
 
 
 class AcsField(_FieldBase):
@@ -93,14 +121,7 @@ class HermitianTriple:
         expected = self.grid.shape + (3,)
         if y.shape != expected:
             raise ValueError(f"y must have shape {expected}, got {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y has non-finite values")
-        defect = np.abs(np.sum(y * y, axis=-1) - 1.0)
-        if float(defect.max()) > pl.ACS_TOL:
-            raise ValueError(
-                f"y is not a unit vector at node {_worst_node(self.grid, defect)} "
-                f"(||y|^2 - 1| = {float(defect.max()):.3e}, tol {pl.ACS_TOL:.1e})"
-            )
+        _require_unit(self.grid, y, None)
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
 
@@ -142,15 +163,24 @@ class BumpSpec:
     @staticmethod
     def from_dict(d: dict) -> "BumpSpec":
         """The bump of a JSON entry: an object with exactly the keys center,
-        radius and height.  Any other entry, or a missing or unknown key,
-        raises ValueError naming it."""
+        radius and height, holding a list of numbers and two numbers.  Any
+        other entry, a missing or unknown key, or a value that does not
+        convert raises ValueError naming it."""
         keys = {"center", "radius", "height"}
         if not isinstance(d, dict):
             raise ValueError(f"bump entry {d!r} is not an object with keys {sorted(keys)}")
         if set(d) != keys:
             raise ValueError(f"bump entry has missing keys {sorted(keys - set(d))} "
                              f"and unknown keys {sorted(set(d) - keys)}")
-        return BumpSpec(tuple(float(c) for c in d["center"]), float(d["radius"]), float(d["height"]))
+
+        def convert(key, to):
+            try:
+                return to(d[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bump entry {d!r} has a bad {key} {d[key]!r}: {exc}") from None
+
+        return BumpSpec(convert("center", lambda c: tuple(float(x) for x in c)),
+                        convert("radius", float), convert("height", float))
 
 
 def standard_acs(grid: GridSpec) -> HermitianTriple:
@@ -177,35 +207,33 @@ def anti_invariant_frame(triple: HermitianTriple) -> tuple[np.ndarray, np.ndarra
     return v1.reshape(shape), v2.reshape(shape)
 
 
-def deform_field(triple: HermitianTriple, a: np.ndarray) -> HermitianTriple:
-    """Deform a structure field by the anti-invariant form field a @ OMEGA_SD.
+def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows) -> np.ndarray:
+    """The deformed rows of y by the rows a, both (..., 3) arrays at the flat
+    node indices ``rows``, or the whole grid when ``rows`` is None.
 
-    ``a`` has shape ``grid.shape + (3,)`` and must satisfy a . y = 0 (within
-    pl.FORM_TOL relative to max(1, sup|a|)) and |a| < 1 at every node;
-    precondition failures report the worst offending node, as does an
-    invariant part inside that tolerance that still moves the output off
-    |y| = 1 by more than pl.ACS_TOL.  Off the support of a the output equals
-    the input exactly.
+    Checks a . y = 0 (within pl.FORM_TOL relative to max(1, sup|a|)) and
+    |a| < 1 on the rows, and that the deformed rows are unit vectors within
+    pl.ACS_TOL; each failure names the worst node by its grid index, and an
+    invariant part inside FORM_TOL that still moves a row off the sphere is
+    named as the cause.
     """
-    grid = triple.grid
-    a = np.asarray(a, float)
-    if a.shape != grid.shape + (3,):
-        raise ValueError(f"deformation field must have shape {grid.shape + (3,)}, got {a.shape}")
     nsq = np.sum(a * a, axis=-1)
-    along = np.abs(np.sum(a * triple.y, axis=-1))
-    invariant = float(along.max())
-    if invariant > pl.FORM_TOL * max(1.0, float(np.sqrt(nsq.max()))):
+    along = np.abs(np.sum(a * y, axis=-1))
+    invariant = float(np.max(along, initial=0.0))
+    sup_sq = float(np.max(nsq, initial=0.0))
+    if invariant > pl.FORM_TOL * max(1.0, float(np.sqrt(sup_sq))):
         raise ValueError(
-            f"deformation form is not anti-invariant at node {_worst_node(grid, along)} "
+            f"deformation form is not anti-invariant at node {_worst_node(grid, along, rows)} "
             f"(invariant part {invariant:.3e})"
         )
-    if float(nsq.max()) >= 1.0:
+    if sup_sq >= 1.0:
         raise ValueError(
-            f"deformation form has wedge norm^2 {float(nsq.max()):.6f} >= 1 "
-            f"at node {_worst_node(grid, nsq)}"
+            f"deformation form has wedge norm^2 {sup_sq:.6f} >= 1 "
+            f"at node {_worst_node(grid, nsq, rows)}"
         )
+    out = pl.deform_coords(y, a)
     try:
-        return HermitianTriple(grid, pl.deform_coords(triple.y, a))
+        _require_unit(grid, out, rows)
     except ValueError as exc:
         # |y'|^2 - 1 is about 4 (a . y)(1 - |a|^2) / (1 + |a|^2)^2, so an
         # invariant part inside FORM_TOL can still break |y'| = 1 (ACS_TOL)
@@ -213,8 +241,33 @@ def deform_field(triple: HermitianTriple, a: np.ndarray) -> HermitianTriple:
             raise
         raise ValueError(
             f"deformation form's invariant part {invariant:.3e} at node "
-            f"{_worst_node(grid, along)} moves the deformed structure off the sphere: {exc}"
+            f"{_worst_node(grid, along, rows)} moves the deformed structure off the sphere: {exc}"
         ) from exc
+    return out
+
+
+def _scatter(y: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A copy of the structure field y with its nodes at the flat indices
+    ``rows`` set to ``values``."""
+    out = y.reshape(-1, 3).copy()
+    out[rows] = values
+    return out.reshape(y.shape)
+
+
+def deform_field(triple: HermitianTriple, a: np.ndarray) -> HermitianTriple:
+    """Deform a structure field by the anti-invariant form field a @ OMEGA_SD.
+
+    ``a`` has shape ``grid.shape + (3,)`` and must satisfy a . y = 0 (within
+    pl.FORM_TOL relative to max(1, sup|a|)) and |a| < 1 at every node; the
+    checks of :func:`_deform` run on the whole grid, as views, and report
+    the worst offending node.  Off the support of a the output equals the
+    input exactly.
+    """
+    grid = triple.grid
+    a = np.asarray(a, float)
+    if a.shape != grid.shape + (3,):
+        raise ValueError(f"deformation field must have shape {grid.shape + (3,)}, got {a.shape}")
+    return HermitianTriple(grid, _deform(grid, triple.y, a, None))
 
 
 def triple_from_form_field(F: TwoFormField) -> HermitianTriple:
@@ -231,7 +284,7 @@ def triple_from_form_field(F: TwoFormField) -> HermitianTriple:
     )
     if float(defect.max()) > pl.FORM_TOL * max(1.0, F.max_abs()):
         raise ValueError(
-            f"form is not self-dual at node {_worst_node(F.grid, defect)} "
+            f"form is not self-dual at node {_worst_node(F.grid, defect, None)} "
             f"(defect {float(defect.max()):.3e})"
         )
     # freed first, so y's arrays reuse its heap block instead of growing the heap
@@ -264,9 +317,14 @@ def random_compatible_acs(
     return deform_field(standard_acs(grid), coeffs)
 
 
+def _sup_norm(a: np.ndarray) -> float:
+    """The largest |a| over the rows of a deformation field; 0.0 for no rows."""
+    return float(np.sqrt(np.max(np.sum(a * a, axis=-1), initial=0.0)))
+
+
 def _capped(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Rescale a deformation field so its sup norm is at most SUP_NORM_CAP."""
-    sup = float(np.sqrt(np.max(np.sum(a * a, axis=-1))))
+    sup = _sup_norm(a)
     if sup > SUP_NORM_CAP:
         factor = SUP_NORM_CAP / sup
         return factor * a, factor
@@ -276,16 +334,19 @@ def _capped(a: np.ndarray) -> tuple[np.ndarray, float]:
 def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, what: str,
                   eps: float):
     """The steps both cut-off stages share on ``triple``, whose Gram report
-    is ``report``: returns the first null direction w, the bump values and
-    the leading entries of the stage's log record.  Raises unless the bump
-    support volume (``what``) is below the delta estimate of ``triple``; as
-    trace G = 4 keeps h_minus <= 2, that estimate always exists.
+    is ``report``: returns the first null direction w, the flat node indices
+    of the bump support (``np.flatnonzero`` of the bump values), the bump
+    values there, and the leading entries of the stage's log record.
+    Raises unless the bump support volume (``what``) is below the delta
+    estimate of ``triple``; as trace G = 4 keeps h_minus <= 2, that estimate
+    always exists.
     """
     from . import cohomlab
 
     w = cohomlab.select_null_form(report)
-    values = bump.build(triple.grid).values
-    support_volume = float(np.mean(values > 0.0))
+    values = bump.build(triple.grid).values.ravel()
+    rows = np.flatnonzero(values)
+    support_volume = rows.size / values.size
     delta = cohomlab.delta_j_estimate(triple, report, eps)
     if not support_volume < delta:
         raise ValueError(
@@ -293,7 +354,7 @@ def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, w
         )
     head = {"stage": stage, "bump": to_json(bump), "delta_estimate": delta,
             "support_volume": support_volume}
-    return w, values, head
+    return w, rows, values[rows], head
 
 
 def one_bump_deform(
@@ -307,7 +368,11 @@ def one_bump_deform(
 
     Picks the most null harmonic anti-invariant direction of the input,
     truncates it by the bump, and deforms, once the bump support volume is
-    below :func:`.cohomlab.delta_j_estimate` of the input structure.
+    below :func:`.cohomlab.delta_j_estimate` of the input structure.  The
+    capping and the checks of :func:`_deform` run on the rows of the bump
+    support alone: off it the deformation form is zero, so it passes every
+    check and leaves y as it is, and those nodes are copied from the input.
+    The new structure is validated on the whole grid.
     """
     from . import cohomlab
 
@@ -315,14 +380,15 @@ def one_bump_deform(
     report0 = cohomlab.gram_matrix(triple, tol_null=tol_null)
     if report0.h_minus < 1:
         raise ValueError("stage 1 needs at least one harmonic anti-invariant direction")
-    w, c1, head = _cutoff_stage(triple, report0, bump, "cutoff-1", "bump support volume", eps)
-    a, factor = _capped(c1[..., None] * w)
-    stage1 = deform_field(triple, a)
+    w, rows, c1, head = _cutoff_stage(triple, report0, bump, "cutoff-1", "bump support volume", eps)
+    a, factor = _capped(c1[:, None] * w)
+    y = triple.y.reshape(-1, 3)[rows]
+    stage1 = HermitianTriple(triple.grid, _scatter(triple.y, rows, _deform(triple.grid, y, a, rows)))
     report1 = cohomlab.gram_matrix(stage1, tol_null=tol_null)
     log = DeformLog()
     log.append({
         **head,
-        "sup_norm": float(np.sqrt(np.max(np.sum(a * a, axis=-1)))),
+        "sup_norm": _sup_norm(a),
         "rescale_factor": factor,
         "null_direction": report0.null_coords[0].tolist(),
         "h_before": report0.h_minus,
@@ -344,7 +410,13 @@ def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: De
     y2 = f1 y1 + c2 a with f1 = sqrt(1 - c2^2 |a|^2), which keeps |y2| = 1
     because a is orthogonal to y1 at every node.  The result is
     cross-checked against the rational deformation route with
-    beta = c2 a / (1 + f1).
+    beta = c2 a / (1 + f1), through :func:`_deform`.
+
+    The renormalization, the |c2 a| < 1 check, the route cross-check and
+    its |alt| = 1 check run on the rows of the bump support alone: off it
+    f1 = 1 and beta = 0, so both routes return y1 exactly.  The wedge-square
+    residual, which off the support is stage 1's, and the validation of the
+    new structure run on the whole grid.
     """
     from . import cohomlab
 
@@ -352,22 +424,24 @@ def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: De
     if report1.h_minus == 0:
         log.append({"stage": "cutoff-2", "skipped": "stage 1 already exhausted the kernel"})
         return stage1, report1
-    w, c2, head = _cutoff_stage(
+    w, rows, c2, head = _cutoff_stage(
         stage1, report1, bump, "cutoff-2", "stage-2 bump support volume", eps
     )
     grid = stage1.grid
     prod_sq = c2**2 * float(w @ w)
-    if float(prod_sq.max()) >= 1.0:
-        node = _worst_node(grid, prod_sq)
+    if float(np.max(prod_sq, initial=0.0)) >= 1.0:
+        node = _worst_node(grid, prod_sq, rows)
         raise ValueError(
             f"stage-2 normalization fails: |c2 a| >= 1 at node {node}"
         )
     f1 = np.sqrt(1.0 - prod_sq)
-    y2 = f1[..., None] * stage1.y + c2[..., None] * w
+    y1 = stage1.y.reshape(-1, 3)[rows]
+    y2_rows = f1[:, None] * y1 + c2[:, None] * w
+    y2 = _scatter(stage1.y, rows, y2_rows)
     stage2 = HermitianTriple(grid, y2)
     # independent route: the same structure as a rational deformation of stage 1
-    alt = deform_field(stage1, (c2 / (1.0 + f1))[..., None] * w)
-    route_dev = float(np.max(np.abs(alt.y - stage2.y)))
+    alt = _deform(grid, y1, (c2 / (1.0 + f1))[:, None] * w, rows)
+    route_dev = float(np.max(np.abs(alt - y2_rows), initial=0.0))
     if route_dev > ROUTE_TOL:
         raise pl.ConsistencyError(
             f"normalization and rational deformation routes disagree by {route_dev:.3e}"
@@ -375,7 +449,7 @@ def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: De
     report2 = cohomlab.gram_matrix(stage2, tol_null=report1.tol_null)
     log.append({
         **head,
-        "sup_norm": float(np.sqrt(np.max(prod_sq))),
+        "sup_norm": float(np.sqrt(np.max(prod_sq, initial=0.0))),
         "null_direction": report1.null_coords[0].tolist(),
         "wedge_square_residual": float(np.max(np.abs(2.0 * np.sum(y2 * y2, axis=-1) - 2.0))),
         "route_disagreement": route_dev,

@@ -56,14 +56,42 @@ def test_unknown_config_key_is_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "data, match",
+    [
+        ({"grid_n": "8"}, r"config key 'grid_n' must be of type int, got '8'"),
+        ({"seed": 1.0}, r"config key 'seed' must be of type int, got 1\.0"),
+        ({"sweep_count": True}, r"config key 'sweep_count' must be of type int, got True"),
+        ({"amplitude": "0.2"}, r"config key 'amplitude' must be of type float, got '0\.2'"),
+        ({"output_dir": 3}, r"config key 'output_dir' must be of type str, got 3"),
+    ],
+    ids=["int-as-string", "int-as-float", "int-as-bool", "float-as-string", "str-as-int"],
+)
+def test_config_value_types_are_checked(tmp_path, data, match):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=match):
+        resolve("--config", str(path))
+
+
+def test_config_int_is_taken_where_a_float_is_expected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"amplitude": 0, "tol_null": 1}))
+    cfg = resolve("--config", str(path))
+    assert type(cfg.amplitude) is float and (cfg.amplitude, cfg.tol_null) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize(
     "bump, match",
     [
         ({"center": [0.5] * 4}, r"missing keys \['height', 'radius'\] and unknown keys \[\]"),
         ({"center": [0.5] * 4, "radius": 0.1, "hieght": 0.3},
          r"missing keys \['height'\] and unknown keys \['hieght'\]"),
         ([0.5] * 4, r"bump entry \[0\.5, 0\.5, 0\.5, 0\.5\] is not an object"),
+        ({"center": [0.5] * 4, "radius": "x", "height": 0.3},
+         r"bump entry \{.*\} has a bad radius 'x': could not convert"),
+        ({"center": 0.5, "radius": 0.1, "height": 0.3}, r"bump entry \{.*\} has a bad center 0\.5"),
     ],
-    ids=["missing", "misspelt", "not-an-object"],
+    ids=["missing", "misspelt", "not-an-object", "radius-not-a-number", "center-not-a-list"],
 )
 def test_config_bump_entry_keys_are_checked(tmp_path, bump, match):
     path = tmp_path / "cfg.json"

@@ -191,6 +191,12 @@ class TestVMeasure:
         with pytest.raises(ValueError, match="eps"):
             cohomlab.v_measure(hm.standard_acs(G8), E1, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_direction_rejected(self, bad):
+        # 0 * inf in y @ w is the NaN that numpy warns about
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="f_omega has non-finite values"):
+            cohomlab.v_measure(hm.standard_acs(G8), np.array([0.5, bad, 0.0]), 1e-6)
+
 
 class TestDeltaEstimate:
     @staticmethod

@@ -372,6 +372,20 @@ class TestSupportPath:
         assert record2["wedge_square_residual"] == residual
         assert record1["h_after"] >= 1 and record2["h_after"] < record1["h_after"]
 
+    def test_each_stage_deforms_the_support_rows_alone(self, monkeypatch):
+        rows = []
+        deform_coords = pl.deform_coords
+
+        def counted(y, a):
+            rows.append(y.size // 3)
+            return deform_coords(y, a)
+
+        monkeypatch.setattr(pl, "deform_coords", counted)
+        hm.two_stage_deform(hm.standard_acs(G8), BUMP1, BUMP2)
+        support = [int(np.count_nonzero(bump.build(G8).values)) for bump in (BUMP1, BUMP2)]
+        assert rows == support
+        assert 0 < max(support) < G8.node_count
+
 
 class TestDeformPairAgreement:
     """The derived J and F of constructed fields against the 4x4 algebra."""
