@@ -31,7 +31,8 @@ input and its result, stage 2 that of its result, at the ``tol_null`` of
 the stage-1 report it takes.
 
 Where the checks run: :func:`_deform` holds the deformation checks (a . y
-= 0, |a| < 1 and |y'| = 1) once, on (..., 3) arrays of y and a.
+= 0, |a| < 1, and |y'| = 1 through the caller's finish) once, on (..., 3)
+arrays of y and a.
 :func:`deform_field` passes it whole grids as views.  The cut-off stages
 pass it the rows of their bump support and scatter the result into a copy
 of y: off the support the bump is zero, so the deformation form is zero
@@ -76,11 +77,11 @@ def _worst_node(grid: GridSpec, nodewise: np.ndarray, rows) -> tuple[int, ...]:
     return tuple(int(k) for k in np.unravel_index(i if rows is None else int(rows[i]), grid.shape))
 
 
-def _require_unit(grid: GridSpec, y: np.ndarray, rows) -> None:
-    """Raise unless the rows ``y`` of a structure field (at ``rows``, as in
-    :func:`_worst_node`) are finite unit vectors within pl.ACS_TOL.  A
-    non-finite y makes the max defect non-finite, so finiteness is looked
-    at only when the defect check fails."""
+def _require_unit(grid: GridSpec, y: np.ndarray, rows) -> np.ndarray:
+    """The rows ``y`` of a structure field (at ``rows``, as in
+    :func:`_worst_node`), checked to be finite unit vectors within
+    pl.ACS_TOL.  A non-finite y makes the max defect non-finite, so
+    finiteness is looked at only when the defect check fails."""
     defect = np.abs(np.sum(y * y, axis=-1) - 1.0)
     worst = float(np.max(defect, initial=0.0))
     if not worst <= pl.ACS_TOL:
@@ -90,6 +91,7 @@ def _require_unit(grid: GridSpec, y: np.ndarray, rows) -> None:
             f"y is not a unit vector at node {_worst_node(grid, defect, rows)} "
             f"(||y|^2 - 1| = {worst:.3e}, tol {pl.ACS_TOL:.1e})"
         )
+    return y
 
 
 class AcsField(_FieldBase):
@@ -207,15 +209,17 @@ def anti_invariant_frame(triple: HermitianTriple) -> tuple[np.ndarray, np.ndarra
     return v1.reshape(shape), v2.reshape(shape)
 
 
-def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows) -> np.ndarray:
-    """The deformed rows of y by the rows a, both (..., 3) arrays at the flat
-    node indices ``rows``, or the whole grid when ``rows`` is None.
+def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows, finish):
+    """``finish`` of the rows of y deformed by the rows a, both (..., 3)
+    arrays at the flat node indices ``rows``, or the whole grid when
+    ``rows`` is None.
 
     Checks a . y = 0 (within pl.FORM_TOL relative to max(1, sup|a|)) and
-    |a| < 1 on the rows, and that the deformed rows are unit vectors within
-    pl.ACS_TOL; each failure names the worst node by its grid index, and an
-    invariant part inside FORM_TOL that still moves a row off the sphere is
-    named as the cause.
+    |a| < 1 on the rows, naming the worst node by its grid index.  ``finish``
+    checks the deformed rows for |y'| = 1, by building a
+    :class:`HermitianTriple` or through :func:`_require_unit`, so no full
+    grid is checked twice; when that fails, an invariant part inside
+    FORM_TOL is named as the cause.
     """
     nsq = np.sum(a * a, axis=-1)
     along = np.abs(np.sum(a * y, axis=-1))
@@ -231,9 +235,8 @@ def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows) -> np.ndarray:
             f"deformation form has wedge norm^2 {sup_sq:.6f} >= 1 "
             f"at node {_worst_node(grid, nsq, rows)}"
         )
-    out = pl.deform_coords(y, a)
     try:
-        _require_unit(grid, out, rows)
+        return finish(pl.deform_coords(y, a))
     except ValueError as exc:
         # |y'|^2 - 1 is about 4 (a . y)(1 - |a|^2) / (1 + |a|^2)^2, so an
         # invariant part inside FORM_TOL can still break |y'| = 1 (ACS_TOL)
@@ -243,7 +246,6 @@ def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows) -> np.ndarray:
             f"deformation form's invariant part {invariant:.3e} at node "
             f"{_worst_node(grid, along, rows)} moves the deformed structure off the sphere: {exc}"
         ) from exc
-    return out
 
 
 def _scatter(y: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -267,7 +269,7 @@ def deform_field(triple: HermitianTriple, a: np.ndarray) -> HermitianTriple:
     a = np.asarray(a, float)
     if a.shape != grid.shape + (3,):
         raise ValueError(f"deformation field must have shape {grid.shape + (3,)}, got {a.shape}")
-    return HermitianTriple(grid, _deform(grid, triple.y, a, None))
+    return _deform(grid, triple.y, a, None, lambda out: HermitianTriple(grid, out))
 
 
 def triple_from_form_field(F: TwoFormField) -> HermitianTriple:
@@ -382,8 +384,8 @@ def one_bump_deform(
         raise ValueError("stage 1 needs at least one harmonic anti-invariant direction")
     w, rows, c1, head = _cutoff_stage(triple, report0, bump, "cutoff-1", "bump support volume", eps)
     a, factor = _capped(c1[:, None] * w)
-    y = triple.y.reshape(-1, 3)[rows]
-    stage1 = HermitianTriple(triple.grid, _scatter(triple.y, rows, _deform(triple.grid, y, a, rows)))
+    stage1 = _deform(triple.grid, triple.y.reshape(-1, 3)[rows], a, rows,
+                     lambda out: HermitianTriple(triple.grid, _scatter(triple.y, rows, out)))
     report1 = cohomlab.gram_matrix(stage1, tol_null=tol_null)
     log = DeformLog()
     log.append({
@@ -440,7 +442,8 @@ def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: De
     y2 = _scatter(stage1.y, rows, y2_rows)
     stage2 = HermitianTriple(grid, y2)
     # independent route: the same structure as a rational deformation of stage 1
-    alt = _deform(grid, y1, (c2 / (1.0 + f1))[:, None] * w, rows)
+    alt = _deform(grid, y1, (c2 / (1.0 + f1))[:, None] * w, rows,
+                  lambda out: _require_unit(grid, out, rows))
     route_dev = float(np.max(np.abs(alt - y2_rows), initial=0.0))
     if route_dev > ROUTE_TOL:
         raise pl.ConsistencyError(

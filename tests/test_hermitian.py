@@ -372,6 +372,23 @@ class TestSupportPath:
         assert record2["wedge_square_residual"] == residual
         assert record1["h_after"] >= 1 and record2["h_after"] < record1["h_after"]
 
+    @pytest.mark.parametrize("bad, match", [
+        ([0.0, 1.2, 0.0], r"wedge norm\^2 1\.440000 >= 1 at node \(4, 5, 3, 4\)"),
+        ([0.5, 0.0, 0.0], r"not anti-invariant at node \(4, 5, 3, 4\)"),
+        ([0.5e-8, 0.5, 0.0], r"invariant part 5\.000e-09 at node \(4, 5, 3, 4\) moves .* "
+                             r"unit vector at node \(4, 5, 3, 4\)"),
+    ], ids=["norm", "invariant", "off-the-sphere"])
+    def test_checks_on_support_rows_name_the_grid_node(self, bad, match):
+        rows = np.flatnonzero(BUMP1.build(G8).values)
+        flat = np.ravel_multi_index((4, 5, 3, 4), G8.shape)
+        k = int(np.searchsorted(rows, flat))
+        assert rows[k] == flat
+        y = hm.standard_acs(G8).y.reshape(-1, 3)[rows]
+        a = np.zeros_like(y)
+        a[k] = bad
+        with pytest.raises(ValueError, match=match):
+            hm._deform(G8, y, a, rows, lambda out: hm._require_unit(G8, out, rows))
+
     def test_each_stage_deforms_the_support_rows_alone(self, monkeypatch):
         rows = []
         deform_coords = pl.deform_coords
