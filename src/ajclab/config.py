@@ -36,21 +36,20 @@ class LabConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "LabConfig":
-        known = {f.name for f in fields(LabConfig)}
-        unknown = set(data) - known
+        defaults = {f.name: f.default for f in fields(LabConfig)}
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for f in fields(LabConfig):
-            if f.name not in kwargs:
-                continue
-            value, kind = kwargs[f.name], type(f.default)
+        kwargs = {}
+        for key, value in data.items():
+            kind = type(defaults[key])
             if kind is BumpSpec:
-                kwargs[f.name] = BumpSpec.from_dict(value)
+                value = BumpSpec.from_dict(value)
             elif kind is float and type(value) is int:
-                kwargs[f.name] = float(value)
+                value = float(value)
             elif type(value) is not kind:
-                raise ValueError(f"config key {f.name!r} must be of type {kind.__name__}, got {value!r}")
+                raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
+            kwargs[key] = value
         return LabConfig(**kwargs)
 
     @staticmethod

@@ -321,7 +321,7 @@ class TestSupportPath:
 
     #: no node of G8 lies within 0.05 of (0.5625,)*4, which is 0.125 from the nearest
     EMPTY = hm.BumpSpec((0.5625,) * 4, 0.05, 0.5)
-    #: bumps that wrap around the torus in every direction they reach
+    #: bumps whose supports wrap around the torus
     WRAP1 = hm.BumpSpec((0.0, 0.0, 0.97, 0.02), 0.3, 0.5)
     WRAP2 = hm.BumpSpec((0.97, 0.02, 0.0, 0.99), 0.25, 0.5)
 
