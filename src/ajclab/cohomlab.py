@@ -176,37 +176,103 @@ def v_measure(triple: HermitianTriple, w, eps: float) -> float:
     return np.count_nonzero(f > cut) / f.size
 
 
-#: sphere sample count of :func:`delta_j_estimate` on a span of dimension 2 or 3
-DELTA_SAMPLES = 64
-
-
-def _sphere_samples(dim: int) -> np.ndarray:
-    """Deterministic low-discrepancy point sets on S^{dim-1}: both points of
-    S^0, else DELTA_SAMPLES points."""
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        theta = 2.0 * np.pi * np.arange(DELTA_SAMPLES) / DELTA_SAMPLES
-        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    i = np.arange(DELTA_SAMPLES)
-    z = 1.0 - (2.0 * i + 1.0) / DELTA_SAMPLES
-    phi = i * np.pi * (3.0 - np.sqrt(5.0))
-    r = np.sqrt(np.maximum(0.0, 1.0 - z**2))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+#: a bound on each rounding error of the arc sweep of :func:`delta_j_estimate`:
+#: in a node's f values, in the cut, and in an arc's angles in radians.  Each
+#: comes from a few floating-point operations on values of size at most 2 pi
+#: (|y| = 1 and the basis rows are unit vectors), so it is a few ulp of 8
+#: (1.8e-15 each); the bound is over 50 of them
+_SWEEP_ROUNDING = 1e-13
+#: arc starts per block of the sweep's depth count, which bounds its temporaries
+_SWEEP_BLOCK = 1 << 15
 
 
 def delta_j_estimate(triple: HermitianTriple, report: GramReport, eps: float) -> float:
-    """Estimated infimum of :func:`v_measure` over the cup-normalized sphere
-    in the span of the non-null Gram directions of ``report``, the Gram
-    report of ``triple``: the minimum over the :func:`_sphere_samples` of
-    that span, whose basis is :func:`_projector_rows` of its projector."""
+    """A certified lower bound on the infimum of :func:`v_measure` over the
+    cup-normalized sphere in the span of the non-null Gram directions of
+    ``report``, the Gram report of ``triple``.  The span's orthonormal basis
+    is :func:`_projector_rows` of its projector; its dimension is l = 3 - h.
+
+    l = 1: the sphere is the pair +-b/sqrt(2), and v(-w) = v(w) exactly, as
+    negation is exact.  The value is one :func:`v_measure`, the infimum itself.
+
+    l = 2: with (p, q) = sqrt(2) (b1 . y, b2 . y) and r = |(p, q)|, the
+    direction theta has f = p cos(theta) + q sin(theta).  Every direction is
+    cut at C = eps max(1, sup r), the largest of the per-direction cuts
+    (sup|f| <= sup r), so a node that counts for theta here also counts in
+    :func:`v_measure`: the value is a lower bound.  It falls below the
+    infimum only through nodes whose |f| lies above a minimizing direction's
+    own cut but not above C.  A node with r <= C fails every direction; any
+    other fails exactly the closed arc of half-width arcsin(C / r) around
+    atan2(q, p) + pi/2, folded mod pi.  The value is
+    (N - D) / N for N nodes, where D is the deepest overlap of the arcs.  A
+    region of greatest depth begins at an arc start, so D is read at the
+    starts, with closed arcs, from one sort of the starts and one of the
+    ends; an arc whose end passes pi also covers [0, end - pi].  So under the
+    one cut C the value is exact over all directions, not a minimum over
+    sampled ones.
+
+    Rounding can only lower the value.  C is raised by _SWEEP_ROUNDING, both
+    relatively and absolutely, which covers the rounding of r and of each
+    direction's f values, :func:`v_measure`'s included.  Each arc is widened
+    by _SWEEP_ROUNDING on each side, which covers the rounding of atan2,
+    arcsin, the fold and the depth's comparisons.  So every computed arc
+    contains its exact arc, and a node whose raised cut reaches r fails
+    every direction.
+
+    l = 3 raises: the cut-off stages gate only structures with h >= 1.
+    """
     l = 3 - report.h_minus
-    if l == 0:
-        raise ValueError("every harmonic self-dual direction is anti-invariant; the sphere is empty")
+    if l not in (1, 2):
+        raise ValueError(f"delta_J is certified on a non-null span of dimension 1 or 2, not {l}")
     V = report.eigenvectors[:, report.h_minus:]
     basis = _projector_rows(V @ V.T)
-    # each sample c @ basis / sqrt(2) has wedge integral 1
-    return min(v_measure(triple, c @ basis / np.sqrt(2.0), eps) for c in _sphere_samples(l))
+    if l == 1:
+        return v_measure(triple, basis[0] / np.sqrt(2.0), eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    # three node buffers, p, q and half, and every step works in place: the
+    # arc starts are written over q and the ends over p
+    p, q = (np.sqrt(2.0) * basis) @ triple.y.reshape(-1, 3).T
+    n = p.size
+    half = np.hypot(p, q)
+    sup = float(half.max())
+    if not np.isfinite(sup):
+        raise ValueError("f_omega has non-finite values")
+    cut = (eps * max(1.0, sup) + 2.0 * _SWEEP_ROUNDING) * (1.0 + _SWEEP_ROUNDING)
+    with np.errstate(divide="ignore"):
+        np.divide(cut, half, out=half)
+    dead = half >= 1.0
+    np.minimum(half, 1.0, out=half)
+    np.arcsin(half, out=half)
+    half += _SWEEP_ROUNDING
+    np.arctan2(q, p, out=p)
+    np.subtract(p, half, out=q)
+    q += np.pi / 2.0
+    # fold the starts, in (-pi, 3 pi/2) off the dead nodes, into [0, pi); a
+    # start that rounds up to pi on the way becomes 0
+    np.add(q, np.pi, out=q, where=q < 0.0)
+    np.subtract(q, np.pi, out=q, where=q >= np.pi)
+    np.multiply(half, 2.0, out=p)
+    p += q
+    # a node that fails every direction is the arc [0, pi) itself
+    q[dead] = 0.0
+    p[dead] = np.nextafter(np.pi, 0.0)
+    del half, dead
+    starts, ends = q, p
+    starts.sort()
+    ends.sort()
+    # depth(t) = #(starts <= t) - #(ends < t) + #(ends >= t + pi) counts the
+    # arcs that hold t and those that reach it past the fold, and the other
+    # N - depth(t) nodes count for t.  Equal starts have equal depths, so the
+    # last of each run stands for them.
+    tops = starts[np.append(starts[1:] != starts[:-1], True)]
+    counted = n
+    for lo in range(0, tops.size, _SWEEP_BLOCK):
+        t = tops[lo : lo + _SWEEP_BLOCK]
+        missed = np.searchsorted(ends, t, "left") + np.searchsorted(ends, t + np.pi, "left")
+        missed -= np.searchsorted(starts, t, "right")
+        counted = min(counted, int(missed.min()))
+    return counted / n
 
 
 @dataclass(frozen=True)

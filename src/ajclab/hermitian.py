@@ -26,9 +26,10 @@ anti-invariant direction; stage 2 (:func:`second_bump_deform`) renormalizes
 ``y2 = f1 * y1 + c2 * a`` back to the sphere with
 ``f1 = sqrt(1 - c2^2 |a|^2)``.  Each stage is gated on its bump support
 volume staying below :func:`.cohomlab.delta_j_estimate` of its input
-structure, and returns the Gram reports it computed: stage 1 those of its
-input and its result, stage 2 that of its result, at the ``tol_null`` of
-the stage-1 report it takes.
+structure, a certified lower bound on delta_J, so rounding and the choice of
+directions can only make the gate stricter.  Each stage returns the Gram
+reports it computed: stage 1 those of its input and its result, stage 2
+that of its result, at the ``tol_null`` of the stage-1 report it takes.
 
 Where the checks run: :func:`_deform` holds the deformation checks (a . y
 = 0, |a| < 1, and |y'| = 1 through the caller's finish) once, on (..., 3)
@@ -339,9 +340,11 @@ def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, w
     is ``report``: returns the first null direction w, the flat node indices
     of the bump support (``np.flatnonzero`` of the bump values), the bump
     values there, and the leading entries of the stage's log record.
-    Raises unless the bump support volume (``what``) is below the delta
-    estimate of ``triple``; as trace G = 4 keeps h_minus <= 2, that estimate
-    always exists.
+    Raises unless the bump support volume (``what``) is below
+    :func:`.cohomlab.delta_j_estimate` of ``triple``, a certified lower bound
+    on delta_J, logged as ``delta_estimate``.  Both stages run only on
+    structures with h_minus >= 1, and trace G = 4 keeps h_minus <= 2, so the
+    non-null span has dimension 1 or 2, where that bound is defined.
     """
     from . import cohomlab
 

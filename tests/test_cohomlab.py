@@ -1,5 +1,8 @@
 """Gram method, volume estimates, the elliptic oracle, and subspace relations."""
 
+import json
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -8,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ajclab import cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
+from ajclab.config import LabConfig
 from ajclab.reporting import to_json
 
 G4 = tf.GridSpec(4)
 G6 = tf.GridSpec(6)
 G8 = tf.GridSpec(8)
+GOLDEN = Path(__file__).with_name("data") / "golden_gram.json"
 
 BUMP1 = hm.BumpSpec((0.5, 0.5, 0.5, 0.5), 0.3, 0.5)
 BUMP2 = hm.BumpSpec((1 / 3, 1 / 3, 1 / 3, 1 / 3), 0.25, 0.5)
@@ -198,10 +203,72 @@ class TestVMeasure:
             cohomlab.v_measure(hm.standard_acs(G8), np.array([0.5, bad, 0.0]), 1e-6)
 
 
+#: the directions of the former sampled delta estimate on a 2-dimensional span
+SAMPLED_DIRECTIONS = 64
+
+
+def span_basis(report):
+    """The orthonormal rows of the non-null span, as delta_j_estimate takes them."""
+    V = report.eigenvectors[:, report.h_minus:]
+    return cohomlab._projector_rows(V @ V.T)
+
+
+def sampled_delta(triple, report, eps):
+    """The former estimate, kept as a reference: the minimum of v_measure
+    over both points of S^0 (l = 1) or over 64 equally spaced directions of
+    S^1 (l = 2), each direction c taken as c @ basis / sqrt(2)."""
+    basis = span_basis(report)
+    if len(basis) == 1:
+        directions = np.array([[1.0], [-1.0]])
+    else:
+        theta = 2.0 * np.pi * np.arange(SAMPLED_DIRECTIONS) / SAMPLED_DIRECTIONS
+        directions = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    return min(cohomlab.v_measure(triple, c @ basis / np.sqrt(2.0), eps) for c in directions)
+
+
+def scanned_delta(triple, report, eps, count):
+    """The minimum of v_measure's count over ``count`` equally spaced
+    directions of the half circle (v(-w) = v(w)) of a 2-dimensional span,
+    computed a block of directions at a time."""
+    basis = span_basis(report)
+    ys = triple.y.reshape(-1, 3)
+    theta = np.pi * np.arange(count) / count
+    best = ys.shape[0]
+    for block in np.array_split(theta, -(-count // 1000)):
+        w = np.stack([np.cos(block), np.sin(block)], axis=-1) @ basis / np.sqrt(2.0)
+        # doubling w doubles each rounded product and sum exactly
+        f = np.abs(ys @ (2.0 * w.T))
+        cut = eps * np.maximum(1.0, f.max(axis=0))
+        best = min(best, int(np.count_nonzero(f > cut, axis=0).min()))
+    return best / ys.shape[0]
+
+
+def random_bump_stage1(seed):
+    """Stage 1 of the standard structure under a seeded random bump, on a
+    grid of n = 8, 12 or 16, with its Gram report."""
+    rng = np.random.default_rng(seed)
+    grid = tf.GridSpec(int(rng.choice([8, 12, 16])))
+    bump = hm.BumpSpec(tuple(rng.uniform(0.0, 1.0, 4)), float(rng.uniform(0.1, 0.45)),
+                       float(rng.uniform(0.1, 1.0)))
+    stage1, _, (_, report1) = hm.one_bump_deform(hm.standard_acs(grid), bump)
+    return stage1, report1
+
+
+def construction_inputs():
+    """(key, index, triple) of the inputs of both cut-off stages of the
+    constructions whose logs tests/test_golden.py pins: the golden one at
+    n = 8 and the default config's at n = 16.  Stage 2's input is stage 1."""
+    for key, bump, grid in (("n8/golden", BUMP1, G8),
+                            ("n16/default", LabConfig().bump1, tf.GridSpec(16))):
+        base = hm.standard_acs(grid)
+        yield key, 0, base
+        yield key, 1, hm.one_bump_deform(base, bump)[0]
+
+
 class TestDeltaEstimate:
     @staticmethod
-    def delta(triple):
-        return cohomlab.delta_j_estimate(triple, cohomlab.gram_matrix(triple), 1e-6)
+    def delta(triple, eps=1e-6):
+        return cohomlab.delta_j_estimate(triple, cohomlab.gram_matrix(triple), eps)
 
     def test_standard_is_one(self):
         assert self.delta(hm.standard_acs(G8)) == 1.0
@@ -210,8 +277,95 @@ class TestDeltaEstimate:
         assert self.delta(constant_triple(G8, [0.6, 0.0, 0.8])) == 1.0
 
     def test_range_and_positivity(self):
+        # the standard structure has a 1-dimensional non-null span, the
+        # golden stage 1 a 2-dimensional one
+        standard = hm.standard_acs(G8)
+        stage1 = hm.one_bump_deform(standard, BUMP1)[0]
+        for triple, span in ((standard, 1), (stage1, 2)):
+            assert 3 - cohomlab.gram_matrix(triple).h_minus == span
+            assert 0.0 < self.delta(triple) <= 1.0
+
+    def test_three_dimensional_span_rejected(self):
         triple = hm.random_compatible_acs(G8, seed=11, amplitude=0.3, bandlimit=2)
-        assert 0.0 < self.delta(triple) <= 1.0
+        assert cohomlab.gram_matrix(triple).h_minus == 0
+        with pytest.raises(ValueError, match="dimension 1 or 2, not 3"):
+            self.delta(triple)
+
+    def test_non_finite_structure_rejected(self):
+        stage1 = hm.one_bump_deform(hm.standard_acs(G8), BUMP1)[0]
+        report = cohomlab.gram_matrix(stage1)
+        y = stage1.y.copy()
+        y[1, 2, 3, 4] = np.nan
+        broken = SimpleNamespace(y=y)
+        with pytest.raises(ValueError, match="f_omega has non-finite values"):
+            cohomlab.delta_j_estimate(broken, report, 1e-6)
+
+    @pytest.mark.parametrize("key", ["n8/golden", "n16/default"])
+    def test_pinned_constructions_equal_the_sampled_minimum(self, key):
+        pinned = json.loads(GOLDEN.read_text())["deform_logs"][key]
+        for name, stage, triple in construction_inputs():
+            if name == key:
+                report = cohomlab.gram_matrix(triple)
+                certified = cohomlab.delta_j_estimate(triple, report, 1e-6)
+                assert certified == sampled_delta(triple, report, 1e-6)
+                assert certified == pinned[stage]["delta_estimate"]
+
+    def test_arcs_past_the_fold(self):
+        # off the bump the default stage 1 is y = omega1, which the span
+        # basis (omega3, omega1) sees as (p, q) = (0, sqrt(2)) up to 1e-15:
+        # those arcs are centred on the fold 0 = pi and wrap past it, and
+        # the deepest overlap, at theta = 0, needs them
+        base = hm.standard_acs(tf.GridSpec(16))
+        bump = LabConfig().bump1
+        stage1 = hm.one_bump_deform(base, bump)[0]
+        report = cohomlab.gram_matrix(stage1)
+        np.testing.assert_allclose(span_basis(report), [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+                                   rtol=0, atol=1e-15)
+        off = bump.build(stage1.grid).values == 0.0
+        np.testing.assert_array_equal(stage1.y[off], [[1.0, 0.0, 0.0]] * int(off.sum()))
+        certified = cohomlab.delta_j_estimate(stage1, report, 1e-6)
+        assert certified == 1.0 - off.mean() == sampled_delta(stage1, report, 1e-6)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["after-the-fold", "before-the-fold"])
+    def test_an_overlap_across_the_fold(self, sign):
+        # y = (cos b, 0, sin b) has (p, q) = sqrt(2) (sin b, cos b) on the span
+        # basis (omega3, omega1), so at eps = 0.1 it fails the arc of
+        # half-width arcsin(0.1) around theta = -b mod pi.  The arcs of the
+        # 100 nodes at b = 0 wrap past the fold, those of the 100 nodes at
+        # b = -0.15 sign overlap them on one side of it, and the 56 nodes at
+        # b = pi/2 fail far from both.  After the fold the deepest overlap
+        # starts at a start it holds only through an arc's wrapped part.
+        betas = np.repeat([0.0, -0.15 * sign, np.pi / 2], [100, 100, 56]).reshape(G4.shape)
+        y = np.stack([np.cos(betas), np.zeros(G4.shape), np.sin(betas)], axis=-1)
+        triple = hm.HermitianTriple(G4, y)
+        report = cohomlab.gram_matrix(triple)
+        np.testing.assert_allclose(span_basis(report), [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+                                   rtol=0, atol=1e-15)
+        certified = cohomlab.delta_j_estimate(triple, report, 0.1)
+        assert certified == 56 / 256 == sampled_delta(triple, report, 0.1)
+
+    @pytest.mark.parametrize("eps", [1.0, 2.0])
+    def test_a_cut_at_the_sup_fails_every_node(self, eps):
+        # r = sqrt(2) at every node of a stage 1, so eps >= 1 leaves no arc
+        stage1 = hm.one_bump_deform(hm.standard_acs(G8), BUMP1)[0]
+        report = cohomlab.gram_matrix(stage1)
+        assert cohomlab.delta_j_estimate(stage1, report, eps) == 0.0 == sampled_delta(stage1, report, eps)
+
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("eps", [1e-6, 1e-2], ids=["eps1e-6", "eps1e-2"])
+    def test_certified_is_at_most_sampled_on_random_bumps(self, seed, eps):
+        stage1, report = random_bump_stage1(seed)
+        assert report.h_minus == 1
+        assert cohomlab.delta_j_estimate(stage1, report, eps) <= sampled_delta(stage1, report, eps)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-2, 0.3])
+    def test_certified_is_at_most_a_dense_scan(self, eps):
+        structures = [hm.one_bump_deform(hm.standard_acs(G8), BUMP1)[0], random_bump_stage1(11)[0]]
+        for triple in structures:
+            assert triple.grid == G8
+            report = cohomlab.gram_matrix(triple)
+            certified = cohomlab.delta_j_estimate(triple, report, eps)
+            assert certified <= scanned_delta(triple, report, eps, 20_001)
 
 
 class TestEllipticOracle:
