@@ -203,13 +203,12 @@ def delta_j_estimate(triple: HermitianTriple, report: GramReport, eps: float) ->
     infimum only through nodes whose |f| lies above a minimizing direction's
     own cut but not above C.  A node with r <= C fails every direction; any
     other fails exactly the closed arc of half-width arcsin(C / r) around
-    atan2(q, p) + pi/2, folded mod pi.  The value is
-    (N - D) / N for N nodes, where D is the deepest overlap of the arcs.  A
-    region of greatest depth begins at an arc start, so D is read at the
-    starts, with closed arcs, from one sort of the starts and one of the
-    ends; an arc whose end passes pi also covers [0, end - pi].  So under the
-    one cut C the value is exact over all directions, not a minimum over
-    sampled ones.
+    atan2(q, p) + pi/2, folded mod pi.  The value is (N - D) / N for N
+    nodes, where D is the deepest overlap of the arcs.  A region of greatest
+    depth begins at an arc start, so D is read at the starts, with closed
+    arcs, from one sort of the starts and one of the ends; an arc whose end
+    passes pi also covers [0, end - pi].  So under the one cut C the value
+    is exact over all directions, not a minimum over sampled ones.
 
     Rounding can only lower the value.  C is raised by _SWEEP_ROUNDING, both
     relatively and absolutely, which covers the rounding of r and of each
