@@ -123,7 +123,10 @@ def gram_matrix(triple: HermitianTriple, tol_null: float = 1e-7) -> GramReport:
     order is descending because row 0 is the cut-off direction
     (:func:`select_null_form`): the standard kernel's rows are (omega3,
     omega2), so stage 1 deforms along omega3 and keeps +omega2 for stage 2.
+    A ``tol_null`` outside (0, 1), NaN included, raises ValueError.
     """
+    if not 0.0 < tol_null < 1.0:
+        raise ValueError(f"tol_null must lie in (0, 1), got {tol_null}")
     ys = triple.y.reshape(-1, 3)
     G = 4.0 * (ys.T @ ys) / ys.shape[0]
     G = (G + G.T) / 2.0
@@ -163,9 +166,9 @@ def v_measure(triple: HermitianTriple, w, eps: float) -> float:
     above eps * max(1, sup|f|).  The :func:`f_omega` values (bit for bit)
     are scaled and made absolute in place; their max, which a NaN or an
     infinity makes non-finite, is both the finiteness check and the cut's
-    scale."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    scale.  A non-positive or non-finite ``eps`` raises ValueError."""
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     f = triple.y @ np.asarray(w, float)
     f *= 2.0
     np.abs(f, out=f)
@@ -227,8 +230,8 @@ def delta_j_estimate(triple: HermitianTriple, report: GramReport, eps: float) ->
     basis = _projector_rows(V @ V.T)
     if l == 1:
         return v_measure(triple, basis[0] / np.sqrt(2.0), eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     # three node buffers, p, q and half, and every step works in place: the
     # arc starts are written over q and the ends over p
     p, q = (np.sqrt(2.0) * basis) @ triple.y.reshape(-1, 3).T

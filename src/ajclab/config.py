@@ -36,6 +36,8 @@ class LabConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "LabConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
         defaults = {f.name: f.default for f in fields(LabConfig)}
         unknown = set(data) - set(defaults)
         if unknown:

@@ -6,13 +6,12 @@ node values as 64-bit IEEE-754 little-endian floats, components-major
 (component index slowest) with x4 the fastest axis.  The file must end
 exactly after the payload.
 
-Both directions go through one core that sees the payload as it lies in
-the file, an ``(ncomp, N)`` array of N = n^4 nodes: :func:`_write_payload`
-and :func:`_read_payload`.  :func:`serialize_field` and
-:func:`deserialize_field` wrap it for nodal fields.  A structure is stored
-as its fundamental form alone: :func:`.hermitian.save_triple` writes F's
-payload rows with :func:`_write_payload`, and :func:`.hermitian.load_triple`
-reads them with :func:`deserialize_field`.
+:func:`serialize_field` and :func:`deserialize_field` are the only two
+routes to and from a file; both see the payload as it lies in the file, an
+``(ncomp, N)`` array of N = n^4 nodes.  A structure is stored as its
+fundamental form alone: :func:`.hermitian.save_triple` writes F with
+:func:`serialize_field`, and :func:`.hermitian.load_triple` reads it with
+:func:`deserialize_field`.
 """
 
 from __future__ import annotations
@@ -47,20 +46,28 @@ def _ncomp(cls) -> int:
     return int(np.prod(cls.NCOMP)) if cls.NCOMP else 1
 
 
-def _write_payload(path, kind: str, n: int, payload: np.ndarray) -> None:
-    """Write the header and an ``(ncomp, N)`` component-major payload; a
-    contiguous little-endian payload goes to the file through the buffer
-    protocol, without an intermediate bytes copy."""
-    payload = np.ascontiguousarray(payload, dtype="<f8")
+def serialize_field(field, path) -> None:
+    """Write a field to ``path`` in the documented binary format; a field of
+    no kind :func:`deserialize_field` reads back raises
+    :class:`FieldFormatError`, before the file is opened.  The contiguous
+    little-endian payload goes to the file through the buffer protocol,
+    without an intermediate bytes copy."""
+    if _KIND_TO_CLS.get(field.KIND) is not type(field):
+        raise FieldFormatError(f"{type(field).__name__} has no field-file kind")
+    grid = field.grid
+    rows = field.values.reshape(grid.node_count, _ncomp(field))
+    payload = np.ascontiguousarray(rows.T, dtype="<f8")
     with open(path, "wb") as fh:
-        fh.write(f"{MAGIC} {kind} {n}\n".encode("ascii"))
+        fh.write(f"{MAGIC} {field.KIND} {grid.n}\n".encode("ascii"))
         fh.write(payload)
 
 
-def _read_payload(path, expect_grid: GridSpec | None):
-    """Read a field file as ``(kind, grid, payload)`` with the ``(ncomp, N)``
-    component-major payload a read-only view of the file's bytes; checks the
-    header, the grid and the payload size, not the values."""
+def deserialize_field(path, expect_grid: GridSpec | None = None):
+    """Read a field file back; optionally enforce the expected grid.  The
+    header, the grid and the payload size are checked first, and the values
+    are a view of the file's bytes until the field copies them.  A value the
+    field rejects (a non-finite one) raises :class:`FieldFormatError` naming
+    the file."""
     path = Path(path)
     raw = path.read_bytes()
     nl = raw.find(b"\n")
@@ -97,26 +104,6 @@ def _read_payload(path, expect_grid: GridSpec | None):
             f"{path}: payload has {body_bytes} bytes, expected {expected_bytes}"
         )
     payload = np.frombuffer(raw, dtype="<f8", offset=nl + 1).reshape(ncomp, grid.node_count)
-    return kind, grid, payload
-
-
-def serialize_field(field, path) -> None:
-    """Write a field to ``path`` in the documented binary format; a field of
-    no kind :func:`deserialize_field` reads back raises
-    :class:`FieldFormatError`, before the file is opened."""
-    if _KIND_TO_CLS.get(field.KIND) is not type(field):
-        raise FieldFormatError(f"{type(field).__name__} has no field-file kind")
-    grid = field.grid
-    rows = field.values.reshape(grid.node_count, _ncomp(field))
-    _write_payload(path, field.KIND, grid.n, rows.T)
-
-
-def deserialize_field(path, expect_grid: GridSpec | None = None):
-    """Read a field file back; optionally enforce the expected grid.  A value
-    the field rejects (a non-finite one) raises :class:`FieldFormatError`
-    naming the file."""
-    kind, grid, payload = _read_payload(path, expect_grid)
-    cls = _KIND_TO_CLS[kind]
     try:
         return cls(grid, payload.T.reshape(grid.shape + cls.NCOMP))
     except ValueError as exc:

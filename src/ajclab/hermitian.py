@@ -166,7 +166,7 @@ class BumpSpec:
     @staticmethod
     def from_dict(d: dict) -> "BumpSpec":
         """The bump of a JSON entry: an object with exactly the keys center,
-        radius and height, holding a list of numbers and two numbers.  Any
+        radius and height, holding a list of 4 numbers and two numbers.  Any
         other entry, a missing or unknown key, or a value that does not
         convert raises ValueError naming it."""
         keys = {"center", "radius", "height"}
@@ -182,8 +182,14 @@ class BumpSpec:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bump entry {d!r} has a bad {key} {d[key]!r}: {exc}") from None
 
-        return BumpSpec(convert("center", lambda c: tuple(float(x) for x in c)),
-                        convert("radius", float), convert("height", float))
+        def center(c):
+            c = tuple(float(x) for x in c)
+            if len(c) != 4:
+                raise ValueError(f"center needs 4 coordinates, got {len(c)}")
+            return c
+
+        return BumpSpec(convert("center", center), convert("radius", float),
+                        convert("height", float))
 
 
 def standard_acs(grid: GridSpec) -> HermitianTriple:
@@ -481,28 +487,26 @@ def two_stage_deform(
 
 def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | None = None,
                 log: DeformLog | None = None) -> Path:
-    """Write the F field file (twoform kind) and a JSON sidecar (format 2)
-    with construction parameters and the deformation log.
+    """Write the F field file (twoform kind) with
+    :func:`.fieldio.serialize_field` and a JSON sidecar (format 2) with
+    construction parameters and the deformation log.
 
     F = y @ OMEGA_SD determines the structure, so no J file is written.
-    Before any file is opened, F is checked finite and J for J^2 = -Id and
-    J^T J = Id within pl.ACS_TOL, through y: for J = sum_k y_k J_k,
-    J^2 + Id = (1 - |y|^2) Id = Id - J^T J.  The F file is byte-identical
-    to :func:`.fieldio.serialize_field` of ``triple.F``."""
+    Before any file is opened, F is checked finite, by building
+    ``triple.F``, and J for J^2 = -Id and J^T J = Id within pl.ACS_TOL,
+    through y: for J = sum_k y_k J_k, J^2 + Id = (1 - |y|^2) Id = Id - J^T J."""
     import json
 
-    from .fieldio import _write_payload
+    from .fieldio import serialize_field
 
-    F = (triple.y @ pl.OMEGA_SD).reshape(-1, 6).T
-    if not np.all(np.isfinite(F)):
-        raise ValueError("F has non-finite values")
+    F = triple.F
     sq = float(np.max(np.abs(np.einsum("...k,...k", triple.y, triple.y) - 1.0)))
     if sq > pl.ACS_TOL:
         raise ValueError(f"J^2 differs from -Id by {sq:.3e} (tol {pl.ACS_TOL:.1e})")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     f_name = f"{stem}.F.field"
-    _write_payload(directory / f_name, TwoFormField.KIND, triple.grid.n, F)
+    serialize_field(F, directory / f_name)
     sidecar = {
         "format": 2,
         "grid_n": triple.grid.n,
@@ -521,9 +525,10 @@ def load_triple(sidecar_path) -> HermitianTriple:
 
     The sidecar must be a JSON object of format 1 or 2, with an integer
     ``grid_n`` and a plain file name in ``files["F"]``; otherwise
-    :class:`.fieldio.FieldFormatError` names it.  The F file must pass the
-    format checks of :mod:`.fieldio` (header, kind, grid, payload size),
-    hold finite values and be of twoform kind.  y is rebuilt by
+    :class:`.fieldio.FieldFormatError` names it.  The F file is read by
+    :func:`.fieldio.deserialize_field`, so it must pass its format checks
+    (header, kind, grid, payload size) and hold finite values, and it must
+    be of twoform kind.  y is rebuilt by
     :func:`triple_from_form_field`, which checks that the form is self-dual
     and that |y| = 1, naming the worst node.
     """

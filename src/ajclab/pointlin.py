@@ -17,7 +17,10 @@ serves a single point and a whole grid of points.
 A compatible structure is also a point y of the unit sphere S^2: its
 fundamental form is ``y @ OMEGA_SD``.  :func:`acs_from_coords` and
 :func:`deform_coords` are the structure and the deformation formula in
-these coordinates; the 4x4 algebra is their independent oracle.
+these coordinates; the first places F's entries by :func:`form_to_matrix`,
+the one placement rule of 2-forms in 4x4 matrices.  The 4x4 algebra
+(:func:`deform_pair` and its conjugation cross-check) is the independent
+oracle of the deformation formula.
 
 Two norm conventions coexist.  ``form_inner`` is the Riemannian inner
 product of the orthonormal ``e_ij`` basis (so ``<F, F> = 2`` for a
@@ -57,14 +60,6 @@ J0 = np.array(
         [0.0, 0.0, 0.0, -1.0],
         [0.0, 0.0, 1.0, 0.0],
     ]
-)
-
-#: the placement rule of J = sum_k y_k J_k, whose entries are those of its
-#: fundamental form F = y @ OMEGA_SD: (row-major entry of J, component of F,
-#: sign) with J[j, i] = F_ij and J[i, j] = -F_ij for each pair i < j; the four
-#: diagonal entries (0, 5, 10 and 15) are +0
-J_ENTRIES = tuple((4 * j + i, c, 1.0) for c, (i, j) in enumerate(PAIRS)) + tuple(
-    (4 * i + j, c, -1.0) for c, (i, j) in enumerate(PAIRS)
 )
 
 #: tolerance for the cross-assertion between independent formulas
@@ -202,14 +197,12 @@ def acs_from_coords(y):
     with fundamental form OMEGA_k.
 
     For a unit vector y (the caller's to check) this is the structure
-    :func:`acs_from_sd_form` returns for ``y @ OMEGA_SD``; it is linear in y
-    and placed by ``J_ENTRIES``.
+    :func:`acs_from_sd_form` returns for ``y @ OMEGA_SD``: it is linear in y,
+    and :func:`form_to_matrix` places F's components, transposed, so
+    J[j, i] = F_ij and J[i, j] = -F_ij for i < j and the diagonal is +0.
+    The result is a transposed view.
     """
-    F = np.asarray(y, float) @ OMEGA_SD
-    J = np.zeros(F.shape[:-1] + (16,))
-    for entry, comp, sign in J_ENTRIES:
-        np.multiply(F[..., comp], sign, out=J[..., entry])
-    return J.reshape(F.shape[:-1] + (4, 4))
+    return np.swapaxes(form_to_matrix(y @ OMEGA_SD), -1, -2)
 
 
 def deform_coords(y, a):

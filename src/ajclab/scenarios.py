@@ -117,10 +117,9 @@ def scenario_two_stage(cfg: LabConfig) -> ScenarioReport:
         "smallest Gram eigenvalue clears 10x the null tolerance",
         lam > 10.0 * cfg.tol_null, 10.0 * cfg.tol_null, lam,
     )
-    report.within(
-        "renormalized form has wedge square 2 at every node",
-        pl.wedge_to_volume(stage2.F.values, stage2.F.values) - 2.0, 1e-9,
-    )
+    F2 = stage2.F.values
+    report.within("renormalized form has wedge square 2 at every node",
+                  pl.wedge_to_volume(F2, F2) - 2.0, 1e-9)
     report.within(
         "normalization route matches the rational deformation route",
         [r.get("route_disagreement", 0.0) for r in log.to_list()], hm.ROUTE_TOL,

@@ -63,8 +63,13 @@ def test_unknown_config_key_is_rejected(tmp_path):
         ({"sweep_count": True}, r"config key 'sweep_count' must be of type int, got True"),
         ({"amplitude": "0.2"}, r"config key 'amplitude' must be of type float, got '0\.2'"),
         ({"output_dir": 3}, r"config key 'output_dir' must be of type str, got 3"),
+        ([], r"config must be a JSON object, got \[\]"),
+        (3, r"config must be a JSON object, got 3"),
+        ([1, 2], r"config must be a JSON object, got \[1, 2\]"),
+        (None, r"config must be a JSON object, got None"),
     ],
-    ids=["int-as-string", "int-as-float", "int-as-bool", "float-as-string", "str-as-int"],
+    ids=["int-as-string", "int-as-float", "int-as-bool", "float-as-string", "str-as-int",
+         "empty-list", "number", "list", "null"],
 )
 def test_config_value_types_are_checked(tmp_path, data, match):
     path = tmp_path / "cfg.json"
@@ -90,8 +95,11 @@ def test_config_int_is_taken_where_a_float_is_expected(tmp_path):
         ({"center": [0.5] * 4, "radius": "x", "height": 0.3},
          r"bump entry \{.*\} has a bad radius 'x': could not convert"),
         ({"center": 0.5, "radius": 0.1, "height": 0.3}, r"bump entry \{.*\} has a bad center 0\.5"),
+        ({"center": [0.5] * 3, "radius": 0.1, "height": 0.3},
+         r"bump entry \{.*\} has a bad center \[0\.5, 0\.5, 0\.5\]: center needs 4 coordinates, got 3"),
     ],
-    ids=["missing", "misspelt", "not-an-object", "radius-not-a-number", "center-not-a-list"],
+    ids=["missing", "misspelt", "not-an-object", "radius-not-a-number", "center-not-a-list",
+         "center-of-3"],
 )
 def test_config_bump_entry_keys_are_checked(tmp_path, bump, match):
     path = tmp_path / "cfg.json"
@@ -111,6 +119,18 @@ def test_bump_center_needs_four_coordinates(capsys):
     with pytest.raises(SystemExit):
         resolve("--bump2-center", "0.1,0.2")
     assert "center needs 4 comma-separated coordinates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["random-sweep", "--sweep-count", "2", "--tol-null", "nan"], "tol_null must lie in (0, 1), got nan"),
+    (["random-sweep", "--sweep-count", "2", "--tol-null", "-1"], "tol_null must lie in (0, 1), got -1.0"),
+    (["baseline", "--tol-null", "nan"], "tol_null must lie in (0, 1), got nan"),
+    (["one-bump", "--eps-nodal", "nan"], "eps must be positive and finite, got nan"),
+], ids=["sweep-nan", "sweep-negative", "baseline-nan", "one-bump-eps-nan"])
+def test_scenario_with_an_invalid_threshold_fails_naming_it(tmp_path, capsys, argv, match):
+    assert cli.main([*argv, "--grid-n", "8", "--output", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL scenario completed" in out and match in out
 
 
 def test_two_stage_field_files_load_back(tmp_path, capsys):

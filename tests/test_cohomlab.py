@@ -1,6 +1,7 @@
 """Gram method, volume estimates, the elliptic oracle, and subspace relations."""
 
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -89,6 +90,12 @@ class TestGram:
         report = cohomlab.gram_matrix(triple)
         np.testing.assert_allclose(report.matrix, report.matrix.T, atol=1e-14)
         assert report.eigenvalues[0] >= -1e-12
+
+    @pytest.mark.parametrize("tol_null", [np.nan, -1.0, 0.0, 1.0, np.inf])
+    def test_tol_null_outside_the_unit_interval_rejected(self, tol_null):
+        # a NaN or negative threshold would count no eigenvalue as null
+        with pytest.raises(ValueError, match=re.escape(f"tol_null must lie in (0, 1), got {tol_null}")):
+            cohomlab.gram_matrix(hm.standard_acs(G8), tol_null=tol_null)
 
     def test_h_plus_table(self):
         report = cohomlab.gram_matrix(hm.standard_acs(G8))
@@ -196,6 +203,11 @@ class TestVMeasure:
         with pytest.raises(ValueError, match="eps"):
             cohomlab.v_measure(hm.standard_acs(G8), E1, 0.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match=f"eps must be positive and finite, got {eps}"):
+            cohomlab.v_measure(hm.standard_acs(G8), E1, eps)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_direction_rejected(self, bad):
         # 0 * inf in y @ w is the NaN that numpy warns about
@@ -284,6 +296,14 @@ class TestDeltaEstimate:
         for triple, span in ((standard, 1), (stage1, 2)):
             assert 3 - cohomlab.gram_matrix(triple).h_minus == span
             assert 0.0 < self.delta(triple) <= 1.0
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+    @pytest.mark.parametrize("span", [1, 2])
+    def test_eps_validation(self, eps, span):
+        standard = hm.standard_acs(G8)
+        triple = standard if span == 1 else hm.one_bump_deform(standard, BUMP1)[0]
+        with pytest.raises(ValueError, match=f"eps must be positive and finite, got {eps}"):
+            self.delta(triple, eps)
 
     def test_three_dimensional_span_rejected(self):
         triple = hm.random_compatible_acs(G8, seed=11, amplitude=0.3, bandlimit=2)

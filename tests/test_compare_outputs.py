@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from ajclab import cli
+
 _spec = importlib.util.spec_from_file_location(
     "compare_outputs", Path(__file__).parent.parent / "tools" / "compare_outputs.py"
 )
@@ -68,3 +70,14 @@ def test_lists_files_on_one_side_only(tmp_path):
     assert compare_outputs.compare_dirs(a, b) == [
         "only in A: fields/s.J.field", "only in B: extra.json"
     ]
+
+
+def test_two_cli_runs_write_the_same_outputs(tmp_path, capsys):
+    # the two-stage run writes its structures through save_triple
+    runs = (["two-stage", "--grid-n", "8"],
+            ["random-sweep", "--grid-n", "8", "--sweep-count", "3"])
+    for side in ("a", "b"):
+        for argv in runs:
+            assert cli.main([*argv, "--output", str(tmp_path / side)]) == 0
+    assert len(list((tmp_path / "a" / "fields").glob("*.F.field"))) == 2
+    assert compare_outputs.compare_dirs(tmp_path / "a", tmp_path / "b") == []
