@@ -3,7 +3,8 @@
 Usage: ``ajclab <scenario> [flags]`` with scenario one of baseline,
 one-bump, two-stage, oracle, random-sweep, path, resolution, battery, or
 all.
-Values are resolved as defaults < --config JSON file < explicit flags.
+Values are resolved as defaults < --config JSON file < explicit flags; a
+config file that cannot be read or is rejected is a usage error (exit 2).
 The numeric flags ``--grid-n`` ... ``--path-steps`` mirror the int and
 float fields of :class:`~ajclab.config.LabConfig`, in field order.
 Every run writes ``<scenario>.report.json`` under the output directory
@@ -95,8 +96,12 @@ def run_scenario(name: str, cfg: LabConfig, out_dir: Path) -> ScenarioReport:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = resolve_config(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = resolve_config(args)
+    except (OSError, ValueError) as exc:  # a missing, unparsable or rejected --config file
+        parser.error(f"--config {args.config}: {exc}")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = _SCENARIO_ORDER if args.scenario == "all" else [args.scenario]

@@ -1,17 +1,24 @@
 """Binary field-file serialization.
 
-Layout: one ASCII header line ``AJC1 <kind> <n>\\n`` with
-kind in {scalar, oneform, twoform, threeform}, followed immediately by the
-node values as 64-bit IEEE-754 little-endian floats, components-major
-(component index slowest) with x4 the fastest axis.  The file must end
-exactly after the payload.
+Layout: one ASCII header line ``AJC1 <kind> <n>\\n``, exactly so (single
+spaces, n in plain decimal), followed immediately by the node values as
+64-bit IEEE-754 little-endian floats, components-major (component index
+slowest) with x4 the fastest axis.  The file must end exactly after the
+payload.  The kinds and their components per node:
+
+    scalar     1   :class:`.torusfield.ScalarField`
+    oneform    4   :class:`.torusfield.OneFormField`
+    twoform    6   :class:`.torusfield.TwoFormField`
+    threeform  4   :class:`.torusfield.ThreeFormField`
+    sdcoords   3   :class:`.torusfield.SelfDualCoordField`
 
 :func:`serialize_field` and :func:`deserialize_field` are the only two
 routes to and from a file; both see the payload as it lies in the file, an
-``(ncomp, N)`` array of N = n^4 nodes.  A structure is stored as its
-fundamental form alone: :func:`.hermitian.save_triple` writes F with
-:func:`serialize_field`, and :func:`.hermitian.load_triple` reads it with
-:func:`deserialize_field`.
+``(ncomp, N)`` array of N = n^4 nodes.  A structure is stored as its unit
+vector field y, of sdcoords kind: :func:`.hermitian.save_triple` writes y
+with :func:`serialize_field`, and :func:`.hermitian.load_triple` reads it
+with :func:`deserialize_field`.  Sets of format 1 and 2 hold the
+fundamental form F instead, of twoform kind, and still load.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .torusfield import (
     GridSpec,
     OneFormField,
     ScalarField,
+    SelfDualCoordField,
     ThreeFormField,
     TwoFormField,
 )
@@ -35,6 +43,7 @@ _KIND_TO_CLS = {
     "oneform": OneFormField,
     "twoform": TwoFormField,
     "threeform": ThreeFormField,
+    "sdcoords": SelfDualCoordField,
 }
 
 
@@ -64,10 +73,11 @@ def serialize_field(field, path) -> None:
 
 def deserialize_field(path, expect_grid: GridSpec | None = None):
     """Read a field file back; optionally enforce the expected grid.  The
-    header, the grid and the payload size are checked first, and the values
-    are a view of the file's bytes until the field copies them.  A value the
-    field rejects (a non-finite one) raises :class:`FieldFormatError` naming
-    the file."""
+    header, the grid and the payload size are checked first; a header that
+    is not exactly ``f"{MAGIC} {kind} {n}"`` is malformed.  The values are a
+    view of the file's bytes until the field copies them into node-major
+    order, the one full-size copy of a read.  A value the field rejects (a
+    non-finite one) raises :class:`FieldFormatError` naming the file."""
     path = Path(path)
     raw = path.read_bytes()
     nl = raw.find(b"\n")
@@ -90,6 +100,8 @@ def deserialize_field(path, expect_grid: GridSpec | None = None):
         n = int(n_str)
     except ValueError as exc:
         raise FieldFormatError(f"{path}: bad grid size {n_str!r}") from exc
+    if header != f"{MAGIC} {kind} {n}":
+        raise FieldFormatError(f"{path}: malformed header {header!r}")
     try:
         grid = GridSpec(n)
     except ValueError as exc:

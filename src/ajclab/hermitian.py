@@ -9,7 +9,8 @@ derives F = sum_k y_k OMEGA_k and J = sum_k y_k J_k on access; both are
 linear in y.  |y| = 1 is the only invariant left.  It is checked when a
 triple is built, and the boundaries that take outside input check more:
 :func:`triple_from_form_field` that a form is self-dual, and
-:func:`load_triple` the sidecar and the F file it names.
+:func:`load_triple` the sidecar and the y (or, for an older set, F) file it
+names.
 
 A self-dual form a @ OMEGA_SD is anti-invariant for y exactly when
 a . y = 0 (the anti-invariant plane is the tangent plane of S^2 at y), and
@@ -55,9 +56,11 @@ from .reporting import to_json
 from .torusfield import (
     GridSpec,
     ScalarField,
+    SelfDualCoordField,
     TwoFormField,
     _FieldBase,
     bump_cutoff,
+    frozen,
     spectral_truncate,
 )
 
@@ -114,18 +117,18 @@ class AcsField(_FieldBase):
 class HermitianTriple:
     """A compatible structure field (the metric is flat), stored as its unit
     vector field ``y`` of shape ``grid.shape + (3,)``, read-only; J and F
-    are derived on access."""
+    are derived on access.  ``y`` is copied unless it is already read-only
+    memory of its own (:func:`.torusfield.frozen`), as a field's values are."""
 
     grid: GridSpec
     y: np.ndarray
 
     def __post_init__(self):
-        y = np.array(self.y, dtype=float)
+        y = frozen(self.y)
         expected = self.grid.shape + (3,)
         if y.shape != expected:
             raise ValueError(f"y must have shape {expected}, got {y.shape}")
         _require_unit(self.grid, y, None)
-        y.setflags(write=False)
         object.__setattr__(self, "y", y)
 
     @property
@@ -487,30 +490,31 @@ def two_stage_deform(
 
 def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | None = None,
                 log: DeformLog | None = None) -> Path:
-    """Write the F field file (twoform kind) with
-    :func:`.fieldio.serialize_field` and a JSON sidecar (format 2) with
+    """Write the y field file (sdcoords kind) with
+    :func:`.fieldio.serialize_field` and a JSON sidecar (format 3) with
     construction parameters and the deformation log.
 
-    F = y @ OMEGA_SD determines the structure, so no J file is written.
-    Before any file is opened, F is checked finite, by building
-    ``triple.F``, and J for J^2 = -Id and J^T J = Id within pl.ACS_TOL,
-    through y: for J = sum_k y_k J_k, J^2 + Id = (1 - |y|^2) Id = Id - J^T J."""
+    y determines the structure, so neither F nor J is built or written.
+    Before any file is opened, y is checked finite, by building its
+    :class:`.torusfield.SelfDualCoordField`, and J for J^2 = -Id and
+    J^T J = Id within pl.ACS_TOL, through y: for J = sum_k y_k J_k,
+    J^2 + Id = (1 - |y|^2) Id = Id - J^T J."""
     import json
 
     from .fieldio import serialize_field
 
-    F = triple.F
+    y_field = SelfDualCoordField(triple.grid, triple.y)
     sq = float(np.max(np.abs(np.einsum("...k,...k", triple.y, triple.y) - 1.0)))
     if sq > pl.ACS_TOL:
         raise ValueError(f"J^2 differs from -Id by {sq:.3e} (tol {pl.ACS_TOL:.1e})")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    f_name = f"{stem}.F.field"
-    serialize_field(F, directory / f_name)
+    y_name = f"{stem}.y.field"
+    serialize_field(y_field, directory / y_name)
     sidecar = {
-        "format": 2,
+        "format": 3,
         "grid_n": triple.grid.n,
-        "files": {"F": f_name},
+        "files": {"y": y_name},
         "params": params or {},
         "deform_log": log.to_list() if log is not None else [],
     }
@@ -520,17 +524,19 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
 
 
 def load_triple(sidecar_path) -> HermitianTriple:
-    """Read a triple written by :func:`save_triple`, from the F file its
-    sidecar names; a format-1 sidecar's J file is not read.
+    """Read a triple written by :func:`save_triple`, from the field file its
+    sidecar names.
 
-    The sidecar must be a JSON object of format 1 or 2, with an integer
-    ``grid_n`` and a plain file name in ``files["F"]``; otherwise
-    :class:`.fieldio.FieldFormatError` names it.  The F file is read by
-    :func:`.fieldio.deserialize_field`, so it must pass its format checks
-    (header, kind, grid, payload size) and hold finite values, and it must
-    be of twoform kind.  y is rebuilt by
-    :func:`triple_from_form_field`, which checks that the form is self-dual
-    and that |y| = 1, naming the worst node.
+    The sidecar must be a JSON object of format 1, 2 or 3, with an integer
+    ``grid_n`` and a plain file name in ``files["y"]`` (format 3) or
+    ``files["F"]`` (formats 1 and 2; a format-1 sidecar's J file is not
+    read); otherwise :class:`.fieldio.FieldFormatError` names it.  The file
+    is read by :func:`.fieldio.deserialize_field`, so it must pass its
+    format checks (header, kind, grid, payload size) and hold finite
+    values.  A y file must be of sdcoords kind, and the triple built from
+    it checks |y| = 1, naming the worst node.  An F file must be of twoform
+    kind, and y is rebuilt by :func:`triple_from_form_field`, which checks
+    that the form is self-dual and that |y| = 1, naming the worst node.
     """
     import json
 
@@ -542,17 +548,23 @@ def load_triple(sidecar_path) -> HermitianTriple:
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
         fmt, n, files = meta.get("format"), meta.get("grid_n"), meta.get("files")
-        if type(fmt) is not int or fmt not in (1, 2):
-            raise ValueError(f"format {fmt!r} is not 1 or 2")
+        if type(fmt) is not int or fmt not in (1, 2, 3):
+            raise ValueError(f"format {fmt!r} is not 1, 2 or 3")
         if type(n) is not int:
             raise ValueError(f"needs an integer grid_n, got {n!r}")
         grid = GridSpec(n)
-        name = files.get("F") if isinstance(files, dict) else None
+        slot = "y" if fmt == 3 else "F"
+        name = files.get(slot) if isinstance(files, dict) else None
         if not isinstance(name, str) or Path(name).parts != (name,) or name == "..":
-            raise ValueError(f"needs a plain file name in files.F, got {name!r}")
+            raise ValueError(f"needs a plain file name in files.{slot}, got {name!r}")
     except ValueError as exc:
         raise FieldFormatError(f"{sidecar_path}: malformed sidecar: {exc}") from exc
-    f_field = deserialize_field(sidecar_path.parent / name, expect_grid=grid)
-    if not isinstance(f_field, TwoFormField):
-        raise FieldFormatError(f"{sidecar_path.parent / name}: expected a twoform F file")
-    return triple_from_form_field(f_field)
+    path = sidecar_path.parent / name
+    field = deserialize_field(path, expect_grid=grid)
+    if slot == "F":
+        if not isinstance(field, TwoFormField):
+            raise FieldFormatError(f"{path}: expected a twoform F file")
+        return triple_from_form_field(field)
+    if not isinstance(field, SelfDualCoordField):
+        raise FieldFormatError(f"{path}: expected an sdcoords y file")
+    return HermitianTriple(grid, field.values)

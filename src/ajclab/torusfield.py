@@ -26,7 +26,8 @@ whole stack of 2-forms at once).
 
 Component layouts of nodal values (components on the last axis, in the
 pointlin bases): scalar (n,n,n,n); 1-form (n,n,n,n,4); 2-form (n,n,n,n,6);
-3-form (n,n,n,n,4) in the order (e123, e124, e134, e234); endomorphism
+3-form (n,n,n,n,4) in the order (e123, e124, e134, e234); self-dual
+coordinates (n,n,n,n,3) in the frame pl.OMEGA_SD; endomorphism
 (n,n,n,n,4,4).
 """
 
@@ -88,6 +89,18 @@ class GridSpec:
         return [np.where(np.abs(k) == self.n // 2, 0.0, 2j * np.pi * k) for k in self.wavenumbers()]
 
 
+def frozen(values) -> np.ndarray:
+    """``values`` as a read-only C-contiguous float array that no other name
+    can write.  A read-only float array that owns its C-contiguous memory
+    (the values of a field or of a structure) is shared as it is; anything
+    else is copied."""
+    if not (isinstance(values, np.ndarray) and values.dtype == float and values.base is None
+            and values.flags.c_contiguous and not values.flags.writeable):
+        values = np.array(values, dtype=float, order="C")
+        values.setflags(write=False)
+    return values
+
+
 class _FieldBase:
     """Common plumbing for nodal fields: validation and immutability."""
 
@@ -103,10 +116,8 @@ class _FieldBase:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{type(self).__name__} has non-finite values")
-        values = values.copy()
-        values.setflags(write=False)
         self.grid = grid
-        self.values = values
+        self.values = frozen(values)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -135,6 +146,15 @@ class TwoFormField(_FieldBase):
 class ThreeFormField(_FieldBase):
     NCOMP = (4,)
     KIND = "threeform"
+
+
+class SelfDualCoordField(_FieldBase):
+    """Coordinates y of a self-dual form y @ pl.OMEGA_SD; a structure field
+    is one with |y| = 1 at every node, which :class:`.hermitian.HermitianTriple`
+    checks."""
+
+    NCOMP = (3,)
+    KIND = "sdcoords"
 
 
 def _spectrum(values: np.ndarray, ncomp: int) -> np.ndarray:

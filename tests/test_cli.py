@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ajclab import cli, cohomlab, fieldio, hermitian as hm
+from ajclab import cli, cohomlab, fieldio, hermitian as hm, torusfield as tf
 from ajclab.config import DEFAULT_BUMP1, DEFAULT_BUMP2, LabConfig
 from ajclab.hermitian import BumpSpec
 
@@ -108,6 +108,24 @@ def test_config_bump_entry_keys_are_checked(tmp_path, bump, match):
         resolve("--config", str(path))
 
 
+@pytest.mark.parametrize("text, match", [
+    (None, "No such file or directory"),
+    ("{not json", "Expecting property name enclosed in double quotes"),
+    ('{"grid_n": "8"}', "config key 'grid_n' must be of type int, got '8'"),
+], ids=["missing", "invalid-json", "rejected-value"])
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text, match):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["baseline", "--config", str(path), "--output", str(tmp_path / "out")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"ajclab: error: --config {path}: " in err and match in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_partial_bump_radius_keeps_center_and_height():
     cfg = resolve("--bump1-radius", "0.2")
     assert cfg.bump1 == BumpSpec(DEFAULT_BUMP1.center, 0.2, DEFAULT_BUMP1.height)
@@ -147,11 +165,11 @@ def test_two_stage_field_files_load_back(tmp_path, capsys):
         if stem == "stage2":
             assert np.array_equal(gram.matrix, report["summaries"]["stage2_gram"]["matrix"])
         meta = json.loads(sidecar.read_text())
-        assert meta["format"] == 2
-        assert meta["files"] == {"F": f"two-stage.{stem}.F.field"}
-        fieldio.serialize_field(triple.F, tmp_path / "generic.F")
-        written = sidecar.with_name(f"two-stage.{stem}.F.field").read_bytes()
-        assert written == (tmp_path / "generic.F").read_bytes()
+        assert meta["format"] == 3
+        assert meta["files"] == {"y": f"two-stage.{stem}.y.field"}
+        fieldio.serialize_field(tf.SelfDualCoordField(triple.grid, triple.y), tmp_path / "generic.y")
+        written = sidecar.with_name(f"two-stage.{stem}.y.field").read_bytes()
+        assert written == (tmp_path / "generic.y").read_bytes()
     assert sorted(p.name for p in (tmp_path / "fields").iterdir()) == [
-        f"two-stage.{stem}.{suffix}" for stem in ("stage1", "stage2") for suffix in ("F.field", "json")
+        f"two-stage.{stem}.{suffix}" for stem in ("stage1", "stage2") for suffix in ("json", "y.field")
     ]

@@ -79,5 +79,5 @@ def test_two_cli_runs_write_the_same_outputs(tmp_path, capsys):
     for side in ("a", "b"):
         for argv in runs:
             assert cli.main([*argv, "--output", str(tmp_path / side)]) == 0
-    assert len(list((tmp_path / "a" / "fields").glob("*.F.field"))) == 2
+    assert len(list((tmp_path / "a" / "fields").glob("*.y.field"))) == 2
     assert compare_outputs.compare_dirs(tmp_path / "a", tmp_path / "b") == []

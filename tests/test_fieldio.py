@@ -20,7 +20,7 @@ def _random_field(cls, rng):
 
 @pytest.mark.parametrize(
     "cls",
-    [tf.ScalarField, tf.OneFormField, tf.TwoFormField, tf.ThreeFormField],
+    [tf.ScalarField, tf.OneFormField, tf.TwoFormField, tf.ThreeFormField, tf.SelfDualCoordField],
 )
 def test_round_trip_bit_identical(cls, tmp_path):
     rng = np.random.default_rng(0)
@@ -47,6 +47,29 @@ def test_header_layout(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"AJC1 scalar 4\n")
     assert len(raw) == len(b"AJC1 scalar 4\n") + 8 * G.node_count
+
+
+def test_sdcoords_header_and_payload_size(tmp_path):
+    y = hm.standard_acs(G).y
+    path = tmp_path / "y.field"
+    fieldio.serialize_field(tf.SelfDualCoordField(G, y), path)
+    raw = path.read_bytes()
+    assert raw.startswith(b"AJC1 sdcoords 4\n")
+    assert len(raw) == len(b"AJC1 sdcoords 4\n") + 24 * G.node_count
+    assert raw[len(b"AJC1 sdcoords 4\n"):] == np.ascontiguousarray(y.reshape(-1, 3).T).tobytes()
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"AJC1  scalar\t4 ", b"AJC1 scalar 0_4", b"AJC1 scalar +4", b"AJC1 scalar 04"],
+    ids=["extra-whitespace", "underscore", "plus-sign", "leading-zero"],
+)
+def test_header_must_be_exact(header, tmp_path):
+    path = tmp_path / "f.bin"
+    path.write_bytes(header + b"\n" + b"\0" * (8 * G.node_count))
+    with pytest.raises(fieldio.FieldFormatError,
+                       match=rf"^{re.escape(str(path))}: malformed header"):
+        fieldio.deserialize_field(path)
 
 
 def test_component_major_x4_fastest(tmp_path):

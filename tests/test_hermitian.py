@@ -32,6 +32,34 @@ def write_endo_file(path, J):
         fh.write(np.ascontiguousarray(J.reshape(-1, 16).T, dtype="<f8"))
 
 
+def save_format2(triple, directory, stem, params=None, log=None):
+    """A format-2 set, byte for byte as save_triple wrote it before structure
+    files held y: the F field file (twoform kind) and a sidecar naming it."""
+    directory.mkdir(parents=True, exist_ok=True)
+    f_name = f"{stem}.F.field"
+    fieldio.serialize_field(triple.F, directory / f_name)
+    sidecar = {
+        "format": 2,
+        "grid_n": triple.grid.n,
+        "files": {"F": f_name},
+        "params": params or {},
+        "deform_log": log.to_list() if log is not None else [],
+    }
+    path = directory / f"{stem}.json"
+    path.write_text(json.dumps(sidecar, indent=2))
+    return path
+
+
+def edit_payload(path, change):
+    """Edit a field file's raw (component, node) payload in place, bypassing
+    field validation."""
+    raw = path.read_bytes()
+    body = raw.find(b"\n") + 1
+    payload = np.frombuffer(raw, dtype="<f8", offset=body).reshape(-1, G8.node_count).copy()
+    change(payload)
+    path.write_bytes(raw[:body] + payload.tobytes())
+
+
 def constant(a):
     """A constant field of self-dual coordinates on G8."""
     return np.broadcast_to(np.asarray(a, float), G8.shape + (3,))
@@ -483,16 +511,56 @@ class TestTripleIO:
 
     @pytest.mark.parametrize("label", ["standard", "random", "stage1", "stage2"])
     def test_files_match_the_generic_field_route(self, io_triples, label, tmp_path):
-        # the standard structure carries signed zeros in F
         triple = io_triples[label]
         sidecar = hm.save_triple(triple, tmp_path / "out", label)
         assert sorted(p.name for p in sidecar.parent.iterdir()) == [
-            f"{label}.F.field", f"{label}.json"
+            f"{label}.json", f"{label}.y.field"
         ]
-        fieldio.serialize_field(triple.F, tmp_path / "generic.F")
-        written = (tmp_path / "out" / f"{label}.F.field").read_bytes()
-        assert written == (tmp_path / "generic.F").read_bytes()
+        meta = json.loads(sidecar.read_text())
+        assert (meta["format"], meta["files"]) == (3, {"y": f"{label}.y.field"})
+        fieldio.serialize_field(tf.SelfDualCoordField(G8, triple.y), tmp_path / "generic.y")
+        written = (tmp_path / "out" / f"{label}.y.field").read_bytes()
+        assert written == (tmp_path / "generic.y").read_bytes()
         back = hm.load_triple(sidecar)
+        assert back.y.tobytes() == triple.y.tobytes()
+
+    def test_y_file_is_sdcoords_component_major(self, io_triples, tmp_path):
+        triple = io_triples["stage2"]
+        hm.save_triple(triple, tmp_path, "stage2")
+        raw = (tmp_path / "stage2.y.field").read_bytes()
+        header = f"AJC1 sdcoords {G8.n}\n".encode("ascii")
+        assert raw[: len(header)] == header
+        assert len(raw) - len(header) == 24 * G8.node_count
+        rows = np.frombuffer(raw, dtype="<f8", offset=len(header)).reshape(3, G8.node_count)
+        for k in range(3):
+            assert rows[k].tobytes() == np.ascontiguousarray(triple.y[..., k]).tobytes()
+
+    @pytest.mark.parametrize("label", ["standard", "random", "stage1", "stage2"])
+    def test_round_trip_is_bit_identical(self, io_triples, label, tmp_path):
+        # bytes, so the standard structure's signed zeros in F and J count
+        triple = io_triples[label]
+        back = hm.load_triple(hm.save_triple(triple, tmp_path, label))
+        assert back.y.tobytes() == triple.y.tobytes()
+        assert back.F.values.tobytes() == triple.F.values.tobytes()
+        assert back.J.values.tobytes() == triple.J.values.tobytes()
+
+    @pytest.mark.parametrize("label", ["standard", "random", "stage1", "stage2"])
+    def test_format2_set_loads_to_the_same_y(self, io_triples, label, tmp_path):
+        # F @ OMEGA_SD.T / 2 recovers y exactly: each y_k sits in two F entries of sign +-1
+        triple = io_triples[label]
+        old = hm.load_triple(save_format2(triple, tmp_path / "old", label))
+        new = hm.load_triple(hm.save_triple(triple, tmp_path / "new", label))
+        assert old.y.tobytes() == new.y.tobytes() == triple.y.tobytes()
+
+    def test_y_round_trip_builds_no_form(self, io_triples, tmp_path, monkeypatch):
+        triple = io_triples["stage1"]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a fundamental form was built on the y file path")
+
+        monkeypatch.setattr(hm.HermitianTriple, "F", property(forbidden))
+        monkeypatch.setattr(hm, "triple_from_form_field", forbidden)
+        back = hm.load_triple(hm.save_triple(triple, tmp_path, "stage1"))
         assert back.y.tobytes() == triple.y.tobytes()
 
     @pytest.mark.parametrize(
@@ -506,7 +574,7 @@ class TestTripleIO:
         object.__setattr__(triple, "y", change(triple.y))
         with pytest.raises(ValueError, match=match):
             hm.save_triple(triple, tmp_path, "bad")
-        assert not (tmp_path / "bad.F.field").exists()
+        assert not (tmp_path / "bad.y.field").exists()
         assert not (tmp_path / "bad.json").exists()
 
     def test_save_structure_threshold_is_1e_9(self, tmp_path):
@@ -517,16 +585,16 @@ class TestTripleIO:
             return triple
 
         hm.save_triple(scaled(0.5e-9), tmp_path, "inside")
-        assert (tmp_path / "inside.F.field").exists()
+        assert (tmp_path / "inside.y.field").exists()
         assert (tmp_path / "inside.json").exists()
         with pytest.raises(ValueError, match="J\\^2 differs from -Id"):
             hm.save_triple(scaled(2e-9), tmp_path, "outside")
-        assert not (tmp_path / "outside.F.field").exists()
+        assert not (tmp_path / "outside.y.field").exists()
         assert not (tmp_path / "outside.json").exists()
 
     def test_round_trip_builds_no_4x4_structure(self, io_triples, tmp_path, monkeypatch):
         triple = io_triples["stage2"]
-        fieldio.serialize_field(triple.F, tmp_path / "generic.F")
+        fieldio.serialize_field(tf.SelfDualCoordField(G8, triple.y), tmp_path / "generic.y")
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a 4x4 J was built on the file path")
@@ -535,15 +603,17 @@ class TestTripleIO:
             monkeypatch.setattr(pl, name, forbidden)
         back = hm.load_triple(hm.save_triple(triple, tmp_path, "stage2"))
         assert back.y.tobytes() == triple.y.tobytes()
-        written = (tmp_path / "stage2.F.field").read_bytes()
-        assert written == (tmp_path / "generic.F").read_bytes()
+        written = (tmp_path / "stage2.y.field").read_bytes()
+        assert written == (tmp_path / "generic.y").read_bytes()
 
 
 class TestLoadBoundary:
+    """Format-2 sets, whose structure file is F, through load_triple's F path."""
+
     @pytest.fixture
     def sidecar(self, tmp_path):
         triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
-        return hm.save_triple(triple, tmp_path, "sample")
+        return save_format2(triple, tmp_path, "sample")
 
     @staticmethod
     def tamper(sidecar, change):
@@ -553,14 +623,7 @@ class TestLoadBoundary:
 
     @staticmethod
     def tamper_payload(sidecar, change):
-        """Edit the F file's raw (component, node) payload, bypassing field
-        validation."""
-        path = sidecar.parent / "sample.F.field"
-        raw = path.read_bytes()
-        body = raw.find(b"\n") + 1
-        payload = np.frombuffer(raw, dtype="<f8", offset=body).reshape(-1, G8.node_count).copy()
-        change(payload)
-        path.write_bytes(raw[:body] + payload.tobytes())
+        edit_payload(sidecar.parent / "sample.F.field", change)
 
     def test_rejects_scaled_form(self, sidecar):
         self.tamper(sidecar, lambda F: 1.01 * F)
@@ -625,10 +688,10 @@ class TestLoadBoundary:
             (lambda meta: {**meta, "files": {"F": ".."}}, "files.F, got '..'"),
             (lambda meta: {**meta, "grid_n": "8"}, "integer grid_n, got '8'"),
             (lambda meta: {**meta, "grid_n": 7}, "grid size must be even"),
-            (lambda meta: {**meta, "format": 3}, "format 3 is not 1 or 2"),
+            (lambda meta: {**meta, "format": 4}, "format 4 is not 1, 2 or 3"),
         ],
         ids=["not-json", "not-object", "no-grid-n", "no-files", "no-f-file",
-             "parent-directory", "string-grid-n", "odd-grid-n", "format-3"],
+             "parent-directory", "string-grid-n", "odd-grid-n", "format-4"],
     )
     def test_rejects_a_malformed_sidecar(self, sidecar, edit, match):
         meta = edit(json.loads(sidecar.read_text()))
@@ -666,3 +729,74 @@ class TestLoadBoundary:
         assert hm.load_triple(sidecar).y.tobytes() == back.y.tobytes()
         (tmp_path / "old.J.field").unlink()
         assert hm.load_triple(sidecar).y.tobytes() == back.y.tobytes()
+
+
+class TestLoadYBoundary:
+    """Format-3 sets, whose structure file is y, as save_triple writes them."""
+
+    @pytest.fixture
+    def sidecar(self, tmp_path):
+        triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
+        return hm.save_triple(triple, tmp_path, "sample")
+
+    @staticmethod
+    def assert_rejected(sidecar, match):
+        path = sidecar.parent / "sample.y.field"
+        with pytest.raises(fieldio.FieldFormatError, match=rf"^{re.escape(str(path))}: {match}"):
+            hm.load_triple(sidecar)
+
+    def test_rejects_nan_in_the_y_file(self, sidecar):
+        def poison(payload):
+            payload[1, 1234] = np.nan
+
+        edit_payload(sidecar.parent / "sample.y.field", poison)
+        self.assert_rejected(sidecar, ".*non-finite")
+
+    def test_rejects_a_non_unit_node(self, sidecar):
+        def scale(payload):
+            payload[:, 1234] *= 1.001
+
+        edit_payload(sidecar.parent / "sample.y.field", scale)
+        node = tuple(int(i) for i in np.unravel_index(1234, G8.shape))
+        with pytest.raises(ValueError, match=rf"not a unit vector at node {re.escape(str(node))}"):
+            hm.load_triple(sidecar)
+
+    def test_rejects_a_y_file_of_another_grid(self, sidecar):
+        fieldio.serialize_field(tf.SelfDualCoordField(tf.GridSpec(4), hm.standard_acs(tf.GridSpec(4)).y),
+                                sidecar.parent / "sample.y.field")
+        self.assert_rejected(sidecar, "grid n=4, expected n=8")
+
+    def test_rejects_a_twoform_file_in_the_y_slot(self, sidecar):
+        triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
+        fieldio.serialize_field(triple.F, sidecar.parent / "sample.y.field")
+        self.assert_rejected(sidecar, "expected an sdcoords y file")
+
+    def test_rejects_a_truncated_y_file(self, sidecar):
+        path = sidecar.parent / "sample.y.field"
+        path.write_bytes(path.read_bytes()[:-8])
+        self.assert_rejected(sidecar, "payload has")
+
+    @pytest.mark.parametrize(
+        "files, match",
+        [
+            ({}, "files.y, got None"),
+            ({"F": "sample.y.field"}, "files.y, got None"),
+            ({"y": ".."}, "files.y, got '..'"),
+            ({"y": "elsewhere/sample.y.field"}, "files.y, got 'elsewhere/sample.y.field'"),
+            ({"y": 3}, "files.y, got 3"),
+        ],
+        ids=["no-y-file", "f-file-only", "parent-directory", "in-a-directory", "not-a-string"],
+    )
+    def test_rejects_a_y_name_that_is_not_a_plain_file_name(self, sidecar, files, match):
+        meta = json.loads(sidecar.read_text())
+        TestLoadBoundary.assert_malformed(sidecar, json.dumps({**meta, "files": files}), match)
+
+    def test_rejects_an_absolute_y_path(self, sidecar):
+        # a valid y file, so only the name can be refused
+        other = sidecar.parent / "elsewhere"
+        other.mkdir()
+        (other / "sample.y.field").write_bytes((sidecar.parent / "sample.y.field").read_bytes())
+        name = str(other / "sample.y.field")
+        meta = json.loads(sidecar.read_text())
+        TestLoadBoundary.assert_malformed(sidecar, json.dumps({**meta, "files": {"y": name}}),
+                                          f"files.y, got {name!r}")
