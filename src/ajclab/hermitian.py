@@ -117,14 +117,15 @@ class AcsField(_FieldBase):
 class HermitianTriple:
     """A compatible structure field (the metric is flat), stored as its unit
     vector field ``y`` of shape ``grid.shape + (3,)``, read-only; J and F
-    are derived on access.  ``y`` is copied unless it is already read-only
-    memory of its own (:func:`.torusfield.frozen`), as a field's values are."""
+    are derived on access.  ``y`` is copied, keeping its memory layout,
+    unless it is already read-only memory of its own
+    (:func:`.torusfield.frozen`), as a field's values are."""
 
     grid: GridSpec
     y: np.ndarray
 
     def __post_init__(self):
-        y = frozen(self.y)
+        y = frozen(self.y, "K")
         expected = self.grid.shape + (3,)
         if y.shape != expected:
             raise ValueError(f"y must have shape {expected}, got {y.shape}")

@@ -89,14 +89,14 @@ class GridSpec:
         return [np.where(np.abs(k) == self.n // 2, 0.0, 2j * np.pi * k) for k in self.wavenumbers()]
 
 
-def frozen(values) -> np.ndarray:
-    """``values`` as a read-only C-contiguous float array that no other name
-    can write.  A read-only float array that owns its C-contiguous memory
-    (the values of a field or of a structure) is shared as it is; anything
-    else is copied."""
+def frozen(values, order: str) -> np.ndarray:
+    """``values`` as a read-only float array that no other name can write.
+    A read-only float array that owns its memory (the values of a field or
+    of a structure) is shared as it is; anything else is copied in the
+    memory ``order`` of :func:`numpy.array`."""
     if not (isinstance(values, np.ndarray) and values.dtype == float and values.base is None
-            and values.flags.c_contiguous and not values.flags.writeable):
-        values = np.array(values, dtype=float, order="C")
+            and not values.flags.writeable):
+        values = np.array(values, dtype=float, order=order)
         values.setflags(write=False)
     return values
 
@@ -117,7 +117,7 @@ class _FieldBase:
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{type(self).__name__} has non-finite values")
         self.grid = grid
-        self.values = frozen(values)
+        self.values = frozen(values, "C")
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))

@@ -90,6 +90,20 @@ class TestFieldsBasics:
         with pytest.raises(ValueError):
             f.values[0, 0, 0, 0] = 2.0
 
+    def test_only_read_only_memory_of_its_own_is_shared(self):
+        f = scalar_constant(G8, 1.0)
+        assert tf.ScalarField(G8, f.values).values is f.values
+        # a writable array, or a view whose memory another name may write, is copied
+        writable = np.zeros(G8.shape)
+        g = tf.ScalarField(G8, writable)
+        writable[0, 0, 0, 0] = 1.0
+        assert g.values[0, 0, 0, 0] == 0.0
+        view = f.values[...]
+        assert tf.ScalarField(G8, view).values is not view
+        # a transposed view becomes C-contiguous
+        spread = tf.ScalarField(G8, np.zeros(G8.shape).T).values
+        assert spread.flags.c_contiguous and not spread.flags.writeable
+
 
 class TestDifferentials:
     def test_single_mode_gradient(self):
