@@ -49,16 +49,6 @@ def test_header_layout(tmp_path):
     assert len(raw) == len(b"AJC1 scalar 4\n") + 8 * G.node_count
 
 
-def test_sdcoords_header_and_payload_size(tmp_path):
-    y = hm.standard_acs(G).y
-    path = tmp_path / "y.field"
-    fieldio.serialize_field(tf.SelfDualCoordField(G, y), path)
-    raw = path.read_bytes()
-    assert raw.startswith(b"AJC1 sdcoords 4\n")
-    assert len(raw) == len(b"AJC1 sdcoords 4\n") + 24 * G.node_count
-    assert raw[len(b"AJC1 sdcoords 4\n"):] == np.ascontiguousarray(y.reshape(-1, 3).T).tobytes()
-
-
 @pytest.mark.parametrize(
     "header",
     [b"AJC1  scalar\t4 ", b"AJC1 scalar 0_4", b"AJC1 scalar +4", b"AJC1 scalar 04"],

@@ -526,8 +526,11 @@ class TestTripleIO:
         fieldio.serialize_field(tf.SelfDualCoordField(G8, triple.y), tmp_path / "generic.y")
         written = (tmp_path / "out" / f"{label}.y.field").read_bytes()
         assert written == (tmp_path / "generic.y").read_bytes()
+        # bytes, so the standard structure's signed zeros in F and J count
         back = hm.load_triple(sidecar)
         assert back.y.tobytes() == triple.y.tobytes()
+        assert back.F.values.tobytes() == triple.F.values.tobytes()
+        assert back.J.values.tobytes() == triple.J.values.tobytes()
 
     def test_y_file_is_sdcoords_component_major(self, io_triples, tmp_path):
         triple = io_triples["stage2"]
@@ -539,15 +542,6 @@ class TestTripleIO:
         rows = np.frombuffer(raw, dtype="<f8", offset=len(header)).reshape(3, G8.node_count)
         for k in range(3):
             assert rows[k].tobytes() == np.ascontiguousarray(triple.y[..., k]).tobytes()
-
-    @pytest.mark.parametrize("label", ["standard", "random", "stage1", "stage2"])
-    def test_round_trip_is_bit_identical(self, io_triples, label, tmp_path):
-        # bytes, so the standard structure's signed zeros in F and J count
-        triple = io_triples[label]
-        back = hm.load_triple(hm.save_triple(triple, tmp_path, label))
-        assert back.y.tobytes() == triple.y.tobytes()
-        assert back.F.values.tobytes() == triple.F.values.tobytes()
-        assert back.J.values.tobytes() == triple.J.values.tobytes()
 
     @pytest.mark.parametrize("label", ["standard", "random", "stage1", "stage2"])
     def test_format2_set_loads_to_the_same_y(self, io_triples, label, tmp_path):
@@ -569,17 +563,6 @@ class TestTripleIO:
         monkeypatch.setattr(fieldio, "deserialize_field", recorded)
         back = hm.load_triple(hm.save_triple(io_triples["stage2"], tmp_path, "stage2"))
         assert back.y is read[0].values
-
-    def test_y_round_trip_builds_no_form(self, io_triples, tmp_path, monkeypatch):
-        triple = io_triples["stage1"]
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a fundamental form was built on the y file path")
-
-        monkeypatch.setattr(hm.HermitianTriple, "F", property(forbidden))
-        monkeypatch.setattr(hm, "triple_from_form_field", forbidden)
-        back = hm.load_triple(hm.save_triple(triple, tmp_path, "stage1"))
-        assert back.y.tobytes() == triple.y.tobytes()
 
     @pytest.mark.parametrize(
         "change, match",
@@ -611,18 +594,18 @@ class TestTripleIO:
         assert not (tmp_path / "outside.json").exists()
 
     def test_round_trip_builds_no_4x4_structure(self, io_triples, tmp_path, monkeypatch):
+        # nor a fundamental form: the y file path never leaves y
         triple = io_triples["stage2"]
-        fieldio.serialize_field(tf.SelfDualCoordField(G8, triple.y), tmp_path / "generic.y")
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("a 4x4 J was built on the file path")
+            raise AssertionError("a 4x4 J or a form was built on the file path")
 
         for name in ("acs_from_coords", "require_acs", "acs_defect"):
             monkeypatch.setattr(pl, name, forbidden)
+        monkeypatch.setattr(hm.HermitianTriple, "F", property(forbidden))
+        monkeypatch.setattr(hm, "triple_from_form_field", forbidden)
         back = hm.load_triple(hm.save_triple(triple, tmp_path, "stage2"))
         assert back.y.tobytes() == triple.y.tobytes()
-        written = (tmp_path / "stage2.y.field").read_bytes()
-        assert written == (tmp_path / "generic.y").read_bytes()
 
 
 class TestLoadBoundary:
