@@ -4,7 +4,8 @@ Usage: ``ajclab <scenario> [flags]`` with scenario one of baseline,
 one-bump, two-stage, oracle, random-sweep, path, resolution, battery, or
 all.
 Values are resolved as defaults < --config JSON file < explicit flags; a
-config file that cannot be read or is rejected is a usage error (exit 2).
+config file that cannot be read or is rejected, and an output directory
+that cannot be created, are usage errors (exit 2).
 The numeric flags ``--grid-n`` ... ``--path-steps`` mirror the int and
 float fields of :class:`~ajclab.config.LabConfig`, in field order.
 Every run writes ``<scenario>.report.json`` under the output directory
@@ -33,10 +34,11 @@ _NUMERIC_FIELDS = [f for f in fields(LabConfig) if type(f.default) in (int, floa
 
 
 def _parse_center(text: str) -> tuple[float, float, float, float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("center needs 4 comma-separated coordinates")
-    return tuple(parts)
+    try:
+        x1, x2, x3, x4 = (float(p) for p in text.split(","))
+    except ValueError:  # a part that is not a number, or not 4 parts
+        raise argparse.ArgumentTypeError(f"center needs 4 comma-separated coordinates, got {text!r}")
+    return x1, x2, x3, x4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +105,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:  # a missing, unparsable or rejected --config file
         parser.error(f"--config {args.config}: {exc}")
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a path that is a file, or not writable
+        parser.error(f"output directory {out_dir}: {exc}")
     names = _SCENARIO_ORDER if args.scenario == "all" else [args.scenario]
     all_passed = True
     for name in names:

@@ -6,11 +6,11 @@ self-dual 2-form, its fundamental form F, so a structure field is a unit
 vector field y: T^4 -> S^2 of coordinates in the self-dual frame
 (OMEGA1, OMEGA2, OMEGA3).  :class:`HermitianTriple` stores y alone and
 derives F = sum_k y_k OMEGA_k and J = sum_k y_k J_k on access; both are
-linear in y.  |y| = 1 is the only invariant left.  It is checked when a
-triple is built, and the boundaries that take outside input check more:
-:func:`triple_from_form_field` that a form is self-dual, and
-:func:`load_triple` the sidecar and the y (or, for an older set, F) file it
-names.
+linear in y.  |y| = 1 is the only invariant left; :func:`_require_unit`
+checks it when a triple is built and before one is saved.  The boundaries
+that take outside input check more: :func:`triple_from_form_field` that a
+form is self-dual, and :func:`load_triple` the sidecar and the y (or, for
+an older set, F) file it names.
 
 A self-dual form a @ OMEGA_SD is anti-invariant for y exactly when
 a . y = 0 (the anti-invariant plane is the tangent plane of S^2 at y), and
@@ -45,6 +45,7 @@ structure is still validated on the whole grid when its
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pointlin as pl
+from .fieldio import FieldFormatError, deserialize_field, serialize_field
 from .reporting import to_json
 from .torusfield import (
     GridSpec,
@@ -84,9 +86,10 @@ def _worst_node(grid: GridSpec, nodewise: np.ndarray, rows) -> tuple[int, ...]:
 def _require_unit(grid: GridSpec, y: np.ndarray, rows) -> np.ndarray:
     """The rows ``y`` of a structure field (at ``rows``, as in
     :func:`_worst_node`), checked to be finite unit vectors within
-    pl.ACS_TOL.  A non-finite y makes the max defect non-finite, so
-    finiteness is looked at only when the defect check fails."""
-    defect = np.abs(np.sum(y * y, axis=-1) - 1.0)
+    pl.ACS_TOL, naming the worst node.  A non-finite y makes the max defect
+    non-finite, so finiteness is looked at only when the defect check fails.
+    For J = sum_k y_k J_k, J^2 + Id = (1 - |y|^2) Id = Id - J^T J."""
+    defect = np.abs(np.einsum("...k,...k", y, y) - 1.0)
     worst = float(np.max(defect, initial=0.0))
     if not worst <= pl.ACS_TOL:
         if not np.all(np.isfinite(y)):
@@ -166,34 +169,6 @@ class BumpSpec:
 
     def build(self, grid: GridSpec) -> ScalarField:
         return bump_cutoff(grid, self.center, self.radius, self.height)
-
-    @staticmethod
-    def from_dict(d: dict) -> "BumpSpec":
-        """The bump of a JSON entry: an object with exactly the keys center,
-        radius and height, holding a list of 4 numbers and two numbers.  Any
-        other entry, a missing or unknown key, or a value that does not
-        convert raises ValueError naming it."""
-        keys = {"center", "radius", "height"}
-        if not isinstance(d, dict):
-            raise ValueError(f"bump entry {d!r} is not an object with keys {sorted(keys)}")
-        if set(d) != keys:
-            raise ValueError(f"bump entry has missing keys {sorted(keys - set(d))} "
-                             f"and unknown keys {sorted(set(d) - keys)}")
-
-        def convert(key, to):
-            try:
-                return to(d[key])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bump entry {d!r} has a bad {key} {d[key]!r}: {exc}") from None
-
-        def center(c):
-            c = tuple(float(x) for x in c)
-            if len(c) != 4:
-                raise ValueError(f"center needs 4 coordinates, got {len(c)}")
-            return c
-
-        return BumpSpec(convert("center", center), convert("radius", float),
-                        convert("height", float))
 
 
 def standard_acs(grid: GridSpec) -> HermitianTriple:
@@ -489,6 +464,14 @@ def two_stage_deform(
     return stage1, second_bump_deform(stage1, report1, bump2, log, eps)[0], log
 
 
+def _plain_name(name, slot: str) -> str:
+    """``name`` if it is a plain file name, one in the sidecar's own
+    directory, for ``files.<slot>`` of a sidecar; else ValueError."""
+    if not isinstance(name, str) or Path(name).parts != (name,) or name == "..":
+        raise ValueError(f"needs a plain file name in files.{slot}, got {name!r}")
+    return name
+
+
 def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | None = None,
                 log: DeformLog | None = None) -> Path:
     """Write the y field file (sdcoords kind) with
@@ -496,22 +479,14 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
     construction parameters and the deformation log.
 
     y determines the structure, so neither F nor J is built or written.
-    Before any file is opened, y is checked finite, by building its
-    :class:`.torusfield.SelfDualCoordField`, and J for J^2 = -Id and
-    J^T J = Id within pl.ACS_TOL, through y: for J = sum_k y_k J_k,
-    J^2 + Id = (1 - |y|^2) Id = Id - J^T J."""
-    import json
-
-    from .fieldio import serialize_field
-
-    y_field = SelfDualCoordField(triple.grid, triple.y)
-    sq = float(np.max(np.abs(np.einsum("...k,...k", triple.y, triple.y) - 1.0)))
-    if sq > pl.ACS_TOL:
-        raise ValueError(f"J^2 differs from -Id by {sq:.3e} (tol {pl.ACS_TOL:.1e})")
+    Before any file is opened, the y file name ``<stem>.y.field`` must be a
+    plain file name (:func:`_plain_name`), as :func:`load_triple` requires,
+    and y must pass :func:`_require_unit`, which names the worst node."""
+    y_name = _plain_name(f"{stem}.y.field", "y")
+    _require_unit(triple.grid, triple.y, None)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    y_name = f"{stem}.y.field"
-    serialize_field(y_field, directory / y_name)
+    serialize_field(SelfDualCoordField(triple.grid, triple.y), directory / y_name)
     sidecar = {
         "format": 3,
         "grid_n": triple.grid.n,
@@ -539,10 +514,6 @@ def load_triple(sidecar_path) -> HermitianTriple:
     kind, and y is rebuilt by :func:`triple_from_form_field`, which checks
     that the form is self-dual and that |y| = 1, naming the worst node.
     """
-    import json
-
-    from .fieldio import FieldFormatError, deserialize_field
-
     sidecar_path = Path(sidecar_path)
     try:
         meta = json.loads(sidecar_path.read_text())
@@ -555,9 +526,7 @@ def load_triple(sidecar_path) -> HermitianTriple:
             raise ValueError(f"needs an integer grid_n, got {n!r}")
         grid = GridSpec(n)
         slot = "y" if fmt == 3 else "F"
-        name = files.get(slot) if isinstance(files, dict) else None
-        if not isinstance(name, str) or Path(name).parts != (name,) or name == "..":
-            raise ValueError(f"needs a plain file name in files.{slot}, got {name!r}")
+        name = _plain_name(files.get(slot) if isinstance(files, dict) else None, slot)
     except ValueError as exc:
         raise FieldFormatError(f"{sidecar_path}: malformed sidecar: {exc}") from exc
     path = sidecar_path.parent / name

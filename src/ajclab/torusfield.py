@@ -272,10 +272,10 @@ def wedge_integral(phi: TwoFormField, psi: TwoFormField) -> float:
 
 def torus_offsets(grid: GridSpec, center) -> list[np.ndarray]:
     """Signed wrapped displacements x - center per axis, in [-1/2, 1/2)."""
-    center = np.asarray(center, float)
-    if center.shape != (4,):
-        raise ValueError("center must have 4 coordinates")
-    return [(x - c + 0.5) % 1.0 - 0.5 for x, c in zip(grid.coords(), center)]
+    coords = np.asarray(center, float)
+    if coords.shape != (4,) or not np.all(np.isfinite(coords)):
+        raise ValueError(f"center must be 4 finite numbers, got {center!r}")
+    return [(x - c + 0.5) % 1.0 - 0.5 for x, c in zip(grid.coords(), coords)]
 
 
 def bump_cutoff(grid: GridSpec, center, radius: float, height: float) -> ScalarField:

@@ -93,13 +93,20 @@ def test_config_int_is_taken_where_a_float_is_expected(tmp_path):
          r"missing keys \['height'\] and unknown keys \['hieght'\]"),
         ([0.5] * 4, r"bump entry \[0\.5, 0\.5, 0\.5, 0\.5\] is not an object"),
         ({"center": [0.5] * 4, "radius": "x", "height": 0.3},
-         r"bump entry \{.*\} has a bad radius 'x': could not convert"),
+         r"bump entry \{.*\} has a bad radius 'x': radius must be of type float, got 'x'"),
+        ({"center": [0.5] * 4, "radius": "0.15", "height": 0.3},
+         r"bump entry \{.*\} has a bad radius '0\.15': radius must be of type float, got '0\.15'"),
+        ({"center": [0.5] * 4, "radius": 0.15, "height": True},
+         r"bump entry \{.*\} has a bad height True: height must be of type float, got True"),
+        ({"center": ["0.5", 0.5, 0.5, 0.5], "radius": 0.15, "height": 0.3},
+         r"bump entry \{.*\} has a bad center \['0\.5', 0\.5, 0\.5, 0\.5\]: "
+         r"center coordinate must be of type float, got '0\.5'"),
         ({"center": 0.5, "radius": 0.1, "height": 0.3}, r"bump entry \{.*\} has a bad center 0\.5"),
         ({"center": [0.5] * 3, "radius": 0.1, "height": 0.3},
          r"bump entry \{.*\} has a bad center \[0\.5, 0\.5, 0\.5\]: center needs 4 coordinates, got 3"),
     ],
-    ids=["missing", "misspelt", "not-an-object", "radius-not-a-number", "center-not-a-list",
-         "center-of-3"],
+    ids=["missing", "misspelt", "not-an-object", "radius-not-a-number", "radius-as-string",
+         "height-as-bool", "center-coordinate-as-string", "center-not-a-list", "center-of-3"],
 )
 def test_config_bump_entry_keys_are_checked(tmp_path, bump, match):
     path = tmp_path / "cfg.json"
@@ -139,12 +146,35 @@ def test_bump_center_needs_four_coordinates(capsys):
     assert "center needs 4 comma-separated coordinates" in capsys.readouterr().err
 
 
+def test_non_numeric_bump_center_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["baseline", "--bump1-center", "a,b,c,d", "--output", str(tmp_path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --bump1-center: center needs 4 comma-separated coordinates, got 'a,b,c,d'" in err
+    assert "_parse_center" not in err
+
+
+def test_output_path_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["baseline", "--output", str(path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    last = err.strip().splitlines()[-1]  # after argparse's usage lines
+    assert last.startswith(f"ajclab: error: output directory {path}: ") and "File exists" in last
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, match", [
     (["random-sweep", "--sweep-count", "2", "--tol-null", "nan"], "tol_null must lie in (0, 1), got nan"),
     (["random-sweep", "--sweep-count", "2", "--tol-null", "-1"], "tol_null must lie in (0, 1), got -1.0"),
     (["baseline", "--tol-null", "nan"], "tol_null must lie in (0, 1), got nan"),
     (["one-bump", "--eps-nodal", "nan"], "eps must be positive and finite, got nan"),
-], ids=["sweep-nan", "sweep-negative", "baseline-nan", "one-bump-eps-nan"])
+    (["one-bump", "--bump1-center", "nan,0.5,0.5,0.5"],
+     "center must be 4 finite numbers, got (nan, 0.5, 0.5, 0.5)"),
+], ids=["sweep-nan", "sweep-negative", "baseline-nan", "one-bump-eps-nan", "one-bump-center-nan"])
 def test_scenario_with_an_invalid_threshold_fails_naming_it(tmp_path, capsys, argv, match):
     assert cli.main([*argv, "--grid-n", "8", "--output", str(tmp_path)]) == 1
     out = capsys.readouterr().out

@@ -554,19 +554,20 @@ class TestTripleIO:
     def test_load_copies_the_y_file_once(self, io_triples, tmp_path, monkeypatch):
         # the field read from the file holds the one node-major copy, and the triple shares it
         read = []
-        original = fieldio.deserialize_field
+        original = hm.deserialize_field
 
         def recorded(*args, **kwargs):
             read.append(original(*args, **kwargs))
             return read[-1]
 
-        monkeypatch.setattr(fieldio, "deserialize_field", recorded)
+        monkeypatch.setattr(hm, "deserialize_field", recorded)
         back = hm.load_triple(hm.save_triple(io_triples["stage2"], tmp_path, "stage2"))
         assert back.y is read[0].values
 
     @pytest.mark.parametrize(
         "change, match",
-        [(lambda y: 1.01 * y, "J\\^2"), (lambda y: np.where(y > 0.9, np.nan, y), "non-finite")],
+        [(lambda y: 1.01 * y, r"y is not a unit vector at node \(\d, \d, \d, \d\)"),
+         (lambda y: np.where(y > 0.9, np.nan, y), "non-finite")],
         ids=["scaled", "nan"],
     )
     def test_save_rejects_an_invalid_structure(self, change, match, tmp_path):
@@ -588,10 +589,18 @@ class TestTripleIO:
         hm.save_triple(scaled(0.5e-9), tmp_path, "inside")
         assert (tmp_path / "inside.y.field").exists()
         assert (tmp_path / "inside.json").exists()
-        with pytest.raises(ValueError, match="J\\^2 differs from -Id"):
+        with pytest.raises(ValueError, match="y is not a unit vector"):
             hm.save_triple(scaled(2e-9), tmp_path, "outside")
         assert not (tmp_path / "outside.y.field").exists()
         assert not (tmp_path / "outside.json").exists()
+
+    def test_save_rejects_a_stem_that_load_would_refuse(self, tmp_path):
+        # load_triple refuses a sidecar naming sub/x.y.field, so no such set is written
+        (tmp_path / "sub").mkdir()
+        triple = hm.standard_acs(G8)
+        with pytest.raises(ValueError, match=r"needs a plain file name in files\.y, got 'sub/x\.y\.field'"):
+            hm.save_triple(triple, tmp_path, "sub/x")
+        assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
     def test_round_trip_builds_no_4x4_structure(self, io_triples, tmp_path, monkeypatch):
         # nor a fundamental form: the y file path never leaves y

@@ -1,5 +1,7 @@
 """Spectral calculus: single-mode oracles, structural identities, bump behavior."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,13 @@ class TestBump:
             tf.bump_cutoff(G16, self.CENTER, 0.6, 0.5)
         with pytest.raises(ValueError):
             tf.bump_cutoff(G16, self.CENTER, 0.2, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_center_is_rejected(self, bad):
+        # a NaN center compares false everywhere, so it would give an empty bump
+        center = (bad, 0.5, 0.5, 0.5)
+        with pytest.raises(ValueError, match=re.escape(f"center must be 4 finite numbers, got {center!r}")):
+            tf.bump_cutoff(G16, center, 0.2, 0.7)
 
     def test_spectral_derivative_superalgebraic_decay(self):
         # rms residual against the analytic gradient; the measurement bump is
