@@ -182,6 +182,16 @@ class TestSelectNullForm:
         with pytest.raises(ValueError, match="empty"):
             cohomlab.select_null_form(cohomlab.gram_matrix(triple))
 
+    @pytest.mark.parametrize("seed", [None, *range(24)],
+                             ids=lambda s: "standard" if s is None else f"bump{s}")
+    def test_squared_norm_is_a_half(self, seed):
+        # stage 2 renormalizes with sqrt(1 - c2^2 |a|^2) and needs c2^2 |a|^2 < 1;
+        # with the bump's c2 <= 1 this |a|^2 = 1/2 keeps it at or below 1/2
+        report = (cohomlab.gram_matrix(hm.standard_acs(G8)) if seed is None
+                  else random_bump_stage1(seed)[1])
+        w = cohomlab.select_null_form(report)
+        assert abs(float(w @ w) - 0.5) <= 4 * np.spacing(0.5)
+
 
 class TestVMeasure:
     def test_never_vanishing(self):
@@ -378,6 +388,24 @@ class TestDeltaEstimate:
         stage1, report = random_bump_stage1(seed)
         assert report.h_minus == 1
         assert cohomlab.delta_j_estimate(stage1, report, eps) <= sampled_delta(stage1, report, eps)
+
+    def test_a_structure_with_many_distinct_arc_starts(self):
+        # a non-radial h = 1 structure: y = (cos b, 0, sin b) for a band-limited
+        # b has 65536 distinct arc starts at n = 16, one per node, far more
+        # than a radial stage 1 (26 at n = 24 and n = 32)
+        G16 = tf.GridSpec(16)
+        noise = tf.ScalarField(G16, np.random.default_rng(5).standard_normal(G16.shape))
+        beta = tf.spectral_truncate(noise, 3).values
+        beta = beta * (1.2 / np.max(np.abs(beta)))
+        y = np.stack([np.cos(beta), np.zeros(G16.shape), np.sin(beta)], axis=-1)
+        triple = hm.HermitianTriple(G16, y)
+        report = cohomlab.gram_matrix(triple)
+        assert report.h_minus == 1
+        pinned = {1e-6: 0.99993896484375, 1e-2: 0.968994140625, 0.3: 0.2558441162109375}
+        for eps, value in pinned.items():
+            certified = cohomlab.delta_j_estimate(triple, report, eps)
+            assert certified == value
+            assert certified <= sampled_delta(triple, report, eps)
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-2, 0.3])
     def test_certified_is_at_most_a_dense_scan(self, eps):

@@ -305,6 +305,14 @@ class TestBump:
         assert np.all(b.values >= 0.0)
         assert np.all(b.values <= 0.7)
 
+    @pytest.mark.parametrize("radius", [0.05, 0.2, 0.3, 0.49])
+    def test_values_never_exceed_the_height(self, radius):
+        # exp(1 - 1/(1 - s^2)) <= 1 in floating point as in exact arithmetic,
+        # which keeps stage 2's c2 |a| at or below |a|
+        for center in (self.CENTER, (0.0, 0.0, 0.0, 0.0), (0.03, 0.97, 0.5, 0.2)):
+            b = tf.bump_cutoff(G16, center, radius, 1.0)
+            assert b.values.max() <= 1.0
+
     def test_integral_bounds(self):
         b = tf.bump_cutoff(G16, self.CENTER, 0.2, 0.7)
         total = tf.integrate(b)
