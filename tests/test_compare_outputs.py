@@ -72,6 +72,17 @@ def test_lists_files_on_one_side_only(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("case", ["both-missing", "empty-and-missing", "same-plain-file"])
+def test_no_outputs_is_a_usage_error(tmp_path, capsys, case):
+    # nothing to compare must not pass as "no difference"
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "plain").write_text("{}")
+    a, b = {"both-missing": ("nope1", "nope2"), "empty-and-missing": ("empty", "nope2"),
+            "same-plain-file": ("plain", "plain")}[case]
+    assert compare_outputs.main([str(tmp_path / a), str(tmp_path / b)]) == 2
+    assert capsys.readouterr().err == f"{tmp_path / a}: not a directory that holds a file\n"
+
+
 def test_two_cli_runs_write_the_same_outputs(tmp_path, capsys):
     # the two-stage run writes its structures through save_triple
     runs = (["two-stage", "--grid-n", "8"],

@@ -8,6 +8,8 @@
 - Files present on one side only are listed.
 
 Prints one line per difference and exits 1 if there is any, 0 otherwise.
+Exits 2, naming the argument, unless both are directories that hold at
+least one file, so a run that wrote nothing does not pass.
 
 Usage: ``python3 tools/compare_outputs.py A B``
 """
@@ -90,6 +92,10 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
         return 2
+    for arg in argv:
+        if not (Path(arg).is_dir() and any(p.is_file() for p in Path(arg).rglob("*"))):
+            print(f"{arg}: not a directory that holds a file", file=sys.stderr)
+            return 2
     lines = compare_dirs(Path(argv[0]), Path(argv[1]))
     for line in lines:
         print(line)
