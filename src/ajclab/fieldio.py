@@ -38,13 +38,8 @@ from .torusfield import (
 
 MAGIC = "AJC1"
 
-_KIND_TO_CLS = {
-    "scalar": ScalarField,
-    "oneform": OneFormField,
-    "twoform": TwoFormField,
-    "threeform": ThreeFormField,
-    "sdcoords": SelfDualCoordField,
-}
+_KIND_TO_CLS = {cls.KIND: cls for cls in (ScalarField, OneFormField, TwoFormField,
+                                          ThreeFormField, SelfDualCoordField)}
 
 
 class FieldFormatError(ValueError):

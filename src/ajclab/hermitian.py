@@ -398,15 +398,18 @@ def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: De
     Takes the surviving null direction a of stage1, checks the bump support
     volume against the stage-1 delta estimate, and renormalizes
     y2 = f1 y1 + c2 a with f1 = sqrt(1 - c2^2 |a|^2), which keeps |y2| = 1
-    because a is orthogonal to y1 at every node.  The result is
-    cross-checked against the rational deformation route with
-    beta = c2 a / (1 + f1), through :func:`_deform`.
+    because a is orthogonal to y1 at every node.  f1 is real: the bump
+    values c2 are at most their height, itself at most 1, and a from
+    :func:`.cohomlab.select_null_form` is a unit row divided by sqrt(2), so
+    c2^2 |a|^2 <= 1/2 up to rounding.  The result is cross-checked against
+    the rational deformation route with beta = c2 a / (1 + f1), through
+    :func:`_deform`.
 
-    The renormalization, the |c2 a| < 1 check, the route cross-check and
-    its |alt| = 1 check run on the rows of the bump support alone: off it
-    f1 = 1 and beta = 0, so both routes return y1 exactly.  The wedge-square
-    residual, which off the support is stage 1's, and the validation of the
-    new structure run on the whole grid.
+    The renormalization, the route cross-check and its |alt| = 1 check run
+    on the rows of the bump support alone: off it f1 = 1 and beta = 0, so
+    both routes return y1 exactly.  The wedge-square residual, which off the
+    support is stage 1's, and the validation of the new structure run on the
+    whole grid.
     """
     from . import cohomlab
 
@@ -419,11 +422,6 @@ def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: De
     )
     grid = stage1.grid
     prod_sq = c2**2 * float(w @ w)
-    if float(np.max(prod_sq, initial=0.0)) >= 1.0:
-        node = _worst_node(grid, prod_sq, rows)
-        raise ValueError(
-            f"stage-2 normalization fails: |c2 a| >= 1 at node {node}"
-        )
     f1 = np.sqrt(1.0 - prod_sq)
     y1 = stage1.y.reshape(-1, 3)[rows]
     y2_rows = f1[:, None] * y1 + c2[:, None] * w
