@@ -207,8 +207,8 @@ def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows, finish):
     grid is checked twice; when that fails, an invariant part inside
     FORM_TOL is named as the cause.
     """
-    nsq = np.sum(a * a, axis=-1)
-    along = np.abs(np.sum(a * y, axis=-1))
+    nsq = np.einsum("...k,...k", a, a)
+    along = np.abs(np.einsum("...k,...k", a, y))
     invariant = float(np.max(along, initial=0.0))
     sup_sq = float(np.max(nsq, initial=0.0))
     if invariant > pl.FORM_TOL * max(1.0, float(np.sqrt(sup_sq))):
