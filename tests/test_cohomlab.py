@@ -192,6 +192,16 @@ class TestSelectNullForm:
         w = cohomlab.select_null_form(report)
         assert abs(float(w @ w) - 0.5) <= 4 * np.spacing(0.5)
 
+    @pytest.mark.parametrize("seed", ["golden", "default", *range(24)],
+                             ids=lambda s: s if isinstance(s, str) else f"bump{s}")
+    def test_stage1_sup_norm_is_at_most_height_over_sqrt2(self, seed):
+        # a = c1 w with c1 <= height and |w|^2 = 1/2, so stage 1 needs no
+        # rescaling to keep |a| < 1
+        bump, grid = {"golden": (BUMP1, G8), "default": (LabConfig().bump1, tf.GridSpec(16))}.get(
+            seed) or random_bump(seed)
+        record = hm.one_bump_deform(hm.standard_acs(grid), bump)[1].to_list()[0]
+        assert record["sup_norm"] <= bump.height / np.sqrt(2.0) * (1.0 + 4 * np.finfo(float).eps)
+
 
 class TestVMeasure:
     def test_never_vanishing(self):
@@ -265,13 +275,19 @@ def scanned_delta(triple, report, eps, count):
     return best / ys.shape[0]
 
 
-def random_bump_stage1(seed):
-    """Stage 1 of the standard structure under a seeded random bump, on a
-    grid of n = 8, 12 or 16, with its Gram report."""
+def random_bump(seed):
+    """A seeded random bump and a grid of n = 8, 12 or 16."""
     rng = np.random.default_rng(seed)
     grid = tf.GridSpec(int(rng.choice([8, 12, 16])))
     bump = hm.BumpSpec(tuple(rng.uniform(0.0, 1.0, 4)), float(rng.uniform(0.1, 0.45)),
                        float(rng.uniform(0.1, 1.0)))
+    return bump, grid
+
+
+def random_bump_stage1(seed):
+    """Stage 1 of the standard structure under :func:`random_bump`, with its
+    Gram report."""
+    bump, grid = random_bump(seed)
     stage1, _, (_, report1) = hm.one_bump_deform(hm.standard_acs(grid), bump)
     return stage1, report1
 
