@@ -160,23 +160,29 @@ def select_null_form(report: GramReport) -> np.ndarray:
     return report.null_coords[0] / np.sqrt(2.0)
 
 
+def _nodal_cut(eps: float, sizes: np.ndarray) -> float:
+    """eps * max(1, sup sizes), the cut above which a node's |f| counts as
+    resolvably nonzero, for the non-negative nodewise ``sizes`` (|f|, or a
+    bound on it).  Their max, which a NaN or an infinity makes non-finite, is
+    both the finiteness check and the cut's scale.  A non-positive or
+    non-finite ``eps``, or a non-finite max, raises ValueError."""
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    sup = float(sizes.max())
+    if not np.isfinite(sup):
+        raise ValueError("f_omega has non-finite values")
+    return eps * max(1.0, sup)
+
+
 def v_measure(triple: HermitianTriple, w, eps: float) -> float:
     """Volume fraction where <omega, F> is resolvably nonzero for the
     constant form omega = sum_k w_k omega_k: the fraction of nodes with |f|
-    above eps * max(1, sup|f|).  The :func:`f_omega` values (bit for bit)
-    are scaled and made absolute in place; their max, which a NaN or an
-    infinity makes non-finite, is both the finiteness check and the cut's
-    scale.  A non-positive or non-finite ``eps`` raises ValueError."""
-    if not 0.0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    above :func:`_nodal_cut`, eps * max(1, sup|f|).  The :func:`f_omega`
+    values (bit for bit) are scaled and made absolute in place."""
     f = triple.y @ np.asarray(w, float)
     f *= 2.0
     np.abs(f, out=f)
-    sup = float(f.max())
-    if not np.isfinite(sup):
-        raise ValueError("f_omega has non-finite values")
-    cut = eps * max(1.0, sup)
-    return np.count_nonzero(f > cut) / f.size
+    return np.count_nonzero(f > _nodal_cut(eps, f)) / f.size
 
 
 #: a bound on each rounding error of the arc sweep of :func:`delta_j_estimate`:
@@ -232,17 +238,12 @@ def delta_j_estimate(triple: HermitianTriple, report: GramReport, eps: float) ->
     basis = _projector_rows(V @ V.T)
     if l == 1:
         return v_measure(triple, basis[0] / np.sqrt(2.0), eps)
-    if not 0.0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
     # three node buffers, p, q and half, and every step works in place: the
     # arc starts are written over q and the ends over p
     p, q = (np.sqrt(2.0) * basis) @ triple.y.reshape(-1, 3).T
     n = p.size
     half = np.hypot(p, q)
-    sup = float(half.max())
-    if not np.isfinite(sup):
-        raise ValueError("f_omega has non-finite values")
-    cut = (eps * max(1.0, sup) + 2.0 * _SWEEP_ROUNDING) * (1.0 + _SWEEP_ROUNDING)
+    cut = (_nodal_cut(eps, half) + 2.0 * _SWEEP_ROUNDING) * (1.0 + _SWEEP_ROUNDING)
     with np.errstate(divide="ignore"):
         np.divide(cut, half, out=half)
     dead = half >= 1.0

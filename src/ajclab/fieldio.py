@@ -23,6 +23,7 @@ fundamental form F instead, of twoform kind, and still load.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +47,6 @@ class FieldFormatError(ValueError):
     """Raised for malformed or mismatching field files."""
 
 
-def _ncomp(cls) -> int:
-    return int(np.prod(cls.NCOMP)) if cls.NCOMP else 1
-
-
 def serialize_field(field, path) -> None:
     """Write a field to ``path`` in the documented binary format; a field of
     no kind :func:`deserialize_field` reads back raises
@@ -59,7 +56,7 @@ def serialize_field(field, path) -> None:
     if _KIND_TO_CLS.get(field.KIND) is not type(field):
         raise FieldFormatError(f"{type(field).__name__} has no field-file kind")
     grid = field.grid
-    rows = field.values.reshape(grid.node_count, _ncomp(field))
+    rows = field.values.reshape(grid.node_count, -1)
     payload = np.ascontiguousarray(rows.T, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(f"{MAGIC} {field.KIND} {grid.n}\n".encode("ascii"))
@@ -103,7 +100,7 @@ def deserialize_field(path, expect_grid: GridSpec | None = None):
         raise FieldFormatError(f"{path}: {exc}") from exc
     if expect_grid is not None and grid != expect_grid:
         raise FieldFormatError(f"{path}: grid n={n}, expected n={expect_grid.n}")
-    ncomp = _ncomp(cls)
+    ncomp = math.prod(cls.NCOMP)
     expected_bytes = 8 * ncomp * grid.node_count
     body_bytes = len(raw) - (nl + 1)
     if body_bytes != expected_bytes:

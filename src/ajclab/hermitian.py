@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +66,6 @@ from .torusfield import (
     spectral_truncate,
 )
 
-#: deformation forms are rescaled so their sup wedge norm stays below this
-SUP_NORM_CAP = 0.95
 #: bound on the disagreement of stage 2's normalization and rational
 #: deformation routes
 ROUTE_TOL = 1e-9
@@ -146,17 +144,12 @@ class HermitianTriple:
         return AcsField(self.grid, pl.acs_from_coords(self.y))
 
 
-@dataclass
-class DeformLog:
-    """Append-only record of construction stages (JSON-ready dicts)."""
-
-    stages: list[dict] = field(default_factory=list)
-
-    def append(self, record: dict) -> None:
-        self.stages.append(record)
+class DeformLog(list):
+    """The records of the construction stages, JSON-ready dicts in stage
+    order; the stages append to it."""
 
     def to_list(self) -> list[dict]:
-        return list(self.stages)
+        return list(self)
 
 
 @dataclass(frozen=True)
@@ -287,8 +280,8 @@ def random_compatible_acs(
 
     The deformation form is a(x) OMEGA2 + b(x) OMEGA3 with a, b independent
     random trigonometric polynomials of modes up to ``bandlimit``, rescaled
-    so the sup of the pointwise wedge norm equals ``amplitude`` (capped at
-    SUP_NORM_CAP).  Deterministic per seed.
+    so the sup of the pointwise wedge norm equals ``amplitude``, any value
+    in (0, 1).  Deterministic per seed.
     """
     if not 0.0 < amplitude < 1.0:
         raise ValueError(f"amplitude must lie in (0, 1), got {amplitude}")
@@ -300,23 +293,9 @@ def random_compatible_acs(
         for _ in range(2)
     )
     sup = float(np.sqrt(np.max(a**2 + b**2)))
-    scale = min(amplitude, SUP_NORM_CAP) / max(sup, 1e-300)
+    scale = amplitude / max(sup, 1e-300)
     coeffs = np.stack([np.zeros(grid.shape), a * scale, b * scale], axis=-1)
     return deform_field(standard_acs(grid), coeffs)
-
-
-def _sup_norm(a: np.ndarray) -> float:
-    """The largest |a| over the rows of a deformation field; 0.0 for no rows."""
-    return float(np.sqrt(np.max(np.sum(a * a, axis=-1), initial=0.0)))
-
-
-def _capped(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Rescale a deformation field so its sup norm is at most SUP_NORM_CAP."""
-    sup = _sup_norm(a)
-    if sup > SUP_NORM_CAP:
-        factor = SUP_NORM_CAP / sup
-        return factor * a, factor
-    return a, 1.0
 
 
 def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, what: str,
@@ -357,12 +336,16 @@ def one_bump_deform(
     (report0, report1)), the Gram reports of the input and of stage1.
 
     Picks the most null harmonic anti-invariant direction of the input,
-    truncates it by the bump, and deforms, once the bump support volume is
-    below :func:`.cohomlab.delta_j_estimate` of the input structure.  The
-    capping and the checks of :func:`_deform` run on the rows of the bump
-    support alone: off it the deformation form is zero, so it passes every
-    check and leaves y as it is, and those nodes are copied from the input.
-    The new structure is validated on the whole grid.
+    truncates it by the bump, and deforms by a = c1 w, once the bump support
+    volume is below :func:`.cohomlab.delta_j_estimate` of the input
+    structure.  |a| < 1 holds with room to spare, so a is not rescaled: the
+    bump values c1 are at most their height, itself at most 1, and w from
+    :func:`.cohomlab.select_null_form` is a unit row divided by sqrt(2), so
+    |a| <= height / sqrt(2) <= 0.71 up to rounding; the log's ``sup_norm``
+    is the largest |a|.  The checks of :func:`_deform` run on the rows of
+    the bump support alone: off it the deformation form is zero, so it
+    passes every check and leaves y as it is, and those nodes are copied
+    from the input.  The new structure is validated on the whole grid.
     """
     from . import cohomlab
 
@@ -371,15 +354,14 @@ def one_bump_deform(
     if report0.h_minus < 1:
         raise ValueError("stage 1 needs at least one harmonic anti-invariant direction")
     w, rows, c1, head = _cutoff_stage(triple, report0, bump, "cutoff-1", "bump support volume", eps)
-    a, factor = _capped(c1[:, None] * w)
+    a = c1[:, None] * w
     stage1 = _deform(triple.grid, triple.y.reshape(-1, 3)[rows], a, rows,
                      lambda out: HermitianTriple(triple.grid, _scatter(triple.y, rows, out)))
     report1 = cohomlab.gram_matrix(stage1, tol_null=tol_null)
     log = DeformLog()
     log.append({
         **head,
-        "sup_norm": _sup_norm(a),
-        "rescale_factor": factor,
+        "sup_norm": float(np.sqrt(np.max(np.sum(a * a, axis=-1), initial=0.0))),
         "null_direction": report0.null_coords[0].tolist(),
         "h_before": report0.h_minus,
         "h_after": report1.h_minus,
@@ -479,21 +461,22 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
     y determines the structure, so neither F nor J is built or written.
     Before any file is opened, the y file name ``<stem>.y.field`` must be a
     plain file name (:func:`_plain_name`), as :func:`load_triple` requires,
-    and y must pass :func:`_require_unit`, which names the worst node."""
+    y must pass :func:`_require_unit`, which names the worst node, and the
+    sidecar must encode as JSON, so a failed save writes nothing."""
     y_name = _plain_name(f"{stem}.y.field", "y")
     _require_unit(triple.grid, triple.y, None)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    serialize_field(SelfDualCoordField(triple.grid, triple.y), directory / y_name)
-    sidecar = {
+    sidecar = json.dumps({
         "format": 3,
         "grid_n": triple.grid.n,
         "files": {"y": y_name},
         "params": params or {},
         "deform_log": log.to_list() if log is not None else [],
-    }
+    }, indent=2)
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    serialize_field(SelfDualCoordField(triple.grid, triple.y), directory / y_name)
     path = directory / f"{stem}.json"
-    path.write_text(json.dumps(sidecar, indent=2))
+    path.write_text(sidecar)
     return path
 
 

@@ -218,7 +218,7 @@ def scenario_path(cfg: LabConfig) -> ScenarioReport:
         base = hm.standard_acs(grid)
         base_gram = cohomlab.gram_matrix(base, tol_null=cfg.tol_null)
         w = cohomlab.select_null_form(base_gram)
-        a, _ = hm._capped(cfg.bump1.build(grid).values[..., None] * w)
+        a = cfg.bump1.build(grid).values[..., None] * w
         ts = np.linspace(0.0, 0.95, cfg.path_steps)
         hs = []
         for t in ts:

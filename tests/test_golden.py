@@ -33,8 +33,8 @@ BUMP1 = hm.BumpSpec((0.5, 0.5, 0.5, 0.5), 0.3, 0.5)
 BUMP2 = hm.BumpSpec((0.25, 0.25, 0.25, 0.25), 0.25, 0.5)
 RANDOM_SEEDS = (1, 2, 3, 4, 5)
 #: the deform-log values of each stage pinned exactly; a stage pins those it logs
-LOG_KEYS = ("delta_estimate", "support_volume", "sup_norm", "rescale_factor",
-            "route_disagreement", "wedge_square_residual")
+LOG_KEYS = ("delta_estimate", "support_volume", "sup_norm", "route_disagreement",
+            "wedge_square_residual")
 
 
 def structures():

@@ -219,6 +219,13 @@ class TestRandomCompatible:
         assert float(t.max()) == pytest.approx(0.3, abs=1e-10)
         del base
 
+    @pytest.mark.parametrize("amplitude", [0.3, 0.97, 0.99])
+    def test_sup_norm_is_the_amplitude_itself(self, amplitude):
+        # y = deform_coords(e1, a) with a . e1 = 0 has y0 = (1 - |a|^2) / (1 + |a|^2)
+        y = hm.random_compatible_acs(G8, seed=3, amplitude=amplitude, bandlimit=2).y
+        t = np.sqrt((1.0 - y[..., 0]) / (1.0 + y[..., 0]))
+        assert abs(float(t.max()) - amplitude) <= 1e-12
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="amplitude"):
             hm.random_compatible_acs(G8, 1, 1.5, 2)
@@ -363,10 +370,10 @@ class TestSupportPath:
     @staticmethod
     def reference_stages(base, bump1, bump2):
         """The stage formulas on the whole grid: y1 = deform_coords(y, a1) with
-        a1 the capped bump-truncated null direction, and y2 = f1 y1 + c2 w2
-        with its rational cross-check route."""
+        a1 the bump-truncated null direction, and y2 = f1 y1 + c2 w2 with its
+        rational cross-check route."""
         w1 = cohomlab.select_null_form(cohomlab.gram_matrix(base))
-        a1, _ = hm._capped(bump1.build(base.grid).values[..., None] * w1)
+        a1 = bump1.build(base.grid).values[..., None] * w1
         y1 = pl.deform_coords(base.y, a1)
         w2 = cohomlab.select_null_form(cohomlab.gram_matrix(hm.HermitianTriple(base.grid, y1)))
         c2 = bump2.build(base.grid).values
@@ -382,7 +389,7 @@ class TestSupportPath:
         assert stage1.y.tobytes() == base.y.tobytes()
         record = log.to_list()[0]
         assert record["sup_norm"] == 0.0 and record["support_volume"] == 0.0
-        assert record["rescale_factor"] == 1.0
+        assert "rescale_factor" not in record
         assert record["h_after"] == record["h_before"] == report1.h_minus == report0.h_minus == 2
 
         stage1, log, (_, report1) = hm.one_bump_deform(base, BUMP1)
@@ -460,7 +467,7 @@ class TestDeformPairAgreement:
         base = hm.standard_acs(G8)
         stage1, stage2, _ = hm.two_stage_deform(base, BUMP1, BUMP2)
         w1 = cohomlab.select_null_form(cohomlab.gram_matrix(base))
-        a1, _ = hm._capped(BUMP1.build(G8).values[..., None] * w1)
+        a1 = BUMP1.build(G8).values[..., None] * w1
         self.assert_agrees(stage1, base.J.values, a1 @ pl.OMEGA_SD)
         w2 = cohomlab.select_null_form(cohomlab.gram_matrix(stage1))
         c2 = BUMP2.build(G8).values
@@ -578,6 +585,13 @@ class TestTripleIO:
             hm.save_triple(triple, tmp_path, "bad")
         assert not (tmp_path / "bad.y.field").exists()
         assert not (tmp_path / "bad.json").exists()
+
+    def test_save_writes_nothing_when_the_sidecar_cannot_be_encoded(self, tmp_path):
+        # the sidecar is encoded before the y file is written, so no y file is left alone
+        triple = hm.standard_acs(G8)
+        with pytest.raises(TypeError, match="int64"):
+            hm.save_triple(triple, tmp_path, "x", params={"seed": np.int64(3)})
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_structure_threshold_is_1e_9(self, tmp_path):
         # |y|^2 - 1 = d is a J^2 + Id defect d

@@ -113,8 +113,8 @@ STAGE1_CHECKS = [
     "kernel intersection dimension at most 1",
 ]
 STAGE1_LOG_KEYS = [
-    "stage", "bump", "delta_estimate", "support_volume", "sup_norm", "rescale_factor",
-    "null_direction", "h_before", "h_after", "runtime_ms",
+    "stage", "bump", "delta_estimate", "support_volume", "sup_norm", "null_direction",
+    "h_before", "h_after", "runtime_ms",
 ]
 STAGE2_LOG_KEYS = [
     "stage", "bump", "delta_estimate", "support_volume", "sup_norm", "null_direction",
