@@ -358,15 +358,14 @@ def one_bump_deform(
     stage1 = _deform(triple.grid, triple.y.reshape(-1, 3)[rows], a, rows,
                      lambda out: HermitianTriple(triple.grid, _scatter(triple.y, rows, out)))
     report1 = cohomlab.gram_matrix(stage1, tol_null=tol_null)
-    log = DeformLog()
-    log.append({
+    log = DeformLog([{
         **head,
         "sup_norm": float(np.sqrt(np.max(np.sum(a * a, axis=-1), initial=0.0))),
         "null_direction": report0.null_coords[0].tolist(),
         "h_before": report0.h_minus,
         "h_after": report1.h_minus,
         "runtime_ms": 1000.0 * (time.perf_counter() - t0),
-    })
+    }])
     return stage1, log, (report0, report1)
 
 
