@@ -197,8 +197,8 @@ class TestSelectNullForm:
     def test_stage1_sup_norm_is_at_most_height_over_sqrt2(self, seed):
         # a = c1 w with c1 <= height and |w|^2 = 1/2, so stage 1 needs no
         # rescaling to keep |a| < 1
-        bump, grid = {"golden": (BUMP1, G8), "default": (LabConfig().bump1, tf.GridSpec(16))}.get(
-            seed) or random_bump(seed)
+        named = {"golden": (BUMP1, G8), "default": (LabConfig().bump1, tf.GridSpec(16))}
+        bump, grid = named[seed] if seed in named else random_bump(seed)
         record = hm.one_bump_deform(hm.standard_acs(grid), bump)[1].to_list()[0]
         assert record["sup_norm"] <= bump.height / np.sqrt(2.0) * (1.0 + 4 * np.finfo(float).eps)
 

@@ -587,7 +587,7 @@ class TestTripleIO:
         assert not (tmp_path / "bad.json").exists()
 
     def test_save_writes_nothing_when_the_sidecar_cannot_be_encoded(self, tmp_path):
-        # the sidecar is encoded before the y file is written, so no y file is left alone
+        # the sidecar is encoded before the y file is written, so none is left without it
         triple = hm.standard_acs(G8)
         with pytest.raises(TypeError, match="int64"):
             hm.save_triple(triple, tmp_path, "x", params={"seed": np.int64(3)})
