@@ -433,7 +433,33 @@ class TestDeltaEstimate:
             assert certified <= scanned_delta(triple, report, eps, 20_001)
 
 
+def circle_structure(grid, beta):
+    """An h = 1 structure: y = cos(theta) u + sin(theta) w on the great
+    circle orthogonal to the unit vector along ``beta``, for an orthonormal
+    pair (u, w) orthogonal to it, with theta = sin 2 pi x0 + cos 2 pi (x1 + x2) / 2.
+    Where y swings across the circle, a per-node pivot axis of the
+    frame changes between nodes."""
+    beta = np.asarray(beta, float) / np.linalg.norm(beta)
+    u = np.cross(beta, np.eye(3)[np.argmin(np.abs(beta))])
+    u /= np.linalg.norm(u)
+    w = np.cross(beta, u)
+    x0, x1, x2, _ = grid.coords()
+    theta = (np.sin(2 * np.pi * x0) + 0.5 * np.cos(2 * np.pi * (x1 + x2)))[..., None]
+    y = np.cos(theta) * u + np.sin(theta) * w + np.zeros(grid.shape + (3,))
+    return hm.HermitianTriple(grid, y)
+
+
+#: the circles' normals: the cube diagonal and a generic direction
+CIRCLE_NORMALS = {"diagonal": (1.0, 1.0, 1.0), "generic": (1.0, 2.0, 0.5)}
+
+
 class TestEllipticOracle:
+    @pytest.mark.parametrize("normal", list(CIRCLE_NORMALS))
+    def test_circle_matches_gram(self, normal):
+        triple = circle_structure(G6, CIRCLE_NORMALS[normal])
+        assert cohomlab.gram_matrix(triple).h_minus == 1
+        assert cohomlab.elliptic_kernel_dim(triple, G6).kernel_dim == 1
+
     def test_baseline_kernel_two(self):
         report = cohomlab.elliptic_kernel_dim(hm.standard_acs(G6), G6)
         assert report.kernel_dim == 2
