@@ -20,26 +20,26 @@ i.e. beta^T G beta = 0 for the Gram matrix
 anti-invariant constants are exactly its kernel.  Constant self-dual forms
 are handled by their coordinates beta throughout.
 
-The second route discretizes the self-adjoint strongly elliptic operator
-psi -> P^-(d delta psi) on sections of the anti-invariant plane and counts
-near-zero singular values; its kernel consists of the harmonic
-anti-invariant forms, so it must agree with the Gram rank on every
-structure.  It is kept at coarse resolution as an independent oracle.
-Both its input and its output pairing live in the self-dual plane: a
-section is sum_k c_k omega_k, and the nodewise anti-invariant frames v_j
-(:func:`.hermitian.anti_invariant_frame`) see an output phi only through
-its self-dual coordinates s_k = <phi, omega_k>, because P^- is the
-orthogonal projection onto the plane the frames span, so
-<P^- phi, v_j @ OMEGA_SD> = <phi, v_j @ OMEGA_SD> = v_j . s.  On a
-self-dual psi, delta d psi = star d delta psi (delta = -star d star and
-star psi = psi), so the Hodge Laplacian Delta psi = d delta psi + star d
-delta psi is twice the self-dual part: P^+ d delta P^+ = Delta / 2.  On the
-flat torus Delta acts on each coordinate a_k of psi = sum_k a_k omega_k
-alone, and |omega_k|^2 = 2, so s = Delta a componentwise.  d delta
-therefore enters only as one scalar convolution kernel, the impulse
-response of the spectral Laplacian, read off from
-:func:`.torusfield.d_codiff_values` and checked there to be scalar; no 4x4
-J is built.
+The second route counts the small eigenvalues of the self-adjoint
+elliptic operator psi -> P^-(d delta psi) on sections of the
+anti-invariant plane, whose kernel is the harmonic anti-invariant forms, so
+the count must equal the Gram rank on every structure.  A section is
+a_1 v_1 + a_2 v_2 in the frame of :func:`.hermitian.anti_invariant_frame`,
+with coefficients a_i on the modes below the Nyquist band (P), and the
+operator is A = P V^T C V P: V maps coefficients to self-dual coordinates
+(an isometry), and P^- drops out because the frame spans the plane it
+projects onto.  On a self-dual psi, delta d psi = star d delta psi, so
+P^+ d delta P^+ = Delta / 2, which on the flat torus acts on each
+coordinate alone: C is one scalar convolution kernel, read off from
+:func:`.torusfield.d_codiff_values` (:func:`_scalar_kernel`).  The
+spectral derivative zeroes every Nyquist bin, so C vanishes on the 48
+corner sections phi e_l (phi a corner mode, every k_a in {0, n/2}) and is
+at least lambda_gap = (2 pi)^2 / 2 off them.  Hence A >= lambda_gap
+(I - W^T W) for W = Pi V P, Pi the projection onto the corner sections,
+and by Weyl's inequality lambda_j(A) >= lambda_gap (1 - beta_j) for the
+eigenvalues beta_j of the 48 x 48 matrix W W^T in descending order; Ritz
+values on the lifted constants bound lambda_j(A) from above
+(Courant-Fischer).  Neither A nor any 4x4 J is built.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import numpy as np
 from . import pointlin as pl
 from .hermitian import HermitianTriple, anti_invariant_frame
 from .torusfield import (
+    GRID_AXES,
     GridSpec,
     ScalarField,
     TwoFormField,
@@ -64,11 +65,9 @@ B2 = 6
 #: principal-angle threshold for subspace comparisons (radians)
 ANGLE_TOL = 1e-3
 
-#: the elliptic oracle's kernel threshold, relative to the largest singular
-#: value
+#: the elliptic oracle's kernel threshold, relative to lambda_gap, the
+#: smallest nonzero value of its kernel's symbol ((2 pi)^2 / 2 at every n)
 ORACLE_TAU = 1e-6
-#: largest dimension of the elliptic oracle's dense matrix
-ORACLE_MAX_DIM = 5000
 
 
 @dataclass(frozen=True)
@@ -278,177 +277,136 @@ def delta_j_estimate(triple: HermitianTriple, report: GramReport, eps: float) ->
 
 @dataclass(frozen=True)
 class EllipticReport:
-    """Spectrum summary of the discretized anti-invariant elliptic operator."""
+    """The elliptic operator's certified small-eigenvalue count and the
+    bounds that decided it (:func:`elliptic_kernel_dim`)."""
 
     grid_n: int
-    retained_modes: int        # scalar Fourier modes kept per coefficient
-    matrix_dim: int
-    smallest_singular_values: np.ndarray  # ascending, up to 8
-    largest_singular_value: float
+    pivot: np.ndarray          # the frame's pivot
+    clearance: float           # min_x |pivot x y(x)|
+    lambda_gap: float          # smallest nonzero value of the kernel's symbol
+    threshold: float           # t = ORACLE_TAU * lambda_gap
+    lower_bounds: np.ndarray   # the 8 smallest certified lower bounds, ascending
+    ritz_values: np.ndarray    # upper bounds on the smallest eigenvalues, ascending
     kernel_dim: int
-    tau: float
-    symmetry_defect: float
 
 
-def _line_basis(n: int) -> np.ndarray:
-    """Columns of an orthonormal (under the Euclidean sum) real trigonometric
-    basis of functions on n nodes of the circle, shape (n, n - 1): the
-    constant, then sqrt(2) cos and sqrt(2) sin of 2 pi k x for k = 1 ...
-    n/2 - 1, all divided by sqrt(n).  The Nyquist mode is left out."""
-    x = np.arange(n) / n
-    columns = [np.ones(n)]
-    for k in range(1, n // 2):
-        columns += [np.sqrt(2.0) * np.cos(2.0 * np.pi * k * x),
-                    np.sqrt(2.0) * np.sin(2.0 * np.pi * k * x)]
-    return np.stack(columns, axis=-1) / np.sqrt(n)
-
-
-def _scalar_kernel(grid: GridSpec) -> np.ndarray:
-    """Half the nodal kernel c of d delta between self-dual coordinates,
-    shape grid.shape: the self-dual coordinates of d delta psi are
-    s_l(x) = sum_x' c(x - x') a_l(x') for psi = sum_k a_k omega_k.  Read off
-    as the response of :func:`.torusfield.d_codiff_values` to the impulses
-    omega_k at node 0, which must be delta_lk c to pl.AGREEMENT_TOL relative
-    to max|c|, or :class:`.pointlin.ConsistencyError` is raised."""
+def _scalar_kernel(grid: GridSpec) -> tuple[np.ndarray, float]:
+    """The symbol of C, half the nodal kernel c of d delta between self-dual
+    coordinates (grid shape), and lambda_gap, its smallest value off the 16
+    corner modes.  c is the response of :func:`.torusfield.d_codiff_values`
+    to the impulses omega_k at node 0, which must be delta_lk c with
+    c(x) = c(-x), to pl.AGREEMENT_TOL relative to max|c|; the symbol must
+    be within that tolerance (relative to its largest value) of 0 on the
+    corners and above it elsewhere.  Otherwise
+    :class:`.pointlin.ConsistencyError` is raised."""
     impulses = np.zeros((3,) + grid.shape + (6,))
     impulses[:, 0, 0, 0, 0] = pl.OMEGA_SD
-    response = d_codiff_values(impulses, grid) @ pl.OMEGA_SD.T  # (k, grid, l)
+    response = d_codiff_values(impulses, grid) @ pl.OMEGA_SD.T / 2.0  # (k, grid, l)
     c = response[0, ..., 0]
+    tol = pl.AGREEMENT_TOL * float(np.max(np.abs(c)))
     mixing = float(np.max(np.abs(response - np.eye(3)[:, None, None, None, None] * c[..., None])))
-    if mixing > pl.AGREEMENT_TOL * float(np.max(np.abs(c))):
+    if mixing > tol:
         raise pl.ConsistencyError(
             f"d delta is not scalar on self-dual coordinates (mixing {mixing:.3e})"
         )
-    return c / 2.0
+    skew = float(np.max(np.abs(c - np.roll(np.flip(c), 1, axis=GRID_AXES))))
+    if skew > tol:
+        raise pl.ConsistencyError(f"d delta's kernel is not symmetric (|c(x) - c(-x)| {skew:.3e})")
+    symbol = np.fft.fftn(c).real
+    half = grid.n // 2
+    corner = float(np.max(np.abs(symbol[::half, ::half, ::half, ::half])))
+    # once the 16 corners are within the tolerance and the 17th smallest
+    # value is above it, that value is the smallest off the corners
+    gap = float(np.partition(symbol, 16, axis=None)[16])
+    if not corner <= pl.AGREEMENT_TOL * float(symbol.max()) < gap:
+        raise pl.ConsistencyError(
+            f"d delta's symbol is up to {corner:.3e} on the corner modes and down to {gap:.3e} "
+            "off them"
+        )
+    return symbol, gap
 
 
-def _elliptic_matrix(triple: HermitianTriple, grid: GridSpec) -> np.ndarray:
-    """The unsymmetrized matrix of psi -> P^-(d delta psi) in the basis
-    E[:, r] frame_i of :func:`elliptic_kernel_dim`, with E = e (x) e (x) e
-    (x) e for e = :func:`_line_basis` and frame_i = v_i @ OMEGA_SD: block
-    (j, i) is E^T K_ji E for K_ji(x, x') = c(x - x') v_j(x) . v_i(x') / 2,
-    with c / 2 from :func:`_scalar_kernel`.  K_ji is built one slice x_0 of
-    the first grid axis at a time and contracted with e (x) e twice on the
-    right and with e (x) e (x) e on the left; the slices' results U[x_0] are
-    then contracted with e over x_0, one output row of e at a time."""
-    n, m = grid.n, grid.n - 1
-    R = m**4
-    e = _line_basis(n)
-    ee = np.kron(e, e)
-    eee = np.kron(ee, e)
-    c = _scalar_kernel(grid).reshape(n, n**3)
-    nodes = np.indices((n, n, n)).reshape(3, -1)
-    inner = np.ravel_multi_index((nodes[:, :, None] - nodes[:, None]) % n, (n, n, n))
-    # D[t, x, x''] = c((-t) mod n, x - x''), so that slice x_0 of c(x - x')
-    # is the view D[n - x_0 : 2n - x_0] over the first axis of x'
-    D = c[-np.arange(2 * n) % n][:, inner]
-    frames = np.stack(anti_invariant_frame(triple)).reshape(2, n, n**3, 3)
-    M = np.empty((2, m, m**3, 2, R))
-    U = np.empty((n, m**3, R))
-    for j in range(2):
-        for i in range(2):
-            for x0 in range(n):
-                K = (frames[j, x0] @ frames[i].reshape(-1, 3).T).reshape(n**3, n, n**3)
-                K *= D[n - x0 : 2 * n - x0].transpose(1, 0, 2)
-                K = K.reshape(-1, n**2) @ ee  # each step frees the previous one
-                K = np.matmul(ee.T, K.reshape(-1, n**2, m**2))
-                np.matmul(eee.T, K.reshape(n**3, R), out=U[x0])
-            for r0 in range(m):
-                M[j, r0, :, i] = (e[:, r0] @ U.reshape(n, -1)).reshape(m**3, R)
-    return M.reshape(2 * R, 2 * R)
+def _corner_capture(g: np.ndarray) -> np.ndarray:
+    """The eigenvalues beta_j, ascending, of W W^T (module docstring) for
+    the frame components g[i, l] = v_i . e_l, shape (2, 3) + grid shape.
+    Row (phi, l) of W is P of phi g[i, l] / sqrt(N), whose spectrum is
+    G_il(k - kappa) on the kept modes k, for the spectra G of g and phi's
+    frequency kappa.  The products are summed one kept k_0 at a time, over
+    2 x 48 rows of (n - 1)^3 modes."""
+    n = g.shape[-1]
+    half = n // 2
+    kept = np.delete(np.arange(n), half)
+    shifted = (kept, (kept - half) % n)  # k - kappa_a on one axis, for kappa_a = 0, n/2
+    spectra = np.fft.fftn(g, axes=(-4, -3, -2, -1))
+    ww = np.zeros((48, 48))
+    rows = np.empty((2, 16, 3, (n - 1) ** 3), complex)
+    for k0 in kept:
+        for c, (b0, b1, b2, b3) in enumerate(np.ndindex(2, 2, 2, 2)):
+            index = (...,) + np.ix_(shifted[b1], shifted[b2], shifted[b3])
+            rows[:, c] = spectra[:, :, (k0 - half * b0) % n][index].reshape(2, 3, -1)
+        for z in rows.reshape(2, 48, -1).view(float):  # real and imaginary parts side by side
+            ww += z @ z.T
+    return np.linalg.eigvalsh(ww / float(n) ** 8)
 
 
-def _symmetrize(M: np.ndarray, rows: int) -> float:
-    """Replace the square matrix M in place by (M + M^T) / 2, one block of
-    ``rows`` rows and the matching columns at a time, and return the
-    symmetry defect max|M - M^T| of the input.  The pair (a, b), (b, a) is
-    handled in the block of min(a, b), so each block's temporaries hold at
-    most ``rows`` rows of M."""
-    defect = 0.0
-    for lo in range(0, len(M), rows):
-        upper, lower = M[lo : lo + rows, lo:], M[lo:, lo : lo + rows].T
-        defect = max(defect, float(np.max(np.abs(upper - lower))))
-        mean = (upper + lower) / 2.0
-        M[lo : lo + rows, lo:] = mean
-        M[lo:, lo : lo + rows] = mean.T
-    return defect
+def _ritz_values(frames: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Ritz values, ascending, of A on the lifted constants, the trial
+    vectors of coefficients P(v_i . e_l) for l = 1, 2, 3: the eigenvalues of
+    their matrix K under A on the span of the eigenvectors of their Gram
+    matrix above ORACLE_TAU times its largest eigenvalue (e_1 lifts to 0 for
+    y = e_1).  P removes, along each grid axis, the Nyquist mode, s mean(s h)
+    for s = (-1)^j; K is (1/N) sum_k symbol(k) conj(F_l(k)) . F_m(k) over
+    the spectra F_l of the sections sum_i P(v_i . e_l) v_i."""
+    coeffs = frames
+    for ax in range(1, 5):
+        sign = (-1.0) ** np.arange(frames.shape[ax]).reshape([-1 if a == ax else 1 for a in range(6)])
+        coeffs = coeffs - sign * np.mean(coeffs * sign, axis=ax, keepdims=True)
+    gram = np.einsum("ixl,ixm->lm", *[coeffs.reshape(2, -1, 3)] * 2)
+    K = np.zeros((3, 3))
+    # one self-dual component of the three sections at a time
+    for part in np.einsum("i...l,i...k->k...l", coeffs, frames):
+        spectra = np.fft.fftn(part, axes=GRID_AXES).reshape(-1, 3)
+        K += (spectra.conj().T @ (spectra * symbol.reshape(-1, 1))).real / symbol.size
+    s, U = np.linalg.eigh(gram)
+    T = U[:, s > ORACLE_TAU * s[-1]] / np.sqrt(s[s > ORACLE_TAU * s[-1]])
+    return np.linalg.eigvalsh(T.T @ K @ T)
 
 
-def elliptic_kernel_dim(triple: HermitianTriple, oracle_grid: GridSpec) -> EllipticReport:
-    """Kernel dimension of the discretized operator psi -> P^-(d delta psi).
+def elliptic_kernel_dim(triple: HermitianTriple, grid: GridSpec) -> EllipticReport:
+    """The count of eigenvalues at or below t = ORACLE_TAU * lambda_gap of
+    the operator A of the module docstring, certified from both sides
+    without assembling A: at most #(lambda_gap (1 - beta_j) <= t), by
+    Weyl (:func:`_corner_capture`; beyond the 48th, lambda_j(A) >=
+    lambda_gap), and at least #(Ritz values <= t) (:func:`_ritz_values`).
+    When h_minus >= 1 the frame's pivot is a Gram kernel direction p and
+    v_2 = -p at every node, so the kernel lies in the trial space and its
+    Ritz value is rounding.  The two counts must agree, or
+    :class:`.pointlin.ConsistencyError` names both.
 
-    Sections of the anti-invariant plane are written in the nodewise pivoted
-    frame of :func:`anti_invariant_frame` with coefficients restricted to
-    the trigonometric modes below the Nyquist band (Nyquist modes are
-    invisible to the antisymmetric spectral derivative and would fake kernel
-    vectors).  The dense symmetric matrix has dimension
-    ``2 * (n - 1)^4``, which must stay at or below ORACLE_MAX_DIM (n = 6
-    gives 1250, n = 8 gives 4802).
-
-    The assembly is exact, not approximate.  The basis functions are
-    psi = E[:, r] v_i @ OMEGA_SD for the separable orthonormal basis
-    E = e (x) e (x) e (x) e of :func:`_line_basis`, which spans these modes.
-    Their pairing with v_j @ OMEGA_SD / 2 sees only the self-dual
-    coordinates s of d delta psi: the frames are anti-invariant and P^- is
-    an orthogonal projection, so P^- drops out.  On self-dual forms d
-    delta acts on each coordinate alone through one scalar kernel c
-    (:func:`_scalar_kernel`, read off from one call of
-    :func:`.torusfield.d_codiff_values` and checked to be scalar), so block
-    (j, i) of the matrix is E^T K_ji E with K_ji(x, x') =
-    c(x - x') v_j(x) . v_i(x') / 2.  :func:`_elliptic_matrix` builds K_ji
-    one slice of the first grid axis at a time and contracts it with the
-    Kronecker factors of E as plain matrix products: no basis matrix and no
-    per-column transform.
-
-    Memory goes to the dense matrix (8 (2R)^2 bytes: 12.5 MB at n = 6,
-    184 MB at n = 8, growing as its square).  The assembly adds the slice
-    results U of one block (j, i) (8 n (n - 1)^7 bytes: 3.8 MB at n = 6,
-    53 MB at n = 8), the shifted kernel (16 n^7 bytes: 4.5 MB and 34 MB) and one
-    slice of K_ji with its contractions (about 5 MB and 40 MB); the traced
-    peak of the assembly is 25 MB at n = 6 and 304 MB at n = 8.  The
-    symmetry check and the symmetrization work on (n - 1)^3 rows at a time
-    (:func:`_symmetrize`), so the only further full-size copy is the one
-    ``eigvalsh`` makes.
-
-    The assembled matrix must be symmetric to 1e-8 relative to its largest
-    entry, or :class:`.pointlin.ConsistencyError` is raised; ``kernel_dim``
-    counts singular values at or below ORACLE_TAU times the largest one,
-    and the report records that tau.
+    Memory, at N nodes: the spectra of the 6 frame components (96 N bytes,
+    6.3 MB at n = 16), those of one component of the 3 lifted sections
+    (48 N bytes) and, per kept k_0, 96 shifted rows of W (1536 (n - 1)^3
+    bytes); reading off the kernel (one d_codiff_values call on 3 impulses)
+    peaks higher, 52 MB at n = 16.
     """
-    if triple.grid != oracle_grid:
+    if triple.grid != grid:
         raise ValueError(
             "structure must be built on the oracle grid "
-            f"(got n={triple.grid.n}, oracle n={oracle_grid.n})"
+            f"(got n={triple.grid.n}, oracle n={grid.n})"
         )
-    grid = oracle_grid
-    R = (grid.n - 1) ** 4
-    dim = 2 * R
-    if dim > ORACLE_MAX_DIM:
-        raise ValueError(
-            f"operator dimension {dim} exceeds the documented bound {ORACLE_MAX_DIM}; "
-            "use a smaller oracle grid"
-        )
-    M = _elliptic_matrix(triple, grid)
-    scale = max(1.0, float(M.max()), -float(M.min()))
-    sym_defect = _symmetrize(M, (grid.n - 1) ** 3)
-    if sym_defect > 1e-8 * scale:
+    symbol, gap = _scalar_kernel(grid)
+    v1, v2, pivot, clearance = anti_invariant_frame(triple)
+    frames = np.stack([v1, v2])  # (i, grid, l)
+    lower = gap * (1.0 - _corner_capture(np.moveaxis(frames, -1, 1))[::-1])
+    ritz = _ritz_values(frames, symbol)
+    t = ORACLE_TAU * gap
+    at_most, at_least = int(np.sum(lower <= t)), int(np.sum(ritz <= t))
+    if at_most != at_least:
         raise pl.ConsistencyError(
-            f"discretized operator is not symmetric (defect {sym_defect:.3e}); "
-            "the operator must be self-adjoint up to discretization error"
+            f"the elliptic count at t = {t:.3e} is undecided: at most {at_most} by the "
+            f"certified lower bounds {lower[:4]}, at least {at_least} by the Ritz values {ritz}"
         )
-    singular = np.sort(np.abs(np.linalg.eigvalsh(M)))
-    s_max = float(singular[-1])
-    kernel_dim = int(np.sum(singular <= ORACLE_TAU * s_max))
-    return EllipticReport(
-        grid_n=grid.n,
-        retained_modes=R,
-        matrix_dim=dim,
-        smallest_singular_values=singular[:8],
-        largest_singular_value=s_max,
-        kernel_dim=kernel_dim,
-        tau=ORACLE_TAU,
-        symmetry_defect=sym_defect,
-    )
+    return EllipticReport(grid.n, pivot, clearance, gap, t, lower[:8], ritz, at_most)
 
 
 def _principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -51,7 +51,6 @@ class LabConfig:
     below and command-line flags override the file."""
 
     grid_n: int = 16
-    oracle_n: int = 6
     tol_null: float = 1e-7
     eps_nodal: float = 1e-6
     bump1: BumpSpec = DEFAULT_BUMP1

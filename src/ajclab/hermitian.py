@@ -69,6 +69,13 @@ from .torusfield import (
 #: bound on the disagreement of stage 2's normalization and rational
 #: deformation routes
 ROUTE_TOL = 1e-9
+#: the least clearance of a frame pivot (anti_invariant_frame).  v1 divides
+#: by |y x p|, so the frame's rounding is about u / clearance, 2.2e-13 at the
+#: bound, and moves the elliptic oracle's bounds by about lambda_gap times
+#: that, 4e-12, far below its threshold 1.97e-5.  The least clearance seen
+#: on a structure is 0.19 (random, amplitude 0.99, n = 8); only a y within
+#: 0.06 degrees of every candidate axis somewhere is refused.
+MIN_CLEARANCE = 1e-3
 #: nodes per chunk of the J checked by AcsField; one chunk's 4x4 products
 #: stay cache-sized
 _ACS_CHUNK = 4096
@@ -171,21 +178,38 @@ def standard_acs(grid: GridSpec) -> HermitianTriple:
     return HermitianTriple(grid, np.broadcast_to([1.0, 0.0, 0.0], grid.shape + (3,)))
 
 
-def anti_invariant_frame(triple: HermitianTriple) -> tuple[np.ndarray, np.ndarray]:
+def anti_invariant_frame(
+    triple: HermitianTriple,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Nodewise orthonormal frame (v1, v2) of the anti-invariant plane, in
-    self-dual coordinates: a tangent frame of S^2 at y.
+    self-dual coordinates (a tangent frame of S^2 at y), with its pivot p
+    and the pivot's clearance min_x |p x y(x)|.  ``v @ OMEGA_SD`` are
+    wedge-unit forms.
 
-    The frame is built by crossing y with the coordinate axis of its
-    smallest component (the pivot), so it is well conditioned at every node
-    but need not vary continuously.  ``v @ OMEGA_SD`` are wedge-unit forms.
+    One p serves every node: v1 = y x p / |y x p| and v2 = y x v1, so the
+    frame is as smooth as y.  p is the eigenvector of mean(y y^T) with the
+    largest clearance, the first in ascending eigenvalue order on a tie.
+    When h_minus >= 1, some unit beta has beta . y = 0 at every node: beta
+    is an eigenvector (of eigenvalue 0) with clearance 1, the largest
+    possible, so p = +-beta and v2 = (y (y . p) - p) / |y x p| = -p at
+    every node.  A clearance below MIN_CLEARANCE raises
+    :class:`.pointlin.ConsistencyError` naming the node where y comes
+    nearest to the pivot axis.
     """
     y = triple.y.reshape(-1, 3)
-    pivot = np.argmin(np.abs(y), axis=-1)
-    v1 = np.cross(y, np.eye(3)[pivot])
+    _, axes = np.linalg.eigh(y.T @ y / len(y))
+    along = np.abs(y @ axes)
+    k = int(np.argmin(along.max(axis=0)))
+    clearance = float(np.sqrt(max(0.0, 1.0 - along[:, k].max() ** 2)))
+    if not clearance >= MIN_CLEARANCE:
+        raise pl.ConsistencyError(
+            f"y comes within clearance {clearance:.3e} of the frame pivot {axes[:, k]} at node "
+            f"{_worst_node(triple.grid, along[:, k], None)} (bound {MIN_CLEARANCE:.0e})"
+        )
+    v1 = np.cross(y, axes[:, k])
     v1 /= np.linalg.norm(v1, axis=-1, keepdims=True)
-    v2 = np.cross(y, v1)
     shape = triple.grid.shape + (3,)
-    return v1.reshape(shape), v2.reshape(shape)
+    return v1.reshape(shape), np.cross(y, v1).reshape(shape), axes[:, k], clearance
 
 
 def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows, finish):

@@ -121,25 +121,22 @@ def scenario_two_stage(cfg: LabConfig) -> ScenarioReport:
 
 
 def scenario_oracle(cfg: LabConfig) -> ScenarioReport:
-    """The second route end to end: at ``cfg.oracle_n`` the elliptic
-    oracle's kernel dimension must equal the Gram h_minus on the standard
-    structure, stage 1 and one random structure, and on stage 2 when the
-    construction admits it at that grid.  The Gram reports of the standard
-    structure, stage 1 and stage 2 are the ones the cut-off stages return;
-    only the random structure's is computed here.  A refused stage 2 is
-    recorded as a skipped check with the refusal.  The random structure's
-    bandlimit is ``cfg.bandlimit`` capped below the oracle grid's Nyquist
-    band, recorded as ``random_bandlimit``."""
+    """The second route end to end: at ``cfg.grid_n`` the certified elliptic
+    kernel dimension (:func:`.cohomlab.elliptic_kernel_dim`) must equal the
+    Gram h_minus on the standard structure, stage 1, stage 2 and one random
+    structure.  The Gram reports of the standard structure and the two
+    stages are the ones the cut-off stages return; only the random
+    structure's is computed here.  A stage 2 that the construction refuses
+    at that grid (the default bumps at n = 6) is recorded as a skipped check
+    with the refusal."""
     report = ScenarioReport("oracle", cfg.to_dict())
-    grid = tf.GridSpec(cfg.oracle_n)
-    bandlimit = min(cfg.bandlimit, grid.n // 2 - 1)
-    report.summaries["random_bandlimit"] = bandlimit
+    grid = tf.GridSpec(cfg.grid_n)
     with report.timed("build"):
         base = hm.standard_acs(grid)
         stage1, log, (report0, report1) = hm.one_bump_deform(
             base, cfg.bump1, cfg.tol_null, cfg.eps_nodal
         )
-        generic = hm.random_compatible_acs(grid, cfg.seed, cfg.amplitude, bandlimit)
+        generic = hm.random_compatible_acs(grid, cfg.seed, cfg.amplitude, cfg.bandlimit)
         structures = {
             "standard": (base, report0),
             "stage1": (stage1, report1),

@@ -10,7 +10,7 @@ from ajclab.config import DEFAULT_BUMP1, DEFAULT_BUMP2, LabConfig
 from ajclab.hermitian import BumpSpec
 
 FLAGS = [
-    "--help", "--config", "--output", "--grid-n", "--oracle-n", "--tol-null", "--eps-nodal",
+    "--help", "--config", "--output", "--grid-n", "--tol-null", "--eps-nodal",
     "--seed", "--amplitude", "--bandlimit", "--sweep-count", "--path-steps",
     "--bump1-center", "--bump1-radius", "--bump1-height",
     "--bump2-center", "--bump2-radius", "--bump2-height",
@@ -76,6 +76,21 @@ def test_config_value_types_are_checked(tmp_path, data, match):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=match):
         resolve("--config", str(path))
+
+
+def test_oracle_grid_config_key_is_unknown(tmp_path):
+    # the elliptic oracle runs on grid_n; it has no grid of its own
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"oracle_n": 6}))
+    with pytest.raises(ValueError, match=r"unknown config keys: \['oracle_n'\]"):
+        resolve("--config", str(path))
+
+
+def test_oracle_grid_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["oracle", "--oracle-n", "6", "--output", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --oracle-n 6" in capsys.readouterr().err
 
 
 def test_config_int_is_taken_where_a_float_is_expected(tmp_path):

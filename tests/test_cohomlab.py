@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elliptic_reference as reference
 from ajclab import cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
 from ajclab.config import LabConfig
 from ajclab.reporting import to_json
@@ -460,11 +461,27 @@ class TestEllipticOracle:
         assert cohomlab.gram_matrix(triple).h_minus == 1
         assert cohomlab.elliptic_kernel_dim(triple, G6).kernel_dim == 1
 
+    @pytest.mark.parametrize("normal", list(CIRCLE_NORMALS))
+    def test_circle_frame_holds_the_kernel(self, normal):
+        # the pivot is the circle's normal beta, and v2 = -beta at every node
+        triple = circle_structure(G6, CIRCLE_NORMALS[normal])
+        beta = cohomlab.gram_matrix(triple).null_coords[0]
+        report = cohomlab.elliptic_kernel_dim(triple, G6)
+        assert abs(report.pivot @ beta) == pytest.approx(1.0, abs=1e-12)
+        assert report.clearance == pytest.approx(1.0, abs=1e-12)
+        _, v2, *_ = hm.anti_invariant_frame(triple)
+        assert float(np.max(np.abs(v2 + report.pivot))) <= 1e-12
+
     def test_baseline_kernel_two(self):
         report = cohomlab.elliptic_kernel_dim(hm.standard_acs(G6), G6)
         assert report.kernel_dim == 2
-        assert report.matrix_dim == 2 * 5**4
-        assert report.smallest_singular_values[2] > 1e3 * report.smallest_singular_values[1]
+        assert report.lambda_gap == pytest.approx((2.0 * np.pi) ** 2 / 2.0, rel=1e-12)
+        assert report.threshold == cohomlab.ORACLE_TAU * report.lambda_gap
+        # e1 lifts to zero; the lifted e2 and e3 are the kernel
+        assert len(report.ritz_values) == 2
+        assert float(np.max(np.abs(report.ritz_values))) <= 1e-10
+        assert np.all(report.lower_bounds[:2] <= report.threshold)
+        assert report.lower_bounds[2] > 1e5 * report.threshold
 
     def test_one_bump_matches_gram(self):
         base = hm.standard_acs(G6)
@@ -482,15 +499,49 @@ class TestEllipticOracle:
         with pytest.raises(ValueError, match="oracle"):
             cohomlab.elliptic_kernel_dim(hm.standard_acs(G8), G6)
 
-    def test_memory_bound(self, monkeypatch):
-        # n = 10 gives dimension 2 * 9^4 = 13122, above the bound of 5000
-        def no_assembly(triple, grid):
-            raise AssertionError("assembled a matrix above the bound")
-
-        monkeypatch.setattr(cohomlab, "_elliptic_matrix", no_assembly)
+    def test_decides_a_grid_the_dense_matrix_did_not_fit(self):
+        # at n = 10 the dense matrix would have dimension 2 * 9^4 = 13122
         G10 = tf.GridSpec(10)
-        with pytest.raises(ValueError, match="dimension 13122 exceeds the documented bound 5000"):
-            cohomlab.elliptic_kernel_dim(hm.standard_acs(G10), G10)
+        report = cohomlab.elliptic_kernel_dim(hm.standard_acs(G10), G10)
+        assert report.kernel_dim == 2 == len(report.ritz_values)
+        assert report.lower_bounds[2] == pytest.approx(report.lambda_gap, rel=1e-12)
+
+    def test_undecided_count_names_both_counts(self, monkeypatch):
+        # Ritz values that stop counting the kernel leave the lower bounds' 2
+        monkeypatch.setattr(cohomlab, "_ritz_values", lambda frames, symbol: np.ones(2))
+        with pytest.raises(pl.ConsistencyError, match="at most 2 .* at least 0"):
+            cohomlab.elliptic_kernel_dim(hm.standard_acs(G4), G4)
+
+
+def bound_structure(grid, kind):
+    """The oracle tests' structures, and the two circles, on ``grid``."""
+    base = hm.standard_acs(grid)
+    if kind in CIRCLE_NORMALS:
+        return circle_structure(grid, CIRCLE_NORMALS[kind])
+    return {
+        "standard": lambda: base,
+        "stage1": lambda: hm.one_bump_deform(base, BUMP1)[0],
+        "random": lambda: hm.random_compatible_acs(grid, 2, 0.3, grid.n // 2 - 1),
+    }[kind]()
+
+
+class TestCertifiedBounds:
+    """The certificate's bounds enclose the dense reference's spectrum: the
+    j-th lower bound is at most its j-th eigenvalue, which is at most the
+    j-th Ritz value.  The slack, 1e-10 of the largest eigenvalue, covers the
+    rounding of the eigenvalues near 0."""
+
+    @pytest.mark.parametrize("kind", ["standard", "stage1", "random", *CIRCLE_NORMALS])
+    @pytest.mark.parametrize("grid", [G4, G6], ids=["n4", "n6"])
+    def test_bounds_enclose_the_dense_spectrum(self, grid, kind):
+        triple = bound_structure(grid, kind)
+        report = cohomlab.elliptic_kernel_dim(triple, grid)
+        dense = reference.spectrum(triple)
+        slack = 1e-10 * dense[-1]
+        assert np.all(report.lower_bounds <= dense[:8] + slack)
+        assert np.all(dense[: len(report.ritz_values)] <= report.ritz_values + slack)
+        assert report.kernel_dim == np.sum(dense <= report.threshold)
+        assert report.kernel_dim == cohomlab.gram_matrix(triple).h_minus
 
 
 def mode_basis(grid):
@@ -517,12 +568,12 @@ def mode_basis(grid):
 
 def separable_change_of_basis(grid):
     """Q = B_e (e (x) e (x) e (x) e) for the Euclidean-normalized mode basis
-    B_e = B / sqrt(N) and e = cohomlab._line_basis(n), contracted one grid
+    B_e = B / sqrt(N) and e = reference.line_basis(n), contracted one grid
     axis at a time; an orthogonal (R, R) matrix when both bases span the
     same modes."""
     B, _ = mode_basis(grid)
     X = (B / np.sqrt(grid.node_count)).reshape((len(B),) + grid.shape)
-    e = cohomlab._line_basis(grid.n)
+    e = reference.line_basis(grid.n)
     for _ in range(4):
         X = np.tensordot(X, e, axes=([1], [0]))
     return X.reshape(len(B), -1)
@@ -550,7 +601,7 @@ class TestSeparableBasis:
 
     @pytest.mark.parametrize("grid", [G4, G6, G8], ids=["n4", "n6", "n8"])
     def test_line_basis_is_orthonormal_and_spans_the_modes(self, grid):
-        e = cohomlab._line_basis(grid.n)
+        e = reference.line_basis(grid.n)
         assert e.shape == (grid.n, grid.n - 1)
         np.testing.assert_allclose(e.T @ e, np.eye(grid.n - 1), rtol=0, atol=1e-14)
         Q = separable_change_of_basis(grid)
@@ -563,10 +614,13 @@ class TestScalarKernel:
     oracle as one scalar kernel."""
 
     def test_kernel_is_half_the_laplacian_impulse_response(self):
-        symbol = sum(-(m**2) for m in G6.deriv_multipliers())  # |2 pi k|^2, Nyquist zeroed
-        expect = np.fft.irfftn(symbol, s=G6.shape, axes=tf.GRID_AXES) / 2.0
-        got = cohomlab._scalar_kernel(G6)
-        assert float(np.max(np.abs(got - expect))) <= 1e-12 * float(np.max(np.abs(expect)))
+        # the symbol of the impulse response: |2 pi k|^2 / 2 with Nyquist zeroed
+        k = np.fft.fftfreq(G6.n, d=1.0 / G6.n)
+        axis = np.where(np.abs(k) == G6.n // 2, 0.0, (2.0 * np.pi * k) ** 2)
+        expect = sum(axis.reshape([-1 if a == ax else 1 for a in range(4)]) for ax in range(4)) / 2.0
+        got, gap = cohomlab._scalar_kernel(G6)
+        assert float(np.max(np.abs(got - expect))) <= 1e-12 * float(np.max(expect))
+        assert gap == pytest.approx((2.0 * np.pi) ** 2 / 2.0, rel=1e-12)
 
     def test_mixing_operator_rejected(self, monkeypatch):
         def mixing(values, grid):
@@ -575,6 +629,15 @@ class TestScalarKernel:
 
         monkeypatch.setattr(cohomlab, "d_codiff_values", mixing)
         with pytest.raises(pl.ConsistencyError, match="not scalar"):
+            cohomlab.elliptic_kernel_dim(hm.standard_acs(G4), G4)
+
+    def test_operator_with_a_mass_rejected(self, monkeypatch):
+        def massive(values, grid):
+            # d delta + 1 on self-dual coordinates: the symbol no longer vanishes
+            return tf.d_codiff_values(values, grid) + values
+
+        monkeypatch.setattr(cohomlab, "d_codiff_values", massive)
+        with pytest.raises(pl.ConsistencyError, match="symbol is up to 1.000e\\+00 on the corner modes"):
             cohomlab.elliptic_kernel_dim(hm.standard_acs(G4), G4)
 
     def test_one_inverse_transform_per_call(self, monkeypatch):
@@ -589,17 +652,6 @@ class TestScalarKernel:
         report = cohomlab.elliptic_kernel_dim(hm.standard_acs(G6), G6)
         assert report.kernel_dim == 2
         assert len(calls) == 1
-
-
-class TestSymmetrize:
-    # 10 rows in blocks of 3 leave a last block of 1
-    @pytest.mark.parametrize("rows", [1, 3, 10])
-    def test_matches_the_full_size_symmetrization(self, rows):
-        A = np.random.default_rng(7).standard_normal((10, 10))
-        M = A.copy()
-        defect = cohomlab._symmetrize(M, rows)
-        np.testing.assert_array_equal(M, (A + A.T) / 2.0)
-        assert defect == float(np.max(np.abs(A - A.T)))
 
 
 class TestFramePairing:
@@ -621,7 +673,7 @@ class TestFramePairing:
         triple = structures[kind]
         phi = np.random.default_rng(4).standard_normal(G8.shape + (6,))
         minus = pl.split_j(triple.J.values, phi).minus
-        for v in hm.anti_invariant_frame(triple):
+        for v in hm.anti_invariant_frame(triple)[:2]:
             frame = v @ pl.OMEGA_SD
             dev = np.abs(pl.form_inner(minus, frame) - pl.form_inner(phi, frame))
             assert float(dev.max()) <= 1e-13
@@ -636,7 +688,7 @@ def column_elliptic_matrix(triple, grid):
     4x4 involution's P^-, then the pairing with the frames."""
     B, _ = mode_basis(grid)
     R, N = B.shape
-    frames = np.stack(hm.anti_invariant_frame(triple)) @ pl.OMEGA_SD
+    frames = np.stack(hm.anti_invariant_frame(triple)[:2]) @ pl.OMEGA_SD
     J = triple.J.values
     M = np.empty((2 * R, 2 * R))
     for i in range(2):
@@ -670,20 +722,14 @@ class TestEllipticAssembly:
         return {k: (t, Q2.T @ column_elliptic_matrix(t, G4) @ Q2)
                 for k, t in oracle_structures_n4().items()}
 
-    # the symmetrization of elliptic_kernel_dim in row blocks: on 162 rows,
-    # blocks of 8 leave a last block of 2, blocks of 13 one of 6, and 200
-    # exceeds the matrix
-    @pytest.mark.parametrize("block", [1, 8, 13, 200])
     @pytest.mark.parametrize("kind", ["standard", "stage1", "random"])
-    def test_matches_column_assembly(self, cases, kind, block):
+    def test_matches_column_assembly(self, cases, kind):
         triple, expect = cases[kind]
-        got = cohomlab._elliptic_matrix(triple, G4)
+        got = reference.elliptic_matrix(triple, G4)
         assert got.shape == expect.shape == (162, 162)
         scale = float(np.max(np.abs(expect)))
         assert float(np.max(np.abs(got - expect))) <= 1e-12 * scale
-        defect = cohomlab._symmetrize(got, block)
-        assert defect <= 1e-12 * scale
-        assert float(np.max(np.abs(got - (expect + expect.T) / 2.0))) <= 1e-12 * scale
+        assert float(np.max(np.abs(got - got.T))) <= 1e-12 * scale
 
     def test_stage1_is_deformed(self, cases):
         assert cohomlab.gram_matrix(cases["stage1"][0]).h_minus == 1

@@ -1,6 +1,6 @@
-"""The design gate: Gram matrices, h-values, the elliptic oracle's
-spectrum summaries and the cut-off stages' log values stay those recorded
-in tests/data/golden_gram.json.
+"""The design gate: Gram matrices, h-values, the elliptic oracle's counts
+with its dense reference's spectrum summaries, and the cut-off stages' log
+values stay those recorded in tests/data/golden_gram.json.
 
 Regenerate the file (only when a change is meant to alter these numbers):
 
@@ -18,14 +18,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import elliptic_reference as reference
 from ajclab import cohomlab, hermitian as hm, scenarios, torusfield as tf
 from ajclab.config import LabConfig
 
 GOLDEN = Path(__file__).with_name("data") / "golden_gram.json"
 GRAM_TOL = 1e-12
-#: oracle singular values are pinned to this fraction of the largest one,
-#: absolute: kernel eigenvalues are rounding noise (1e-28 to 1e-13) far
-#: below the kernel threshold tau * s_max (about 3e-4 at n = 6)
+#: the dense reference's singular values are pinned to this fraction of the
+#: largest one, absolute: kernel eigenvalues are rounding noise (1e-28 to
+#: 1e-13) far below the oracle's threshold tau * lambda_gap (1.97e-5)
 ORACLE_TOL = 1e-10
 
 #: the bumps of the two-stage tests in test_hermitian
@@ -63,11 +64,14 @@ def oracle_structures():
 
 
 def oracle_summary(triple) -> dict:
-    report = cohomlab.elliptic_kernel_dim(triple, triple.grid)
+    """The oracle's certified count, and the smallest and largest singular
+    values of the dense reference matrix (:mod:`elliptic_reference`) in the
+    oracle's frame."""
+    singular = reference.spectrum(triple)
     return {
-        "kernel_dim": report.kernel_dim,
-        "smallest_singular_values": report.smallest_singular_values.tolist(),
-        "largest_singular_value": report.largest_singular_value,
+        "kernel_dim": cohomlab.elliptic_kernel_dim(triple, triple.grid).kernel_dim,
+        "smallest_singular_values": singular[:8].tolist(),
+        "largest_singular_value": float(singular[-1]),
     }
 
 

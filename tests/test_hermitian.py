@@ -138,7 +138,7 @@ class TestAntiInvariantField:
         deformed = hm.random_compatible_acs(G8, seed=3, amplitude=0.3, bandlimit=2)
         with pytest.raises(ValueError, match="anti-invariant"):
             hm.deform_field(deformed, constant([0.0, 0.1, 0.0]))
-        v1, _ = hm.anti_invariant_frame(deformed)
+        v1, *_ = hm.anti_invariant_frame(deformed)
         a = 0.1 * v1
         plus = pl.split_j(deformed.J.values, a @ pl.OMEGA_SD).plus
         assert float(np.max(np.abs(plus))) <= 1e-10
@@ -146,11 +146,38 @@ class TestAntiInvariantField:
 
     def test_frame_is_wedge_unit_and_orthogonal(self):
         deformed = hm.random_compatible_acs(G8, seed=4, amplitude=0.4, bandlimit=2)
-        u1, u2 = (v @ pl.OMEGA_SD for v in hm.anti_invariant_frame(deformed))
+        u1, u2 = (v @ pl.OMEGA_SD for v in hm.anti_invariant_frame(deformed)[:2])
         np.testing.assert_allclose(pl.wedge_norm_sq(u1), 1.0, atol=1e-12)
         np.testing.assert_allclose(pl.wedge_norm_sq(u2), 1.0, atol=1e-12)
         np.testing.assert_allclose(pl.form_inner(u1, u2), 0.0, atol=1e-12)
         np.testing.assert_allclose(pl.form_inner(u1, deformed.F.values), 0.0, atol=1e-12)
+
+    def test_pivot_is_the_eigenvector_of_largest_clearance(self):
+        deformed = hm.random_compatible_acs(G8, seed=4, amplitude=0.4, bandlimit=2)
+        y = deformed.y.reshape(-1, 3)
+        v1, v2, pivot, clearance = hm.anti_invariant_frame(deformed)
+        v1, v2 = v1.reshape(-1, 3), v2.reshape(-1, 3)
+        second = y.T @ y / len(y)
+        np.testing.assert_allclose(second @ pivot, (pivot @ second @ pivot) * pivot, atol=1e-14)
+        _, axes = np.linalg.eigh(second)
+        clearances = np.linalg.norm(np.cross(y[:, None, :], axes.T), axis=-1).min(axis=0)
+        assert clearance == pytest.approx(clearances.max(), abs=1e-12)
+        assert clearance == pytest.approx(np.linalg.norm(np.cross(y, pivot), axis=-1).min(), abs=1e-12)
+        # one pivot for every node: v1 is orthogonal to it and v2 . p = -|y x p|
+        assert float(np.max(np.abs(v1 @ pivot))) <= 1e-14
+        np.testing.assert_allclose(v2 @ pivot, -np.linalg.norm(np.cross(y, pivot), axis=-1),
+                                   atol=1e-14)
+
+    def test_frame_refuses_a_y_that_meets_every_candidate_pivot(self):
+        # y runs through e1, e1, e1, e2, e2, e3 along the first axis: mean(y y^T) =
+        # diag(1/2, 1/3, 1/6), and y meets each of its eigenvectors; the pivot
+        # is the first of equal clearances, e3, which y meets first at x0 = 5
+        g6 = tf.GridSpec(6)
+        y = np.eye(3)[[0, 0, 0, 1, 1, 2]].reshape(6, 1, 1, 1, 3) + np.zeros(g6.shape + (3,))
+        triple = hm.HermitianTriple(g6, y)
+        with pytest.raises(pl.ConsistencyError,
+                           match=r"clearance 0\.000e\+00 .* at node \(5, 0, 0, 0\) \(bound 1e-03\)"):
+            hm.anti_invariant_frame(triple)
 
 
 class TestDeformField:

@@ -37,7 +37,23 @@ def test_within_passes_at_its_tolerance_and_measures_max_abs():
     assert report.checks == [Check("scalar", True, 2.0, 2.0)]
 
 
-def test_default_config_agrees_and_records_the_stage2_refusal(monkeypatch):
+def test_default_config_decides_every_structure_at_the_gram_grid():
+    report = scenarios.scenario_oracle(LabConfig())
+    assert report.passed
+    assert report.h_values == {"standard": 2, "stage1": 1, "random": 0, "stage2": 0}
+    assert [c.skipped for c in report.checks] == [False] * 4
+    assert STAGE2_CHECK in [c.name for c in report.checks]
+    for label, elliptic in report.summaries["elliptic"].items():
+        assert elliptic["grid_n"] == LabConfig().grid_n == 16
+        assert elliptic["kernel_dim"] == report.h_values[label]
+        assert len(elliptic["lower_bounds"]) == 8
+        # the count is decided on both sides of the threshold
+        t = elliptic["threshold"]
+        at_most = sum(b <= t for b in elliptic["lower_bounds"])
+        assert at_most == sum(r <= t for r in elliptic["ritz_values"]) == elliptic["kernel_dim"]
+
+
+def test_grid_6_agrees_and_records_the_stage2_refusal(monkeypatch):
     calls = []
     one_bump_deform = hm.one_bump_deform
 
@@ -46,26 +62,26 @@ def test_default_config_agrees_and_records_the_stage2_refusal(monkeypatch):
         return one_bump_deform(*args, **kwargs)
 
     monkeypatch.setattr(hm, "one_bump_deform", counted)
-    report = scenarios.scenario_oracle(LabConfig())
+    report = scenarios.scenario_oracle(LabConfig(grid_n=6))
     assert len(calls) == 1  # stage 2 is built on the one stage-1 structure
     assert report.passed
     assert report.h_values == {"standard": 2, "stage1": 1, "random": 0}
-    assert report.summaries["random_bandlimit"] == 2
     skipped = [c for c in report.checks if c.skipped]
     assert [c.name for c in skipped] == [STAGE2_CHECK]
-    assert "stage-2 bump support volume" in skipped[0].detail
-    assert "not below the delta estimate" in skipped[0].detail
+    # the refusal is the construction's lattice tie at n = 6, not the oracle's
+    assert "stage 2 refused at n=6: stage-2 bump support volume 0.000772" in skipped[0].detail
+    assert "not below the delta estimate 0.000772" in skipped[0].detail
     assert sum(not c.skipped for c in report.checks) == 3
     for label, elliptic in report.summaries["elliptic"].items():
         assert elliptic["grid_n"] == 6
         assert elliptic["kernel_dim"] == report.h_values[label]
-        assert len(elliptic["smallest_singular_values"]) == 8
 
 
 def test_cli_runs_stage2_where_the_construction_admits_it(tmp_path, capsys):
-    # at n = 4 the default second bump covers no node, so stage 2 is built
+    # at n = 4 the default second bump covers no node, so stage 2 is built;
+    # the random structure's bandlimit must lie below n/2 = 2
     assert "oracle" in cli._SCENARIO_ORDER
-    status = cli.main(["oracle", "--output", str(tmp_path), "--oracle-n", "4", "--bandlimit", "1"])
+    status = cli.main(["oracle", "--output", str(tmp_path), "--grid-n", "4", "--bandlimit", "1"])
     assert status == 0
     assert "oracle: PASS (4/4 checks" in capsys.readouterr().out
     data = json.loads((tmp_path / "oracle.report.json").read_text())
@@ -74,25 +90,16 @@ def test_cli_runs_stage2_where_the_construction_admits_it(tmp_path, capsys):
     assert STAGE2_CHECK in [c["name"] for c in data["checks"] if not c["skipped"]]
 
 
-def test_cli_oracle_caps_the_random_bandlimit_below_nyquist(tmp_path, capsys):
-    # the default bandlimit 2 does not fit below the Nyquist band of n = 4
-    status = cli.main(["oracle", "--output", str(tmp_path), "--oracle-n", "4"])
-    assert status == 0
-    assert "oracle: PASS (4/4 checks" in capsys.readouterr().out
-    data = json.loads((tmp_path / "oracle.report.json").read_text())
-    assert data["h_values"] == {"standard": 2, "stage1": 1, "random": 0, "stage2": 1}
-    assert data["summaries"]["random_bandlimit"] == 1
-
-
 @pytest.mark.parametrize(
-    "name, oracle_n, calls",
-    [("one-bump", 6, 2), ("two-stage", 6, 3), ("oracle", 6, 3), ("oracle", 4, 4),
-     ("resolution", 6, 12)],
-    ids=["one-bump", "two-stage", "oracle-n6", "oracle-n4", "resolution"],
+    "name, grid_n, calls",
+    [("one-bump", 16, 2), ("two-stage", 16, 3), ("oracle", 6, 3), ("oracle", 4, 4),
+     ("oracle", 16, 4), ("resolution", 16, 12)],
+    ids=["one-bump", "two-stage", "oracle-n6", "oracle-n4", "oracle-n16", "resolution"],
 )
-def test_gram_matrix_once_per_structure(monkeypatch, name, oracle_n, calls):
+def test_gram_matrix_once_per_structure(monkeypatch, name, grid_n, calls):
     # the scenarios take the Gram reports the cut-off stages return; only a
-    # structure no stage decides (oracle's random one) gets a call of its own
+    # structure no stage decides (oracle's random one) gets a call of its own.
+    # Bandlimit 1 lies below the Nyquist band of every grid here.
     triples = []
     gram_matrix = cohomlab.gram_matrix
 
@@ -101,7 +108,7 @@ def test_gram_matrix_once_per_structure(monkeypatch, name, oracle_n, calls):
         return gram_matrix(triple, **kwargs)
 
     monkeypatch.setattr(cohomlab, "gram_matrix", counted)
-    report = scenarios.SCENARIOS[name](LabConfig(oracle_n=oracle_n))
+    report = scenarios.SCENARIOS[name](LabConfig(grid_n=grid_n, bandlimit=1))
     assert report.passed
     assert len(triples) == calls
     assert len({id(t) for t in triples}) == calls
