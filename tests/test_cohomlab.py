@@ -495,6 +495,15 @@ class TestEllipticOracle:
         report = cohomlab.elliptic_kernel_dim(triple, G6)
         assert report.kernel_dim == cohomlab.gram_matrix(triple).h_minus == 0
 
+    def test_decides_random_structures_of_low_clearance(self):
+        # amplitude 0.99 tilts y by up to 89 degrees: the least clearances
+        # seen, still far above the frame's bound
+        for seed in (1, 3):
+            triple = hm.random_compatible_acs(G8, seed=seed, amplitude=0.99, bandlimit=2)
+            report = cohomlab.elliptic_kernel_dim(triple, G8)
+            assert hm.MIN_CLEARANCE < report.clearance < 0.2
+            assert report.kernel_dim == cohomlab.gram_matrix(triple).h_minus == 0
+
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError, match="oracle"):
             cohomlab.elliptic_kernel_dim(hm.standard_acs(G8), G6)
