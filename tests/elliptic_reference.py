@@ -61,8 +61,26 @@ def elliptic_matrix(triple: hm.HermitianTriple, grid: GridSpec) -> np.ndarray:
     return M.reshape(2 * R, 2 * R)
 
 
+def symmetrize(M: np.ndarray, rows: int) -> float:
+    """Replace the square matrix M in place by (M + M^T) / 2, one block of
+    ``rows`` rows and the matching columns at a time, and return the
+    symmetry defect max|M - M^T| of the input.  The pair (a, b), (b, a) is
+    handled in the block of min(a, b), so each block's temporaries hold at
+    most ``rows`` rows of M."""
+    defect = 0.0
+    for lo in range(0, len(M), rows):
+        upper, lower = M[lo : lo + rows, lo:], M[lo:, lo : lo + rows].T
+        defect = max(defect, float(np.max(np.abs(upper - lower))))
+        mean = (upper + lower) / 2.0
+        M[lo : lo + rows, lo:] = mean
+        M[lo:, lo : lo + rows] = mean.T
+    return defect
+
+
 def spectrum(triple: hm.HermitianTriple) -> np.ndarray:
-    """The absolute eigenvalues, ascending, of the symmetrized
-    :func:`elliptic_matrix` on the structure's own grid."""
+    """The absolute eigenvalues, ascending, of :func:`elliptic_matrix` on
+    the structure's own grid, symmetrized in place by :func:`symmetrize` in
+    blocks of 256 rows."""
     M = elliptic_matrix(triple, triple.grid)
-    return np.sort(np.abs(np.linalg.eigvalsh((M + M.T) / 2.0)))
+    symmetrize(M, 256)
+    return np.sort(np.abs(np.linalg.eigvalsh(M)))

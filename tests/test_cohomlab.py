@@ -721,6 +721,17 @@ def oracle_structures_n4():
     }
 
 
+class TestSymmetrize:
+    # 10 rows in blocks of 3 leave a last block of 1
+    @pytest.mark.parametrize("rows", [1, 3, 10])
+    def test_matches_the_full_size_symmetrization(self, rows):
+        A = np.random.default_rng(7).standard_normal((10, 10))
+        M = A.copy()
+        defect = reference.symmetrize(M, rows)
+        np.testing.assert_array_equal(M, (A + A.T) / 2.0)
+        assert defect == float(np.max(np.abs(A - A.T)))
+
+
 class TestEllipticAssembly:
     """The separable assembly against the column-by-column one, carried to
     the separable basis by Q_2 = I_2 (x) Q."""
@@ -731,14 +742,20 @@ class TestEllipticAssembly:
         return {k: (t, Q2.T @ column_elliptic_matrix(t, G4) @ Q2)
                 for k, t in oracle_structures_n4().items()}
 
+    # the reference's symmetrization in row blocks: on 162 rows, blocks of
+    # 8 leave a last block of 2, blocks of 13 one of 6, and 200 exceeds the
+    # matrix
+    @pytest.mark.parametrize("block", [1, 8, 13, 200])
     @pytest.mark.parametrize("kind", ["standard", "stage1", "random"])
-    def test_matches_column_assembly(self, cases, kind):
+    def test_matches_column_assembly(self, cases, kind, block):
         triple, expect = cases[kind]
         got = reference.elliptic_matrix(triple, G4)
         assert got.shape == expect.shape == (162, 162)
         scale = float(np.max(np.abs(expect)))
         assert float(np.max(np.abs(got - expect))) <= 1e-12 * scale
-        assert float(np.max(np.abs(got - got.T))) <= 1e-12 * scale
+        defect = reference.symmetrize(got, block)
+        assert defect <= 1e-12 * scale
+        assert float(np.max(np.abs(got - (expect + expect.T) / 2.0))) <= 1e-12 * scale
 
     def test_stage1_is_deformed(self, cases):
         assert cohomlab.gram_matrix(cases["stage1"][0]).h_minus == 1
