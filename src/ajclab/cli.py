@@ -107,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a path that is a file, or not writable
+    except (OSError, ValueError) as exc:  # a path that is a file, not writable, or has a NUL
         parser.error(f"output directory {out_dir}: {exc}")
     names = _SCENARIO_ORDER if args.scenario == "all" else [args.scenario]
     all_passed = True

@@ -1,8 +1,8 @@
 """Experiment configuration: documented defaults, JSON files, overrides.
 
 A value in a config file, at the top level or in a bump entry, must be a
-JSON value of its field's type: an int may stand for a float, and no string
-or boolean for a number."""
+JSON value of its field's type: an int may stand for a float when a float
+can hold it, and no string or boolean for a number."""
 
 from __future__ import annotations
 
@@ -23,7 +23,10 @@ def _typed(what: str, value, kind: type):
     if kind is BumpSpec:
         return _bump(value)
     if kind is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{what} must be of type float, got an int past its range") from None
     if type(value) is not kind:
         raise ValueError(f"{what} must be of type {kind.__name__}, got {value!r}")
     return value

@@ -8,9 +8,9 @@ vector field y: T^4 -> S^2 of coordinates in the self-dual frame
 derives F = sum_k y_k OMEGA_k and J = sum_k y_k J_k on access; both are
 linear in y.  |y| = 1 is the only invariant left; :func:`_require_unit`
 checks it when a triple is built and before one is saved.  The boundaries
-that take outside input check more: :func:`triple_from_form_field` that a
-form is self-dual, and :func:`load_triple` the sidecar and the y (or, for
-an older set, F) file it names.
+that take outside input check more: :func:`load_triple` the sidecar and
+the y file it names, and :func:`triple_from_form_field` that a form is
+self-dual.
 
 A self-dual form a @ OMEGA_SD is anti-invariant for y exactly when
 a . y = 0 (the anti-invariant plane is the tangent plane of S^2 at y), and
@@ -467,26 +467,27 @@ def two_stage_deform(
     return stage1, second_bump_deform(stage1, report1, bump2, log, eps)[0], log
 
 
-def _plain_name(name, slot: str) -> str:
+def _plain_name(name) -> str:
     """``name`` if it is a plain file name, one in the sidecar's own
-    directory, for ``files.<slot>`` of a sidecar; else ValueError."""
+    directory, for ``files.y`` of a sidecar; else ValueError."""
     if not isinstance(name, str) or Path(name).parts != (name,) or name == "..":
-        raise ValueError(f"needs a plain file name in files.{slot}, got {name!r}")
+        raise ValueError(f"needs a plain file name in files.y, got {name!r}")
     return name
 
 
 def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | None = None,
                 log: DeformLog | None = None) -> Path:
     """Write the y field file (sdcoords kind) with
-    :func:`.fieldio.serialize_field` and a JSON sidecar (format 3) with
-    construction parameters and the deformation log.
+    :func:`.fieldio.serialize_field` and a JSON sidecar of format 3, the one
+    format :func:`load_triple` reads, with construction parameters and the
+    deformation log.
 
     y determines the structure, so neither F nor J is built or written.
     Before any file is opened, the y file name ``<stem>.y.field`` must be a
     plain file name (:func:`_plain_name`), as :func:`load_triple` requires,
     y must pass :func:`_require_unit`, which names the worst node, and the
     sidecar must encode as JSON, so a failed save writes nothing."""
-    y_name = _plain_name(f"{stem}.y.field", "y")
+    y_name = _plain_name(f"{stem}.y.field")
     _require_unit(triple.grid, triple.y, None)
     sidecar = json.dumps({
         "format": 3,
@@ -504,19 +505,16 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
 
 
 def load_triple(sidecar_path) -> HermitianTriple:
-    """Read a triple written by :func:`save_triple`, from the field file its
+    """Read a triple written by :func:`save_triple`, from the y file its
     sidecar names.
 
-    The sidecar must be a JSON object of format 1, 2 or 3, with an integer
-    ``grid_n`` and a plain file name in ``files["y"]`` (format 3) or
-    ``files["F"]`` (formats 1 and 2; a format-1 sidecar's J file is not
-    read); otherwise :class:`.fieldio.FieldFormatError` names it.  The file
-    is read by :func:`.fieldio.deserialize_field`, so it must pass its
-    format checks (header, kind, grid, payload size) and hold finite
-    values.  A y file must be of sdcoords kind, and the triple built from
-    it checks |y| = 1, naming the worst node.  An F file must be of twoform
-    kind, and y is rebuilt by :func:`triple_from_form_field`, which checks
-    that the form is self-dual and that |y| = 1, naming the worst node.
+    The sidecar must be a JSON object of format 3, with an integer
+    ``grid_n`` and a plain file name in ``files["y"]``; otherwise
+    :class:`.fieldio.FieldFormatError` names it, as it does a set of format
+    1 or 2, whose file held the fundamental form F.  The y file is read by
+    :func:`.fieldio.deserialize_field`, so it must pass its format checks
+    (header, sdcoords kind, grid, payload size) and hold finite values, and
+    the triple built from it checks |y| = 1, naming the worst node.
     """
     sidecar_path = Path(sidecar_path)
     try:
@@ -524,21 +522,13 @@ def load_triple(sidecar_path) -> HermitianTriple:
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
         fmt, n, files = meta.get("format"), meta.get("grid_n"), meta.get("files")
-        if type(fmt) is not int or fmt not in (1, 2, 3):
-            raise ValueError(f"format {fmt!r} is not 1, 2 or 3")
+        if type(fmt) is not int or fmt != 3:
+            raise ValueError(f"format {fmt!r} is not 3")
         if type(n) is not int:
             raise ValueError(f"needs an integer grid_n, got {n!r}")
         grid = GridSpec(n)
-        slot = "y" if fmt == 3 else "F"
-        name = _plain_name(files.get(slot) if isinstance(files, dict) else None, slot)
+        name = _plain_name(files.get("y") if isinstance(files, dict) else None)
     except ValueError as exc:
         raise FieldFormatError(f"{sidecar_path}: malformed sidecar: {exc}") from exc
-    path = sidecar_path.parent / name
-    field = deserialize_field(path, expect_grid=grid)
-    if slot == "F":
-        if not isinstance(field, TwoFormField):
-            raise FieldFormatError(f"{path}: expected a twoform F file")
-        return triple_from_form_field(field)
-    if not isinstance(field, SelfDualCoordField):
-        raise FieldFormatError(f"{path}: expected an sdcoords y file")
+    field = deserialize_field(sidecar_path.parent / name, expect_grid=grid)
     return HermitianTriple(grid, field.values)

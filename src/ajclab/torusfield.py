@@ -105,7 +105,6 @@ class _FieldBase:
     """Common plumbing for nodal fields: validation and immutability."""
 
     NCOMP: tuple[int, ...] = ()
-    KIND = ""
 
     def __init__(self, grid: GridSpec, values):
         values = np.asarray(values, dtype=float)
@@ -125,17 +124,14 @@ class _FieldBase:
 
 class ScalarField(_FieldBase):
     NCOMP = ()
-    KIND = "scalar"
 
 
 class OneFormField(_FieldBase):
     NCOMP = (4,)
-    KIND = "oneform"
 
 
 class TwoFormField(_FieldBase):
     NCOMP = (6,)
-    KIND = "twoform"
 
     @staticmethod
     def constant(grid: GridSpec, six: np.ndarray) -> "TwoFormField":
@@ -145,7 +141,6 @@ class TwoFormField(_FieldBase):
 
 class ThreeFormField(_FieldBase):
     NCOMP = (4,)
-    KIND = "threeform"
 
 
 class SelfDualCoordField(_FieldBase):
@@ -154,7 +149,6 @@ class SelfDualCoordField(_FieldBase):
     checks."""
 
     NCOMP = (3,)
-    KIND = "sdcoords"
 
 
 def _spectrum(values: np.ndarray, ncomp: int) -> np.ndarray:

@@ -67,9 +67,15 @@ def test_unknown_config_key_is_rejected(tmp_path):
         (3, r"config must be a JSON object, got 3"),
         ([1, 2], r"config must be a JSON object, got \[1, 2\]"),
         (None, r"config must be a JSON object, got None"),
+        ({"amplitude": 10**400},
+         r"config key 'amplitude' must be of type float, got an int past its range"),
+        ({"bump2": {"center": [0.5] * 4, "radius": 10**400, "height": 0.3}},
+         r"bump entry \{.*\} has a bad radius 10*: radius must be of type float, "
+         r"got an int past its range"),
     ],
     ids=["int-as-string", "int-as-float", "int-as-bool", "float-as-string", "str-as-int",
-         "empty-list", "number", "list", "null"],
+         "empty-list", "number", "list", "null", "int-past-float-range",
+         "bump-int-past-float-range"],
 )
 def test_config_value_types_are_checked(tmp_path, data, match):
     path = tmp_path / "cfg.json"
@@ -134,7 +140,9 @@ def test_config_bump_entry_keys_are_checked(tmp_path, bump, match):
     (None, "No such file or directory"),
     ("{not json", "Expecting property name enclosed in double quotes"),
     ('{"grid_n": "8"}', "config key 'grid_n' must be of type int, got '8'"),
-], ids=["missing", "invalid-json", "rejected-value"])
+    ('{"amplitude": 1' + "0" * 400 + "}",
+     "config key 'amplitude' must be of type float, got an int past its range"),
+], ids=["missing", "invalid-json", "rejected-value", "int-past-float-range"])
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text, match):
     path = tmp_path / "cfg.json"
     if text is not None:
@@ -179,6 +187,19 @@ def test_output_path_that_is_a_file_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     last = err.strip().splitlines()[-1]  # after argparse's usage lines
     assert last.startswith(f"ajclab: error: output directory {path}: ") and "File exists" in last
+    assert "Traceback" not in err
+
+
+def test_output_dir_the_os_refuses_is_a_usage_error(tmp_path, capsys):
+    # a NUL in a path is a ValueError of the OS layer, not an OSError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"output_dir": "a\u0000b"}))
+    with pytest.raises(SystemExit) as info:
+        cli.main(["baseline", "--config", str(path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    last = err.strip().splitlines()[-1]
+    assert last == "ajclab: error: output directory a\x00b: embedded null byte"
     assert "Traceback" not in err
 
 

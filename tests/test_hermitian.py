@@ -24,30 +24,13 @@ def deform_pair_nodewise(J, alpha):
     return J_out.reshape(shape + (4, 4)), F_out.reshape(shape + (6,))
 
 
-def write_endo_file(path, J):
-    """A file of the retired endo kind: an AJC1 header, then the 16
-    row-major entries of a 4x4 field as component-major payload rows."""
+def write_kind_file(path, kind, values):
+    """A G8 field file of a retired kind, such as endo (a 4x4 field) or
+    twoform (a fundamental form): an AJC1 header, then the per-node
+    components of ``values`` as component-major payload rows."""
     with open(path, "wb") as fh:
-        fh.write(f"{fieldio.MAGIC} endo {J.shape[0]}\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(J.reshape(-1, 16).T, dtype="<f8"))
-
-
-def save_format2(triple, directory, stem, params=None, log=None):
-    """A format-2 set, byte for byte as save_triple wrote it before structure
-    files held y: the F field file (twoform kind) and a sidecar naming it."""
-    directory.mkdir(parents=True, exist_ok=True)
-    f_name = f"{stem}.F.field"
-    fieldio.serialize_field(triple.F, directory / f_name)
-    sidecar = {
-        "format": 2,
-        "grid_n": triple.grid.n,
-        "files": {"F": f_name},
-        "params": params or {},
-        "deform_log": log.to_list() if log is not None else [],
-    }
-    path = directory / f"{stem}.json"
-    path.write_text(json.dumps(sidecar, indent=2))
-    return path
+        fh.write(f"{fieldio.MAGIC} {kind} {G8.n}\n".encode("ascii"))
+        fh.write(np.ascontiguousarray(values.reshape(G8.node_count, -1).T, dtype="<f8"))
 
 
 def edit_payload(path, change):
@@ -288,6 +271,30 @@ class TestTripleFromForm:
         values[1, 2, 3, 4] += 1e-7 * OMEGA_ASD[k]
         with pytest.raises(ValueError, match=r"not self-dual at node \(1, 2, 3, 4\) \(defect 2\.000e-07\)"):
             hm.triple_from_form_field(tf.TwoFormField(G8, values))
+
+    @staticmethod
+    def form(change):
+        triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
+        return tf.TwoFormField(G8, change(np.array(triple.F.values)))
+
+    def test_rejects_scaled_form(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            hm.triple_from_form_field(self.form(lambda F: 1.01 * F))
+
+    def test_rejects_anti_self_dual_part(self):
+        with pytest.raises(ValueError, match="not self-dual"):
+            hm.triple_from_form_field(self.form(lambda F: F + 1e-3 * OMEGA_ASD[1]))
+
+    def test_rejects_any_form_row_changed_at_one_node(self):
+        # each row of F = y @ OMEGA_SD has a star partner, so a lone change is anti-self-dual
+        for row in range(6):
+            def nudge(F):
+                F.reshape(-1, 6)[1000 + row, row] += 2e-8
+                return F
+
+            node = tuple(int(i) for i in np.unravel_index(1000 + row, G8.shape))
+            with pytest.raises(ValueError, match=rf"not self-dual at node {re.escape(str(node))}"):
+                hm.triple_from_form_field(self.form(nudge))
 
 
 class TestTwoStage:
@@ -577,14 +584,6 @@ class TestTripleIO:
         for k in range(3):
             assert rows[k].tobytes() == np.ascontiguousarray(triple.y[..., k]).tobytes()
 
-    @pytest.mark.parametrize("label", ["standard", "random", "stage1", "stage2"])
-    def test_format2_set_loads_to_the_same_y(self, io_triples, label, tmp_path):
-        # F @ OMEGA_SD.T / 2 recovers y exactly: each y_k sits in two F entries of sign +-1
-        triple = io_triples[label]
-        old = hm.load_triple(save_format2(triple, tmp_path / "old", label))
-        new = hm.load_triple(hm.save_triple(triple, tmp_path / "new", label))
-        assert old.y.tobytes() == new.y.tobytes() == triple.y.tobytes()
-
     def test_load_copies_the_y_file_once(self, io_triples, tmp_path, monkeypatch):
         # the field read from the file holds the one node-major copy, and the triple shares it
         read = []
@@ -659,63 +658,31 @@ class TestTripleIO:
 
 
 class TestLoadBoundary:
-    """Format-2 sets, whose structure file is F, through load_triple's F path."""
+    """The sidecar and the file around y, as load_triple checks them on a
+    format-3 set as save_triple writes it."""
 
     @pytest.fixture
     def sidecar(self, tmp_path):
         triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
-        return save_format2(triple, tmp_path, "sample")
-
-    @staticmethod
-    def tamper(sidecar, change):
-        path = sidecar.parent / "sample.F.field"
-        field = fieldio.deserialize_field(path)
-        fieldio.serialize_field(type(field)(field.grid, change(field.values)), path)
-
-    @staticmethod
-    def tamper_payload(sidecar, change):
-        edit_payload(sidecar.parent / "sample.F.field", change)
+        return hm.save_triple(triple, tmp_path, "sample")
 
     def test_rejects_scaled_form(self, sidecar):
-        self.tamper(sidecar, lambda F: 1.01 * F)
+        # y holds the coordinates of F = y @ OMEGA_SD, so this scales the form
+        def scale(payload):
+            payload *= 1.01
+
+        edit_payload(sidecar.parent / "sample.y.field", scale)
         with pytest.raises(ValueError, match="unit vector"):
             hm.load_triple(sidecar)
 
-    def test_rejects_anti_self_dual_part(self, sidecar):
-        self.tamper(sidecar, lambda F: F + 1e-3 * OMEGA_ASD[1])
-        with pytest.raises(ValueError, match="not self-dual"):
-            hm.load_triple(sidecar)
-
-    def test_rejects_nan_in_the_f_file(self, sidecar):
-        def poison(payload):
-            payload[5, 1234] = np.nan
-
-        self.tamper_payload(sidecar, poison)
-        path = sidecar.parent / "sample.F.field"
-        with pytest.raises(fieldio.FieldFormatError, match=rf"^{re.escape(str(path))}: .*non-finite"):
-            hm.load_triple(sidecar)
-
-    def test_rejects_any_form_row_changed_at_one_node(self, sidecar):
-        # each row of F = y @ OMEGA_SD has a star partner, so a lone change is anti-self-dual
-        original = (sidecar.parent / "sample.F.field").read_bytes()
-        for row in range(6):
-            def nudge(payload):
-                payload[row, 1000 + row] += 2e-8
-
-            self.tamper_payload(sidecar, nudge)
-            node = tuple(int(i) for i in np.unravel_index(1000 + row, G8.shape))
-            with pytest.raises(ValueError, match=rf"not self-dual at node {re.escape(str(node))}"):
-                hm.load_triple(sidecar)
-            (sidecar.parent / "sample.F.field").write_bytes(original)
-
-    def test_rejects_an_endo_file_in_the_f_slot(self, sidecar):
+    def test_rejects_an_endo_file_in_the_y_slot(self, sidecar):
         triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
-        write_endo_file(sidecar.parent / "sample.F.field", triple.J.values)
+        write_kind_file(sidecar.parent / "sample.y.field", "endo", triple.J.values)
         with pytest.raises(fieldio.FieldFormatError, match="unknown field kind 'endo'"):
             hm.load_triple(sidecar)
 
-    def test_rejects_a_truncated_f_file(self, sidecar):
-        path = sidecar.parent / "sample.F.field"
+    def test_rejects_a_truncated_y_file(self, sidecar):
+        path = sidecar.parent / "sample.y.field"
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(fieldio.FieldFormatError, match="payload"):
             hm.load_triple(sidecar)
@@ -734,56 +701,30 @@ class TestLoadBoundary:
             (lambda meta: [meta], "not a JSON object"),
             (lambda meta: {k: v for k, v in meta.items() if k != "grid_n"},
              "integer grid_n, got None"),
-            (lambda meta: {k: v for k, v in meta.items() if k != "files"}, "files.F, got None"),
-            (lambda meta: {**meta, "files": {"J": "sample.J.field"}}, "files.F, got None"),
-            (lambda meta: {**meta, "files": {"F": ".."}}, "files.F, got '..'"),
+            (lambda meta: {k: v for k, v in meta.items() if k != "files"}, "files.y, got None"),
+            (lambda meta: {**meta, "files": {"y": "../sample.y.field"}},
+             "files.y, got '../sample.y.field'"),
             (lambda meta: {**meta, "grid_n": "8"}, "integer grid_n, got '8'"),
             (lambda meta: {**meta, "grid_n": 7}, "grid size must be even"),
-            (lambda meta: {**meta, "format": 4}, "format 4 is not 1, 2 or 3"),
+            # the sets written before structure files held y, whose file was F
+            (lambda meta: {**meta, "format": 1,
+                           "files": {"J": "sample.J.field", "F": "sample.F.field"}},
+             "format 1 is not 3"),
+            (lambda meta: {**meta, "format": 2, "files": {"F": "sample.F.field"}},
+             "format 2 is not 3"),
+            (lambda meta: {**meta, "format": 4}, "format 4 is not 3"),
         ],
-        ids=["not-json", "not-object", "no-grid-n", "no-files", "no-f-file",
-             "parent-directory", "string-grid-n", "odd-grid-n", "format-4"],
+        ids=["not-json", "not-object", "no-grid-n", "no-files", "parent-directory",
+             "string-grid-n", "odd-grid-n", "format-1", "format-2", "format-4"],
     )
     def test_rejects_a_malformed_sidecar(self, sidecar, edit, match):
         meta = edit(json.loads(sidecar.read_text()))
         self.assert_malformed(sidecar, meta if isinstance(meta, str) else json.dumps(meta), match)
 
-    @pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "in-a-directory"])
-    def test_rejects_an_f_file_outside_the_sidecar_directory(self, sidecar, absolute):
-        # a valid F file, so only the name can be refused
-        other = sidecar.parent / "elsewhere"
-        other.mkdir()
-        (other / "sample.F.field").write_bytes((sidecar.parent / "sample.F.field").read_bytes())
-        name = str(other / "sample.F.field") if absolute else "elsewhere/sample.F.field"
-        meta = json.loads(sidecar.read_text())
-        meta["files"]["F"] = name
-        self.assert_malformed(sidecar, json.dumps(meta), f"files.F, got {name!r}")
-
-    def test_accepts_files_written_node_by_node(self, tmp_path):
-        # a format-1 sidecar also names a J file, which is not read
-        rng = np.random.default_rng(0)
-        a = np.zeros(G8.shape + (3,))
-        a[..., 1:] = rng.uniform(-0.6, 0.6, G8.shape + (2,))
-        J0 = np.broadcast_to(pl.J0, G8.shape + (4, 4))
-        J, F = deform_pair_nodewise(J0, a @ pl.OMEGA_SD)
-        write_endo_file(tmp_path / "old.J.field", J)
-        fieldio.serialize_field(tf.TwoFormField(G8, F), tmp_path / "old.F.field")
-        sidecar = tmp_path / "old.json"
-        sidecar.write_text(json.dumps({
-            "format": 1, "grid_n": G8.n, "files": {"J": "old.J.field", "F": "old.F.field"},
-            "params": {}, "deform_log": [],
-        }))
-        back = hm.load_triple(sidecar)
-        assert float(np.max(np.abs(back.J.values - J))) <= pl.ACS_TOL
-        assert float(np.max(np.abs(back.F.values - F))) <= pl.ACS_TOL
-        (tmp_path / "old.J.field").write_bytes(b"garbage")
-        assert hm.load_triple(sidecar).y.tobytes() == back.y.tobytes()
-        (tmp_path / "old.J.field").unlink()
-        assert hm.load_triple(sidecar).y.tobytes() == back.y.tobytes()
-
 
 class TestLoadYBoundary:
-    """Format-3 sets, whose structure file is y, as save_triple writes them."""
+    """The y file that a format-3 sidecar names: its name, kind, grid and
+    values, as load_triple checks them."""
 
     @pytest.fixture
     def sidecar(self, tmp_path):
@@ -819,9 +760,10 @@ class TestLoadYBoundary:
         self.assert_rejected(sidecar, "grid n=4, expected n=8")
 
     def test_rejects_a_twoform_file_in_the_y_slot(self, sidecar):
+        # the kind a format-2 set's F file had, which no reader accepts now
         triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
-        fieldio.serialize_field(triple.F, sidecar.parent / "sample.y.field")
-        self.assert_rejected(sidecar, "expected an sdcoords y file")
+        write_kind_file(sidecar.parent / "sample.y.field", "twoform", triple.F.values)
+        self.assert_rejected(sidecar, "unknown field kind 'twoform'")
 
     @pytest.mark.parametrize(
         "files",

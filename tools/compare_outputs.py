@@ -2,7 +2,7 @@
 
 - JSON files are compared with every ``timings_ms``, ``runtime_ms`` and
   ``output_dir`` key dropped at any depth; key order counts, and a
-  difference is named by its path in the document (``$.files.F``).
+  difference is named by its path in the document (``$.files.y``).
 - ``*.field`` files, and any other file, are compared by bytes.
 - ``sweep.csv`` is compared without its ``runtime_ms`` column.
 - Files present on one side only are listed.
