@@ -687,6 +687,16 @@ class TestLoadBoundary:
         with pytest.raises(fieldio.FieldFormatError, match="payload"):
             hm.load_triple(sidecar)
 
+    def test_rejects_nan_in_the_f_file(self, sidecar):
+        # the structure file is y now; poison its last component at the first node
+        def poison(payload):
+            payload[2, 0] = np.nan
+
+        edit_payload(sidecar.parent / "sample.y.field", poison)
+        path = sidecar.parent / "sample.y.field"
+        with pytest.raises(fieldio.FieldFormatError, match=rf"^{re.escape(str(path))}: .*non-finite"):
+            hm.load_triple(sidecar)
+
     @staticmethod
     def assert_malformed(sidecar, text, match):
         sidecar.write_text(text)
@@ -702,6 +712,8 @@ class TestLoadBoundary:
             (lambda meta: {k: v for k, v in meta.items() if k != "grid_n"},
              "integer grid_n, got None"),
             (lambda meta: {k: v for k, v in meta.items() if k != "files"}, "files.y, got None"),
+            # a files table that names a J file and no structure file
+            (lambda meta: {**meta, "files": {"J": "sample.J.field"}}, "files.y, got None"),
             (lambda meta: {**meta, "files": {"y": "../sample.y.field"}},
              "files.y, got '../sample.y.field'"),
             (lambda meta: {**meta, "grid_n": "8"}, "integer grid_n, got '8'"),
@@ -714,12 +726,23 @@ class TestLoadBoundary:
              "format 2 is not 3"),
             (lambda meta: {**meta, "format": 4}, "format 4 is not 3"),
         ],
-        ids=["not-json", "not-object", "no-grid-n", "no-files", "parent-directory",
+        ids=["not-json", "not-object", "no-grid-n", "no-files", "no-f-file", "parent-directory",
              "string-grid-n", "odd-grid-n", "format-1", "format-2", "format-4"],
     )
     def test_rejects_a_malformed_sidecar(self, sidecar, edit, match):
         meta = edit(json.loads(sidecar.read_text()))
         self.assert_malformed(sidecar, meta if isinstance(meta, str) else json.dumps(meta), match)
+
+    @pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "in-a-directory"])
+    def test_rejects_an_f_file_outside_the_sidecar_directory(self, sidecar, absolute):
+        # a valid structure file in another directory, so only the name can be refused
+        other = sidecar.parent / "elsewhere"
+        other.mkdir()
+        (other / "sample.y.field").write_bytes((sidecar.parent / "sample.y.field").read_bytes())
+        name = str(other / "sample.y.field") if absolute else "elsewhere/sample.y.field"
+        meta = json.loads(sidecar.read_text())
+        meta["files"]["y"] = name
+        self.assert_malformed(sidecar, json.dumps(meta), f"files.y, got {name!r}")
 
 
 class TestLoadYBoundary:
