@@ -144,26 +144,48 @@ def run_splitting_battery(seed: int) -> list[Check]:
     ]
 
 
+def _bandlimited(rng: np.random.Generator, grid: tf.GridSpec, cls):
+    """A random field of type ``cls`` with the law that
+    :func:`run_calculus_battery` states, made with one ``irfftn``.
+
+    Only the retained half-spectrum block is drawn: every |k_a| <= b on the
+    three full axes and 0..b on the half axis.  ``irfftn`` keeps only the
+    Hermitian part of the k4 = 0 plane, which halves its variance per real
+    part, hence that plane's factor sqrt(2)."""
+    b = grid.n // 2 - 2
+    full = np.r_[0 : b + 1, grid.n - b : grid.n]
+    block = (...,) + np.ix_(full, full, full, np.arange(b + 1))
+    spec = np.zeros(cls.NCOMP + grid.shape[:3] + (grid.n // 2 + 1,), dtype=complex)
+    for part in (spec.real, spec.imag):
+        part[block] = rng.standard_normal(cls.NCOMP + (2 * b + 1,) * 3 + (b + 1,))
+    spec *= np.sqrt(grid.node_count / 2)
+    spec[..., 0] *= np.sqrt(2.0)
+    vals = tf._nodal(spec, grid, len(cls.NCOMP))
+    vals /= max(1.0, float(np.max(np.abs(vals))))
+    return cls(grid, vals)
+
+
 def run_calculus_battery(grid_n: int, count: int, seed: int) -> list[Check]:
-    """Spectral calculus identities on random fields bandlimited to n/2 - 2."""
+    """Spectral calculus identities on random fields bandlimited to
+    b = n/2 - 2.
+
+    Every mode with all |k_a| <= b carries an independent complex Gaussian
+    coefficient of variance N/2 per real part, N = n^4, which is the law of
+    the ``rfftn`` of unit white noise, so the fields are low-passed white
+    noise in law.  On the self-conjugate k4 = 0 plane that law holds for
+    the Hermitian part, all that ``irfftn`` keeps, and the k = 0 mode has
+    variance N.  Each field is then divided by max(1, max|values|)."""
     grid = tf.GridSpec(grid_n)
-    bandlimit = grid.n // 2 - 2
     rng = np.random.default_rng(seed)
-
-    def bandlimited(cls):
-        noise = cls(grid, rng.standard_normal(grid.shape + cls.NCOMP))
-        vals = tf.spectral_truncate(noise, bandlimit).values
-        return cls(grid, vals / max(1.0, float(np.max(np.abs(vals)))))
-
     dd_scalar = dd_oneform = 0.0
     adjoint_rel = 0.0
     integral_err = 0.0
     wedge_asym = 0.0
     for _ in range(count):
-        f = bandlimited(tf.ScalarField)
-        theta = bandlimited(tf.OneFormField)
-        phi = bandlimited(tf.TwoFormField)
-        psi = bandlimited(tf.TwoFormField)
+        f = _bandlimited(rng, grid, tf.ScalarField)
+        theta = _bandlimited(rng, grid, tf.OneFormField)
+        phi = _bandlimited(rng, grid, tf.TwoFormField)
+        psi = _bandlimited(rng, grid, tf.TwoFormField)
         dd_scalar = max(dd_scalar, tf.d_oneform(tf.d_scalar(f)).max_abs())
         d_theta = tf.d_oneform(theta)
         dd_oneform = max(dd_oneform, tf.d_twoform(d_theta).max_abs())

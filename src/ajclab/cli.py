@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # a path that is a file, not writable, or has a NUL
-        parser.error(f"output directory {out_dir}: {exc}")
+        parser.error(f"output directory {str(out_dir)!r}: {exc}")
     names = _SCENARIO_ORDER if args.scenario == "all" else [args.scenario]
     all_passed = True
     for name in names:

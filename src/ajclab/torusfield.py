@@ -295,7 +295,8 @@ def bump_cutoff(grid: GridSpec, center, radius: float, height: float) -> ScalarF
 
 def spectral_truncate(field, max_mode: int):
     """Zero all Fourier modes with any axis frequency above ``max_mode``;
-    the low-pass filter behind every random bandlimited field."""
+    the low-pass filter behind random structures and the tests' random
+    fields."""
     grid = field.grid
     if not 0 <= max_mode < grid.n // 2:
         raise ValueError("max_mode must lie in [0, n/2)")

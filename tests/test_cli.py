@@ -186,7 +186,7 @@ def test_output_path_that_is_a_file_is_a_usage_error(tmp_path, capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     last = err.strip().splitlines()[-1]  # after argparse's usage lines
-    assert last.startswith(f"ajclab: error: output directory {path}: ") and "File exists" in last
+    assert last.startswith(f"ajclab: error: output directory {str(path)!r}: ") and "File exists" in last
     assert "Traceback" not in err
 
 
@@ -199,7 +199,7 @@ def test_output_dir_the_os_refuses_is_a_usage_error(tmp_path, capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     last = err.strip().splitlines()[-1]
-    assert last == "ajclab: error: output directory a\x00b: embedded null byte"
+    assert last == "ajclab: error: output directory 'a\\x00b': embedded null byte"
     assert "Traceback" not in err
 
 
