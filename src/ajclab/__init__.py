@@ -7,9 +7,9 @@ from .config import LabConfig
 from .cohomlab import (
     EllipticReport,
     GramReport,
+    anti_invariant_frame,
     delta_j_estimate,
     elliptic_kernel_dim,
-    f_omega,
     gram_matrix,
     h_plus,
     intersection_dim,
@@ -22,14 +22,12 @@ from .hermitian import (
     BumpSpec,
     DeformLog,
     HermitianTriple,
-    anti_invariant_frame,
     deform_field,
     load_triple,
     one_bump_deform,
     random_compatible_acs,
     save_triple,
     standard_acs,
-    triple_from_form_field,
     two_stage_deform,
 )
 from .reporting import Check, ScenarioReport
@@ -76,7 +74,6 @@ __all__ = [
     "delta_j_estimate",
     "deserialize_field",
     "elliptic_kernel_dim",
-    "f_omega",
     "gram_matrix",
     "h_plus",
     "integrate",
@@ -88,7 +85,6 @@ __all__ = [
     "save_triple",
     "select_null_form",
     "standard_acs",
-    "triple_from_form_field",
     "two_stage_deform",
     "v_measure",
     "wedge_integral",

@@ -1,8 +1,7 @@
 """Dimension computations for the harmonic anti-invariant plane.
 
-Two independent routes are implemented.
-
-The Gram route is exact on the flat torus and is the primary computation.
+Two independent routes are implemented.  The Gram route is the primary
+computation, exact on the flat torus.
 Derivation: a closed anti-invariant 2-form is pointwise self-dual (the
 anti-invariant plane sits inside the self-dual one), hence coclosed
 (delta = -star d star kills closed self-dual forms), hence harmonic, hence
@@ -18,13 +17,14 @@ i.e. beta^T G beta = 0 for the Gram matrix
 
 (the integral is the node mean); since G is positive semidefinite the
 anti-invariant constants are exactly its kernel.  Constant self-dual forms
-are handled by their coordinates beta throughout.
+are handled by their coordinates beta throughout, and a structure
+through its ``.grid`` and ``.y`` alone.
 
 The second route counts the small eigenvalues of the self-adjoint
 elliptic operator psi -> P^-(d delta psi) on sections of the
 anti-invariant plane, whose kernel is the harmonic anti-invariant forms, so
 the count must equal the Gram rank on every structure.  A section is
-a_1 v_1 + a_2 v_2 in the frame of :func:`.hermitian.anti_invariant_frame`,
+a_1 v_1 + a_2 v_2 in the frame of :func:`anti_invariant_frame`,
 with coefficients a_i on the modes below the Nyquist band (P), and the
 operator is A = P V^T C V P: V maps coefficients to self-dual coordinates
 (an isometry), and P^- drops out because the frame spans the plane it
@@ -49,12 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pointlin as pl
-from .hermitian import HermitianTriple, anti_invariant_frame
 from .torusfield import (
     GRID_AXES,
     GridSpec,
     ScalarField,
     TwoFormField,
+    _worst_node,
     d_codiff_values,
     d_twoform,
 )
@@ -68,6 +68,14 @@ ANGLE_TOL = 1e-3
 #: the elliptic oracle's kernel threshold, relative to lambda_gap, the
 #: smallest nonzero value of its kernel's symbol ((2 pi)^2 / 2 at every n)
 ORACLE_TAU = 1e-6
+
+#: the least clearance of a frame pivot (anti_invariant_frame).  v1 divides
+#: by |y x p|, so the frame's rounding is about u / clearance, 2.2e-13 at the
+#: bound, and moves the elliptic oracle's bounds by about lambda_gap times
+#: that, 4e-12, far below its threshold 1.97e-5.  The least clearance seen
+#: on a structure is 0.19 (random, amplitude 0.99, n = 8); only a y within
+#: 0.06 degrees of every candidate axis somewhere is refused.
+MIN_CLEARANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -370,6 +378,40 @@ def _ritz_values(frames: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     s, U = np.linalg.eigh(gram)
     T = U[:, s > ORACLE_TAU * s[-1]] / np.sqrt(s[s > ORACLE_TAU * s[-1]])
     return np.linalg.eigvalsh(T.T @ K @ T)
+
+
+def anti_invariant_frame(
+    triple: HermitianTriple,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Nodewise orthonormal frame (v1, v2) of the anti-invariant plane, in
+    self-dual coordinates (a tangent frame of S^2 at y), with its pivot p
+    and the pivot's clearance min_x |p x y(x)|.  ``v @ OMEGA_SD`` are
+    wedge-unit forms.
+
+    One p serves every node: v1 = y x p / |y x p| and v2 = y x v1, so the
+    frame is as smooth as y.  p is the eigenvector of mean(y y^T) with the
+    largest clearance, the first in ascending eigenvalue order on a tie.
+    When h_minus >= 1, some unit beta has beta . y = 0 at every node: beta
+    is an eigenvector (of eigenvalue 0) with clearance 1, the largest
+    possible, so p = +-beta and v2 = (y (y . p) - p) / |y x p| = -p at
+    every node.  A clearance below MIN_CLEARANCE raises
+    :class:`.pointlin.ConsistencyError` naming the node where y comes
+    nearest to the pivot axis.
+    """
+    y = triple.y.reshape(-1, 3)
+    _, axes = np.linalg.eigh(y.T @ y / len(y))
+    along = np.abs(y @ axes)
+    k = int(np.argmin(along.max(axis=0)))
+    clearance = float(np.sqrt(max(0.0, 1.0 - along[:, k].max() ** 2)))
+    if not clearance >= MIN_CLEARANCE:
+        raise pl.ConsistencyError(
+            f"y comes within clearance {clearance:.3e} of the frame pivot {axes[:, k]} at node "
+            f"{_worst_node(triple.grid, along[:, k], None)} (bound {MIN_CLEARANCE:.0e})"
+        )
+    v1 = np.cross(y, axes[:, k])
+    v1 /= np.linalg.norm(v1, axis=-1, keepdims=True)
+    shape = triple.grid.shape + (3,)
+    return v1.reshape(shape), np.cross(y, v1).reshape(shape), axes[:, k], clearance
 
 
 def elliptic_kernel_dim(triple: HermitianTriple, grid: GridSpec) -> EllipticReport:

@@ -7,10 +7,10 @@ vector field y: T^4 -> S^2 of coordinates in the self-dual frame
 (OMEGA1, OMEGA2, OMEGA3).  :class:`HermitianTriple` stores y alone and
 derives F = sum_k y_k OMEGA_k and J = sum_k y_k J_k on access; both are
 linear in y.  |y| = 1 is the only invariant left; :func:`_require_unit`
-checks it when a triple is built and before one is saved.  The boundaries
-that take outside input check more: :func:`load_triple` the sidecar and
-the y file it names, and :func:`triple_from_form_field` that a form is
-self-dual.
+checks it when a triple is built and before one is saved.  The boundary
+that takes outside input, :func:`load_triple`, checks more: the sidecar
+and the y file it names.  :func:`triple_from_form_field` and
+:func:`.cohomlab.f_omega` are kept for the tests and perfbench's span table.
 
 A self-dual form a @ OMEGA_SD is anti-invariant for y exactly when
 a . y = 0 (the anti-invariant plane is the tangent plane of S^2 at y), and
@@ -52,7 +52,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cohomlab
 from . import pointlin as pl
+# re-exported: tests call hm.anti_invariant_frame, and perfbench traces the frame under hermitian
+from .cohomlab import anti_invariant_frame
 from .fieldio import FieldFormatError, deserialize_field, serialize_field
 from .reporting import to_json
 from .torusfield import (
@@ -61,6 +64,7 @@ from .torusfield import (
     SelfDualCoordField,
     TwoFormField,
     _FieldBase,
+    _worst_node,
     bump_cutoff,
     frozen,
     spectral_truncate,
@@ -69,31 +73,17 @@ from .torusfield import (
 #: bound on the disagreement of stage 2's normalization and rational
 #: deformation routes
 ROUTE_TOL = 1e-9
-#: the least clearance of a frame pivot (anti_invariant_frame).  v1 divides
-#: by |y x p|, so the frame's rounding is about u / clearance, 2.2e-13 at the
-#: bound, and moves the elliptic oracle's bounds by about lambda_gap times
-#: that, 4e-12, far below its threshold 1.97e-5.  The least clearance seen
-#: on a structure is 0.19 (random, amplitude 0.99, n = 8); only a y within
-#: 0.06 degrees of every candidate axis somewhere is refused.
-MIN_CLEARANCE = 1e-3
 #: nodes per chunk of the J checked by AcsField; one chunk's 4x4 products
 #: stay cache-sized
 _ACS_CHUNK = 4096
 
 
-def _worst_node(grid: GridSpec, nodewise: np.ndarray, rows) -> tuple[int, ...]:
-    """The grid index of the largest entry of ``nodewise``, whose entries sit
-    at the flat node indices ``rows``, or at every node when ``rows`` is None."""
-    i = int(np.argmax(nodewise))
-    return tuple(int(k) for k in np.unravel_index(i if rows is None else int(rows[i]), grid.shape))
-
-
 def _require_unit(grid: GridSpec, y: np.ndarray, rows) -> np.ndarray:
     """The rows ``y`` of a structure field (at ``rows``, as in
-    :func:`_worst_node`), checked to be finite unit vectors within
-    pl.ACS_TOL, naming the worst node.  A non-finite y makes the max defect
-    non-finite, so finiteness is looked at only when the defect check fails.
-    For J = sum_k y_k J_k, J^2 + Id = (1 - |y|^2) Id = Id - J^T J."""
+    :func:`.torusfield._worst_node`), checked to be finite unit vectors
+    within pl.ACS_TOL, naming the worst node.  A non-finite y makes the max
+    defect non-finite, so finiteness is looked at only when the defect check
+    fails.  For J = sum_k y_k J_k, J^2 + Id = (1 - |y|^2) Id = Id - J^T J."""
     defect = np.abs(np.einsum("...k,...k", y, y) - 1.0)
     worst = float(np.max(defect, initial=0.0))
     if not worst <= pl.ACS_TOL:
@@ -176,40 +166,6 @@ def standard_acs(grid: GridSpec) -> HermitianTriple:
     is OMEGA1 everywhere and its harmonic anti-invariant plane is
     span(OMEGA2, OMEGA3)."""
     return HermitianTriple(grid, np.broadcast_to([1.0, 0.0, 0.0], grid.shape + (3,)))
-
-
-def anti_invariant_frame(
-    triple: HermitianTriple,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Nodewise orthonormal frame (v1, v2) of the anti-invariant plane, in
-    self-dual coordinates (a tangent frame of S^2 at y), with its pivot p
-    and the pivot's clearance min_x |p x y(x)|.  ``v @ OMEGA_SD`` are
-    wedge-unit forms.
-
-    One p serves every node: v1 = y x p / |y x p| and v2 = y x v1, so the
-    frame is as smooth as y.  p is the eigenvector of mean(y y^T) with the
-    largest clearance, the first in ascending eigenvalue order on a tie.
-    When h_minus >= 1, some unit beta has beta . y = 0 at every node: beta
-    is an eigenvector (of eigenvalue 0) with clearance 1, the largest
-    possible, so p = +-beta and v2 = (y (y . p) - p) / |y x p| = -p at
-    every node.  A clearance below MIN_CLEARANCE raises
-    :class:`.pointlin.ConsistencyError` naming the node where y comes
-    nearest to the pivot axis.
-    """
-    y = triple.y.reshape(-1, 3)
-    _, axes = np.linalg.eigh(y.T @ y / len(y))
-    along = np.abs(y @ axes)
-    k = int(np.argmin(along.max(axis=0)))
-    clearance = float(np.sqrt(max(0.0, 1.0 - along[:, k].max() ** 2)))
-    if not clearance >= MIN_CLEARANCE:
-        raise pl.ConsistencyError(
-            f"y comes within clearance {clearance:.3e} of the frame pivot {axes[:, k]} at node "
-            f"{_worst_node(triple.grid, along[:, k], None)} (bound {MIN_CLEARANCE:.0e})"
-        )
-    v1 = np.cross(y, axes[:, k])
-    v1 /= np.linalg.norm(v1, axis=-1, keepdims=True)
-    shape = triple.grid.shape + (3,)
-    return v1.reshape(shape), np.cross(y, v1).reshape(shape), axes[:, k], clearance
 
 
 def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows, finish):
@@ -334,8 +290,6 @@ def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, w
     structures with h_minus >= 1, and trace G = 4 keeps h_minus <= 2, so the
     non-null span has dimension 1 or 2, where that bound is defined.
     """
-    from . import cohomlab
-
     w = cohomlab.select_null_form(report)
     values = bump.build(triple.grid).values.ravel()
     rows = np.flatnonzero(values)
@@ -355,7 +309,7 @@ def one_bump_deform(
     bump: BumpSpec,
     tol_null: float = 1e-7,
     eps: float = 1e-6,
-) -> tuple[HermitianTriple, DeformLog, tuple["cohomlab.GramReport", "cohomlab.GramReport"]]:
+) -> tuple[HermitianTriple, DeformLog, tuple[cohomlab.GramReport, cohomlab.GramReport]]:
     """Stage 1 of the cut-off construction; returns (stage1, log,
     (report0, report1)), the Gram reports of the input and of stage1.
 
@@ -371,8 +325,6 @@ def one_bump_deform(
     passes every check and leaves y as it is, and those nodes are copied
     from the input.  The new structure is validated on the whole grid.
     """
-    from . import cohomlab
-
     t0 = time.perf_counter()
     report0 = cohomlab.gram_matrix(triple, tol_null=tol_null)
     if report0.h_minus < 1:
@@ -394,7 +346,7 @@ def one_bump_deform(
 
 
 def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: DeformLog,
-                       eps: float) -> tuple[HermitianTriple, "cohomlab.GramReport"]:
+                       eps: float) -> tuple[HermitianTriple, cohomlab.GramReport]:
     """Stage 2 of the cut-off construction on ``stage1``, whose Gram report
     is ``report1``; appends its record to ``log`` and returns (stage2, its
     Gram report at ``report1.tol_null``), or (stage1, report1) when that
@@ -416,8 +368,6 @@ def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: De
     support is stage 1's, and the validation of the new structure run on the
     whole grid.
     """
-    from . import cohomlab
-
     t0 = time.perf_counter()
     if report1.h_minus == 0:
         log.append({"stage": "cutoff-2", "skipped": "stage 1 already exhausted the kernel"})

@@ -60,9 +60,8 @@ class ScenarioReport:
         return all(c.passed or c.skipped for c in self.checks)
 
     def check(self, name: str, passed: bool, tolerance: float | None = None,
-              measured: float | None = None, detail: str = "") -> bool:
+              measured: float | None = None, detail: str = "") -> None:
         self.checks.append(Check(name, bool(passed), tolerance, measured, detail))
-        return bool(passed)
 
     def within(self, name: str, residual, tolerance: float) -> None:
         self.checks.append(Check.within(name, residual, tolerance))

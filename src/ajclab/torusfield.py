@@ -89,6 +89,13 @@ class GridSpec:
         return [np.where(np.abs(k) == self.n // 2, 0.0, 2j * np.pi * k) for k in self.wavenumbers()]
 
 
+def _worst_node(grid: GridSpec, nodewise: np.ndarray, rows) -> tuple[int, ...]:
+    """The grid index of the largest entry of ``nodewise``, whose entries sit
+    at the flat node indices ``rows``, or at every node when ``rows`` is None."""
+    i = int(np.argmax(nodewise))
+    return tuple(int(k) for k in np.unravel_index(i if rows is None else int(rows[i]), grid.shape))
+
+
 def frozen(values, order: str) -> np.ndarray:
     """``values`` as a read-only float array that no other name can write.
     A read-only float array that owns its memory (the values of a field or

@@ -1,5 +1,7 @@
-"""The package's public surface and its import cost."""
+"""The package's public surface, its import structure and its import cost."""
 
+import ast
+import graphlib
 import os
 import subprocess
 import sys
@@ -17,6 +19,43 @@ def test_star_import():
     namespace = {}
     exec("from ajclab import *", namespace)
     assert set(ajclab.__all__) <= set(namespace)
+
+
+def sibling_imports(path: Path) -> list[tuple[str, str | None]]:
+    """(imported sibling, enclosing function or None) for each relative
+    import in the module at ``path``: x for ``from . import x`` and for
+    ``from .x import y``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module is None:
+                found.extend((alias.name, function) for alias in node.names)
+            else:
+                found.append((node.module.split(".")[0], function))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name if function is None else f"{function}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_sibling_imports_are_module_level_and_acyclic():
+    package = Path(ajclab.__file__).resolve().parent
+    imports = {p.stem: sibling_imports(p) for p in sorted(package.glob("*.py"))}
+    local = [f"{module}.{function} imports {target}"
+             for module, found in imports.items() for target, function in found if function]
+    assert local == []
+    # module-level and function-local imports alike
+    graph = {module: {target for target, _ in found} for module, found in imports.items()}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+        cycle = None
+    except graphlib.CycleError as exc:
+        cycle = exc.args[1]
+    assert cycle is None
 
 
 def run_fresh(code):

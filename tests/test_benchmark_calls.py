@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from ajclab import cohomlab, hermitian
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
 import workloads  # noqa: E402
@@ -42,6 +44,8 @@ def test_every_trace_target_exists_and_is_restored():
     with spans.installed(spans.Tracer()) as absent:
         assert absent == []
         assert all(vars(h)[attr] is not before[(id(h), attr)] for h, attr in targets)
+        # the frame, traced as hermitian's, is also the cohomlab name the oracle calls
+        assert cohomlab.anti_invariant_frame is hermitian.anti_invariant_frame
     after = _attributes(holders)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)

@@ -501,7 +501,7 @@ class TestEllipticOracle:
         for seed in (1, 3):
             triple = hm.random_compatible_acs(G8, seed=seed, amplitude=0.99, bandlimit=2)
             report = cohomlab.elliptic_kernel_dim(triple, G8)
-            assert hm.MIN_CLEARANCE < report.clearance < 0.2
+            assert cohomlab.MIN_CLEARANCE < report.clearance < 0.2
             assert report.kernel_dim == cohomlab.gram_matrix(triple).h_minus == 0
 
     def test_grid_mismatch_rejected(self):
