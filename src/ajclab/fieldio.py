@@ -13,7 +13,8 @@ routes to and from a file; both see the payload as it lies in the file, a
 ``(3, N)`` array of N = n^4 nodes.  A structure is stored as its unit
 vector field y: :func:`.hermitian.save_triple` writes y with
 :func:`serialize_field`, and :func:`.hermitian.load_triple` reads it with
-:func:`deserialize_field`.
+:func:`deserialize_field`.  A read states each refusal once, as a plain
+ValueError, and one re-raise names the file in a :class:`FieldFormatError`.
 """
 
 from __future__ import annotations
@@ -49,53 +50,44 @@ def serialize_field(field, path) -> None:
         fh.write(payload)
 
 
-def deserialize_field(path, expect_grid: GridSpec | None = None):
-    """Read a field file back as a :class:`.torusfield.SelfDualCoordField`;
-    optionally enforce the expected grid.  The header, the kind, the grid
+def deserialize_field(path, expect_grid: GridSpec):
+    """Read a field file of grid ``expect_grid`` back as a
+    :class:`.torusfield.SelfDualCoordField`.  The header, the kind, the grid
     and the payload size are checked first; a header that is not exactly
-    ``f"{MAGIC} {KIND} {n}"`` is malformed, and one of another kind is
-    unknown.  The values are a view of the file's bytes until the field
-    copies them into node-major order, the one full-size copy of a read.
-    Every refusal, a value the field rejects (a non-finite one) included,
-    raises :class:`FieldFormatError` naming the file."""
+    ``f"{MAGIC} {KIND} {n}"``, n in plain decimal, is malformed, and one of
+    another kind is unknown.  The values are a view of the file's bytes
+    until the field copies them into node-major order, the one full-size
+    copy of a read.  Every refusal, a value the field rejects (a non-finite
+    one) included, is a ValueError that one re-raise turns into
+    :class:`FieldFormatError` naming the file."""
     path = Path(path)
-    raw = path.read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise FieldFormatError(f"{path}: missing header line")
     try:
+        raw = path.read_bytes()
+        nl = raw.find(b"\n")
+        if nl < 0:
+            raise ValueError("missing header line")
+        if not raw[:nl].isascii():
+            raise ValueError("header is not ASCII")
         header = raw[:nl].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FieldFormatError(f"{path}: header is not ASCII") from exc
-    parts = header.split()
-    if len(parts) != 3:
-        raise FieldFormatError(f"{path}: malformed header {header!r}")
-    magic, kind, n_str = parts
-    if magic != MAGIC:
-        raise FieldFormatError(f"{path}: bad magic/version {magic!r}, expected {MAGIC!r}")
-    if kind != KIND:
-        raise FieldFormatError(f"{path}: unknown field kind {kind!r}")
-    try:
-        n = int(n_str)
-    except ValueError as exc:
-        raise FieldFormatError(f"{path}: bad grid size {n_str!r}") from exc
-    if header != f"{MAGIC} {KIND} {n}":
-        raise FieldFormatError(f"{path}: malformed header {header!r}")
-    try:
-        grid = GridSpec(n)
-    except ValueError as exc:
-        raise FieldFormatError(f"{path}: {exc}") from exc
-    if expect_grid is not None and grid != expect_grid:
-        raise FieldFormatError(f"{path}: grid n={n}, expected n={expect_grid.n}")
-    (ncomp,) = SelfDualCoordField.NCOMP
-    expected_bytes = 8 * ncomp * grid.node_count
-    body_bytes = len(raw) - (nl + 1)
-    if body_bytes != expected_bytes:
-        raise FieldFormatError(
-            f"{path}: payload has {body_bytes} bytes, expected {expected_bytes}"
-        )
-    payload = np.frombuffer(raw, dtype="<f8", offset=nl + 1).reshape(ncomp, grid.node_count)
-    try:
+        parts = header.split()
+        if len(parts) != 3:
+            raise ValueError(f"malformed header {header!r}")
+        magic, kind, n_str = parts
+        if magic != MAGIC:
+            raise ValueError(f"bad magic/version {magic!r}, expected {MAGIC!r}")
+        if kind != KIND:
+            raise ValueError(f"unknown field kind {kind!r}")
+        if not n_str.isdecimal() or header != f"{MAGIC} {KIND} {int(n_str)}":
+            raise ValueError(f"malformed header {header!r}")
+        grid = GridSpec(int(n_str))
+        if grid != expect_grid:
+            raise ValueError(f"grid n={grid.n}, expected n={expect_grid.n}")
+        (ncomp,) = SelfDualCoordField.NCOMP
+        expected_bytes = 8 * ncomp * grid.node_count
+        body_bytes = len(raw) - (nl + 1)
+        if body_bytes != expected_bytes:
+            raise ValueError(f"payload has {body_bytes} bytes, expected {expected_bytes}")
+        payload = np.frombuffer(raw, dtype="<f8", offset=nl + 1).reshape(ncomp, grid.node_count)
         return SelfDualCoordField(grid, payload.T.reshape(grid.shape + (ncomp,)))
     except ValueError as exc:
         raise FieldFormatError(f"{path}: {exc}") from exc

@@ -419,8 +419,8 @@ def two_stage_deform(
 
 def _plain_name(name) -> str:
     """``name`` if it is a plain file name, one in the sidecar's own
-    directory, for ``files.y`` of a sidecar; else ValueError."""
-    if not isinstance(name, str) or Path(name).parts != (name,) or name == "..":
+    directory with no NUL byte, for ``files.y`` of a sidecar; else ValueError."""
+    if not isinstance(name, str) or "\0" in name or Path(name).parts != (name,) or name == "..":
         raise ValueError(f"needs a plain file name in files.y, got {name!r}")
     return name
 

@@ -240,6 +240,20 @@ def _require_anti_invariant(J, alpha) -> None:
         )
 
 
+def _deform_routes(J, alpha, nsq):
+    """The routes of the deformation of a checked J by an anti-invariant
+    alpha of wedge norm^2 ``nsq`` < 1: K_alpha, T = Id + J K_alpha, the
+    closed form, T^-1 J T and the closed-form F_alpha, with F of J taken as
+    matrix_to_form(J^T).  :func:`deform_pair` asserts on them, and the
+    deformation battery measures them."""
+    K = form_to_matrix(alpha)
+    a = ((1.0 - nsq) / (1.0 + nsq))[..., None, None]
+    b = (2.0 / (1.0 + nsq))[..., None, None]
+    T = np.eye(4) + J @ K
+    F_new = a[..., 0] * matrix_to_form(np.swapaxes(J, -1, -2)) + b[..., 0] * alpha
+    return K, T, a * J - b * K, np.linalg.solve(T, J @ T), F_new
+
+
 def deform_pair(J, alpha):
     """Deform a compatible structure and return (J_alpha, F_alpha) together.
 
@@ -259,18 +273,12 @@ def deform_pair(J, alpha):
         raise ValueError(
             f"deformation form has wedge norm^2 {worst:.6f} >= 1 somewhere"
         )
-    K = form_to_matrix(alpha)
-    a = ((1.0 - nsq) / (1.0 + nsq))[..., None, None]
-    b = (2.0 / (1.0 + nsq))[..., None, None]
-    closed = a * J - b * K
-    T = np.eye(4) + J @ K
-    conjugated = np.linalg.solve(T, J @ T)
+    _, _, closed, conjugated, F_new = _deform_routes(J, alpha, nsq)
     dev = _amax(closed - conjugated)
     if dev > AGREEMENT_TOL:
         raise ConsistencyError(
             f"conjugation and closed-form deformations disagree by {dev:.3e}"
         )
-    F_new = a[..., 0] * fundamental_form(J) + b[..., 0] * alpha
     dev_f = _amax(F_new - fundamental_form(closed))
     if dev_f > AGREEMENT_TOL:
         raise ConsistencyError(

@@ -1,10 +1,11 @@
 """The spectral calculus battery: the law of its random fields, and its
-checks run directly at several grids."""
+checks run directly at several grids; and the deformation battery, which
+measures the routes pointlin computes for deform_pair."""
 
 import numpy as np
 import pytest
 
-from ajclab import battery, torusfield as tf
+from ajclab import battery, pointlin as pl, torusfield as tf
 
 G16 = tf.GridSpec(16)
 KINDS = [tf.ScalarField, tf.OneFormField, tf.TwoFormField, tf.ThreeFormField]
@@ -65,3 +66,62 @@ def test_calculus_battery_is_a_function_of_its_seed():
     first = battery.run_calculus_battery(8, 3, seed=29)
     again = battery.run_calculus_battery(8, 3, seed=29)
     assert [c.measured for c in first] == [c.measured for c in again]
+
+
+def reference_deformation_measures(seed):
+    """The deformation battery's eight measured values, from its draws and
+    the deformation formulas written out here, apart from pointlin's routes."""
+    rng = np.random.default_rng(seed)
+    J = battery._random_structures(rng)
+    alpha = battery._random_anti_invariant(rng, J)
+    nsq = pl.wedge_norm_sq(alpha)
+    K = pl.form_to_matrix(alpha)
+    a = ((1.0 - nsq) / (1.0 + nsq))[..., None, None]
+    b = (2.0 / (1.0 + nsq))[..., None, None]
+    closed = a * J - b * K
+    T = np.eye(4) + J @ K
+    conjugated = np.linalg.solve(T, J @ T)
+    F = pl.fundamental_form(J)
+    F_new = a[..., 0] * F + b[..., 0] * alpha
+    y = F @ pl.OMEGA_SD.T / 2.0
+    y_new = pl.deform_coords(y, alpha @ pl.OMEGA_SD.T / 2.0)
+    s2_residual = np.concatenate([
+        (pl.acs_from_coords(y) - J).reshape(battery.CASES, 16),
+        (pl.acs_from_coords(y_new) - closed).reshape(battery.CASES, 16),
+        y_new @ pl.OMEGA_SD - F_new,
+    ], axis=1)
+    eye = np.eye(4)
+    residuals = [
+        closed - conjugated,
+        closed @ closed + eye,
+        np.swapaxes(closed, -1, -2) @ closed - eye,
+        pl.wedge_norm_sq(F_new) - 1.0,
+        F_new - pl.fundamental_form(closed),
+        K + np.swapaxes(K, -1, -2),
+    ]
+    measured = [float(np.max(np.abs(r))) for r in residuals]
+    return measured + [float(np.min(np.linalg.det(T) - (1.0 - nsq) ** 2)),
+                       float(np.max(np.abs(s2_residual)))]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_deformation_battery_matches_the_written_out_formulas(seed):
+    checks = battery.run_deformation_battery(seed)
+    assert [c.measured for c in checks] == reference_deformation_measures(seed)
+
+
+def test_deformation_battery_measures_pointlin_routes(monkeypatch):
+    routes = []
+    original = pl._deform_routes
+
+    def recorded(*args):
+        routes.append(original(*args))
+        return routes[-1]
+
+    monkeypatch.setattr(pl, "_deform_routes", recorded)
+    checks = battery.run_deformation_battery(1)
+    # once in deform_pair, which draws the structures, and once for the checks
+    assert len(routes) == 2
+    K, _, closed, conjugated, _ = routes[-1]
+    assert checks[0].measured == float(np.max(np.abs(closed - conjugated)))
+    assert checks[5].measured == float(np.max(np.abs(K + np.swapaxes(K, -1, -2))))

@@ -25,7 +25,7 @@ def test_round_trip_bit_identical(cls, tmp_path):
     field = _random_field(cls, rng)
     path = tmp_path / "field.bin"
     fieldio.serialize_field(field, path)
-    back = fieldio.deserialize_field(path)
+    back = fieldio.deserialize_field(path, G)
     assert type(back) is cls
     assert back.grid == G
     assert np.array_equal(back.values, field.values)
@@ -56,15 +56,36 @@ def test_header_layout(tmp_path):
 
 @pytest.mark.parametrize(
     "header",
-    [b"AJC1  sdcoords\t4 ", b"AJC1 sdcoords 0_4", b"AJC1 sdcoords +4", b"AJC1 sdcoords 04"],
-    ids=["extra-whitespace", "underscore", "plus-sign", "leading-zero"],
+    [b"AJC1  sdcoords\t4 ", b"AJC1 sdcoords 0_4", b"AJC1 sdcoords +4", b"AJC1 sdcoords 04",
+     b"AJC1 sdcoords x8"],
+    ids=["extra-whitespace", "underscore", "plus-sign", "leading-zero", "not-decimal"],
 )
 def test_header_must_be_exact(header, tmp_path):
     path = tmp_path / "f.bin"
     path.write_bytes(header + b"\n" + b"\0" * (24 * G.node_count))
     with pytest.raises(fieldio.FieldFormatError,
                        match=rf"^{re.escape(str(path))}: malformed header"):
-        fieldio.deserialize_field(path)
+        fieldio.deserialize_field(path, G)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [(b"AJC1 sdcoords 4", "missing header line"),
+     (b"AJC1 sdcoords 4\xff\n", "header is not ASCII"),
+     (b"AJC1 sdcoords 5\n", "grid size must be even")],
+    ids=["no-newline", "non-ascii", "odd-size"],
+)
+def test_header_refusal_names_the_file(raw, message, tmp_path):
+    path = tmp_path / "f.bin"
+    path.write_bytes(raw + b"\0" * (24 * G.node_count))
+    with pytest.raises(fieldio.FieldFormatError, match=rf"^{re.escape(str(path))}: {message}"):
+        fieldio.deserialize_field(path, G)
+
+
+def test_path_with_a_nul_byte_is_refused_with_the_path(tmp_path):
+    path = tmp_path / "f\0.bin"
+    with pytest.raises(fieldio.FieldFormatError, match=rf"^{re.escape(str(path))}: "):
+        fieldio.deserialize_field(path, G)
 
 
 def test_component_major_x4_fastest(tmp_path):
@@ -85,7 +106,7 @@ def test_truncated_file_rejected(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(fieldio.FieldFormatError, match="payload"):
-        fieldio.deserialize_field(path)
+        fieldio.deserialize_field(path, G)
 
 
 def test_trailing_garbage_rejected(tmp_path):
@@ -94,7 +115,7 @@ def test_trailing_garbage_rejected(tmp_path):
     fieldio.serialize_field(field, path)
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(fieldio.FieldFormatError, match="payload"):
-        fieldio.deserialize_field(path)
+        fieldio.deserialize_field(path, G)
 
 
 def test_non_finite_value_rejected_with_the_path(tmp_path):
@@ -104,7 +125,7 @@ def test_non_finite_value_rejected_with_the_path(tmp_path):
     raw[-8:] = np.array([np.inf], dtype="<f8").tobytes()
     path.write_bytes(bytes(raw))
     with pytest.raises(fieldio.FieldFormatError, match=rf"^{re.escape(str(path))}: .*non-finite"):
-        fieldio.deserialize_field(path)
+        fieldio.deserialize_field(path, G)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -114,14 +135,14 @@ def test_bad_magic_rejected(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(b"AJC2" + raw[4:])
     with pytest.raises(fieldio.FieldFormatError, match="magic"):
-        fieldio.deserialize_field(path)
+        fieldio.deserialize_field(path, G)
 
 
 def test_unknown_kind_rejected(tmp_path):
     path = tmp_path / "f.bin"
     path.write_bytes(b"AJC1 spinor 4\n" + b"\0" * (8 * G.node_count))
     with pytest.raises(fieldio.FieldFormatError, match="kind"):
-        fieldio.deserialize_field(path)
+        fieldio.deserialize_field(path, G)
 
 
 def test_twoform_file_is_an_unknown_kind(tmp_path):
@@ -130,7 +151,7 @@ def test_twoform_file_is_an_unknown_kind(tmp_path):
     path.write_bytes(b"AJC1 twoform 4\n" + b"\0" * (48 * G.node_count))
     with pytest.raises(fieldio.FieldFormatError,
                        match=rf"^{re.escape(str(path))}: unknown field kind 'twoform'"):
-        fieldio.deserialize_field(path)
+        fieldio.deserialize_field(path, G)
 
 
 def test_grid_mismatch_rejected(tmp_path):

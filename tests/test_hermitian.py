@@ -642,6 +642,12 @@ class TestTripleIO:
             hm.save_triple(triple, tmp_path, "sub/x")
         assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
+    def test_save_rejects_a_stem_with_a_nul_byte(self, tmp_path):
+        # no file system takes the name, and load_triple would refuse it
+        with pytest.raises(ValueError, match=r"files\.y, got 'bad\\x00\.y\.field'"):
+            hm.save_triple(hm.standard_acs(G8), tmp_path, "bad\x00")
+        assert list(tmp_path.iterdir()) == []
+
     def test_round_trip_builds_no_4x4_structure(self, io_triples, tmp_path, monkeypatch):
         # nor a fundamental form: the y file path never leaves y
         triple = io_triples["stage2"]
@@ -791,9 +797,9 @@ class TestLoadYBoundary:
     @pytest.mark.parametrize(
         "files",
         [{}, {"F": "sample.y.field"}, {"y": ".."}, {"y": "elsewhere/sample.y.field"}, {"y": 3},
-         "absolute"],
+         "absolute", {"y": "sample.y.field\u0000"}],
         ids=["no-y-file", "f-file-only", "parent-directory", "in-a-directory", "not-a-string",
-             "absolute"],
+             "absolute", "nul-byte"],
     )
     def test_rejects_a_y_name_that_is_not_a_plain_file_name(self, sidecar, files):
         if files == "absolute":
