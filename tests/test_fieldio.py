@@ -57,8 +57,9 @@ def test_header_layout(tmp_path):
 @pytest.mark.parametrize(
     "header",
     [b"AJC1  sdcoords\t4 ", b"AJC1 sdcoords 0_4", b"AJC1 sdcoords +4", b"AJC1 sdcoords 04",
-     b"AJC1 sdcoords x8"],
-    ids=["extra-whitespace", "underscore", "plus-sign", "leading-zero", "not-decimal"],
+     b"AJC1 sdcoords x8", b"AJC1 sdcoords -4"],
+    ids=["extra-whitespace", "underscore", "plus-sign", "leading-zero", "not-decimal",
+         "negative"],
 )
 def test_header_must_be_exact(header, tmp_path):
     path = tmp_path / "f.bin"

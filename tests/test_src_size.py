@@ -30,28 +30,3 @@ def test_prints_one_key_value_line_per_count(tmp_path):
     out = subprocess.run([sys.executable, str(TOOL), str(package)], capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines() == ["lines 6", "statements 6", "defaulted_parameters 3"]
-
-
-def git(repo, *args):
-    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
-                    "-c", "commit.gpgsign=false", *args], cwd=repo, check=True, capture_output=True)
-
-
-def test_counts_the_package_as_committed_at_a_revision(tmp_path):
-    # two commits: the package of write_package, then a.py replaced and b.py deleted
-    package = write_package(tmp_path / "pkg")
-    git(tmp_path, "init", "-q")
-    git(tmp_path, "add", ".")
-    git(tmp_path, "commit", "-q", "-m", "first")
-    (package / "a.py").write_text("def f(x=0):\n    return x\n\n\nf()\n")
-    (package / "b.py").unlink()
-    git(tmp_path, "add", "-A")
-    git(tmp_path, "commit", "-q", "-m", "second")
-    (package / "a.py").write_text("x = 1\n")  # not committed, so not counted
-    first = {"lines": 6, "statements": 6, "defaulted_parameters": 3}
-    second = {"lines": 5, "statements": 3, "defaulted_parameters": 1}
-    assert src_size.count(src_size.committed_sources(package, "HEAD~1")) == first
-    assert src_size.count(src_size.committed_sources(package, "HEAD")) == second
-    out = subprocess.run([sys.executable, str(TOOL), "--rev", "HEAD~1", str(package)],
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["lines 6", "statements 6", "defaulted_parameters 3"]

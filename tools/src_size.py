@@ -6,26 +6,20 @@ Lines are those of ``cat src/ajclab/*.py | wc -l``.  Statements are the
 positional parameters with a default plus the keyword-only parameters with
 a default, over every function and lambda.
 
-With ``--rev REV`` the modules are counted as committed at REV: git lists
-them (``git ls-tree``) and reads each one (``git show``), with no checkout,
-so one command gives a change's before and after counts.
-
-Usage: ``python3 tools/src_size.py [--rev REV] [package_dir]``
+Usage: ``python3 tools/src_size.py [package_dir]``
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import subprocess
 import sys
 from pathlib import Path
 
 
-def count(texts) -> dict[str, int]:
-    """The three counts over the source texts of a package's modules."""
+def src_size(package: Path) -> dict[str, int]:
     lines = statements = defaulted = 0
-    for text in texts:
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
         lines += len(text.splitlines())
         for node in ast.walk(ast.parse(text)):
             statements += isinstance(node, ast.stmt)
@@ -35,31 +29,7 @@ def count(texts) -> dict[str, int]:
     return {"lines": lines, "statements": statements, "defaulted_parameters": defaulted}
 
 
-def src_size(package: Path) -> dict[str, int]:
-    """The counts of the ``*.py`` files in ``package`` as they are on disk."""
-    return count(path.read_text() for path in sorted(package.glob("*.py")))
-
-
-def committed_sources(package: Path, rev: str) -> list[str]:
-    """The text of each ``*.py`` file of ``package`` as committed at ``rev``."""
-    def git(*args):
-        return subprocess.run(["git", *args], cwd=package, stdout=subprocess.PIPE, text=True,
-                              check=True).stdout
-
-    names = git("ls-tree", "-z", "--name-only", rev, ".").split("\0")
-    return [git("show", f"{rev}:./{name}") for name in names if name.endswith(".py")]
-
-
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Print the code-size gate of a package.")
-    parser.add_argument("package", nargs="?", type=Path,
-                        default=Path(__file__).parent.parent / "src/ajclab")
-    parser.add_argument("--rev", help="count the modules as committed at this git revision")
-    args = parser.parse_args()
-    try:
-        sizes = (count(committed_sources(args.package, args.rev)) if args.rev
-                 else src_size(args.package))
-    except subprocess.CalledProcessError as exc:
-        sys.exit(exc.returncode)  # git has said why
-    for key, value in sizes.items():
+    root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent.parent / "src/ajclab"
+    for key, value in src_size(root).items():
         print(f"{key} {value}")
