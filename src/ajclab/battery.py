@@ -1,12 +1,14 @@
 """Bulk identity batteries: vectorized random-case sweeps over the pointwise
 algebra and the spectral calculus, reused by the test suite and the CLI.
 The deformation checks measure the routes that :mod:`.pointlin` computes
-for :func:`.pointlin.deform_pair`, not a copy of its formulas."""
+for :func:`.pointlin.deform_pair`, not a copy of its formulas; the symbol
+battery checks d delta against the closed form the elliptic oracle takes."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import cohomlab
 from . import pointlin as pl
 from . import torusfield as tf
 from .pointlin import AGREEMENT_TOL
@@ -196,3 +198,20 @@ def run_calculus_battery(grid_n: int, count: int, seed: int) -> list[Check]:
         Check.within("node-mean quadrature is exact on bandlimited fields", integral_err, 1e-14),
         Check.within("wedge pairing is symmetric", wedge_asym, 1e-14),
     ]
+
+
+def run_symbol_battery(grid_n: int, seed: int) -> list[Check]:
+    """For white-noise self-dual coordinates psi, the self-dual coordinates
+    of d delta (psi @ OMEGA_SD) must be :func:`.cohomlab.kernel_symbol`
+    applied to psi, each alone, to AGREEMENT_TOL relative to their largest
+    value.  White noise carries every mode, so d delta is scalar, symmetric
+    and of that symbol everywhere.  Kept out of :func:`run_calculus_battery`,
+    which the benchmark's calculus workload times."""
+    grid = tf.GridSpec(grid_n)
+    psi = np.random.default_rng(seed).standard_normal(grid.shape + (3,))
+    got = tf.d_codiff_values(psi @ pl.OMEGA_SD, grid) @ pl.OMEGA_SD.T / 2.0
+    symbol = cohomlab.kernel_symbol(grid)[..., : grid_n // 2 + 1, None]
+    spectra = np.fft.rfftn(psi, axes=tf.GRID_AXES) * symbol
+    expect = np.fft.irfftn(spectra, s=grid.shape, axes=tf.GRID_AXES)
+    return [Check.within("d delta on self-dual coordinates is the oracle's closed-form symbol",
+                         (got - expect) / np.max(np.abs(expect)), AGREEMENT_TOL)]

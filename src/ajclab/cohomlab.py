@@ -30,11 +30,11 @@ operator is A = P V^T C V P: V maps coefficients to self-dual coordinates
 (an isometry), and P^- drops out because the frame spans the plane it
 projects onto.  On a self-dual psi, delta d psi = star d delta psi, so
 P^+ d delta P^+ = Delta / 2, which on the flat torus acts on each
-coordinate alone: C is one scalar convolution kernel, read off from
-:func:`.torusfield.d_codiff_values` (:func:`_scalar_kernel`).  The
-spectral derivative zeroes every Nyquist bin, so C vanishes on the 48
-corner sections phi e_l (phi a corner mode, every k_a in {0, n/2}) and is
-at least lambda_gap = (2 pi)^2 / 2 off them.  Hence A >= lambda_gap
+coordinate alone: C is one scalar convolution kernel, of symbol
+|2 pi k|^2 / 2 with k_a zeroed on every Nyquist bin (:func:`kernel_symbol`;
+the battery checks it against torusfield's d delta).  So C vanishes on the
+48 corner sections phi e_l (phi a corner mode, every k_a in {0, n/2}) and
+is at least lambda_gap = (2 pi)^2 / 2 off them.  Hence A >= lambda_gap
 (I - W^T W) for W = Pi V P, Pi the projection onto the corner sections,
 and by Weyl's inequality lambda_j(A) >= lambda_gap (1 - beta_j) for the
 eigenvalues beta_j of the 48 x 48 matrix W W^T in descending order; Ritz
@@ -55,7 +55,6 @@ from .torusfield import (
     ScalarField,
     TwoFormField,
     _worst_node,
-    d_codiff_values,
     d_twoform,
 )
 
@@ -65,8 +64,10 @@ B2 = 6
 #: principal-angle threshold for subspace comparisons (radians)
 ANGLE_TOL = 1e-3
 
-#: the elliptic oracle's kernel threshold, relative to lambda_gap, the
-#: smallest nonzero value of its kernel's symbol ((2 pi)^2 / 2 at every n)
+#: lambda_gap, the least nonzero value of :func:`kernel_symbol` at every n
+LAMBDA_GAP = (2.0 * np.pi) ** 2 / 2.0
+
+#: the elliptic oracle's kernel threshold, relative to LAMBDA_GAP
 ORACLE_TAU = 1e-6
 
 #: the least clearance of a frame pivot (anti_invariant_frame).  v1 divides
@@ -291,47 +292,19 @@ class EllipticReport:
     grid_n: int
     pivot: np.ndarray          # the frame's pivot
     clearance: float           # min_x |pivot x y(x)|
-    lambda_gap: float          # smallest nonzero value of the kernel's symbol
+    lambda_gap: float          # LAMBDA_GAP, the smallest nonzero value of the symbol
     threshold: float           # t = ORACLE_TAU * lambda_gap
     lower_bounds: np.ndarray   # the 8 smallest certified lower bounds, ascending
     ritz_values: np.ndarray    # upper bounds on the smallest eigenvalues, ascending
     kernel_dim: int
 
 
-def _scalar_kernel(grid: GridSpec) -> tuple[np.ndarray, float]:
-    """The symbol of C, half the nodal kernel c of d delta between self-dual
-    coordinates (grid shape), and lambda_gap, its smallest value off the 16
-    corner modes.  c is the response of :func:`.torusfield.d_codiff_values`
-    to the impulses omega_k at node 0, which must be delta_lk c with
-    c(x) = c(-x), to pl.AGREEMENT_TOL relative to max|c|; the symbol must
-    be within that tolerance (relative to its largest value) of 0 on the
-    corners and above it elsewhere.  Otherwise
-    :class:`.pointlin.ConsistencyError` is raised."""
-    impulses = np.zeros((3,) + grid.shape + (6,))
-    impulses[:, 0, 0, 0, 0] = pl.OMEGA_SD
-    response = d_codiff_values(impulses, grid) @ pl.OMEGA_SD.T / 2.0  # (k, grid, l)
-    c = response[0, ..., 0]
-    tol = pl.AGREEMENT_TOL * float(np.max(np.abs(c)))
-    mixing = float(np.max(np.abs(response - np.eye(3)[:, None, None, None, None] * c[..., None])))
-    if mixing > tol:
-        raise pl.ConsistencyError(
-            f"d delta is not scalar on self-dual coordinates (mixing {mixing:.3e})"
-        )
-    skew = float(np.max(np.abs(c - np.roll(np.flip(c), 1, axis=GRID_AXES))))
-    if skew > tol:
-        raise pl.ConsistencyError(f"d delta's kernel is not symmetric (|c(x) - c(-x)| {skew:.3e})")
-    symbol = np.fft.fftn(c).real
-    half = grid.n // 2
-    corner = float(np.max(np.abs(symbol[::half, ::half, ::half, ::half])))
-    # once the 16 corners are within the tolerance and the 17th smallest
-    # value is above it, that value is the smallest off the corners
-    gap = float(np.partition(symbol, 16, axis=None)[16])
-    if not corner <= pl.AGREEMENT_TOL * float(symbol.max()) < gap:
-        raise pl.ConsistencyError(
-            f"d delta's symbol is up to {corner:.3e} on the corner modes and down to {gap:.3e} "
-            "off them"
-        )
-    return symbol, gap
+def kernel_symbol(grid: GridSpec) -> np.ndarray:
+    """The symbol of C on the full spectrum (grid shape): |m|^2 / 2 for the
+    multipliers m of GridSpec.deriv_multipliers, whose full axis serves all
+    four.  It is 0 on the 16 corner modes and at least LAMBDA_GAP off them."""
+    axis = np.abs(grid.deriv_multipliers()[0].ravel()) ** 2 / 2.0
+    return np.add.outer(np.add.outer(axis, axis), np.add.outer(axis, axis))
 
 
 def _corner_capture(g: np.ndarray) -> np.ndarray:
@@ -340,18 +313,19 @@ def _corner_capture(g: np.ndarray) -> np.ndarray:
     Row (phi, l) of W is P of phi g[i, l] / sqrt(N), whose spectrum is
     G_il(k - kappa) on the kept modes k, for the spectra G of g and phi's
     frequency kappa.  The products are summed one kept k_0 at a time, over
-    2 x 48 rows of (n - 1)^3 modes."""
+    2 x 48 rows of (n - 1)^3 modes gathered by 8 flat indices into 3 axes."""
     n = g.shape[-1]
     half = n // 2
     kept = np.delete(np.arange(n), half)
     shifted = (kept, (kept - half) % n)  # k - kappa_a on one axis, for kappa_a = 0, n/2
-    spectra = np.fft.fftn(g, axes=(-4, -3, -2, -1))
+    gathers = [np.ravel_multi_index(np.ix_(*(shifted[b] for b in bs)), (n, n, n)).ravel()
+               for bs in np.ndindex(2, 2, 2)]
+    spectra = np.fft.fftn(g, axes=(-4, -3, -2, -1)).reshape(2, 3, n, n**3)
     ww = np.zeros((48, 48))
     rows = np.empty((2, 16, 3, (n - 1) ** 3), complex)
     for k0 in kept:
-        for c, (b0, b1, b2, b3) in enumerate(np.ndindex(2, 2, 2, 2)):
-            index = (...,) + np.ix_(shifted[b1], shifted[b2], shifted[b3])
-            rows[:, c] = spectra[:, :, (k0 - half * b0) % n][index].reshape(2, 3, -1)
+        for c in range(16):  # the corner (b0, b1, b2, b3) in np.ndindex order
+            rows[:, c] = spectra[:, :, (k0 - half * (c // 8)) % n, gathers[c % 8]]
         for z in rows.reshape(2, 48, -1).view(float):  # real and imaginary parts side by side
             ww += z @ z.T
     return np.linalg.eigvalsh(ww / float(n) ** 8)
@@ -425,30 +399,29 @@ def elliptic_kernel_dim(triple: HermitianTriple, grid: GridSpec) -> EllipticRepo
     Ritz value is rounding.  The two counts must agree, or
     :class:`.pointlin.ConsistencyError` names both.
 
-    Memory, at N nodes: the spectra of the 6 frame components (96 N bytes,
-    6.3 MB at n = 16), those of one component of the 3 lifted sections
-    (48 N bytes) and, per kept k_0, 96 shifted rows of W (1536 (n - 1)^3
-    bytes); reading off the kernel (one d_codiff_values call on 3 impulses)
-    peaks higher, 52 MB at n = 16.
+    Memory, at N nodes: the symbol (8 N bytes), the spectra of the 6 frame
+    components (96 N bytes, 6.3 MB at n = 16), those of one component of
+    the 3 lifted sections (48 N bytes) and, per kept k_0, 96 shifted rows of
+    W (1536 (n - 1)^3 bytes).  The tracemalloc peak is about 23 MB at
+    n = 16 and 370 MB at n = 32, 264 MB of it in :func:`_ritz_values`.
     """
     if triple.grid != grid:
         raise ValueError(
             "structure must be built on the oracle grid "
             f"(got n={triple.grid.n}, oracle n={grid.n})"
         )
-    symbol, gap = _scalar_kernel(grid)
     v1, v2, pivot, clearance = anti_invariant_frame(triple)
     frames = np.stack([v1, v2])  # (i, grid, l)
-    lower = gap * (1.0 - _corner_capture(np.moveaxis(frames, -1, 1))[::-1])
-    ritz = _ritz_values(frames, symbol)
-    t = ORACLE_TAU * gap
+    lower = LAMBDA_GAP * (1.0 - _corner_capture(np.moveaxis(frames, -1, 1))[::-1])
+    ritz = _ritz_values(frames, kernel_symbol(grid))
+    t = ORACLE_TAU * LAMBDA_GAP
     at_most, at_least = int(np.sum(lower <= t)), int(np.sum(ritz <= t))
     if at_most != at_least:
         raise pl.ConsistencyError(
             f"the elliptic count at t = {t:.3e} is undecided: at most {at_most} by the "
             f"certified lower bounds {lower[:4]}, at least {at_least} by the Ritz values {ritz}"
         )
-    return EllipticReport(grid.n, pivot, clearance, gap, t, lower[:8], ritz, at_most)
+    return EllipticReport(grid.n, pivot, clearance, LAMBDA_GAP, t, lower[:8], ritz, at_most)
 
 
 def _principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -464,11 +464,13 @@ def load_triple(sidecar_path) -> HermitianTriple:
     1 or 2, whose file held the fundamental form F.  The y file is read by
     :func:`.fieldio.deserialize_field`, so it must pass its format checks
     (header, sdcoords kind, grid, payload size) and hold finite values, and
-    the triple built from it checks |y| = 1, naming the worst node.
+    the triple built from it checks |y| = 1, naming the worst node.  A
+    failed read of the sidecar raises as it is; non-UTF-8 is malformed.
     """
     sidecar_path = Path(sidecar_path)
+    data = sidecar_path.read_bytes()
     try:
-        meta = json.loads(sidecar_path.read_text())
+        meta = json.loads(data.decode())
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
         fmt, n, files = meta.get("format"), meta.get("grid_n"), meta.get("files")

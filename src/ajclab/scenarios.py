@@ -261,8 +261,8 @@ def scenario_resolution(cfg: LabConfig) -> ScenarioReport:
 
 
 def identity_battery(cfg: LabConfig) -> ScenarioReport:
-    """Random-case identity batteries for the pointwise algebra and the
-    spectral calculus; zero failures expected."""
+    """Random-case identity batteries for the pointwise algebra, the
+    spectral calculus and the oracle's symbol; zero failures expected."""
     report = ScenarioReport("battery", cfg.to_dict())
     with report.timed("deformation"):
         checks = battery.run_deformation_battery(cfg.seed)
@@ -270,6 +270,8 @@ def identity_battery(cfg: LabConfig) -> ScenarioReport:
         checks += battery.run_splitting_battery(cfg.seed + 1)
     with report.timed("calculus"):
         checks += battery.run_calculus_battery(16, 100, seed=cfg.seed + 2)
+    with report.timed("symbol"):
+        checks += battery.run_symbol_battery(16, cfg.seed + 3)
     report.checks.extend(checks)
     report.summaries["total_checks"] = len(checks)
     return report

@@ -6,8 +6,20 @@ column-by-column one and the certified bounds against its spectrum."""
 
 import numpy as np
 
-from ajclab import cohomlab, hermitian as hm
+from ajclab import hermitian as hm, pointlin as pl, torusfield as tf
 from ajclab.torusfield import GridSpec
+
+
+def impulse_kernel(grid: GridSpec) -> np.ndarray:
+    """Half the nodal kernel c of d delta between self-dual coordinates
+    (grid shape), read off the spectral calculus: the omega_1 coordinate of
+    ``torusfield.d_codiff_values`` applied to the impulse omega_1 at node 0.
+    Its symbol is the one ``cohomlab.kernel_symbol`` states in closed form,
+    so the dense reference takes d delta from torusfield, not from the
+    formula under test."""
+    impulse = np.zeros(grid.shape + (6,))
+    impulse[0, 0, 0, 0] = pl.OMEGA1
+    return (tf.d_codiff_values(impulse, grid) @ pl.OMEGA_SD.T / 2.0)[..., 0]
 
 
 def line_basis(n: int) -> np.ndarray:
@@ -29,17 +41,16 @@ def elliptic_matrix(triple: hm.HermitianTriple, grid: GridSpec) -> np.ndarray:
     and frame_i = v_i @ OMEGA_SD for the frame of
     ``hermitian.anti_invariant_frame``: block (j, i) is E^T K_ji E for
     K_ji(x, x') = c(x - x') v_j(x) . v_i(x') / 2, with c / 2 the nodal
-    kernel whose symbol ``cohomlab._scalar_kernel`` returns.  K_ji is built
-    one slice x_0 of the first grid axis at a time and contracted with
-    e (x) e twice on the right and with e (x) e (x) e on the left; the
-    slices' results U[x_0] are then contracted with e over x_0, one output
-    row of e at a time."""
+    kernel of :func:`impulse_kernel`.  K_ji is built one slice x_0 of the
+    first grid axis at a time and contracted with e (x) e twice on the
+    right and with e (x) e (x) e on the left; the slices' results U[x_0]
+    are then contracted with e over x_0, one output row of e at a time."""
     n, m = grid.n, grid.n - 1
     R = m**4
     e = line_basis(n)
     ee = np.kron(e, e)
     eee = np.kron(ee, e)
-    c = np.fft.ifftn(cohomlab._scalar_kernel(grid)[0]).real.reshape(n, n**3)
+    c = impulse_kernel(grid).reshape(n, n**3)
     nodes = np.indices((n, n, n)).reshape(3, -1)
     inner = np.ravel_multi_index((nodes[:, :, None] - nodes[:, None]) % n, (n, n, n))
     # D[t, x, x''] = c((-t) mod n, x - x''), so that slice x_0 of c(x - x')

@@ -1,6 +1,7 @@
 """The spectral calculus battery: the law of its random fields, and its
-checks run directly at several grids; and the deformation battery, which
-measures the routes pointlin computes for deform_pair."""
+checks run directly at several grids; the symbol battery at the same
+grids; and the deformation battery, which measures the routes pointlin
+computes for deform_pair."""
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ def test_calculus_battery_passes(grid_n, count):
     checks = battery.run_calculus_battery(grid_n, count, seed=17)
     assert len(checks) == 5
     assert all(c.passed for c in checks), checks
+
+
+@pytest.mark.parametrize("grid_n", [4, 6, 8, 16])
+def test_symbol_battery_passes(grid_n):
+    (check,) = battery.run_symbol_battery(grid_n, seed=17)
+    assert check.passed, check
+    # rounding alone: 2e-16 to 4e-16 at these grids
+    assert check.measured <= 1e-14
 
 
 def test_calculus_battery_is_a_function_of_its_seed():

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elliptic_reference as reference
-from ajclab import cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
+from ajclab import battery, cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
 from ajclab.config import LabConfig
 from ajclab.reporting import to_json
 
@@ -515,6 +516,18 @@ class TestEllipticOracle:
         assert report.kernel_dim == 2 == len(report.ritz_values)
         assert report.lower_bounds[2] == pytest.approx(report.lambda_gap, rel=1e-12)
 
+    def test_peak_memory_at_n16(self):
+        # the closed-form symbol replaced a read-off that peaked at 50 MB here
+        G16 = tf.GridSpec(16)
+        triple = hm.random_compatible_acs(G16, seed=4, amplitude=0.5, bandlimit=3)
+        tracemalloc.start()
+        try:
+            cohomlab.elliptic_kernel_dim(triple, G16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, peak
+
     def test_undecided_count_names_both_counts(self, monkeypatch):
         # Ritz values that stop counting the kernel leave the lower bounds' 2
         monkeypatch.setattr(cohomlab, "_ritz_values", lambda frames, symbol: np.ones(2))
@@ -618,49 +631,80 @@ class TestSeparableBasis:
         assert float(np.max(np.abs(Q @ Q.T - np.eye(len(Q))))) <= 1e-13
 
 
+#: the calculus's own d delta, kept for the planted faults that wrap it
+d_codiff_values = tf.d_codiff_values
+
+
+def assert_symbol_battery_fails(monkeypatch, operator):
+    """With ``operator`` in place of torusfield's d delta, the symbol
+    battery's one check fails at every grid of the tier-1 run."""
+    monkeypatch.setattr(tf, "d_codiff_values", operator)
+    for n in (4, 6, 8, 16):
+        (check,) = battery.run_symbol_battery(n, seed=3)
+        assert not check.passed and check.measured > 1e4 * check.tolerance, (n, check)
+
+
 class TestScalarKernel:
     """On self-dual forms P^+ d delta P^+ = Delta / 2, so d delta reaches the
-    oracle as one scalar kernel."""
+    oracle as one scalar kernel, whose symbol it takes in closed form.  That
+    d delta has that symbol is the battery's identity
+    (battery.run_symbol_battery), so the faults it must catch are planted
+    there."""
 
     def test_kernel_is_half_the_laplacian_impulse_response(self):
         # the symbol of the impulse response: |2 pi k|^2 / 2 with Nyquist zeroed
         k = np.fft.fftfreq(G6.n, d=1.0 / G6.n)
         axis = np.where(np.abs(k) == G6.n // 2, 0.0, (2.0 * np.pi * k) ** 2)
         expect = sum(axis.reshape([-1 if a == ax else 1 for a in range(4)]) for ax in range(4)) / 2.0
-        got, gap = cohomlab._scalar_kernel(G6)
+        got = cohomlab.kernel_symbol(G6)
         assert float(np.max(np.abs(got - expect))) <= 1e-12 * float(np.max(expect))
-        assert gap == pytest.approx((2.0 * np.pi) ** 2 / 2.0, rel=1e-12)
+        assert cohomlab.LAMBDA_GAP == pytest.approx((2.0 * np.pi) ** 2 / 2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16], ids=lambda n: f"n{n}")
+    def test_closed_form_matches_the_impulse_read_off(self, n):
+        grid = tf.GridSpec(n)
+        symbol = cohomlab.kernel_symbol(grid)
+        read_off = np.fft.fftn(reference.impulse_kernel(grid)).real
+        assert float(np.max(np.abs(symbol - read_off))) <= 1e-12 * float(np.max(symbol))
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16], ids=lambda n: f"n{n}")
+    def test_closed_form_vanishes_on_the_corners_alone(self, n):
+        symbol = cohomlab.kernel_symbol(tf.GridSpec(n))
+        corners = np.zeros(symbol.shape, dtype=bool)
+        corners[:: n // 2, :: n // 2, :: n // 2, :: n // 2] = True
+        assert np.count_nonzero(corners) == 16
+        assert np.all(symbol[corners] == 0.0)
+        assert float(np.min(symbol[~corners])) == cohomlab.LAMBDA_GAP
+        np.testing.assert_array_equal(symbol, np.roll(np.flip(symbol), 1, axis=tf.GRID_AXES))
 
     def test_mixing_operator_rejected(self, monkeypatch):
         def mixing(values, grid):
             # adds the omega1 coordinate of a form to its omega2 coordinate
-            return tf.d_codiff_values(values, grid) + values @ np.outer(pl.OMEGA1, pl.OMEGA2) / 2.0
+            return d_codiff_values(values, grid) + values @ np.outer(pl.OMEGA1, pl.OMEGA2) / 2.0
 
-        monkeypatch.setattr(cohomlab, "d_codiff_values", mixing)
-        with pytest.raises(pl.ConsistencyError, match="not scalar"):
-            cohomlab.elliptic_kernel_dim(hm.standard_acs(G4), G4)
+        assert_symbol_battery_fails(monkeypatch, mixing)
 
     def test_operator_with_a_mass_rejected(self, monkeypatch):
         def massive(values, grid):
             # d delta + 1 on self-dual coordinates: the symbol no longer vanishes
-            return tf.d_codiff_values(values, grid) + values
+            return d_codiff_values(values, grid) + values
 
-        monkeypatch.setattr(cohomlab, "d_codiff_values", massive)
-        with pytest.raises(pl.ConsistencyError, match="symbol is up to 1.000e\\+00 on the corner modes"):
-            cohomlab.elliptic_kernel_dim(hm.standard_acs(G4), G4)
+        assert_symbol_battery_fails(monkeypatch, massive)
 
-    def test_one_inverse_transform_per_call(self, monkeypatch):
+    def test_no_inverse_transform_and_no_d_codiff_call(self, monkeypatch):
         calls = []
-        irfftn = np.fft.irfftn
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return irfftn(*args, **kwargs)
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(np.fft, "irfftn", counted)
+        for module, name in [(np.fft, "irfftn"), (np.fft, "ifftn"), (tf, "d_codiff_values")]:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         report = cohomlab.elliptic_kernel_dim(hm.standard_acs(G6), G6)
         assert report.kernel_dim == 2
-        assert len(calls) == 1
+        assert calls == []
 
 
 class TestFramePairing:
@@ -763,11 +807,9 @@ class TestEllipticAssembly:
     def test_non_adjoint_operator_rejected(self, monkeypatch):
         def skewed(values, grid):
             # a first-order shift: its adjoint is the opposite shift
-            return tf.d_codiff_values(values, grid) + 10.0 * np.roll(values, 1, axis=-2)
+            return d_codiff_values(values, grid) + 10.0 * np.roll(values, 1, axis=-2)
 
-        monkeypatch.setattr(cohomlab, "d_codiff_values", skewed)
-        with pytest.raises(pl.ConsistencyError, match="not symmetric"):
-            cohomlab.elliptic_kernel_dim(hm.standard_acs(G4), G4)
+        assert_symbol_battery_fails(monkeypatch, skewed)
 
 
 class TestIntersection:

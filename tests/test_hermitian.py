@@ -739,6 +739,19 @@ class TestLoadBoundary:
         meta = edit(json.loads(sidecar.read_text()))
         self.assert_malformed(sidecar, meta if isinstance(meta, str) else json.dumps(meta), match)
 
+    def test_rejects_a_sidecar_that_is_not_utf8(self, sidecar):
+        sidecar.write_bytes(b"\xff")
+        with pytest.raises(fieldio.FieldFormatError, match=re.escape(str(sidecar))) as info:
+            hm.load_triple(sidecar)
+        assert "malformed sidecar" in str(info.value)
+
+    def test_a_sidecar_path_that_cannot_be_read_keeps_its_own_error(self):
+        # no sidecar is read, so none is called malformed
+        with pytest.raises(ValueError, match="embedded null byte") as info:
+            hm.load_triple("side\x00car.json")
+        assert not isinstance(info.value, fieldio.FieldFormatError)
+        assert "malformed sidecar" not in str(info.value)
+
     @pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "in-a-directory"])
     def test_rejects_an_f_file_outside_the_sidecar_directory(self, sidecar, absolute):
         # a valid structure file in another directory, so only the name can be refused
