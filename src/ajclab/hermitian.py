@@ -35,12 +35,13 @@ that of its result, at the ``tol_null`` of the stage-1 report it takes.
 Where the checks run: :func:`_deform` holds the deformation checks (a . y
 = 0, |a| < 1, and |y'| = 1 through the caller's finish) once, on (..., 3)
 arrays of y and a.
-:func:`deform_field` passes it whole grids as views.  The cut-off stages
-pass it the rows of their bump support and scatter the result into a copy
-of y: off the support the bump is zero, so the deformation form is zero
-and leaves y bit for bit, and nothing there can fail a check.  Each new
-structure is still validated on the whole grid when its
-:class:`HermitianTriple` is built.
+:func:`deform_field` passes it whole grids as views, and
+:func:`random_compatible_acs` a broadcast y with component-major a.  The
+cut-off stages pass it the rows of their bump support and scatter the
+result into a copy of y: off the support the bump is zero, so the
+deformation form is zero and leaves y bit for bit, and nothing there can
+fail a check.  Each new structure is still validated on the whole grid
+when its :class:`HermitianTriple` is built.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ from .torusfield import (
     _worst_node,
     bump_cutoff,
     frozen,
-    spectral_truncate,
+    low_pass,
+    sealed,
 )
 
 #: bound on the disagreement of stage 2's normalization and rational
@@ -132,8 +134,9 @@ class HermitianTriple:
 
     @property
     def F(self) -> TwoFormField:
-        """The fundamental form sum_k y_k OMEGA_k."""
-        return TwoFormField(self.grid, self.y @ pl.OMEGA_SD)
+        """The fundamental form sum_k y_k OMEGA_k; the fresh product is
+        handed over sealed, so the field shares it."""
+        return TwoFormField(self.grid, sealed(self.y @ pl.OMEGA_SD))
 
     @property
     def J(self) -> AcsField:
@@ -228,7 +231,7 @@ def deform_field(triple: HermitianTriple, a: np.ndarray) -> HermitianTriple:
     a = np.asarray(a, float)
     if a.shape != grid.shape + (3,):
         raise ValueError(f"deformation field must have shape {grid.shape + (3,)}, got {a.shape}")
-    return _deform(grid, triple.y, a, None, lambda out: HermitianTriple(grid, out))
+    return _deform(grid, triple.y, a, None, lambda out: HermitianTriple(grid, sealed(out)))
 
 
 def triple_from_form_field(F: TwoFormField) -> HermitianTriple:
@@ -259,23 +262,32 @@ def random_compatible_acs(
     """A reproducible random deformation of the standard structure.
 
     The deformation form is a(x) OMEGA2 + b(x) OMEGA3 with a, b independent
-    random trigonometric polynomials of modes up to ``bandlimit``, rescaled
-    so the sup of the pointwise wedge norm equals ``amplitude``, any value
-    in (0, 1).  Deterministic per seed.
+    random trigonometric polynomials of modes up to ``bandlimit``, an
+    integer in [1, n/2), rescaled so the sup of the pointwise wedge norm
+    equals ``amplitude``, any value in (0, 1).  Deterministic per seed: a
+    and b are white noise, drawn as one (2, n, n, n, n) batch into the rows
+    1 and 2 of the component-major coefficients (0, a, b), then projected
+    and scaled there in place (:func:`.torusfield.low_pass`).
+
+    The standard structure's y = (1, 0, 0) is a broadcast view, deformed by
+    those coefficients through :func:`_deform` with its checks (a . y = 0,
+    |a| < 1); the deformed y is validated once, when its triple is built,
+    and kept without a further copy.
     """
     if not 0.0 < amplitude < 1.0:
         raise ValueError(f"amplitude must lie in (0, 1), got {amplitude}")
-    if not 1 <= bandlimit < grid.n // 2:
-        raise ValueError(f"bandlimit must lie in [1, n/2), got {bandlimit}")
-    rng = np.random.default_rng(seed)
-    a, b = (
-        spectral_truncate(ScalarField(grid, rng.standard_normal(grid.shape)), bandlimit).values
-        for _ in range(2)
-    )
-    sup = float(np.sqrt(np.max(a**2 + b**2)))
-    scale = amplitude / max(sup, 1e-300)
-    coeffs = np.stack([np.zeros(grid.shape), a * scale, b * scale], axis=-1)
-    return deform_field(standard_acs(grid), coeffs)
+    if not (isinstance(bandlimit, (int, np.integer)) and 1 <= bandlimit < grid.n // 2):
+        raise ValueError(f"bandlimit must be an integer in [1, n/2), got {bandlimit!r}")
+    coeffs = np.empty((3,) + grid.shape)
+    coeffs[0] = 0.0
+    ab = coeffs[1:]
+    np.random.default_rng(seed).standard_normal(out=ab)
+    low_pass(ab, grid, bandlimit, 0)
+    sup = float(np.sqrt(np.max(ab[0] ** 2 + ab[1] ** 2)))
+    ab *= amplitude / max(sup, 1e-300)
+    e1 = np.broadcast_to([1.0, 0.0, 0.0], grid.shape + (3,))
+    return _deform(grid, e1, np.moveaxis(coeffs, 0, -1), None,
+                   lambda out: HermitianTriple(grid, sealed(out)))
 
 
 def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, what: str,

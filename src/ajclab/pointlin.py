@@ -212,9 +212,21 @@ def deform_coords(y, a):
     anti-invariant form a @ OMEGA_SD (a . y = 0 and |a| < 1, the caller's to
     check), has fundamental form y' @ OMEGA_SD with the inverse
     stereographic image y' = ((1 - |a|^2) y + 2 a) / (1 + |a|^2).
+
+    |a|^2 is a0 a0 + a1 a1 + a2 a2, summed left to right as a sum over the
+    last axis is, and each component of y' is computed in one pass into one
+    output array; so y' is the formula above to the bit, whatever the
+    memory layout of y and a.  ``y`` may be a broadcast view, such as a
+    constant field.
     """
-    nsq = np.sum(a * a, axis=-1, keepdims=True)
-    return ((1.0 - nsq) * y + 2.0 * a) / (1.0 + nsq)
+    nsq = a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1] + a[..., 2] * a[..., 2]
+    shrink, grow = 1.0 - nsq, 1.0 + nsq
+    out = np.empty(np.broadcast_shapes(np.shape(y), np.shape(a)))
+    for k in range(3):
+        comp = np.multiply(shrink, y[..., k], out=out[..., k])
+        comp += 2.0 * a[..., k]
+        comp /= grow
+    return out
 
 
 def wedge_norm_sq(alpha):

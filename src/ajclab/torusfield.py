@@ -19,6 +19,12 @@ one Nyquist bin, index n/2 of a full axis and the last entry of the half
 axis; its multiplier is zeroed on every axis, so differentiation is a real
 antisymmetric operator and is exact for fields bandlimited below n/2.
 
+The low-pass filter (:func:`low_pass`, :func:`spectral_truncate`) is not a
+transform pair: it is the orthogonal projection onto the trigonometric
+polynomials of degree <= m on each axis, applied as separable products with
+an orthonormal (n, 2m + 1) basis of nodal cosines and sines.  For m < n/2
+that is the span the Fourier modes with every |k_a| <= m would keep.
+
 Inside the transforms the components of a field sit on a leading axis,
 ahead of the four grid axes, so any further leading batch axes broadcast
 through the same multipliers (:func:`d_codiff_values` applies d delta to a
@@ -33,6 +39,7 @@ coordinates (n,n,n,n,3) in the frame pl.OMEGA_SD; endomorphism
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +112,14 @@ def frozen(values, order: str) -> np.ndarray:
             and not values.flags.writeable):
         values = np.array(values, dtype=float, order=order)
         values.setflags(write=False)
+    return values
+
+
+def sealed(values: np.ndarray) -> np.ndarray:
+    """``values``, a fresh array that owns its memory and that the caller
+    keeps no other name for, made read-only, so that :func:`frozen` shares
+    it instead of copying it."""
+    values.setflags(write=False)
     return values
 
 
@@ -300,15 +315,58 @@ def bump_cutoff(grid: GridSpec, center, radius: float, height: float) -> ScalarF
     return ScalarField(grid, vals)
 
 
+def _low_pass_basis(n: int, max_mode: int) -> np.ndarray:
+    """Orthonormal (n, 2 max_mode + 1) basis of the trigonometric
+    polynomials of degree <= ``max_mode`` at the nodes i/n of one axis: the
+    constant, sqrt(2) cos(2 pi k x) and sqrt(2) sin(2 pi k x) for k = 1 ..
+    max_mode, each divided by sqrt(n).  The phases k i are reduced mod n."""
+    phase = 2.0 * np.pi * (np.outer(np.arange(n), np.arange(1, max_mode + 1)) % n) / n
+    cols = [np.ones((n, 1)), np.sqrt(2.0) * np.cos(phase), np.sqrt(2.0) * np.sin(phase)]
+    return np.hstack(cols) / np.sqrt(n)
+
+
+def _along(x: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """``mat`` applied to axis ``axis`` of ``x``, as one matmul over the
+    array viewed as (before, size, after)."""
+    shape = x.shape
+    out = mat @ x.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1 :]))
+    return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1 :])
+
+
+def low_pass(values: np.ndarray, grid: GridSpec, max_mode: int, ncomp: int) -> np.ndarray:
+    """Overwrite nodal ``values`` with their orthogonal projection onto the
+    trigonometric polynomials of degree <= ``max_mode`` on each axis, and
+    return them.
+
+    ``values`` is a writable C-contiguous array of shape ``(..., n, n, n,
+    n)`` followed by ``ncomp`` component axes; leading batch axes are
+    projected together.  The projection is separable: 4 products take the
+    grid axes, first to last, to the coefficients of
+    :func:`_low_pass_basis`, and 4 more take them back, last to first, so
+    the outermost products are the large ones; the last writes into
+    ``values``.  Since ``max_mode`` < n/2 never reaches the Nyquist bin,
+    this is the same projection as zeroing every Fourier mode with an axis
+    frequency above ``max_mode``.  A ``max_mode`` that is not an integer in
+    [0, n/2) raises ValueError naming it."""
+    if not (isinstance(max_mode, (int, np.integer)) and 0 <= max_mode < grid.n // 2):
+        raise ValueError(f"max_mode must be an integer in [0, n/2), got {max_mode!r}")
+    if not (values.flags.c_contiguous and values.flags.writeable):
+        raise ValueError("low_pass projects in place: values must be writable and C-contiguous")
+    basis = _low_pass_basis(grid.n, max_mode)
+    axes = range(values.ndim - ncomp - 4, values.ndim - ncomp)
+    coeffs = values
+    for ax in axes:
+        coeffs = _along(coeffs, basis.T, ax)
+    for ax in reversed(axes[1:]):
+        coeffs = _along(coeffs, basis, ax)
+    lead = math.prod(values.shape[: axes[0]])
+    np.matmul(basis, coeffs.reshape(lead, basis.shape[1], -1), out=values.reshape(lead, grid.n, -1))
+    return values
+
+
 def spectral_truncate(field, max_mode: int):
-    """Zero all Fourier modes with any axis frequency above ``max_mode``;
-    the low-pass filter behind random structures and the tests' random
-    fields."""
-    grid = field.grid
-    if not 0 <= max_mode < grid.n // 2:
-        raise ValueError("max_mode must lie in [0, n/2)")
-    keep = np.ones(1, dtype=bool)
-    for k in grid.wavenumbers():
-        keep = keep & (np.abs(k) <= max_mode)
-    ncomp = len(field.NCOMP)
-    return type(field)(grid, _nodal(_spectrum(field.values, ncomp) * keep, grid, ncomp))
+    """The field with every Fourier mode of an axis frequency above
+    ``max_mode`` removed, by :func:`low_pass` on a copy of its values; the
+    low-pass filter behind random structures and the tests' random fields."""
+    values = low_pass(np.array(field.values, order="C"), field.grid, max_mode, len(field.NCOMP))
+    return type(field)(field.grid, sealed(values))

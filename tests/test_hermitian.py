@@ -96,6 +96,20 @@ class TestStandard:
         y[0, 0, 0, 0] = [0.0, 1.0, 0.0]
         assert copied.y.tobytes() == triple.y.tobytes()
 
+    def test_fundamental_form_keeps_its_fresh_product(self, monkeypatch):
+        handed = []
+        two_form = hm.TwoFormField
+
+        def recorded(grid, values):
+            handed.append(values)
+            return two_form(grid, values)
+
+        monkeypatch.setattr(hm, "TwoFormField", recorded)
+        triple = hm.random_compatible_acs(G8, seed=2, amplitude=0.3, bandlimit=2)
+        F = triple.F
+        assert np.shares_memory(F.values, handed[0]) and not F.values.flags.writeable
+        assert F.values.tobytes() == (triple.y @ pl.OMEGA_SD).tobytes()
+
 
 class TestAntiInvariantField:
     """A tangent vector a of S^2 at y is the anti-invariant form a @ OMEGA_SD."""
@@ -241,6 +255,33 @@ class TestRandomCompatible:
             hm.random_compatible_acs(G8, 1, 1.5, 2)
         with pytest.raises(ValueError, match="bandlimit"):
             hm.random_compatible_acs(G8, 1, 0.3, 6)
+        # the low-pass keeps modes 1 .. bandlimit, so 1.5 would be neither 1 nor 2
+        with pytest.raises(ValueError, match=r"bandlimit must be an integer .* got 1\.5"):
+            hm.random_compatible_acs(G8, 1, 0.3, 1.5)
+
+    def test_draws_no_transform_and_validates_its_structure_once(self, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("random_compatible_acs called np.fft")
+
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, no_fft)
+        checked, deformed = [], []
+        require_unit, deform_coords = hm._require_unit, pl.deform_coords
+
+        def counted(grid, y, rows):
+            checked.append(y)
+            return require_unit(grid, y, rows)
+
+        def recorded(y, a):
+            deformed.append(deform_coords(y, a))
+            return deformed[-1]
+
+        monkeypatch.setattr(hm, "_require_unit", counted)
+        monkeypatch.setattr(pl, "deform_coords", recorded)
+        triple = hm.random_compatible_acs(G8, seed=3, amplitude=0.4, bandlimit=2)
+        assert len(checked) == 1 and checked[0] is triple.y
+        # the fresh deformed y is kept as it is, not copied again
+        assert triple.y is deformed[0] and not triple.y.flags.writeable
 
 
 class TestTripleFromForm:

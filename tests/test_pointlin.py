@@ -299,6 +299,28 @@ class TestSelfDualCoords:
         y = pl.deform_coords(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0]))
         np.testing.assert_allclose(y, [0.6, 0.8, 0.0], atol=1e-15)
 
+    @pytest.mark.parametrize("layout", ["grid", "broadcast y", "support rows"])
+    def test_equals_the_broadcast_formula_bit_for_bit(self, layout):
+        def broadcast_formula(y, a):
+            nsq = np.sum(a * a, axis=-1, keepdims=True)
+            return ((1.0 - nsq) * y + 2.0 * a) / (1.0 + nsq)
+
+        rng = np.random.default_rng(12)
+        shape = (8, 8, 8, 8, 3)
+        y = rng.standard_normal(shape)
+        y /= np.linalg.norm(y, axis=-1, keepdims=True)
+        a = 0.6 * rng.uniform(-1.0, 1.0, shape)
+        if layout == "broadcast y":
+            # the constant e1 of a random structure, with component-major a
+            y = np.broadcast_to([1.0, 0.0, 0.0], shape)
+            a = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+        elif layout == "support rows":
+            rows = np.flatnonzero(rng.uniform(size=shape[:-1]) < 0.1)
+            y, a = y.reshape(-1, 3)[rows], a.reshape(-1, 3)[rows]
+        got = pl.deform_coords(y, a)
+        assert got.shape == np.broadcast_shapes(y.shape, a.shape)
+        assert got.tobytes() == broadcast_formula(y, a).tobytes()
+
     def test_matches_deform_pair(self):
         rng = np.random.default_rng(10)
         J = random_acs(rng, (64,))

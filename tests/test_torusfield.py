@@ -10,6 +10,8 @@ from ajclab import torusfield as tf
 
 G8 = tf.GridSpec(8)
 G16 = tf.GridSpec(16)
+FIELD_KINDS = [tf.ScalarField, tf.OneFormField, tf.TwoFormField, tf.ThreeFormField,
+               tf.SelfDualCoordField]
 
 
 def scalar_constant(grid, value):
@@ -372,3 +374,61 @@ class TestSpectralTruncate:
         np.testing.assert_allclose(
             g.values, np.cos(2 * np.pi * xs[0]) + np.zeros(G16.shape), atol=1e-12
         )
+
+    @staticmethod
+    def fft_mask_truncate(field, max_mode):
+        """The low-pass as a transform pair: one real FFT over the grid
+        axes, every mode with an axis frequency above ``max_mode`` zeroed,
+        one inverse FFT."""
+        grid = field.grid
+        keep = np.ones(1, dtype=bool)
+        for k in grid.wavenumbers():
+            keep = keep & (np.abs(k) <= max_mode)
+        keep = keep.reshape(keep.shape + (1,) * len(field.NCOMP))
+        spec = np.fft.rfftn(field.values, axes=tf.GRID_AXES) * keep
+        return np.fft.irfftn(spec, s=grid.shape, axes=tf.GRID_AXES)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
+    def test_equals_the_fft_mask_route(self, n):
+        grid = tf.GridSpec(n)
+        rng = np.random.default_rng(n)
+        for cls in FIELD_KINDS:
+            field = cls(grid, rng.standard_normal(grid.shape + cls.NCOMP))
+            for max_mode in range(n // 2):
+                got = tf.spectral_truncate(field, max_mode)
+                assert type(got) is cls
+                dev = np.max(np.abs(got.values - self.fft_mask_truncate(field, max_mode)))
+                assert dev <= 1e-14, (cls.__name__, max_mode, dev)
+
+    def test_a_batch_is_projected_as_its_fields_are(self):
+        noise = np.random.default_rng(4).standard_normal((2,) + G8.shape)
+        batch = tf.low_pass(noise.copy(), G8, 2, 0)
+        for field, low in zip(noise, batch):
+            one = tf.spectral_truncate(tf.ScalarField(G8, field), 2).values
+            assert np.max(np.abs(low - one)) <= 1e-15
+
+    @pytest.mark.parametrize("max_mode", [1.5, 2.0, -1, 4, "2"])
+    def test_refuses_a_max_mode_that_is_not_an_integer_below_n_half(self, max_mode):
+        field = scalar_constant(G8, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"got {max_mode!r}")):
+            tf.spectral_truncate(field, max_mode)
+
+    @pytest.mark.parametrize("shift", [(1, 0, 0, 0), (0, -3, 5, 2), (7, 7, 7, 7)])
+    def test_commutes_with_whole_node_translations(self, shift):
+        rng = np.random.default_rng(5)
+        field = tf.TwoFormField(G8, rng.standard_normal(G8.shape + (6,)))
+        rolled = tf.TwoFormField(G8, np.roll(field.values, shift, axis=tf.GRID_AXES))
+        for max_mode in range(G8.n // 2):
+            low = tf.spectral_truncate(field, max_mode).values
+            dev = np.abs(tf.spectral_truncate(rolled, max_mode).values
+                         - np.roll(low, shift, axis=tf.GRID_AXES))
+            assert np.max(dev) <= 1e-14, (max_mode, np.max(dev))
+
+    def test_low_pass_refuses_memory_it_cannot_overwrite(self):
+        values = np.random.default_rng(6).standard_normal(G8.shape)
+        # a transposed view, and a field's read-only values
+        for bad in (values.T, tf.ScalarField(G8, values).values):
+            with pytest.raises(ValueError, match="writable and C-contiguous"):
+                tf.low_pass(bad, G8, 2, 0)
+        low = tf.low_pass(values, G8, 2, 0)
+        assert low is values
