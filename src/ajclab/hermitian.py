@@ -212,10 +212,12 @@ def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows, finish):
 
 def _scatter(y: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """A copy of the structure field y with its nodes at the flat indices
-    ``rows`` set to ``values``."""
-    out = y.reshape(-1, 3).copy()
-    out[rows] = values
-    return out.reshape(y.shape)
+    ``rows`` set to ``values``: a fresh array of y's shape, written through a
+    flat view and handed over sealed, so that :class:`HermitianTriple`
+    shares it."""
+    out = y.copy()
+    out.reshape(-1, 3)[rows] = values
+    return sealed(out)
 
 
 def deform_field(triple: HermitianTriple, a: np.ndarray) -> HermitianTriple:

@@ -506,6 +506,21 @@ class TestSupportPath:
         with pytest.raises(ValueError, match=match):
             hm._deform(G8, y, a, rows, lambda out: hm._require_unit(G8, out, rows))
 
+    def test_each_stage_keeps_the_array_it_scatters(self, monkeypatch):
+        scattered = []
+        scatter = hm._scatter
+
+        def recorded(y, rows, values):
+            scattered.append(scatter(y, rows, values))
+            return scattered[-1]
+
+        monkeypatch.setattr(hm, "_scatter", recorded)
+        stage1, stage2, _ = hm.two_stage_deform(hm.standard_acs(G8), BUMP1, BUMP2)
+        assert len(scattered) == 2
+        for stage, y in zip((stage1, stage2), scattered):
+            assert y.base is None and not y.flags.writeable
+            assert np.shares_memory(stage.y, y)
+
     def test_each_stage_deforms_the_support_rows_alone(self, monkeypatch):
         rows = []
         deform_coords = pl.deform_coords

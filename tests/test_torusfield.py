@@ -197,8 +197,104 @@ class TestCodifferential:
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
+#: every grid size the differentiation-matrix tests run at
+SIZES = [4, 6, 8, 16]
+#: the numpy.fft transforms; the frequency and shift helpers are not ones
+FFT_TRANSFORMS = [name for name in np.fft.__all__ if not name.endswith(("freq", "shift"))]
+
+
+def derivative_operators(grid):
+    """Each differential operator of torusfield as (name, input kind, a
+    function of the input's nodal values returning nodal values)."""
+    return [
+        ("d_scalar", tf.ScalarField, lambda v: tf.d_scalar(tf.ScalarField(grid, v)).values),
+        ("d_oneform", tf.OneFormField, lambda v: tf.d_oneform(tf.OneFormField(grid, v)).values),
+        ("d_twoform", tf.TwoFormField, lambda v: tf.d_twoform(tf.TwoFormField(grid, v)).values),
+        ("codiff_twoform", tf.TwoFormField,
+         lambda v: tf.codiff_twoform(tf.TwoFormField(grid, v)).values),
+        ("d_codiff_values", tf.TwoFormField, lambda v: tf.d_codiff_values(v, grid)),
+    ]
+
+
+def translation_deviation(grid, shift, seed):
+    """For each operator, the largest |op(roll x) - roll(op x)| over
+    max|op x|, on white noise x rolled by ``shift`` whole nodes."""
+    rng = np.random.default_rng(seed)
+    devs = {}
+    for name, cls, op in derivative_operators(grid):
+        x = rng.standard_normal(grid.shape + cls.NCOMP)
+        expect = np.roll(op(x), shift, axis=tf.GRID_AXES)
+        got = op(np.roll(x, shift, axis=tf.GRID_AXES))
+        devs[name] = float(np.max(np.abs(got - expect)) / np.max(np.abs(expect)))
+    return devs
+
+
+class TestDifferentiationMatrix:
+    """Every partial is one product with the real n x n matrix D of the
+    Fourier multiplier 2 pi i k, Nyquist zeroed, along one grid axis."""
+
+    def test_the_derivatives_make_no_fft_call(self, monkeypatch):
+        calls = []
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
+
+        rng = np.random.default_rng(8)
+        inputs = {cls: rng.standard_normal(G8.shape + cls.NCOMP)
+                  for cls in (tf.ScalarField, tf.OneFormField, tf.TwoFormField)}
+        for name in FFT_TRANSFORMS:
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        # the matrix is built on first use: that build is counted too
+        tf._diff_matrix.cache_clear()
+        for _, cls, op in derivative_operators(G8):
+            op(inputs[cls])
+        assert calls == []
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_exactly_antisymmetric_and_circulant(self, n):
+        mat = tf._diff_matrix(tf.GridSpec(n))
+        assert mat.shape == (n, n) and not mat.flags.writeable
+        assert np.array_equal(mat.T, -mat)
+        assert np.array_equal(np.roll(mat, 1, axis=(0, 1)), mat)
+        assert np.all(np.diag(mat) == 0.0) and np.any(mat != 0.0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_the_fft_multiplier_on_every_basis_vector(self, n):
+        grid = tf.GridSpec(n)
+        m = grid.deriv_multipliers()[0].ravel()
+        mat = tf._diff_matrix(grid)
+        for j, e in enumerate(np.eye(n)):
+            expect = np.fft.ifft(m * np.fft.fft(e))
+            assert np.max(np.abs(mat[:, j] - expect)) <= 1e-14 * np.max(np.abs(m)), j
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_constant_forms_differentiate_to_exact_zero(self, n):
+        grid = tf.GridSpec(n)
+        rng = np.random.default_rng(n)
+        for name, cls, op in derivative_operators(grid):
+            for _ in range(3):
+                x = np.broadcast_to(rng.standard_normal(cls.NCOMP), grid.shape + cls.NCOMP)
+                out = op(x)
+                assert out.shape[:4] == grid.shape and np.all(out == 0.0), name
+
+    @pytest.mark.parametrize("shift", [(1, 0, 0, 0), (0, -3, 5, 2), (7, 7, 7, 7)])
+    def test_every_operator_commutes_with_whole_node_translations(self, shift):
+        devs = translation_deviation(G8, shift, seed=9)
+        assert max(devs.values()) <= 1e-14, devs
+
+    def test_a_matrix_that_is_not_circulant_is_caught(self, monkeypatch):
+        planted = tf._diff_matrix(G8).copy()
+        planted[1, 3] += 1e-6
+        monkeypatch.setattr(tf, "_diff_matrix", lambda grid: planted)
+        devs = translation_deviation(G8, (1, 0, 0, 0), seed=9)
+        assert min(devs.values()) > 1e-10, devs
+
+
 class TestHalfSpectrumMultipliers:
-    """The rfftn multipliers against per-axis complex-FFT partials."""
+    """The differential operators against per-axis complex-FFT partials."""
 
     @pytest.mark.parametrize("grid", [G8, G16], ids=["n8", "n16"])
     def test_match_complex_fft_partials(self, grid):
@@ -226,9 +322,9 @@ class TestHalfSpectrumMultipliers:
         phi = tf.TwoFormField(grid, np.stack([nyquist] * 6, axis=-1))
         assert tf.d_twoform(phi).max_abs() <= 1e-12
         assert tf.codiff_twoform(phi).max_abs() <= 1e-12
-        # the inverse real FFT drops the anti-Hermitian part that one odd
+        # a real operator drops the anti-Hermitian part that one odd
         # multiplier leaves on a Nyquist bin, so only a product of two
-        # multipliers, as in the fused d delta, shows an unzeroed bin
+        # multipliers, as in d delta, shows an unzeroed bin
         assert np.max(np.abs(tf.d_codiff_values(phi.values, grid))) <= 1e-12
         other = xs[(axis + 1) % 4]
         g = nyquist * (1.0 + np.sin(2 * np.pi * other))
