@@ -2,7 +2,8 @@
 algebra and the spectral calculus, reused by the test suite and the CLI.
 The deformation checks measure the routes that :mod:`.pointlin` computes
 for :func:`.pointlin.deform_pair`, not a copy of its formulas; the symbol
-battery checks d delta against the closed form the elliptic oracle takes."""
+battery checks d delta against the closed form the elliptic oracle takes.
+The calculus battery draws its fields in a real basis, with no transform."""
 
 from __future__ import annotations
 
@@ -53,7 +54,8 @@ def run_deformation_battery(seed: int) -> list[Check]:
     squares, orthogonal = pl.acs_defect(closed)
     # the S^2 formulas against the 4x4 deformation that deform_pair returns
     y = pl.fundamental_form(J) @ pl.OMEGA_SD.T / 2.0
-    y_new = pl.deform_coords(y, alpha @ pl.OMEGA_SD.T / 2.0)
+    a = alpha @ pl.OMEGA_SD.T / 2.0
+    y_new = pl.deform_coords(y, a, pl.coords_norm_sq(a))
     s2_residual = np.concatenate([
         (pl.acs_from_coords(y) - J).reshape(CASES, 16),
         (pl.acs_from_coords(y_new) - closed).reshape(CASES, 16),
@@ -139,38 +141,33 @@ def run_splitting_battery(seed: int) -> list[Check]:
 
 def _bandlimited(rng: np.random.Generator, grid: tf.GridSpec, cls):
     """A random field of type ``cls`` with the law that
-    :func:`run_calculus_battery` states, made with one ``numpy.fft.irfftn``
-    over the grid axes, since that law is stated in Fourier space; the
-    derivatives it feeds take no transform.
-
-    Only the retained half-spectrum block is drawn: every |k_a| <= b on the
-    three full axes and 0..b on the half axis.  ``irfftn`` keeps only the
-    Hermitian part of the k4 = 0 plane, which halves its variance per real
-    part, hence that plane's factor sqrt(2)."""
-    b = grid.n // 2 - 2
-    full = np.r_[0 : b + 1, grid.n - b : grid.n]
-    block = (...,) + np.ix_(full, full, full, np.arange(b + 1))
-    spec = np.zeros(cls.NCOMP + grid.shape[:3] + (grid.n // 2 + 1,), dtype=complex)
-    for part in (spec.real, spec.imag):
-        part[block] = rng.standard_normal(cls.NCOMP + (2 * b + 1,) * 3 + (b + 1,))
-    spec *= np.sqrt(grid.node_count / 2)
-    spec[..., 0] *= np.sqrt(2.0)
-    vals = np.fft.irfftn(spec, s=grid.shape, axes=(-4, -3, -2, -1))
-    vals = np.moveaxis(vals, range(-4 - len(cls.NCOMP), -4), range(-len(cls.NCOMP), 0))
-    vals /= max(1.0, float(np.max(np.abs(vals))))
-    return cls(grid, vals)
+    :func:`run_calculus_battery` states: its coefficients in one
+    ``standard_normal`` call, then one product per grid axis, last first;
+    the largest, on the first axis, writes the field's own node-major
+    values, which are scaled in place and handed over sealed."""
+    basis = tf._low_pass_basis(grid.n, grid.n // 2 - 2)
+    m = basis.shape[1]
+    coeffs = rng.standard_normal((m,) * 4 + cls.NCOMP)
+    for axis in (3, 2, 1):
+        coeffs = tf._along(coeffs, basis, axis)
+    vals = np.empty(grid.shape + cls.NCOMP)
+    np.matmul(basis, coeffs.reshape(m, -1), out=vals.reshape(grid.n, -1))
+    vals /= max(1.0, float(np.max(vals)), -float(np.min(vals)))
+    return cls(grid, tf.sealed(vals))
 
 
 def run_calculus_battery(grid_n: int, count: int, seed: int) -> list[Check]:
     """Spectral calculus identities on random fields bandlimited to
     b = n/2 - 2.
 
-    Every mode with all |k_a| <= b carries an independent complex Gaussian
-    coefficient of variance N/2 per real part, N = n^4, which is the law of
-    the ``rfftn`` of unit white noise, so the fields are low-passed white
-    noise in law.  On the self-conjugate k4 = 0 plane that law holds for
-    the Hermitian part, all that ``irfftn`` keeps, and the k = 0 mode has
-    variance N.  Each field is then divided by max(1, max|values|)."""
+    Each component of a field has independent N(0, 1) coefficients in the
+    tensor basis of :func:`.torusfield._low_pass_basis` (the constant,
+    sqrt(2) cos and sqrt(2) sin up to degree b on each axis), which is
+    orthonormal over the nodes.  So the field is Gaussian with covariance
+    the projector onto the trigonometric polynomials of degree <= b on each
+    axis: the law of low-passed unit white noise, with nodal variance
+    (2b + 1)^4 / n^4.  Since b < n/2, these are the Fourier modes with every
+    |k_a| <= b.  Each field is then divided by max(1, max|values|)."""
     grid = tf.GridSpec(grid_n)
     rng = np.random.default_rng(seed)
     dd_scalar = dd_oneform = 0.0

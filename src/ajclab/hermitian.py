@@ -67,6 +67,7 @@ from .torusfield import (
     _FieldBase,
     _worst_node,
     bump_cutoff,
+    bump_support,
     frozen,
     low_pass,
     sealed,
@@ -177,13 +178,14 @@ def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows, finish):
     ``rows`` is None.
 
     Checks a . y = 0 (within pl.FORM_TOL relative to max(1, sup|a|)) and
-    |a| < 1 on the rows, naming the worst node by its grid index.  ``finish``
+    |a| < 1 on the rows, naming the worst node by its grid index, on the
+    |a|^2 that the deformation then uses.  ``finish``
     checks the deformed rows for |y'| = 1, by building a
     :class:`HermitianTriple` or through :func:`_require_unit`, so no full
     grid is checked twice; when that fails, an invariant part inside
     FORM_TOL is named as the cause.
     """
-    nsq = np.einsum("...k,...k", a, a)
+    nsq = pl.coords_norm_sq(a)
     along = np.abs(np.einsum("...k,...k", a, y))
     invariant = float(np.max(along, initial=0.0))
     sup_sq = float(np.max(nsq, initial=0.0))
@@ -198,7 +200,7 @@ def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows, finish):
             f"at node {_worst_node(grid, nsq, rows)}"
         )
     try:
-        return finish(pl.deform_coords(y, a))
+        return finish(pl.deform_coords(y, a, nsq))
     except ValueError as exc:
         # |y'|^2 - 1 is about 4 (a . y)(1 - |a|^2) / (1 + |a|^2)^2, so an
         # invariant part inside FORM_TOL can still break |y'| = 1 (ACS_TOL)
@@ -295,9 +297,10 @@ def random_compatible_acs(
 def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, what: str,
                   eps: float):
     """The steps both cut-off stages share on ``triple``, whose Gram report
-    is ``report``: returns the first null direction w, the flat node indices
-    of the bump support (``np.flatnonzero`` of the bump values), the bump
-    values there, and the leading entries of the stage's log record.
+    is ``report``: returns the first null direction w, the ascending flat
+    node indices of the bump support and the bump values there (both from
+    :func:`.torusfield.bump_support`), and the leading entries of the
+    stage's log record.
     Raises unless the bump support volume (``what``) is below
     :func:`.cohomlab.delta_j_estimate` of ``triple``, a certified lower bound
     on delta_J, logged as ``delta_estimate``.  Both stages run only on
@@ -305,9 +308,8 @@ def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, w
     non-null span has dimension 1 or 2, where that bound is defined.
     """
     w = cohomlab.select_null_form(report)
-    values = bump.build(triple.grid).values.ravel()
-    rows = np.flatnonzero(values)
-    support_volume = rows.size / values.size
+    rows, values = bump_support(triple.grid, bump.center, bump.radius, bump.height)
+    support_volume = rows.size / triple.grid.node_count
     delta = cohomlab.delta_j_estimate(triple, report, eps)
     if not support_volume < delta:
         raise ValueError(
@@ -315,7 +317,7 @@ def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, w
         )
     head = {"stage": stage, "bump": to_json(bump), "delta_estimate": delta,
             "support_volume": support_volume}
-    return w, rows, values[rows], head
+    return w, rows, values, head
 
 
 def one_bump_deform(

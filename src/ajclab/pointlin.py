@@ -89,10 +89,17 @@ def _amax(x) -> float:
 
 
 def wedge_to_volume(phi, psi):
-    """Coefficient c of phi ^ psi = c dx1^dx2^dx3^dx4; symmetric in arguments."""
+    """Coefficient c of phi ^ psi = c dx1^dx2^dx3^dx4: 0 + s_0 phi_0 psi_5 +
+    s_1 phi_1 psi_4 + ... + s_5 phi_5 psi_0 (signs s of _WEDGE_SIGN), added
+    left to right into one output array.  psi ^ phi adds the same products
+    in the opposite order, so the two agree up to rounding; the calculus
+    battery's symmetry check measures that.  A single point gives a scalar."""
     phi = np.asarray(phi, float)
     psi = np.asarray(psi, float)
-    return np.sum(_WEDGE_SIGN * phi * psi[..., _WEDGE_PARTNER], axis=-1)
+    out = np.zeros(np.broadcast_shapes(phi.shape[:-1], psi.shape[:-1]))
+    for i, (j, sign) in enumerate(zip(_WEDGE_PARTNER, _WEDGE_SIGN)):
+        out += sign * phi[..., i] * psi[..., j]
+    return out[()]
 
 
 def form_inner(phi, psi):
@@ -205,7 +212,13 @@ def acs_from_coords(y):
     return np.swapaxes(form_to_matrix(y @ OMEGA_SD), -1, -2)
 
 
-def deform_coords(y, a):
+def coords_norm_sq(a):
+    """|a|^2 = a0 a0 + a1 a1 + a2 a2, summed left to right, of self-dual
+    coordinates a: the wedge norm^2 of a @ OMEGA_SD."""
+    return a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1] + a[..., 2] * a[..., 2]
+
+
+def deform_coords(y, a, nsq):
     """:func:`deform_pair` in self-dual coordinates.
 
     A structure with fundamental form y @ OMEGA_SD, deformed by the
@@ -213,13 +226,11 @@ def deform_coords(y, a):
     check), has fundamental form y' @ OMEGA_SD with the inverse
     stereographic image y' = ((1 - |a|^2) y + 2 a) / (1 + |a|^2).
 
-    |a|^2 is a0 a0 + a1 a1 + a2 a2, summed left to right as a sum over the
-    last axis is, and each component of y' is computed in one pass into one
-    output array; so y' is the formula above to the bit, whatever the
-    memory layout of y and a.  ``y`` may be a broadcast view, such as a
-    constant field.
+    ``nsq`` is |a|^2 as :func:`coords_norm_sq` gives it, and each component
+    of y' is computed in one pass into one output array; so y' is the
+    formula above to the bit, whatever the memory layout of y and a.  ``y``
+    may be a broadcast view, such as a constant field.
     """
-    nsq = a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1] + a[..., 2] * a[..., 2]
     shrink, grow = 1.0 - nsq, 1.0 + nsq
     out = np.empty(np.broadcast_shapes(np.shape(y), np.shape(a)))
     for k in range(3):

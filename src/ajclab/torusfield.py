@@ -323,32 +323,45 @@ def torus_offsets(grid: GridSpec, center) -> list[np.ndarray]:
     return [(x - c + 0.5) % 1.0 - 0.5 for x, c in zip(grid.coords(), coords)]
 
 
+def bump_support(grid: GridSpec, center, radius: float, height: float):
+    """The support of :func:`bump_cutoff`, as ascending flat node indices,
+    and its values there.  Only the box of nodes with (w_a / radius)^2 < 1
+    on every axis a is visited (w of :func:`torus_offsets`); there s^2 is
+    0 + t_0 + t_1 + t_2 + t_3 with t_a = (w_a / radius)^2.  A node with
+    s < 1 whose value underflows to 0.0 is not in the support."""
+    if not 0.0 < radius < 0.5:
+        raise ValueError(f"radius must lie in (0, 1/2), got {radius}")
+    if not 0.0 < height <= 1.0:
+        raise ValueError(f"height must lie in (0, 1], got {height}")
+    sq = [(w.ravel() / radius) ** 2 for w in torus_offsets(grid, center)]
+    box = np.ix_(*(np.flatnonzero(t < 1.0) for t in sq))
+    s2 = sum(t[ix] for t, ix in zip(sq, box))
+    core = s2 < 1.0
+    values = height * np.exp(1.0 - 1.0 / (1.0 - s2[core]))
+    kept = values != 0.0
+    return np.ravel_multi_index(box, grid.shape)[core][kept], values[kept]
+
+
 def bump_cutoff(grid: GridSpec, center, radius: float, height: float) -> ScalarField:
-    """Smooth compactly supported cut-off on the torus.
+    """Smooth compactly supported cut-off on the torus: :func:`bump_support`
+    scattered into zeros.
 
     Value height * exp(1 - 1/(1 - s^2)) for s = dist(x, center)/radius < 1
     and 0 outside; the support is exactly the closed radius-ball around
     ``center`` in the wrap-around distance.
     """
-    if not 0.0 < radius < 0.5:
-        raise ValueError(f"radius must lie in (0, 1/2), got {radius}")
-    if not 0.0 < height <= 1.0:
-        raise ValueError(f"height must lie in (0, 1], got {height}")
-    offs = torus_offsets(grid, center)
-    s2 = np.zeros(grid.shape)
-    for w in offs:
-        s2 = s2 + (w / radius) ** 2
+    rows, values = bump_support(grid, center, radius, height)
     vals = np.zeros(grid.shape)
-    core = s2 < 1.0
-    vals[core] = height * np.exp(1.0 - 1.0 / (1.0 - s2[core]))
-    return ScalarField(grid, vals)
+    vals.reshape(-1)[rows] = values
+    return ScalarField(grid, sealed(vals))
 
 
 def _low_pass_basis(n: int, max_mode: int) -> np.ndarray:
     """Orthonormal (n, 2 max_mode + 1) basis of the trigonometric
     polynomials of degree <= ``max_mode`` at the nodes i/n of one axis: the
     constant, sqrt(2) cos(2 pi k x) and sqrt(2) sin(2 pi k x) for k = 1 ..
-    max_mode, each divided by sqrt(n).  The phases k i are reduced mod n."""
+    max_mode, each divided by sqrt(n).  The phases k i are reduced mod n.
+    Used by :func:`low_pass` and by the calculus battery's random draws."""
     phase = 2.0 * np.pi * (np.outer(np.arange(n), np.arange(1, max_mode + 1)) % n) / n
     cols = [np.ones((n, 1)), np.sqrt(2.0) * np.cos(phase), np.sqrt(2.0) * np.sin(phase)]
     return np.hstack(cols) / np.sqrt(n)

@@ -17,15 +17,17 @@ def test_draw_is_bandlimited_and_normalized(cls):
     field = battery._bandlimited(np.random.default_rng(3), G16, cls)
     assert type(field) is cls and field.values.shape == G16.shape + cls.NCOMP
     # the unnormalized draw exceeds 1, so the division by max|v| is active:
-    # coefficients of unit variance would leave the field about 180x smaller
+    # its nodal standard deviation is (13/16)^2 = 0.66 at n = 16, so its
+    # largest value is near 3
     assert field.max_abs() == 1.0
     low = tf.spectral_truncate(field, G16.n // 2 - 2)
     assert np.max(np.abs(low.values - field.values)) <= 1e-14 * field.max_abs()
 
 
 def test_self_conjugate_plane_has_the_power_of_the_others():
-    # irfftn keeps only the Hermitian part of the k4 = 0 plane; without its
-    # sqrt(2) that plane would carry half the power of the k4 >= 1 planes
+    # the law is the projector onto the kept modes, so every kept mode has
+    # the same power; a half-spectrum draw that left out its sqrt(2) on the
+    # self-conjugate k4 = 0 plane would give that plane half the power
     keep = np.ones(1, dtype=bool)
     for k in G16.wavenumbers():
         keep = keep & (np.abs(k) <= G16.n // 2 - 2)
@@ -54,6 +56,62 @@ def test_smallest_grids_draw():
         field = battery._bandlimited(rng, grid, cls)
         low = tf.spectral_truncate(field, 1)
         assert np.max(np.abs(low.values - field.values)) <= 1e-14 * max(1.0, field.max_abs())
+
+
+class RecordingGenerator:
+    """A generator whose ``standard_normal`` draws are scaled by ``scale``
+    and recorded; a power of 2 scales the synthesized field exactly."""
+
+    def __init__(self, seed, scale=1.0):
+        self.rng = np.random.default_rng(seed)
+        self.scale = scale
+        self.draws = []
+
+    def standard_normal(self, size):
+        self.draws.append(self.scale * self.rng.standard_normal(size))
+        return self.draws[-1]
+
+
+@pytest.mark.parametrize("cls", KINDS, ids=lambda c: c.__name__)
+def test_draw_makes_one_normal_call_and_no_fft_call(cls, monkeypatch):
+    calls = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in np.fft.__all__:
+        if not name.endswith(("freq", "shift")):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    rng = RecordingGenerator(4)
+    battery._bandlimited(rng, G16, cls)
+    battery._bandlimited(rng, tf.GridSpec(6), cls)
+    assert calls == []
+    # (2b + 1)^4 coefficients per component, b = n/2 - 2
+    assert [z.shape for z in rng.draws] == [(13,) * 4 + cls.NCOMP, (3,) * 4 + cls.NCOMP]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("cls", [tf.ScalarField, tf.TwoFormField], ids=lambda c: c.__name__)
+def test_unnormalized_nodal_variance(n, cls):
+    # coefficients scaled by 2^-10 keep max|v| below 1, so the draw is not
+    # divided and 2^10 v is the unnormalized field to the bit
+    scale = 2.0**-10
+    rng = RecordingGenerator(n, scale)
+    field = battery._bandlimited(rng, tf.GridSpec(n), cls)
+    assert field.max_abs() < 1.0
+    values = field.values / scale
+    (coeffs,) = rng.draws
+    # the basis is orthonormal over the nodes: the field keeps the
+    # coefficients' sum of squares
+    assert np.sum(values**2) == pytest.approx(np.sum((coeffs / scale) ** 2), rel=1e-12)
+    # so the nodal variance is (2b + 1)^4 / n^4, within 5 standard
+    # deviations sqrt(2 / coefficient count) of the mean of squares
+    expected = (n - 3) ** 4 / n**4
+    spread = np.sqrt(2.0 / coeffs.size)
+    assert abs(np.mean(values**2) / expected - 1.0) < 5.0 * spread
 
 
 @pytest.mark.parametrize("grid_n, count", [(16, 5), (4, 3), (6, 3), (8, 3)])
@@ -93,7 +151,8 @@ def reference_deformation_measures(seed):
     F = pl.fundamental_form(J)
     F_new = a[..., 0] * F + b[..., 0] * alpha
     y = F @ pl.OMEGA_SD.T / 2.0
-    y_new = pl.deform_coords(y, alpha @ pl.OMEGA_SD.T / 2.0)
+    a = alpha @ pl.OMEGA_SD.T / 2.0
+    y_new = pl.deform_coords(y, a, pl.coords_norm_sq(a))
     s2_residual = np.concatenate([
         (pl.acs_from_coords(y) - J).reshape(battery.CASES, 16),
         (pl.acs_from_coords(y_new) - closed).reshape(battery.CASES, 16),

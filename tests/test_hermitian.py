@@ -272,8 +272,8 @@ class TestRandomCompatible:
             checked.append(y)
             return require_unit(grid, y, rows)
 
-        def recorded(y, a):
-            deformed.append(deform_coords(y, a))
+        def recorded(y, a, nsq):
+            deformed.append(deform_coords(y, a, nsq))
             return deformed[-1]
 
         monkeypatch.setattr(hm, "_require_unit", counted)
@@ -449,12 +449,13 @@ class TestSupportPath:
         rational cross-check route."""
         w1 = cohomlab.select_null_form(cohomlab.gram_matrix(base))
         a1 = bump1.build(base.grid).values[..., None] * w1
-        y1 = pl.deform_coords(base.y, a1)
+        y1 = pl.deform_coords(base.y, a1, pl.coords_norm_sq(a1))
         w2 = cohomlab.select_null_form(cohomlab.gram_matrix(hm.HermitianTriple(base.grid, y1)))
         c2 = bump2.build(base.grid).values
         f1 = np.sqrt(1.0 - c2**2 * float(w2 @ w2))
         y2 = f1[..., None] * y1 + c2[..., None] * w2
-        alt = pl.deform_coords(y1, (c2 / (1.0 + f1))[..., None] * w2)
+        beta = (c2 / (1.0 + f1))[..., None] * w2
+        alt = pl.deform_coords(y1, beta, pl.coords_norm_sq(beta))
         return y1, y2, float(np.max(np.abs(alt - y2)))
 
     def test_empty_support_leaves_the_structure_unchanged(self):
@@ -506,6 +507,38 @@ class TestSupportPath:
         with pytest.raises(ValueError, match=match):
             hm._deform(G8, y, a, rows, lambda out: hm._require_unit(G8, out, rows))
 
+    @pytest.mark.parametrize("a1, a2, nsq", [
+        ("0x1.fef09ef3532f1p-1", "0x1.0770e17577743p-4", np.nextafter(1.0, 0.0)),
+        ("0x1.146741e7d41d3p-1", "0x1.aefb4ddb2a2bap-1", 1.0),
+    ], ids=["one-minus-ulp", "one"])
+    def test_norm_bound_is_checked_on_the_norm_the_deformation_uses(self, a1, a2, nsq):
+        rows = np.flatnonzero(BUMP1.build(G8).values)
+        y = hm.standard_acs(G8).y.reshape(-1, 3)[rows]
+        a = np.zeros_like(y)
+        a[7] = [0.0, float.fromhex(a1), float.fromhex(a2)]
+        assert pl.coords_norm_sq(a)[7] == nsq
+
+        def finish(out):
+            return hm._require_unit(G8, out, rows)
+
+        if nsq < 1.0:
+            got = hm._deform(G8, y, a, rows, finish)
+            assert got.tobytes() == pl.deform_coords(y, a, pl.coords_norm_sq(a)).tobytes()
+        else:
+            node = tuple(int(i) for i in np.unravel_index(rows[7], G8.shape))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"deformation form has wedge norm^2 1.000000 >= 1 at node {node}")):
+                hm._deform(G8, y, a, rows, finish)
+
+    def test_stages_build_no_full_grid_bump(self, monkeypatch):
+        def no_bump_field(*args):
+            raise AssertionError("a cut-off stage evaluated its bump on the whole grid")
+
+        monkeypatch.setattr(hm, "bump_cutoff", no_bump_field)
+        stage1, stage2, log = hm.two_stage_deform(hm.standard_acs(G8), BUMP1, BUMP2)
+        assert [record["stage"] for record in log] == ["cutoff-1", "cutoff-2"]
+        assert stage2 is not stage1
+
     def test_each_stage_keeps_the_array_it_scatters(self, monkeypatch):
         scattered = []
         scatter = hm._scatter
@@ -525,9 +558,9 @@ class TestSupportPath:
         rows = []
         deform_coords = pl.deform_coords
 
-        def counted(y, a):
+        def counted(y, a, nsq):
             rows.append(y.size // 3)
-            return deform_coords(y, a)
+            return deform_coords(y, a, nsq)
 
         monkeypatch.setattr(pl, "deform_coords", counted)
         hm.two_stage_deform(hm.standard_acs(G8), BUMP1, BUMP2)

@@ -103,6 +103,49 @@ class TestWedge:
             assert w == pytest.approx(oracle_wedge(phi, psi), abs=1e-12)
             assert w == pytest.approx(pl.wedge_to_volume(psi, phi), abs=1e-14)
 
+    @staticmethod
+    def sum_over_components(phi, psi):
+        """The wedge as one sum over a (..., 6) array of signed products."""
+        return np.sum(pl._WEDGE_SIGN * phi * psi[..., pl._WEDGE_PARTNER], axis=-1)
+
+    @pytest.mark.parametrize("layout", ["grid", "views", "broadcast"])
+    def test_equals_the_sum_over_components_bit_for_bit(self, layout):
+        rng = np.random.default_rng(13)
+        phi, psi = rng.standard_normal((2, 6, 6, 6, 6, 6)) * np.exp(
+            rng.uniform(-20.0, 20.0, (2, 6, 6, 6, 6, 6)))
+        if layout == "views":
+            # a strided slab, and components gathered from a transposed array
+            phi = phi[::2, :, 1:]
+            psi = np.moveaxis(np.ascontiguousarray(np.moveaxis(psi, -1, 0)), 0, -1)[::2, :, :-1]
+        elif layout == "broadcast":
+            psi = np.broadcast_to(psi[0, 0, 0, 0], phi.shape)
+        got = pl.wedge_to_volume(phi, psi)
+        assert got.shape == phi.shape[:-1]
+        assert got.tobytes() == self.sum_over_components(phi, psi).tobytes()
+
+    def test_signed_zeros_sum_as_the_sum_over_components(self):
+        # every sign pattern of +-0.0 in both forms, the all -0.0 products
+        # included: the sum starts from +0.0, so no result is -0.0
+        signs = np.array(list(itertools.product((0.0, -0.0), repeat=12)))
+        phi, psi = signs[:, :6], signs[:, 6:]
+        products = pl._WEDGE_SIGN * phi * psi[:, pl._WEDGE_PARTNER]
+        assert np.any(np.all(np.signbit(products), axis=-1))
+        got = pl.wedge_to_volume(phi, psi)
+        assert got.tobytes() == self.sum_over_components(phi, psi).tobytes()
+        assert not np.any(np.signbit(got))
+
+    def test_swapped_arguments_sum_in_another_order(self):
+        # psi ^ phi adds the same products in reverse order, so the two can
+        # differ by rounding; the battery's symmetry check measures that
+        rng = np.random.default_rng(14)
+        phi, psi = rng.standard_normal((2, 4096, 6))
+        forward, backward = pl.wedge_to_volume(phi, psi), pl.wedge_to_volume(psi, phi)
+        assert np.any(forward != backward)
+        np.testing.assert_allclose(forward, backward, rtol=0.0, atol=1e-14)
+
+    def test_a_single_point_gives_a_scalar(self):
+        assert np.ndim(pl.wedge_to_volume(pl.OMEGA2, pl.OMEGA2)) == 0
+
 
 class TestHodgeStar:
     def test_e12(self):
@@ -296,7 +339,8 @@ class TestSelfDualCoords:
         np.testing.assert_allclose(np.eye(4) - np.swapaxes(J, -1, -2) @ J, gap, rtol=0.0, atol=1e-15)
 
     def test_half_omega2_case(self):
-        y = pl.deform_coords(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0]))
+        a = np.array([0.0, 0.5, 0.0])
+        y = pl.deform_coords(np.array([1.0, 0.0, 0.0]), a, pl.coords_norm_sq(a))
         np.testing.assert_allclose(y, [0.6, 0.8, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("layout", ["grid", "broadcast y", "support rows"])
@@ -317,7 +361,7 @@ class TestSelfDualCoords:
         elif layout == "support rows":
             rows = np.flatnonzero(rng.uniform(size=shape[:-1]) < 0.1)
             y, a = y.reshape(-1, 3)[rows], a.reshape(-1, 3)[rows]
-        got = pl.deform_coords(y, a)
+        got = pl.deform_coords(y, a, pl.coords_norm_sq(a))
         assert got.shape == np.broadcast_shapes(y.shape, a.shape)
         assert got.tobytes() == broadcast_formula(y, a).tobytes()
 
@@ -326,7 +370,8 @@ class TestSelfDualCoords:
         J = random_acs(rng, (64,))
         alpha = random_anti_invariant(rng, J)
         y = pl.fundamental_form(J) @ pl.OMEGA_SD.T / 2.0
-        y_new = pl.deform_coords(y, alpha @ pl.OMEGA_SD.T / 2.0)
+        a = alpha @ pl.OMEGA_SD.T / 2.0
+        y_new = pl.deform_coords(y, a, pl.coords_norm_sq(a))
         J_pair, F_pair = pl.deform_pair(J, alpha)
         np.testing.assert_allclose(pl.acs_from_coords(y), J, atol=1e-12)
         np.testing.assert_allclose(pl.acs_from_coords(y_new), J_pair, atol=1e-12)

@@ -7,6 +7,7 @@ import pytest
 
 from ajclab import pointlin as pl
 from ajclab import torusfield as tf
+from ajclab.config import DEFAULT_BUMP1, DEFAULT_BUMP2
 
 G8 = tf.GridSpec(8)
 G16 = tf.GridSpec(16)
@@ -420,6 +421,47 @@ class TestBump:
         b = tf.bump_cutoff(G16, (0.0, 0.0, 0.0, 0.0), 0.2, 1.0)
         # nodes on either side of the seam see the same profile
         assert b.values[1, 0, 0, 0] == pytest.approx(b.values[15, 0, 0, 0])
+
+    @staticmethod
+    def full_grid_support(grid, center, radius, height):
+        """The support as the nonzero nodes of the bump evaluated on the
+        whole grid, with s^2 summed over the four axes from 0."""
+        s2 = np.zeros(grid.shape)
+        for w in tf.torus_offsets(grid, center):
+            s2 = s2 + (w / radius) ** 2
+        vals = np.zeros(grid.shape)
+        core = s2 < 1.0
+        vals[core] = height * np.exp(1.0 - 1.0 / (1.0 - s2[core]))
+        rows = np.flatnonzero(vals)
+        return rows, vals.ravel()[rows], int(np.count_nonzero(core)) - rows.size
+
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    @pytest.mark.parametrize("bump", [
+        DEFAULT_BUMP1, DEFAULT_BUMP2,
+        ((0.0, 0.0, 0.97, 0.02), 0.3, 0.5),
+        ((0.97, 0.02, 0.0, 0.99), 0.25, 0.5),
+    ], ids=["default1", "default2", "wrap1", "wrap2"])
+    def test_support_is_the_nonzero_nodes_of_the_full_grid_bump(self, n, bump):
+        if isinstance(bump, tuple):
+            center, radius, height = bump
+        else:
+            center, radius, height = bump.center, bump.radius, bump.height
+        grid = tf.GridSpec(n)
+        rows, values = tf.bump_support(grid, center, radius, height)
+        expect_rows, expect_values, _ = self.full_grid_support(grid, center, radius, height)
+        assert rows.tobytes() == expect_rows.tobytes()
+        assert values.tobytes() == expect_values.tobytes()
+        assert tf.bump_cutoff(grid, center, radius, height).values.ravel()[rows].tobytes() \
+            == values.tobytes()
+
+    def test_nodes_where_the_profile_underflows_are_not_support(self):
+        # 9 nodes of this wrapping bump have s < 1, but exp(1 - 1/(1 - s^2))
+        # underflows to 0.0 there
+        grid, center, radius = tf.GridSpec(24), (0.0, 0.0, 0.97, 0.02), 0.3
+        _, _, underflows = self.full_grid_support(grid, center, radius, 0.5)
+        assert underflows == 9
+        rows, values = tf.bump_support(grid, center, radius, 0.5)
+        assert np.all(values > 0.0) and np.all(np.diff(rows) > 0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
