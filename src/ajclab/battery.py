@@ -3,7 +3,8 @@ algebra and the spectral calculus, reused by the test suite and the CLI.
 The deformation checks measure the routes that :mod:`.pointlin` computes
 for :func:`.pointlin.deform_pair`, not a copy of its formulas; the symbol
 battery checks d delta against the closed form the elliptic oracle takes.
-The calculus battery draws its fields in a real basis, with no transform."""
+The calculus battery draws its fields as coefficients that
+:func:`.torusfield.from_low_pass` synthesizes, with no transform."""
 
 from __future__ import annotations
 
@@ -141,17 +142,12 @@ def run_splitting_battery(seed: int) -> list[Check]:
 
 def _bandlimited(rng: np.random.Generator, grid: tf.GridSpec, cls):
     """A random field of type ``cls`` with the law that
-    :func:`run_calculus_battery` states: its coefficients in one
-    ``standard_normal`` call, then one product per grid axis, last first;
-    the largest, on the first axis, writes the field's own node-major
-    values, which are scaled in place and handed over sealed."""
-    basis = tf._low_pass_basis(grid.n, grid.n // 2 - 2)
-    m = basis.shape[1]
-    coeffs = rng.standard_normal((m,) * 4 + cls.NCOMP)
-    for axis in (3, 2, 1):
-        coeffs = tf._along(coeffs, basis, axis)
-    vals = np.empty(grid.shape + cls.NCOMP)
-    np.matmul(basis, coeffs.reshape(m, -1), out=vals.reshape(grid.n, -1))
+    :func:`run_calculus_battery` states: its coefficients of degree up to
+    n/2 - 2 in one ``standard_normal`` call, synthesized by
+    :func:`.torusfield.from_low_pass` into fresh values that are scaled in
+    place and handed over sealed."""
+    coeffs = rng.standard_normal((grid.n - 3,) * 4 + cls.NCOMP)
+    vals = tf.from_low_pass(coeffs, grid, 0, None)
     vals /= max(1.0, float(np.max(vals)), -float(np.min(vals)))
     return cls(grid, tf.sealed(vals))
 
@@ -160,14 +156,15 @@ def run_calculus_battery(grid_n: int, count: int, seed: int) -> list[Check]:
     """Spectral calculus identities on random fields bandlimited to
     b = n/2 - 2.
 
-    Each component of a field has independent N(0, 1) coefficients in the
-    tensor basis of :func:`.torusfield._low_pass_basis` (the constant,
-    sqrt(2) cos and sqrt(2) sin up to degree b on each axis), which is
-    orthonormal over the nodes.  So the field is Gaussian with covariance
+    Each component of a field is :func:`.torusfield.from_low_pass` of
+    independent N(0, 1) coefficients of degree <= b on each axis.  Its
+    basis (the constant, sqrt(2) cos and sqrt(2) sin on each axis) is
+    orthonormal over the nodes, so the field is Gaussian with covariance
     the projector onto the trigonometric polynomials of degree <= b on each
-    axis: the law of low-passed unit white noise, with nodal variance
-    (2b + 1)^4 / n^4.  Since b < n/2, these are the Fourier modes with every
-    |k_a| <= b.  Each field is then divided by max(1, max|values|)."""
+    axis: the law of :func:`.torusfield.low_pass` of unit white noise, with
+    nodal variance (2b + 1)^4 / n^4.  Since b < n/2, these are the Fourier
+    modes with every |k_a| <= b.  Each field is then divided by max(1,
+    max|values|)."""
     grid = tf.GridSpec(grid_n)
     rng = np.random.default_rng(seed)
     dd_scalar = dd_oneform = 0.0

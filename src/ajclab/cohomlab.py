@@ -301,9 +301,9 @@ class EllipticReport:
 
 def kernel_symbol(grid: GridSpec) -> np.ndarray:
     """The symbol of C on the full spectrum (grid shape): |m|^2 / 2 for the
-    multipliers m of GridSpec.deriv_multipliers, whose full axis serves all
-    four.  It is 0 on the 16 corner modes and at least LAMBDA_GAP off them."""
-    axis = np.abs(grid.deriv_multipliers()[0].ravel()) ** 2 / 2.0
+    multipliers m of GridSpec.deriv_multipliers, the same on all four axes.
+    It is 0 on the 16 corner modes and at least LAMBDA_GAP off them."""
+    axis = np.abs(grid.deriv_multipliers()) ** 2 / 2.0
     return np.add.outer(np.add.outer(axis, axis), np.add.outer(axis, axis))
 
 

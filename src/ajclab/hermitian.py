@@ -271,7 +271,8 @@ def random_compatible_acs(
     equals ``amplitude``, any value in (0, 1).  Deterministic per seed: a
     and b are white noise, drawn as one (2, n, n, n, n) batch into the rows
     1 and 2 of the component-major coefficients (0, a, b), then projected
-    and scaled there in place (:func:`.torusfield.low_pass`).
+    (:func:`.torusfield.low_pass`, on a batch axis of 2) and scaled there in
+    place.
 
     The standard structure's y = (1, 0, 0) is a broadcast view, deformed by
     those coefficients through :func:`_deform` with its checks (a . y = 0,
@@ -286,7 +287,7 @@ def random_compatible_acs(
     coeffs[0] = 0.0
     ab = coeffs[1:]
     np.random.default_rng(seed).standard_normal(out=ab)
-    low_pass(ab, grid, bandlimit, 0)
+    low_pass(ab, grid, bandlimit)
     sup = float(np.sqrt(np.max(ab[0] ** 2 + ab[1] ** 2)))
     ab *= amplitude / max(sup, 1e-300)
     e1 = np.broadcast_to([1.0, 0.0, 0.0], grid.shape + (3,))

@@ -24,14 +24,16 @@ whose components sit on a leading axis, ahead of any batch axes and the
 four grid axes, so :func:`d_codiff_values` applies d delta to a whole stack
 of 2-forms at once.
 
-The low-pass filter (:func:`low_pass`, :func:`spectral_truncate`) is not a
-transform pair either: it is the orthogonal projection onto the
-trigonometric polynomials of degree <= m on each axis, applied as separable
-products with an orthonormal (n, 2m + 1) basis of nodal cosines and sines.
-For m < n/2 that is the span the Fourier modes with every |k_a| <= m would
-keep.  :meth:`GridSpec.wavenumbers` orders frequencies as the real half
-spectrum of ``numpy.fft.rfftn`` does: full axes of n frequencies on the
-first three grid axes and n/2 + 1 on the last.
+Every separable operator here is one routine, :func:`_along`: a small
+matrix applied along one axis of an array, as one matrix product.  The
+derivatives take D along a grid axis.  The low-pass filter
+(:func:`low_pass`) is not a transform pair either: it is the orthogonal
+projection onto the trigonometric polynomials of degree <= m on each axis,
+4 products with the transpose of an orthonormal (n, 2m + 1) basis of nodal
+cosines and sines (:func:`_low_pass_basis`) to coefficients, and 4 with the
+basis back (:func:`from_low_pass`, which also turns drawn coefficients into
+random fields).  For m < n/2 that is the span the Fourier modes with every
+|k_a| <= m would keep.  No other module knows the basis layout.
 
 Component layouts of nodal values (components on the last axis, in the
 pointlin bases): scalar (n,n,n,n); 1-form (n,n,n,n,4); 2-form (n,n,n,n,6);
@@ -83,19 +85,12 @@ class GridSpec:
         x = np.arange(self.n) / self.n
         return [x.reshape([-1 if a == ax else 1 for a in GRID_AXES]) for ax in GRID_AXES]
 
-    def wavenumbers(self) -> list[np.ndarray]:
-        """Integer frequencies of the real half spectrum, one broadcastable
-        array per grid axis; the last axis is the half axis 0..n/2."""
-        full = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        half = np.fft.rfftfreq(self.n, d=1.0 / self.n)
-        return [
-            k.reshape([-1 if a == ax else 1 for a in GRID_AXES])
-            for ax, k in zip(GRID_AXES, (full, full, full, half))
-        ]
-
-    def deriv_multipliers(self) -> list[np.ndarray]:
-        """Derivative factors 2*pi*i*k per axis with every Nyquist bin zeroed."""
-        return [np.where(np.abs(k) == self.n // 2, 0.0, 2j * np.pi * k) for k in self.wavenumbers()]
+    def deriv_multipliers(self) -> np.ndarray:
+        """Derivative factors 2*pi*i*k of one grid axis, in the frequency
+        order of ``numpy.fft.fft``, with the Nyquist bin zeroed; every axis
+        has the same ones."""
+        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        return np.where(np.abs(k) == self.n // 2, 0.0, 2j * np.pi * k)
 
 
 def _worst_node(grid: GridSpec, nodewise: np.ndarray, rows) -> tuple[int, ...]:
@@ -197,7 +192,7 @@ _CODIFF = tuple(
 def _diff_matrix(grid: GridSpec) -> np.ndarray:
     """The derivative on the nodes of one grid axis: the real circulant n x n
     matrix D = F^-1 diag(m) F of the multipliers m of
-    :meth:`GridSpec.deriv_multipliers` (every full axis has the same ones).
+    :meth:`GridSpec.deriv_multipliers`.
 
     Its first column is the inverse DFT of m, summed at phases reduced mod
     n, and made exactly odd, col[-k] = -col[k], so that D is exactly
@@ -205,7 +200,7 @@ def _diff_matrix(grid: GridSpec) -> np.ndarray:
     for each grid, read-only."""
     n = grid.n
     i = np.arange(n)
-    m = grid.deriv_multipliers()[0].ravel()
+    m = grid.deriv_multipliers()
     col = (np.exp(2j * np.pi * (np.outer(i, i) % n) / n) @ m).real / n
     col = 0.5 * (col - np.roll(col[::-1], 1))
     mat = col[(i[:, None] - i) % n]
@@ -213,17 +208,24 @@ def _diff_matrix(grid: GridSpec) -> np.ndarray:
     return mat
 
 
-def _partial(x: np.ndarray, mat: np.ndarray, axis: int, out: np.ndarray) -> None:
-    """Write ``mat`` applied along grid axis ``axis`` of the C-contiguous
-    ``x`` of shape (..., n, n, n, n) into ``out`` of the same shape.  On the
-    last axis that is one product x @ mat.T of x viewed as (rows, n), about
-    4x faster at n=16 than a stack of products with (n, 1) columns."""
-    n = mat.shape[0]
-    if axis == 3:
-        np.matmul(x.reshape(-1, n), mat.T, out=out.reshape(-1, n))
+def _along(x: np.ndarray, mat: np.ndarray, axis: int, out: np.ndarray | None) -> np.ndarray:
+    """``mat`` applied along axis ``axis`` of the C-contiguous ``x``, into
+    ``out`` (C-contiguous, of the result's shape; one that cannot be viewed
+    flat raises ValueError) or, when it is None, a fresh array, which is
+    returned.  The last axis takes one product x @ mat.T of x viewed as
+    (rows, size), 7x faster for D at n=16 (2-CPU x86-64) than the (before,
+    size, after) form of the other axes."""
+    shape = x.shape
+    if out is None:
+        out = np.empty(shape[:axis] + (mat.shape[0],) + shape[axis + 1 :])
+    if axis == x.ndim - 1:
+        np.matmul(x.reshape(-1, shape[axis]), mat.T,
+                  out=out.reshape(-1, mat.shape[0], copy=False))
     else:
-        shape = (x.size // n ** (4 - axis), n, n ** (3 - axis))
-        np.matmul(mat, x.reshape(shape), out=out.reshape(shape))
+        before, after = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
+        np.matmul(mat, x.reshape(before, shape[axis], after),
+                  out=out.reshape(before, mat.shape[0], after, copy=False))
+    return out
 
 
 def _apply(values: np.ndarray, grid: GridSpec, *tables) -> np.ndarray:
@@ -249,10 +251,10 @@ def _apply(values: np.ndarray, grid: GridSpec, *tables) -> np.ndarray:
         written = set()
         for o, axis, c, sign in table:
             if o in written:
-                _partial(x[c], sign * mat, axis, part)
+                _along(x[c], sign * mat, x.ndim - 5 + axis, part)
                 out[o] += part
             else:
-                _partial(x[c], sign * mat, axis, out[o])
+                _along(x[c], sign * mat, x.ndim - 5 + axis, out[o])
                 written.add(o)
         x = out
     return np.moveaxis(x, 0, -1).copy()
@@ -285,7 +287,10 @@ def codiff_twoform(phi: TwoFormField) -> OneFormField:
 def d_codiff_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """d(delta phi) for 2-form nodal values of shape ``(..., n, n, n, n, 6)``:
     delta's table then d's in one :func:`_apply`, with delta phi kept
-    components first between them; any leading batch axes are kept."""
+    components first between them; any leading batch axes are kept.  The
+    elliptic oracle takes d delta's closed-form symbol instead
+    (:func:`.cohomlab.kernel_symbol`); the symbol battery and the tests
+    check that symbol against this, on one field or on stacks of them."""
     return _apply(values, grid, _CODIFF, _D1)
 
 
@@ -356,59 +361,53 @@ def bump_cutoff(grid: GridSpec, center, radius: float, height: float) -> ScalarF
     return ScalarField(grid, sealed(vals))
 
 
+@functools.cache
 def _low_pass_basis(n: int, max_mode: int) -> np.ndarray:
     """Orthonormal (n, 2 max_mode + 1) basis of the trigonometric
     polynomials of degree <= ``max_mode`` at the nodes i/n of one axis: the
     constant, sqrt(2) cos(2 pi k x) and sqrt(2) sin(2 pi k x) for k = 1 ..
-    max_mode, each divided by sqrt(n).  The phases k i are reduced mod n.
-    Used by :func:`low_pass` and by the calculus battery's random draws."""
+    max_mode, each divided by sqrt(n), in that column order.  The phases
+    k i are reduced mod n.  Read only by :func:`low_pass` and
+    :func:`from_low_pass`; built on first use for each (n, max_mode),
+    read-only."""
     phase = 2.0 * np.pi * (np.outer(np.arange(n), np.arange(1, max_mode + 1)) % n) / n
     cols = [np.ones((n, 1)), np.sqrt(2.0) * np.cos(phase), np.sqrt(2.0) * np.sin(phase)]
-    return np.hstack(cols) / np.sqrt(n)
+    return sealed(np.hstack(cols) / np.sqrt(n))
 
 
-def _along(x: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """``mat`` applied to axis ``axis`` of ``x``, as one matmul over the
-    array viewed as (before, size, after)."""
-    shape = x.shape
-    out = mat @ x.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1 :]))
-    return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1 :])
-
-
-def low_pass(values: np.ndarray, grid: GridSpec, max_mode: int, ncomp: int) -> np.ndarray:
+def low_pass(values: np.ndarray, grid: GridSpec, max_mode: int) -> np.ndarray:
     """Overwrite nodal ``values`` with their orthogonal projection onto the
     trigonometric polynomials of degree <= ``max_mode`` on each axis, and
     return them.
 
     ``values`` is a writable C-contiguous array of shape ``(..., n, n, n,
-    n)`` followed by ``ncomp`` component axes; leading batch axes are
-    projected together.  The projection is separable: 4 products take the
-    grid axes, first to last, to the coefficients of
-    :func:`_low_pass_basis`, and 4 more take them back, last to first, so
-    the outermost products are the large ones; the last writes into
-    ``values``.  Since ``max_mode`` < n/2 never reaches the Nyquist bin,
-    this is the same projection as zeroing every Fourier mode with an axis
-    frequency above ``max_mode``.  A ``max_mode`` that is not an integer in
-    [0, n/2) raises ValueError naming it."""
+    n)``; leading axes are batch axes, projected together.  The projection
+    is separable: 4 products take the grid axes, first to last, to the
+    coefficients of :func:`_low_pass_basis`, and :func:`from_low_pass`
+    takes them back into ``values``.  Since ``max_mode`` < n/2 never
+    reaches the Nyquist bin, this is the same projection as zeroing every
+    Fourier mode with an axis frequency above ``max_mode``.  A ``max_mode``
+    that is not an integer in [0, n/2) raises ValueError naming it."""
     if not (isinstance(max_mode, (int, np.integer)) and 0 <= max_mode < grid.n // 2):
         raise ValueError(f"max_mode must be an integer in [0, n/2), got {max_mode!r}")
     if not (values.flags.c_contiguous and values.flags.writeable):
         raise ValueError("low_pass projects in place: values must be writable and C-contiguous")
     basis = _low_pass_basis(grid.n, max_mode)
-    axes = range(values.ndim - ncomp - 4, values.ndim - ncomp)
     coeffs = values
-    for ax in axes:
-        coeffs = _along(coeffs, basis.T, ax)
-    for ax in reversed(axes[1:]):
-        coeffs = _along(coeffs, basis, ax)
-    lead = math.prod(values.shape[: axes[0]])
-    np.matmul(basis, coeffs.reshape(lead, basis.shape[1], -1), out=values.reshape(lead, grid.n, -1))
-    return values
+    for axis in range(values.ndim - 4, values.ndim):
+        coeffs = _along(coeffs, basis.T, axis, None)
+    return from_low_pass(coeffs, grid, values.ndim - 4, values)
 
 
-def spectral_truncate(field, max_mode: int):
-    """The field with every Fourier mode of an axis frequency above
-    ``max_mode`` removed, by :func:`low_pass` on a copy of its values; the
-    low-pass filter behind random structures and the tests' random fields."""
-    values = low_pass(np.array(field.values, order="C"), field.grid, max_mode, len(field.NCOMP))
-    return type(field)(field.grid, sealed(values))
+def from_low_pass(coeffs: np.ndarray, grid: GridSpec, first: int,
+                  out: np.ndarray | None) -> np.ndarray:
+    """Nodal values of the coefficients ``coeffs`` in the tensor basis of
+    :func:`_low_pass_basis`: its four grid axes are those of ``coeffs``
+    from axis ``first`` on, each of length 2 m + 1 for the degree m, and
+    any other axes are kept.  One product per grid axis, last axis first,
+    so that the largest product, on axis ``first``, comes last; it writes
+    ``out`` as :func:`_along` does, and its array is returned."""
+    basis = _low_pass_basis(grid.n, coeffs.shape[first] // 2)
+    for axis in (3, 2, 1):
+        coeffs = _along(coeffs, basis, first + axis, None)
+    return _along(coeffs, basis, first, out)

@@ -1,0 +1,27 @@
+"""Spectral references for the tests: the low-pass of a whole field, and the
+frequencies of ``numpy.fft.rfftn``'s real half spectrum, which
+``torusfield`` itself no longer lays out."""
+
+import numpy as np
+
+from ajclab import torusfield as tf
+
+
+def spectral_truncate(field, max_mode):
+    """The field with every Fourier mode of an axis frequency above
+    ``max_mode`` removed: :func:`ajclab.torusfield.low_pass` on a copy of its
+    values whose component axes are moved to the front as batch axes."""
+    comps = range(len(field.NCOMP))
+    values = np.moveaxis(field.values, [4 + c for c in comps], list(comps)).copy()
+    tf.low_pass(values, field.grid, max_mode)
+    return type(field)(field.grid, np.moveaxis(values, list(comps), [4 + c for c in comps]))
+
+
+def half_spectrum_wavenumbers(grid):
+    """Integer frequencies of the real half spectrum of ``numpy.fft.rfftn``
+    over the grid axes, one broadcastable array per axis: full axes of n
+    frequencies on the first three and n/2 + 1 on the last."""
+    full = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    half = np.fft.rfftfreq(grid.n, d=1.0 / grid.n)
+    return [k.reshape([-1 if a == ax else 1 for a in tf.GRID_AXES])
+            for ax, k in zip(tf.GRID_AXES, (full, full, full, half))]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ajclab import battery, pointlin as pl, torusfield as tf
+from spectral_reference import half_spectrum_wavenumbers, spectral_truncate
 
 G16 = tf.GridSpec(16)
 KINDS = [tf.ScalarField, tf.OneFormField, tf.TwoFormField, tf.ThreeFormField]
@@ -20,7 +21,7 @@ def test_draw_is_bandlimited_and_normalized(cls):
     # its nodal standard deviation is (13/16)^2 = 0.66 at n = 16, so its
     # largest value is near 3
     assert field.max_abs() == 1.0
-    low = tf.spectral_truncate(field, G16.n // 2 - 2)
+    low = spectral_truncate(field, G16.n // 2 - 2)
     assert np.max(np.abs(low.values - field.values)) <= 1e-14 * field.max_abs()
 
 
@@ -29,7 +30,7 @@ def test_self_conjugate_plane_has_the_power_of_the_others():
     # the same power; a half-spectrum draw that left out its sqrt(2) on the
     # self-conjugate k4 = 0 plane would give that plane half the power
     keep = np.ones(1, dtype=bool)
-    for k in G16.wavenumbers():
+    for k in half_spectrum_wavenumbers(G16):
         keep = keep & (np.abs(k) <= G16.n // 2 - 2)
     plane0 = keep.copy()
     plane0[..., 1:] = False
@@ -54,7 +55,7 @@ def test_smallest_grids_draw():
     grid = tf.GridSpec(6)
     for cls in KINDS:
         field = battery._bandlimited(rng, grid, cls)
-        low = tf.spectral_truncate(field, 1)
+        low = spectral_truncate(field, 1)
         assert np.max(np.abs(low.values - field.values)) <= 1e-14 * max(1.0, field.max_abs())
 
 
@@ -91,6 +92,18 @@ def test_draw_makes_one_normal_call_and_no_fft_call(cls, monkeypatch):
     assert calls == []
     # (2b + 1)^4 coefficients per component, b = n/2 - 2
     assert [z.shape for z in rng.draws] == [(13,) * 4 + cls.NCOMP, (3,) * 4 + cls.NCOMP]
+
+
+@pytest.mark.parametrize("n", [6, 16])
+@pytest.mark.parametrize("cls", KINDS, ids=lambda c: c.__name__)
+def test_draw_is_the_synthesis_of_its_normal_call(n, cls):
+    grid = tf.GridSpec(n)
+    rng = RecordingGenerator(n)
+    field = battery._bandlimited(rng, grid, cls)
+    (coeffs,) = rng.draws
+    values = tf.from_low_pass(coeffs, grid, 0, None)
+    values /= max(1.0, float(np.max(np.abs(values))))
+    assert np.array_equal(field.values, values)
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elliptic_reference as reference
+from spectral_reference import spectral_truncate
 from ajclab import battery, cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
 from ajclab.config import LabConfig
 from ajclab.reporting import to_json
@@ -413,7 +414,7 @@ class TestDeltaEstimate:
         # than a radial stage 1 (26 at n = 24 and n = 32)
         G16 = tf.GridSpec(16)
         noise = tf.ScalarField(G16, np.random.default_rng(5).standard_normal(G16.shape))
-        beta = tf.spectral_truncate(noise, 3).values
+        beta = spectral_truncate(noise, 3).values
         beta = beta * (1.2 / np.max(np.abs(beta)))
         y = np.stack([np.cos(beta), np.zeros(G16.shape), np.sin(beta)], axis=-1)
         triple = hm.HermitianTriple(G16, y)

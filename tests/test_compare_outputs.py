@@ -19,6 +19,7 @@ def write_outputs(root: Path, runtime: float, **changes) -> Path:
         "scenario": "two-stage",
         "output_dir": str(root),
         "h_values": {"stage1": 1, "stage2": 0},
+        "lambda_min": 0.004,
         "deform_log": [{"stage": "cutoff-1", "runtime_ms": runtime, "h_after": 1}],
         "timings_ms": {"total": runtime},
     }
@@ -51,9 +52,18 @@ def test_equal_apart_from_timings(tmp_path, capsys):
          "two-stage.report.json: $.deform_log[0].h_after: 1 != 1.0"),
         ({"field": b"AJC1 twoform 4\n\x01"}, "fields/s.F.field: bytes differ"),
         ({"rows": [["1", "0", "0.05"], ["2", "0", "0.07"]]},
-         "sweep.csv: row 2: ['2', '0', '0.06'] != ['2', '0', '0.07']"),
+         "sweep.csv: row 2: ['2', '0', '0.06'] != ['2', '0', '0.07'] (rel 1.43e-01)"),
+        ({"report": {"lambda_min": 0.005}},
+         "two-stage.report.json: $.lambda_min: 0.004 != 0.005 (rel 2.00e-01)"),
+        ({"report": {"lambda_min": float("inf")}},
+         "two-stage.report.json: $.lambda_min: 0.004 != Infinity"),
+        ({"rows": [["1", "0", "0.04"], ["2", "0", "0.06"]]},
+         "sweep.csv: row 1: ['1', '0', '0.05'] != ['1', '0', '0.04'] (rel 2.00e-01)"),
+        ({"rows": [["1", "0", "0.05"], ["2", "x", "0.07"]]},
+         "sweep.csv: row 2: ['2', '0', '0.06'] != ['2', 'x', '0.07']"),
     ],
-    ids=["value", "key-order", "int-against-float", "field-bytes", "csv-row"],
+    ids=["value", "key-order", "int-against-float", "field-bytes", "csv-row", "float",
+         "non-finite-float", "csv-largest-change", "csv-text"],
 )
 def test_reports_each_difference(tmp_path, changes, expected):
     a = write_outputs(tmp_path / "a", 12.5)

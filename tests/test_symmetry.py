@@ -1,13 +1,15 @@
-"""Translations of the grid by whole nodes are exact symmetries of the
-torus: they must leave h unchanged, and Gram eigenvalues equal within the
-rounding bound of the node mean."""
+"""Translations of the grid by whole nodes, and orientation-preserving
+permutations of its axes, are exact symmetries of the torus: they must
+leave h unchanged, Gram eigenvalues equal within the rounding bound of the
+node mean, and the low-pass and the derivatives equivariant."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ajclab import cohomlab, hermitian as hm, torusfield as tf
+from ajclab import cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
 
 G8 = tf.GridSpec(8)
 BUMP1 = hm.BumpSpec((0.5, 0.5, 0.5, 0.5), 0.3, 0.5)
@@ -56,3 +58,126 @@ def test_a_gram_mean_that_drops_a_node_is_caught(structures):
     for label, triple in structures.items():
         _, gap = translation_defects(triple, SHIFTS[-1], gram_dropping_node_0)
         assert gap > 4.0 * gamma(G8.node_count), label
+
+
+#: the orientation-preserving (even) permutations p of the four axes, each
+#: acting as the isometry x -> (x_p[0], x_p[1], x_p[2], x_p[3])
+EVEN_PERMUTATIONS = [p for p in itertools.permutations(range(4))
+                     if np.linalg.det(np.eye(4)[list(p)]) > 0]
+#: (x0 <-> x1, x2 <-> x3)
+SWAP = (1, 0, 3, 2)
+
+
+def self_dual_action(perm):
+    """The 3 x 3 matrix S with y' = y S for the pull-back of self-dual
+    coordinates y by the isometry of ``perm``: dx_i goes to dx_perm[i]."""
+    P = np.zeros((4, 4))
+    P[list(perm), range(4)] = 1.0
+    return pl.matrix_to_form(P @ pl.form_to_matrix(pl.OMEGA_SD) @ P.T) @ pl.OMEGA_SD.T / 2.0
+
+
+def node_order(perm):
+    """The transpose of the grid axes that takes nodal values f to f o Phi
+    for the isometry Phi of ``perm``."""
+    return tuple(int(a) for a in np.argsort(perm))
+
+
+def permuted(triple, perm):
+    y = np.transpose(triple.y, node_order(perm) + (4,)) @ self_dual_action(perm)
+    return hm.HermitianTriple(triple.grid, y)
+
+
+def test_the_swap_acts_on_self_dual_coordinates_by_a_sign():
+    assert len(EVEN_PERMUTATIONS) == 12
+    assert np.array_equal(self_dual_action(SWAP), np.diag([-1.0, -1.0, 1.0]))
+    for perm in EVEN_PERMUTATIONS:
+        S = self_dual_action(perm)
+        # a signed permutation of the self-dual frame, of determinant 1
+        assert np.array_equal(np.abs(S) @ np.ones(3), np.ones(3)) and set(S.ravel()) <= {-1, 0, 1}
+        assert round(np.linalg.det(S)) == 1, perm
+
+
+def permutation_defects(triple, perm, gram):
+    """Whether the Gram reports of ``triple`` and of its pull-back by the
+    axis permutation ``perm`` give the same h, and their largest eigenvalue
+    gap."""
+    before, after = gram(triple), gram(permuted(triple, perm))
+    gap = float(np.max(np.abs(before.eigenvalues - after.eigenvalues)))
+    return before.h_minus == after.h_minus, gap
+
+
+@pytest.mark.parametrize("perm", EVEN_PERMUTATIONS, ids=str)
+@pytest.mark.parametrize("label", ["random/1", "random/2", "stage1"])
+def test_a_permuted_structure_keeps_h_and_its_gram_spectrum(structures, label, perm):
+    same_h, gap = permutation_defects(structures[label], perm, cohomlab.gram_matrix)
+    assert same_h
+    # G goes to S^T G S: the same spectrum, summed in another node order
+    assert gap <= 4.0 * gamma(G8.node_count), gap
+
+
+@pytest.mark.parametrize("label", ["random/1", "random/2", "stage1"])
+def test_the_swapped_structure_keeps_the_elliptic_count(structures, label):
+    triple = structures[label]
+    before = cohomlab.elliptic_kernel_dim(triple, G8)
+    after = cohomlab.elliptic_kernel_dim(permuted(triple, SWAP), G8)
+    assert after.kernel_dim == before.kernel_dim
+
+
+def test_a_gram_mean_that_drops_one_axis_slice_is_caught(structures):
+    def gram_dropping_slice_0(triple):
+        y = triple.y[1:].reshape(-1, 3)
+        return cohomlab.gram_matrix(SimpleNamespace(grid=triple.grid, y=y))
+
+    # stage 1's bump is radial about (1/2, ..., 1/2) and misses the slice
+    for label in ("random/1", "random/2"):
+        _, gap = permutation_defects(structures[label], SWAP, gram_dropping_slice_0)
+        assert gap > 4.0 * gamma(G8.node_count), label
+
+
+def permutation_deviation(perm, seed):
+    """For the low-pass (worst over every degree) and for d_scalar, the
+    largest |op(f o Phi) - (op f) o Phi| over max|op f|, on white noise f
+    and the isometry Phi of ``perm``; the partial of f o Phi along axis k is
+    that of f along axis perm^-1[k]."""
+    order = node_order(perm)
+    x = np.random.default_rng(seed).standard_normal(G8.shape)
+    moved = x.transpose(order).copy()
+    devs = {"low_pass": 0.0}
+    for max_mode in range(G8.n // 2):
+        expect = tf.low_pass(x.copy(), G8, max_mode).transpose(order)
+        got = tf.low_pass(moved.copy(), G8, max_mode)
+        devs["low_pass"] = max(devs["low_pass"], float(
+            np.max(np.abs(got - expect)) / np.max(np.abs(expect))))
+    df = tf.d_scalar(tf.ScalarField(G8, x)).values
+    expect = df.transpose(order + (4,))[..., list(order)]
+    got = tf.d_scalar(tf.ScalarField(G8, moved)).values
+    devs["d_scalar"] = float(np.max(np.abs(got - expect)) / np.max(np.abs(expect)))
+    return devs
+
+
+@pytest.mark.parametrize("perm", EVEN_PERMUTATIONS, ids=str)
+def test_low_pass_and_d_scalar_commute_with_axis_permutations(perm):
+    devs = permutation_deviation(perm, seed=3)
+    assert max(devs.values()) <= 1e-14, devs
+
+
+def test_a_last_axis_product_on_the_wrong_axis_is_caught(monkeypatch):
+    along = tf._along
+
+    def last_axis_read_first(x, mat, axis, out):
+        # the last-axis product with x read as (size, rows), not (rows, size)
+        if axis != x.ndim - 1:
+            return along(x, mat, axis, out)
+        out = np.empty(x.shape[:-1] + (mat.shape[0],)) if out is None else out
+        np.matmul(x.reshape(x.shape[-1], -1).T, mat.T, out=out.reshape(-1, mat.shape[0]))
+        return out
+
+    monkeypatch.setattr(tf, "_along", last_axis_read_first)
+    devs = permutation_deviation(SWAP, seed=3)
+    assert min(devs.values()) > 1e-10, devs
+
+
+def test_a_derivative_with_minus_d_on_one_axis_is_caught(monkeypatch):
+    monkeypatch.setattr(tf, "_D0", ((0, 0, 0, -1.0),) + tf._D0[1:])
+    devs = permutation_deviation(SWAP, seed=3)
+    assert devs["d_scalar"] > 1e-10, devs

@@ -8,6 +8,7 @@ import pytest
 from ajclab import pointlin as pl
 from ajclab import torusfield as tf
 from ajclab.config import DEFAULT_BUMP1, DEFAULT_BUMP2
+from spectral_reference import half_spectrum_wavenumbers, spectral_truncate
 
 G8 = tf.GridSpec(8)
 G16 = tf.GridSpec(16)
@@ -23,7 +24,7 @@ def reference_partials(values, grid):
     """All four spectral partial derivatives, stacked on a new last axis:
     one full complex FFT over the grid axes, then per axis a 2 pi i k
     multiplier with the Nyquist mode zeroed and an inverse complex FFT.
-    An independent reference for the real half-spectrum multipliers."""
+    An independent reference for the differentiation matrices."""
     spec = np.fft.fftn(values, axes=tf.GRID_AXES)
     mult = 2j * np.pi * np.fft.fftfreq(grid.n, d=1.0 / grid.n)
     mult[grid.n // 2] = 0.0
@@ -58,7 +59,7 @@ def reference_differentials(f, theta, phi):
 
 def random_bandlimited_scalar(rng, grid, kmax):
     noise = tf.ScalarField(grid, rng.standard_normal(grid.shape))
-    f = tf.spectral_truncate(noise, kmax)
+    f = spectral_truncate(noise, kmax)
     return tf.ScalarField(grid, f.values / max(1.0, f.max_abs()))
 
 
@@ -265,7 +266,7 @@ class TestDifferentiationMatrix:
     @pytest.mark.parametrize("n", SIZES)
     def test_matches_the_fft_multiplier_on_every_basis_vector(self, n):
         grid = tf.GridSpec(n)
-        m = grid.deriv_multipliers()[0].ravel()
+        m = grid.deriv_multipliers()
         mat = tf._diff_matrix(grid)
         for j, e in enumerate(np.eye(n)):
             expect = np.fft.ifft(m * np.fft.fft(e))
@@ -294,6 +295,96 @@ class TestDifferentiationMatrix:
         assert min(devs.values()) > 1e-10, devs
 
 
+def legacy_partial(x, mat, axis, out):
+    """The derivative product of grid axis ``axis`` as its own routine took
+    it beside ``_along``: x @ mat.T of x viewed as (rows, n) on the last grid
+    axis, and mat times x viewed as (before, n, after) on the others."""
+    n = mat.shape[0]
+    if axis == 3:
+        np.matmul(x.reshape(-1, n), mat.T, out=out.reshape(-1, n))
+    else:
+        shape = (x.size // n ** (4 - axis), n, n ** (3 - axis))
+        np.matmul(mat, x.reshape(shape), out=out.reshape(shape))
+
+
+def legacy_apply(values, grid, *tables):
+    """torusfield's table application, written out with
+    :func:`legacy_partial` for its products."""
+    mat = tf._diff_matrix(grid)
+    x = np.moveaxis(values, -1, 0)
+    for table in tables:
+        x = np.subtract(x, x[..., :1, :1, :1, :1], out=np.empty(x.shape))
+        out = np.empty((1 + max(e[0] for e in table),) + x.shape[1:])
+        part = np.empty(x.shape[1:])
+        written = set()
+        for o, axis, c, sign in table:
+            if o in written:
+                legacy_partial(x[c], sign * mat, axis, part)
+                out[o] += part
+            else:
+                legacy_partial(x[c], sign * mat, axis, out[o])
+                written.add(o)
+        x = out
+    return np.moveaxis(x, 0, -1).copy()
+
+
+class TestOneProduct:
+    """``_along`` is the one matrix-along-one-axis product: the derivatives,
+    the low-pass and its synthesis all take it."""
+
+    TABLES = {"d_scalar": (tf._D0,), "d_oneform": (tf._D1,), "d_twoform": (tf._D2,),
+              "codiff_twoform": (tf._CODIFF,), "d_codiff_values": (tf._CODIFF, tf._D1)}
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_operators_are_byte_equal_to_a_separate_derivative_product(self, n):
+        grid = tf.GridSpec(n)
+        rng = np.random.default_rng(n)
+        for name, cls, op in derivative_operators(grid):
+            x = rng.standard_normal(grid.shape + cls.NCOMP)
+            expect = legacy_apply(x if cls.NCOMP else x[..., None], grid, *self.TABLES[name])
+            assert np.array_equal(op(x), expect), name
+        batch = rng.standard_normal((2, 1) + grid.shape + (6,))
+        assert np.array_equal(tf.d_codiff_values(batch, grid),
+                              legacy_apply(batch, grid, *self.TABLES["d_codiff_values"]))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_last_axis_product_matches_the_stacked_column_form(self, n):
+        rng = np.random.default_rng(n)
+        basis = tf._low_pass_basis(n, n // 2 - 1)
+        for mat in (tf._diff_matrix(tf.GridSpec(n)), basis.T, basis):
+            x = rng.standard_normal((2, n, n, mat.shape[1]))
+            stacked = mat @ x.reshape(-1, mat.shape[1], 1)
+            got = tf._along(x, mat, 3, None)
+            assert got.shape == (2, n, n, mat.shape[0])
+            dev = np.max(np.abs(got.reshape(stacked.shape) - stacked))
+            assert dev <= 1e-15 * np.max(np.abs(stacked)), (mat.shape, dev)
+
+    def test_writes_into_out_or_into_an_array_of_its_own(self):
+        x = np.random.default_rng(3).standard_normal((2, 3, 8, 5))
+        mat = tf._diff_matrix(G8)
+        for axis in (2, 3):
+            picked = x if axis == 2 else x.transpose(0, 1, 3, 2).copy()
+            out = np.empty_like(picked)
+            assert tf._along(picked, mat, axis, out) is out
+            fresh = tf._along(picked, mat, axis, None)
+            # an array that owns its memory, so frozen() shares it sealed
+            assert fresh.base is None and np.array_equal(fresh, out)
+            # an out that cannot be viewed flat would take a copy, not the result
+            with pytest.raises(ValueError, match="copy"):
+                tf._along(picked, mat, axis, np.empty(picked.shape[::-1]).T)
+
+    @pytest.mark.parametrize("first, shape", [(0, (5,) * 4 + (6,)), (1, (2,) + (5,) * 4)])
+    def test_synthesis_is_the_tensor_basis_sum(self, first, shape):
+        coeffs = np.random.default_rng(first).standard_normal(shape)
+        basis = tf._low_pass_basis(G8.n, 2)
+        assert not basis.flags.writeable and tf._low_pass_basis(G8.n, 2) is basis
+        spec = "ia,jb,kc,ld,abcd...->ijkl..." if first == 0 else "ia,jb,kc,ld,zabcd->zijkl"
+        expect = np.einsum(spec, basis, basis, basis, basis, coeffs)
+        got = tf.from_low_pass(coeffs, G8, first, None)
+        assert got.shape == expect.shape
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
 class TestHalfSpectrumMultipliers:
     """The differential operators against per-axis complex-FFT partials."""
 
@@ -313,7 +404,7 @@ class TestHalfSpectrumMultipliers:
     @pytest.mark.parametrize("grid", [G8, G16], ids=["n8", "n16"])
     @pytest.mark.parametrize("axis", tf.GRID_AXES)
     def test_nyquist_mode_differentiates_to_zero(self, grid, axis):
-        # cos(pi n x_a) is the Nyquist mode of axis a; axis 3 is the half axis
+        # cos(pi n x_a) is the Nyquist mode of axis a
         xs = [c + np.zeros(grid.shape) for c in grid.coords()]
         nyquist = np.cos(np.pi * grid.n * xs[axis])
         f = tf.ScalarField(grid, nyquist)
@@ -508,7 +599,7 @@ class TestSpectralTruncate:
             G16,
             np.cos(2 * np.pi * xs[0]) + np.cos(2 * np.pi * 6 * xs[1]) + np.zeros(G16.shape),
         )
-        g = tf.spectral_truncate(f, 3)
+        g = spectral_truncate(f, 3)
         np.testing.assert_allclose(
             g.values, np.cos(2 * np.pi * xs[0]) + np.zeros(G16.shape), atol=1e-12
         )
@@ -520,7 +611,7 @@ class TestSpectralTruncate:
         one inverse FFT."""
         grid = field.grid
         keep = np.ones(1, dtype=bool)
-        for k in grid.wavenumbers():
+        for k in half_spectrum_wavenumbers(grid):
             keep = keep & (np.abs(k) <= max_mode)
         keep = keep.reshape(keep.shape + (1,) * len(field.NCOMP))
         spec = np.fft.rfftn(field.values, axes=tf.GRID_AXES) * keep
@@ -533,23 +624,23 @@ class TestSpectralTruncate:
         for cls in FIELD_KINDS:
             field = cls(grid, rng.standard_normal(grid.shape + cls.NCOMP))
             for max_mode in range(n // 2):
-                got = tf.spectral_truncate(field, max_mode)
+                got = spectral_truncate(field, max_mode)
                 assert type(got) is cls
                 dev = np.max(np.abs(got.values - self.fft_mask_truncate(field, max_mode)))
                 assert dev <= 1e-14, (cls.__name__, max_mode, dev)
 
     def test_a_batch_is_projected_as_its_fields_are(self):
         noise = np.random.default_rng(4).standard_normal((2,) + G8.shape)
-        batch = tf.low_pass(noise.copy(), G8, 2, 0)
+        batch = tf.low_pass(noise.copy(), G8, 2)
         for field, low in zip(noise, batch):
-            one = tf.spectral_truncate(tf.ScalarField(G8, field), 2).values
+            one = spectral_truncate(tf.ScalarField(G8, field), 2).values
             assert np.max(np.abs(low - one)) <= 1e-15
 
     @pytest.mark.parametrize("max_mode", [1.5, 2.0, -1, 4, "2"])
     def test_refuses_a_max_mode_that_is_not_an_integer_below_n_half(self, max_mode):
         field = scalar_constant(G8, 1.0)
         with pytest.raises(ValueError, match=re.escape(f"got {max_mode!r}")):
-            tf.spectral_truncate(field, max_mode)
+            spectral_truncate(field, max_mode)
 
     @pytest.mark.parametrize("shift", [(1, 0, 0, 0), (0, -3, 5, 2), (7, 7, 7, 7)])
     def test_commutes_with_whole_node_translations(self, shift):
@@ -557,8 +648,8 @@ class TestSpectralTruncate:
         field = tf.TwoFormField(G8, rng.standard_normal(G8.shape + (6,)))
         rolled = tf.TwoFormField(G8, np.roll(field.values, shift, axis=tf.GRID_AXES))
         for max_mode in range(G8.n // 2):
-            low = tf.spectral_truncate(field, max_mode).values
-            dev = np.abs(tf.spectral_truncate(rolled, max_mode).values
+            low = spectral_truncate(field, max_mode).values
+            dev = np.abs(spectral_truncate(rolled, max_mode).values
                          - np.roll(low, shift, axis=tf.GRID_AXES))
             assert np.max(dev) <= 1e-14, (max_mode, np.max(dev))
 
@@ -567,6 +658,6 @@ class TestSpectralTruncate:
         # a transposed view, and a field's read-only values
         for bad in (values.T, tf.ScalarField(G8, values).values):
             with pytest.raises(ValueError, match="writable and C-contiguous"):
-                tf.low_pass(bad, G8, 2, 0)
-        low = tf.low_pass(values, G8, 2, 0)
+                tf.low_pass(bad, G8, 2)
+        low = tf.low_pass(values, G8, 2)
         assert low is values

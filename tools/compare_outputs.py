@@ -5,6 +5,10 @@
   difference is named by its path in the document (``$.files.y``).
 - ``*.field`` files, and any other file, are compared by bytes.
 - ``sweep.csv`` is compared without its ``runtime_ms`` column.
+- A difference between two finite floats carries its size, ``(rel X)``:
+  |a - b| / max(|a|, |b|), and for a CSV row whose differing cells all
+  read as finite floats, the largest over those cells.  Any other
+  difference (int against float, keys, bytes) is named only.
 - Files present on one side only are listed.
 
 Prints one line per difference and exits 1 if there is any, 0 otherwise.
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,6 +33,24 @@ IGNORED_COLUMNS = {"sweep.csv": "runtime_ms"}
 def _short(value) -> str:
     text = json.dumps(value)
     return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _size(pairs) -> str:
+    """`` (rel X)`` for the largest relative change over the float pairs, or
+    "" unless there is a pair and every value is a finite float."""
+    if not pairs or not all(type(v) is float and math.isfinite(v) for pair in pairs for v in pair):
+        return ""
+    rel = max(abs(x - y) / max(abs(x), abs(y)) if x or y else 0.0 for x, y in pairs)
+    return f" (rel {rel:.2e})"
+
+
+def _floats(cells) -> list[tuple[float, float]]:
+    """The differing cells of a CSV row pair as floats, or [] if one does
+    not read as a float."""
+    try:
+        return [(float(x), float(y)) for x, y in cells if x != y]
+    except ValueError:
+        return []
 
 
 def _json_diffs(a, b, where: str = "$"):
@@ -50,7 +73,7 @@ def _json_diffs(a, b, where: str = "$"):
             yield from _json_diffs(x, y, f"{where}[{i}]")
     elif json.dumps(a) != json.dumps(b):
         # through json.dumps, so 1 and 1.0 differ and NaN equals NaN
-        yield f"{where}: {_short(a)} != {_short(b)}"
+        yield f"{where}: {_short(a)} != {_short(b)}{_size([(a, b)])}"
 
 
 def _csv_rows(path: Path) -> list[list[str]]:
@@ -72,7 +95,8 @@ def file_diffs(a: Path, b: Path):
             yield f"{len(rows_a)} rows != {len(rows_b)} rows"
         for i, (x, y) in enumerate(zip(rows_a, rows_b)):
             if x != y:
-                yield f"row {i}: {x} != {y}"
+                pairs = _floats(zip(x, y)) if len(x) == len(y) else []
+                yield f"row {i}: {x} != {y}{_size(pairs)}"
     elif a.read_bytes() != b.read_bytes():
         yield "bytes differ"
 
