@@ -2,7 +2,8 @@
 algebra and the spectral calculus, reused by the test suite and the CLI.
 The deformation checks measure the routes that :mod:`.pointlin` computes
 for :func:`.pointlin.deform_pair`, not a copy of its formulas; the symbol
-battery checks d delta against the closed form the elliptic oracle takes.
+battery checks d delta against the operator -1/2 sum_a D_a^2 whose
+Dirichlet form the elliptic oracle takes.
 The calculus battery draws its fields as coefficients that
 :func:`.torusfield.from_low_pass` synthesizes, with no transform."""
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import cohomlab
 from . import pointlin as pl
 from . import torusfield as tf
 from .pointlin import AGREEMENT_TOL
@@ -199,16 +199,20 @@ def run_calculus_battery(grid_n: int, count: int, seed: int) -> list[Check]:
 
 def run_symbol_battery(grid_n: int, seed: int) -> list[Check]:
     """For white-noise self-dual coordinates psi, the self-dual coordinates
-    of d delta (psi @ OMEGA_SD) must be :func:`.cohomlab.kernel_symbol`
-    applied to psi, each alone, to AGREEMENT_TOL relative to their largest
-    value.  White noise carries every mode, so d delta is scalar, symmetric
-    and of that symbol everywhere.  Kept out of :func:`run_calculus_battery`,
-    which the benchmark's calculus workload times."""
+    of d delta (psi @ OMEGA_SD) must be -1/2 sum_a D_a^2 applied to psi,
+    each coordinate alone, for torusfield's differentiation matrix D along
+    grid axis a, to AGREEMENT_TOL relative to their largest value.  That is
+    the operator C whose Dirichlet form the elliptic oracle takes
+    (:mod:`.cohomlab`).  White noise carries every mode, so d delta is
+    scalar, symmetric and equal to C everywhere.  Both sides are built from
+    D, so a fault in D itself passes here; the tests check the oracle's
+    Ritz values against a transform reference for that.  Kept out of
+    :func:`run_calculus_battery`, which the benchmark's calculus workload
+    times."""
     grid = tf.GridSpec(grid_n)
     psi = np.random.default_rng(seed).standard_normal(grid.shape + (3,))
     got = tf.d_codiff_values(psi @ pl.OMEGA_SD, grid) @ pl.OMEGA_SD.T / 2.0
-    symbol = cohomlab.kernel_symbol(grid)[..., : grid_n // 2 + 1, None]
-    spectra = np.fft.rfftn(psi, axes=tf.GRID_AXES) * symbol
-    expect = np.fft.irfftn(spectra, s=grid.shape, axes=tf.GRID_AXES)
-    return [Check.within("d delta on self-dual coordinates is the oracle's closed-form symbol",
+    D = tf._diff_matrix(grid)
+    expect = -0.5 * sum(tf._along(tf._along(psi, D, a, None), D, a, None) for a in tf.GRID_AXES)
+    return [Check.within("d delta on self-dual coordinates is the oracle's -1/2 sum_a D_a^2",
                          (got - expect) / np.max(np.abs(expect)), AGREEMENT_TOL)]

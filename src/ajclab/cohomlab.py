@@ -30,9 +30,12 @@ operator is A = P V^T C V P: V maps coefficients to self-dual coordinates
 (an isometry), and P^- drops out because the frame spans the plane it
 projects onto.  On a self-dual psi, delta d psi = star d delta psi, so
 P^+ d delta P^+ = Delta / 2, which on the flat torus acts on each
-coordinate alone: C is one scalar convolution kernel, of symbol
-|2 pi k|^2 / 2 with k_a zeroed on every Nyquist bin (:func:`kernel_symbol`;
-the battery checks it against torusfield's d delta).  So C vanishes on the
+coordinate alone: C = -1/2 sum_a D_a^2 for torusfield's differentiation
+matrix D along grid axis a (the battery checks this against torusfield's
+d delta).  D is exactly antisymmetric, so C is the Dirichlet form
+<s, C s'> = 1/2 sum_a <D_a s, D_a s'>, and :func:`_ritz_values` takes it
+as such, with no transform.  D's multipliers are 2 pi i k with k_a zeroed
+on every Nyquist bin, so C has symbol |2 pi k|^2 / 2: it vanishes on the
 48 corner sections phi e_l (phi a corner mode, every k_a in {0, n/2}) and
 is at least lambda_gap = (2 pi)^2 / 2 off them.  Hence A >= lambda_gap
 (I - W^T W) for W = Pi V P, Pi the projection onto the corner sections,
@@ -53,9 +56,9 @@ from .torusfield import (
     GRID_AXES,
     GridSpec,
     ScalarField,
-    TwoFormField,
+    _along,
+    _diff_matrix,
     _worst_node,
-    d_twoform,
 )
 
 #: second Betti number of the 4-torus
@@ -64,7 +67,8 @@ B2 = 6
 #: principal-angle threshold for subspace comparisons (radians)
 ANGLE_TOL = 1e-3
 
-#: lambda_gap, the least nonzero value of :func:`kernel_symbol` at every n
+#: lambda_gap, the least nonzero value of C's symbol |2 pi k|^2 / 2 (module
+#: docstring) at every n: one axis at |k_a| = 1, the others at 0 or n/2
 LAMBDA_GAP = (2.0 * np.pi) ** 2 / 2.0
 
 #: the elliptic oracle's kernel threshold, relative to LAMBDA_GAP
@@ -292,19 +296,11 @@ class EllipticReport:
     grid_n: int
     pivot: np.ndarray          # the frame's pivot
     clearance: float           # min_x |pivot x y(x)|
-    lambda_gap: float          # LAMBDA_GAP, the smallest nonzero value of the symbol
+    lambda_gap: float          # LAMBDA_GAP, the smallest nonzero value of C's symbol
     threshold: float           # t = ORACLE_TAU * lambda_gap
     lower_bounds: np.ndarray   # the 8 smallest certified lower bounds, ascending
     ritz_values: np.ndarray    # upper bounds on the smallest eigenvalues, ascending
     kernel_dim: int
-
-
-def kernel_symbol(grid: GridSpec) -> np.ndarray:
-    """The symbol of C on the full spectrum (grid shape): |m|^2 / 2 for the
-    multipliers m of GridSpec.deriv_multipliers, the same on all four axes.
-    It is 0 on the 16 corner modes and at least LAMBDA_GAP off them."""
-    axis = np.abs(grid.deriv_multipliers()) ** 2 / 2.0
-    return np.add.outer(np.add.outer(axis, axis), np.add.outer(axis, axis))
 
 
 def _corner_capture(g: np.ndarray) -> np.ndarray:
@@ -331,24 +327,25 @@ def _corner_capture(g: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(ww / float(n) ** 8)
 
 
-def _ritz_values(frames: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+def _ritz_values(frames: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Ritz values, ascending, of A on the lifted constants, the trial
     vectors of coefficients P(v_i . e_l) for l = 1, 2, 3: the eigenvalues of
     their matrix K under A on the span of the eigenvectors of their Gram
     matrix above ORACLE_TAU times its largest eigenvalue (e_1 lifts to 0 for
     y = e_1).  P removes, along each grid axis, the Nyquist mode, s mean(s h)
-    for s = (-1)^j; K is (1/N) sum_k symbol(k) conj(F_l(k)) . F_m(k) over
-    the spectra F_l of the sections sum_i P(v_i . e_l) v_i."""
+    for s = (-1)^j; K is C's Dirichlet form 1/2 sum_a sum_x (D_a s_l) .
+    (D_a s_m) on the sections s_l = sum_i P(v_i . e_l) v_i, taken one
+    self-dual component and one grid axis at a time."""
     coeffs = frames
     for ax in range(1, 5):
         sign = (-1.0) ** np.arange(frames.shape[ax]).reshape([-1 if a == ax else 1 for a in range(6)])
         coeffs = coeffs - sign * np.mean(coeffs * sign, axis=ax, keepdims=True)
     gram = np.einsum("ixl,ixm->lm", *[coeffs.reshape(2, -1, 3)] * 2)
     K = np.zeros((3, 3))
-    # one self-dual component of the three sections at a time
     for part in np.einsum("i...l,i...k->k...l", coeffs, frames):
-        spectra = np.fft.fftn(part, axes=GRID_AXES).reshape(-1, 3)
-        K += (spectra.conj().T @ (spectra * symbol.reshape(-1, 1))).real / symbol.size
+        for axis in GRID_AXES:
+            dp = _along(part, _diff_matrix(grid), axis, None).reshape(-1, 3)
+            K += dp.T @ dp / 2.0
     s, U = np.linalg.eigh(gram)
     T = U[:, s > ORACLE_TAU * s[-1]] / np.sqrt(s[s > ORACLE_TAU * s[-1]])
     return np.linalg.eigvalsh(T.T @ K @ T)
@@ -399,11 +396,14 @@ def elliptic_kernel_dim(triple: HermitianTriple, grid: GridSpec) -> EllipticRepo
     Ritz value is rounding.  The two counts must agree, or
     :class:`.pointlin.ConsistencyError` names both.
 
-    Memory, at N nodes: the symbol (8 N bytes), the spectra of the 6 frame
-    components (96 N bytes, 6.3 MB at n = 16), those of one component of
-    the 3 lifted sections (48 N bytes) and, per kept k_0, 96 shifted rows of
-    W (1536 (n - 1)^3 bytes).  The tracemalloc peak is about 23 MB at
-    n = 16 and 370 MB at n = 32, 264 MB of it in :func:`_ritz_values`.
+    Memory, at N nodes: for :func:`_corner_capture`, the spectra of the 6
+    frame components (96 N bytes, 6.3 MB at n = 16) and, per kept k_0, 96
+    shifted rows of W (1536 (n - 1)^3 bytes); for :func:`_ritz_values`, the
+    Nyquist projection's copies of the frames (up to 4 of 48 N bytes), the
+    self-dual components of the 3 lifted sections (72 N bytes) and one
+    derivative product (24 N bytes).  On one random structure the
+    tracemalloc peak is 19 MB at n = 16 and 304 MB at n = 32, 201 MB of it
+    in :func:`_ritz_values`.
     """
     if triple.grid != grid:
         raise ValueError(
@@ -413,7 +413,7 @@ def elliptic_kernel_dim(triple: HermitianTriple, grid: GridSpec) -> EllipticRepo
     v1, v2, pivot, clearance = anti_invariant_frame(triple)
     frames = np.stack([v1, v2])  # (i, grid, l)
     lower = LAMBDA_GAP * (1.0 - _corner_capture(np.moveaxis(frames, -1, 1))[::-1])
-    ritz = _ritz_values(frames, kernel_symbol(grid))
+    ritz = _ritz_values(frames, grid)
     t = ORACLE_TAU * LAMBDA_GAP
     at_most, at_least = int(np.sum(lower <= t)), int(np.sum(ritz <= t))
     if at_most != at_least:
@@ -446,14 +446,3 @@ def null_containment_angle(inner: GramReport, outer: GramReport) -> float:
     """Largest principal angle from the inner kernel into the outer kernel;
     0 when the inner kernel is trivial, pi/2 when containment is impossible."""
     return float(np.max(_principal_angles(inner.null_coords, outer.null_coords), initial=0.0))
-
-
-def null_forms_closed_residual(report: GramReport) -> float:
-    """Max nodal residual of d applied to the kernel basis forms, as
-    constant fields on the report's grid."""
-    grid = GridSpec(report.grid_n)
-    return max(
-        (d_twoform(TwoFormField.constant(grid, v @ pl.OMEGA_SD)).max_abs()
-         for v in report.null_coords),
-        default=0.0,
-    )

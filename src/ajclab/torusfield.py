@@ -85,13 +85,6 @@ class GridSpec:
         x = np.arange(self.n) / self.n
         return [x.reshape([-1 if a == ax else 1 for a in GRID_AXES]) for ax in GRID_AXES]
 
-    def deriv_multipliers(self) -> np.ndarray:
-        """Derivative factors 2*pi*i*k of one grid axis, in the frequency
-        order of ``numpy.fft.fft``, with the Nyquist bin zeroed; every axis
-        has the same ones."""
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        return np.where(np.abs(k) == self.n // 2, 0.0, 2j * np.pi * k)
-
 
 def _worst_node(grid: GridSpec, nodewise: np.ndarray, rows) -> tuple[int, ...]:
     """The grid index of the largest entry of ``nodewise``, whose entries sit
@@ -191,8 +184,9 @@ _CODIFF = tuple(
 @functools.cache
 def _diff_matrix(grid: GridSpec) -> np.ndarray:
     """The derivative on the nodes of one grid axis: the real circulant n x n
-    matrix D = F^-1 diag(m) F of the multipliers m of
-    :meth:`GridSpec.deriv_multipliers`.
+    matrix D = F^-1 diag(m) F of the multipliers m = 2 pi i k, for the DFT's
+    integer frequencies k = 0, 1, ..., n/2 - 1, -n/2, ..., -1, with the
+    Nyquist bin (k = -n/2) zeroed.
 
     Its first column is the inverse DFT of m, summed at phases reduced mod
     n, and made exactly odd, col[-k] = -col[k], so that D is exactly
@@ -200,7 +194,8 @@ def _diff_matrix(grid: GridSpec) -> np.ndarray:
     for each grid, read-only."""
     n = grid.n
     i = np.arange(n)
-    m = grid.deriv_multipliers()
+    k = (i + n // 2) % n - n // 2
+    m = np.where(k == -(n // 2), 0.0, 2j * np.pi * k)
     col = (np.exp(2j * np.pi * (np.outer(i, i) % n) / n) @ m).real / n
     col = 0.5 * (col - np.roll(col[::-1], 1))
     mat = col[(i[:, None] - i) % n]
@@ -237,27 +232,27 @@ def _apply(values: np.ndarray, grid: GridSpec, *tables) -> np.ndarray:
     first, ahead of the batch and grid axes, and every component's value at
     node (0, 0, 0, 0) subtracted.  D maps constants to 0, so the subtraction
     changes nothing in exact arithmetic; it makes a constant field give
-    exactly 0.  The entries are then taken in order: the partial of one
-    input component along one axis, times the entry's sign (exact, as it
-    scales D by +-1), is written into its output component or, once that is
-    written, made in one scratch component and added.  So one partial is
-    alive at a time.  The components move back last."""
+    exactly 0.  Each output component is then summed in one scratch
+    component over its entries, in table order: the partial of one input
+    component along one axis, times the entry's sign (exact, as it scales
+    D by +-1), the first written there and each later one made in a
+    second scratch component and added.  The sum is copied once into its
+    place in the components-last result, which is never copied again: a
+    scalar's gradient on N nodes holds its input, the copy, the result and
+    one written scratch component, 7 N doubles."""
     mat = _diff_matrix(grid)
-    x = np.moveaxis(values, -1, 0)
     for table in tables:
+        x = np.moveaxis(values, -1, 0)
         x = np.subtract(x, x[..., :1, :1, :1, :1], out=np.empty(x.shape))
-        out = np.empty((1 + max(e[0] for e in table),) + x.shape[1:])
-        part = np.empty(x.shape[1:])
-        written = set()
-        for o, axis, c, sign in table:
-            if o in written:
-                _along(x[c], sign * mat, x.ndim - 5 + axis, part)
-                out[o] += part
-            else:
-                _along(x[c], sign * mat, x.ndim - 5 + axis, out[o])
-                written.add(o)
-        x = out
-    return np.moveaxis(x, 0, -1).copy()
+        values = np.empty(x.shape[1:] + (1 + max(e[0] for e in table),))
+        acc, part = np.empty(x.shape[1:]), np.empty(x.shape[1:])
+        for o in range(values.shape[-1]):
+            (_, axis, c, sign), *rest = [e for e in table if e[0] == o]
+            _along(x[c], sign * mat, x.ndim - 5 + axis, acc)
+            for _, axis, c, sign in rest:
+                acc += _along(x[c], sign * mat, x.ndim - 5 + axis, part)
+            values[..., o] = acc
+    return values
 
 
 def d_scalar(f: ScalarField) -> OneFormField:
@@ -286,11 +281,12 @@ def codiff_twoform(phi: TwoFormField) -> OneFormField:
 
 def d_codiff_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """d(delta phi) for 2-form nodal values of shape ``(..., n, n, n, n, 6)``:
-    delta's table then d's in one :func:`_apply`, with delta phi kept
-    components first between them; any leading batch axes are kept.  The
-    elliptic oracle takes d delta's closed-form symbol instead
-    (:func:`.cohomlab.kernel_symbol`); the symbol battery and the tests
-    check that symbol against this, on one field or on stacks of them."""
+    delta's table then d's in one :func:`_apply`; any leading batch axes
+    are kept.  On
+    self-dual coordinates this is -1/2 sum_a D_a^2 on each coordinate
+    alone, the operator whose Dirichlet form the elliptic oracle takes
+    (:mod:`.cohomlab`); the symbol battery and the tests check that
+    identity, on one field or on stacks of them."""
     return _apply(values, grid, _CODIFF, _D1)
 
 

@@ -1,22 +1,60 @@
-"""The dense reference of the elliptic oracle: the matrix of
-psi -> P^-(d delta psi) on the oracle's trial space, assembled in full, and
-its spectrum.  ``cohomlab.elliptic_kernel_dim`` certifies its count of small
-eigenvalues without assembling it; the tests check the assembly against a
-column-by-column one and the certified bounds against its spectrum."""
+"""References for the elliptic oracle.
+
+The dense reference: the matrix of psi -> P^-(d delta psi) on the oracle's
+trial space, assembled in full, and its spectrum.
+``cohomlab.elliptic_kernel_dim`` certifies its count of small eigenvalues
+without assembling it; the tests check the assembly against a
+column-by-column one and the certified bounds against its spectrum.
+
+The transform reference: C's symbol in closed form (:func:`kernel_symbol`),
+on which the Weyl lower bound rests, and the Ritz values taken with it
+through complex spectra (:func:`fft_ritz_values`), which the oracle's
+Dirichlet-form Ritz values must match."""
 
 import numpy as np
 
-from ajclab import hermitian as hm, pointlin as pl, torusfield as tf
+from ajclab import cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
 from ajclab.torusfield import GridSpec
+
+
+def kernel_symbol(grid: GridSpec) -> np.ndarray:
+    """The symbol of C on the full spectrum (grid shape): |m|^2 / 2 for the
+    multipliers m = 2 pi i k of one axis in ``numpy.fft`` frequency order,
+    Nyquist zeroed, the same on all four axes.  It is 0 on the 16 corner
+    modes and at least ``cohomlab.LAMBDA_GAP`` off them."""
+    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    axis = np.abs(np.where(np.abs(k) == grid.n // 2, 0.0, 2j * np.pi * k)) ** 2 / 2.0
+    return np.add.outer(np.add.outer(axis, axis), np.add.outer(axis, axis))
+
+
+def fft_ritz_values(frames: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """``cohomlab._ritz_values`` as a transform pair: the same trial vectors,
+    Nyquist projection, Gram and cut, with K = (1/N) sum_k symbol(k)
+    conj(F_l(k)) . F_m(k) over the spectra F_l of the sections
+    sum_i P(v_i . e_l) v_i, one self-dual component at a time.  By Parseval
+    this is the Dirichlet form the oracle takes through D."""
+    coeffs = frames
+    for ax in range(1, 5):
+        sign = (-1.0) ** np.arange(frames.shape[ax]).reshape([-1 if a == ax else 1 for a in range(6)])
+        coeffs = coeffs - sign * np.mean(coeffs * sign, axis=ax, keepdims=True)
+    gram = np.einsum("ixl,ixm->lm", *[coeffs.reshape(2, -1, 3)] * 2)
+    K = np.zeros((3, 3))
+    for part in np.einsum("i...l,i...k->k...l", coeffs, frames):
+        spectra = np.fft.fftn(part, axes=tf.GRID_AXES).reshape(-1, 3)
+        K += (spectra.conj().T @ (spectra * symbol.reshape(-1, 1))).real / symbol.size
+    s, U = np.linalg.eigh(gram)
+    kept = s > cohomlab.ORACLE_TAU * s[-1]
+    T = U[:, kept] / np.sqrt(s[kept])
+    return np.linalg.eigvalsh(T.T @ K @ T)
 
 
 def impulse_kernel(grid: GridSpec) -> np.ndarray:
     """Half the nodal kernel c of d delta between self-dual coordinates
     (grid shape), read off the spectral calculus: the omega_1 coordinate of
     ``torusfield.d_codiff_values`` applied to the impulse omega_1 at node 0.
-    Its symbol is the one ``cohomlab.kernel_symbol`` states in closed form,
-    so the dense reference takes d delta from torusfield, not from the
-    formula under test."""
+    Its symbol is the one :func:`kernel_symbol` states in closed form, so
+    the dense reference takes d delta from torusfield, not from the formula
+    under test."""
     impulse = np.zeros(grid.shape + (6,))
     impulse[0, 0, 0, 0] = pl.OMEGA1
     return (tf.d_codiff_values(impulse, grid) @ pl.OMEGA_SD.T / 2.0)[..., 0]

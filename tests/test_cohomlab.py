@@ -531,7 +531,7 @@ class TestEllipticOracle:
 
     def test_undecided_count_names_both_counts(self, monkeypatch):
         # Ritz values that stop counting the kernel leave the lower bounds' 2
-        monkeypatch.setattr(cohomlab, "_ritz_values", lambda frames, symbol: np.ones(2))
+        monkeypatch.setattr(cohomlab, "_ritz_values", lambda frames, grid: np.ones(2))
         with pytest.raises(pl.ConsistencyError, match="at most 2 .* at least 0"):
             cohomlab.elliptic_kernel_dim(hm.standard_acs(G4), G4)
 
@@ -647,30 +647,31 @@ def assert_symbol_battery_fails(monkeypatch, operator):
 
 class TestScalarKernel:
     """On self-dual forms P^+ d delta P^+ = Delta / 2, so d delta reaches the
-    oracle as one scalar kernel, whose symbol it takes in closed form.  That
-    d delta has that symbol is the battery's identity
-    (battery.run_symbol_battery), so the faults it must catch are planted
-    there."""
+    oracle as one scalar operator C = -1/2 sum_a D_a^2, whose Dirichlet form
+    it takes.  The Weyl lower bound rests on C's closed-form symbol
+    (reference.kernel_symbol), tested here.  That d delta is C is the
+    battery's identity (battery.run_symbol_battery), so the faults it must
+    catch are planted there."""
 
     def test_kernel_is_half_the_laplacian_impulse_response(self):
         # the symbol of the impulse response: |2 pi k|^2 / 2 with Nyquist zeroed
         k = np.fft.fftfreq(G6.n, d=1.0 / G6.n)
         axis = np.where(np.abs(k) == G6.n // 2, 0.0, (2.0 * np.pi * k) ** 2)
         expect = sum(axis.reshape([-1 if a == ax else 1 for a in range(4)]) for ax in range(4)) / 2.0
-        got = cohomlab.kernel_symbol(G6)
+        got = reference.kernel_symbol(G6)
         assert float(np.max(np.abs(got - expect))) <= 1e-12 * float(np.max(expect))
         assert cohomlab.LAMBDA_GAP == pytest.approx((2.0 * np.pi) ** 2 / 2.0, rel=1e-15)
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16], ids=lambda n: f"n{n}")
     def test_closed_form_matches_the_impulse_read_off(self, n):
         grid = tf.GridSpec(n)
-        symbol = cohomlab.kernel_symbol(grid)
+        symbol = reference.kernel_symbol(grid)
         read_off = np.fft.fftn(reference.impulse_kernel(grid)).real
         assert float(np.max(np.abs(symbol - read_off))) <= 1e-12 * float(np.max(symbol))
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16], ids=lambda n: f"n{n}")
     def test_closed_form_vanishes_on_the_corners_alone(self, n):
-        symbol = cohomlab.kernel_symbol(tf.GridSpec(n))
+        symbol = reference.kernel_symbol(tf.GridSpec(n))
         corners = np.zeros(symbol.shape, dtype=bool)
         corners[:: n // 2, :: n // 2, :: n // 2, :: n // 2] = True
         assert np.count_nonzero(corners) == 16
@@ -706,6 +707,97 @@ class TestScalarKernel:
         report = cohomlab.elliptic_kernel_dim(hm.standard_acs(G6), G6)
         assert report.kernel_dim == 2
         assert calls == []
+
+
+def counted_fft_calls(monkeypatch, extra):
+    """Record, in a list that is returned, every call of a ``numpy.fft``
+    function and of the ``(module, name)`` pairs ``extra``.  The
+    differentiation matrix is built on first use, so its cache is cleared
+    and its build is counted too."""
+    calls = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for module, name in [(np.fft, name) for name in np.fft.__all__] + extra:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    tf._diff_matrix.cache_clear()
+    return calls
+
+
+class TestTransformCount:
+    """The oracle's one transform is the fftn of _corner_capture: its Ritz
+    values take C through D.  The symbol battery makes none."""
+
+    @pytest.mark.parametrize("kind", ["standard", "random"])
+    def test_an_oracle_call_makes_one_fftn_call(self, monkeypatch, kind):
+        triple = bound_structure(G6, kind)
+        calls = counted_fft_calls(monkeypatch, [(tf, "d_codiff_values")])
+        cohomlab.elliptic_kernel_dim(triple, G6)
+        assert calls == ["fftn"]
+
+    def test_the_symbol_battery_makes_no_fft_call(self, monkeypatch):
+        calls = counted_fft_calls(monkeypatch, [])
+        (check,) = battery.run_symbol_battery(6, seed=3)
+        assert check.passed and calls == []
+
+
+def ritz_structures(grid):
+    """The standard structure, stage 1 and three random structures on ``grid``."""
+    base = hm.standard_acs(grid)
+    return {
+        "standard": base,
+        "stage1": hm.one_bump_deform(base, BUMP1)[0],
+        **{f"random/{seed}": hm.random_compatible_acs(grid, seed, 0.5, 2) for seed in (1, 2, 3)},
+    }
+
+
+def ritz_deviation(triple):
+    """The largest |Ritz value - reference| over the oracle's trial space,
+    relative to the larger of LAMBDA_GAP and the largest |reference|: the
+    oracle's Dirichlet form through D against reference.fft_ritz_values,
+    the same Ritz values through complex spectra and the closed-form
+    symbol.  The floor keeps the kernel's Ritz values, 0 by one route and
+    rounding by the other, relative to the gap that decides them."""
+    frames = np.stack(hm.anti_invariant_frame(triple)[:2])
+    got = cohomlab._ritz_values(frames, triple.grid)
+    expect = reference.fft_ritz_values(frames, reference.kernel_symbol(triple.grid))
+    assert got.shape == expect.shape
+    scale = max(cohomlab.LAMBDA_GAP, float(np.max(np.abs(expect))))
+    return float(np.max(np.abs(got - expect))) / scale
+
+
+class TestRitzReference:
+    """The oracle's Ritz values equal the transform reference's to 1e-13.
+
+    By Parseval the two K are equal, as D is exactly F^-1 diag(m) F; what
+    remains is rounding, at most 1e-15 relative in a probe.  This test is
+    the one that catches a fault in D itself, such as D scaled by
+    (1 + 1e-6): the symbol battery cannot, since both of its sides now use
+    D, and so both scale alike."""
+
+    @pytest.mark.parametrize("n", [6, 8, 16], ids=lambda n: f"n{n}")
+    def test_matches_the_transform_reference(self, n):
+        for kind, triple in ritz_structures(tf.GridSpec(n)).items():
+            assert ritz_deviation(triple) <= 1e-13, kind
+
+    def test_a_scaled_differentiation_matrix_is_caught(self, monkeypatch):
+        diff_matrix = tf._diff_matrix
+
+        def scaled(grid):
+            return (1.0 + 1e-6) * diff_matrix(grid)
+
+        structures = ritz_structures(G8)
+        monkeypatch.setattr(cohomlab, "_diff_matrix", scaled)
+        for seed in (1, 2, 3):
+            assert ritz_deviation(structures[f"random/{seed}"]) > 1e-7, seed
+        # the symbol battery passes with the same scaled D
+        monkeypatch.setattr(tf, "_diff_matrix", scaled)
+        (check,) = battery.run_symbol_battery(8, seed=3)
+        assert check.passed
 
 
 class TestFramePairing:

@@ -133,7 +133,6 @@ DEFAULT_RUNS = {
             "h_minus equals 2",
             "h_plus equals 4",
             "Gram matrix is diag(4, 0, 0)",
-            "kernel forms are closed",
             "kernel forms are anti-invariant",
             "structure action rotates omega2 to omega3",
             "structure action squares to -Id on the kernel",

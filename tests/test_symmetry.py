@@ -1,7 +1,10 @@
 """Translations of the grid by whole nodes, and orientation-preserving
 permutations of its axes, are exact symmetries of the torus: they must
 leave h unchanged, Gram eigenvalues equal within the rounding bound of the
-node mean, and the low-pass and the derivatives equivariant."""
+node mean, and the low-pass and the derivatives equivariant.  A constant
+rotation of the self-dual coordinates y must rotate the Gram matrix and
+leave the elliptic oracle's count, bounds and Ritz values unchanged within
+a stated rounding bound."""
 
 import itertools
 from types import SimpleNamespace
@@ -181,3 +184,61 @@ def test_a_derivative_with_minus_d_on_one_axis_is_caught(monkeypatch):
     monkeypatch.setattr(tf, "_D0", ((0, 0, 0, -1.0),) + tf._D0[1:])
     devs = permutation_deviation(SWAP, seed=3)
     assert devs["d_scalar"] > 1e-10, devs
+
+
+def rotation(seed):
+    """A random constant R in SO(3): the Q factor of a normal 3 x 3 matrix,
+    with the signs that make it unique and then det(R) = 1."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q *= np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+def rotation_defects(triple, R):
+    """For the structure y and its rotation R y, the largest |G' - R G R^T|
+    of their Gram matrices, whether the elliptic oracle gives the same
+    count, and how far its certified lower bounds and its Ritz values move,
+    relative to LAMBDA_GAP and to the largest Ritz value."""
+    rotated = hm.HermitianTriple(triple.grid, triple.y @ R.T)
+    gram = np.max(np.abs(cohomlab.gram_matrix(rotated).matrix
+                         - R @ cohomlab.gram_matrix(triple).matrix @ R.T))
+    before, after = (cohomlab.elliptic_kernel_dim(t, triple.grid) for t in (triple, rotated))
+    lower = np.max(np.abs(after.lower_bounds - before.lower_bounds)) / cohomlab.LAMBDA_GAP
+    ritz = np.max(np.abs(after.ritz_values - before.ritz_values)) / np.max(before.ritz_values)
+    return float(gram), after.kernel_dim == before.kernel_dim, float(lower), float(ritz)
+
+
+#: how far a constant rotation may move the oracle's Ritz values, relative
+#: to the largest.  The frame of R y is rounded anew at every node, a few u
+#: each, and C amplifies that by its largest symbol value (710 at n = 8)
+#: and the trial Gram by the inverse of its smallest kept eigenvalue (1/7.9
+#: for stage 1 at n = 8): the worst move seen over these rotations is
+#: 2.5e-11, stage 1's largest Ritz value.  A lower bound moves only by the
+#: rounding of the corner capture's node sums.
+RITZ_ROTATION_TOL = 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("label", ["random/1", "random/2", "stage1"])
+def test_a_rotated_structure_keeps_both_routes(structures, label, seed):
+    # y -> R y rotates the frame and G, and the oracle acts on each
+    # self-dual coordinate alone: its count, bounds and Ritz values stay
+    gram, same_count, lower, ritz = rotation_defects(structures[label], rotation(seed))
+    # each entry of G is a node mean with error at most 4 gamma_N, and
+    # R G R^T weighs 9 of them by |R_ij R_lk|, which sum to at most 3
+    assert gram <= 16.0 * gamma(G8.node_count), gram
+    assert same_count
+    assert lower <= gamma(G8.node_count), lower
+    assert ritz <= RITZ_ROTATION_TOL, ritz
+
+
+def test_a_ritz_route_that_drops_a_self_dual_component_is_caught(structures, monkeypatch):
+    ritz_values = cohomlab._ritz_values
+
+    def dropping_the_last_component(frames, grid):
+        return ritz_values(frames * np.array([1.0, 1.0, 0.0]), grid)
+
+    monkeypatch.setattr(cohomlab, "_ritz_values", dropping_the_last_component)
+    for label in ("random/1", "random/2"):
+        _, same_count, _, ritz = rotation_defects(structures[label], rotation(0))
+        assert same_count and ritz > 1e4 * RITZ_ROTATION_TOL, label
