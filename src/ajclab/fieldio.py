@@ -13,8 +13,10 @@ routes to and from a file; both see the payload as it lies in the file, a
 ``(3, N)`` array of N = n^4 nodes.  A structure is stored as its unit
 vector field y: :func:`.hermitian.save_triple` writes y with
 :func:`serialize_field`, and :func:`.hermitian.load_triple` reads it with
-:func:`deserialize_field`.  A read states each refusal once, as a plain
-ValueError, and one re-raise names the file in a :class:`FieldFormatError`.
+:func:`deserialize_field`.  A write replaces a file already at its path
+rather than rewriting it in place, which ext4 flushes at once.  A read
+states each refusal once, as a plain ValueError, and one re-raise names the
+file in a :class:`FieldFormatError`.
 """
 
 from __future__ import annotations
@@ -39,12 +41,22 @@ def serialize_field(field, path) -> None:
     documented binary format; any other field raises
     :class:`FieldFormatError`, before the file is opened.  The contiguous
     little-endian payload goes to the file through the buffer protocol,
-    without an intermediate bytes copy."""
+    without an intermediate bytes copy.
+
+    A file already at ``path`` is unlinked and a new one written in its
+    place, with the same bytes as a rewrite: on ext4 with its default
+    ``auto_da_alloc``, closing a file that was truncated to zero and
+    rewritten starts its writeback at once, which made each save of a
+    structure over an existing set several times slower.  A hard link to
+    the old file therefore keeps the old bytes, and a symlink at ``path``
+    is replaced, not written through."""
     if type(field) is not SelfDualCoordField:
         raise FieldFormatError(f"{type(field).__name__} has no field-file kind")
     grid = field.grid
     rows = field.values.reshape(grid.node_count, -1)
     payload = np.ascontiguousarray(rows.T, dtype="<f8")
+    path = Path(path)
+    path.unlink(missing_ok=True)
     with open(path, "wb") as fh:
         fh.write(f"{MAGIC} {KIND} {grid.n}\n".encode("ascii"))
         fh.write(payload)

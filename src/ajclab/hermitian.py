@@ -6,7 +6,7 @@ self-dual 2-form, its fundamental form F, so a structure field is a unit
 vector field y: T^4 -> S^2 of coordinates in the self-dual frame
 (OMEGA1, OMEGA2, OMEGA3).  :class:`HermitianTriple` stores y alone and
 derives F = sum_k y_k OMEGA_k and J = sum_k y_k J_k on access; both are
-linear in y.  |y| = 1 is the only invariant left; :func:`_require_unit`
+linear in y.  |y| = 1 is the only invariant left; :func:`_unit_defect`
 checks it when a triple is built and before one is saved.  The boundary
 that takes outside input, :func:`load_triple`, checks more: the sidecar
 and the y file it names.  :func:`triple_from_form_field` and
@@ -40,15 +40,21 @@ arrays of y and a.
 cut-off stages pass it the rows of their bump support and scatter the
 result into a copy of y: off the support the bump is zero, so the
 deformation form is zero and leaves y bit for bit, and nothing there can
-fail a check.  Each new structure is still validated on the whole grid
-when its :class:`HermitianTriple` is built.
+fail a check.  Each new structure is still validated on the whole grid,
+once, when its :class:`HermitianTriple` is built: :func:`_unit_defect`
+reads y in cache-sized row blocks, and the triple keeps the worst defect
+it measured, from which stage 2 logs its wedge-square residual without a
+second pass.  :func:`save_triple` checks y once more before it writes,
+and :func:`load_triple` checks the y it reads when it builds the triple;
+so the cut-off construction with a save and load of both stages checks
+a whole grid 7 times.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -79,23 +85,38 @@ ROUTE_TOL = 1e-9
 #: nodes per chunk of the J checked by AcsField; one chunk's 4x4 products
 #: stay cache-sized
 _ACS_CHUNK = 4096
+#: nodes per row block of the unit check; one block of y (384 KB) and its
+#: |y|^2 stay cache-sized
+_UNIT_BLOCK = 16384
 
 
-def _require_unit(grid: GridSpec, y: np.ndarray, rows) -> np.ndarray:
-    """The rows ``y`` of a structure field (at ``rows``, as in
-    :func:`.torusfield._worst_node`), checked to be finite unit vectors
-    within pl.ACS_TOL, naming the worst node.  A non-finite y makes the max
-    defect non-finite, so finiteness is looked at only when the defect check
-    fails.  For J = sum_k y_k J_k, J^2 + Id = (1 - |y|^2) Id = Id - J^T J."""
-    defect = np.abs(np.einsum("...k,...k", y, y) - 1.0)
-    worst = float(np.max(defect, initial=0.0))
+def _unit_defect(grid: GridSpec, y: np.ndarray, rows) -> float:
+    """The worst defect ||y|^2 - 1| of the rows ``y`` of a structure field
+    (at ``rows``, as in :func:`.torusfield._worst_node`), checked to be at
+    most pl.ACS_TOL.  |y|^2 is :func:`.pointlin.coords_norm_sq`, taken over
+    row blocks of ``_UNIT_BLOCK`` nodes of ``y.reshape(-1, 3)``, a view for
+    the node-major and component-major layouts the package builds.  The
+    block maxima are combined by ``np.max``, which keeps a NaN, so a
+    non-finite y fails; only then is the defect taken on all rows at once,
+    to name the worst node.  For
+    J = sum_k y_k J_k, J^2 + Id = (1 - |y|^2) Id = Id - J^T J."""
+    flat = y.reshape(-1, 3)
+    worst = float(np.max([np.max(np.abs(pl.coords_norm_sq(flat[lo : lo + _UNIT_BLOCK]) - 1.0))
+                          for lo in range(0, len(flat), _UNIT_BLOCK)], initial=0.0))
     if not worst <= pl.ACS_TOL:
         if not np.all(np.isfinite(y)):
             raise ValueError("y has non-finite values")
+        defect = np.abs(pl.coords_norm_sq(y) - 1.0)
         raise ValueError(
             f"y is not a unit vector at node {_worst_node(grid, defect, rows)} "
             f"(||y|^2 - 1| = {worst:.3e}, tol {pl.ACS_TOL:.1e})"
         )
+    return worst
+
+
+def _require_unit(grid: GridSpec, y: np.ndarray, rows) -> np.ndarray:
+    """``y``, once :func:`_unit_defect` has checked it."""
+    _unit_defect(grid, y, rows)
     return y
 
 
@@ -120,17 +141,21 @@ class HermitianTriple:
     vector field ``y`` of shape ``grid.shape + (3,)``, read-only; J and F
     are derived on access.  ``y`` is copied, keeping its memory layout,
     unless it is already read-only memory of its own
-    (:func:`.torusfield.frozen`), as a field's values are."""
+    (:func:`.torusfield.frozen`), as a field's values are.  Building one
+    checks |y| = 1 on the whole grid, once, with :func:`_unit_defect`, and
+    keeps the worst defect ||y|^2 - 1| that check measured as
+    ``unit_defect``."""
 
     grid: GridSpec
     y: np.ndarray
+    unit_defect: float = field(init=False)
 
     def __post_init__(self):
         y = frozen(self.y, "K")
         expected = self.grid.shape + (3,)
         if y.shape != expected:
             raise ValueError(f"y must have shape {expected}, got {y.shape}")
-        _require_unit(self.grid, y, None)
+        object.__setattr__(self, "unit_defect", _unit_defect(self.grid, y, None))
         object.__setattr__(self, "y", y)
 
     @property
@@ -381,9 +406,11 @@ def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: De
 
     The renormalization, the route cross-check and its |alt| = 1 check run
     on the rows of the bump support alone: off it f1 = 1 and beta = 0, so
-    both routes return y1 exactly.  The wedge-square residual, which off the
-    support is stage 1's, and the validation of the new structure run on the
-    whole grid.
+    both routes return y1 exactly.  The validation of the new structure runs
+    on the whole grid, once, when its triple is built; the logged
+    wedge-square residual max |2 |y2|^2 - 2| is twice the worst unit defect
+    that validation measured (``stage2.unit_defect``), the same value to the
+    bit, as scaling by 2 is exact.
     """
     t0 = time.perf_counter()
     if report1.h_minus == 0:
@@ -412,7 +439,7 @@ def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: De
         **head,
         "sup_norm": float(np.sqrt(np.max(prod_sq, initial=0.0))),
         "null_direction": report1.null_coords[0].tolist(),
-        "wedge_square_residual": float(np.max(np.abs(2.0 * np.sum(y2 * y2, axis=-1) - 2.0))),
+        "wedge_square_residual": 2.0 * stage2.unit_defect,
         "route_disagreement": route_dev,
         "h_before": report1.h_minus,
         "h_after": report2.h_minus,
@@ -452,10 +479,12 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
     y determines the structure, so neither F nor J is built or written.
     Before any file is opened, the y file name ``<stem>.y.field`` must be a
     plain file name (:func:`_plain_name`), as :func:`load_triple` requires,
-    y must pass :func:`_require_unit`, which names the worst node, and the
-    sidecar must encode as JSON, so a failed save writes nothing."""
+    y must pass :func:`_unit_defect` on the whole grid, which names the
+    worst node, and the sidecar must encode as JSON, so a failed save writes
+    nothing.  A y file already at the path is replaced by a new file, not
+    truncated and rewritten (:func:`.fieldio.serialize_field`)."""
     y_name = _plain_name(f"{stem}.y.field")
-    _require_unit(triple.grid, triple.y, None)
+    _unit_defect(triple.grid, triple.y, None)
     sidecar = json.dumps({
         "format": 3,
         "grid_n": triple.grid.n,

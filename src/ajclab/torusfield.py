@@ -145,11 +145,6 @@ class OneFormField(_FieldBase):
 class TwoFormField(_FieldBase):
     NCOMP = (6,)
 
-    @staticmethod
-    def constant(grid: GridSpec, six: np.ndarray) -> "TwoFormField":
-        six = np.asarray(six, float)
-        return TwoFormField(grid, np.broadcast_to(six, grid.shape + (6,)))
-
 
 class ThreeFormField(_FieldBase):
     NCOMP = (4,)
@@ -236,16 +231,20 @@ def _apply(values: np.ndarray, grid: GridSpec, *tables) -> np.ndarray:
     component over its entries, in table order: the partial of one input
     component along one axis, times the entry's sign (exact, as it scales
     D by +-1), the first written there and each later one made in a
-    second scratch component and added.  The sum is copied once into its
-    place in the components-last result, which is never copied again: a
-    scalar's gradient on N nodes holds its input, the copy, the result and
-    one written scratch component, 7 N doubles."""
+    second scratch component, allocated only when some output has two or
+    more entries, and added.  The sum is copied once into its place in the
+    components-last result, which is never copied again: a scalar's
+    gradient on N nodes holds its input, the copy, the result and one
+    scratch component, 7 N doubles, 1.5 times its output besides the
+    input."""
     mat = _diff_matrix(grid)
     for table in tables:
         x = np.moveaxis(values, -1, 0)
         x = np.subtract(x, x[..., :1, :1, :1, :1], out=np.empty(x.shape))
         values = np.empty(x.shape[1:] + (1 + max(e[0] for e in table),))
-        acc, part = np.empty(x.shape[1:]), np.empty(x.shape[1:])
+        acc = np.empty(x.shape[1:])
+        # every output has an entry, so a longer table gives some output a second
+        part = np.empty(x.shape[1:]) if len(table) > values.shape[-1] else None
         for o in range(values.shape[-1]):
             (_, axis, c, sign), *rest = [e for e in table if e[0] == o]
             _along(x[c], sign * mat, x.ndim - 5 + axis, acc)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import elliptic_reference as reference
 from spectral_reference import spectral_truncate
+from constant_fields import constant_twoform
 from ajclab import battery, cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
 from ajclab.config import LabConfig
 from ajclab.reporting import to_json
@@ -29,7 +30,7 @@ BUMP2 = hm.BumpSpec((1 / 3, 1 / 3, 1 / 3, 1 / 3), 0.25, 0.5)
 
 def constant_triple(grid, coords):
     """Triple with constant fundamental form sum_k coords_k omega_k."""
-    F = tf.TwoFormField.constant(grid, np.asarray(coords, float) @ pl.OMEGA_SD)
+    F = constant_twoform(grid, np.asarray(coords, float) @ pl.OMEGA_SD)
     return hm.triple_from_form_field(F)
 
 
@@ -40,7 +41,7 @@ class TestHarmonicBasis:
     """The constant forms omega_k that coordinates w refer to."""
 
     def test_cup_orthonormal_and_closed(self):
-        forms = [tf.TwoFormField.constant(G8, w) for w in pl.OMEGA_SD]
+        forms = [constant_twoform(G8, w) for w in pl.OMEGA_SD]
         for i, wi in enumerate(forms):
             for j, wj in enumerate(forms):
                 expect = 2.0 if i == j else 0.0
@@ -177,7 +178,7 @@ class TestKernelBasis:
 class TestSelectNullForm:
     def test_wedge_normalized(self):
         report = cohomlab.gram_matrix(hm.standard_acs(G8))
-        alpha = tf.TwoFormField.constant(G8, cohomlab.select_null_form(report) @ pl.OMEGA_SD)
+        alpha = constant_twoform(G8, cohomlab.select_null_form(report) @ pl.OMEGA_SD)
         assert tf.wedge_integral(alpha, alpha) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_kernel_rejected(self):

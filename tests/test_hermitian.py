@@ -7,7 +7,9 @@ import re
 import numpy as np
 import pytest
 
+from constant_fields import constant_twoform
 from ajclab import cohomlab, fieldio, hermitian as hm, pointlin as pl, torusfield as tf
+from ajclab.config import DEFAULT_BUMP1, DEFAULT_BUMP2
 from ajclab.reporting import to_json
 
 G8 = tf.GridSpec(8)
@@ -266,17 +268,17 @@ class TestRandomCompatible:
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, name, no_fft)
         checked, deformed = [], []
-        require_unit, deform_coords = hm._require_unit, pl.deform_coords
+        unit_defect, deform_coords = hm._unit_defect, pl.deform_coords
 
         def counted(grid, y, rows):
             checked.append(y)
-            return require_unit(grid, y, rows)
+            return unit_defect(grid, y, rows)
 
         def recorded(y, a, nsq):
             deformed.append(deform_coords(y, a, nsq))
             return deformed[-1]
 
-        monkeypatch.setattr(hm, "_require_unit", counted)
+        monkeypatch.setattr(hm, "_unit_defect", counted)
         monkeypatch.setattr(pl, "deform_coords", recorded)
         triple = hm.random_compatible_acs(G8, seed=3, amplitude=0.4, bandlimit=2)
         assert len(checked) == 1 and checked[0] is triple.y
@@ -291,7 +293,7 @@ class TestTripleFromForm:
         np.testing.assert_allclose(rebuilt.J.values, triple.J.values, atol=1e-10)
 
     def test_constant_omega2(self):
-        F = tf.TwoFormField.constant(G8, pl.OMEGA2)
+        F = constant_twoform(G8, pl.OMEGA2)
         triple = hm.triple_from_form_field(F)
         np.testing.assert_allclose(
             pl.fundamental_form(triple.J.values), F.values, atol=1e-12
@@ -300,7 +302,7 @@ class TestTripleFromForm:
     def test_self_duality_threshold_is_1e_8(self):
         # an anti-self-dual part d/2 (e12 - e34) is a self-duality defect d
         def form(defect):
-            return tf.TwoFormField.constant(G8, pl.OMEGA1 + defect / 2.0 * OMEGA_ASD[0])
+            return constant_twoform(G8, pl.OMEGA1 + defect / 2.0 * OMEGA_ASD[0])
 
         assert np.array_equal(hm.triple_from_form_field(form(0.5e-8)).y, hm.standard_acs(G8).y)
         with pytest.raises(ValueError, match="not self-dual"):
@@ -599,6 +601,65 @@ class TestDeformPairAgreement:
         self.assert_agrees(stage2, stage1.J.values, beta @ pl.OMEGA_SD)
 
 
+class TestBlockedUnitCheck:
+    """The whole-grid unit check at n=24, where y spans 21 row blocks of
+    ``hm._UNIT_BLOCK`` nodes, the last one partial."""
+
+    G24 = tf.GridSpec(24)
+
+    def test_the_grid_spans_blocks_and_ends_in_a_partial_one(self):
+        assert self.G24.node_count > 2 * hm._UNIT_BLOCK
+        assert self.G24.node_count % hm._UNIT_BLOCK != 0
+
+    def unit_rows(self):
+        """The standard structure's y as a writable (N, 3) copy."""
+        return np.array(hm.standard_acs(self.G24).y.reshape(-1, 3))
+
+    def test_the_worst_node_past_the_first_block_is_named(self):
+        y = self.unit_rows()
+        y[100] *= 1.0 + 1e-6
+        flat = 2 * hm._UNIT_BLOCK + 7
+        y[flat] *= 1.01
+        node = tuple(int(i) for i in np.unravel_index(flat, self.G24.shape))
+        with pytest.raises(ValueError, match=re.escape(
+                f"y is not a unit vector at node {node} (||y|^2 - 1| = 2.010e-02, tol 1.0e-09)")):
+            hm.HermitianTriple(self.G24, y.reshape(self.G24.shape + (3,)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_node_in_the_last_block_is_refused(self, value):
+        # a Python max() over the block maxima would drop the NaN and pass
+        y = self.unit_rows()
+        y[-1, 2] = value
+        with pytest.raises(ValueError, match="y has non-finite values"):
+            hm.HermitianTriple(self.G24, y.reshape(self.G24.shape + (3,)))
+
+    def test_stage_2_logs_twice_its_unit_defect(self):
+        _, stage2, log = hm.two_stage_deform(hm.standard_acs(self.G24), DEFAULT_BUMP1,
+                                             DEFAULT_BUMP2)
+        residual = log.to_list()[1]["wedge_square_residual"]
+        assert residual == 2.0 * stage2.unit_defect
+        y2 = stage2.y
+        assert residual == float(np.max(np.abs(2.0 * np.sum(y2 * y2, axis=-1) - 2.0)))
+
+    def test_two_stage_deform_checks_each_structure_on_the_whole_grid_once(self, monkeypatch):
+        checked = []
+        unit_defect = hm._unit_defect
+
+        def counted(grid, y, rows):
+            checked.append((y, rows))
+            return unit_defect(grid, y, rows)
+
+        monkeypatch.setattr(hm, "_unit_defect", counted)
+        base = hm.standard_acs(self.G24)
+        stage1, stage2, _ = hm.two_stage_deform(base, DEFAULT_BUMP1, DEFAULT_BUMP2)
+        whole = [y for y, rows in checked if rows is None]
+        assert len(whole) == 3
+        assert all(y is triple.y for y, triple in zip(whole, (base, stage1, stage2)))
+        # and stage 2's route cross-check, on its support rows alone
+        (rows,) = [rows for _, rows in checked if rows is not None]
+        assert 0 < rows.size < self.G24.node_count
+
+
 @pytest.fixture(scope="module")
 def io_triples():
     """The structures whose files are pinned to the generic field route."""
@@ -700,6 +761,24 @@ class TestTripleIO:
             hm.save_triple(triple, tmp_path, "bad")
         assert not (tmp_path / "bad.y.field").exists()
         assert not (tmp_path / "bad.json").exists()
+
+    def test_a_save_over_an_existing_set_replaces_its_y_file(self, io_triples, tmp_path):
+        # a new file in place of the old: a hard link keeps the old bytes, and
+        # a symlink at the path is replaced, not written through
+        hm.save_triple(io_triples["stage1"], tmp_path, "set")
+        path = tmp_path / "set.y.field"
+        old = path.read_bytes()
+        (tmp_path / "link").hardlink_to(path)
+        sidecar = hm.save_triple(io_triples["stage2"], tmp_path, "set")
+        assert (tmp_path / "link").read_bytes() == old
+        assert hm.load_triple(sidecar).y.tobytes() == io_triples["stage2"].y.tobytes()
+        target = tmp_path / "target"
+        target.write_bytes(b"kept")
+        path.unlink()
+        path.symlink_to(target)
+        hm.save_triple(io_triples["stage1"], tmp_path, "set")
+        assert target.read_bytes() == b"kept"
+        assert not path.is_symlink() and path.read_bytes() == old
 
     def test_save_writes_nothing_when_the_sidecar_cannot_be_encoded(self, tmp_path):
         # the sidecar is encoded before the y file is written, so none is left without it

@@ -1,6 +1,7 @@
 """Spectral calculus: single-mode oracles, structural identities, bump behavior."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ajclab import pointlin as pl
 from ajclab import torusfield as tf
 from ajclab.config import DEFAULT_BUMP1, DEFAULT_BUMP2
 from spectral_reference import half_spectrum_wavenumbers, spectral_truncate
+from constant_fields import constant_twoform
 
 G8 = tf.GridSpec(8)
 G16 = tf.GridSpec(16)
@@ -157,13 +159,13 @@ class TestDifferentials:
         assert tf.d_twoform(tf.d_oneform(theta)).max_abs() <= 1e-12
 
     def test_constant_twoform_closed(self):
-        w = tf.TwoFormField.constant(G8, pl.OMEGA3)
+        w = constant_twoform(G8, pl.OMEGA3)
         assert tf.d_twoform(w).max_abs() == 0.0
 
 
 class TestCodifferential:
     def test_constant_vanishes(self):
-        w = tf.TwoFormField.constant(G8, np.arange(6.0))
+        w = constant_twoform(G8, np.arange(6.0))
         assert tf.codiff_twoform(w).max_abs() <= 1e-14
 
     def test_divergence_formula_oracle(self):
@@ -374,6 +376,19 @@ class TestOneProduct:
             with pytest.raises(ValueError, match="copy"):
                 tf._along(picked, mat, axis, np.empty(picked.shape[::-1]).T)
 
+    def test_a_scalar_gradient_peaks_below_1_6_times_its_output(self):
+        # a components-first copy and one scratch component: no second scratch
+        # for a table whose every output has one entry
+        f = tf.ScalarField(G16, np.random.default_rng(16).standard_normal(G16.shape))
+        tf._diff_matrix(G16)
+        tracemalloc.start()
+        try:
+            nbytes = tf.d_scalar(f).values.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * nbytes, peak / nbytes
+
     @pytest.mark.parametrize("first, shape", [(0, (5,) * 4 + (6,)), (1, (2,) + (5,) * 4)])
     def test_synthesis_is_the_tensor_basis_sum(self, first, shape):
         coeffs = np.random.default_rng(first).standard_normal(shape)
@@ -454,7 +469,7 @@ class TestIntegrals:
         assert abs(tf.integrate(f)) <= 1e-14
 
     def test_l2_inner_constant_omega1(self):
-        w = tf.TwoFormField.constant(G8, pl.OMEGA1)
+        w = constant_twoform(G8, pl.OMEGA1)
         assert tf.l2_inner(w, w) == pytest.approx(2.0)
 
     def test_integrate_exact_for_bandlimited(self):
@@ -465,8 +480,8 @@ class TestIntegrals:
         assert tf.integrate(g) == pytest.approx(0.25, abs=1e-14)
 
     def test_wedge_integral_values_and_symmetry(self):
-        w1 = tf.TwoFormField.constant(G8, pl.OMEGA1)
-        w2 = tf.TwoFormField.constant(G8, pl.OMEGA2)
+        w1 = constant_twoform(G8, pl.OMEGA1)
+        w2 = constant_twoform(G8, pl.OMEGA2)
         assert tf.wedge_integral(w1, w1) == pytest.approx(2.0)
         assert tf.wedge_integral(w1, w2) == pytest.approx(0.0)
         rng = np.random.default_rng(4)
