@@ -11,7 +11,6 @@ from .cohomlab import (
     delta_j_estimate,
     elliptic_kernel_dim,
     gram_matrix,
-    h_plus,
     intersection_dim,
     select_null_form,
     v_measure,
@@ -75,7 +74,6 @@ __all__ = [
     "deserialize_field",
     "elliptic_kernel_dim",
     "gram_matrix",
-    "h_plus",
     "integrate",
     "intersection_dim",
     "l2_inner",

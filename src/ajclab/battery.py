@@ -199,10 +199,11 @@ def run_calculus_battery(grid_n: int, count: int, seed: int) -> list[Check]:
 
 def run_symbol_battery(grid_n: int, seed: int) -> list[Check]:
     """For white-noise self-dual coordinates psi, the self-dual coordinates
-    of d delta (psi @ OMEGA_SD) must be -1/2 sum_a D_a^2 applied to psi,
-    each coordinate alone, for torusfield's differentiation matrix D along
-    grid axis a, to AGREEMENT_TOL relative to their largest value.  That is
-    the operator C whose Dirichlet form the elliptic oracle takes
+    of d delta (psi @ OMEGA_SD), :func:`.torusfield.d_oneform` of
+    :func:`.torusfield.codiff_twoform`, must be -1/2 sum_a D_a^2 applied to
+    psi, each coordinate alone, for torusfield's differentiation matrix D
+    along grid axis a, to AGREEMENT_TOL relative to their largest value.
+    That is the operator C whose Dirichlet form the elliptic oracle takes
     (:mod:`.cohomlab`).  White noise carries every mode, so d delta is
     scalar, symmetric and equal to C everywhere.  Both sides are built from
     D, so a fault in D itself passes here; the tests check the oracle's
@@ -211,7 +212,8 @@ def run_symbol_battery(grid_n: int, seed: int) -> list[Check]:
     times."""
     grid = tf.GridSpec(grid_n)
     psi = np.random.default_rng(seed).standard_normal(grid.shape + (3,))
-    got = tf.d_codiff_values(psi @ pl.OMEGA_SD, grid) @ pl.OMEGA_SD.T / 2.0
+    d_delta = tf.d_oneform(tf.codiff_twoform(tf.TwoFormField(grid, psi @ pl.OMEGA_SD)))
+    got = d_delta.values @ pl.OMEGA_SD.T / 2.0
     D = tf._diff_matrix(grid)
     expect = -0.5 * sum(tf._along(tf._along(psi, D, a, None), D, a, None) for a in tf.GRID_AXES)
     return [Check.within("d delta on self-dual coordinates is the oracle's -1/2 sum_a D_a^2",

@@ -81,10 +81,14 @@ def _write_sweep_csv(rows: list[dict], path: Path) -> None:
 
 
 def run_scenario(name: str, cfg: LabConfig, out_dir: Path) -> ScenarioReport:
+    """Run scenario ``name`` into a new report and write what it records: the
+    report, random-sweep's rows and the bump scenarios' structure fields.  A
+    scenario that raises keeps what it recorded before, and the report adds
+    the failed check "scenario completed" with the exception."""
+    report = ScenarioReport(name, cfg.to_dict())
     try:
-        report = SCENARIOS[name](cfg)
+        SCENARIOS[name](report, cfg)
     except Exception as exc:  # precondition violations still produce a report
-        report = ScenarioReport(name, cfg.to_dict())
         report.check("scenario completed", False, detail=f"{type(exc).__name__}: {exc}")
         report.summaries["traceback"] = traceback.format_exc().splitlines()[-3:]
     report.save(out_dir / f"{name}.report.json")

@@ -61,9 +61,6 @@ from .torusfield import (
     _worst_node,
 )
 
-#: second Betti number of the 4-torus
-B2 = 6
-
 #: principal-angle threshold for subspace comparisons (radians)
 ANGLE_TOL = 1e-3
 
@@ -156,11 +153,6 @@ def gram_matrix(triple: HermitianTriple, tol_null: float = 1e-7) -> GramReport:
         threshold=threshold,
         tol_null=tol_null,
     )
-
-
-def h_plus(report: GramReport) -> int:
-    """Invariant cohomology dimension via h_plus + h_minus = b2 (= 6 here)."""
-    return B2 - report.h_minus
 
 
 def select_null_form(report: GramReport) -> np.ndarray:

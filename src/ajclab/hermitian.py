@@ -469,12 +469,12 @@ def _plain_name(name) -> str:
     return name
 
 
-def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | None = None,
-                log: DeformLog | None = None) -> Path:
+def save_triple(triple: HermitianTriple, directory, stem: str, params: dict,
+                log: DeformLog) -> Path:
     """Write the y field file (sdcoords kind) with
     :func:`.fieldio.serialize_field` and a JSON sidecar of format 3, the one
-    format :func:`load_triple` reads, with construction parameters and the
-    deformation log.
+    format :func:`load_triple` reads, with the construction parameters
+    ``params`` and the deformation log ``log``.
 
     y determines the structure, so neither F nor J is built or written.
     Before any file is opened, the y file name ``<stem>.y.field`` must be a
@@ -489,8 +489,8 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict | No
         "format": 3,
         "grid_n": triple.grid.n,
         "files": {"y": y_name},
-        "params": params or {},
-        "deform_log": log.to_list() if log is not None else [],
+        "params": params,
+        "deform_log": log.to_list(),
     }, indent=2)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

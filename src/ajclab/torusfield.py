@@ -20,9 +20,7 @@ each a table of (output component, axis, input component, sign) entries.
 Both stars, the pointwise tables of :mod:`.pointlin`, are folded into
 delta's table, so that delta is the exact adjoint of d under the L2
 pairing.  One function applies a table (:func:`_apply`); it works on a copy
-whose components sit on a leading axis, ahead of any batch axes and the
-four grid axes, so :func:`d_codiff_values` applies d delta to a whole stack
-of 2-forms at once.
+whose components sit on a leading axis, ahead of the four grid axes.
 
 Every separable operator here is one routine, :func:`_along`: a small
 matrix applied along one axis of an array, as one matrix product.  The
@@ -218,40 +216,37 @@ def _along(x: np.ndarray, mat: np.ndarray, axis: int, out: np.ndarray | None) ->
     return out
 
 
-def _apply(values: np.ndarray, grid: GridSpec, *tables) -> np.ndarray:
-    """The operators of ``tables``, one after the other, on nodal
-    ``values`` of shape (..., n, n, n, n, c): new nodal values with their
-    components last, any leading batch axes kept.
+def _apply(values: np.ndarray, grid: GridSpec, table) -> np.ndarray:
+    """The operator of ``table`` on the nodal ``values`` of one field, of
+    shape (n, n, n, n, c): new nodal values with their components last.
 
-    Each table starts from one copy of its input with the components
-    first, ahead of the batch and grid axes, and every component's value at
-    node (0, 0, 0, 0) subtracted.  D maps constants to 0, so the subtraction
-    changes nothing in exact arithmetic; it makes a constant field give
-    exactly 0.  Each output component is then summed in one scratch
-    component over its entries, in table order: the partial of one input
-    component along one axis, times the entry's sign (exact, as it scales
-    D by +-1), the first written there and each later one made in a
-    second scratch component, allocated only when some output has two or
-    more entries, and added.  The sum is copied once into its place in the
-    components-last result, which is never copied again: a scalar's
-    gradient on N nodes holds its input, the copy, the result and one
-    scratch component, 7 N doubles, 1.5 times its output besides the
-    input."""
+    It starts from one copy of its input with the components first, ahead
+    of the grid axes, and every component's value at node (0, 0, 0, 0)
+    subtracted.  D maps constants to 0, so the subtraction changes nothing
+    in exact arithmetic; it makes a constant field give exactly 0.  Each
+    output component is then summed in one scratch component over its
+    entries, in table order: the partial of one input component along one
+    axis, times the entry's sign (exact, as it scales D by +-1), the first
+    written there and each later one made in a second scratch component,
+    allocated only when some output has two or more entries, and added.
+    The sum is copied once into its place in the components-last result,
+    which is never copied again: a scalar's gradient on N nodes holds its
+    input, the copy, the result and one scratch component, 7 N doubles, 1.5
+    times its output besides the input."""
     mat = _diff_matrix(grid)
-    for table in tables:
-        x = np.moveaxis(values, -1, 0)
-        x = np.subtract(x, x[..., :1, :1, :1, :1], out=np.empty(x.shape))
-        values = np.empty(x.shape[1:] + (1 + max(e[0] for e in table),))
-        acc = np.empty(x.shape[1:])
-        # every output has an entry, so a longer table gives some output a second
-        part = np.empty(x.shape[1:]) if len(table) > values.shape[-1] else None
-        for o in range(values.shape[-1]):
-            (_, axis, c, sign), *rest = [e for e in table if e[0] == o]
-            _along(x[c], sign * mat, x.ndim - 5 + axis, acc)
-            for _, axis, c, sign in rest:
-                acc += _along(x[c], sign * mat, x.ndim - 5 + axis, part)
-            values[..., o] = acc
-    return values
+    x = np.moveaxis(values, -1, 0)
+    x = np.subtract(x, x[:, :1, :1, :1, :1], out=np.empty(x.shape))
+    out = np.empty(grid.shape + (1 + max(e[0] for e in table),))
+    acc = np.empty(grid.shape)
+    # every output has an entry, so a longer table gives some output a second
+    part = np.empty(grid.shape) if len(table) > out.shape[-1] else None
+    for o in range(out.shape[-1]):
+        (_, axis, c, sign), *rest = [e for e in table if e[0] == o]
+        _along(x[c], sign * mat, axis, acc)
+        for _, axis, c, sign in rest:
+            acc += _along(x[c], sign * mat, axis, part)
+        out[..., o] = acc
+    return out
 
 
 def d_scalar(f: ScalarField) -> OneFormField:
@@ -276,17 +271,6 @@ def codiff_twoform(phi: TwoFormField) -> OneFormField:
     sign is the one that makes the operator the exact adjoint of d under
     the L2 pairing."""
     return OneFormField(phi.grid, sealed(_apply(phi.values, phi.grid, _CODIFF)))
-
-
-def d_codiff_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """d(delta phi) for 2-form nodal values of shape ``(..., n, n, n, n, 6)``:
-    delta's table then d's in one :func:`_apply`; any leading batch axes
-    are kept.  On
-    self-dual coordinates this is -1/2 sum_a D_a^2 on each coordinate
-    alone, the operator whose Dirichlet form the elliptic oracle takes
-    (:mod:`.cohomlab`); the symbol battery and the tests check that
-    identity, on one field or on stacks of them."""
-    return _apply(values, grid, _CODIFF, _D1)
 
 
 def integrate(f: ScalarField) -> float:

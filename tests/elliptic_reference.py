@@ -51,13 +51,15 @@ def fft_ritz_values(frames: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 def impulse_kernel(grid: GridSpec) -> np.ndarray:
     """Half the nodal kernel c of d delta between self-dual coordinates
     (grid shape), read off the spectral calculus: the omega_1 coordinate of
-    ``torusfield.d_codiff_values`` applied to the impulse omega_1 at node 0.
+    ``torusfield.d_oneform`` of ``torusfield.codiff_twoform`` applied to the
+    impulse omega_1 at node 0.
     Its symbol is the one :func:`kernel_symbol` states in closed form, so
     the dense reference takes d delta from torusfield, not from the formula
     under test."""
     impulse = np.zeros(grid.shape + (6,))
     impulse[0, 0, 0, 0] = pl.OMEGA1
-    return (tf.d_codiff_values(impulse, grid) @ pl.OMEGA_SD.T / 2.0)[..., 0]
+    d_delta = tf.d_oneform(tf.codiff_twoform(tf.TwoFormField(grid, impulse)))
+    return (d_delta.values @ pl.OMEGA_SD.T / 2.0)[..., 0]
 
 
 def line_basis(n: int) -> np.ndarray:

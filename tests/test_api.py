@@ -3,8 +3,10 @@
 import ast
 import graphlib
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import ajclab
@@ -56,6 +58,31 @@ def test_sibling_imports_are_module_level_and_acyclic():
     except graphlib.CycleError as exc:
         cycle = exc.args[1]
     assert cycle is None
+
+
+def loaded_names(node) -> Counter:
+    """How often ``node``'s subtree loads each name, as an ``ast.Name`` or as
+    the attribute of an ``ast.Attribute``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_src_definition_has_a_caller_outside_the_tests():
+    # code that only tests call belongs in the tests.  A module-level function
+    # or class counts as called when a module of the package other than
+    # __init__.py loads its name outside its own definition, or when the
+    # benchmark (perfbench/*.py) names it
+    package = Path(ajclab.__file__).resolve().parent
+    bench = "\n".join(p.read_text() for p in sorted(
+        (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")))
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))
+             if p.name != "__init__.py"}
+    loaded = sum((loaded_names(tree) for tree in trees.values()), Counter())
+    uncalled = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and loaded[node.name] == loaded_names(node)[node.name]
+                and not re.search(rf"\b{node.name}\b", bench)]
+    assert uncalled == []
 
 
 def run_fresh(code):

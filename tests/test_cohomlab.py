@@ -71,7 +71,6 @@ class TestGram:
         report = cohomlab.gram_matrix(hm.standard_acs(G8))
         np.testing.assert_allclose(report.matrix, np.diag([4.0, 0.0, 0.0]), atol=1e-12)
         assert report.h_minus == 2
-        assert cohomlab.h_plus(report) == 4
         # kernel spans the (omega2, omega3) coordinate plane
         span = report.null_coords
         assert np.allclose(np.abs(span), np.array([[0, 0, 1], [0, 1, 0]]), atol=1e-12)
@@ -100,10 +99,6 @@ class TestGram:
         # a NaN or negative threshold would count no eigenvalue as null
         with pytest.raises(ValueError, match=re.escape(f"tol_null must lie in (0, 1), got {tol_null}")):
             cohomlab.gram_matrix(hm.standard_acs(G8), tol_null=tol_null)
-
-    def test_h_plus_table(self):
-        report = cohomlab.gram_matrix(hm.standard_acs(G8))
-        assert cohomlab.h_plus(report) == 6 - report.h_minus == 4
 
     def test_matches_f_function_integrals(self):
         triple = hm.random_compatible_acs(G8, seed=9, amplitude=0.5, bandlimit=2)
@@ -633,14 +628,27 @@ class TestSeparableBasis:
         assert float(np.max(np.abs(Q @ Q.T - np.eye(len(Q))))) <= 1e-13
 
 
-#: the calculus's own d delta, kept for the planted faults that wrap it
-d_codiff_values = tf.d_codiff_values
+#: the calculus's own delta and d, kept for the planted faults that wrap them
+codiff_twoform = tf.codiff_twoform
+d_oneform = tf.d_oneform
 
 
-def assert_symbol_battery_fails(monkeypatch, operator):
-    """With ``operator`` in place of torusfield's d delta, the symbol
-    battery's one check fails at every grid of the tier-1 run."""
-    monkeypatch.setattr(tf, "d_codiff_values", operator)
+def assert_symbol_battery_fails(monkeypatch, fault):
+    """With torusfield's d delta made d delta + ``fault``, the symbol
+    battery's one check fails at every grid of the tier-1 run: codiff_twoform
+    hands its input's nodal values on, and d_oneform adds ``fault`` of them
+    to its output."""
+    inputs = []
+
+    def recording(phi):
+        inputs.append(phi.values)
+        return codiff_twoform(phi)
+
+    def faulty(theta):
+        return tf.TwoFormField(theta.grid, d_oneform(theta).values + fault(inputs.pop()))
+
+    monkeypatch.setattr(tf, "codiff_twoform", recording)
+    monkeypatch.setattr(tf, "d_oneform", faulty)
     for n in (4, 6, 8, 16):
         (check,) = battery.run_symbol_battery(n, seed=3)
         assert not check.passed and check.measured > 1e4 * check.tolerance, (n, check)
@@ -681,16 +689,16 @@ class TestScalarKernel:
         np.testing.assert_array_equal(symbol, np.roll(np.flip(symbol), 1, axis=tf.GRID_AXES))
 
     def test_mixing_operator_rejected(self, monkeypatch):
-        def mixing(values, grid):
+        def mixing(values):
             # adds the omega1 coordinate of a form to its omega2 coordinate
-            return d_codiff_values(values, grid) + values @ np.outer(pl.OMEGA1, pl.OMEGA2) / 2.0
+            return values @ np.outer(pl.OMEGA1, pl.OMEGA2) / 2.0
 
         assert_symbol_battery_fails(monkeypatch, mixing)
 
     def test_operator_with_a_mass_rejected(self, monkeypatch):
-        def massive(values, grid):
+        def massive(values):
             # d delta + 1 on self-dual coordinates: the symbol no longer vanishes
-            return d_codiff_values(values, grid) + values
+            return values
 
         assert_symbol_battery_fails(monkeypatch, massive)
 
@@ -703,7 +711,8 @@ class TestScalarKernel:
                 return original(*args, **kwargs)
             return call
 
-        for module, name in [(np.fft, "irfftn"), (np.fft, "ifftn"), (tf, "d_codiff_values")]:
+        for module, name in [(np.fft, "irfftn"), (np.fft, "ifftn"), (tf, "codiff_twoform"),
+                             (tf, "d_oneform")]:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         report = cohomlab.elliptic_kernel_dim(hm.standard_acs(G6), G6)
         assert report.kernel_dim == 2
@@ -736,7 +745,7 @@ class TestTransformCount:
     @pytest.mark.parametrize("kind", ["standard", "random"])
     def test_an_oracle_call_makes_one_fftn_call(self, monkeypatch, kind):
         triple = bound_structure(G6, kind)
-        calls = counted_fft_calls(monkeypatch, [(tf, "d_codiff_values")])
+        calls = counted_fft_calls(monkeypatch, [(tf, "codiff_twoform"), (tf, "d_oneform")])
         cohomlab.elliptic_kernel_dim(triple, G6)
         assert calls == ["fftn"]
 
@@ -899,9 +908,9 @@ class TestEllipticAssembly:
         assert cohomlab.gram_matrix(cases["stage1"][0]).h_minus == 1
 
     def test_non_adjoint_operator_rejected(self, monkeypatch):
-        def skewed(values, grid):
+        def skewed(values):
             # a first-order shift: its adjoint is the opposite shift
-            return d_codiff_values(values, grid) + 10.0 * np.roll(values, 1, axis=-2)
+            return 10.0 * np.roll(values, 1, axis=-2)
 
         assert_symbol_battery_fails(monkeypatch, skewed)
 

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 import elliptic_reference as reference
-from ajclab import cohomlab, hermitian as hm, scenarios, torusfield as tf
+from scenario_reports import scenario_report
+from ajclab import cohomlab, hermitian as hm, torusfield as tf
 from ajclab.config import LabConfig
 
 GOLDEN = Path(__file__).with_name("data") / "golden_gram.json"
@@ -91,7 +92,7 @@ def log_values(bump1, bump2, grid) -> list[dict]:
 
 
 def path_h_values() -> dict:
-    return scenarios.scenario_path(LabConfig(grid_n=8)).h_values
+    return scenario_report("path", LabConfig(grid_n=8)).h_values
 
 
 def gram_entry(triple) -> dict:

@@ -708,7 +708,7 @@ class TestTripleIO:
     @pytest.mark.parametrize("label", ["standard", "random", "stage1", "stage2"])
     def test_files_match_the_generic_field_route(self, io_triples, label, tmp_path):
         triple = io_triples[label]
-        sidecar = hm.save_triple(triple, tmp_path / "out", label)
+        sidecar = hm.save_triple(triple, tmp_path / "out", label, params={}, log=hm.DeformLog())
         assert sorted(p.name for p in sidecar.parent.iterdir()) == [
             f"{label}.json", f"{label}.y.field"
         ]
@@ -725,7 +725,7 @@ class TestTripleIO:
 
     def test_y_file_is_sdcoords_component_major(self, io_triples, tmp_path):
         triple = io_triples["stage2"]
-        hm.save_triple(triple, tmp_path, "stage2")
+        hm.save_triple(triple, tmp_path, "stage2", params={}, log=hm.DeformLog())
         raw = (tmp_path / "stage2.y.field").read_bytes()
         header = f"AJC1 sdcoords {G8.n}\n".encode("ascii")
         assert raw[: len(header)] == header
@@ -744,7 +744,9 @@ class TestTripleIO:
             return read[-1]
 
         monkeypatch.setattr(hm, "deserialize_field", recorded)
-        back = hm.load_triple(hm.save_triple(io_triples["stage2"], tmp_path, "stage2"))
+        sidecar = hm.save_triple(io_triples["stage2"], tmp_path, "stage2", params={},
+                                 log=hm.DeformLog())
+        back = hm.load_triple(sidecar)
         assert back.y is read[0].values
 
     @pytest.mark.parametrize(
@@ -758,25 +760,26 @@ class TestTripleIO:
         # bypass the validation at construction, as a caller mutating y would
         object.__setattr__(triple, "y", change(triple.y))
         with pytest.raises(ValueError, match=match):
-            hm.save_triple(triple, tmp_path, "bad")
+            hm.save_triple(triple, tmp_path, "bad", params={}, log=hm.DeformLog())
         assert not (tmp_path / "bad.y.field").exists()
         assert not (tmp_path / "bad.json").exists()
 
     def test_a_save_over_an_existing_set_replaces_its_y_file(self, io_triples, tmp_path):
         # a new file in place of the old: a hard link keeps the old bytes, and
         # a symlink at the path is replaced, not written through
-        hm.save_triple(io_triples["stage1"], tmp_path, "set")
+        hm.save_triple(io_triples["stage1"], tmp_path, "set", params={}, log=hm.DeformLog())
         path = tmp_path / "set.y.field"
         old = path.read_bytes()
         (tmp_path / "link").hardlink_to(path)
-        sidecar = hm.save_triple(io_triples["stage2"], tmp_path, "set")
+        sidecar = hm.save_triple(io_triples["stage2"], tmp_path, "set", params={},
+                                 log=hm.DeformLog())
         assert (tmp_path / "link").read_bytes() == old
         assert hm.load_triple(sidecar).y.tobytes() == io_triples["stage2"].y.tobytes()
         target = tmp_path / "target"
         target.write_bytes(b"kept")
         path.unlink()
         path.symlink_to(target)
-        hm.save_triple(io_triples["stage1"], tmp_path, "set")
+        hm.save_triple(io_triples["stage1"], tmp_path, "set", params={}, log=hm.DeformLog())
         assert target.read_bytes() == b"kept"
         assert not path.is_symlink() and path.read_bytes() == old
 
@@ -784,7 +787,7 @@ class TestTripleIO:
         # the sidecar is encoded before the y file is written, so none is left without it
         triple = hm.standard_acs(G8)
         with pytest.raises(TypeError, match="int64"):
-            hm.save_triple(triple, tmp_path, "x", params={"seed": np.int64(3)})
+            hm.save_triple(triple, tmp_path, "x", params={"seed": np.int64(3)}, log=hm.DeformLog())
         assert list(tmp_path.iterdir()) == []
 
     def test_save_structure_threshold_is_1e_9(self, tmp_path):
@@ -794,11 +797,11 @@ class TestTripleIO:
             object.__setattr__(triple, "y", np.sqrt(1.0 + defect) * triple.y)
             return triple
 
-        hm.save_triple(scaled(0.5e-9), tmp_path, "inside")
+        hm.save_triple(scaled(0.5e-9), tmp_path, "inside", params={}, log=hm.DeformLog())
         assert (tmp_path / "inside.y.field").exists()
         assert (tmp_path / "inside.json").exists()
         with pytest.raises(ValueError, match="y is not a unit vector"):
-            hm.save_triple(scaled(2e-9), tmp_path, "outside")
+            hm.save_triple(scaled(2e-9), tmp_path, "outside", params={}, log=hm.DeformLog())
         assert not (tmp_path / "outside.y.field").exists()
         assert not (tmp_path / "outside.json").exists()
 
@@ -807,13 +810,13 @@ class TestTripleIO:
         (tmp_path / "sub").mkdir()
         triple = hm.standard_acs(G8)
         with pytest.raises(ValueError, match=r"needs a plain file name in files\.y, got 'sub/x\.y\.field'"):
-            hm.save_triple(triple, tmp_path, "sub/x")
+            hm.save_triple(triple, tmp_path, "sub/x", params={}, log=hm.DeformLog())
         assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
     def test_save_rejects_a_stem_with_a_nul_byte(self, tmp_path):
         # no file system takes the name, and load_triple would refuse it
         with pytest.raises(ValueError, match=r"files\.y, got 'bad\\x00\.y\.field'"):
-            hm.save_triple(hm.standard_acs(G8), tmp_path, "bad\x00")
+            hm.save_triple(hm.standard_acs(G8), tmp_path, "bad\x00", params={}, log=hm.DeformLog())
         assert list(tmp_path.iterdir()) == []
 
     def test_round_trip_builds_no_4x4_structure(self, io_triples, tmp_path, monkeypatch):
@@ -827,7 +830,9 @@ class TestTripleIO:
             monkeypatch.setattr(pl, name, forbidden)
         monkeypatch.setattr(hm.HermitianTriple, "F", property(forbidden))
         monkeypatch.setattr(hm, "triple_from_form_field", forbidden)
-        back = hm.load_triple(hm.save_triple(triple, tmp_path, "stage2"))
+        back = hm.load_triple(
+            hm.save_triple(triple, tmp_path, "stage2", params={}, log=hm.DeformLog())
+        )
         assert back.y.tobytes() == triple.y.tobytes()
 
 
@@ -838,7 +843,7 @@ class TestLoadBoundary:
     @pytest.fixture
     def sidecar(self, tmp_path):
         triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
-        return hm.save_triple(triple, tmp_path, "sample")
+        return hm.save_triple(triple, tmp_path, "sample", params={}, log=hm.DeformLog())
 
     def test_rejects_scaled_form(self, sidecar):
         # y holds the coordinates of F = y @ OMEGA_SD, so this scales the form
@@ -939,7 +944,7 @@ class TestLoadYBoundary:
     @pytest.fixture
     def sidecar(self, tmp_path):
         triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
-        return hm.save_triple(triple, tmp_path, "sample")
+        return hm.save_triple(triple, tmp_path, "sample", params={}, log=hm.DeformLog())
 
     @staticmethod
     def assert_rejected(sidecar, match):

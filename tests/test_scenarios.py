@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from ajclab import battery, cli, cohomlab, hermitian as hm, scenarios
+from scenario_reports import scenario_report
+from ajclab import battery, cli, cohomlab, hermitian as hm
 from ajclab.config import LabConfig
 from ajclab.reporting import Check, ScenarioReport
 
@@ -38,7 +39,7 @@ def test_within_passes_at_its_tolerance_and_measures_max_abs():
 
 
 def test_default_config_decides_every_structure_at_the_gram_grid():
-    report = scenarios.scenario_oracle(LabConfig())
+    report = scenario_report("oracle", LabConfig())
     assert report.passed
     assert report.h_values == {"standard": 2, "stage1": 1, "random": 0, "stage2": 0}
     assert [c.skipped for c in report.checks] == [False] * 4
@@ -62,7 +63,7 @@ def test_grid_6_agrees_and_records_the_stage2_refusal(monkeypatch):
         return one_bump_deform(*args, **kwargs)
 
     monkeypatch.setattr(hm, "one_bump_deform", counted)
-    report = scenarios.scenario_oracle(LabConfig(grid_n=6))
+    report = scenario_report("oracle", LabConfig(grid_n=6))
     assert len(calls) == 1  # stage 2 is built on the one stage-1 structure
     assert report.passed
     assert report.h_values == {"standard": 2, "stage1": 1, "random": 0}
@@ -108,7 +109,7 @@ def test_gram_matrix_once_per_structure(monkeypatch, name, grid_n, calls):
         return gram_matrix(triple, **kwargs)
 
     monkeypatch.setattr(cohomlab, "gram_matrix", counted)
-    report = scenarios.SCENARIOS[name](LabConfig(grid_n=grid_n, bandlimit=1))
+    report = scenario_report(name, LabConfig(grid_n=grid_n, bandlimit=1))
     assert report.passed
     assert len(triples) == calls
     assert len({id(t) for t in triples}) == calls
@@ -131,7 +132,6 @@ DEFAULT_RUNS = {
     "baseline": (
         [
             "h_minus equals 2",
-            "h_plus equals 4",
             "Gram matrix is diag(4, 0, 0)",
             "kernel forms are anti-invariant",
             "structure action rotates omega2 to omega3",
@@ -167,12 +167,26 @@ DEFAULT_RUNS = {
 @pytest.mark.parametrize("name", list(DEFAULT_RUNS))
 def test_default_config_scenarios(name):
     checks, h_values, log_keys = DEFAULT_RUNS[name]
-    report = scenarios.SCENARIOS[name](LabConfig())
+    report = scenario_report(name, LabConfig())
     assert report.passed
     assert [c.name for c in report.checks] == checks
     assert report.h_values == h_values
     logged = report.summaries.get("deform_log")
     assert (None if logged is None else [list(r) for r in logged]) == log_keys
+
+
+def test_a_scenario_that_raises_keeps_what_it_recorded(tmp_path, capsys):
+    # at n = 6 stage 2's delta gate refuses at a lattice tie, after stage 1
+    assert cli.main(["two-stage", "--grid-n", "6", "--output", str(tmp_path)]) == 1
+    assert "two-stage: FAIL (3/4 checks" in capsys.readouterr().out
+    report = json.loads((tmp_path / "two-stage.report.json").read_text())
+    checks = [(c["name"], c["passed"]) for c in report["checks"]]
+    assert checks == [(name, True) for name in STAGE1_CHECKS] + [("scenario completed", False)]
+    assert "is not below the delta estimate" in report["checks"][-1]["detail"]
+    assert report["h_values"] == {"standard": 2, "stage1": 1}
+    # stage 2's timing runs up to the refusal
+    assert list(report["timings_ms"]) == ["build", "stage1", "stage2"]
+    assert not (tmp_path / "fields").exists()
 
 
 @pytest.mark.parametrize(

@@ -207,16 +207,21 @@ SIZES = [4, 6, 8, 16]
 FFT_TRANSFORMS = [name for name in np.fft.__all__ if not name.endswith(("freq", "shift"))]
 
 
+def d_codiff(grid, values):
+    """d delta of the 2-form nodal ``values``: d_oneform of codiff_twoform."""
+    return tf.d_oneform(tf.codiff_twoform(tf.TwoFormField(grid, values))).values
+
+
 def derivative_operators(grid):
-    """Each differential operator of torusfield as (name, input kind, a
-    function of the input's nodal values returning nodal values)."""
+    """Each differential operator of torusfield, and d delta, as (name, input
+    kind, a function of the input's nodal values returning nodal values)."""
     return [
         ("d_scalar", tf.ScalarField, lambda v: tf.d_scalar(tf.ScalarField(grid, v)).values),
         ("d_oneform", tf.OneFormField, lambda v: tf.d_oneform(tf.OneFormField(grid, v)).values),
         ("d_twoform", tf.TwoFormField, lambda v: tf.d_twoform(tf.TwoFormField(grid, v)).values),
         ("codiff_twoform", tf.TwoFormField,
          lambda v: tf.codiff_twoform(tf.TwoFormField(grid, v)).values),
-        ("d_codiff_values", tf.TwoFormField, lambda v: tf.d_codiff_values(v, grid)),
+        ("d_codiff", tf.TwoFormField, lambda v: d_codiff(grid, v)),
     ]
 
 
@@ -336,7 +341,7 @@ class TestOneProduct:
     the low-pass and its synthesis all take it."""
 
     TABLES = {"d_scalar": (tf._D0,), "d_oneform": (tf._D1,), "d_twoform": (tf._D2,),
-              "codiff_twoform": (tf._CODIFF,), "d_codiff_values": (tf._CODIFF, tf._D1)}
+              "codiff_twoform": (tf._CODIFF,), "d_codiff": (tf._CODIFF, tf._D1)}
 
     @pytest.mark.parametrize("n", SIZES)
     def test_operators_are_byte_equal_to_a_separate_derivative_product(self, n):
@@ -346,9 +351,6 @@ class TestOneProduct:
             x = rng.standard_normal(grid.shape + cls.NCOMP)
             expect = legacy_apply(x if cls.NCOMP else x[..., None], grid, *self.TABLES[name])
             assert np.array_equal(op(x), expect), name
-        batch = rng.standard_normal((2, 1) + grid.shape + (6,))
-        assert np.array_equal(tf.d_codiff_values(batch, grid),
-                              legacy_apply(batch, grid, *self.TABLES["d_codiff_values"]))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_last_axis_product_matches_the_stacked_column_form(self, n):
@@ -433,7 +435,7 @@ class TestHalfSpectrumMultipliers:
         # a real operator drops the anti-Hermitian part that one odd
         # multiplier leaves on a Nyquist bin, so only a product of two
         # multipliers, as in d delta, shows an unzeroed bin
-        assert np.max(np.abs(tf.d_codiff_values(phi.values, grid))) <= 1e-12
+        assert np.max(np.abs(d_codiff(grid, phi.values))) <= 1e-12
         other = xs[(axis + 1) % 4]
         g = nyquist * (1.0 + np.sin(2 * np.pi * other))
         f = tf.ScalarField(grid, g)
@@ -446,17 +448,7 @@ class TestHalfSpectrumMultipliers:
         np.testing.assert_allclose(tf.d_twoform(phi).values, dphi, rtol=0, atol=1e-12)
         np.testing.assert_allclose(tf.codiff_twoform(phi).values, delta, rtol=0, atol=1e-12)
         expect = tf.d_oneform(tf.OneFormField(grid, delta)).values
-        np.testing.assert_allclose(tf.d_codiff_values(phi.values, grid), expect, rtol=0, atol=1e-11)
-
-    def test_batched_d_codiff_matches_field_route(self):
-        rng = np.random.default_rng(7)
-        phis = [random_bandlimited(rng, G8, 3, tf.TwoFormField) for _ in range(3)]
-        batch = np.stack([p.values for p in phis]).reshape((3, 1) + G8.shape + (6,))
-        got = tf.d_codiff_values(batch, G8)
-        assert got.shape == batch.shape
-        for k, p in enumerate(phis):
-            expect = tf.d_oneform(tf.codiff_twoform(p)).values
-            np.testing.assert_allclose(got[k, 0], expect, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(d_codiff(grid, phi.values), expect, rtol=0, atol=1e-11)
 
 
 class TestIntegrals:
