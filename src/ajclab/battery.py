@@ -143,13 +143,15 @@ def run_splitting_battery(seed: int) -> list[Check]:
 def _bandlimited(rng: np.random.Generator, grid: tf.GridSpec, cls):
     """A random field of type ``cls`` with the law that
     :func:`run_calculus_battery` states: its coefficients of degree up to
-    n/2 - 2 in one ``standard_normal`` call, synthesized by
-    :func:`.torusfield.from_low_pass` into fresh values that are scaled in
-    place and handed over sealed."""
+    n/2 - 2 in one ``standard_normal`` call, components last, copied
+    components first and synthesized by :func:`.torusfield.from_low_pass`
+    into fresh planes that are scaled in place and handed over sealed."""
+    k = len(cls.NCOMP)
     coeffs = rng.standard_normal((grid.n - 3,) * 4 + cls.NCOMP)
-    vals = tf.from_low_pass(coeffs, grid, 0, None)
-    vals /= max(1.0, float(np.max(vals)), -float(np.min(vals)))
-    return cls(grid, tf.sealed(vals))
+    coeffs = np.moveaxis(coeffs, range(4, 4 + k), range(k)).copy()
+    planes = tf.from_low_pass(coeffs, grid, k, None)
+    planes /= max(1.0, float(np.max(planes)), -float(np.min(planes)))
+    return cls(grid, tf.sealed(planes))
 
 
 def run_calculus_battery(grid_n: int, count: int, seed: int) -> list[Check]:
@@ -212,7 +214,8 @@ def run_symbol_battery(grid_n: int, seed: int) -> list[Check]:
     times."""
     grid = tf.GridSpec(grid_n)
     psi = np.random.default_rng(seed).standard_normal(grid.shape + (3,))
-    d_delta = tf.d_oneform(tf.codiff_twoform(tf.TwoFormField(grid, psi @ pl.OMEGA_SD)))
+    planes = np.moveaxis(psi @ pl.OMEGA_SD, -1, 0)
+    d_delta = tf.d_oneform(tf.codiff_twoform(tf.TwoFormField(grid, planes)))
     got = d_delta.values @ pl.OMEGA_SD.T / 2.0
     D = tf._diff_matrix(grid)
     expect = -0.5 * sum(tf._along(tf._along(psi, D, a, None), D, a, None) for a in tf.GRID_AXES)

@@ -8,10 +8,11 @@ payload.  A file holds one kind of field:
 
     sdcoords   3 components   :class:`.torusfield.SelfDualCoordField`
 
-:func:`serialize_field` and :func:`deserialize_field` are the only two
-routes to and from a file; both see the payload as it lies in the file, a
-``(3, N)`` array of N = n^4 nodes.  A structure is stored as its unit
-vector field y: :func:`.hermitian.save_triple` writes y with
+The payload is the field's ``planes`` (:mod:`.torusfield`), byte for byte
+on a little-endian host: :func:`serialize_field` writes them as they are,
+and :func:`deserialize_field` reads the file into fresh planes that the
+field shares, so neither makes a full-size copy.  A structure is stored as
+its unit vector field y: :func:`.hermitian.save_triple` writes y with
 :func:`serialize_field`, and :func:`.hermitian.load_triple` reads it with
 :func:`deserialize_field`.  A write replaces a file already at its path
 rather than rewriting it in place, which ext4 flushes at once.  A read
@@ -21,11 +22,13 @@ file in a :class:`FieldFormatError`.
 
 from __future__ import annotations
 
+import math
+import os
 from pathlib import Path
 
 import numpy as np
 
-from .torusfield import GridSpec, SelfDualCoordField
+from .torusfield import GridSpec, SelfDualCoordField, sealed
 
 MAGIC = "AJC1"
 #: the kind named in the header, the one kind of field a file holds
@@ -39,9 +42,9 @@ class FieldFormatError(ValueError):
 def serialize_field(field, path) -> None:
     """Write a :class:`.torusfield.SelfDualCoordField` to ``path`` in the
     documented binary format; any other field raises
-    :class:`FieldFormatError`, before the file is opened.  The contiguous
-    little-endian payload goes to the file through the buffer protocol,
-    without an intermediate bytes copy.
+    :class:`FieldFormatError`, before the file is opened.  The field's
+    planes are the payload: they go to the file through the buffer protocol
+    as they are, with no copy on a little-endian host.
 
     A file already at ``path`` is unlinked and a new one written in its
     place, with the same bytes as a rewrite: on ext4 with its default
@@ -52,13 +55,11 @@ def serialize_field(field, path) -> None:
     is replaced, not written through."""
     if type(field) is not SelfDualCoordField:
         raise FieldFormatError(f"{type(field).__name__} has no field-file kind")
-    grid = field.grid
-    rows = field.values.reshape(grid.node_count, -1)
-    payload = np.ascontiguousarray(rows.T, dtype="<f8")
+    payload = np.ascontiguousarray(field.planes, dtype="<f8")
     path = Path(path)
     path.unlink(missing_ok=True)
     with open(path, "wb") as fh:
-        fh.write(f"{MAGIC} {KIND} {grid.n}\n".encode("ascii"))
+        fh.write(f"{MAGIC} {KIND} {field.grid.n}\n".encode("ascii"))
         fh.write(payload)
 
 
@@ -67,39 +68,41 @@ def deserialize_field(path, expect_grid: GridSpec):
     :class:`.torusfield.SelfDualCoordField`.  The header, the kind, the grid
     and the payload size are checked first; a header that is not exactly
     ``f"{MAGIC} {KIND} {n}"``, n in plain decimal, is malformed, and one of
-    another kind is unknown.  The values are a view of the file's bytes
-    until the field copies them into node-major order, the one full-size
-    copy of a read.  Every refusal, a value the field rejects (a non-finite
-    one) included, is a ValueError that one re-raise turns into
+    another kind is unknown.  The payload is then read straight into fresh
+    planes, which the field shares: the read is the one full-size write of
+    the values.  Every refusal, a value the field rejects (a non-finite one)
+    included, is a ValueError that one re-raise turns into
     :class:`FieldFormatError` naming the file."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
-        nl = raw.find(b"\n")
-        if nl < 0:
-            raise ValueError("missing header line")
-        if not raw[:nl].isascii():
-            raise ValueError("header is not ASCII")
-        header = raw[:nl].decode("ascii")
-        parts = header.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed header {header!r}")
-        magic, kind, n_str = parts
-        if magic != MAGIC:
-            raise ValueError(f"bad magic/version {magic!r}, expected {MAGIC!r}")
-        if kind != KIND:
-            raise ValueError(f"unknown field kind {kind!r}")
-        if not n_str.isdecimal() or header != f"{MAGIC} {KIND} {int(n_str)}":
-            raise ValueError(f"malformed header {header!r}")
-        grid = GridSpec(int(n_str))
-        if grid != expect_grid:
-            raise ValueError(f"grid n={grid.n}, expected n={expect_grid.n}")
-        (ncomp,) = SelfDualCoordField.NCOMP
-        expected_bytes = 8 * ncomp * grid.node_count
-        body_bytes = len(raw) - (nl + 1)
-        if body_bytes != expected_bytes:
-            raise ValueError(f"payload has {body_bytes} bytes, expected {expected_bytes}")
-        payload = np.frombuffer(raw, dtype="<f8", offset=nl + 1).reshape(ncomp, grid.node_count)
-        return SelfDualCoordField(grid, payload.T.reshape(grid.shape + (ncomp,)))
+        with open(path, "rb") as fh:
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                raise ValueError("missing header line")
+            if not line.isascii():
+                raise ValueError("header is not ASCII")
+            header = line[:-1].decode("ascii")
+            parts = header.split()
+            if len(parts) != 3:
+                raise ValueError(f"malformed header {header!r}")
+            magic, kind, n_str = parts
+            if magic != MAGIC:
+                raise ValueError(f"bad magic/version {magic!r}, expected {MAGIC!r}")
+            if kind != KIND:
+                raise ValueError(f"unknown field kind {kind!r}")
+            if not n_str.isdecimal() or header != f"{MAGIC} {KIND} {int(n_str)}":
+                raise ValueError(f"malformed header {header!r}")
+            grid = GridSpec(int(n_str))
+            if grid != expect_grid:
+                raise ValueError(f"grid n={grid.n}, expected n={expect_grid.n}")
+            shape = SelfDualCoordField.NCOMP + grid.shape
+            expected_bytes = 8 * math.prod(shape)
+            body_bytes = os.fstat(fh.fileno()).st_size - len(line)
+            if body_bytes != expected_bytes:
+                raise ValueError(f"payload has {body_bytes} bytes, expected {expected_bytes}")
+            planes = np.empty(shape, dtype="<f8")
+            if fh.readinto(planes) != expected_bytes:
+                raise ValueError("payload ended before its size")
+        return SelfDualCoordField(grid, sealed(planes))
     except ValueError as exc:
         raise FieldFormatError(f"{path}: {exc}") from exc

@@ -121,15 +121,17 @@ def _require_unit(grid: GridSpec, y: np.ndarray, rows) -> np.ndarray:
 
 
 class AcsField(_FieldBase):
-    """Field of tangent-space endomorphisms (stored row-major) that is a
-    compatible almost complex structure at every node, within pl.ACS_TOL;
-    checked over node chunks of ``_ACS_CHUNK``, so the check adds no
-    full-size temporary.  No field file holds one."""
+    """Field of tangent-space endomorphisms, with planes (4, 4) + grid shape
+    (entry (i, j) of every node's matrix is plane [i, j]), that is a
+    compatible almost complex structure at every node, within pl.ACS_TOL.
+    It is checked over node chunks of ``_ACS_CHUNK``: the values' four grid
+    axes merge into one, so each chunk is a (chunk, 4, 4) view of the planes
+    and the check adds no full-size temporary.  No field file holds one."""
 
     NCOMP = (4, 4)
 
-    def __init__(self, grid: GridSpec, values):
-        super().__init__(grid, values)
+    def __init__(self, grid: GridSpec, planes):
+        super().__init__(grid, planes)
         nodes = self.values.reshape(-1, 4, 4)
         for lo in range(0, len(nodes), _ACS_CHUNK):
             pl.require_acs(nodes[lo : lo + _ACS_CHUNK])
@@ -139,12 +141,12 @@ class AcsField(_FieldBase):
 class HermitianTriple:
     """A compatible structure field (the metric is flat), stored as its unit
     vector field ``y`` of shape ``grid.shape + (3,)``, read-only; J and F
-    are derived on access.  ``y`` is copied, keeping its memory layout,
-    unless it is already read-only memory of its own
-    (:func:`.torusfield.frozen`), as a field's values are.  Building one
-    checks |y| = 1 on the whole grid, once, with :func:`_unit_defect`, and
-    keeps the worst defect ||y|^2 - 1| that check measured as
-    ``unit_defect``."""
+    are derived on access, as fields of their own planes.  ``y`` is copied,
+    keeping its memory layout, unless it is already read-only memory of its
+    own (:func:`.torusfield.frozen`), as a new y handed over sealed is.
+    Building one checks |y| = 1 on the whole grid, once, with
+    :func:`_unit_defect`, and keeps the worst defect ||y|^2 - 1| that check
+    measured as ``unit_defect``."""
 
     grid: GridSpec
     y: np.ndarray
@@ -160,14 +162,25 @@ class HermitianTriple:
 
     @property
     def F(self) -> TwoFormField:
-        """The fundamental form sum_k y_k OMEGA_k; the fresh product is
-        handed over sealed, so the field shares it."""
-        return TwoFormField(self.grid, sealed(self.y @ pl.OMEGA_SD))
+        """The fundamental form sum_k y_k OMEGA_k: its planes are the fresh
+        product OMEGA_SD^T y^T, over y viewed as (nodes, 3), handed over
+        sealed, so the field shares it.  Each entry is +-y_k exactly, as in
+        y @ OMEGA_SD."""
+        planes = np.empty((6,) + self.grid.shape)
+        np.matmul(pl.OMEGA_SD.T, self.y.reshape(-1, 3).T, out=planes.reshape(6, -1))
+        return TwoFormField(self.grid, sealed(planes))
 
     @property
     def J(self) -> AcsField:
-        """The structure sum_k y_k J_k."""
-        return AcsField(self.grid, pl.acs_from_coords(self.y))
+        """The structure sum_k y_k J_k, placed from the planes of F as
+        :func:`.pointlin.acs_from_coords` places F's components: J[j, i] =
+        F_ij and J[i, j] = -F_ij for i < j, and +0 on the diagonal."""
+        F = self.F.planes
+        planes = np.zeros((4, 4) + self.grid.shape)
+        for c, (i, j) in enumerate(pl.PAIRS):
+            planes[j, i] = F[c]
+            np.negative(F[c], out=planes[i, j])
+        return AcsField(self.grid, sealed(planes))
 
 
 class DeformLog(list):
@@ -481,8 +494,11 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict,
     plain file name (:func:`_plain_name`), as :func:`load_triple` requires,
     y must pass :func:`_unit_defect` on the whole grid, which names the
     worst node, and the sidecar must encode as JSON, so a failed save writes
-    nothing.  A y file already at the path is replaced by a new file, not
-    truncated and rewritten (:func:`.fieldio.serialize_field`)."""
+    nothing.  The file is written from the planes of a
+    :class:`.torusfield.SelfDualCoordField` of y, one components-major copy
+    of y, the save's one full-size copy.  A y file already at the path is
+    replaced by a new file, not truncated and rewritten
+    (:func:`.fieldio.serialize_field`)."""
     y_name = _plain_name(f"{stem}.y.field")
     _unit_defect(triple.grid, triple.y, None)
     sidecar = json.dumps({
@@ -494,7 +510,8 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict,
     }, indent=2)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    serialize_field(SelfDualCoordField(triple.grid, triple.y), directory / y_name)
+    serialize_field(SelfDualCoordField(triple.grid, np.moveaxis(triple.y, -1, 0)),
+                    directory / y_name)
     path = directory / f"{stem}.json"
     path.write_text(sidecar)
     return path
@@ -509,9 +526,11 @@ def load_triple(sidecar_path) -> HermitianTriple:
     :class:`.fieldio.FieldFormatError` names it, as it does a set of format
     1 or 2, whose file held the fundamental form F.  The y file is read by
     :func:`.fieldio.deserialize_field`, so it must pass its format checks
-    (header, sdcoords kind, grid, payload size) and hold finite values, and
-    the triple built from it checks |y| = 1, naming the worst node.  A
-    failed read of the sidecar raises as it is; non-UTF-8 is malformed.
+    (header, sdcoords kind, grid, payload size) and hold finite values.  Its
+    planes are copied once into a node-major y, the load's one full-size
+    copy, and freed before the triple built from y checks |y| = 1, naming
+    the worst node.  A failed read of the sidecar raises as it is;
+    non-UTF-8 is malformed.
     """
     sidecar_path = Path(sidecar_path)
     data = sidecar_path.read_bytes()
@@ -528,5 +547,6 @@ def load_triple(sidecar_path) -> HermitianTriple:
         name = _plain_name(files.get("y") if isinstance(files, dict) else None)
     except ValueError as exc:
         raise FieldFormatError(f"{sidecar_path}: malformed sidecar: {exc}") from exc
-    field = deserialize_field(sidecar_path.parent / name, expect_grid=grid)
-    return HermitianTriple(grid, field.values)
+    # the field's planes are freed once y is copied from them, before y is checked
+    y = np.ascontiguousarray(deserialize_field(sidecar_path.parent / name, grid).values)
+    return HermitianTriple(grid, sealed(y))

@@ -19,8 +19,8 @@ For the wave vector 2 pi k the operators are
 each a table of (output component, axis, input component, sign) entries.
 Both stars, the pointwise tables of :mod:`.pointlin`, are folded into
 delta's table, so that delta is the exact adjoint of d under the L2
-pairing.  One function applies a table (:func:`_apply`); it works on a copy
-whose components sit on a leading axis, ahead of the four grid axes.
+pairing.  One function applies a table (:func:`_apply`), from the planes
+of its input field to the planes of its output.
 
 Every separable operator here is one routine, :func:`_along`: a small
 matrix applied along one axis of an array, as one matrix product.  The
@@ -33,11 +33,15 @@ basis back (:func:`from_low_pass`, which also turns drawn coefficients into
 random fields).  For m < n/2 that is the span the Fourier modes with every
 |k_a| <= m would keep.  No other module knows the basis layout.
 
-Component layouts of nodal values (components on the last axis, in the
-pointlin bases): scalar (n,n,n,n); 1-form (n,n,n,n,4); 2-form (n,n,n,n,6);
-3-form (n,n,n,n,4) in the order (e123, e124, e134, e234); self-dual
-coordinates (n,n,n,n,3) in the frame pl.OMEGA_SD; endomorphism
-(n,n,n,n,4,4).
+Component layouts.  A field stores its nodal values components-major, as
+``planes`` of shape NCOMP + (n,n,n,n): one C-contiguous (n,n,n,n) plane per
+component, in the pointlin bases.  NCOMP is () for a scalar, (4,) for a
+1-form, (6,) for a 2-form, (4,) for a 3-form in the order (e123, e124, e134,
+e234), (3,) for self-dual coordinates in the frame pl.OMEGA_SD and (4, 4)
+for an endomorphism, row-major.  Its ``values`` are the components-last
+view of the same memory, of shape (n,n,n,n) + NCOMP, so ``values[..., c]``
+is the plane ``planes[c]``: the operators read and write whole planes, with
+no strided copy.
 """
 
 from __future__ import annotations
@@ -67,8 +71,12 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
+        # before the size test, which 8.0 passes and "8" fails with a TypeError
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"grid size must be an integer, got {self.n!r}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 4, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -92,12 +100,15 @@ def _worst_node(grid: GridSpec, nodewise: np.ndarray, rows) -> tuple[int, ...]:
 
 
 def frozen(values, order: str) -> np.ndarray:
-    """``values`` as a read-only float array that no other name can write.
-    A read-only float array that owns its memory (the values of a field or
-    of a structure) is shared as it is; anything else is copied in the
-    memory ``order`` of :func:`numpy.array`."""
+    """``values`` as a read-only float array that no other name can write,
+    in the memory ``order`` of :func:`numpy.array`: "C" for a field's
+    planes, "K" for a structure's y, whose layout is kept.  A read-only
+    float array that owns its memory, and for "C" is C-contiguous, is
+    shared as it is: the planes of a field, the y of a structure, or an
+    array handed over :func:`sealed`.  Anything else, a view included, is
+    copied."""
     if not (isinstance(values, np.ndarray) and values.dtype == float and values.base is None
-            and not values.flags.writeable):
+            and not values.flags.writeable and (order == "K" or values.flags.c_contiguous)):
         values = np.array(values, dtype=float, order=order)
         values.setflags(write=False)
     return values
@@ -106,30 +117,38 @@ def frozen(values, order: str) -> np.ndarray:
 def sealed(values: np.ndarray) -> np.ndarray:
     """``values``, a fresh array that owns its memory and that the caller
     keeps no other name for, made read-only, so that :func:`frozen` shares
-    it instead of copying it."""
+    it instead of copying it: the planes :func:`_apply` returns, a drawn or
+    read field's planes, a structure's new y."""
     values.setflags(write=False)
     return values
 
 
 class _FieldBase:
-    """Common plumbing for nodal fields: validation and immutability."""
+    """A nodal field, built from its ``planes``: the nodal values
+    components-major, of shape NCOMP + grid.shape (module docstring).  They
+    must be finite.  ``planes`` is kept as :func:`frozen` makes it, a
+    read-only C-contiguous array: an array handed over :func:`sealed` is
+    shared, anything else is copied once.  ``values`` is the components-last
+    view of ``planes``, of shape grid.shape + NCOMP, read-only as well."""
 
     NCOMP: tuple[int, ...] = ()
 
-    def __init__(self, grid: GridSpec, values):
-        values = np.asarray(values, dtype=float)
-        expected = grid.shape + self.NCOMP
-        if values.shape != expected:
+    def __init__(self, grid: GridSpec, planes):
+        planes = np.asarray(planes, dtype=float)
+        expected = self.NCOMP + grid.shape
+        if planes.shape != expected:
             raise ValueError(
-                f"{type(self).__name__} expects shape {expected}, got {values.shape}"
+                f"{type(self).__name__} expects planes of shape {expected}, got {planes.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(planes)):
             raise ValueError(f"{type(self).__name__} has non-finite values")
         self.grid = grid
-        self.values = frozen(values, "C")
+        self.planes = frozen(planes, "C")
+        k = len(self.NCOMP)
+        self.values = np.moveaxis(self.planes, range(k), range(-k, 0))
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.max(np.abs(self.planes)))
 
 
 class ScalarField(_FieldBase):
@@ -216,53 +235,49 @@ def _along(x: np.ndarray, mat: np.ndarray, axis: int, out: np.ndarray | None) ->
     return out
 
 
-def _apply(values: np.ndarray, grid: GridSpec, table) -> np.ndarray:
-    """The operator of ``table`` on the nodal ``values`` of one field, of
-    shape (n, n, n, n, c): new nodal values with their components last.
+def _apply(planes: np.ndarray, grid: GridSpec, table) -> np.ndarray:
+    """The operator of ``table`` on the ``planes`` of one field, of shape
+    (c, n, n, n, n): the planes of the result, a fresh array that owns its
+    memory, of shape (o, n, n, n, n).
 
-    It starts from one copy of its input with the components first, ahead
-    of the grid axes, and every component's value at node (0, 0, 0, 0)
-    subtracted.  D maps constants to 0, so the subtraction changes nothing
-    in exact arithmetic; it makes a constant field give exactly 0.  Each
-    output component is then summed in one scratch component over its
-    entries, in table order: the partial of one input component along one
-    axis, times the entry's sign (exact, as it scales D by +-1), the first
-    written there and each later one made in a second scratch component,
-    allocated only when some output has two or more entries, and added.
-    The sum is copied once into its place in the components-last result,
-    which is never copied again: a scalar's gradient on N nodes holds its
-    input, the copy, the result and one scratch component, 7 N doubles, 1.5
-    times its output besides the input."""
+    It reads ``planes`` once, into one copy with every component's value at
+    node (0, 0, 0, 0) subtracted.  D maps constants to 0, so the
+    subtraction changes nothing in exact arithmetic; it makes a constant
+    field give exactly 0.  Each output plane is then the sum of its entries,
+    in table order: the partial of one input plane along one axis, times
+    the entry's sign (exact, as it scales D by +-1).  The first is written
+    straight into the output plane; each later one is made in one scratch
+    plane, allocated only when some output has two or more entries, and
+    added in place.  No plane is copied or written strided: a scalar's
+    gradient on N nodes holds its input, the copy and the result, 6 N
+    doubles, 1.25 times its output besides the input."""
     mat = _diff_matrix(grid)
-    x = np.moveaxis(values, -1, 0)
-    x = np.subtract(x, x[:, :1, :1, :1, :1], out=np.empty(x.shape))
-    out = np.empty(grid.shape + (1 + max(e[0] for e in table),))
-    acc = np.empty(grid.shape)
+    x = np.subtract(planes, planes[:, :1, :1, :1, :1], out=np.empty(planes.shape))
+    out = np.empty((1 + max(e[0] for e in table),) + grid.shape)
     # every output has an entry, so a longer table gives some output a second
-    part = np.empty(grid.shape) if len(table) > out.shape[-1] else None
-    for o in range(out.shape[-1]):
+    part = np.empty(grid.shape) if len(table) > len(out) else None
+    for o in range(len(out)):
         (_, axis, c, sign), *rest = [e for e in table if e[0] == o]
-        _along(x[c], sign * mat, axis, acc)
+        _along(x[c], sign * mat, axis, out[o])
         for _, axis, c, sign in rest:
-            acc += _along(x[c], sign * mat, axis, part)
-        out[..., o] = acc
+            out[o] += _along(x[c], sign * mat, axis, part)
     return out
 
 
 def d_scalar(f: ScalarField) -> OneFormField:
     """Exterior differential of a scalar field (spectral gradient)."""
-    return OneFormField(f.grid, sealed(_apply(f.values[..., None], f.grid, _D0)))
+    return OneFormField(f.grid, sealed(_apply(f.planes[None], f.grid, _D0)))
 
 
 def d_oneform(theta: OneFormField) -> TwoFormField:
     """Exterior differential of a 1-form: (d theta)_ij = di theta_j - dj theta_i."""
-    return TwoFormField(theta.grid, sealed(_apply(theta.values, theta.grid, _D1)))
+    return TwoFormField(theta.grid, sealed(_apply(theta.planes, theta.grid, _D1)))
 
 
 def d_twoform(phi: TwoFormField) -> ThreeFormField:
     """Exterior differential of a 2-form in the fixed 3-form component order:
     (d phi)_ijk = di phi_jk - dj phi_ik + dk phi_ij."""
-    return ThreeFormField(phi.grid, sealed(_apply(phi.values, phi.grid, _D2)))
+    return ThreeFormField(phi.grid, sealed(_apply(phi.planes, phi.grid, _D2)))
 
 
 def codiff_twoform(phi: TwoFormField) -> OneFormField:
@@ -270,30 +285,34 @@ def codiff_twoform(phi: TwoFormField) -> OneFormField:
     tables on the flat unit-volume torus folded into one entry table.  The
     sign is the one that makes the operator the exact adjoint of d under
     the L2 pairing."""
-    return OneFormField(phi.grid, sealed(_apply(phi.values, phi.grid, _CODIFF)))
+    return OneFormField(phi.grid, sealed(_apply(phi.planes, phi.grid, _CODIFF)))
 
 
 def integrate(f: ScalarField) -> float:
     """Integral over the unit-volume torus: the node mean (exact for
     integrands bandlimited below n)."""
-    return float(np.mean(f.values))
+    return float(np.mean(f.planes))
 
 
 def l2_inner(a, b) -> float:
     """L2 pairing of two same-kind fields with the pointwise metric inner
-    product (all fixed component bases are orthonormal)."""
+    product (all fixed component bases are orthonormal): the node mean of
+    the planes' products summed over the components, plane by plane."""
     if type(a) is not type(b):
         raise TypeError("l2_inner requires two fields of the same kind")
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
-    prod = a.values * b.values
+    prod = a.planes * b.planes
     if a.NCOMP:
-        prod = prod.reshape(a.grid.shape + (-1,)).sum(axis=-1)
+        prod = prod.reshape((-1,) + a.grid.shape).sum(axis=0)
     return float(np.mean(prod))
 
 
 def wedge_integral(phi: TwoFormField, psi: TwoFormField) -> float:
-    """Integral of phi ^ psi (the cup-product pairing); symmetric."""
+    """Integral of phi ^ psi (the cup-product pairing); symmetric.  Each
+    component :func:`.pointlin.wedge_to_volume` reads is one plane."""
+    if not type(phi) is type(psi) is TwoFormField:
+        raise TypeError("wedge_integral requires two 2-form fields")
     if phi.grid != psi.grid:
         raise ValueError("grid mismatch")
     return float(np.mean(pl.wedge_to_volume(phi.values, psi.values)))

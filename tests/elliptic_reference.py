@@ -56,8 +56,8 @@ def impulse_kernel(grid: GridSpec) -> np.ndarray:
     Its symbol is the one :func:`kernel_symbol` states in closed form, so
     the dense reference takes d delta from torusfield, not from the formula
     under test."""
-    impulse = np.zeros(grid.shape + (6,))
-    impulse[0, 0, 0, 0] = pl.OMEGA1
+    impulse = np.zeros((6,) + grid.shape)
+    impulse[:, 0, 0, 0, 0] = pl.OMEGA1
     d_delta = tf.d_oneform(tf.codiff_twoform(tf.TwoFormField(grid, impulse)))
     return (d_delta.values @ pl.OMEGA_SD.T / 2.0)[..., 0]
 

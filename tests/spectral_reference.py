@@ -10,11 +10,10 @@ from ajclab import torusfield as tf
 def spectral_truncate(field, max_mode):
     """The field with every Fourier mode of an axis frequency above
     ``max_mode`` removed: :func:`ajclab.torusfield.low_pass` on a copy of its
-    values whose component axes are moved to the front as batch axes."""
-    comps = range(len(field.NCOMP))
-    values = np.moveaxis(field.values, [4 + c for c in comps], list(comps)).copy()
-    tf.low_pass(values, field.grid, max_mode)
-    return type(field)(field.grid, np.moveaxis(values, list(comps), [4 + c for c in comps]))
+    planes, whose component axes are batch axes."""
+    planes = field.planes.copy()
+    tf.low_pass(planes, field.grid, max_mode)
+    return type(field)(field.grid, tf.sealed(planes))
 
 
 def half_spectrum_wavenumbers(grid):

@@ -148,6 +148,27 @@ def test_calculus_battery_is_a_function_of_its_seed():
     assert [c.measured for c in first] == [c.measured for c in again]
 
 
+#: the calculus battery's five measured values for 3 cases at (grid n, seed),
+#: pinned to the bit: a change of layout or of summation order in the
+#: calculus that moves any of them shows here
+PINNED_CALCULUS = {
+    (8, 1): [3.552713678800501e-14, 7.105427357601002e-14, 3.7655615023067126e-16, 0.0,
+             1.3010426069826053e-18],
+    (8, 2): [4.263256414560601e-14, 6.039613253960852e-14, 1.9127972121883052e-15, 0.0,
+             2.168404344971009e-19],
+    (16, 1): [3.979039320256561e-13, 5.684341886080801e-13, 1.3001505795579373e-15, 0.0,
+              2.168404344971009e-19],
+    (16, 2): [3.979039320256561e-13, 6.821210263296962e-13, 1.036905113773561e-15, 0.0,
+              2.710505431213761e-19],
+}
+
+
+@pytest.mark.parametrize("grid_n, seed", sorted(PINNED_CALCULUS))
+def test_calculus_battery_measures_its_pinned_values(grid_n, seed):
+    measured = [c.measured for c in battery.run_calculus_battery(grid_n, 3, seed)]
+    assert measured == PINNED_CALCULUS[(grid_n, seed)]
+
+
 def reference_deformation_measures(seed):
     """The deformation battery's eight measured values, from its draws and
     the deformation formulas written out here, apart from pointlin's routes."""

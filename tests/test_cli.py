@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from constant_fields import from_values
 from ajclab import cli, cohomlab, fieldio, hermitian as hm, torusfield as tf
 from ajclab.config import DEFAULT_BUMP1, DEFAULT_BUMP2, LabConfig
 from ajclab.hermitian import BumpSpec
@@ -233,7 +234,8 @@ def test_two_stage_field_files_load_back(tmp_path, capsys):
         meta = json.loads(sidecar.read_text())
         assert meta["format"] == 3
         assert meta["files"] == {"y": f"two-stage.{stem}.y.field"}
-        fieldio.serialize_field(tf.SelfDualCoordField(triple.grid, triple.y), tmp_path / "generic.y")
+        fieldio.serialize_field(from_values(tf.SelfDualCoordField, triple.grid, triple.y),
+                                tmp_path / "generic.y")
         written = sidecar.with_name(f"two-stage.{stem}.y.field").read_bytes()
         assert written == (tmp_path / "generic.y").read_bytes()
     assert sorted(p.name for p in (tmp_path / "fields").iterdir()) == [

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import elliptic_reference as reference
 from spectral_reference import spectral_truncate
-from constant_fields import constant_twoform
+from constant_fields import constant_twoform, from_values
 from ajclab import battery, cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
 from ajclab.config import LabConfig
 from ajclab.reporting import to_json
@@ -645,7 +645,8 @@ def assert_symbol_battery_fails(monkeypatch, fault):
         return codiff_twoform(phi)
 
     def faulty(theta):
-        return tf.TwoFormField(theta.grid, d_oneform(theta).values + fault(inputs.pop()))
+        return from_values(tf.TwoFormField, theta.grid,
+                           d_oneform(theta).values + fault(inputs.pop()))
 
     monkeypatch.setattr(tf, "codiff_twoform", recording)
     monkeypatch.setattr(tf, "d_oneform", faulty)
@@ -849,7 +850,8 @@ def column_elliptic_matrix(triple, grid):
     M = np.empty((2 * R, 2 * R))
     for i in range(2):
         for m in range(R):
-            psi = tf.TwoFormField(grid, B[m].reshape(grid.shape)[..., None] * frames[i])
+            psi = from_values(tf.TwoFormField, grid,
+                              B[m].reshape(grid.shape)[..., None] * frames[i])
             out = tf.d_oneform(tf.codiff_twoform(psi))
             minus = pl.split_j(J, out.values).minus
             for j in range(2):

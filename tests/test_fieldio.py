@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from ajclab import fieldio, hermitian as hm, torusfield as tf
+from constant_fields import from_values
 
 G = tf.GridSpec(4)
 
 
 def sd_constant(grid, value):
-    return tf.SelfDualCoordField(grid, np.full(grid.shape + (3,), float(value)))
+    return tf.SelfDualCoordField(grid, np.full((3,) + grid.shape, float(value)))
 
 
 def _random_field(cls, rng):
-    return cls(G, rng.standard_normal(G.shape + cls.NCOMP))
+    return cls(G, rng.standard_normal(cls.NCOMP + G.shape))
 
 
 @pytest.mark.parametrize("cls", [tf.SelfDualCoordField])
@@ -92,7 +93,7 @@ def test_path_with_a_nul_byte_is_refused_with_the_path(tmp_path):
 def test_component_major_x4_fastest(tmp_path):
     vals = np.zeros(G.shape + (3,))
     vals[0, 0, 0, 1, 2] = 7.0  # component 2, node (0,0,0,1)
-    field = tf.SelfDualCoordField(G, vals)
+    field = from_values(tf.SelfDualCoordField, G, vals)
     path = tmp_path / "f.bin"
     fieldio.serialize_field(field, path)
     raw = path.read_bytes()

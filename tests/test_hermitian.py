@@ -3,11 +3,12 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from constant_fields import constant_twoform
+from constant_fields import constant_twoform, from_values
 from ajclab import cohomlab, fieldio, hermitian as hm, pointlin as pl, torusfield as tf
 from ajclab.config import DEFAULT_BUMP1, DEFAULT_BUMP2
 from ajclab.reporting import to_json
@@ -63,7 +64,7 @@ class TestStandard:
     def test_invalid_field_rejected(self):
         vals = np.broadcast_to(np.eye(4), G8.shape + (4, 4))
         with pytest.raises(ValueError, match="J\\^2"):
-            hm.AcsField(G8, vals)
+            from_values(hm.AcsField, G8, vals)
 
     @pytest.mark.parametrize("bad, message", [
         (1.01 * pl.J0, "J\\^2"),
@@ -74,10 +75,22 @@ class TestStandard:
         grid = tf.GridSpec(10)  # 10^4 nodes: chunks of 4096, 4096 and 1808
         assert grid.node_count % hm._ACS_CHUNK != 0
         vals = np.array(np.broadcast_to(pl.J0, grid.shape + (4, 4)))
-        hm.AcsField(grid, vals)
+        from_values(hm.AcsField, grid, vals)
         vals[9, 9, 9, 9] = bad
         with pytest.raises(ValueError, match=message):
-            hm.AcsField(grid, vals)
+            from_values(hm.AcsField, grid, vals)
+
+    def test_j_is_built_and_checked_without_a_second_full_size_array(self):
+        # J's planes, F's planes and the finiteness mask: the chunked check
+        # views the planes, so no reshape of them is copied
+        triple = hm.random_compatible_acs(tf.GridSpec(16), seed=1, amplitude=0.5, bandlimit=3)
+        tracemalloc.start()
+        try:
+            nbytes = triple.J.planes.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * nbytes, peak / nbytes
 
     def test_triple_cache_validated(self):
         y = np.array(constant([1.0, 0.0, 0.0]))
@@ -102,14 +115,16 @@ class TestStandard:
         handed = []
         two_form = hm.TwoFormField
 
-        def recorded(grid, values):
-            handed.append(values)
-            return two_form(grid, values)
+        def recorded(grid, planes):
+            handed.append(planes)
+            return two_form(grid, planes)
 
         monkeypatch.setattr(hm, "TwoFormField", recorded)
         triple = hm.random_compatible_acs(G8, seed=2, amplitude=0.3, bandlimit=2)
         F = triple.F
-        assert np.shares_memory(F.values, handed[0]) and not F.values.flags.writeable
+        # the one fresh product is the field's planes, shared, not copied
+        assert F.planes is handed[0] and not F.planes.flags.writeable
+        assert np.shares_memory(F.values, F.planes)
         assert F.values.tobytes() == (triple.y @ pl.OMEGA_SD).tobytes()
 
 
@@ -313,12 +328,12 @@ class TestTripleFromForm:
         values = np.array(np.broadcast_to(pl.OMEGA1, G8.shape + (6,)))
         values[1, 2, 3, 4] += 1e-7 * OMEGA_ASD[k]
         with pytest.raises(ValueError, match=r"not self-dual at node \(1, 2, 3, 4\) \(defect 2\.000e-07\)"):
-            hm.triple_from_form_field(tf.TwoFormField(G8, values))
+            hm.triple_from_form_field(from_values(tf.TwoFormField, G8, values))
 
     @staticmethod
     def form(change):
         triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
-        return tf.TwoFormField(G8, change(np.array(triple.F.values)))
+        return from_values(tf.TwoFormField, G8, change(np.array(triple.F.values)))
 
     def test_rejects_scaled_form(self):
         with pytest.raises(ValueError, match="unit vector"):
@@ -694,6 +709,14 @@ class TestJPlacement:
             rows[entry] = sign * F[comp]
         assert np.ascontiguousarray(rows.T).tobytes() == J.tobytes()
 
+    @pytest.mark.parametrize("label", ["standard", "random", "stage2"])
+    def test_the_structure_places_its_planes_as_acs_from_coords(self, io_triples, label):
+        # J's and F's planes are built components-first, with the values of
+        # the components-last routes to the bit
+        triple = io_triples[label]
+        assert triple.J.values.tobytes() == pl.acs_from_coords(triple.y).tobytes()
+        assert triple.F.values.tobytes() == (triple.y @ pl.OMEGA_SD).tobytes()
+
 
 class TestTripleIO:
     def test_save_load_round_trip(self, tmp_path):
@@ -714,7 +737,8 @@ class TestTripleIO:
         ]
         meta = json.loads(sidecar.read_text())
         assert (meta["format"], meta["files"]) == (3, {"y": f"{label}.y.field"})
-        fieldio.serialize_field(tf.SelfDualCoordField(G8, triple.y), tmp_path / "generic.y")
+        fieldio.serialize_field(from_values(tf.SelfDualCoordField, G8, triple.y),
+                                tmp_path / "generic.y")
         written = (tmp_path / "out" / f"{label}.y.field").read_bytes()
         assert written == (tmp_path / "generic.y").read_bytes()
         # bytes, so the standard structure's signed zeros in F and J count
@@ -735,19 +759,31 @@ class TestTripleIO:
             assert rows[k].tobytes() == np.ascontiguousarray(triple.y[..., k]).tobytes()
 
     def test_load_copies_the_y_file_once(self, io_triples, tmp_path, monkeypatch):
-        # the field read from the file holds the one node-major copy, and the triple shares it
-        read = []
+        # the file is read straight into the field's planes, and the triple's
+        # node-major y is the one copy of them: a load holds two arrays of y's
+        # size at its peak, where a second copy would make it three.  Only
+        # whether the planes own their memory is recorded, so the field is
+        # freed as in a load
+        fresh_planes = []
         original = hm.deserialize_field
 
         def recorded(*args, **kwargs):
-            read.append(original(*args, **kwargs))
-            return read[-1]
+            field = original(*args, **kwargs)
+            fresh_planes.append(field.planes.base is None)
+            return field
 
         monkeypatch.setattr(hm, "deserialize_field", recorded)
         sidecar = hm.save_triple(io_triples["stage2"], tmp_path, "stage2", params={},
                                  log=hm.DeformLog())
-        back = hm.load_triple(sidecar)
-        assert back.y is read[0].values
+        tracemalloc.start()
+        try:
+            back = hm.load_triple(sidecar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fresh_planes == [True]
+        assert back.y.base is None and back.y.flags.c_contiguous
+        assert peak <= 2.25 * back.y.nbytes, peak / back.y.nbytes
 
     @pytest.mark.parametrize(
         "change, match",
@@ -970,7 +1006,7 @@ class TestLoadYBoundary:
 
     def test_rejects_a_y_file_of_another_grid(self, sidecar):
         g4 = tf.GridSpec(4)
-        fieldio.serialize_field(tf.SelfDualCoordField(g4, hm.standard_acs(g4).y),
+        fieldio.serialize_field(from_values(tf.SelfDualCoordField, g4, hm.standard_acs(g4).y),
                                 sidecar.parent / "sample.y.field")
         self.assert_rejected(sidecar, "grid n=4, expected n=8")
 

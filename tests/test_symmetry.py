@@ -4,7 +4,9 @@ leave h unchanged, Gram eigenvalues equal within the rounding bound of the
 node mean, and the low-pass and the derivatives equivariant.  A constant
 rotation of the self-dual coordinates y must rotate the Gram matrix and
 leave the elliptic oracle's count, bounds and Ritz values unchanged within
-a stated rounding bound."""
+a stated rounding bound.  v_measure and delta_J count nodes, so moving the
+nodes by a roll or an axis permutation must leave them equal bit for bit,
+given the same Gram report."""
 
 import itertools
 from types import SimpleNamespace
@@ -242,3 +244,64 @@ def test_a_ritz_route_that_drops_a_self_dual_component_is_caught(structures, mon
     for label in ("random/1", "random/2"):
         _, same_count, _, ritz = rotation_defects(structures[label], rotation(0))
         assert same_count and ritz > 1e4 * RITZ_ROTATION_TOL, label
+
+
+#: the nodal cut's eps, as the cut-off stages take it
+EPS = 1e-6
+
+
+def node_relabelings(triple):
+    """``triple``'s y moved by each whole-node roll of SHIFTS and by the node
+    order of each even permutation, as (name, triple): the same nodal values
+    at other nodes, with no action on the self-dual frame."""
+    y = triple.y
+    moves = [(f"roll {s}", np.roll(y, s, axis=tf.GRID_AXES)) for s in SHIFTS]
+    moves += [(f"perm {p}", np.transpose(y, node_order(p) + (4,))) for p in EVEN_PERMUTATIONS]
+    return [(name, hm.HermitianTriple(triple.grid, moved)) for name, moved in moves]
+
+
+def counted_measures(triple, report, w):
+    """v_measure of ``w`` and delta_J under ``report``, at EPS."""
+    return cohomlab.v_measure(triple, w, EPS), cohomlab.delta_j_estimate(triple, report, EPS)
+
+
+def relabeling_deviations(triple, measures):
+    """The relabelings of ``triple`` whose ``measures``, a function of a
+    triple returning numbers, differ from those of ``triple`` in any bit."""
+    expect = measures(triple)
+    return [name for name, moved in node_relabelings(triple) if measures(moved) != expect]
+
+
+def stage1_counts(grid):
+    """Stage 1 of BUMP1 at ``grid``, its Gram report, and the null form w of
+    the standard structure that it deformed along: <omega_w, F> is nonzero
+    on the bump's support alone, so v_measure of w counts the support."""
+    base = hm.standard_acs(grid)
+    stage1 = hm.one_bump_deform(base, BUMP1)[0]
+    w = cohomlab.select_null_form(cohomlab.gram_matrix(base))
+    return stage1, cohomlab.gram_matrix(stage1), w
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_v_and_delta_j_count_nodes_bit_for_bit(n):
+    # both read y node by node, then take a max, count or sort: a roll or an
+    # axis permutation of the nodes must leave them equal to the bit, given
+    # the same Gram report
+    triple, report, w = stage1_counts(tf.GridSpec(n))
+    v, delta = counted_measures(triple, report, w)
+    assert 0.0 < delta <= v < 0.1, (v, delta)
+    assert relabeling_deviations(triple, lambda t: counted_measures(t, report, w)) == []
+
+
+def test_a_count_that_loses_its_last_nodes_is_caught():
+    # a sweep that drops the nodes past the first three quarters, as a chunked
+    # loop that forgets its last chunk would, sees the bump move in and out
+    triple, report, w = stage1_counts(tf.GridSpec(16))
+
+    def losing_the_tail(t):
+        y = t.y.reshape(-1, 3)
+        return counted_measures(SimpleNamespace(grid=t.grid, y=y[: 3 * len(y) // 4]), report, w)
+
+    # every roll along the first axis moves bump nodes across the lost slices
+    lost = relabeling_deviations(triple, losing_the_tail)
+    assert {f"roll {s}" for s in SHIFTS if s[0]} <= set(lost), lost

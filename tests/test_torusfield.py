@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ajclab import hermitian as hm
 from ajclab import pointlin as pl
 from ajclab import torusfield as tf
 from ajclab.config import DEFAULT_BUMP1, DEFAULT_BUMP2
 from spectral_reference import half_spectrum_wavenumbers, spectral_truncate
-from constant_fields import constant_twoform
+from constant_fields import constant_twoform, from_values
 
 G8 = tf.GridSpec(8)
 G16 = tf.GridSpec(16)
@@ -68,8 +69,8 @@ def random_bandlimited_scalar(rng, grid, kmax):
 def random_bandlimited(rng, grid, kmax, cls):
     if cls is tf.ScalarField:
         return random_bandlimited_scalar(rng, grid, kmax)
-    comps = [random_bandlimited_scalar(rng, grid, kmax).values for _ in range(cls.NCOMP[0])]
-    return cls(grid, np.stack(comps, axis=-1))
+    comps = [random_bandlimited_scalar(rng, grid, kmax).planes for _ in range(cls.NCOMP[0])]
+    return cls(grid, np.stack(comps))
 
 
 class TestGridSpec:
@@ -82,6 +83,16 @@ class TestGridSpec:
     def test_shape(self):
         assert G8.shape == (8, 8, 8, 8)
         assert G8.node_count == 4096
+
+    @pytest.mark.parametrize("n", [8.0, "8"], ids=["float", "str"])
+    def test_refuses_a_size_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"grid size must be an integer, got {n!r}")):
+            tf.GridSpec(n)
+
+    def test_a_numpy_integer_is_a_size(self):
+        grid = tf.GridSpec(np.int64(8))
+        assert grid == G8 and type(grid.n) is int
+        assert tf.ScalarField(grid, np.zeros(G8.shape)).values.shape == G8.shape
 
 
 class TestFieldsBasics:
@@ -100,17 +111,62 @@ class TestFieldsBasics:
 
     def test_only_read_only_memory_of_its_own_is_shared(self):
         f = scalar_constant(G8, 1.0)
-        assert tf.ScalarField(G8, f.values).values is f.values
+        assert tf.ScalarField(G8, f.planes).planes is f.planes
         # a writable array, or a view whose memory another name may write, is copied
         writable = np.zeros(G8.shape)
         g = tf.ScalarField(G8, writable)
         writable[0, 0, 0, 0] = 1.0
         assert g.values[0, 0, 0, 0] == 0.0
-        view = f.values[...]
-        assert tf.ScalarField(G8, view).values is not view
-        # a transposed view becomes C-contiguous
-        spread = tf.ScalarField(G8, np.zeros(G8.shape).T).values
-        assert spread.flags.c_contiguous and not spread.flags.writeable
+        view = f.planes[...]
+        assert tf.ScalarField(G8, view).planes is not view
+        # a transposed view, even read-only memory of its own, becomes C-contiguous
+        for transposed in (np.zeros(G8.shape).T, tf.sealed(np.zeros(G8.shape, order="F"))):
+            spread = tf.ScalarField(G8, transposed).planes
+            assert spread.flags.c_contiguous and not spread.flags.writeable
+
+
+class TestPlanes:
+    """A field stores its components as contiguous planes, and its values
+    are their components-last view."""
+
+    @staticmethod
+    def every_kind():
+        rng = np.random.default_rng(12)
+        fields = [cls(G8, rng.standard_normal(cls.NCOMP + G8.shape)) for cls in FIELD_KINDS]
+        triple = hm.random_compatible_acs(G8, seed=1, amplitude=0.5, bandlimit=2)
+        return fields + [triple.F, triple.J]
+
+    def test_every_kind_keeps_read_only_contiguous_planes(self):
+        kinds = set()
+        for field in self.every_kind():
+            kinds.add(type(field))
+            planes, values = field.planes, field.values
+            assert planes.shape == field.NCOMP + G8.shape
+            assert planes.flags.c_contiguous and not planes.flags.writeable
+            assert values.shape == G8.shape + field.NCOMP and not values.flags.writeable
+            assert values.base is planes
+            for c in np.ndindex(field.NCOMP):
+                assert np.shares_memory(values[(...,) + c], planes[c])
+                assert np.array_equal(values[(...,) + c], planes[c])
+        assert len(kinds) == len(FIELD_KINDS) + 1
+
+    def test_each_operator_shares_the_planes_apply_returned(self, monkeypatch):
+        returned = []
+        apply = tf._apply
+
+        def recorded(planes, grid, table):
+            returned.append(apply(planes, grid, table))
+            return returned[-1]
+
+        monkeypatch.setattr(tf, "_apply", recorded)
+        rng = np.random.default_rng(13)
+        f = tf.ScalarField(G8, rng.standard_normal(G8.shape))
+        theta = tf.OneFormField(G8, rng.standard_normal((4,) + G8.shape))
+        phi = tf.TwoFormField(G8, rng.standard_normal((6,) + G8.shape))
+        outs = [tf.d_scalar(f), tf.d_oneform(theta), tf.d_twoform(phi), tf.codiff_twoform(phi)]
+        assert len(returned) == len(outs)
+        for out, planes in zip(outs, returned):
+            assert out.planes is planes
 
 
 class TestDifferentials:
@@ -139,9 +195,9 @@ class TestDifferentials:
 
     def test_single_mode_curl(self):
         xs = G16.coords()
-        theta_vals = np.zeros(G16.shape + (4,))
-        theta_vals[..., 0] = np.sin(2 * np.pi * xs[1])  # sin(2 pi x2) dx1
-        theta = tf.OneFormField(G16, theta_vals)
+        theta_planes = np.zeros((4,) + G16.shape)
+        theta_planes[0] = np.sin(2 * np.pi * xs[1])  # sin(2 pi x2) dx1
+        theta = tf.OneFormField(G16, theta_planes)
         dtheta = tf.d_oneform(theta)
         # (d theta)_12 = d1 theta_2 - d2 theta_1 = -2 pi cos(2 pi x2)
         np.testing.assert_allclose(
@@ -179,9 +235,9 @@ class TestCodifferential:
 
     def test_single_mode_value(self):
         xs = G16.coords()
-        theta_vals = np.zeros(G16.shape + (4,))
-        theta_vals[..., 0] = np.cos(2 * np.pi * xs[1])
-        theta = tf.OneFormField(G16, theta_vals)
+        theta_planes = np.zeros((4,) + G16.shape)
+        theta_planes[0] = np.cos(2 * np.pi * xs[1])
+        theta = tf.OneFormField(G16, theta_planes)
         phi = tf.d_oneform(theta)
         delta = tf.codiff_twoform(phi)
         # delta d theta = laplacian theta for a divergence-free single mode
@@ -209,18 +265,21 @@ FFT_TRANSFORMS = [name for name in np.fft.__all__ if not name.endswith(("freq", 
 
 def d_codiff(grid, values):
     """d delta of the 2-form nodal ``values``: d_oneform of codiff_twoform."""
-    return tf.d_oneform(tf.codiff_twoform(tf.TwoFormField(grid, values))).values
+    return tf.d_oneform(tf.codiff_twoform(from_values(tf.TwoFormField, grid, values))).values
 
 
 def derivative_operators(grid):
     """Each differential operator of torusfield, and d delta, as (name, input
-    kind, a function of the input's nodal values returning nodal values)."""
+    kind, a function of the input's nodal values returning nodal values,
+    both components last)."""
+    def through(op, cls):
+        return lambda v: op(from_values(cls, grid, v)).values
+
     return [
-        ("d_scalar", tf.ScalarField, lambda v: tf.d_scalar(tf.ScalarField(grid, v)).values),
-        ("d_oneform", tf.OneFormField, lambda v: tf.d_oneform(tf.OneFormField(grid, v)).values),
-        ("d_twoform", tf.TwoFormField, lambda v: tf.d_twoform(tf.TwoFormField(grid, v)).values),
-        ("codiff_twoform", tf.TwoFormField,
-         lambda v: tf.codiff_twoform(tf.TwoFormField(grid, v)).values),
+        ("d_scalar", tf.ScalarField, through(tf.d_scalar, tf.ScalarField)),
+        ("d_oneform", tf.OneFormField, through(tf.d_oneform, tf.OneFormField)),
+        ("d_twoform", tf.TwoFormField, through(tf.d_twoform, tf.TwoFormField)),
+        ("codiff_twoform", tf.TwoFormField, through(tf.codiff_twoform, tf.TwoFormField)),
         ("d_codiff", tf.TwoFormField, lambda v: d_codiff(grid, v)),
     ]
 
@@ -391,6 +450,19 @@ class TestOneProduct:
             tracemalloc.stop()
         assert peak <= 1.6 * nbytes, peak / nbytes
 
+    def test_a_scalar_gradient_peaks_at_1_3_times_its_output(self):
+        # the one copy of its input and the output planes, each written in
+        # place: no scratch plane and no strided copy
+        f = tf.ScalarField(G16, np.random.default_rng(16).standard_normal(G16.shape))
+        tf._diff_matrix(G16)
+        tracemalloc.start()
+        try:
+            nbytes = tf.d_scalar(f).planes.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * nbytes, peak / nbytes
+
     @pytest.mark.parametrize("first, shape", [(0, (5,) * 4 + (6,)), (1, (2,) + (5,) * 4)])
     def test_synthesis_is_the_tensor_basis_sum(self, first, shape):
         coeffs = np.random.default_rng(first).standard_normal(shape)
@@ -427,9 +499,9 @@ class TestHalfSpectrumMultipliers:
         nyquist = np.cos(np.pi * grid.n * xs[axis])
         f = tf.ScalarField(grid, nyquist)
         assert tf.d_scalar(f).max_abs() <= 1e-12
-        theta = tf.OneFormField(grid, np.stack([nyquist] * 4, axis=-1))
+        theta = tf.OneFormField(grid, np.stack([nyquist] * 4))
         assert tf.d_oneform(theta).max_abs() <= 1e-12
-        phi = tf.TwoFormField(grid, np.stack([nyquist] * 6, axis=-1))
+        phi = tf.TwoFormField(grid, np.stack([nyquist] * 6))
         assert tf.d_twoform(phi).max_abs() <= 1e-12
         assert tf.codiff_twoform(phi).max_abs() <= 1e-12
         # a real operator drops the anti-Hermitian part that one odd
@@ -439,15 +511,15 @@ class TestHalfSpectrumMultipliers:
         other = xs[(axis + 1) % 4]
         g = nyquist * (1.0 + np.sin(2 * np.pi * other))
         f = tf.ScalarField(grid, g)
-        theta = tf.OneFormField(grid, np.stack([g * (c + 1) for c in range(4)], axis=-1))
-        phi = tf.TwoFormField(grid, np.stack([g * (c + 1) for c in range(6)], axis=-1))
+        theta = tf.OneFormField(grid, np.stack([g * (c + 1) for c in range(4)]))
+        phi = tf.TwoFormField(grid, np.stack([g * (c + 1) for c in range(6)]))
         df, dtheta, dphi, delta = reference_differentials(f, theta, phi)
         assert np.max(np.abs(tf.d_scalar(f).values[..., axis])) <= 1e-12
         np.testing.assert_allclose(tf.d_scalar(f).values, df, rtol=0, atol=1e-12)
         np.testing.assert_allclose(tf.d_oneform(theta).values, dtheta, rtol=0, atol=1e-12)
         np.testing.assert_allclose(tf.d_twoform(phi).values, dphi, rtol=0, atol=1e-12)
         np.testing.assert_allclose(tf.codiff_twoform(phi).values, delta, rtol=0, atol=1e-12)
-        expect = tf.d_oneform(tf.OneFormField(grid, delta)).values
+        expect = tf.d_oneform(from_values(tf.OneFormField, grid, delta)).values
         np.testing.assert_allclose(d_codiff(grid, phi.values), expect, rtol=0, atol=1e-11)
 
 
@@ -481,10 +553,20 @@ class TestIntegrals:
         b = random_bandlimited(rng, G8, 3, tf.TwoFormField)
         assert tf.wedge_integral(a, b) == pytest.approx(tf.wedge_integral(b, a), abs=1e-14)
 
+    @pytest.mark.parametrize("kinds", [
+        (tf.OneFormField, tf.OneFormField), (tf.ThreeFormField, tf.ThreeFormField),
+        (tf.SelfDualCoordField, tf.SelfDualCoordField), (tf.TwoFormField, tf.OneFormField),
+        (tf.OneFormField, tf.TwoFormField),
+    ], ids=lambda kinds: "-".join(cls.__name__ for cls in kinds))
+    def test_wedge_integral_refuses_a_field_that_is_not_a_two_form(self, kinds):
+        a, b = (cls(G8, np.ones(cls.NCOMP + G8.shape)) for cls in kinds)
+        with pytest.raises(TypeError, match="two 2-form fields"):
+            tf.wedge_integral(a, b)
+
     def test_self_dual_wedge_equals_l2(self):
         rng = np.random.default_rng(5)
         raw = random_bandlimited(rng, G8, 3, tf.TwoFormField)
-        sd = tf.TwoFormField(G8, pl.split_sd(raw.values).plus)
+        sd = from_values(tf.TwoFormField, G8, pl.split_sd(raw.values).plus)
         assert tf.wedge_integral(sd, sd) == pytest.approx(tf.l2_inner(sd, sd), abs=1e-12)
 
 
@@ -632,7 +714,7 @@ class TestSpectralTruncate:
         grid = tf.GridSpec(n)
         rng = np.random.default_rng(n)
         for cls in FIELD_KINDS:
-            field = cls(grid, rng.standard_normal(grid.shape + cls.NCOMP))
+            field = from_values(cls, grid, rng.standard_normal(grid.shape + cls.NCOMP))
             for max_mode in range(n // 2):
                 got = spectral_truncate(field, max_mode)
                 assert type(got) is cls
@@ -655,8 +737,8 @@ class TestSpectralTruncate:
     @pytest.mark.parametrize("shift", [(1, 0, 0, 0), (0, -3, 5, 2), (7, 7, 7, 7)])
     def test_commutes_with_whole_node_translations(self, shift):
         rng = np.random.default_rng(5)
-        field = tf.TwoFormField(G8, rng.standard_normal(G8.shape + (6,)))
-        rolled = tf.TwoFormField(G8, np.roll(field.values, shift, axis=tf.GRID_AXES))
+        field = from_values(tf.TwoFormField, G8, rng.standard_normal(G8.shape + (6,)))
+        rolled = from_values(tf.TwoFormField, G8, np.roll(field.values, shift, axis=tf.GRID_AXES))
         for max_mode in range(G8.n // 2):
             low = spectral_truncate(field, max_mode).values
             dev = np.abs(spectral_truncate(rolled, max_mode).values
