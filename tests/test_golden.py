@@ -11,6 +11,7 @@ new entries and those that fail, so rounding drift within a tolerance does
 not re-pin values that did not change.
 """
 
+import hashlib
 import json
 import operator
 from pathlib import Path
@@ -37,6 +38,14 @@ RANDOM_SEEDS = (1, 2, 3, 4, 5)
 #: the deform-log values of each stage pinned exactly; a stage pins those it logs
 LOG_KEYS = ("delta_estimate", "support_volume", "sup_norm", "route_disagreement",
             "wedge_square_residual")
+#: SHA-256 of stage 1's and stage 2's y of each construction, over y's
+#: node-major bytes, ``np.ascontiguousarray(y).tobytes()``
+STAGE_Y_SHA256 = {
+    "n8/golden": ("ec1d72ae1b5bcb7efa6b8c53cbe5106a973544020558a673a1786d75798dfa5f",
+                  "da0776e3a7c8da574bd5f347501d5b36010d955c7b26f66668b723d927804f28"),
+    "n16/default": ("c205a1a6476a40ec52a6a9691b24146fe2423120fc0cc0e77e39902d7c95be3d",
+                    "f6fc4c256ddb9512fc9b521a97a8251f428d48799d034412b9c042097f324ad5"),
+}
 
 
 def structures():
@@ -184,6 +193,16 @@ def test_oracle_spectra(golden):
 def test_deform_log_values(golden, key):
     _, bump1, bump2, grid = next(spec for spec in constructions() if spec[0] == key)
     assert log_values(bump1, bump2, grid) == golden["deform_logs"][key]
+
+
+@pytest.mark.parametrize("key", list(STAGE_Y_SHA256))
+def test_stage_structures_keep_their_bytes(key):
+    # every bit of y, which the Gram and log pins see only through sums
+    _, bump1, bump2, grid = next(spec for spec in constructions() if spec[0] == key)
+    cfg = LabConfig()
+    stages = hm.two_stage_deform(hm.standard_acs(grid), bump1, bump2, cfg.tol_null, cfg.eps_nodal)[:2]
+    digests = tuple(hashlib.sha256(np.ascontiguousarray(t.y).tobytes()).hexdigest() for t in stages)
+    assert digests == STAGE_Y_SHA256[key]
 
 
 def test_regeneration_keeps_passing_pins():
