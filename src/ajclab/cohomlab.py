@@ -18,7 +18,9 @@ i.e. beta^T G beta = 0 for the Gram matrix
 (the integral is the node mean); since G is positive semidefinite the
 anti-invariant constants are exactly its kernel.  Constant self-dual forms
 are handled by their coordinates beta throughout, and a structure
-through its ``.grid`` and ``.y`` alone.
+through its ``.grid`` and ``.planes`` alone: y's three component planes,
+each a contiguous node array, so every node sum here is a product of whole
+planes.
 
 The second route counts the small eigenvalues of the self-adjoint
 elliptic operator psi -> P^-(d delta psi) on sections of the
@@ -99,10 +101,20 @@ class GramReport:
         return float(self.eigenvalues[0])
 
 
+def _pairing(planes: np.ndarray, w) -> np.ndarray:
+    """w . y = w0 y0 + w1 y1 + w2 y2 at every node, summed left to right
+    over the structure's ``planes``: elementwise, so each node's value does
+    not depend on where the node sits."""
+    f = w[0] * planes[0]
+    f += w[1] * planes[1]
+    f += w[2] * planes[2]
+    return f
+
+
 def f_omega(triple: HermitianTriple, w) -> ScalarField:
     """The function <omega, F> = 2 w . y on the torus for the constant
     self-dual form omega = sum_k w_k omega_k."""
-    return ScalarField(triple.grid, 2.0 * (triple.y @ np.asarray(w, float)))
+    return ScalarField(triple.grid, 2.0 * _pairing(triple.planes, np.asarray(w, float)))
 
 
 def _projector_rows(P: np.ndarray) -> np.ndarray:
@@ -133,12 +145,20 @@ def gram_matrix(triple: HermitianTriple, tol_null: float = 1e-7) -> GramReport:
     (:func:`select_null_form`): the standard kernel's rows are (omega3,
     omega2), so stage 1 deforms along omega3 and keeps +omega2 for stage 2.
     A ``tol_null`` outside (0, 1), NaN included, raises ValueError.
+
+    G is assembled from the six dot products of y's contiguous component
+    planes, each entry once and placed on both sides of the diagonal, so G
+    is symmetric as built.  Each entry is a sum of N products of size at
+    most 1, so its rounding error is at most 4 gamma_N, gamma_N = N u /
+    (1 - N u), whatever order the dot product sums in.
     """
     if not 0.0 < tol_null < 1.0:
         raise ValueError(f"tol_null must lie in (0, 1), got {tol_null}")
-    ys = triple.y.reshape(-1, 3)
-    G = 4.0 * (ys.T @ ys) / ys.shape[0]
-    G = (G + G.T) / 2.0
+    flat = triple.planes.reshape(3, -1)
+    G = np.empty((3, 3))
+    for k, l in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        G[k, l] = G[l, k] = flat[k] @ flat[l]
+    G = 4.0 * G / flat.shape[1]
     eigenvalues, eigenvectors = np.linalg.eigh(G)
     threshold = tol_null * max(1.0, float(eigenvalues[-1]))
     h = int(np.sum(eigenvalues <= threshold))
@@ -183,7 +203,7 @@ def v_measure(triple: HermitianTriple, w, eps: float) -> float:
     constant form omega = sum_k w_k omega_k: the fraction of nodes with |f|
     above :func:`_nodal_cut`, eps * max(1, sup|f|).  The :func:`f_omega`
     values (bit for bit) are scaled and made absolute in place."""
-    f = triple.y @ np.asarray(w, float)
+    f = _pairing(triple.planes, np.asarray(w, float))
     f *= 2.0
     np.abs(f, out=f)
     return np.count_nonzero(f > _nodal_cut(eps, f)) / f.size
@@ -244,7 +264,7 @@ def delta_j_estimate(triple: HermitianTriple, report: GramReport, eps: float) ->
         return v_measure(triple, basis[0] / np.sqrt(2.0), eps)
     # three node buffers, p, q and half, and every step works in place: the
     # arc starts are written over q and the ends over p
-    p, q = (np.sqrt(2.0) * basis) @ triple.y.reshape(-1, 3).T
+    p, q = (np.sqrt(2.0) * basis) @ triple.planes.reshape(3, -1)
     n = p.size
     half = np.hypot(p, q)
     cut = (_nodal_cut(eps, half) + 2.0 * _SWEEP_ROUNDING) * (1.0 + _SWEEP_ROUNDING)
@@ -327,11 +347,20 @@ def _ritz_values(frames: np.ndarray, grid: GridSpec) -> np.ndarray:
     y = e_1).  P removes, along each grid axis, the Nyquist mode, s mean(s h)
     for s = (-1)^j; K is C's Dirichlet form 1/2 sum_a sum_x (D_a s_l) .
     (D_a s_m) on the sections s_l = sum_i P(v_i . e_l) v_i, taken one
-    self-dual component and one grid axis at a time."""
-    coeffs = frames
+    self-dual component and one grid axis at a time.
+
+    ``frames`` is (2,) + grid shape + (3,), a view of other memory
+    included.  P is applied in place to one C-contiguous copy of it: s is
+    +1 at the even indices of an axis and -1 at the odd ones, so
+    subtracting s mean(s h) is subtracting the mean at the first and adding
+    it at the second, exactly."""
+    coeffs = np.array(frames, order="C")
     for ax in range(1, 5):
         sign = (-1.0) ** np.arange(frames.shape[ax]).reshape([-1 if a == ax else 1 for a in range(6)])
-        coeffs = coeffs - sign * np.mean(coeffs * sign, axis=ax, keepdims=True)
+        mean = np.mean(coeffs * sign, axis=ax, keepdims=True)
+        even, odd = ((slice(None),) * ax + (slice(start, None, 2),) for start in (0, 1))
+        coeffs[even] -= mean
+        coeffs[odd] += mean
     gram = np.einsum("ixl,ixm->lm", *[coeffs.reshape(2, -1, 3)] * 2)
     K = np.zeros((3, 3))
     for part in np.einsum("i...l,i...k->k...l", coeffs, frames):
@@ -341,6 +370,14 @@ def _ritz_values(frames: np.ndarray, grid: GridSpec) -> np.ndarray:
     s, U = np.linalg.eigh(gram)
     T = U[:, s > ORACLE_TAU * s[-1]] / np.sqrt(s[s > ORACLE_TAU * s[-1]])
     return np.linalg.eigvalsh(T.T @ K @ T)
+
+
+def _cross(u: np.ndarray, v) -> np.ndarray:
+    """The cross product u x v of the (3, N) planes ``u`` with ``v``, planes
+    or one 3-vector, into fresh (3, N) planes, each component as
+    :func:`numpy.cross` takes it, u_i v_j - u_j v_i."""
+    return np.stack([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
 
 
 def anti_invariant_frame(
@@ -360,21 +397,25 @@ def anti_invariant_frame(
     every node.  A clearance below MIN_CLEARANCE raises
     :class:`.pointlin.ConsistencyError` naming the node where y comes
     nearest to the pivot axis.
+
+    The frame is computed on the structure's planes, into planes of its
+    own: v1 and v2 are the components-last views of (3,) + grid arrays.
     """
-    y = triple.y.reshape(-1, 3)
-    _, axes = np.linalg.eigh(y.T @ y / len(y))
-    along = np.abs(y @ axes)
-    k = int(np.argmin(along.max(axis=0)))
-    clearance = float(np.sqrt(max(0.0, 1.0 - along[:, k].max() ** 2)))
+    y = triple.planes.reshape(3, -1)
+    _, axes = np.linalg.eigh(y @ y.T / y.shape[1])
+    along = np.abs(axes.T @ y)
+    k = int(np.argmin(along.max(axis=1)))
+    clearance = float(np.sqrt(max(0.0, 1.0 - along[k].max() ** 2)))
     if not clearance >= MIN_CLEARANCE:
         raise pl.ConsistencyError(
             f"y comes within clearance {clearance:.3e} of the frame pivot {axes[:, k]} at node "
-            f"{_worst_node(triple.grid, along[:, k], None)} (bound {MIN_CLEARANCE:.0e})"
+            f"{_worst_node(triple.grid, along[k], None)} (bound {MIN_CLEARANCE:.0e})"
         )
-    v1 = np.cross(y, axes[:, k])
-    v1 /= np.linalg.norm(v1, axis=-1, keepdims=True)
-    shape = triple.grid.shape + (3,)
-    return v1.reshape(shape), np.cross(y, v1).reshape(shape), axes[:, k], clearance
+    v1 = _cross(y, axes[:, k])
+    v1 /= np.sqrt(pl.coords_norm_sq(v1.T))
+    shape = (3,) + triple.grid.shape
+    return (np.moveaxis(v1.reshape(shape), 0, -1), np.moveaxis(_cross(y, v1).reshape(shape), 0, -1),
+            axes[:, k], clearance)
 
 
 def elliptic_kernel_dim(triple: HermitianTriple, grid: GridSpec) -> EllipticReport:
@@ -388,14 +429,17 @@ def elliptic_kernel_dim(triple: HermitianTriple, grid: GridSpec) -> EllipticRepo
     Ritz value is rounding.  The two counts must agree, or
     :class:`.pointlin.ConsistencyError` names both.
 
-    Memory, at N nodes: for :func:`_corner_capture`, the spectra of the 6
-    frame components (96 N bytes, 6.3 MB at n = 16) and, per kept k_0, 96
-    shifted rows of W (1536 (n - 1)^3 bytes); for :func:`_ritz_values`, the
-    Nyquist projection's copies of the frames (up to 4 of 48 N bytes), the
-    self-dual components of the 3 lifted sections (72 N bytes) and one
-    derivative product (24 N bytes).  On one random structure the
-    tracemalloc peak is 19 MB at n = 16 and 304 MB at n = 32, 201 MB of it
-    in :func:`_ritz_values`.
+    Memory, at N nodes: the frame's planes (48 N bytes), kept throughout;
+    for :func:`_corner_capture`, the spectra of the 6 frame components (96 N
+    bytes, 6.3 MB at n = 16) and, per kept k_0, 96 shifted rows of W (1536
+    (n - 1)^3 bytes); for :func:`_ritz_values`, the one copy of the frames
+    that the Nyquist projection works on in place (48 N bytes) with one
+    product of its size at a time, then the self-dual components of the 3
+    lifted sections (72 N bytes) and one derivative product (24 N bytes).
+    On one random structure (seed 4, amplitude 0.5, bandlimit 3) the
+    tracemalloc peak is 16 MB at n = 16 and 254 MB at n = 32, where
+    :func:`_corner_capture`'s transform sets it; :func:`_ritz_values` alone
+    peaks at 178 MB.
     """
     if triple.grid != grid:
         raise ValueError(
@@ -403,9 +447,12 @@ def elliptic_kernel_dim(triple: HermitianTriple, grid: GridSpec) -> EllipticRepo
             f"(got n={triple.grid.n}, oracle n={grid.n})"
         )
     v1, v2, pivot, clearance = anti_invariant_frame(triple)
-    frames = np.stack([v1, v2])  # (i, grid, l)
-    lower = LAMBDA_GAP * (1.0 - _corner_capture(np.moveaxis(frames, -1, 1))[::-1])
-    ritz = _ritz_values(frames, grid)
+    # the frame's planes, (i, l) + grid, and their (i, grid, l) view; the
+    # frame's own planes are freed before the spectra are taken
+    frames = np.stack([np.moveaxis(v, -1, 0) for v in (v1, v2)])
+    del v1, v2
+    lower = LAMBDA_GAP * (1.0 - _corner_capture(frames)[::-1])
+    ritz = _ritz_values(np.moveaxis(frames, 1, -1), grid)
     t = ORACLE_TAU * LAMBDA_GAP
     at_most, at_least = int(np.sum(lower <= t)), int(np.sum(ritz <= t))
     if at_most != at_least:

@@ -12,12 +12,15 @@ The payload is the field's ``planes`` (:mod:`.torusfield`), byte for byte
 on a little-endian host: :func:`serialize_field` writes them as they are,
 and :func:`deserialize_field` reads the file into fresh planes that the
 field shares, so neither makes a full-size copy.  A structure is stored as
-its unit vector field y: :func:`.hermitian.save_triple` writes y with
-:func:`serialize_field`, and :func:`.hermitian.load_triple` reads it with
-:func:`deserialize_field`.  A write replaces a file already at its path
-rather than rewriting it in place, which ext4 flushes at once.  A read
-states each refusal once, as a plain ValueError, and one re-raise names the
-file in a :class:`FieldFormatError`.
+its unit vector field y, whose planes (:class:`.hermitian.HermitianTriple`)
+have this layout too: :func:`.hermitian.save_triple` hands them to
+:func:`serialize_field` in a field that shares them, and
+:func:`.hermitian.load_triple` builds the structure on the planes
+:func:`deserialize_field` read, so a save or a load of a structure copies
+none of its values.  A write replaces a file already at its path rather
+than rewriting it in place, which ext4 flushes at once.  A read states each
+refusal once, as a plain ValueError, and one re-raise names the file in a
+:class:`FieldFormatError`.
 """
 
 from __future__ import annotations

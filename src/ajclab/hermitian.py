@@ -4,13 +4,15 @@ deformations.
 On an oriented Euclidean 4-space a compatible structure J is a unit
 self-dual 2-form, its fundamental form F, so a structure field is a unit
 vector field y: T^4 -> S^2 of coordinates in the self-dual frame
-(OMEGA1, OMEGA2, OMEGA3).  :class:`HermitianTriple` stores y alone and
-derives F = sum_k y_k OMEGA_k and J = sum_k y_k J_k on access; both are
-linear in y.  |y| = 1 is the only invariant left; :func:`_unit_defect`
-checks it when a triple is built and before one is saved.  The boundary
-that takes outside input, :func:`load_triple`, checks more: the sidecar
-and the y file it names.  :func:`triple_from_form_field` and
-:func:`.cohomlab.f_omega` are kept for the tests and perfbench's span table.
+(OMEGA1, OMEGA2, OMEGA3).  :class:`HermitianTriple` stores y alone, as
+three contiguous component planes, the layout of the y file and of every
+:mod:`.torusfield` field, and derives F = sum_k y_k OMEGA_k and J = sum_k
+y_k J_k on access; both are linear in y.  |y| = 1 is the only invariant
+left; :func:`_unit_defect` checks it when a triple is built and before one
+is saved.  The boundary that takes outside input, :func:`load_triple`,
+checks more: the sidecar and the y file it names.
+:func:`triple_from_form_field` and :func:`.cohomlab.f_omega` are kept for
+the tests and perfbench's span table.
 
 A self-dual form a @ OMEGA_SD is anti-invariant for y exactly when
 a . y = 0 (the anti-invariant plane is the tangent plane of S^2 at y), and
@@ -34,20 +36,23 @@ that of its result, at the ``tol_null`` of the stage-1 report it takes.
 
 Where the checks run: :func:`_deform` holds the deformation checks (a . y
 = 0, |a| < 1, and |y'| = 1 through the caller's finish) once, on (..., 3)
-arrays of y and a.
-:func:`deform_field` passes it whole grids as views, and
-:func:`random_compatible_acs` a broadcast y with component-major a.  The
-cut-off stages pass it the rows of their bump support and scatter the
-result into a copy of y: off the support the bump is zero, so the
-deformation form is zero and leaves y bit for bit, and nothing there can
-fail a check.  Each new structure is still validated on the whole grid,
-once, when its :class:`HermitianTriple` is built: :func:`_unit_defect`
-reads y in cache-sized row blocks, and the triple keeps the worst defect
-it measured, from which stage 2 logs its wedge-square residual without a
-second pass.  :func:`save_triple` checks y once more before it writes,
-and :func:`load_triple` checks the y it reads when it builds the triple;
-so the cut-off construction with a save and load of both stages checks
-a whole grid 7 times.
+arrays of y and a, components-last views of planes; the deformed y it
+hands its finish is the components-last view of fresh planes
+(:func:`.pointlin.deform_coords`).  :func:`deform_field` passes it whole
+grids, and :func:`random_compatible_acs` a broadcast y with component-major
+a.  The cut-off stages gather the columns of their bump support from the
+planes, pass them to it, and scatter the result into a copy of the planes:
+off the support the bump is zero, so the deformation form is zero and
+leaves y bit for bit, and nothing there can fail a check.  Each new
+structure is still validated on the whole grid, once, when its
+:class:`HermitianTriple` is built: :func:`_unit_defect` reads the planes in
+cache-sized column blocks, and the triple keeps the worst defect it
+measured, from which stage 2 logs its wedge-square residual without a
+second pass.  :func:`save_triple` checks the planes once more and writes
+them as they are, and :func:`load_triple` reads the file into the planes
+of the triple it builds, which checks them; so the cut-off construction
+with a save and load of both stages checks a whole grid 7 times, and
+copies no structure between layouts.
 """
 
 from __future__ import annotations
@@ -85,28 +90,29 @@ ROUTE_TOL = 1e-9
 #: nodes per chunk of the J checked by AcsField; one chunk's 4x4 products
 #: stay cache-sized
 _ACS_CHUNK = 4096
-#: nodes per row block of the unit check; one block of y (384 KB) and its
-#: |y|^2 stay cache-sized
+#: nodes per column block of the unit check; one block of the planes
+#: (384 KB) and its |y|^2 stay cache-sized
 _UNIT_BLOCK = 16384
 
 
-def _unit_defect(grid: GridSpec, y: np.ndarray, rows) -> float:
-    """The worst defect ||y|^2 - 1| of the rows ``y`` of a structure field
-    (at ``rows``, as in :func:`.torusfield._worst_node`), checked to be at
-    most pl.ACS_TOL.  |y|^2 is :func:`.pointlin.coords_norm_sq`, taken over
-    row blocks of ``_UNIT_BLOCK`` nodes of ``y.reshape(-1, 3)``, a view for
-    the node-major and component-major layouts the package builds.  The
-    block maxima are combined by ``np.max``, which keeps a NaN, so a
-    non-finite y fails; only then is the defect taken on all rows at once,
-    to name the worst node.  For
-    J = sum_k y_k J_k, J^2 + Id = (1 - |y|^2) Id = Id - J^T J."""
-    flat = y.reshape(-1, 3)
-    worst = float(np.max([np.max(np.abs(pl.coords_norm_sq(flat[lo : lo + _UNIT_BLOCK]) - 1.0))
-                          for lo in range(0, len(flat), _UNIT_BLOCK)], initial=0.0))
+def _unit_defect(grid: GridSpec, planes: np.ndarray, rows) -> float:
+    """The worst defect ||y|^2 - 1| of the nodes of a structure field whose
+    component planes are ``planes``, of shape (3, ...), at the flat node
+    indices ``rows`` (as in :func:`.torusfield._worst_node`), checked to be
+    at most pl.ACS_TOL.  |y|^2 is :func:`.pointlin.coords_norm_sq`, y0 y0 +
+    y1 y1 + y2 y2 over three plane rows, taken over column blocks of
+    ``_UNIT_BLOCK`` nodes of ``planes.reshape(3, -1)``.  The block maxima
+    are combined by ``np.max``, which keeps a NaN, so a non-finite y fails;
+    only then is the defect taken on all nodes at once, to name the worst
+    node.  For J = sum_k y_k J_k, J^2 + Id = (1 - |y|^2) Id = Id - J^T J."""
+    flat = planes.reshape(3, -1)
+    blocks = (flat[:, lo : lo + _UNIT_BLOCK].T for lo in range(0, flat.shape[1], _UNIT_BLOCK))
+    worst = float(np.max([np.max(np.abs(pl.coords_norm_sq(block) - 1.0)) for block in blocks],
+                         initial=0.0))
     if not worst <= pl.ACS_TOL:
-        if not np.all(np.isfinite(y)):
+        if not np.all(np.isfinite(flat)):
             raise ValueError("y has non-finite values")
-        defect = np.abs(pl.coords_norm_sq(y) - 1.0)
+        defect = np.abs(pl.coords_norm_sq(flat.T) - 1.0)
         raise ValueError(
             f"y is not a unit vector at node {_worst_node(grid, defect, rows)} "
             f"(||y|^2 - 1| = {worst:.3e}, tol {pl.ACS_TOL:.1e})"
@@ -114,10 +120,10 @@ def _unit_defect(grid: GridSpec, y: np.ndarray, rows) -> float:
     return worst
 
 
-def _require_unit(grid: GridSpec, y: np.ndarray, rows) -> np.ndarray:
-    """``y``, once :func:`_unit_defect` has checked it."""
-    _unit_defect(grid, y, rows)
-    return y
+def _require_unit(grid: GridSpec, planes: np.ndarray, rows) -> np.ndarray:
+    """``planes``, once :func:`_unit_defect` has checked them."""
+    _unit_defect(grid, planes, rows)
+    return planes
 
 
 class AcsField(_FieldBase):
@@ -139,35 +145,44 @@ class AcsField(_FieldBase):
 
 @dataclass(frozen=True, eq=False)
 class HermitianTriple:
-    """A compatible structure field (the metric is flat), stored as its unit
-    vector field ``y`` of shape ``grid.shape + (3,)``, read-only; J and F
-    are derived on access, as fields of their own planes.  ``y`` is copied,
-    keeping its memory layout, unless it is already read-only memory of its
-    own (:func:`.torusfield.frozen`), as a new y handed over sealed is.
+    """A compatible structure field (the metric is flat), built from and
+    stored as the ``planes`` of its unit vector field y: a read-only
+    C-contiguous array of shape (3,) + grid.shape, one plane per self-dual
+    coordinate, the layout of the y file and of a
+    :class:`.torusfield.SelfDualCoordField`.  ``y`` is their components-last
+    view, of shape grid.shape + (3,); J and F are derived on access, as
+    fields of their own planes.  ``planes`` is kept as
+    :func:`.torusfield.frozen` makes it: planes handed over sealed, as a
+    deformation's or a read's are, are shared, anything else is copied once.
     Building one checks |y| = 1 on the whole grid, once, with
     :func:`_unit_defect`, and keeps the worst defect ||y|^2 - 1| that check
     measured as ``unit_defect``."""
 
     grid: GridSpec
-    y: np.ndarray
+    planes: np.ndarray
     unit_defect: float = field(init=False)
 
     def __post_init__(self):
-        y = frozen(self.y, "K")
-        expected = self.grid.shape + (3,)
-        if y.shape != expected:
-            raise ValueError(f"y must have shape {expected}, got {y.shape}")
-        object.__setattr__(self, "unit_defect", _unit_defect(self.grid, y, None))
-        object.__setattr__(self, "y", y)
+        planes = frozen(self.planes)
+        expected = (3,) + self.grid.shape
+        if planes.shape != expected:
+            raise ValueError(f"planes must have shape {expected}, got {planes.shape}")
+        object.__setattr__(self, "unit_defect", _unit_defect(self.grid, planes, None))
+        object.__setattr__(self, "planes", planes)
+
+    @property
+    def y(self) -> np.ndarray:
+        """The unit vector field, the components-last view of the planes."""
+        return self.planes.transpose(1, 2, 3, 4, 0)
 
     @property
     def F(self) -> TwoFormField:
         """The fundamental form sum_k y_k OMEGA_k: its planes are the fresh
-        product OMEGA_SD^T y^T, over y viewed as (nodes, 3), handed over
-        sealed, so the field shares it.  Each entry is +-y_k exactly, as in
-        y @ OMEGA_SD."""
+        product OMEGA_SD^T of the structure's planes viewed as (3, nodes),
+        handed over sealed, so the field shares it.  Each entry is +-y_k
+        exactly, as in y @ OMEGA_SD."""
         planes = np.empty((6,) + self.grid.shape)
-        np.matmul(pl.OMEGA_SD.T, self.y.reshape(-1, 3).T, out=planes.reshape(6, -1))
+        np.matmul(pl.OMEGA_SD.T, self.planes.reshape(3, -1), out=planes.reshape(6, -1))
         return TwoFormField(self.grid, sealed(planes))
 
     @property
@@ -206,8 +221,11 @@ class BumpSpec:
 def standard_acs(grid: GridSpec) -> HermitianTriple:
     """The constant standard structure y = (1, 0, 0); its fundamental form
     is OMEGA1 everywhere and its harmonic anti-invariant plane is
-    span(OMEGA2, OMEGA3)."""
-    return HermitianTriple(grid, np.broadcast_to([1.0, 0.0, 0.0], grid.shape + (3,)))
+    span(OMEGA2, OMEGA3).  Its planes are written as such: ones, then two
+    planes of zeros."""
+    planes = np.zeros((3,) + grid.shape)
+    planes[0] = 1.0
+    return HermitianTriple(grid, sealed(planes))
 
 
 def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows, finish):
@@ -250,13 +268,20 @@ def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows, finish):
         ) from exc
 
 
-def _scatter(y: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A copy of the structure field y with its nodes at the flat indices
-    ``rows`` set to ``values``: a fresh array of y's shape, written through a
-    flat view and handed over sealed, so that :class:`HermitianTriple`
-    shares it."""
-    out = y.copy()
-    out.reshape(-1, 3)[rows] = values
+def _new_triple(grid: GridSpec, y: np.ndarray) -> HermitianTriple:
+    """The structure of the deformed y that :func:`.pointlin.deform_coords`
+    returned, the components-last view of fresh planes: its ``base``, those
+    planes, is handed over sealed, so the triple shares them."""
+    return HermitianTriple(grid, sealed(y.base))
+
+
+def _scatter(planes: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A copy of the structure planes ``planes`` with the nodes at the flat
+    indices ``rows`` set to ``values``, of shape (3, rows.size): a fresh
+    array of the planes' shape, each plane row written through a flat view,
+    handed over sealed, so that :class:`HermitianTriple` shares it."""
+    out = planes.copy()
+    out.reshape(3, -1)[:, rows] = values
     return sealed(out)
 
 
@@ -273,7 +298,7 @@ def deform_field(triple: HermitianTriple, a: np.ndarray) -> HermitianTriple:
     a = np.asarray(a, float)
     if a.shape != grid.shape + (3,):
         raise ValueError(f"deformation field must have shape {grid.shape + (3,)}, got {a.shape}")
-    return _deform(grid, triple.y, a, None, lambda out: HermitianTriple(grid, sealed(out)))
+    return _deform(grid, triple.y, a, None, lambda out: _new_triple(grid, out))
 
 
 def triple_from_form_field(F: TwoFormField) -> HermitianTriple:
@@ -295,7 +320,7 @@ def triple_from_form_field(F: TwoFormField) -> HermitianTriple:
         )
     # freed first, so y's arrays reuse its heap block instead of growing the heap
     del defect
-    return HermitianTriple(F.grid, F.values @ pl.OMEGA_SD.T / 2.0)
+    return HermitianTriple(F.grid, np.moveaxis(F.values @ pl.OMEGA_SD.T / 2.0, -1, 0))
 
 
 def random_compatible_acs(
@@ -314,8 +339,8 @@ def random_compatible_acs(
 
     The standard structure's y = (1, 0, 0) is a broadcast view, deformed by
     those coefficients through :func:`_deform` with its checks (a . y = 0,
-    |a| < 1); the deformed y is validated once, when its triple is built,
-    and kept without a further copy.
+    |a| < 1); the deformed y's planes are validated once, when its triple
+    is built, and kept without a further copy.
     """
     if not 0.0 < amplitude < 1.0:
         raise ValueError(f"amplitude must lie in (0, 1), got {amplitude}")
@@ -329,8 +354,7 @@ def random_compatible_acs(
     sup = float(np.sqrt(np.max(ab[0] ** 2 + ab[1] ** 2)))
     ab *= amplitude / max(sup, 1e-300)
     e1 = np.broadcast_to([1.0, 0.0, 0.0], grid.shape + (3,))
-    return _deform(grid, e1, np.moveaxis(coeffs, 0, -1), None,
-                   lambda out: HermitianTriple(grid, sealed(out)))
+    return _deform(grid, e1, np.moveaxis(coeffs, 0, -1), None, lambda out: _new_triple(grid, out))
 
 
 def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, what: str,
@@ -375,23 +399,25 @@ def one_bump_deform(
     bump values c1 are at most their height, itself at most 1, and w from
     :func:`.cohomlab.select_null_form` is a unit row divided by sqrt(2), so
     |a| <= height / sqrt(2) <= 0.71 up to rounding; the log's ``sup_norm``
-    is the largest |a|.  The checks of :func:`_deform` run on the rows of
-    the bump support alone: off it the deformation form is zero, so it
-    passes every check and leaves y as it is, and those nodes are copied
-    from the input.  The new structure is validated on the whole grid.
+    is the largest |a|.  The checks of :func:`_deform` run on the columns of
+    the bump support alone, gathered from the planes: off it the
+    deformation form is zero, so it passes every check and leaves y as it
+    is, and those nodes are copied from the input.  The new structure is
+    validated on the whole grid.
     """
     t0 = time.perf_counter()
     report0 = cohomlab.gram_matrix(triple, tol_null=tol_null)
     if report0.h_minus < 1:
         raise ValueError("stage 1 needs at least one harmonic anti-invariant direction")
     w, rows, c1, head = _cutoff_stage(triple, report0, bump, "cutoff-1", "bump support volume", eps)
-    a = c1[:, None] * w
-    stage1 = _deform(triple.grid, triple.y.reshape(-1, 3)[rows], a, rows,
-                     lambda out: HermitianTriple(triple.grid, _scatter(triple.y, rows, out)))
+    a = w[:, None] * c1
+    y = triple.planes.reshape(3, -1)[:, rows]
+    stage1 = _deform(triple.grid, y.T, a.T, rows,
+                     lambda out: HermitianTriple(triple.grid, _scatter(triple.planes, rows, out.T)))
     report1 = cohomlab.gram_matrix(stage1, tol_null=tol_null)
     log = DeformLog([{
         **head,
-        "sup_norm": float(np.sqrt(np.max(np.sum(a * a, axis=-1), initial=0.0))),
+        "sup_norm": float(np.sqrt(np.max(np.sum(a * a, axis=0), initial=0.0))),
         "null_direction": report0.null_coords[0].tolist(),
         "h_before": report0.h_minus,
         "h_after": report1.h_minus,
@@ -418,12 +444,13 @@ def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: De
     :func:`_deform`.
 
     The renormalization, the route cross-check and its |alt| = 1 check run
-    on the rows of the bump support alone: off it f1 = 1 and beta = 0, so
-    both routes return y1 exactly.  The validation of the new structure runs
-    on the whole grid, once, when its triple is built; the logged
-    wedge-square residual max |2 |y2|^2 - 2| is twice the worst unit defect
-    that validation measured (``stage2.unit_defect``), the same value to the
-    bit, as scaling by 2 is exact.
+    on the columns of the bump support alone, gathered from the planes: off
+    it f1 = 1 and beta = 0, so both routes return y1 exactly.  The
+    validation of the new structure runs on the whole grid, once, when its
+    triple is built; the logged wedge-square residual max |2 |y2|^2 - 2| is
+    twice the worst unit defect that validation measured
+    (``stage2.unit_defect``), the same value to the bit, as scaling by 2 is
+    exact.
     """
     t0 = time.perf_counter()
     if report1.h_minus == 0:
@@ -435,13 +462,12 @@ def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: De
     grid = stage1.grid
     prod_sq = c2**2 * float(w @ w)
     f1 = np.sqrt(1.0 - prod_sq)
-    y1 = stage1.y.reshape(-1, 3)[rows]
-    y2_rows = f1[:, None] * y1 + c2[:, None] * w
-    y2 = _scatter(stage1.y, rows, y2_rows)
-    stage2 = HermitianTriple(grid, y2)
+    y1 = stage1.planes.reshape(3, -1)[:, rows]
+    y2_rows = f1 * y1 + w[:, None] * c2
+    stage2 = HermitianTriple(grid, _scatter(stage1.planes, rows, y2_rows))
     # independent route: the same structure as a rational deformation of stage 1
-    alt = _deform(grid, y1, (c2 / (1.0 + f1))[:, None] * w, rows,
-                  lambda out: _require_unit(grid, out, rows))
+    alt = _deform(grid, y1.T, (w[:, None] * (c2 / (1.0 + f1))).T, rows,
+                  lambda out: _require_unit(grid, out.T, rows))
     route_dev = float(np.max(np.abs(alt - y2_rows), initial=0.0))
     if route_dev > ROUTE_TOL:
         raise pl.ConsistencyError(
@@ -492,15 +518,15 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict,
     y determines the structure, so neither F nor J is built or written.
     Before any file is opened, the y file name ``<stem>.y.field`` must be a
     plain file name (:func:`_plain_name`), as :func:`load_triple` requires,
-    y must pass :func:`_unit_defect` on the whole grid, which names the
-    worst node, and the sidecar must encode as JSON, so a failed save writes
-    nothing.  The file is written from the planes of a
-    :class:`.torusfield.SelfDualCoordField` of y, one components-major copy
-    of y, the save's one full-size copy.  A y file already at the path is
-    replaced by a new file, not truncated and rewritten
-    (:func:`.fieldio.serialize_field`)."""
+    the planes must pass :func:`_unit_defect` on the whole grid, which names
+    the worst node, and the sidecar must encode as JSON, so a failed save
+    writes nothing.  The structure's planes are the file's payload: a
+    :class:`.torusfield.SelfDualCoordField` shares them, and
+    :func:`.fieldio.serialize_field` writes them as they are, so a save
+    makes no full-size copy.  A y file already at the path is replaced by a
+    new file, not truncated and rewritten."""
     y_name = _plain_name(f"{stem}.y.field")
-    _unit_defect(triple.grid, triple.y, None)
+    _unit_defect(triple.grid, triple.planes, None)
     sidecar = json.dumps({
         "format": 3,
         "grid_n": triple.grid.n,
@@ -510,8 +536,7 @@ def save_triple(triple: HermitianTriple, directory, stem: str, params: dict,
     }, indent=2)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    serialize_field(SelfDualCoordField(triple.grid, np.moveaxis(triple.y, -1, 0)),
-                    directory / y_name)
+    serialize_field(SelfDualCoordField(triple.grid, triple.planes), directory / y_name)
     path = directory / f"{stem}.json"
     path.write_text(sidecar)
     return path
@@ -526,11 +551,11 @@ def load_triple(sidecar_path) -> HermitianTriple:
     :class:`.fieldio.FieldFormatError` names it, as it does a set of format
     1 or 2, whose file held the fundamental form F.  The y file is read by
     :func:`.fieldio.deserialize_field`, so it must pass its format checks
-    (header, sdcoords kind, grid, payload size) and hold finite values.  Its
-    planes are copied once into a node-major y, the load's one full-size
-    copy, and freed before the triple built from y checks |y| = 1, naming
-    the worst node.  A failed read of the sidecar raises as it is;
-    non-UTF-8 is malformed.
+    (header, sdcoords kind, grid, payload size) and hold finite values.  The
+    file is read into fresh planes, the load's one full-size array, which
+    the field shares and the triple built from them shares in turn, once
+    it has checked |y| = 1 on them, naming the worst node.  A failed read of
+    the sidecar raises as it is; non-UTF-8 is malformed.
     """
     sidecar_path = Path(sidecar_path)
     data = sidecar_path.read_bytes()
@@ -547,6 +572,4 @@ def load_triple(sidecar_path) -> HermitianTriple:
         name = _plain_name(files.get("y") if isinstance(files, dict) else None)
     except ValueError as exc:
         raise FieldFormatError(f"{sidecar_path}: malformed sidecar: {exc}") from exc
-    # the field's planes are freed once y is copied from them, before y is checked
-    y = np.ascontiguousarray(deserialize_field(sidecar_path.parent / name, grid).values)
-    return HermitianTriple(grid, sealed(y))
+    return HermitianTriple(grid, deserialize_field(sidecar_path.parent / name, grid).planes)

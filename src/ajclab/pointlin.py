@@ -227,17 +227,20 @@ def deform_coords(y, a, nsq):
     stereographic image y' = ((1 - |a|^2) y + 2 a) / (1 + |a|^2).
 
     ``nsq`` is |a|^2 as :func:`coords_norm_sq` gives it, and each component
-    of y' is computed in one pass into one output array; so y' is the
-    formula above to the bit, whatever the memory layout of y and a.  ``y``
-    may be a broadcast view, such as a constant field.
+    of y' is computed in one pass into one contiguous plane of a fresh
+    array, component index first; so y' is the formula above to the bit,
+    whatever the memory layout of y and a.  ``y`` may be a broadcast view,
+    such as a constant field.  The result is the components-last view of
+    those planes, which are its ``base``: the layout of a structure's planes.
     """
     shrink, grow = 1.0 - nsq, 1.0 + nsq
-    out = np.empty(np.broadcast_shapes(np.shape(y), np.shape(a)))
+    shape = np.broadcast_shapes(np.shape(y), np.shape(a))
+    planes = np.empty(shape[-1:] + shape[:-1])
     for k in range(3):
-        comp = np.multiply(shrink, y[..., k], out=out[..., k])
+        comp = np.multiply(shrink, y[..., k], out=planes[k, ...])
         comp += 2.0 * a[..., k]
         comp /= grow
-    return out
+    return np.moveaxis(planes, 0, -1)
 
 
 def wedge_norm_sq(alpha):

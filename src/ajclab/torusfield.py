@@ -99,17 +99,15 @@ def _worst_node(grid: GridSpec, nodewise: np.ndarray, rows) -> tuple[int, ...]:
     return tuple(int(k) for k in np.unravel_index(i if rows is None else int(rows[i]), grid.shape))
 
 
-def frozen(values, order: str) -> np.ndarray:
-    """``values`` as a read-only float array that no other name can write,
-    in the memory ``order`` of :func:`numpy.array`: "C" for a field's
-    planes, "K" for a structure's y, whose layout is kept.  A read-only
-    float array that owns its memory, and for "C" is C-contiguous, is
-    shared as it is: the planes of a field, the y of a structure, or an
-    array handed over :func:`sealed`.  Anything else, a view included, is
-    copied."""
+def frozen(values) -> np.ndarray:
+    """``values`` as a read-only C-contiguous float array that no other name
+    can write, as the planes of a field or of a structure are kept.  Such an
+    array that owns its memory is shared as it is: the planes of another
+    field or structure, or an array handed over :func:`sealed`.  Anything
+    else, a view included, is copied."""
     if not (isinstance(values, np.ndarray) and values.dtype == float and values.base is None
-            and not values.flags.writeable and (order == "K" or values.flags.c_contiguous)):
-        values = np.array(values, dtype=float, order=order)
+            and not values.flags.writeable and values.flags.c_contiguous):
+        values = np.array(values, dtype=float, order="C")
         values.setflags(write=False)
     return values
 
@@ -118,7 +116,7 @@ def sealed(values: np.ndarray) -> np.ndarray:
     """``values``, a fresh array that owns its memory and that the caller
     keeps no other name for, made read-only, so that :func:`frozen` shares
     it instead of copying it: the planes :func:`_apply` returns, a drawn or
-    read field's planes, a structure's new y."""
+    read field's planes, a structure's new planes."""
     values.setflags(write=False)
     return values
 
@@ -143,7 +141,7 @@ class _FieldBase:
         if not np.all(np.isfinite(planes)):
             raise ValueError(f"{type(self).__name__} has non-finite values")
         self.grid = grid
-        self.planes = frozen(planes, "C")
+        self.planes = frozen(planes)
         k = len(self.NCOMP)
         self.values = np.moveaxis(self.planes, range(k), range(-k, 0))
 

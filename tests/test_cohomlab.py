@@ -1,6 +1,7 @@
 """Gram method, volume estimates, the elliptic oracle, and subspace relations."""
 
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -100,12 +101,53 @@ class TestGram:
         with pytest.raises(ValueError, match=re.escape(f"tol_null must lie in (0, 1), got {tol_null}")):
             cohomlab.gram_matrix(hm.standard_acs(G8), tol_null=tol_null)
 
+    def test_each_entry_is_within_4_gamma_n_of_an_exact_node_sum(self):
+        base = hm.standard_acs(G8)
+        structures = [base, *hm.two_stage_deform(base, BUMP1, BUMP2)[:2],
+                      hm.random_compatible_acs(G8, seed=9, amplitude=0.5, bandlimit=2)]
+        for triple in structures:
+            G = cohomlab.gram_matrix(triple).matrix
+            dev = np.max(np.abs(G - exact_gram(triple.planes.reshape(3, -1))))
+            assert dev <= gram_rounding_bound(G8.node_count), dev
+
+    def test_a_gram_that_drops_one_node_is_outside_the_bound(self):
+        triple = hm.random_compatible_acs(G8, seed=9, amplitude=0.5, bandlimit=2)
+        planes = triple.planes.reshape(3, -1)
+        G = cohomlab.gram_matrix(SimpleNamespace(grid=G8, planes=planes[:, 1:])).matrix
+        assert np.max(np.abs(G - exact_gram(planes))) > 1e3 * gram_rounding_bound(G8.node_count)
+
     def test_matches_f_function_integrals(self):
         triple = hm.random_compatible_acs(G8, seed=9, amplitude=0.5, bandlimit=2)
         fs = [cohomlab.f_omega(triple, w) for w in np.eye(3)]
         expected = [[tf.integrate(tf.ScalarField(G8, fk.values * fl.values)) for fl in fs]
                     for fk in fs]
         np.testing.assert_allclose(cohomlab.gram_matrix(triple).matrix, expected, atol=1e-14)
+
+
+def exact_gram(planes):
+    """G = 4 sum_x y y^T / N from math.fsum of the products, each split
+    into an exact pair p + e (Dekker's two-product with Veltkamp's split),
+    for the (3, N) ``planes`` of a structure."""
+    def split(x):
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        return hi, x - hi
+
+    def exact_sum(a, b):
+        p = a * b
+        (ah, al), (bh, bl) = split(a), split(b)
+        return math.fsum(np.concatenate([p, ((ah * bh - p) + ah * bl + al * bh) + al * bl]))
+
+    return np.array([[4.0 * exact_sum(a, b) / a.size for b in planes] for a in planes])
+
+
+def gram_rounding_bound(nodes):
+    """ROADMAP item 11's rounding bound on a Gram entry: a dot product of N
+    terms errs by at most gamma_N sum |y_k y_l| <= gamma_N N, so G_kl = 4
+    sum / N by 4 gamma_N; the scalings by 4 / N of G and of
+    :func:`exact_gram` add a few roundings of at most 4 u each."""
+    u = np.finfo(float).eps / 2.0
+    return 4.0 * nodes * u / (1.0 - nodes * u) + 16.0 * u
 
 
 def test_gram_report_json_keeps_field_order_and_plain_types():
@@ -339,9 +381,9 @@ class TestDeltaEstimate:
     def test_non_finite_structure_rejected(self):
         stage1 = hm.one_bump_deform(hm.standard_acs(G8), BUMP1)[0]
         report = cohomlab.gram_matrix(stage1)
-        y = stage1.y.copy()
-        y[1, 2, 3, 4] = np.nan
-        broken = SimpleNamespace(y=y)
+        planes = stage1.planes.copy()
+        planes[:, 1, 2, 3, 4] = np.nan
+        broken = SimpleNamespace(planes=planes)
         with pytest.raises(ValueError, match="f_omega has non-finite values"):
             cohomlab.delta_j_estimate(broken, report, 1e-6)
 
@@ -381,8 +423,8 @@ class TestDeltaEstimate:
         # b = pi/2 fail far from both.  After the fold the deepest overlap
         # starts at a start it holds only through an arc's wrapped part.
         betas = np.repeat([0.0, -0.15 * sign, np.pi / 2], [100, 100, 56]).reshape(G4.shape)
-        y = np.stack([np.cos(betas), np.zeros(G4.shape), np.sin(betas)], axis=-1)
-        triple = hm.HermitianTriple(G4, y)
+        planes = np.stack([np.cos(betas), np.zeros(G4.shape), np.sin(betas)])
+        triple = hm.HermitianTriple(G4, planes)
         report = cohomlab.gram_matrix(triple)
         np.testing.assert_allclose(span_basis(report), [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
                                    rtol=0, atol=1e-15)
@@ -412,8 +454,8 @@ class TestDeltaEstimate:
         noise = tf.ScalarField(G16, np.random.default_rng(5).standard_normal(G16.shape))
         beta = spectral_truncate(noise, 3).values
         beta = beta * (1.2 / np.max(np.abs(beta)))
-        y = np.stack([np.cos(beta), np.zeros(G16.shape), np.sin(beta)], axis=-1)
-        triple = hm.HermitianTriple(G16, y)
+        planes = np.stack([np.cos(beta), np.zeros(G16.shape), np.sin(beta)])
+        triple = hm.HermitianTriple(G16, planes)
         report = cohomlab.gram_matrix(triple)
         assert report.h_minus == 1
         pinned = {1e-6: 0.99993896484375, 1e-2: 0.968994140625, 0.3: 0.2558441162109375}
@@ -445,7 +487,7 @@ def circle_structure(grid, beta):
     x0, x1, x2, _ = grid.coords()
     theta = (np.sin(2 * np.pi * x0) + 0.5 * np.cos(2 * np.pi * (x1 + x2)))[..., None]
     y = np.cos(theta) * u + np.sin(theta) * w + np.zeros(grid.shape + (3,))
-    return hm.HermitianTriple(grid, y)
+    return hm.HermitianTriple(grid, np.moveaxis(y, -1, 0))
 
 
 #: the circles' normals: the cube diagonal and a generic direction

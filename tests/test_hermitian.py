@@ -93,22 +93,26 @@ class TestStandard:
         assert peak <= 1.6 * nbytes, peak / nbytes
 
     def test_triple_cache_validated(self):
-        y = np.array(constant([1.0, 0.0, 0.0]))
-        y[1, 2, 3, 4] = [1.0, 1e-4, 0.0]
+        planes = np.array(np.moveaxis(constant([1.0, 0.0, 0.0]), -1, 0))
+        planes[:, 1, 2, 3, 4] = [1.0, 1e-4, 0.0]
         with pytest.raises(ValueError, match=r"unit vector at node \(1, 2, 3, 4\)"):
-            hm.HermitianTriple(G8, y)
+            hm.HermitianTriple(G8, planes)
         with pytest.raises(ValueError, match="shape"):
-            hm.HermitianTriple(G8, y[..., :2])
-        y[0, 0, 0, 0] = np.nan
+            hm.HermitianTriple(G8, planes[:2])
+        with pytest.raises(ValueError, match="shape"):
+            hm.HermitianTriple(G8, np.moveaxis(planes, 0, -1))
+        planes[:, 0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            hm.HermitianTriple(G8, y)
+            hm.HermitianTriple(G8, planes)
         triple = hm.standard_acs(G8)
         with pytest.raises(ValueError, match="read-only"):
             triple.y[0, 0, 0, 0, 0] = 0.0
-        # a writable y is copied, so a later write to it leaves the triple as built
-        y = np.array(triple.y)
-        copied = hm.HermitianTriple(G8, y)
-        y[0, 0, 0, 0] = [0.0, 1.0, 0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            triple.planes[0, 0, 0, 0, 0] = 0.0
+        # writable planes are copied, so a later write to them leaves the triple as built
+        planes = np.array(triple.planes)
+        copied = hm.HermitianTriple(G8, planes)
+        planes[:, 0, 0, 0, 0] = [0.0, 1.0, 0.0]
         assert copied.y.tobytes() == triple.y.tobytes()
 
     def test_fundamental_form_keeps_its_fresh_product(self, monkeypatch):
@@ -126,6 +130,37 @@ class TestStandard:
         assert F.planes is handed[0] and not F.planes.flags.writeable
         assert np.shares_memory(F.values, F.planes)
         assert F.values.tobytes() == (triple.y @ pl.OMEGA_SD).tobytes()
+
+
+class TestStructurePlanes:
+    """A structure stores y as three contiguous component planes, the
+    layout of the y file, and y is their components-last view."""
+
+    @staticmethod
+    def structures(io_triples, tmp_path):
+        sidecar = hm.save_triple(io_triples["stage2"], tmp_path, "stage2", params={},
+                                 log=hm.DeformLog())
+        ab = np.random.default_rng(4).uniform(-0.2, 0.2, (2,) + G8.shape)
+        a = np.stack([np.zeros(G8.shape), *ab], axis=-1)
+        return {**io_triples, "loaded": hm.load_triple(sidecar),
+                "deformed": hm.deform_field(io_triples["standard"], a),
+                "built": hm.HermitianTriple(G8, np.array(io_triples["random"].planes))}
+
+    def test_every_structure_keeps_read_only_contiguous_planes(self, io_triples, tmp_path):
+        for label, triple in self.structures(io_triples, tmp_path).items():
+            planes = triple.planes
+            assert planes.shape == (3,) + G8.shape and planes.dtype == float, label
+            assert planes.flags.c_contiguous and not planes.flags.writeable, label
+            assert planes.base is None, label
+            y = triple.y
+            assert y.shape == G8.shape + (3,) and y.base is planes, label
+            assert all(np.array_equal(y[..., k], planes[k]) for k in range(3)), label
+
+    def test_y_is_read_only_and_follows_the_planes(self):
+        triple = hm.random_compatible_acs(G8, seed=2, amplitude=0.3, bandlimit=2)
+        assert not triple.y.flags.writeable
+        assert np.shares_memory(triple.y, triple.planes)
+        assert triple.y.tobytes() == np.moveaxis(triple.planes, 0, -1).tobytes()
 
 
 class TestAntiInvariantField:
@@ -188,7 +223,7 @@ class TestAntiInvariantField:
         # is the first of equal clearances, e3, which y meets first at x0 = 5
         g6 = tf.GridSpec(6)
         y = np.eye(3)[[0, 0, 0, 1, 1, 2]].reshape(6, 1, 1, 1, 3) + np.zeros(g6.shape + (3,))
-        triple = hm.HermitianTriple(g6, y)
+        triple = hm.HermitianTriple(g6, np.moveaxis(y, -1, 0))
         with pytest.raises(pl.ConsistencyError,
                            match=r"clearance 0\.000e\+00 .* at node \(5, 0, 0, 0\) \(bound 1e-03\)"):
             hm.anti_invariant_frame(triple)
@@ -285,9 +320,9 @@ class TestRandomCompatible:
         checked, deformed = [], []
         unit_defect, deform_coords = hm._unit_defect, pl.deform_coords
 
-        def counted(grid, y, rows):
-            checked.append(y)
-            return unit_defect(grid, y, rows)
+        def counted(grid, planes, rows):
+            checked.append(planes)
+            return unit_defect(grid, planes, rows)
 
         def recorded(y, a, nsq):
             deformed.append(deform_coords(y, a, nsq))
@@ -296,9 +331,9 @@ class TestRandomCompatible:
         monkeypatch.setattr(hm, "_unit_defect", counted)
         monkeypatch.setattr(pl, "deform_coords", recorded)
         triple = hm.random_compatible_acs(G8, seed=3, amplitude=0.4, bandlimit=2)
-        assert len(checked) == 1 and checked[0] is triple.y
-        # the fresh deformed y is kept as it is, not copied again
-        assert triple.y is deformed[0] and not triple.y.flags.writeable
+        assert len(checked) == 1 and checked[0] is triple.planes
+        # the fresh planes of the deformed y are kept as they are, not copied again
+        assert triple.planes is deformed[0].base and not triple.planes.flags.writeable
 
 
 class TestTripleFromForm:
@@ -467,7 +502,8 @@ class TestSupportPath:
         w1 = cohomlab.select_null_form(cohomlab.gram_matrix(base))
         a1 = bump1.build(base.grid).values[..., None] * w1
         y1 = pl.deform_coords(base.y, a1, pl.coords_norm_sq(a1))
-        w2 = cohomlab.select_null_form(cohomlab.gram_matrix(hm.HermitianTriple(base.grid, y1)))
+        stage1 = hm.HermitianTriple(base.grid, np.moveaxis(y1, -1, 0))
+        w2 = cohomlab.select_null_form(cohomlab.gram_matrix(stage1))
         c2 = bump2.build(base.grid).values
         f1 = np.sqrt(1.0 - c2**2 * float(w2 @ w2))
         y2 = f1[..., None] * y1 + c2[..., None] * w2
@@ -522,7 +558,7 @@ class TestSupportPath:
         a = np.zeros_like(y)
         a[k] = bad
         with pytest.raises(ValueError, match=match):
-            hm._deform(G8, y, a, rows, lambda out: hm._require_unit(G8, out, rows))
+            hm._deform(G8, y, a, rows, lambda out: hm._require_unit(G8, out.T, rows))
 
     @pytest.mark.parametrize("a1, a2, nsq", [
         ("0x1.fef09ef3532f1p-1", "0x1.0770e17577743p-4", np.nextafter(1.0, 0.0)),
@@ -536,7 +572,7 @@ class TestSupportPath:
         assert pl.coords_norm_sq(a)[7] == nsq
 
         def finish(out):
-            return hm._require_unit(G8, out, rows)
+            return hm._require_unit(G8, out.T, rows).T
 
         if nsq < 1.0:
             got = hm._deform(G8, y, a, rows, finish)
@@ -630,6 +666,10 @@ class TestBlockedUnitCheck:
         """The standard structure's y as a writable (N, 3) copy."""
         return np.array(hm.standard_acs(self.G24).y.reshape(-1, 3))
 
+    def planes(self, y):
+        """The planes of the (N, 3) rows ``y``."""
+        return np.moveaxis(y.reshape(self.G24.shape + (3,)), -1, 0)
+
     def test_the_worst_node_past_the_first_block_is_named(self):
         y = self.unit_rows()
         y[100] *= 1.0 + 1e-6
@@ -638,7 +678,7 @@ class TestBlockedUnitCheck:
         node = tuple(int(i) for i in np.unravel_index(flat, self.G24.shape))
         with pytest.raises(ValueError, match=re.escape(
                 f"y is not a unit vector at node {node} (||y|^2 - 1| = 2.010e-02, tol 1.0e-09)")):
-            hm.HermitianTriple(self.G24, y.reshape(self.G24.shape + (3,)))
+            hm.HermitianTriple(self.G24, self.planes(y))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_a_non_finite_node_in_the_last_block_is_refused(self, value):
@@ -646,7 +686,7 @@ class TestBlockedUnitCheck:
         y = self.unit_rows()
         y[-1, 2] = value
         with pytest.raises(ValueError, match="y has non-finite values"):
-            hm.HermitianTriple(self.G24, y.reshape(self.G24.shape + (3,)))
+            hm.HermitianTriple(self.G24, self.planes(y))
 
     def test_stage_2_logs_twice_its_unit_defect(self):
         _, stage2, log = hm.two_stage_deform(hm.standard_acs(self.G24), DEFAULT_BUMP1,
@@ -660,19 +700,26 @@ class TestBlockedUnitCheck:
         checked = []
         unit_defect = hm._unit_defect
 
-        def counted(grid, y, rows):
-            checked.append((y, rows))
-            return unit_defect(grid, y, rows)
+        def counted(grid, planes, rows):
+            checked.append((planes, rows))
+            return unit_defect(grid, planes, rows)
 
         monkeypatch.setattr(hm, "_unit_defect", counted)
         base = hm.standard_acs(self.G24)
         stage1, stage2, _ = hm.two_stage_deform(base, DEFAULT_BUMP1, DEFAULT_BUMP2)
-        whole = [y for y, rows in checked if rows is None]
+        whole = [planes for planes, rows in checked if rows is None]
         assert len(whole) == 3
-        assert all(y is triple.y for y, triple in zip(whole, (base, stage1, stage2)))
+        assert all(planes is triple.planes for planes, triple in zip(whole, (base, stage1, stage2)))
         # and stage 2's route cross-check, on its support rows alone
         (rows,) = [rows for _, rows in checked if rows is not None]
         assert 0 < rows.size < self.G24.node_count
+
+
+@pytest.fixture(scope="module")
+def g24_stage2():
+    """Stage 2 of the default construction at n = 24, where the unit check
+    spans 21 column blocks."""
+    return hm.two_stage_deform(hm.standard_acs(tf.GridSpec(24)), DEFAULT_BUMP1, DEFAULT_BUMP2)[1]
 
 
 @pytest.fixture(scope="module")
@@ -758,32 +805,56 @@ class TestTripleIO:
         for k in range(3):
             assert rows[k].tobytes() == np.ascontiguousarray(triple.y[..., k]).tobytes()
 
-    def test_load_copies_the_y_file_once(self, io_triples, tmp_path, monkeypatch):
-        # the file is read straight into the field's planes, and the triple's
-        # node-major y is the one copy of them: a load holds two arrays of y's
-        # size at its peak, where a second copy would make it three.  Only
-        # whether the planes own their memory is recorded, so the field is
-        # freed as in a load
-        fresh_planes = []
+    def test_load_copies_the_y_file_once(self, g24_stage2, tmp_path, monkeypatch):
+        # the file is read straight into the field's planes, and the triple
+        # shares them: a load holds one array of y's size at its peak, with
+        # the unit check's blocks and the field's finiteness mask beside it,
+        # where a copy of the planes would make it two.  At n = 24 the unit
+        # check spans 21 blocks, so its temporaries stay small
+        read_planes = []
         original = hm.deserialize_field
 
         def recorded(*args, **kwargs):
             field = original(*args, **kwargs)
-            fresh_planes.append(field.planes.base is None)
+            read_planes.append(field.planes)
             return field
 
         monkeypatch.setattr(hm, "deserialize_field", recorded)
-        sidecar = hm.save_triple(io_triples["stage2"], tmp_path, "stage2", params={},
-                                 log=hm.DeformLog())
+        sidecar = hm.save_triple(g24_stage2, tmp_path, "stage2", params={}, log=hm.DeformLog())
         tracemalloc.start()
         try:
             back = hm.load_triple(sidecar)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fresh_planes == [True]
-        assert back.y.base is None and back.y.flags.c_contiguous
-        assert peak <= 2.25 * back.y.nbytes, peak / back.y.nbytes
+        assert len(read_planes) == 1 and back.planes is read_planes[0]
+        assert back.planes.base is None and back.planes.flags.c_contiguous
+        assert peak <= 1.25 * back.planes.nbytes, peak / back.planes.nbytes
+        assert back.planes.tobytes() == g24_stage2.planes.tobytes()
+
+    def test_save_writes_the_planes_as_they_are(self, g24_stage2, tmp_path, monkeypatch):
+        # the field that is written shares the structure's planes, and a save
+        # holds no full-size array beside them: the finiteness mask of the
+        # field and the unit check's blocks, an eighth of the planes or so
+        written = []
+        original = hm.serialize_field
+
+        def recorded(field, path):
+            written.append(field.planes)
+            return original(field, path)
+
+        monkeypatch.setattr(hm, "serialize_field", recorded)
+        hm.save_triple(g24_stage2, tmp_path, "warm", params={}, log=hm.DeformLog())
+        tracemalloc.start()
+        try:
+            hm.save_triple(g24_stage2, tmp_path, "stage2", params={}, log=hm.DeformLog())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(written) == 2 and all(planes is g24_stage2.planes for planes in written)
+        assert peak <= 0.25 * g24_stage2.planes.nbytes, peak / g24_stage2.planes.nbytes
+        header = b"AJC1 sdcoords 24\n"
+        assert (tmp_path / "stage2.y.field").read_bytes() == header + g24_stage2.planes.tobytes()
 
     @pytest.mark.parametrize(
         "change, match",
@@ -793,8 +864,8 @@ class TestTripleIO:
     )
     def test_save_rejects_an_invalid_structure(self, change, match, tmp_path):
         triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
-        # bypass the validation at construction, as a caller mutating y would
-        object.__setattr__(triple, "y", change(triple.y))
+        # bypass the validation at construction, as a caller mutating the planes would
+        object.__setattr__(triple, "planes", change(triple.planes))
         with pytest.raises(ValueError, match=match):
             hm.save_triple(triple, tmp_path, "bad", params={}, log=hm.DeformLog())
         assert not (tmp_path / "bad.y.field").exists()
@@ -830,7 +901,7 @@ class TestTripleIO:
         # |y|^2 - 1 = d is a J^2 + Id defect d
         def scaled(defect):
             triple = hm.random_compatible_acs(G8, seed=7, amplitude=0.4, bandlimit=2)
-            object.__setattr__(triple, "y", np.sqrt(1.0 + defect) * triple.y)
+            object.__setattr__(triple, "planes", np.sqrt(1.0 + defect) * triple.planes)
             return triple
 
         hm.save_triple(scaled(0.5e-9), tmp_path, "inside", params={}, log=hm.DeformLog())

@@ -6,7 +6,8 @@ rotation of the self-dual coordinates y must rotate the Gram matrix and
 leave the elliptic oracle's count, bounds and Ritz values unchanged within
 a stated rounding bound.  v_measure and delta_J count nodes, so moving the
 nodes by a roll or an axis permutation must leave them equal bit for bit,
-given the same Gram report."""
+given the same Gram report.  Moving both cut-off bumps by whole nodes must
+roll both stages' y bit for bit and leave their logs as they are."""
 
 import itertools
 from types import SimpleNamespace
@@ -20,6 +21,8 @@ G8 = tf.GridSpec(8)
 BUMP1 = hm.BumpSpec((0.5, 0.5, 0.5, 0.5), 0.3, 0.5)
 #: the last one takes stage 1's bump centre to node 0
 SHIFTS = [(1, 0, 0, 0), (0, 3, 0, 5), (7, 2, 4, 1), (4, 4, 4, 4)]
+#: the grid axes of a structure's planes, behind the component axis
+PLANE_GRID_AXES = (1, 2, 3, 4)
 
 
 def gamma(count: int) -> float:
@@ -41,7 +44,7 @@ def structures():
 def translation_defects(triple, shift, gram):
     """Whether the Gram reports of ``triple`` and of its translate by
     ``shift`` nodes give the same h, and their largest eigenvalue gap."""
-    rolled = hm.HermitianTriple(triple.grid, np.roll(triple.y, shift, axis=tf.GRID_AXES))
+    rolled = hm.HermitianTriple(triple.grid, np.roll(triple.planes, shift, axis=PLANE_GRID_AXES))
     before, after = gram(triple), gram(rolled)
     gap = float(np.max(np.abs(before.eigenvalues - after.eigenvalues)))
     return before.h_minus == after.h_minus, gap
@@ -58,7 +61,8 @@ def test_a_translated_structure_keeps_h_and_its_gram_spectrum(structures, label,
 
 def test_a_gram_mean_that_drops_a_node_is_caught(structures):
     def gram_dropping_node_0(triple):
-        return cohomlab.gram_matrix(SimpleNamespace(grid=triple.grid, y=triple.y.reshape(-1, 3)[1:]))
+        planes = triple.planes.reshape(3, -1)[:, 1:]
+        return cohomlab.gram_matrix(SimpleNamespace(grid=triple.grid, planes=planes))
 
     for label, triple in structures.items():
         _, gap = translation_defects(triple, SHIFTS[-1], gram_dropping_node_0)
@@ -89,7 +93,7 @@ def node_order(perm):
 
 def permuted(triple, perm):
     y = np.transpose(triple.y, node_order(perm) + (4,)) @ self_dual_action(perm)
-    return hm.HermitianTriple(triple.grid, y)
+    return hm.HermitianTriple(triple.grid, np.moveaxis(y, -1, 0))
 
 
 def test_the_swap_acts_on_self_dual_coordinates_by_a_sign():
@@ -130,8 +134,8 @@ def test_the_swapped_structure_keeps_the_elliptic_count(structures, label):
 
 def test_a_gram_mean_that_drops_one_axis_slice_is_caught(structures):
     def gram_dropping_slice_0(triple):
-        y = triple.y[1:].reshape(-1, 3)
-        return cohomlab.gram_matrix(SimpleNamespace(grid=triple.grid, y=y))
+        planes = triple.planes[:, 1:].reshape(3, -1)
+        return cohomlab.gram_matrix(SimpleNamespace(grid=triple.grid, planes=planes))
 
     # stage 1's bump is radial about (1/2, ..., 1/2) and misses the slice
     for label in ("random/1", "random/2"):
@@ -201,7 +205,7 @@ def rotation_defects(triple, R):
     of their Gram matrices, whether the elliptic oracle gives the same
     count, and how far its certified lower bounds and its Ritz values move,
     relative to LAMBDA_GAP and to the largest Ritz value."""
-    rotated = hm.HermitianTriple(triple.grid, triple.y @ R.T)
+    rotated = hm.HermitianTriple(triple.grid, np.moveaxis(triple.y @ R.T, -1, 0))
     gram = np.max(np.abs(cohomlab.gram_matrix(rotated).matrix
                          - R @ cohomlab.gram_matrix(triple).matrix @ R.T))
     before, after = (cohomlab.elliptic_kernel_dim(t, triple.grid) for t in (triple, rotated))
@@ -254,9 +258,10 @@ def node_relabelings(triple):
     """``triple``'s y moved by each whole-node roll of SHIFTS and by the node
     order of each even permutation, as (name, triple): the same nodal values
     at other nodes, with no action on the self-dual frame."""
-    y = triple.y
-    moves = [(f"roll {s}", np.roll(y, s, axis=tf.GRID_AXES)) for s in SHIFTS]
-    moves += [(f"perm {p}", np.transpose(y, node_order(p) + (4,))) for p in EVEN_PERMUTATIONS]
+    planes = triple.planes
+    moves = [(f"roll {s}", np.roll(planes, s, axis=PLANE_GRID_AXES)) for s in SHIFTS]
+    moves += [(f"perm {p}", np.transpose(planes, (0,) + tuple(a + 1 for a in node_order(p))))
+              for p in EVEN_PERMUTATIONS]
     return [(name, hm.HermitianTriple(triple.grid, moved)) for name, moved in moves]
 
 
@@ -299,9 +304,73 @@ def test_a_count_that_loses_its_last_nodes_is_caught():
     triple, report, w = stage1_counts(tf.GridSpec(16))
 
     def losing_the_tail(t):
-        y = t.y.reshape(-1, 3)
-        return counted_measures(SimpleNamespace(grid=t.grid, y=y[: 3 * len(y) // 4]), report, w)
+        planes = t.planes.reshape(3, -1)
+        kept = planes[:, : 3 * planes.shape[1] // 4]
+        return counted_measures(SimpleNamespace(grid=t.grid, planes=kept), report, w)
 
     # every roll along the first axis moves bump nodes across the lost slices
     lost = relabeling_deviations(triple, losing_the_tail)
     assert {f"roll {s}" for s in SHIFTS if s[0]} <= set(lost), lost
+
+
+#: stage 2's bump of the golden construction; with BUMP1 its centre is dyadic
+BUMP2 = hm.BumpSpec((0.25, 0.25, 0.25, 0.25), 0.25, 0.5)
+#: whole-node moves of both bump centres.  The centres, 1/2 and 1/4, and the
+#: steps k/n are dyadic, so every moved centre and every node offset is exact
+CUTOFF_STEPS = [(1, 0, 0, 0), (0, 3, 0, 5), (7, 2, 4, 1), (-3, 2, -1, 6)]
+#: what each cut-off stage logs that a translation must leave as it is
+TRANSLATED_LOG_KEYS = ("delta_estimate", "support_volume", "h_before", "h_after", "sup_norm",
+                       "route_disagreement", "wedge_square_residual")
+
+
+def moved_bump(bump, steps, grid):
+    """``bump`` with its centre moved by ``steps`` nodes along each axis."""
+    return hm.BumpSpec(tuple(c + s / grid.n for c, s in zip(bump.center, steps)),
+                       bump.radius, bump.height)
+
+
+def cutoff_translation_defects(grid):
+    """The steps of CUTOFF_STEPS under which the two-stage construction from
+    the standard structure, with both bump centres moved, is not the
+    original's two stages rolled by the steps, bit for bit, or logs other
+    TRANSLATED_LOG_KEYS values."""
+    base = hm.standard_acs(grid)
+    *stages, log = hm.two_stage_deform(base, BUMP1, BUMP2)
+    defects = []
+    for steps in CUTOFF_STEPS:
+        *moved, moved_log = hm.two_stage_deform(base, moved_bump(BUMP1, steps, grid),
+                                                moved_bump(BUMP2, steps, grid))
+        rolled = [np.roll(t.planes, steps, axis=PLANE_GRID_AXES) for t in stages]
+        same_y = all(np.array_equal(r, t.planes) for r, t in zip(rolled, moved))
+        same_log = [[record.get(k) for k in TRANSLATED_LOG_KEYS] for record in log] == [
+            [record.get(k) for k in TRANSLATED_LOG_KEYS] for record in moved_log]
+        if not (same_y and same_log):
+            defects.append(steps)
+    return defects
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_translated_bumps_roll_the_cutoff_stages_bit_for_bit(n):
+    # each node's y is computed from its own bump value and y alone, and the
+    # Gram and delta decisions are sums and counts over every node
+    grid = tf.GridSpec(n)
+    *_, log = hm.two_stage_deform(hm.standard_acs(grid), BUMP1, BUMP2)
+    assert [record["h_after"] for record in log] == [1, 0]
+    assert cutoff_translation_defects(grid) == []
+
+
+def test_a_scatter_that_writes_late_columns_into_the_wrong_plane_is_caught(monkeypatch):
+    # a blocked scatter whose second half writes each component one plane
+    # on: |y| = 1 still holds there, and which nodes it hits depends on the
+    # first axis alone
+    scatter = hm._scatter
+
+    def rotating_the_late_columns(planes, rows, values):
+        late = rows >= planes[0].size // 2
+        values = values.copy()
+        values[:, late] = np.roll(values[:, late], 1, axis=0)
+        return scatter(planes, rows, values)
+
+    monkeypatch.setattr(hm, "_scatter", rotating_the_late_columns)
+    caught = cutoff_translation_defects(G8)
+    assert [s for s in CUTOFF_STEPS if s[0]] == caught, caught
