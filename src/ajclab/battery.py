@@ -56,7 +56,7 @@ def run_deformation_battery(seed: int) -> list[Check]:
     # the S^2 formulas against the 4x4 deformation that deform_pair returns
     y = pl.fundamental_form(J) @ pl.OMEGA_SD.T / 2.0
     a = alpha @ pl.OMEGA_SD.T / 2.0
-    y_new = pl.deform_coords(y, a, pl.coords_norm_sq(a))
+    y_new = np.moveaxis(pl.deform_coords(y, a, pl.coords_norm_sq(a)), 0, -1)
     s2_residual = np.concatenate([
         (pl.acs_from_coords(y) - J).reshape(CASES, 16),
         (pl.acs_from_coords(y_new) - closed).reshape(CASES, 16),

@@ -36,12 +36,12 @@ that of its result, at the ``tol_null`` of the stage-1 report it takes.
 
 Where the checks run: :func:`_deform` holds the deformation checks (a . y
 = 0, |a| < 1, and |y'| = 1 through the caller's finish) once, on (..., 3)
-arrays of y and a, components-last views of planes; the deformed y it
-hands its finish is the components-last view of fresh planes
-(:func:`.pointlin.deform_coords`).  :func:`deform_field` passes it whole
-grids, and :func:`random_compatible_acs` a broadcast y with component-major
-a.  The cut-off stages gather the columns of their bump support from the
-planes, pass them to it, and scatter the result into a copy of the planes:
+arrays of y and a, components-last views of planes, and hands its finish
+the deformed y as fresh (3, ...) planes (:func:`.pointlin.deform_coords`).
+:func:`deform_field` passes it whole grids, and :func:`random_compatible_acs`
+a broadcast y with component-major a.  The cut-off stages gather the
+columns of their bump support from the planes, pass them to it, and
+scatter the deformed columns into a copy of the planes:
 off the support the bump is zero, so the deformation form is zero and
 leaves y bit for bit, and nothing there can fail a check.  Each new
 structure is still validated on the whole grid, once, when its
@@ -235,8 +235,9 @@ def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows, finish):
 
     Checks a . y = 0 (within pl.FORM_TOL relative to max(1, sup|a|)) and
     |a| < 1 on the rows, naming the worst node by its grid index, on the
-    |a|^2 that the deformation then uses.  ``finish``
-    checks the deformed rows for |y'| = 1, by building a
+    |a|^2 that the deformation then uses.  ``finish`` gets the deformed
+    rows as the fresh (3, ...) planes of :func:`.pointlin.deform_coords`;
+    it checks them for |y'| = 1, by building a
     :class:`HermitianTriple` or through :func:`_require_unit`, so no full
     grid is checked twice; when that fails, an invariant part inside
     FORM_TOL is named as the cause.
@@ -268,13 +269,6 @@ def _deform(grid: GridSpec, y: np.ndarray, a: np.ndarray, rows, finish):
         ) from exc
 
 
-def _new_triple(grid: GridSpec, y: np.ndarray) -> HermitianTriple:
-    """The structure of the deformed y that :func:`.pointlin.deform_coords`
-    returned, the components-last view of fresh planes: its ``base``, those
-    planes, is handed over sealed, so the triple shares them."""
-    return HermitianTriple(grid, sealed(y.base))
-
-
 def _scatter(planes: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """A copy of the structure planes ``planes`` with the nodes at the flat
     indices ``rows`` set to ``values``, of shape (3, rows.size): a fresh
@@ -298,7 +292,7 @@ def deform_field(triple: HermitianTriple, a: np.ndarray) -> HermitianTriple:
     a = np.asarray(a, float)
     if a.shape != grid.shape + (3,):
         raise ValueError(f"deformation field must have shape {grid.shape + (3,)}, got {a.shape}")
-    return _deform(grid, triple.y, a, None, lambda out: _new_triple(grid, out))
+    return _deform(grid, triple.y, a, None, lambda out: HermitianTriple(grid, sealed(out)))
 
 
 def triple_from_form_field(F: TwoFormField) -> HermitianTriple:
@@ -354,7 +348,8 @@ def random_compatible_acs(
     sup = float(np.sqrt(np.max(ab[0] ** 2 + ab[1] ** 2)))
     ab *= amplitude / max(sup, 1e-300)
     e1 = np.broadcast_to([1.0, 0.0, 0.0], grid.shape + (3,))
-    return _deform(grid, e1, np.moveaxis(coeffs, 0, -1), None, lambda out: _new_triple(grid, out))
+    return _deform(grid, e1, np.moveaxis(coeffs, 0, -1), None,
+                   lambda out: HermitianTriple(grid, sealed(out)))
 
 
 def _cutoff_stage(triple: HermitianTriple, report, bump: BumpSpec, stage: str, what: str,
@@ -413,7 +408,7 @@ def one_bump_deform(
     a = w[:, None] * c1
     y = triple.planes.reshape(3, -1)[:, rows]
     stage1 = _deform(triple.grid, y.T, a.T, rows,
-                     lambda out: HermitianTriple(triple.grid, _scatter(triple.planes, rows, out.T)))
+                     lambda out: HermitianTriple(triple.grid, _scatter(triple.planes, rows, out)))
     report1 = cohomlab.gram_matrix(stage1, tol_null=tol_null)
     log = DeformLog([{
         **head,
@@ -467,7 +462,7 @@ def second_bump_deform(stage1: HermitianTriple, report1, bump: BumpSpec, log: De
     stage2 = HermitianTriple(grid, _scatter(stage1.planes, rows, y2_rows))
     # independent route: the same structure as a rational deformation of stage 1
     alt = _deform(grid, y1.T, (w[:, None] * (c2 / (1.0 + f1))).T, rows,
-                  lambda out: _require_unit(grid, out.T, rows))
+                  lambda out: _require_unit(grid, out, rows))
     route_dev = float(np.max(np.abs(alt - y2_rows), initial=0.0))
     if route_dev > ROUTE_TOL:
         raise pl.ConsistencyError(

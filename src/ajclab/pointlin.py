@@ -226,12 +226,12 @@ def deform_coords(y, a, nsq):
     check), has fundamental form y' @ OMEGA_SD with the inverse
     stereographic image y' = ((1 - |a|^2) y + 2 a) / (1 + |a|^2).
 
-    ``nsq`` is |a|^2 as :func:`coords_norm_sq` gives it, and each component
-    of y' is computed in one pass into one contiguous plane of a fresh
-    array, component index first; so y' is the formula above to the bit,
-    whatever the memory layout of y and a.  ``y`` may be a broadcast view,
-    such as a constant field.  The result is the components-last view of
-    those planes, which are its ``base``: the layout of a structure's planes.
+    ``y`` and ``a`` are (..., 3) arrays, and ``y`` may be a broadcast view,
+    such as a constant field.  ``nsq`` is |a|^2 as :func:`coords_norm_sq`
+    gives it.  The result is y' as the planes of a structure hold it: a
+    fresh C-contiguous array of shape (3, ...), each component computed in
+    one pass into its own plane; so y' is the formula above to the bit,
+    whatever the memory layout of y and a.
     """
     shrink, grow = 1.0 - nsq, 1.0 + nsq
     shape = np.broadcast_shapes(np.shape(y), np.shape(a))
@@ -240,7 +240,7 @@ def deform_coords(y, a, nsq):
         comp = np.multiply(shrink, y[..., k], out=planes[k, ...])
         comp += 2.0 * a[..., k]
         comp /= grow
-    return np.moveaxis(planes, 0, -1)
+    return planes
 
 
 def wedge_norm_sq(alpha):

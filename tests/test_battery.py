@@ -186,7 +186,7 @@ def reference_deformation_measures(seed):
     F_new = a[..., 0] * F + b[..., 0] * alpha
     y = F @ pl.OMEGA_SD.T / 2.0
     a = alpha @ pl.OMEGA_SD.T / 2.0
-    y_new = pl.deform_coords(y, a, pl.coords_norm_sq(a))
+    y_new = np.moveaxis(pl.deform_coords(y, a, pl.coords_norm_sq(a)), 0, -1)
     s2_residual = np.concatenate([
         (pl.acs_from_coords(y) - J).reshape(battery.CASES, 16),
         (pl.acs_from_coords(y_new) - closed).reshape(battery.CASES, 16),

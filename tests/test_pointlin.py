@@ -362,8 +362,11 @@ class TestSelfDualCoords:
             rows = np.flatnonzero(rng.uniform(size=shape[:-1]) < 0.1)
             y, a = y.reshape(-1, 3)[rows], a.reshape(-1, 3)[rows]
         got = pl.deform_coords(y, a, pl.coords_norm_sq(a))
-        assert got.shape == np.broadcast_shapes(y.shape, a.shape)
-        assert got.tobytes() == broadcast_formula(y, a).tobytes()
+        # the planes of y', component index first
+        assert got.flags.c_contiguous
+        assert np.moveaxis(got, 0, -1).shape == np.broadcast_shapes(y.shape, a.shape)
+        want = np.moveaxis(broadcast_formula(y, a), -1, 0)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_matches_deform_pair(self):
         rng = np.random.default_rng(10)
@@ -371,7 +374,7 @@ class TestSelfDualCoords:
         alpha = random_anti_invariant(rng, J)
         y = pl.fundamental_form(J) @ pl.OMEGA_SD.T / 2.0
         a = alpha @ pl.OMEGA_SD.T / 2.0
-        y_new = pl.deform_coords(y, a, pl.coords_norm_sq(a))
+        y_new = np.moveaxis(pl.deform_coords(y, a, pl.coords_norm_sq(a)), 0, -1)
         J_pair, F_pair = pl.deform_pair(J, alpha)
         np.testing.assert_allclose(pl.acs_from_coords(y), J, atol=1e-12)
         np.testing.assert_allclose(pl.acs_from_coords(y_new), J_pair, atol=1e-12)

@@ -3,14 +3,16 @@
 Usage::
 
     python3 tools/paired_bench.py PARENT_TREE CHANGE_TREE --workload W --pairs K --out FILE \
-        [--seed S] [--seconds T]
+        [--seed S]
 
 Pair i runs ``perfbench/run.py --workload W --seed S+i --seconds T --trace 0``
-once in each tree, from that tree's own checkout.  The parent runs first in
+once in each tree, from that tree's own checkout, where T is the
+``run_seconds`` of CHANGE_TREE's ``BENCHMARK.json``: the run length is the
+benchmark's, the same on both sides.  The parent runs first in
 the even pairs and the change in the odd ones, so a host whose speed drifts
 over the runs slows both sides alike.  The end-to-end metrics, and whether
 higher or lower is better, are those that CHANGE_TREE's ``BENCHMARK.json``
-declares; ``--seconds`` defaults to its ``run_seconds``.
+declares.
 
 FILE is a JSON document with one entry per workload: every pair's metrics
 and correctness, and per metric each side's median and quartiles, the pairs
@@ -107,7 +109,6 @@ def parse_args(argv):
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
     parser.add_argument("--seed", type=int, default=21, help="the first pair's seed")
-    parser.add_argument("--seconds", type=float, help="per run; BENCHMARK.json's by default")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -118,7 +119,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    seconds = args.seconds or float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     records = run_pairs(trees, args.workload, args.pairs, args.seed, seconds)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     doc["workloads"][args.workload] = {
