@@ -1,9 +1,8 @@
-"""Bulk identity batteries: vectorized random-case sweeps over the pointwise
-algebra and the spectral calculus, reused by the test suite and the CLI.
+"""The identity batteries that ``ajclab battery`` runs: vectorized
+random-case sweeps over the deformation formula that every structure is
+built with, and over the spectral calculus.
 The deformation checks measure the routes that :mod:`.pointlin` computes
-for :func:`.pointlin.deform_pair`, not a copy of its formulas; the symbol
-battery checks d delta against the operator -1/2 sum_a D_a^2 whose
-Dirichlet form the elliptic oracle takes.
+for :func:`.pointlin.deform_pair`, not a copy of its formulas.
 The calculus battery draws its fields as coefficients that
 :func:`.torusfield.from_low_pass` synthesizes, with no transform."""
 
@@ -21,7 +20,7 @@ NORM_TOL = 1e-12
 #: bounds for the spectral calculus identities
 DDZERO_TOL = 1e-12
 ADJOINT_TOL = 1e-10
-#: random cases of each pointwise battery
+#: random cases of the deformation battery
 CASES = 10_000
 
 
@@ -88,58 +87,6 @@ def run_deformation_battery(seed: int) -> list[Check]:
     ]
 
 
-def run_splitting_battery(seed: int) -> list[Check]:
-    """Random-case battery for the splitting relations between the star and
-    involution decompositions."""
-    rng = np.random.default_rng(seed)
-    J = _random_structures(rng)
-    F = pl.fundamental_form(J)
-    phi = rng.uniform(-1.0, 1.0, size=(CASES, 6))
-    sj = pl.split_j(J, phi)
-    sd = pl.split_sd(phi)
-    alpha = _random_anti_invariant(rng, J)
-
-    # invariant part = span(F) + anti-self-dual plane: the self-dual part of
-    # the invariant component is a pointwise multiple of F
-    plus_sd = pl.split_sd(sj.plus).plus
-    proj = (pl.form_inner(plus_sd, F) / 2.0)[..., None] * F
-
-    return [
-        Check.within(
-            "star splitting reconstructs the input",
-            sd.plus + sd.minus - phi, AGREEMENT_TOL,
-        ),
-        Check.within(
-            "involution splitting reconstructs the input",
-            sj.plus + sj.minus - phi, AGREEMENT_TOL,
-        ),
-        Check.within(
-            "pull-back fixes the invariant part",
-            pl.pull_back(J, sj.plus) - sj.plus, AGREEMENT_TOL,
-        ),
-        Check.within(
-            "pull-back negates the anti-invariant part",
-            pl.pull_back(J, sj.minus) + sj.minus, AGREEMENT_TOL,
-        ),
-        Check.within(
-            "self-dual part of the invariant component is a multiple of F",
-            plus_sd - proj, AGREEMENT_TOL,
-        ),
-        Check.within(
-            "anti-invariant parts are self-dual",
-            sj.minus - pl.hodge_star(sj.minus), AGREEMENT_TOL,
-        ),
-        Check.within(
-            "anti-invariant parts are orthogonal to F",
-            pl.form_inner(sj.minus, F), AGREEMENT_TOL,
-        ),
-        Check.within(
-            "anti-invariant forms have no anti-self-dual part",
-            pl.split_sd(alpha).minus, AGREEMENT_TOL,
-        ),
-    ]
-
-
 def _bandlimited(rng: np.random.Generator, grid: tf.GridSpec, cls):
     """A random field of type ``cls`` with the law that
     :func:`run_calculus_battery` states: its coefficients of degree up to
@@ -198,26 +145,3 @@ def run_calculus_battery(grid_n: int, count: int, seed: int) -> list[Check]:
         Check.within("wedge pairing is symmetric", wedge_asym, 1e-14),
     ]
 
-
-def run_symbol_battery(grid_n: int, seed: int) -> list[Check]:
-    """For white-noise self-dual coordinates psi, the self-dual coordinates
-    of d delta (psi @ OMEGA_SD), :func:`.torusfield.d_oneform` of
-    :func:`.torusfield.codiff_twoform`, must be -1/2 sum_a D_a^2 applied to
-    psi, each coordinate alone, for torusfield's differentiation matrix D
-    along grid axis a, to AGREEMENT_TOL relative to their largest value.
-    That is the operator C whose Dirichlet form the elliptic oracle takes
-    (:mod:`.cohomlab`).  White noise carries every mode, so d delta is
-    scalar, symmetric and equal to C everywhere.  Both sides are built from
-    D, so a fault in D itself passes here; the tests check the oracle's
-    Ritz values against a transform reference for that.  Kept out of
-    :func:`run_calculus_battery`, which the benchmark's calculus workload
-    times."""
-    grid = tf.GridSpec(grid_n)
-    psi = np.random.default_rng(seed).standard_normal(grid.shape + (3,))
-    planes = np.moveaxis(psi @ pl.OMEGA_SD, -1, 0)
-    d_delta = tf.d_oneform(tf.codiff_twoform(tf.TwoFormField(grid, planes)))
-    got = d_delta.values @ pl.OMEGA_SD.T / 2.0
-    D = tf._diff_matrix(grid)
-    expect = -0.5 * sum(tf._along(tf._along(psi, D, a, None), D, a, None) for a in tf.GRID_AXES)
-    return [Check.within("d delta on self-dual coordinates is the oracle's -1/2 sum_a D_a^2",
-                         (got - expect) / np.max(np.abs(expect)), AGREEMENT_TOL)]

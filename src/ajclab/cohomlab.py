@@ -33,7 +33,7 @@ operator is A = P V^T C V P: V maps coefficients to self-dual coordinates
 projects onto.  On a self-dual psi, delta d psi = star d delta psi, so
 P^+ d delta P^+ = Delta / 2, which on the flat torus acts on each
 coordinate alone: C = -1/2 sum_a D_a^2 for torusfield's differentiation
-matrix D along grid axis a (the battery checks this against torusfield's
+matrix D along grid axis a (the tests check this against torusfield's
 d delta).  D is exactly antisymmetric, so C is the Dirichlet form
 <s, C s'> = 1/2 sum_a <D_a s, D_a s'>, and :func:`_ritz_values` takes it
 as such, with no transform.  D's multipliers are 2 pi i k with k_a zeroed

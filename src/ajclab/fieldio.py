@@ -36,6 +36,9 @@ from .torusfield import GridSpec, SelfDualCoordField, sealed
 MAGIC = "AJC1"
 #: the kind named in the header, the one kind of field a file holds
 KIND = "sdcoords"
+#: the most bytes read for the header line, its newline included: far above
+#: any valid header, so a file with no newline early on is not read whole
+HEADER_MAX = 64
 
 
 class FieldFormatError(ValueError):
@@ -69,7 +72,8 @@ def serialize_field(field, path) -> None:
 def deserialize_field(path, expect_grid: GridSpec):
     """Read a field file of grid ``expect_grid`` back as a
     :class:`.torusfield.SelfDualCoordField`.  The header, the kind, the grid
-    and the payload size are checked first; a header that is not exactly
+    and the payload size are checked first; a file whose first HEADER_MAX
+    bytes hold no newline has no header line, a header that is not exactly
     ``f"{MAGIC} {KIND} {n}"``, n in plain decimal, is malformed, and one of
     another kind is unknown.  The payload is then read straight into fresh
     planes, which the field shares: the read is the one full-size write of
@@ -79,7 +83,7 @@ def deserialize_field(path, expect_grid: GridSpec):
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            line = fh.readline()
+            line = fh.readline(HEADER_MAX)
             if not line.endswith(b"\n"):
                 raise ValueError("missing header line")
             if not line.isascii():

@@ -22,11 +22,10 @@ the one placement rule of 2-forms in 4x4 matrices.  The 4x4 algebra
 (:func:`deform_pair` and its conjugation cross-check) is the independent
 oracle of the deformation formula.
 
-Two norm conventions coexist.  ``form_inner`` is the Riemannian inner
-product of the orthonormal ``e_ij`` basis (so ``<F, F> = 2`` for a
-fundamental form).  ``wedge_norm_sq`` is the wedge-square normalization
-``alpha ^ alpha = 2 |alpha|^2 dmu``, under which a fundamental form has
-norm exactly 1; all deformation formulas below use the latter.
+Norms are wedge-square norms: :func:`wedge_norm_sq` is the normalization
+``alpha ^ alpha = 2 |alpha|^2 dmu``, half the Riemannian norm^2 of the
+orthonormal ``e_ij`` basis on self-dual forms, under which a fundamental
+form has norm exactly 1; every deformation formula below uses it.
 """
 
 from __future__ import annotations
@@ -102,22 +101,10 @@ def wedge_to_volume(phi, psi):
     return out[()]
 
 
-def form_inner(phi, psi):
-    """Riemannian inner product of 2-forms (the e_ij basis is orthonormal)."""
-    return np.sum(np.asarray(phi, float) * np.asarray(psi, float), axis=-1)
-
-
 def hodge_star(phi):
     """Hodge star on 2-forms; involutive, fixes OMEGA1..3, negates the mirror frame."""
     phi = np.asarray(phi, float)
     return _WEDGE_SIGN * phi[..., _WEDGE_PARTNER]
-
-
-def split_sd(phi) -> FormSplit:
-    """Split into the star-fixed (plus) and star-negated (minus) parts."""
-    phi = np.asarray(phi, float)
-    star = hodge_star(phi)
-    return FormSplit((phi + star) / 2.0, (phi - star) / 2.0)
 
 
 def form_to_matrix(phi):
@@ -312,17 +299,3 @@ def deform_pair(J, alpha):
         )
     return closed, F_new
 
-
-def j_act_anti(J, alpha):
-    """The action (J alpha)(., .) = -alpha(J., .) on anti-invariant forms.
-
-    The output is again anti-invariant and applying the action twice gives
-    ``-alpha``: the anti-invariant plane carries a complex structure.
-    """
-    J = np.asarray(J, float)
-    _require_anti_invariant(J, alpha)
-    M = -np.swapaxes(J, -1, -2) @ form_to_matrix(alpha)
-    defect = _amax(M + np.swapaxes(M, -1, -2))
-    if defect > FORM_TOL * max(1.0, _amax(alpha)):
-        raise ValueError(f"action did not produce a 2-form (defect {defect:.3e})")
-    return matrix_to_form(M)

@@ -26,10 +26,12 @@ RESOLUTION_GRID_SIZES = (8, 16, 24, 32)
 
 
 def scenario_baseline(report: ScenarioReport, cfg: LabConfig) -> None:
-    """The undeformed structure: exact kernel of dimension 2.  h_plus needs
-    no check of its own: every J on a closed 4-manifold is C-infinity pure
-    and full (Draghici, Li and Zhang, IMRN 2010), so h_plus = b_2 - h_minus
-    = 6 - h_minus here, and it is 4 exactly when h_minus is 2."""
+    """The undeformed structure: an exact Gram kernel of dimension 2, whose
+    forms the 4x4 involution of the structure, a route apart from Gram's,
+    must find anti-invariant.  h_plus needs no check of its own: every J on
+    a closed 4-manifold is C-infinity pure and full (Draghici, Li and Zhang,
+    IMRN 2010), so h_plus = b_2 - h_minus = 6 - h_minus here, and it is 4
+    exactly when h_minus is 2."""
     grid = tf.GridSpec(cfg.grid_n)
     with report.timed("build"):
         triple = hm.standard_acs(grid)
@@ -44,10 +46,6 @@ def scenario_baseline(report: ScenarioReport, cfg: LabConfig) -> None:
         "kernel forms are anti-invariant",
         [pl.split_j(J, v @ pl.OMEGA_SD).plus for v in gram.null_coords], 1e-10,
     )
-    report.within("structure action rotates omega2 to omega3",
-                  pl.j_act_anti(pl.J0, pl.OMEGA2) - pl.OMEGA3, 1e-12)
-    report.within("structure action squares to -Id on the kernel",
-                  pl.j_act_anti(pl.J0, pl.j_act_anti(pl.J0, pl.OMEGA2)) + pl.OMEGA2, 1e-12)
 
 
 def _stage1(report: ScenarioReport, cfg: LabConfig):
@@ -247,16 +245,13 @@ def scenario_resolution(report: ScenarioReport, cfg: LabConfig) -> None:
 
 
 def identity_battery(report: ScenarioReport, cfg: LabConfig) -> None:
-    """Random-case identity batteries for the pointwise algebra, the
-    spectral calculus and the oracle's symbol; zero failures expected."""
+    """Random-case identity batteries for the deformation formula that
+    every structure is built with and for the spectral calculus; zero
+    failures expected."""
     with report.timed("deformation"):
         checks = battery.run_deformation_battery(cfg.seed)
-    with report.timed("splitting"):
-        checks += battery.run_splitting_battery(cfg.seed + 1)
     with report.timed("calculus"):
         checks += battery.run_calculus_battery(16, 100, seed=cfg.seed + 2)
-    with report.timed("symbol"):
-        checks += battery.run_symbol_battery(16, cfg.seed + 3)
     report.checks.extend(checks)
     report.summaries["total_checks"] = len(checks)
 

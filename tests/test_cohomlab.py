@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import elliptic_reference as reference
 from spectral_reference import spectral_truncate
+from identity_checks import form_inner, run_symbol_battery
 from constant_fields import constant_twoform, from_values
-from ajclab import battery, cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
+from ajclab import cohomlab, hermitian as hm, pointlin as pl, torusfield as tf
 from ajclab.config import LabConfig
 from ajclab.reporting import to_json
 
@@ -63,7 +64,7 @@ class TestFOmega:
     def test_matches_form_inner_product(self):
         triple = hm.random_compatible_acs(G8, seed=9, amplitude=0.5, bandlimit=2)
         w = np.array([0.3, -0.5, 0.8])
-        expected = pl.form_inner(w @ pl.OMEGA_SD, triple.F.values)
+        expected = form_inner(w @ pl.OMEGA_SD, triple.F.values)
         np.testing.assert_allclose(cohomlab.f_omega(triple, w).values, expected, atol=1e-14)
 
 
@@ -693,7 +694,7 @@ def assert_symbol_battery_fails(monkeypatch, fault):
     monkeypatch.setattr(tf, "codiff_twoform", recording)
     monkeypatch.setattr(tf, "d_oneform", faulty)
     for n in (4, 6, 8, 16):
-        (check,) = battery.run_symbol_battery(n, seed=3)
+        (check,) = run_symbol_battery(n, seed=3)
         assert not check.passed and check.measured > 1e4 * check.tolerance, (n, check)
 
 
@@ -702,8 +703,8 @@ class TestScalarKernel:
     oracle as one scalar operator C = -1/2 sum_a D_a^2, whose Dirichlet form
     it takes.  The Weyl lower bound rests on C's closed-form symbol
     (reference.kernel_symbol), tested here.  That d delta is C is the
-    battery's identity (battery.run_symbol_battery), so the faults it must
-    catch are planted there."""
+    symbol battery's identity (identity_checks.run_symbol_battery), so the
+    faults it must catch are planted there."""
 
     def test_kernel_is_half_the_laplacian_impulse_response(self):
         # the symbol of the impulse response: |2 pi k|^2 / 2 with Nyquist zeroed
@@ -794,7 +795,7 @@ class TestTransformCount:
 
     def test_the_symbol_battery_makes_no_fft_call(self, monkeypatch):
         calls = counted_fft_calls(monkeypatch, [])
-        (check,) = battery.run_symbol_battery(6, seed=3)
+        (check,) = run_symbol_battery(6, seed=3)
         assert check.passed and calls == []
 
 
@@ -849,7 +850,7 @@ class TestRitzReference:
             assert ritz_deviation(structures[f"random/{seed}"]) > 1e-7, seed
         # the symbol battery passes with the same scaled D
         monkeypatch.setattr(tf, "_diff_matrix", scaled)
-        (check,) = battery.run_symbol_battery(8, seed=3)
+        (check,) = run_symbol_battery(8, seed=3)
         assert check.passed
 
 
@@ -874,7 +875,7 @@ class TestFramePairing:
         minus = pl.split_j(triple.J.values, phi).minus
         for v in hm.anti_invariant_frame(triple)[:2]:
             frame = v @ pl.OMEGA_SD
-            dev = np.abs(pl.form_inner(minus, frame) - pl.form_inner(phi, frame))
+            dev = np.abs(form_inner(minus, frame) - form_inner(phi, frame))
             assert float(dev.max()) <= 1e-13
 
     def test_stage2_is_built(self, structures):

@@ -2,6 +2,7 @@
 self-dual coordinates (sdcoords), the one kind the format has."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,32 @@ def test_header_refusal_names_the_file(raw, message, tmp_path):
     path.write_bytes(raw + b"\0" * (24 * G.node_count))
     with pytest.raises(fieldio.FieldFormatError, match=rf"^{re.escape(str(path))}: {message}"):
         fieldio.deserialize_field(path, G)
+
+
+def test_a_file_with_no_newline_is_refused_without_reading_it_whole(tmp_path):
+    # 8 MB and no newline byte: the header read stops at HEADER_MAX bytes,
+    # where an unbounded readline held the whole file twice (16.2 MiB)
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"A" * (8 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(fieldio.FieldFormatError,
+                           match=rf"^{re.escape(str(path))}: missing header line$"):
+            fieldio.deserialize_field(path, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def test_a_header_line_longer_than_its_bound_is_refused(tmp_path):
+    header = b"AJC1 sdcoords 4"
+    for pad, message in [(fieldio.HEADER_MAX - len(header) - 1, "malformed header"),
+                         (fieldio.HEADER_MAX - len(header), "missing header line")]:
+        path = tmp_path / f"pad{pad}.bin"
+        path.write_bytes(header + b" " * pad + b"\n" + b"\0" * (24 * G.node_count))
+        with pytest.raises(fieldio.FieldFormatError, match=rf"^{re.escape(str(path))}: {message}"):
+            fieldio.deserialize_field(path, G)
 
 
 def test_path_with_a_nul_byte_is_refused_with_the_path(tmp_path):

@@ -82,3 +82,29 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch):
                      (Path("p"), 23), (Path("c"), 23)]
     assert [r["first"] for r in got] == ["parent", "change", "parent"]
     assert [r["seed"] for r in got] == [21, 22, 23]
+
+
+def write_tree(root: Path, src_byte: bytes) -> Path:
+    """A source tree whose one src/ module ends in ``src_byte``."""
+    for rel, data in [("src/ajclab/a.py", b"x = 1" + src_byte), ("perfbench/run.py", b"run"),
+                      ("BENCHMARK.json", b"{}"), ("tests/test_a.py", b"test")]:
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(data)
+    return root
+
+
+def test_tree_digest_is_of_the_content_alone(tmp_path):
+    first = paired_bench.tree_digest(write_tree(tmp_path / "a", b"\n"))
+    assert len(first) == 64
+    # the same content in another directory digests alike
+    assert paired_bench.tree_digest(write_tree(tmp_path / "b", b"\n")) == first
+    # one byte under src/ differs
+    assert paired_bench.tree_digest(write_tree(tmp_path / "c", b"2")) != first
+    # neither run leftovers nor files outside src/, perfbench/ and
+    # BENCHMARK.json count
+    for rel in ("src/ajclab/__pycache__/a.pyc", "perfbench/out/spans.json", "tests/new.py"):
+        (tmp_path / "b" / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "b" / rel).write_bytes(b"left")
+    assert paired_bench.tree_digest(tmp_path / "b") == first
+    (tmp_path / "b" / "perfbench" / "new.py").write_bytes(b"")
+    assert paired_bench.tree_digest(tmp_path / "b") != first

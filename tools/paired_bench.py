@@ -18,14 +18,18 @@ FILE is a JSON document with one entry per workload: every pair's metrics
 and correctness, and per metric each side's median and quartiles, the pairs
 the change won, the change's median relative to the parent's, whether that
 stays inside the metric's bound, and whether the median gain exceeds the
-spread between the parent's quartiles.  An existing FILE keeps the entries
-of the other workloads, so one file collects them all.  Standard library
-only.
+spread between the parent's quartiles.  Each entry also names what it
+measured: per tree, the SHA-256 :func:`tree_digest` of its ``src/``,
+``perfbench/`` and ``BENCHMARK.json``, and the numpy version that ran both.
+An existing FILE keeps the entries of the other workloads, so one file
+collects them all.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib.metadata
 import json
 import os
 import platform
@@ -35,6 +39,21 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+
+def tree_digest(tree: Path) -> str:
+    """SHA-256 over the files of ``tree`` under ``src/`` and ``perfbench/``
+    and its ``BENCHMARK.json``, in sorted order of relative path: each path,
+    a NUL byte and the SHA-256 of the file's bytes.  What running leaves
+    there, as .gitignore lists it (``__pycache__/`` and ``perfbench/out/``),
+    is skipped, so a tree digests alike before and after it has run."""
+    paths = [tree / "BENCHMARK.json"]
+    paths += [p for top in ("src", "perfbench") for p in (tree / top).rglob("*") if p.is_file()]
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(tree).as_posix() for p in paths):
+        if "__pycache__" not in rel.split("/") and not rel.startswith("perfbench/out/"):
+            h.update(rel.encode() + b"\0" + hashlib.sha256((tree / rel).read_bytes()).digest())
+    return h.hexdigest()
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -120,6 +139,7 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = float(bench["run_seconds"])
+    digests = {side: tree_digest(tree) for side, tree in trees.items()}
     records = run_pairs(trees, args.workload, args.pairs, args.seed, seconds)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     doc["workloads"][args.workload] = {
@@ -127,6 +147,8 @@ def main(argv=None) -> int:
                    f"--seconds {seconds:g} --trace 0",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count(), "platform": platform.platform()},
+        "numpy": importlib.metadata.version("numpy"),
+        "tree_sha256": digests,
         "summary": summarize(records, bench["end_to_end"]),
         "records": records,
     }
